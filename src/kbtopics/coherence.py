@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, PipelineError
 from .expansion import Neighborhood
 from .kb import Iri
@@ -60,9 +62,6 @@ class CoherenceGraph:
         key = (a, b) if a < b else (b, a)
         return self.edges.get(key, 0.0)
 
-    def connectivity(self, node: Iri, active: Iterable[Iri]) -> float:
-        return sum(self.similarity(node, other) for other in active)
-
 
 def build_similarity(
     candidates: Iterable[Iri],
@@ -105,18 +104,6 @@ def build_similarity(
     return CoherenceGraph(nodes=nodes, edges=edges)
 
 
-def _removal_allowed(
-    entity: Iri,
-    mention_counts: Sequence[int],
-    mention_members: Sequence[frozenset[Iri]],
-    min_keep: int,
-) -> bool:
-    for idx, members in enumerate(mention_members):
-        if entity in members and mention_counts[idx] - 1 < min_keep:
-            return False
-    return True
-
-
 def greedy_prune(
     graph: CoherenceGraph,
     mention_candidates: Sequence[Iterable[Iri]],
@@ -130,45 +117,47 @@ def greedy_prune(
     by entity), skipping any whose removal would violate min_keep at that
     point. Removed and unconnected candidates keep boost 1; survivors get
     1 + gamma * conn/max_conn where conn is measured among survivors only.
+
+    Similarities live in a dense matrix over the sorted nodes, and every
+    connectivity is a row sum in index order, so the boosts do not depend
+    on set iteration order (and thus not on PYTHONHASHSEED).
     """
-    node_set = set(graph.nodes)
-    members = [frozenset(m) & node_set for m in mention_candidates]
-    counts = [len(m) for m in members]
+    nodes = sorted(graph.nodes)
+    pos = {e: i for i, e in enumerate(nodes)}
+    sim = np.zeros((len(nodes), len(nodes)))
+    for (a, b), value in graph.edges.items():
+        sim[pos[a], pos[b]] = sim[pos[b], pos[a]] = value
+    # members[m, i]: node i is still a candidate of mention m
+    members = np.zeros((len(mention_candidates), len(nodes)), dtype=bool)
+    for m, group in enumerate(mention_candidates):
+        for e in group:
+            if e in pos:
+                members[m, pos[e]] = True
+    counts = members.sum(axis=1)
 
-    removable = [
-        e for e in graph.nodes
-        if _removal_allowed(e, counts, members, params.min_keep)
-    ]
-    budget = math.floor(params.prune_fraction * len(removable))
+    def removal_allowed() -> np.ndarray:
+        starved = counts - 1 < params.min_keep
+        return ~members[starved].any(axis=0)
 
-    active = set(graph.nodes)
-    removed = 0
-    while removed < budget:
-        victim: Iri | None = None
-        victim_conn = math.inf
-        for e in sorted(active):
-            if not _removal_allowed(e, counts, members, params.min_keep):
-                continue
-            conn = graph.connectivity(e, active)
-            if conn < victim_conn:
-                victim = e
-                victim_conn = conn
-        if victim is None:
+    budget = math.floor(params.prune_fraction * int(removal_allowed().sum()))
+    active = np.ones(len(nodes), dtype=bool)
+    for _ in range(budget):
+        eligible = active & removal_allowed()
+        if not eligible.any():
             break
-        active.discard(victim)
-        for idx, m in enumerate(members):
-            if victim in m:
-                members[idx] = m - {victim}
-                counts[idx] -= 1
-        removed += 1
+        conn = np.where(active, sim, 0.0).sum(axis=1)
+        # argmin takes the first minimum, i.e. the smallest entity
+        victim = int(np.argmin(np.where(eligible, conn, np.inf)))
+        active[victim] = False
+        counts -= members[:, victim]
+        members[:, victim] = False
 
-    boosts = {e: 1.0 for e in graph.nodes}
-    conn_final = {e: graph.connectivity(e, active) for e in active}
-    max_conn = max(conn_final.values(), default=0.0)
+    conn = np.where(active, sim, 0.0).sum(axis=1)
+    max_conn = float(conn[active].max(initial=0.0))
+    boosts = np.ones(len(nodes))
     if max_conn > 0:
-        for e, conn in conn_final.items():
-            boosts[e] = 1.0 + params.gamma * conn / max_conn
-    return boosts
+        boosts[active] = 1.0 + params.gamma * conn[active] / max_conn
+    return dict(zip(nodes, boosts.tolist()))
 
 
 def apply_boosts(

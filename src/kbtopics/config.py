@@ -263,17 +263,13 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
             raise ConfigError("encoder.ngram_sizes must be a non-empty list of positive integers")
 
         ra = _require_mapping(data.get("ranking"), "ranking")
-        _reject_unknown(
-            ra, {"w_l", "w_sm", "w_sc", "alpha", "beta", "use_lut", "lut_resolution"}, "ranking"
-        )
+        _reject_unknown(ra, {"w_l", "w_sm", "w_sc", "alpha", "beta"}, "ranking")
         ranking = RankingParams(
             w_l=_get_real(ra, "w_l", 1.0, "ranking"),
             w_sm=_get_real(ra, "w_sm", 1.0, "ranking"),
             w_sc=_get_real(ra, "w_sc", 0.5, "ranking"),
             alpha=_get_real(ra, "alpha", 4.0, "ranking"),
             beta=_get_real(ra, "beta", 8.0, "ranking"),
-            use_lut=_get_bool(ra, "use_lut", False, "ranking"),
-            lut_resolution=_get_int(ra, "lut_resolution", 4096, "ranking"),
         )
 
         co = _require_mapping(data.get("coherence"), "coherence")
@@ -397,8 +393,6 @@ def to_dict(config: AppConfig) -> dict[str, Any]:
             "w_sc": config.ranking.w_sc,
             "alpha": config.ranking.alpha,
             "beta": config.ranking.beta,
-            "use_lut": config.ranking.use_lut,
-            "lut_resolution": config.ranking.lut_resolution,
         },
         "coherence": {
             "top_m_per_mention": config.coherence.top_m_per_mention,

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood
 from .kb import Iri, KnowledgeBase, entity_texts
-from .ranking import CandidateBlock
+from .ranking import CandidateBlock, LexicalRows
 from .vector_store import VectorStore, VectorStoreWriter
 from .vectors import (
     EmbeddingTable,
@@ -383,11 +383,13 @@ class CandidateIndex:
 
     def load_vectors(
         self, handles: Sequence[tuple[int, int]]
-    ) -> tuple[list[SparseVector], list[np.ndarray]]:
-        """Fetch (lexical, semantic) vector pairs, order-preserving."""
-        lex = [self._store.read_lexical(h[0]) for h in handles]
+    ) -> tuple[LexicalRows, np.ndarray]:
+        """Fetch the (lexical, semantic) vectors of the handles, one row per
+        handle in handle order: CSR lexical rows and an (n, D) matrix."""
+        lex = LexicalRows.stack([self._store.read_lexical(h[0]) for h in handles])
         sem = [self._store.read_semantic(h[1]) for h in handles]
-        return lex, sem
+        dim = self.manifest.embedding_dim
+        return lex, np.vstack(sem) if sem else np.zeros((0, dim))
 
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
         r = self.record(uri)
@@ -401,25 +403,20 @@ class CandidateIndex:
         record = self.record(uri)
         if record is None:
             raise IndexIntegrityError(f"no index record for {uri}")
-        lex_rows: list[SparseVector] = []
-        sem_rows: list[np.ndarray] = []
+        handles: list[tuple[int, int]] = []
         weights: list[float] = []
         distances: list[float] = []
         for entity, dist in zip(record.related_entities, record.related_weights):
             rec = self.record(entity)
             if rec is None:
                 continue
-            lex, sem = self.load_vectors(rec.vector_handles)
-            for (_, _, field_weight), lv, sv in zip(rec.texts, lex, sem):
-                lex_rows.append(lv)
-                sem_rows.append(sv)
-                weights.append(field_weight)
-                distances.append(dist)
-        dim = self.manifest.embedding_dim
-        sem_matrix = np.vstack(sem_rows) if sem_rows else np.zeros((0, dim))
+            handles.extend(rec.vector_handles)
+            weights.extend(field_weight for _, _, field_weight in rec.texts)
+            distances.extend([dist] * len(rec.texts))
+        lex_rows, sem_matrix = self.load_vectors(handles)
         return CandidateBlock(
             entity=uri,
-            lex_rows=tuple(lex_rows),
+            lex_rows=lex_rows,
             sem_matrix=sem_matrix,
             field_weights=np.array(weights, dtype=np.float64),
             distances=np.array(distances, dtype=np.float64),

@@ -46,7 +46,7 @@ from .mentions import (
     detect_mentions,
     merge_keywords,
 )
-from .ranking import ActivationTable, MentionVectors, rank_candidates
+from .ranking import MentionVectors, rank_candidates
 from .selection import TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
 from .vectors import EmbeddingTable, lexical_vector, semantic_vector
 
@@ -145,11 +145,6 @@ class Classifier:
         self._k = config.retrieval.k
         self._label_field = config.retrieval.label_field
         self._ngram_sizes = config.ngram_sizes
-        self._lut = (
-            ActivationTable(config.ranking.alpha, config.ranking.beta,
-                            config.ranking.lut_resolution)
-            if config.ranking.use_lut else None
-        )
         self._rule_detector = RuleBasedDetector()
         self._blocks: dict[Iri, CandidateBlock] = {}
 
@@ -197,7 +192,7 @@ class Classifier:
             hits = self._index.query(mention.lemma, self._k)
             blocks = [self._block(hit.record.uri) for hit in hits]
             vectors = self._mention_vectors(mention)
-            ranked = rank_candidates(vectors, blocks, self._ranking, i, self._lut)
+            ranked = rank_candidates(vectors, blocks, self._ranking, i)
             ranked_lists.append(ranked[: self._coherence.top_m_per_mention])
 
         if use_coherence and self._coherence.enabled:

@@ -17,15 +17,20 @@ itself). The candidate's score is the sum over rows. The activation floor
 a(0) > 0 means unrelated rows leak a little mass; that is intentional, the
 function's range is (0, 1).
 
-An optional lookup table with linear interpolation replaces exact
-activation; its error is far below the 1e-4 budget at the default
-resolution.
+A block keeps its lexical rows in CSR form (uint64 gram keys, float64
+values, row pointers), so one kernel scores all candidates of a
+mention at once: the query's keys are sorted once, the elements of all
+blocks are matched against them with ``searchsorted`` and the products are
+summed per row with ``bincount``; both semantic cosines are row-wise
+sums over the stacked rows; one activation runs over all rows,
+and ``np.add.reduceat`` sums each block's rows into its score.
+``score_candidate`` is the same kernel over a single block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,8 +46,6 @@ class RankingParams:
     w_sc: float = 0.5
     alpha: float = 4.0
     beta: float = 8.0
-    use_lut: bool = False
-    lut_resolution: int = 4096
 
     def __post_init__(self) -> None:
         if min(self.w_l, self.w_sm, self.w_sc) < 0:
@@ -51,8 +54,6 @@ class RankingParams:
             raise ConfigError("at least one similarity component weight must be positive")
         if self.beta <= 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.lut_resolution < 2:
-            raise ConfigError("lut_resolution must be at least 2")
 
 
 def activation(x, alpha: float = 4.0, beta: float = 8.0):
@@ -61,20 +62,6 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
     Accepts scalars or arrays; a(alpha/beta) = 0.25 exactly.
     """
     return (1.0 + np.exp(alpha - beta * np.asarray(x, dtype=np.float64))) ** -2.0
-
-
-class ActivationTable:
-    """Tabulated activation over [-1, 1] with linear interpolation.
-
-    Inputs are clipped to the table range; cosines never leave it.
-    """
-
-    def __init__(self, alpha: float, beta: float, resolution: int = 4096):
-        self.xs = np.linspace(-1.0, 1.0, resolution + 1)
-        self.ys = activation(self.xs, alpha, beta)
-
-    def __call__(self, x) -> np.ndarray:
-        return np.interp(np.clip(x, -1.0, 1.0), self.xs, self.ys)
 
 
 @dataclass(frozen=True)
@@ -88,12 +75,52 @@ class MentionVectors:
 
 
 @dataclass(frozen=True)
+class LexicalRows:
+    """Sparse unit rows in CSR form.
+
+    Row i holds ``keys[indptr[i]:indptr[i+1]]`` (uint64 gram hashes) and the
+    matching ``values``. Keys must be uint64: gram hashes use all 64 bits, and
+    any other integer or float dtype would mis-compare keys at or above 2**63.
+    Iterating yields each row as a ``SparseVector`` dict.
+    """
+
+    keys: np.ndarray                  # (nnz,) uint64
+    values: np.ndarray                # (nnz,) float64
+    indptr: np.ndarray                # (n + 1,) row starts, indptr[0] == 0
+
+    def __post_init__(self) -> None:
+        if self.keys.dtype != np.uint64:
+            raise ValueError(f"lexical keys must be uint64, got {self.keys.dtype}")
+        if self.indptr[-1] != self.keys.shape[0] or self.values.shape != self.keys.shape:
+            raise ValueError("lexical rows: indptr, keys and values disagree")
+
+    @classmethod
+    def stack(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> "LexicalRows":
+        """CSR rows from per-row (keys, values) array pairs, in order."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([keys.shape[0] for keys, _ in rows], out=indptr[1:])
+        return cls(
+            keys=np.concatenate([np.zeros(0, np.uint64), *(k for k, _ in rows)]),
+            values=np.concatenate([np.zeros(0), *(v for _, v in rows)]),
+            indptr=indptr,
+        )
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __iter__(self) -> Iterator[SparseVector]:
+        keys, values, bounds = self.keys.tolist(), self.values.tolist(), self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield dict(zip(keys[lo:hi], values[lo:hi]))
+
+
+@dataclass(frozen=True)
 class CandidateBlock:
     """All scoring rows of one candidate: its own texts plus the texts of
     its neighborhood, with per-row field weights and owner distances."""
 
     entity: Iri
-    lex_rows: tuple[SparseVector, ...]
+    lex_rows: LexicalRows
     sem_matrix: np.ndarray            # (n, D), rows unit-length or zero
     field_weights: np.ndarray         # (n,)
     distances: np.ndarray             # (n,), w_e of each row's owner
@@ -120,34 +147,57 @@ class ScoredCandidate:
         return self.score * self.boost
 
 
-def _lexical_cosines(rows: tuple[SparseVector, ...], query: SparseVector) -> np.ndarray:
-    """Dot products of sparse unit rows with the sparse unit query.
+def _block_scores(
+    mention: MentionVectors, blocks: Sequence[CandidateBlock], params: RankingParams,
+) -> np.ndarray:
+    """Score of every block against one mention, in block order."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    n_rows = int(sizes.sum())
+    if n_rows == 0:
+        return np.zeros(len(blocks))
+    starts = np.cumsum(sizes) - sizes
 
-    Only the query's keys matter, so rows are projected onto them and the
-    whole block reduces to one dense matrix-vector product.
-    """
-    if not query or not rows:
-        return np.zeros(len(rows))
-    keys = list(query)
-    values = np.array([query[k] for k in keys])
-    dense = np.array([[row.get(k, 0.0) for k in keys] for row in rows])
-    return dense @ values
+    query = sorted(mention.lex.items())
+    q_keys = np.array([k for k, _ in query], dtype=np.uint64)
+    q_vals = np.array([v for _, v in query], dtype=np.float64)
+    keys = np.concatenate([b.lex_rows.keys for b in blocks])
+    # Most elements match no query key; a table of the query keys' low 12
+    # bits screens them out before the exact (and slower) binary search.
+    low_bits = np.zeros(1 << 12, dtype=bool)
+    low_bits[(q_keys & 0xFFF).astype(np.intp)] = True
+    cand = low_bits[(keys & 0xFFF).astype(np.intp)].nonzero()[0]
+    pos = np.searchsorted(q_keys, keys[cand])
+    pos[pos == q_keys.shape[0]] = 0
+    match = q_keys[pos] == keys[cand]
+    hit, pos = cand[match], pos[match]
+    row_nnz = np.concatenate([b.lex_rows.indptr[1:] - b.lex_rows.indptr[:-1] for b in blocks])
+    row_ids = np.repeat(np.arange(n_rows), row_nnz)
+    values = np.concatenate([b.lex_rows.values for b in blocks])
+    lex = np.bincount(row_ids[hit], weights=values[hit] * q_vals[pos], minlength=n_rows)
+
+    sem_matrix = np.concatenate([b.sem_matrix for b in blocks])
+    # row-wise sums rather than a BLAS product, whose rounding can depend on
+    # a row's position in the stack: a block scores the same wherever it sits
+    sem = (sem_matrix * mention.sem).sum(axis=1)
+    ctx = (sem_matrix * mention.ctx).sum(axis=1)
+    act = activation(np.concatenate([lex, sem, ctx]), params.alpha, params.beta)
+    per_row = (params.w_l * act[:n_rows] + params.w_sm * act[n_rows:2 * n_rows]
+               + params.w_sc * act[2 * n_rows:])
+    weights = np.concatenate([b.field_weights for b in blocks])
+    distances = np.concatenate([b.distances for b in blocks])
+    contrib = weights * per_row / (1.0 + distances)
+
+    scores = np.zeros(len(blocks))
+    filled = sizes > 0
+    scores[filled] = np.add.reduceat(contrib, starts[filled])
+    return scores
 
 
 def score_candidate(
     mention: MentionVectors, block: CandidateBlock, params: RankingParams,
-    lut: ActivationTable | None = None,
 ) -> float:
     """Total activated, field-weighted, distance-attenuated similarity."""
-    if len(block) == 0:
-        return 0.0
-    act = lut if (lut is not None and params.use_lut) else (
-        lambda x: activation(x, params.alpha, params.beta))
-    lex = _lexical_cosines(block.lex_rows, mention.lex)
-    sem = block.sem_matrix @ mention.sem
-    ctx = block.sem_matrix @ mention.ctx
-    per_row = (params.w_l * act(lex) + params.w_sm * act(sem) + params.w_sc * act(ctx))
-    return float(np.sum(block.field_weights * per_row / (1.0 + block.distances)))
+    return float(_block_scores(mention, [block], params)[0])
 
 
 def rank_candidates(
@@ -155,12 +205,9 @@ def rank_candidates(
     blocks: Sequence[CandidateBlock],
     params: RankingParams,
     mention_index: int = 0,
-    lut: ActivationTable | None = None,
 ) -> list[ScoredCandidate]:
     """Score every block; descending by score, ties broken by entity IRI."""
-    scored = [
-        ScoredCandidate(b.entity, mention_index, score_candidate(mention, b, params, lut))
-        for b in blocks
-    ]
+    scores = _block_scores(mention, blocks, params).tolist()
+    scored = [ScoredCandidate(b.entity, mention_index, s) for b, s in zip(blocks, scores)]
     scored.sort(key=lambda c: (-c.score, c.entity))
     return scored

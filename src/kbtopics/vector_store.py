@@ -26,6 +26,7 @@ KIND_LEXICAL = 1
 KIND_SEMANTIC = 2
 
 _HEAD = struct.Struct("<BI")  # kind, element count
+_LEXICAL_ITEM = np.dtype([("k", "<u8"), ("v", "<f8")])
 
 
 class VectorStoreWriter:
@@ -90,17 +91,16 @@ class VectorStore:
                 f"vector handle {offset}: kind {kind}, expected {want_kind}")
         return count
 
-    def read_lexical(self, offset: int) -> SparseVector:
+    def read_lexical(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, values) of one sparse vector: uint64 gram hashes in
+        ascending order and their float64 weights, copied out of the map."""
         count = self._header(offset, KIND_LEXICAL)
         start = offset + _HEAD.size
-        end = start + count * 16
+        end = start + count * _LEXICAL_ITEM.itemsize
         if end > len(self._map):
             raise IndexIntegrityError(f"vector handle {offset} truncated")
-        out: SparseVector = {}
-        for i in range(count):
-            k, v = struct.unpack_from("<Qd", self._map, start + 16 * i)
-            out[k] = v
-        return out
+        items = np.frombuffer(self._map, dtype=_LEXICAL_ITEM, count=count, offset=start)
+        return items["k"].astype(np.uint64), items["v"].astype(np.float64)
 
     def read_semantic(self, offset: int) -> np.ndarray:
         count = self._header(offset, KIND_SEMANTIC)

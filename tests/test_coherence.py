@@ -1,13 +1,18 @@
 """Tests for coherence graph construction, greedy pruning, and boosts."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+import kbtopics
 from kbtopics.coherence import (
     CoherenceGraph,
     CoherenceParams,
@@ -315,6 +320,30 @@ class TestGreedyPrune:
             assert set(boosts) == set(nodes)
             for value in boosts.values():
                 assert 1.0 <= value <= 1.0 + gamma + 1e-12
+
+    def test_boosts_independent_of_hash_seed(self):
+        # a's connectivity 0.1 + 0.2 + 0.3 is 0.6 or 0.6000000000000001 by
+        # summation order, b's is 0.6: the order decides which one is pruned
+        script = """
+from kbtopics.coherence import CoherenceGraph, CoherenceParams, greedy_prune
+from kbtopics.kb import Iri
+iri = lambda n: Iri("http://example.org/" + n)
+edges = {(iri("a"), iri("x")): 0.1, (iri("a"), iri("y")): 0.2,
+         (iri("a"), iri("z")): 0.3, (iri("b"), iri("w")): 0.6}
+nodes = tuple(sorted({n for pair in edges for n in pair}))
+mentions = [[iri("a"), iri("b")]] + [[iri(n)] for n in "wxyz"]
+params = CoherenceParams(prune_fraction=0.5)
+print(repr(greedy_prune(CoherenceGraph(nodes, edges), mentions, params)))
+"""
+        src = str(Path(kbtopics.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
 
 def cand(name: str, score: float, mention: int = 0) -> ScoredCandidate:

@@ -38,7 +38,6 @@ def test_empty_mapping_gives_all_defaults(tmp_path):
     assert cfg.ranking.w_sc == 0.5
     assert cfg.ranking.alpha == 4.0
     assert cfg.ranking.beta == 8.0
-    assert cfg.ranking.use_lut is False
     assert cfg.coherence.top_m_per_mention == 3
     assert cfg.coherence.min_keep == 1
     assert cfg.coherence.gamma == 0.25

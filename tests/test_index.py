@@ -302,8 +302,9 @@ class TestVectors:
             handles = [h for r in idx.records for h in r.vector_handles]
             lex, sem = idx.load_vectors(handles)
             assert len(lex) == len(sem) == len(handles)
-            lex_again, _ = idx.load_vectors(handles[::-1])
-            assert lex_again == lex[::-1]
+            lex_again, sem_again = idx.load_vectors(handles[::-1])
+            assert list(lex_again) == list(lex)[::-1]
+            np.testing.assert_array_equal(sem_again, sem[::-1])
 
     def test_stale_handle_rejected(self, built):
         _, _, path = built
@@ -321,12 +322,25 @@ class TestVectorStoreFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "v.bin"
         with VectorStoreWriter(path) as w:
-            lex_off = w.put_lexical({5: 0.25, 2: 0.75})
+            lex_off = w.put_lexical({5: 0.25, 2**64 - 1: 0.5, 2: 0.75})
             sem_off = w.put_semantic(np.array([1.0, -2.0, 3.5]))
         with VectorStore(path) as store:
-            assert store.read_lexical(lex_off) == {2: 0.75, 5: 0.25}
+            keys, vals = store.read_lexical(lex_off)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == [2, 5, 2**64 - 1]
+            assert dict(zip(keys.tolist(), vals.tolist())) == {2: 0.75, 5: 0.25, 2**64 - 1: 0.5}
             np.testing.assert_array_equal(
                 store.read_semantic(sem_off), [1.0, -2.0, 3.5])
+
+    def test_truncated_lexical_block(self, tmp_path):
+        path = tmp_path / "v.bin"
+        with VectorStoreWriter(path) as w:
+            lex_off = w.put_lexical({1: 0.6, 2: 0.8})
+        # the block's element count now runs past the end of the file
+        path.write_bytes(path.read_bytes()[:-8])
+        with VectorStore(path) as store:
+            with pytest.raises(IndexIntegrityError):
+                store.read_lexical(lex_off)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "v.bin"

@@ -1,4 +1,4 @@
-"""Activation function, lookup table, and bulk candidate scoring."""
+"""Activation function and the bulk candidate scoring kernel."""
 
 import math
 
@@ -8,8 +8,7 @@ import pytest
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri
 from kbtopics.ranking import (
-    ActivationTable,
-    CandidateBlock,
+    LexicalRows,
     MentionVectors,
     RankingParams,
     ScoredCandidate,
@@ -18,6 +17,8 @@ from kbtopics.ranking import (
     score_candidate,
 )
 from kbtopics.vectors import cosine_sparse, lexical_vector
+
+from csr_blocks import block_from_rows
 
 EX = "http://example.org/"
 
@@ -39,7 +40,7 @@ def naive_score(mention, block, params):
     return total
 
 
-def random_block(rng, entity="cand", n_rows=5, dim=8) -> CandidateBlock:
+def random_block(rng, entity="cand", n_rows=5, dim=8):
     lex_rows = []
     for _ in range(n_rows):
         n_keys = int(rng.integers(1, 6))
@@ -51,10 +52,10 @@ def random_block(rng, entity="cand", n_rows=5, dim=8) -> CandidateBlock:
     sem /= np.linalg.norm(sem, axis=1, keepdims=True)
     if n_rows > 1:
         sem[1] = 0.0  # exercise the zero-row exemption
-    return CandidateBlock(
-        entity=iri(entity),
-        lex_rows=tuple(lex_rows),
-        sem_matrix=sem,
+    return block_from_rows(
+        iri(entity),
+        lex_rows,
+        sem,
         field_weights=rng.uniform(0.5, 3.0, size=n_rows),
         distances=rng.uniform(0.0, 4.0, size=n_rows),
     )
@@ -98,27 +99,10 @@ class TestActivation:
         np.testing.assert_allclose([activation(float(x)) for x in xs], activation(xs))
 
 
-class TestActivationTable:
-    def test_error_budget(self):
-        lut = ActivationTable(4.0, 8.0, 4096)
-        xs = np.linspace(-1.0, 1.0, 100_001)
-        err = np.abs(lut(xs) - activation(xs))
-        assert float(err.max()) <= 1e-4
-
-    def test_exact_at_grid_points(self):
-        lut = ActivationTable(4.0, 8.0, 16)
-        np.testing.assert_allclose(lut(lut.xs), lut.ys, atol=1e-15)
-
-    def test_clips_out_of_range(self):
-        lut = ActivationTable(4.0, 8.0, 64)
-        assert lut(5.0) == pytest.approx(activation(1.0), abs=1e-4)
-        assert lut(-5.0) == pytest.approx(activation(-1.0), abs=1e-4)
-
-
 class TestRankingParams:
     @pytest.mark.parametrize("kwargs", [
         dict(w_l=-0.1), dict(w_l=0.0, w_sm=0.0, w_sc=0.0),
-        dict(beta=0.0), dict(beta=-2.0), dict(lut_resolution=1),
+        dict(beta=0.0), dict(beta=-2.0), dict(w_sc=-0.5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -127,13 +111,8 @@ class TestRankingParams:
 
 def single_row_block(text, field_weight=1.0, distance=0.0, sem_row=None, dim=4):
     sem = np.zeros((1, dim)) if sem_row is None else np.asarray([sem_row], dtype=float)
-    return CandidateBlock(
-        entity=iri("cand"),
-        lex_rows=(lexical_vector(text),),
-        sem_matrix=sem,
-        field_weights=np.array([field_weight]),
-        distances=np.array([distance]),
-    )
+    return block_from_rows(iri("cand"), [lexical_vector(text)], sem,
+                           [field_weight], [distance])
 
 
 class TestScoreCandidate:
@@ -147,8 +126,7 @@ class TestScoreCandidate:
 
     def test_empty_block_scores_zero(self):
         params = RankingParams()
-        block = CandidateBlock(iri("cand"), (), np.zeros((0, 4)),
-                               np.zeros(0), np.zeros(0))
+        block = block_from_rows(iri("cand"), [], np.zeros((0, 4)), [], [])
         mention = MentionVectors(lexical_vector("x y z"), np.zeros(4), np.zeros(4))
         assert score_candidate(mention, block, params) == 0.0
 
@@ -192,39 +170,77 @@ class TestScoreCandidate:
             scores.append(score_candidate(mention, block, params))
         assert all(a < b for a, b in zip(scores, scores[1:]))
 
-    def test_lut_within_tolerance_of_exact(self):
-        exact_params = RankingParams(use_lut=False)
-        lut_params = RankingParams(use_lut=True)
-        lut = ActivationTable(lut_params.alpha, lut_params.beta, lut_params.lut_resolution)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            mention = random_mention(rng)
-            block = random_block(rng)
-            a = score_candidate(mention, block, exact_params)
-            b = score_candidate(mention, block, lut_params, lut=lut)
-            # per-row activation error <= 1e-4 budget times summed weights
-            bound = 1e-4 * float(np.sum(block.field_weights)) * 2.1
-            assert abs(a - b) <= bound
 
-    def test_lut_ignored_unless_enabled(self):
-        params = RankingParams(use_lut=False)
-        lut = ActivationTable(params.alpha, params.beta, 8)  # coarse on purpose
-        rng = np.random.default_rng(3)
-        mention, block = random_mention(rng), random_block(rng)
-        assert score_candidate(mention, block, params, lut=lut) == \
-            score_candidate(mention, block, params)
+TOP = 2**64 - 1  # gram hashes use all 64 bits
+EDGE_CASES = {
+    # keys that a float64 cast would merge (TOP and TOP - 1, 2**63 + 5 and
+    # + 6) and that a signed cast would wrap; TOP - 2**16 shares TOP's low
+    # bits, so it passes the kernel's low-bit screen and only the exact
+    # comparison tells them apart
+    "keys_at_or_above_2_63": (
+        {2**63 + 5: 0.6, TOP: 0.8},
+        [[{TOP: 1.0}, {2**63 + 5: 0.6, TOP: 0.8}, {TOP - 1: 1.0}],
+         [{2**63 + 6: 0.6, 5: 0.8}, {2**63: 1.0}, {TOP - 2**16: 1.0}]],
+    ),
+    "rows_without_grams": (
+        lexical_vector("tuna"),
+        [[lexical_vector("ab"), lexical_vector("tuna"), lexical_vector("")],
+         [{}, {}]],
+    ),
+    "empty_query": (
+        {},
+        [[lexical_vector("tuna"), lexical_vector("polar bear")]],
+    ),
+    "zero_row_blocks": (
+        lexical_vector("tuna"),
+        [[], [lexical_vector("tuna")], [], [lexical_vector("tuna salad")], []],
+    ),
+    "duplicate_keys_across_rows": (
+        {7: 0.6, 9: 0.8},
+        [[{7: 0.6, 9: 0.8}, {7: 1.0}, {9: 0.6, 7: 0.8}, {9: 1.0}],
+         [{7: 1.0}, {7: 1.0}]],
+    ),
+}
+
+
+class TestKernelEdgeCases:
+    """The CSR kernel against the per-row oracle on inputs random blocks miss."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_matches_per_row_oracle(self, case):
+        query, blocks_rows = EDGE_CASES[case]
+        rng = np.random.default_rng(5)
+        params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
+        mention = random_mention(rng, dim=4)
+        mention = MentionVectors(query, mention.sem, mention.ctx)
+        blocks = []
+        for b, rows in enumerate(blocks_rows):
+            sem = rng.normal(size=(len(rows), 4))
+            blocks.append(block_from_rows(
+                iri(f"c{b}"), rows, sem, rng.uniform(0.5, 3.0, size=len(rows)),
+                rng.uniform(0.0, 4.0, size=len(rows))))
+        scores = {c.entity: c.score for c in rank_candidates(mention, blocks, params)}
+        for block in blocks:
+            want = naive_score(mention, block, params)
+            assert scores[block.entity] == pytest.approx(want, abs=1e-6)
+            assert score_candidate(mention, block, params) == pytest.approx(want, abs=1e-6)
+
+    def test_signed_keys_rejected(self):
+        with pytest.raises(ValueError):
+            LexicalRows(np.array([1], dtype=np.int64), np.array([1.0]),
+                        np.array([0, 1]))
 
 
 class TestRankCandidates:
     def test_exact_match_ranks_first(self):
         mention = MentionVectors(lexical_vector("polar bear"), np.zeros(4), np.zeros(4))
         blocks = [
-            CandidateBlock(iri("exact"), (lexical_vector("polar bear"),),
-                           np.zeros((1, 4)), np.array([1.0]), np.array([0.0])),
-            CandidateBlock(iri("near"), (lexical_vector("polar bears"),),
-                           np.zeros((1, 4)), np.array([1.0]), np.array([0.0])),
-            CandidateBlock(iri("far"), (lexical_vector("sea otter"),),
-                           np.zeros((1, 4)), np.array([1.0]), np.array([0.0])),
+            block_from_rows(iri("exact"), [lexical_vector("polar bear")],
+                            np.zeros((1, 4)), [1.0], [0.0]),
+            block_from_rows(iri("near"), [lexical_vector("polar bears")],
+                            np.zeros((1, 4)), [1.0], [0.0]),
+            block_from_rows(iri("far"), [lexical_vector("sea otter")],
+                            np.zeros((1, 4)), [1.0], [0.0]),
         ]
         ranked = rank_candidates(mention, blocks, RankingParams())
         assert [c.entity for c in ranked] == [iri("exact"), iri("near"), iri("far")]
@@ -237,8 +253,8 @@ class TestRankCandidates:
     def test_ties_break_by_iri(self):
         mention = MentionVectors(lexical_vector("tuna"), np.zeros(4), np.zeros(4))
         blocks = [
-            CandidateBlock(iri(n), (lexical_vector("tuna"),), np.zeros((1, 4)),
-                           np.array([1.0]), np.array([0.0]))
+            block_from_rows(iri(n), [lexical_vector("tuna")], np.zeros((1, 4)),
+                            [1.0], [0.0])
             for n in ("zeta", "alpha", "mid")
         ]
         ranked = rank_candidates(mention, blocks, RankingParams())
