@@ -85,19 +85,6 @@ def link_counts(kb: KnowledgeBase) -> dict[Iri, int]:
     return counts
 
 
-def group_cardinality(kb: KnowledgeBase, s: Iri, p: Iri, d: EdgeDirection) -> int:
-    """g(s,p,d): the number of parallel IRI-object edges leaving s via p in
-    direction d. Callers must only ask about groups that exist."""
-    if d == "spo":
-        n = sum(1 for t in kb.triples
-                if t.subject == s and t.predicate == p and isinstance(t.obj, Iri))
-    else:
-        n = sum(1 for t in kb.triples if t.predicate == p and t.obj == s)
-    if n == 0:
-        raise ValueError(f"no {d} edges for ({s}, {p})")
-    return n
-
-
 # Records are (source, predicate, direction, target): the natural tuple sort
 # then matches the (source, predicate, direction) grouping key exactly.
 EdgeRecord = tuple[Iri, Iri, EdgeDirection, Iri]

@@ -75,18 +75,17 @@ def compute_parents(
     """One-hop parents along configured properties, weighted l(q)^(-alpha).
 
     Heavily linked parents are near-universal and get small weights.
-    Deduplicated, sorted by IRI.
+    Deduplicated, sorted by IRI. Forward parents come from the entity's
+    subject triples, inverse ones from the KB's (predicate, object) index,
+    so the cost does not grow with the size of the KB.
     """
     found: set[Iri] = set()
     for pred, direction in kb.registry.parent_properties:
         if direction == "forward":
-            for t in kb.subject_triples(entity):
-                if t.predicate == pred and isinstance(t.obj, Iri):
-                    found.add(t.obj)
+            found.update(t.obj for t in kb.subject_triples(entity)
+                         if t.predicate == pred and isinstance(t.obj, Iri))
         else:
-            for t in kb.triples:
-                if t.predicate == pred and t.obj == entity:
-                    found.add(t.subject)
+            found.update(kb.subjects_with(pred, entity))
     found.discard(entity)
     return [
         (q, float(max(link_counts.get(q, 1), 1)) ** -params.alpha)

@@ -20,8 +20,9 @@ from .errors import ConfigError, DataError, TripleParseError
 
 logger = logging.getLogger(__name__)
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:\S+$")
-_FORBIDDEN_IRI_CHARS = set('<>"{}|^`\\')
+# scheme ":" then one or more characters that are neither whitespace nor
+# one of <>"{}|^`\ ; "$" also matches before a final newline
+_IRI_RE = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]+$')
 
 Direction = TypingLiteral["forward", "inverse"]
 
@@ -33,7 +34,7 @@ class Iri(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not _SCHEME_RE.match(value) or any(c in _FORBIDDEN_IRI_CHARS for c in value):
+        if not _IRI_RE.match(value):
             raise ValueError(f"not an absolute IRI: {value!r}")
         return super().__new__(cls, value)
 
@@ -102,22 +103,40 @@ class PropertyRegistry:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Deduplicated triple collection, immutable after construction."""
+    """Deduplicated triple collection, immutable after construction.
+
+    ``from_triples`` builds it in one pass over the triples, which also
+    collects ``entities`` (distinct IRIs in subject or object position,
+    predicates excluded) and indexes the triples by subject and, for the
+    registry's inverse parent properties, by (predicate, IRI object).
+    """
 
     triples: tuple[Triple, ...]
     registry: PropertyRegistry
-    _by_subject: dict[Iri, tuple[Triple, ...]] = field(repr=False, default_factory=dict)
+    entities: frozenset[Iri] = field(repr=False)
+    _by_subject: dict[Iri, tuple[Triple, ...]] = field(repr=False)
+    _by_object: dict[tuple[Iri, Iri], tuple[Iri, ...]] = field(repr=False)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple], registry: PropertyRegistry) -> "KnowledgeBase":
-        seen: dict[Triple, None] = {}
-        for t in triples:
-            seen.setdefault(t)
-        unique = tuple(seen)
+        unique = tuple(dict.fromkeys(triples))
         by_subject: dict[Iri, list[Triple]] = {}
+        by_object: dict[tuple[Iri, Iri], list[Iri]] = {}
+        objects: set[Iri] = set()
+        inverse = {p for p, d in registry.parent_properties if d == "inverse"}
         for t in unique:
             by_subject.setdefault(t.subject, []).append(t)
-        return cls(unique, registry, {s: tuple(ts) for s, ts in by_subject.items()})
+            if isinstance(t.obj, Iri):
+                objects.add(t.obj)
+                if t.predicate in inverse:
+                    by_object.setdefault((t.predicate, t.obj), []).append(t.subject)
+        return cls(
+            unique,
+            registry,
+            frozenset(objects.union(by_subject)),
+            {s: tuple(ts) for s, ts in by_subject.items()},
+            {k: tuple(ss) for k, ss in by_object.items()},
+        )
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -125,19 +144,13 @@ class KnowledgeBase:
     def subject_triples(self, entity: Iri) -> tuple[Triple, ...]:
         return self._by_subject.get(entity, ())
 
-    @property
-    def entities(self) -> frozenset[Iri]:
-        """Distinct IRIs in subject or object position (predicates excluded)."""
-        found: set[Iri] = set()
-        for t in self.triples:
-            found.add(t.subject)
-            if isinstance(t.obj, Iri):
-                found.add(t.obj)
-        return frozenset(found)
+    def subjects_with(self, predicate: Iri, obj: Iri) -> tuple[Iri, ...]:
+        """Subjects of the triples ``(?, predicate, obj)``, in triple order.
 
-    @property
-    def literal_count(self) -> int:
-        return sum(1 for t in self.triples if not t.has_iri_object)
+        Only inverse parent properties are indexed; any other predicate
+        gives ``()``.
+        """
+        return self._by_object.get((predicate, obj), ())
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +245,8 @@ def _english(lang: str | None) -> bool:
 
 @dataclass
 class LoadStats:
-    triples: int = 0
-    entities: int = 0
-    literals: int = 0
-    duplicates: int = 0
+    """Lines left out while reading triple files."""
+
     skipped_lines: int = 0
     dropped_non_english: int = 0
 
@@ -291,24 +302,6 @@ def iter_triple_file(
                     stats.dropped_non_english += 1
                 continue
             yield triple
-
-
-def load_triples(
-    path: str | Path, registry: PropertyRegistry, strict: bool = True
-) -> tuple[KnowledgeBase, LoadStats]:
-    """Load and deduplicate one triple file."""
-    stats = LoadStats()
-    raw = list(iter_triple_file(path, strict=strict, stats=stats))
-    kb = KnowledgeBase.from_triples(raw, registry)
-    stats.duplicates = len(raw) - len(kb)
-    stats.triples = len(kb)
-    stats.entities = len(kb.entities)
-    stats.literals = kb.literal_count
-    logger.info(
-        "loaded %s: %d triples (%d duplicate lines), %d entities, %d literals",
-        path, stats.triples, stats.duplicates, stats.entities, stats.literals,
-    )
-    return kb, stats
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,6 @@ class ProvidedMentionDetector:
         return mentions
 
 
-def detect_mentions(doc: Document, detector: MentionDetector) -> list[Mention]:
-    return detector.detect(doc)
-
-
 def merge_keywords(mentions: list[Mention], doc: Document) -> list[Mention]:
     """Append keyword mentions not already covered by an existing lemma.
 

@@ -10,16 +10,19 @@ threads because every stage is pure and the block cache only ever fills.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig
 from .edges import build_adjacency, compute_edge_weights, link_counts
-from .errors import ConfigError, KbTopicsError
+from .errors import ConfigError, KbTopicsError, PipelineError
 from .expansion import Neighborhood, expand_all
 from .index import (
     CandidateBlock,
@@ -43,7 +46,6 @@ from .mentions import (
     Mention,
     ProvidedMentionDetector,
     RuleBasedDetector,
-    detect_mentions,
     merge_keywords,
 )
 from .ranking import MentionVectors, rank_candidates
@@ -86,7 +88,9 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
         for path in config.kb.paths:
             triples.extend(iter_triple_file(path, strict=not config.kb.lenient, stats=stats))
         kb = KnowledgeBase.from_triples(triples, config.registry)
-        staged("load", t, f"{len(kb.triples)} triples, {len(kb.entities)} entities")
+        staged("load", t, f"{len(kb.triples)} triples, {len(kb.entities)} entities, "
+                          f"{stats.skipped_lines} lines skipped, "
+                          f"{stats.dropped_non_english} non-English literals dropped")
 
         stage = "cross-refs"
         t = time.perf_counter()
@@ -180,7 +184,7 @@ class Classifier:
         detector = (
             ProvidedMentionDetector() if doc.provided_mentions else self._rule_detector
         )
-        return merge_keywords(detect_mentions(doc, detector), doc)
+        return merge_keywords(detector.detect(doc), doc)
 
     def classify_document(self, doc: Document, use_coherence: bool = True) -> list[TopicResult]:
         mentions = self.detect(doc)
@@ -220,14 +224,94 @@ class Classifier:
         jobs: int = 1,
         use_coherence: bool = True,
     ) -> list[list[TopicResult]]:
-        """Classify documents, preserving input order regardless of jobs."""
+        """Classify documents, preserving input order regardless of jobs.
+
+        With ``jobs`` > 1 this process and forked children, one worker per
+        usable CPU at most, claim short runs of documents from a shared
+        counter until none are left, so a worker on a busy CPU takes fewer.
+        Children share the opened index's mmap; what they add to the block
+        cache is lost when they exit.
+        """
         docs = list(docs)
         if jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {jobs}")
-        if jobs == 1 or len(docs) <= 1:
+        workers = min(jobs, len(docs), _usable_cpus())
+        if workers <= 1:
             return [self.classify_document(d, use_coherence) for d in docs]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda d: self.classify_document(d, use_coherence), docs))
+        step = -(-len(docs) // (workers * 8))
+        # Worker k starts on run k; every later run goes to whoever asks first.
+        claims = multiprocessing.Value("q", workers * step)
+
+        def classify_runs(first: int) -> list[tuple[int, list[TopicResult]]]:
+            done = []
+            start = first * step
+            while start < len(docs):
+                for i in range(start, min(start + step, len(docs))):
+                    done.append((i, self.classify_document(docs[i], use_coherence)))
+                with claims.get_lock():
+                    start = claims.value
+                    claims.value = start + step
+            return done
+
+        children: list[tuple[int, int]] = []
+        try:
+            for first in range(1, workers):
+                children.append(_fork_call(classify_runs, first))
+            pairs = classify_runs(0)
+            while children:
+                pairs.extend(_collect(*children.pop(0)))
+        finally:
+            for pid, read_fd in children:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read_fd)
+                os.waitpid(pid, 0)
+        found = dict(pairs)
+        return [found[i] for i in range(len(docs))]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_call(fn: Callable[[int], object], arg: int) -> tuple[int, int]:
+    """Run ``fn(arg)`` in a forked child. Returns the child's pid and the
+    read end of a pipe that carries its pickled result or exception."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, fn(arg))
+            except Exception as exc:
+                payload = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int):
+    """Read a child's result, reap it, and re-raise its exception if any."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            ok, value = pickle.load(pipe)
+    except Exception as exc:
+        raise PipelineError(f"classify worker {pid} sent no readable result") from exc
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        raise value
+    return value
 
 
 def open_classifier(index_dir: str | Path, config: AppConfig) -> Classifier:

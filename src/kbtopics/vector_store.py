@@ -40,7 +40,7 @@ class VectorStoreWriter:
     def put_lexical(self, vec: SparseVector) -> int:
         offset = self._offset
         items = sorted(vec.items())
-        payload = b"".join(struct.pack("<Qd", k, v) for k, v in items)
+        payload = np.array(items, dtype=_LEXICAL_ITEM).tobytes()
         self._write(_HEAD.pack(KIND_LEXICAL, len(items)) + payload)
         return offset
 

@@ -16,6 +16,7 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from math import sqrt
 from pathlib import Path
@@ -57,6 +58,9 @@ def char_ngrams(text: str, sizes: tuple[int, ...] = NGRAM_SIZES) -> list[str]:
     return grams
 
 
+# Bounded so that a long-running classifier keeps bounded memory; n-gram
+# vocabularies are small enough that most lookups hit.
+@lru_cache(maxsize=1 << 16)
 def hash_gram(gram: str) -> int:
     return int.from_bytes(
         blake2b(gram.encode("utf-8"), digest_size=8, key=_HASH_KEY).digest(), "big"
@@ -73,21 +77,6 @@ def lexical_vector(text: str, sizes: tuple[int, ...] = NGRAM_SIZES) -> SparseVec
     if norm == 0.0:
         return {}
     return {k: v / norm for k, v in counts.items()}
-
-
-def cosine_sparse(a: SparseVector, b: SparseVector) -> float:
-    """Dot product of two unit-length sparse vectors (0.0 if either empty)."""
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b[k] for k, v in a.items() if k in b)
-
-
-def cosine_dense(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 @dataclass(frozen=True)

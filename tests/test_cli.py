@@ -34,6 +34,29 @@ def test_build_index_reports_stages(tmp_path, capsys):
     assert (out / CONFIG_COPY).exists()
 
 
+def test_build_index_reports_load_skips_and_drops(tmp_path, capsys):
+    config = tmp_path / "lenient.yaml"
+    config.write_text(
+        CONFIG.read_text(encoding="utf-8")
+        .replace("lenient: false", "lenient: true")
+        .replace("toy_embeddings.txt", str(DATA / "toy_embeddings.txt")),
+        encoding="utf-8")
+    kb = tmp_path / "kb.nt"
+    kb.write_text(
+        (DATA / "toy_ontology.nt").read_text(encoding="utf-8")
+        + "not a triple\n"
+        + "<relative> <http://example.org/p> <http://example.org/o> .\n"
+        + '<http://example.org/kb/seal> <http://example.org/vocab/synonym> "phoque"@fr .\n',
+        encoding="utf-8")
+    assert main(["build-index", "--config", str(config), "--out", str(tmp_path / "idx"),
+                 "--kb", str(kb)]) == 0
+    load = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("load "))
+    # the toy KB itself holds one German literal
+    assert load.endswith("153 triples, 54 entities, 2 lines skipped, "
+                         "2 non-English literals dropped")
+
+
 def test_build_refuses_nonempty_dir_without_force(index_dir, capsys):
     assert main(["build-index", "--config", str(CONFIG), "--out", str(index_dir)]) == 1
     assert "--force" in capsys.readouterr().err

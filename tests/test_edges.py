@@ -12,11 +12,12 @@ from kbtopics.edges import (
     WeightedEdge,
     build_adjacency,
     compute_edge_weights,
-    group_cardinality,
     link_counts,
 )
 from kbtopics.errors import ConfigError, PipelineError
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
+
+from oracles import group_cardinality
 
 EX = "http://example.org/"
 

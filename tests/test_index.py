@@ -1,9 +1,11 @@
 """Index build, retrieval scoring, vector cache transparency, parents."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kbtopics.edges import link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
@@ -18,8 +20,10 @@ from kbtopics.index import (
     compute_parents,
 )
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple
-from kbtopics.vector_store import VectorStore, VectorStoreWriter
+from kbtopics.vector_store import KIND_LEXICAL, MAGIC, VectorStore, VectorStoreWriter
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
+
+from oracles import parents_by_scan
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -30,6 +34,28 @@ MEMBER = Iri(EX + "memberOf")
 
 def iri(name):
     return Iri(EX + name)
+
+
+# Names for random KBs: an object quoted with "'" becomes a literal whose
+# text is the IRI, so a literal under a parent predicate can look like the
+# entity; "leaf" is only ever an object.
+SUBJECTS = ["a", "b", "c", "d"]
+OBJECTS = SUBJECTS + ["leaf", "'a", "'leaf"]
+EDGE_CASES = [
+    ("a", BROADER, "b"), ("a", BROADER, "a"), ("c", MEMBER, "a"), ("c", MEMBER, "a"),
+    ("d", MEMBER, "'a"), ("a", MEMBER, "a"), ("a", BROADER, "leaf"),
+    ("d", MEMBER, "leaf"), ("d", BROADER, "'leaf"),
+]
+
+
+def kb_from_spo(spo, parent_properties):
+    """A KB of the named triples, the first three repeated as duplicates."""
+    triples = [
+        Triple(iri(s), p, Literal(EX + o[1:]) if o.startswith("'") else iri(o))
+        for s, p, o in spo
+    ]
+    return KnowledgeBase.from_triples(triples + triples[:3], PropertyRegistry(
+        text_fields=registry().text_fields, parent_properties=tuple(parent_properties)))
 
 
 def registry():
@@ -119,6 +145,36 @@ class TestComputeParents:
     def test_no_parent_edges(self):
         kb = toy_kb()
         assert compute_parents(kb, iri("mammal"), ParentParams(), link_counts(kb)) == []
+
+    def test_self_loops_duplicates_literals_and_object_only_entities(self):
+        kb = kb_from_spo(EDGE_CASES, [(BROADER, "forward"), (MEMBER, "inverse")])
+        counts = link_counts(kb)
+        parents = {e: [q for q, _ in compute_parents(kb, e, ParentParams(), counts)]
+                   for e in kb.entities}
+        assert parents[iri("a")] == [iri("b"), iri("c"), iri("leaf")]
+        assert parents[iri("leaf")] == [iri("d")]
+        assert parents[iri("d")] == []
+
+    @given(
+        st.lists(st.tuples(
+            st.sampled_from(SUBJECTS),
+            st.sampled_from([BROADER, MEMBER, LABEL, iri("related")]),
+            st.sampled_from(OBJECTS),
+        ), max_size=30),
+        st.lists(st.sampled_from(
+            [(BROADER, "forward"), (MEMBER, "inverse"), (BROADER, "inverse"),
+             (MEMBER, "forward"), (LABEL, "inverse")]), unique=True, max_size=4),
+        st.sampled_from([0.1, 0.3, 0.9]),
+    )
+    @example(spo=EDGE_CASES, parent_properties=[(BROADER, "forward"), (MEMBER, "inverse")],
+             alpha=0.3)
+    def test_matches_scan_oracle(self, spo, parent_properties, alpha):
+        kb = kb_from_spo(spo, parent_properties)
+        counts = link_counts(kb)
+        params = ParentParams(alpha=alpha)
+        for e in sorted(kb.entities | {iri("ghost")}):
+            assert compute_parents(kb, e, params, counts) == \
+                parents_by_scan(kb, e, params, counts)
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -331,6 +387,21 @@ class TestVectorStoreFile:
             assert dict(zip(keys.tolist(), vals.tolist())) == {2: 0.75, 5: 0.25, 2**64 - 1: 0.5}
             np.testing.assert_array_equal(
                 store.read_semantic(sem_off), [1.0, -2.0, 3.5])
+
+    def test_lexical_block_bytes(self, tmp_path):
+        # the on-disk layout: kind, count, then (u64 key, f64 value) pairs
+        # sorted by key, all little-endian and unpadded
+        path = tmp_path / "v.bin"
+        with VectorStoreWriter(path) as w:
+            w.put_lexical({5: 0.25, 2**64 - 1: 0.5, 2: 0.75})
+            w.put_lexical({})
+        assert path.read_bytes() == MAGIC + b"".join([
+            struct.pack("<BI", KIND_LEXICAL, 3),
+            struct.pack("<Qd", 2, 0.75),
+            struct.pack("<Qd", 5, 0.25),
+            struct.pack("<Qd", 2**64 - 1, 0.5),
+            struct.pack("<BI", KIND_LEXICAL, 0),
+        ])
 
     def test_truncated_lexical_block(self, tmp_path):
         path = tmp_path / "v.bin"

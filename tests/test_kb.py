@@ -13,11 +13,12 @@ from kbtopics.kb import (
     TextField,
     Triple,
     entity_texts,
-    load_triples,
     normalize_cross_refs,
     parse_triple_line,
     prune_triples,
 )
+
+from oracles import iri_by_two_steps, load_triples
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -38,6 +39,14 @@ def make_registry(**overrides) -> PropertyRegistry:
     )
     base.update(overrides)
     return PropertyRegistry(**base)
+
+
+def accepts_iri(value: str) -> bool:
+    try:
+        Iri(value)
+    except ValueError:
+        return False
+    return True
 
 
 def escape_literal(text: str) -> str:
@@ -68,6 +77,36 @@ class TestIri:
     def test_rejects_non_iris(self, bad):
         with pytest.raises(ValueError):
             Iri(bad)
+
+    @pytest.mark.parametrize("value, accepted", [
+        *[(f"http://example.org/a{c}b", False) for c in '<>"{}|^`\\'],
+        *[(f"http://example.org/a{c}b", False)
+          for c in " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"],
+        ("//example.org/a", False),       # no scheme
+        ("example.org:", False),          # scheme with nothing after it
+        (":x", False),
+        ("1http://x", False),
+        ("http:// x", False),
+        ("http://x\n", True),             # "$" matches before a final newline
+        ("http://x\n\n", False),
+        ("http://x\r", False),
+        ("\nhttp://x", False),
+        ("a+b.c-d:x", True),
+        ("http://ex\u00e4mple.org/\u00e9", True),
+        ("mailto:a@b", True),
+    ])
+    def test_accept_set(self, value, accepted):
+        assert iri_by_two_steps(value) == accepted
+        assert accepts_iri(value) == accepted
+
+    @given(st.tuples(
+        st.sampled_from(["", "http:", "urn:", "a+b.c-d:", "1x:", ":", "x"]),
+        st.text(alphabet=st.sampled_from(list(
+            'ab:/#<>"{}|^`\\ \t\n\r\x0b\x0c\x85\xa0\u2003\u00e9')) | st.characters(),
+            max_size=12),
+    ).map("".join))
+    def test_accept_set_matches_two_step_check(self, value):
+        assert accepts_iri(value) == iri_by_two_steps(value)
 
     def test_local_name_tail(self):
         assert Iri("http://example.org/onto#Bear").local_name == "Bear"
@@ -205,6 +244,20 @@ class TestKnowledgeBase:
         kb = KnowledgeBase.from_triples([t1, t2], make_registry())
         assert kb.subject_triples(Iri(EX + "a")) == (t1,)
         assert kb.subject_triples(Iri(EX + "zzz")) == ()
+
+    def test_object_index_covers_inverse_parent_properties_only(self):
+        member = Iri(EX + "hasMember")
+        part_of = Iri(EX + "partOf")
+        ts = [
+            Triple(Iri(EX + "g1"), member, Iri(EX + "a")),
+            Triple(Iri(EX + "g2"), member, Iri(EX + "a")),
+            Triple(Iri(EX + "a"), part_of, Iri(EX + "b")),
+            Triple(Iri(EX + "c"), part_of, Iri(EX + "b")),
+        ]
+        reg = make_registry(parent_properties=((member, "inverse"), (part_of, "forward")))
+        kb = KnowledgeBase.from_triples(ts, reg)
+        assert kb.subjects_with(member, Iri(EX + "a")) == (EX + "g1", EX + "g2")
+        assert kb.subjects_with(part_of, Iri(EX + "b")) == ()
 
 
 class TestRegistryValidation:

@@ -8,7 +8,6 @@ from kbtopics.mentions import (
     Mention,
     ProvidedMentionDetector,
     RuleBasedDetector,
-    detect_mentions,
     document_text,
     lemmatize,
     load_abbreviations,
@@ -114,7 +113,7 @@ class TestSplitSentences:
 class TestRuleBasedDetector:
     def detect(self, abstract, title=""):
         doc = Document(id="d", title=title, abstract=abstract)
-        return detect_mentions(doc, RuleBasedDetector())
+        return RuleBasedDetector().detect(doc)
 
     def test_chunker_example(self):
         got = self.detect("Mercury levels in tuna.")
@@ -141,7 +140,7 @@ class TestRuleBasedDetector:
 
     def test_duplicate_surfaces_get_distinct_spans(self):
         doc = Document(id="d", abstract="Tuna was tested. Tuna was rejected.")
-        got = detect_mentions(doc, RuleBasedDetector())
+        got = RuleBasedDetector().detect(doc)
         tuna = [m for m in got if m.surface == "Tuna"]
         assert len(tuna) == 2
         assert tuna[0].char_span != tuna[1].char_span
@@ -152,7 +151,7 @@ class TestRuleBasedDetector:
         doc = Document(id="d", title="Arctic food webs",
                        abstract="Polar bears eat ringed seals. Mercury accumulates.")
         text = document_text(doc)
-        got = detect_mentions(doc, RuleBasedDetector())
+        got = RuleBasedDetector().detect(doc)
         assert got, "expected mentions"
         for m in got:
             start, end = m.char_span
@@ -168,8 +167,8 @@ class TestRuleBasedDetector:
 
     def test_deterministic(self):
         doc = Document(id="d", abstract="Mercury levels in tuna. Risk grows.")
-        a = detect_mentions(doc, RuleBasedDetector())
-        b = detect_mentions(doc, RuleBasedDetector())
+        a = RuleBasedDetector().detect(doc)
+        b = RuleBasedDetector().detect(doc)
         assert a == b
 
 
@@ -179,7 +178,7 @@ class TestProvidedDetector:
             id="d", abstract="The polar bear hunts. It swims far.",
             provided_mentions=("polar bear", "swims"),
         )
-        got = detect_mentions(doc, ProvidedMentionDetector())
+        got = ProvidedMentionDetector().detect(doc)
         text = document_text(doc)
         assert [m.surface for m in got] == ["polar bear", "swims"]
         assert text[slice(*got[0].char_span)] == "polar bear"
@@ -188,7 +187,7 @@ class TestProvidedDetector:
 
     def test_unlocatable_mention_keeps_none_span(self):
         doc = Document(id="d", abstract="Nothing here.", provided_mentions=("unicorn",))
-        got = detect_mentions(doc, ProvidedMentionDetector())
+        got = ProvidedMentionDetector().detect(doc)
         assert got[0].char_span is None
         assert got[0].sentence == "unicorn"
         assert got[0].lemma == "unicorn"

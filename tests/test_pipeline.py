@@ -1,12 +1,14 @@
 """Offline build orchestration and the document classification pipeline."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from kbtopics.config import load_config, parse_config
-from kbtopics.errors import ConfigError, KbTopicsError
+from kbtopics import pipeline
+from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.index import MANIFEST_FILE, POSTINGS_FILE, RECORDS_FILE, VECTORS_FILE
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
@@ -164,6 +166,54 @@ def test_batch_matches_serial_and_preserves_order(classifier):
     threaded = classifier.classify_batch(docs, jobs=4)
     assert serial == threaded
     assert len(serial) == len(docs)
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_workers_match_serial(classifier, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    docs = [d for d, _ in load_corpus()]
+    assert classifier.classify_batch(docs, jobs=3) == classifier.classify_batch(docs, jobs=1)
+    assert_no_children_left()
+
+
+# With four workers over ten documents, runs are one document long and worker
+# k starts on document k: document 0 fails in this process, 3 in a child.
+@pytest.mark.parametrize("failing_doc", [0, 3], ids=["parent_run", "child_run"])
+def test_forked_batch_raises_worker_errors(classifier, monkeypatch, failing_doc):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    docs = [d for d, _ in load_corpus()]
+    real = classifier.classify_document
+
+    def failing(doc, use_coherence=True):
+        if doc.id == docs[failing_doc].id:
+            raise ConfigError(f"cannot classify {doc.id}")
+        return real(doc, use_coherence)
+
+    monkeypatch.setattr(classifier, "classify_document", failing)
+    with pytest.raises(ConfigError, match=f"cannot classify {docs[failing_doc].id}"):
+        classifier.classify_batch(docs, jobs=4)
+    assert_no_children_left()
+
+
+def test_dead_worker_raises_pipeline_error(classifier, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    docs = [d for d, _ in load_corpus()]
+    real = classifier.classify_document
+    parent = os.getpid()
+
+    def dying(doc, use_coherence=True):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(doc, use_coherence)
+
+    monkeypatch.setattr(classifier, "classify_document", dying)
+    with pytest.raises(PipelineError, match="no readable result"):
+        classifier.classify_batch(docs, jobs=2)
+    assert_no_children_left()
 
 
 def test_batch_rejects_nonpositive_jobs(classifier):

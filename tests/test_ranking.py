@@ -16,9 +16,10 @@ from kbtopics.ranking import (
     rank_candidates,
     score_candidate,
 )
-from kbtopics.vectors import cosine_sparse, lexical_vector
+from kbtopics.vectors import lexical_vector
 
 from csr_blocks import block_from_rows
+from oracles import cosine_sparse
 
 EX = "http://example.org/"
 

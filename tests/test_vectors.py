@@ -10,14 +10,14 @@ from kbtopics.errors import DataError
 from kbtopics.vectors import (
     EmbeddingTable,
     char_ngrams,
-    cosine_dense,
-    cosine_sparse,
     hash_gram,
     lexical_vector,
     normalize_text,
     semantic_vector,
     tokenize,
 )
+
+from oracles import cosine_dense, cosine_sparse
 
 texts = st.text(max_size=60)
 
