@@ -5,11 +5,20 @@ An index directory holds four files:
   manifest.json   format version, counts, config/content hashes, timestamp
   records.jsonl   one record per indexed entity, sorted by URI
   postings.jsonl  inverted index, term -> [(text id, term frequency), ...]
-  vectors.bin     precomputed vectors, offset-addressed (see vector_store)
+  vectors.bin     precomputed vectors, columns addressed by text id (see
+                  vector_store)
 
 An entity is indexed iff it has at least one registered text field. Each
 record carries the entity's texts, its expanded neighborhood (itself first
-at distance 0), its parents with weights, and vector handles per text.
+at distance 0), and its parents with weights. Texts are numbered in record
+order, then text order within a record; that text id addresses both the
+postings and the vector columns, so a record's texts are one contiguous
+id range and need no stored handles.
+
+Opening an index checks it against its manifest: the format version, the
+record, text and embedding-dimension counts, the vector file's own layout
+and the content hash (sha256 over records, postings and vectors, in that
+order).
 
 Retrieval scoring is deliberately simple and fully documented: per text,
 sum over matched query tokens of tf * idf / sqrt(text length), with
@@ -49,7 +58,7 @@ from .vectors import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.jsonl"
@@ -101,15 +110,12 @@ class IndexRecord:
     related_weights: tuple[float, ...]
     parent_entities: tuple[Iri, ...]
     parent_weights: tuple[float, ...]
-    vector_handles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if len(self.related_entities) != len(self.related_weights):
             raise ValueError("related lists must be parallel")
         if len(self.parent_entities) != len(self.parent_weights):
             raise ValueError("parent lists must be parallel")
-        if len(self.vector_handles) != len(self.texts):
-            raise ValueError("one vector handle pair per text required")
         if not self.related_entities or self.related_entities[0] != self.uri \
                 or self.related_weights[0] != 0.0:
             raise ValueError("related list must start with the entity itself at 0")
@@ -157,7 +163,6 @@ def _record_to_json(r: IndexRecord) -> str:
         "related_weights": list(r.related_weights),
         "parents": list(r.parent_entities),
         "parent_weights": list(r.parent_weights),
-        "vector_handles": [list(h) for h in r.vector_handles],
     }, sort_keys=True)
 
 
@@ -170,8 +175,21 @@ def _record_from_json(line: str) -> IndexRecord:
         related_weights=tuple(d["related_weights"]),
         parent_entities=tuple(Iri(e) for e in d["parents"]),
         parent_weights=tuple(d["parent_weights"]),
-        vector_handles=tuple((a, b) for a, b in d["vector_handles"]),
     )
+
+
+def _hash_file(path: Path, digest) -> None:
+    """Feed a file to the digest through ordinary chunked reads, so that
+    verifying an opened index faults none of its pages into the memory map."""
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+
+
+def _read_hashed(path: Path, digest) -> str:
+    data = path.read_bytes()
+    digest.update(data)
+    return data.decode("utf-8")
 
 
 def build_index(
@@ -196,15 +214,22 @@ def build_index(
 
         text_count = 0
         records: list[IndexRecord] = []
-        with VectorStoreWriter(out / VECTORS_FILE) as store:
+        postings: dict[str, list[tuple[int, int]]] = {}
+        with VectorStoreWriter(out / VECTORS_FILE, encoders.table.dim) as store:
             for uri in uris:
                 texts = tuple((f, t, w) for f, t, w in entity_texts(kb, uri))
-                handles = []
                 for _, text, _ in texts:
-                    handles.append((
-                        store.put_lexical(encoders.lexical(text)),
-                        store.put_semantic(encoders.semantic(text)),
-                    ))
+                    text_id = store.put(encoders.lexical(text), encoders.semantic(text))
+                    token_counts: dict[str, int] = {}
+                    for tok in tokenize(text):
+                        token_counts[tok] = token_counts.get(tok, 0) + 1
+                    gram_counts: dict[str, int] = {}
+                    for gram in char_ngrams(text, (3,)):
+                        gram_counts[gram] = gram_counts.get(gram, 0) + 1
+                    for tok, tf in token_counts.items():
+                        postings.setdefault("t:" + tok, []).append((text_id, tf))
+                    for gram, tf in gram_counts.items():
+                        postings.setdefault("g:" + gram, []).append((text_id, tf))
                 nbh = neighborhoods.get(uri)
                 related = nbh.neighbors if nbh is not None else ((uri, 0.0),)
                 entity_parents = tuple(parents.get(uri, ()))
@@ -215,29 +240,12 @@ def build_index(
                     related_weights=tuple(d for _, d in related),
                     parent_entities=tuple(q for q, _ in entity_parents),
                     parent_weights=tuple(w for _, w in entity_parents),
-                    vector_handles=tuple(handles),
                 ))
                 text_count += len(texts)
 
         with (out / RECORDS_FILE).open("w", encoding="utf-8") as fh:
             for r in records:
                 fh.write(_record_to_json(r) + "\n")
-
-        postings: dict[str, list[tuple[int, int]]] = {}
-        text_id = 0
-        for r in records:
-            for _, text, _ in r.texts:
-                token_counts: dict[str, int] = {}
-                for tok in tokenize(text):
-                    token_counts[tok] = token_counts.get(tok, 0) + 1
-                gram_counts: dict[str, int] = {}
-                for gram in char_ngrams(text, (3,)):
-                    gram_counts[gram] = gram_counts.get(gram, 0) + 1
-                for tok, tf in token_counts.items():
-                    postings.setdefault("t:" + tok, []).append((text_id, tf))
-                for gram, tf in gram_counts.items():
-                    postings.setdefault("g:" + gram, []).append((text_id, tf))
-                text_id += 1
         with (out / POSTINGS_FILE).open("w", encoding="utf-8") as fh:
             for term in sorted(postings):
                 fh.write(json.dumps(
@@ -246,7 +254,7 @@ def build_index(
 
         digest = hashlib.sha256()
         for name in (RECORDS_FILE, POSTINGS_FILE, VECTORS_FILE):
-            digest.update((out / name).read_bytes())
+            _hash_file(out / name, digest)
         manifest = IndexManifest(
             format_version=FORMAT_VERSION,
             record_count=len(records),
@@ -273,6 +281,8 @@ class CandidateIndex:
         self._by_uri = {r.uri: i for i, r in enumerate(records)}
         self._postings = postings
         self._store = store
+        # per record position: its first text id (one extra entry for the end)
+        self._text_start: list[int] = [0]
         # per global text id: owning record position, field weight, and
         # length normalizers for the token and gram scoring paths
         self._text_owner: list[int] = []
@@ -285,6 +295,7 @@ class CandidateIndex:
                 self._text_weight.append(weight)
                 self._token_norm.append(math.sqrt(max(len(tokenize(text)), 1)))
                 self._gram_norm.append(math.sqrt(max(len(char_ngrams(text, (3,))), 1)))
+            self._text_start.append(len(self._text_owner))
 
     @classmethod
     def open(cls, path: str | Path) -> "CandidateIndex":
@@ -303,14 +314,15 @@ class CandidateIndex:
             raise IndexFormatError(
                 f"index format {manifest.format_version} unsupported "
                 f"(this build reads {FORMAT_VERSION})")
+        digest = hashlib.sha256()
         try:
             records = [
                 _record_from_json(line)
-                for line in (path / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
+                for line in _read_hashed(path / RECORDS_FILE, digest).splitlines()
                 if line.strip()
             ]
             postings: dict[str, list[tuple[int, int]]] = {}
-            for line in (path / POSTINGS_FILE).read_text(encoding="utf-8").splitlines():
+            for line in _read_hashed(path / POSTINGS_FILE, digest).splitlines():
                 if line.strip():
                     d = json.loads(line)
                     postings[d["term"]] = [(t, f) for t, f in d["postings"]]
@@ -322,6 +334,20 @@ class CandidateIndex:
             raise IndexIntegrityError(
                 f"record count {len(records)} != manifest {manifest.record_count}")
         store = VectorStore(path / VECTORS_FILE)
+        texts = sum(len(r.texts) for r in records)
+        problem = ""
+        if not texts == store.n_texts == manifest.text_count:
+            problem = (f"text count: records {texts}, vectors {store.n_texts}, "
+                       f"manifest {manifest.text_count}")
+        elif store.dim != manifest.embedding_dim:
+            problem = f"embedding dim: vectors {store.dim}, manifest {manifest.embedding_dim}"
+        else:
+            _hash_file(path / VECTORS_FILE, digest)
+            if digest.hexdigest() != manifest.content_hash:
+                problem = "content hash does not match the manifest"
+        if problem:
+            store.close()
+            raise IndexIntegrityError(f"index {path}: {problem}")
         return cls(manifest, records, postings, store)
 
     def close(self) -> None:
@@ -380,15 +406,19 @@ class CandidateIndex:
                         key=lambda kv: (-kv[1], self._records[kv[0]].uri))
         return [CandidateHit(self._records[pos], score) for pos, score in ranked[:k]]
 
-    def load_vectors(
-        self, handles: Sequence[tuple[int, int]]
-    ) -> tuple[LexicalRows, np.ndarray]:
-        """Fetch the (lexical, semantic) vectors of the handles, one row per
-        handle in handle order: CSR lexical rows and an (n, D) matrix."""
-        lex = LexicalRows.stack([self._store.read_lexical(h[0]) for h in handles])
-        sem = [self._store.read_semantic(h[1]) for h in handles]
-        dim = self.manifest.embedding_dim
-        return lex, np.vstack(sem) if sem else np.zeros((0, dim))
+    def text_ids(self, uri: Iri) -> range:
+        """Text ids of a record's texts, in the order of ``record.texts``;
+        empty for an entity the index holds no record of."""
+        pos = self._by_uri.get(uri)
+        if pos is None:
+            return range(0)
+        return range(self._text_start[pos], self._text_start[pos + 1])
+
+    def load_vectors(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
+        """Fetch the (lexical, semantic) vectors of the texts, one row per
+        id in the given order: CSR lexical rows and an (n, D) matrix. An id
+        outside the index raises IndexIntegrityError."""
+        return self._store.gather(text_ids)
 
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
         r = self.record(uri)
@@ -402,17 +432,15 @@ class CandidateIndex:
         record = self.record(uri)
         if record is None:
             raise IndexIntegrityError(f"no index record for {uri}")
-        handles: list[tuple[int, int]] = []
+        text_ids: list[int] = []
         weights: list[float] = []
         distances: list[float] = []
         for entity, dist in zip(record.related_entities, record.related_weights):
-            rec = self.record(entity)
-            if rec is None:
-                continue
-            handles.extend(rec.vector_handles)
-            weights.extend(field_weight for _, _, field_weight in rec.texts)
-            distances.extend([dist] * len(rec.texts))
-        lex_rows, sem_matrix = self.load_vectors(handles)
+            ids = self.text_ids(entity)
+            text_ids.extend(ids)
+            weights.extend(self._text_weight[ids.start:ids.stop])
+            distances.extend([dist] * len(ids))
+        lex_rows, sem_matrix = self.load_vectors(text_ids)
         return CandidateBlock(
             entity=uri,
             lex_rows=lex_rows,

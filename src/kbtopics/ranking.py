@@ -94,17 +94,6 @@ class LexicalRows:
         if self.indptr[-1] != self.keys.shape[0] or self.values.shape != self.keys.shape:
             raise ValueError("lexical rows: indptr, keys and values disagree")
 
-    @classmethod
-    def stack(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> "LexicalRows":
-        """CSR rows from per-row (keys, values) array pairs, in order."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum([keys.shape[0] for keys, _ in rows], out=indptr[1:])
-        return cls(
-            keys=np.concatenate([np.zeros(0, np.uint64), *(k for k, _ in rows)]),
-            values=np.concatenate([np.zeros(0), *(v for _, v in rows)]),
-            indptr=indptr,
-        )
-
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
 

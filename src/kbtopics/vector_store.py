@@ -1,13 +1,19 @@
-"""Append-only vector file with offset-addressed random reads.
+"""Columnar vector file addressed by text id.
 
-Layout: an 8-byte magic header, then back-to-back vector blocks. Each block
-is a 1-byte kind tag, a u32 element count, and the payload: sparse lexical
-vectors store (u64 key, f64 value) pairs sorted by key; dense semantic
-vectors store f64 components. Offsets handed out by the writer are the only
-way to address a block.
+Layout, all little-endian, every section a whole number of 8-byte words:
 
-Reads go through one shared mmap, so concurrent readers need no
-coordination and no lookup ever scans the file.
+  magic     8 bytes               b"KBTVEC02"
+  header    <u8 x 3               n_texts, dim, nnz
+  indptr    <i8 x (n_texts + 1)   text i's lexical elements: [indptr[i], indptr[i+1])
+  keys      <u8 x nnz             gram hashes, ascending within each text
+  values    <f8 x nnz             their weights
+  semantic  <f8 x (n_texts, dim)  one row per text
+
+Text ids are 0..n_texts-1 in the order the writer received the vectors. The
+reader maps the file once, checks that the header, the file size and the row
+pointers agree, and exposes the columns as zero-copy views over the map; a
+batch of text ids is gathered with one fancy index per column, so the
+returned arrays are copies and never pin the map.
 """
 
 from __future__ import annotations
@@ -15,47 +21,53 @@ from __future__ import annotations
 import mmap
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import IndexFormatError, IndexIntegrityError
+from .ranking import LexicalRows
 from .vectors import SparseVector
 
-MAGIC = b"KBTVEC01"
-KIND_LEXICAL = 1
-KIND_SEMANTIC = 2
+MAGIC = b"KBTVEC02"
 
-_HEAD = struct.Struct("<BI")  # kind, element count
-_LEXICAL_ITEM = np.dtype([("k", "<u8"), ("v", "<f8")])
+_HEADER = struct.Struct("<8s3Q")  # magic, n_texts, dim, nnz
 
 
 class VectorStoreWriter:
-    """Single-writer builder for the vector file."""
+    """Write side, one writer per file: buffers the vectors, writes the columns on close."""
 
-    def __init__(self, path: str | Path):
-        self._handle = Path(path).open("wb")
-        self._handle.write(MAGIC)
-        self._offset = len(MAGIC)
+    def __init__(self, path: str | Path, dim: int):
+        self._path = Path(path)
+        self._dim = dim
+        # each column grows as one buffer: a few large blocks rather than
+        # three small arrays per text
+        self._row_nnz: list[int] = []
+        self._keys = bytearray()
+        self._values = bytearray()
+        self._semantic = bytearray()
 
-    def put_lexical(self, vec: SparseVector) -> int:
-        offset = self._offset
-        items = sorted(vec.items())
-        payload = np.array(items, dtype=_LEXICAL_ITEM).tobytes()
-        self._write(_HEAD.pack(KIND_LEXICAL, len(items)) + payload)
-        return offset
-
-    def put_semantic(self, vec: np.ndarray) -> int:
-        offset = self._offset
-        data = np.ascontiguousarray(vec, dtype="<f8")
-        self._write(_HEAD.pack(KIND_SEMANTIC, data.shape[0]) + data.tobytes())
-        return offset
-
-    def _write(self, blob: bytes) -> None:
-        self._handle.write(blob)
-        self._offset += len(blob)
+    def put(self, lex: SparseVector, sem: np.ndarray) -> int:
+        """Store one text's vectors; returns its text id."""
+        sem = np.asarray(sem, dtype="<f8")
+        if sem.shape != (self._dim,):
+            raise ValueError(f"semantic vector shape {sem.shape}, expected ({self._dim},)")
+        keys = np.fromiter(lex, "<u8", len(lex))
+        order = np.argsort(keys)
+        self._keys += keys[order].tobytes()
+        self._values += np.fromiter(lex.values(), "<f8", len(lex))[order].tobytes()
+        self._semantic += sem.tobytes()
+        self._row_nnz.append(len(lex))
+        return len(self._row_nnz) - 1
 
     def close(self) -> None:
-        self._handle.close()
+        n = len(self._row_nnz)
+        indptr = np.zeros(n + 1, dtype="<i8")
+        np.cumsum(self._row_nnz, out=indptr[1:])
+        with self._path.open("wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, n, self._dim, int(indptr[-1])))
+            for column in (indptr.tobytes(), self._keys, self._values, self._semantic):
+                fh.write(column)
 
     def __enter__(self) -> "VectorStoreWriter":
         return self
@@ -65,7 +77,7 @@ class VectorStoreWriter:
 
 
 class VectorStore:
-    """Read side: offset-addressed access over one shared memory map."""
+    """Read side: text-id-addressed columns over one shared memory map."""
 
     def __init__(self, path: str | Path):
         path = Path(path)
@@ -78,39 +90,54 @@ class VectorStore:
         except ValueError as exc:
             self._file.close()
             raise IndexFormatError(f"vector store {path} is empty") from exc
-        if self._map[: len(MAGIC)] != MAGIC:
+        self._indptr = self._keys = self._values = self._semantic = None
+        try:
+            self._map_columns(path)
+        except (IndexFormatError, IndexIntegrityError):
             self.close()
+            raise
+
+    def _map_columns(self, path: Path) -> None:
+        # The views live only in attributes, never in locals of a frame that
+        # raises: a traceback keeping one alive would make close() fail.
+        size = len(self._map)
+        if size < _HEADER.size or self._map[: len(MAGIC)] != MAGIC:
             raise IndexFormatError(f"{path} is not a vector store (bad magic)")
-
-    def _header(self, offset: int, want_kind: int) -> int:
-        if offset < len(MAGIC) or offset + _HEAD.size > len(self._map):
-            raise IndexIntegrityError(f"vector handle {offset} out of range")
-        kind, count = _HEAD.unpack_from(self._map, offset)
-        if kind != want_kind:
+        _, n, dim, nnz = _HEADER.unpack_from(self._map)
+        expected = _HEADER.size + 8 * (n + 1 + 2 * nnz + n * dim)
+        if size != expected:
             raise IndexIntegrityError(
-                f"vector handle {offset}: kind {kind}, expected {want_kind}")
-        return count
+                f"vector store {path} is {size} bytes, its header implies {expected}")
+        self.n_texts, self.dim = n, dim
+        offset = _HEADER.size
+        self._indptr = np.frombuffer(self._map, "<i8", n + 1, offset)
+        offset += 8 * (n + 1)
+        self._keys = np.frombuffer(self._map, "<u8", nnz, offset)
+        self._values = np.frombuffer(self._map, "<f8", nnz, offset + 8 * nnz)
+        offset += 16 * nnz
+        self._semantic = np.frombuffer(self._map, "<f8", n * dim, offset).reshape(n, dim)
+        if self._indptr[0] != 0 or self._indptr[-1] != nnz \
+                or np.any(self._indptr[1:] < self._indptr[:-1]):
+            raise IndexIntegrityError(f"vector store {path}: row pointers corrupt")
 
-    def read_lexical(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, values) of one sparse vector: uint64 gram hashes in
-        ascending order and their float64 weights, copied out of the map."""
-        count = self._header(offset, KIND_LEXICAL)
-        start = offset + _HEAD.size
-        end = start + count * _LEXICAL_ITEM.itemsize
-        if end > len(self._map):
-            raise IndexIntegrityError(f"vector handle {offset} truncated")
-        items = np.frombuffer(self._map, dtype=_LEXICAL_ITEM, count=count, offset=start)
-        return items["k"].astype(np.uint64), items["v"].astype(np.float64)
-
-    def read_semantic(self, offset: int) -> np.ndarray:
-        count = self._header(offset, KIND_SEMANTIC)
-        start = offset + _HEAD.size
-        end = start + count * 8
-        if end > len(self._map):
-            raise IndexIntegrityError(f"vector handle {offset} truncated")
-        return np.frombuffer(self._map, dtype="<f8", count=count, offset=start).copy()
+    def gather(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
+        """(lexical, semantic) vectors of the texts, one row per id in the
+        given order: CSR lexical rows and an (n, dim) matrix, both copies."""
+        ids = np.asarray(text_ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n_texts):
+            raise IndexIntegrityError(
+                f"text id out of range [0, {self.n_texts}): "
+                f"{int(ids.min())}..{int(ids.max())}")
+        starts = self._indptr[ids]
+        lengths = self._indptr[ids + 1] - starts
+        indptr = np.zeros(ids.shape[0] + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        lex = LexicalRows(keys=self._keys[take], values=self._values[take], indptr=indptr)
+        return lex, self._semantic[ids]
 
     def close(self) -> None:
+        self._indptr = self._keys = self._values = self._semantic = None
         self._map.close()
         self._file.close()
 

@@ -20,10 +20,13 @@ def block_from_rows(
     field_weights,
     distances,
 ) -> CandidateBlock:
-    lex_rows = LexicalRows.stack([
-        (np.array(list(r), dtype=np.uint64), np.array(list(r.values()), dtype=np.float64))
-        for r in rows
-    ])
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    lex_rows = LexicalRows(
+        keys=np.array([k for r in rows for k in r], dtype=np.uint64),
+        values=np.array([v for r in rows for v in r.values()], dtype=np.float64),
+        indptr=indptr,
+    )
     return CandidateBlock(
         entity=entity,
         lex_rows=lex_rows,

@@ -477,7 +477,7 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     worst_sem = 0.0
     with CandidateIndex.open(index_dir) as idx:
         for rec in idx.records:
-            lex, sem = idx.load_vectors(rec.vector_handles)
+            lex, sem = idx.load_vectors(idx.text_ids(rec.uri))
             for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)

@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, file handling, output format, determinism."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kbtopics
 from kbtopics.cli import CONFIG_COPY, main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -245,6 +250,56 @@ def test_corrupt_index_exits_2(index_dir, tmp_path, capsys):
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
+
+
+def copy_index(index_dir, dest):
+    dest.mkdir()
+    for item in index_dir.iterdir():
+        (dest / item.name).write_bytes(item.read_bytes())
+    return dest
+
+
+def test_deleted_postings_line_exits_2(index_dir, tmp_path, capsys):
+    broken = copy_index(index_dir, tmp_path / "broken")
+    postings = broken / "postings.jsonl"
+    postings.write_text("".join(postings.read_text(encoding="utf-8")
+                                .splitlines(keepends=True)[1:]), encoding="utf-8")
+    code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "content hash" in capsys.readouterr().err
+
+
+def test_flipped_semantic_byte_exits_2(index_dir, tmp_path, capsys):
+    broken = copy_index(index_dir, tmp_path / "broken")
+    vectors = broken / "vectors.bin"
+    data = bytearray(vectors.read_bytes())
+    n_texts, _, nnz = struct.unpack_from("<3Q", data, 8)
+    # lowest byte of the first semantic component: the file stays well formed
+    data[32 + 8 * (n_texts + 1) + 16 * nnz] ^= 0x01
+    vectors.write_bytes(bytes(data))
+    code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "content hash" in capsys.readouterr().err
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    src = str(Path(kbtopics.__file__).resolve().parents[1])
+    outputs, hashes = set(), set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        index, out = tmp_path / f"idx{seed}", tmp_path / f"topics{seed}.jsonl"
+        for argv in (["build-index", "--config", str(CONFIG), "--out", str(index)],
+                     ["classify", "--index", str(index), "--corpus", str(CORPUS),
+                      "--out", str(out)]):
+            done = subprocess.run([sys.executable, "-m", "kbtopics.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs.add(out.read_bytes())
+        hashes.add(json.loads((index / "manifest.json").read_text())["content_hash"])
+    assert len(outputs) == 1
+    assert len(hashes) == 1
 
 
 def test_internal_error_exits_3(index_dir, tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from kbtopics.expansion import Neighborhood
 from kbtopics.index import (
     MANIFEST_FILE,
     POSTINGS_FILE,
+    VECTORS_FILE,
     CandidateIndex,
     Encoders,
     ParentParams,
@@ -20,7 +21,7 @@ from kbtopics.index import (
     compute_parents,
 )
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple
-from kbtopics.vector_store import KIND_LEXICAL, MAGIC, VectorStore, VectorStoreWriter
+from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 from oracles import parents_by_scan
@@ -256,6 +257,42 @@ class TestOpenValidation:
         with pytest.raises(IndexIntegrityError):
             CandidateIndex.open(path)
 
+    def test_format_1_refused(self, built):
+        _, _, path = built
+        m = json.loads((path / MANIFEST_FILE).read_text())
+        m["format_version"] = 1
+        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        with pytest.raises(IndexFormatError, match="format 1"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("field", ["text_count", "embedding_dim"])
+    def test_vector_header_disagrees_with_manifest(self, built, field):
+        _, _, path = built
+        m = json.loads((path / MANIFEST_FILE).read_text())
+        m[field] += 1
+        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        with pytest.raises(IndexIntegrityError, match=field.split("_")[-1]):
+            CandidateIndex.open(path)
+
+    def test_deleted_postings_line_fails_content_hash(self, built):
+        _, _, path = built
+        lines = (path / POSTINGS_FILE).read_text().splitlines(keepends=True)
+        (path / POSTINGS_FILE).write_text("".join(lines[1:]))
+        with pytest.raises(IndexIntegrityError, match="content hash"):
+            CandidateIndex.open(path)
+
+    def test_vectors_of_another_build_fail_content_hash(self, built, tmp_path):
+        # same texts, other embeddings: the vector file passes every layout
+        # and count check, only the content hash tells it apart
+        _, manifest, path = built
+        other = tmp_path / "other-emb.txt"
+        other.write_text("polar 0 0 0 1\nbear 0 0 1 0\n", encoding="utf-8")
+        build_index(toy_kb(), neighborhoods_for(toy_kb()), {},
+                    Encoders(EmbeddingTable.load(other)), tmp_path / "other")
+        (path / VECTORS_FILE).write_bytes((tmp_path / "other" / VECTORS_FILE).read_bytes())
+        with pytest.raises(IndexIntegrityError, match="content hash"):
+            CandidateIndex.open(path)
+
 
 class TestQuery:
     def test_exact_unique_label_ranks_first(self, built):
@@ -346,77 +383,134 @@ class TestVectors:
         kb, _, path = built
         with CandidateIndex.open(path) as idx:
             for rec in idx.records:
-                lex, sem = idx.load_vectors(rec.vector_handles)
+                lex, sem = idx.load_vectors(idx.text_ids(rec.uri))
                 for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
                         sv, semantic_vector(text, table), atol=1e-7)
 
-    def test_order_preserving_batch(self, built):
-        _, _, path = built
+    def test_text_ids_follow_record_order(self, built):
+        _, manifest, path = built
         with CandidateIndex.open(path) as idx:
-            handles = [h for r in idx.records for h in r.vector_handles]
-            lex, sem = idx.load_vectors(handles)
-            assert len(lex) == len(sem) == len(handles)
-            lex_again, sem_again = idx.load_vectors(handles[::-1])
+            ids = [i for r in idx.records for i in idx.text_ids(r.uri)]
+            assert ids == list(range(manifest.text_count))
+            assert idx.text_ids(iri("ghost")) == range(0)
+
+    def test_order_preserving_batch(self, built):
+        _, manifest, path = built
+        with CandidateIndex.open(path) as idx:
+            ids = list(range(manifest.text_count))
+            lex, sem = idx.load_vectors(ids)
+            assert len(lex) == len(sem) == len(ids)
+            lex_again, sem_again = idx.load_vectors(ids[::-1])
             assert list(lex_again) == list(lex)[::-1]
             np.testing.assert_array_equal(sem_again, sem[::-1])
 
-    def test_stale_handle_rejected(self, built):
-        _, _, path = built
+    def test_out_of_range_ids_rejected(self, built):
+        _, manifest, path = built
         with CandidateIndex.open(path) as idx:
-            with pytest.raises(IndexIntegrityError):
-                idx.load_vectors([(10**9, 10**9)])
-            # an offset pointing at a semantic block read as lexical
-            rec = idx.record(iri("bear"))
-            lex_off, sem_off = rec.vector_handles[0]
-            with pytest.raises(IndexIntegrityError):
-                idx.load_vectors([(sem_off, lex_off)])
+            for bad in (-1, manifest.text_count):
+                with pytest.raises(IndexIntegrityError):
+                    idx.load_vectors([0, bad])
+
+
+def write_store(path, rows, dim):
+    with VectorStoreWriter(path, dim) as w:
+        return [w.put(lex, np.array(sem, dtype=np.float64)) for lex, sem in rows]
 
 
 class TestVectorStoreFile:
+    ROWS = [({5: 0.25, 2**64 - 1: 0.5, 2: 0.75}, [1.0, -2.0]),
+            ({}, [0.0, 0.0]),
+            ({7: 1.0}, [0.6, 0.8])]
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "v.bin"
-        with VectorStoreWriter(path) as w:
-            lex_off = w.put_lexical({5: 0.25, 2**64 - 1: 0.5, 2: 0.75})
-            sem_off = w.put_semantic(np.array([1.0, -2.0, 3.5]))
+        assert write_store(path, self.ROWS, 2) == [0, 1, 2]
         with VectorStore(path) as store:
-            keys, vals = store.read_lexical(lex_off)
-            assert keys.dtype == np.uint64
-            assert keys.tolist() == [2, 5, 2**64 - 1]
-            assert dict(zip(keys.tolist(), vals.tolist())) == {2: 0.75, 5: 0.25, 2**64 - 1: 0.5}
-            np.testing.assert_array_equal(
-                store.read_semantic(sem_off), [1.0, -2.0, 3.5])
+            assert (store.n_texts, store.dim) == (3, 2)
+            lex, sem = store.gather([0, 1, 2])
+            reverse_lex, reverse_sem = store.gather([2, 1, 0])
+            assert lex.keys.dtype == np.uint64
+            assert lex.keys[:3].tolist() == [2, 5, 2**64 - 1]
+            assert list(lex) == [rows for rows, _ in self.ROWS]
+            np.testing.assert_array_equal(sem, [sem for _, sem in self.ROWS])
+            assert list(reverse_lex) == list(lex)[::-1]
+            np.testing.assert_array_equal(reverse_sem, sem[::-1])
+            empty_lex, empty_sem = store.gather([])
+            assert len(empty_lex) == 0 and empty_sem.shape == (0, 2)
+        # gathered arrays are copies: they outlive the closed map
+        assert list(lex)[0][2**64 - 1] == 0.5 and sem[2].tolist() == [0.6, 0.8]
 
-    def test_lexical_block_bytes(self, tmp_path):
-        # the on-disk layout: kind, count, then (u64 key, f64 value) pairs
-        # sorted by key, all little-endian and unpadded
+    def test_file_bytes(self, tmp_path):
+        # the on-disk layout: magic, n_texts/dim/nnz, row pointers, keys
+        # sorted within each text, values, then the semantic rows; all
+        # little-endian and unpadded
         path = tmp_path / "v.bin"
-        with VectorStoreWriter(path) as w:
-            w.put_lexical({5: 0.25, 2**64 - 1: 0.5, 2: 0.75})
-            w.put_lexical({})
-        assert path.read_bytes() == MAGIC + b"".join([
-            struct.pack("<BI", KIND_LEXICAL, 3),
-            struct.pack("<Qd", 2, 0.75),
-            struct.pack("<Qd", 5, 0.25),
-            struct.pack("<Qd", 2**64 - 1, 0.5),
-            struct.pack("<BI", KIND_LEXICAL, 0),
+        write_store(path, self.ROWS[:2], 2)
+        assert path.read_bytes() == b"".join([
+            MAGIC,
+            struct.pack("<3Q", 2, 2, 3),
+            struct.pack("<3q", 0, 3, 3),
+            struct.pack("<3Q", 2, 5, 2**64 - 1),
+            struct.pack("<3d", 0.75, 0.25, 0.5),
+            struct.pack("<4d", 1.0, -2.0, 0.0, 0.0),
         ])
 
-    def test_truncated_lexical_block(self, tmp_path):
+    def test_empty_store(self, tmp_path):
         path = tmp_path / "v.bin"
-        with VectorStoreWriter(path) as w:
-            lex_off = w.put_lexical({1: 0.6, 2: 0.8})
-        # the block's element count now runs past the end of the file
-        path.write_bytes(path.read_bytes()[:-8])
+        write_store(path, [], 4)
         with VectorStore(path) as store:
-            with pytest.raises(IndexIntegrityError):
-                store.read_lexical(lex_off)
+            assert (store.n_texts, store.dim) == (0, 4)
+            lex, sem = store.gather([])
+            assert len(lex) == 0 and sem.shape == (0, 4)
+
+    def test_wrong_semantic_dim(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_store(tmp_path / "v.bin", [({}, [1.0, 0.0, 0.0])], 2)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[:-8],                     # truncated
+        lambda b: b + b"\x00" * 8,            # trailing bytes
+        lambda b: b[:8] + struct.pack("<3Q", 3, 3, 4) + b[32:],  # header disagrees
+    ], ids=["truncated", "trailing", "header"])
+    def test_size_must_match_header(self, tmp_path, edit):
+        path = tmp_path / "v.bin"
+        write_store(path, self.ROWS, 2)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(IndexIntegrityError, match="bytes"):
+            VectorStore(path)
+
+    @pytest.mark.parametrize("indptr", [(0, 3, 1, 4), (1, 3, 3, 4), (0, 3, 3, 3)],
+                             ids=["decreasing", "nonzero-start", "short-end"])
+    def test_corrupt_row_pointers(self, tmp_path, indptr):
+        path = tmp_path / "v.bin"
+        write_store(path, self.ROWS, 2)
+        data = path.read_bytes()
+        path.write_bytes(data[:32] + struct.pack("<4q", *indptr) + data[64:])
+        # the columns are already mapped when this check fails; the map must
+        # still close cleanly
+        with pytest.raises(IndexIntegrityError, match="row pointers"):
+            VectorStore(path)
+
+    def test_out_of_range_ids(self, tmp_path):
+        path = tmp_path / "v.bin"
+        write_store(path, self.ROWS, 2)
+        with VectorStore(path) as store:
+            for bad in ([-1], [3], [0, 3]):
+                with pytest.raises(IndexIntegrityError):
+                    store.gather(bad)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "v.bin"
-        p.write_bytes(b"NOTSTORE" + b"\x00" * 16)
+        p.write_bytes(b"NOTSTORE" + b"\x00" * 32)
         with pytest.raises(IndexFormatError):
+            VectorStore(p)
+
+    def test_format_1_magic_refused(self, tmp_path):
+        p = tmp_path / "v.bin"
+        p.write_bytes(b"KBTVEC01" + b"\x00" * 32)
+        with pytest.raises(IndexFormatError, match="magic"):
             VectorStore(p)
 
     def test_empty_file(self, tmp_path):
