@@ -1,22 +1,25 @@
 """Document-global score adjustment via graph coherence.
 
 Candidates that sit close together in the knowledge graph are assumed to
-describe the same document context. Pair proximity is approximated from the
-candidates' precomputed neighborhoods, weakly connected candidates are pruned
-greedily, and the survivors' scores are boosted in proportion to how strongly
-they connect to the rest.
+describe the same document context. Each candidate brings its precomputed
+neighborhood as parallel arrays of integer entity ids and distances; a pair's
+distance is the cheapest meeting point of their neighborhoods, found for all
+pairs at once by sorting the concatenated entries by (entity id, owner) and
+taking a sort-based group minimum. The similarities fill a dense matrix over
+the sorted candidates, weakly connected candidates are pruned greedily from
+it, and the survivors' scores are boosted in proportion to how strongly they
+connect to the rest.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, PipelineError
-from .expansion import Neighborhood
 from .kb import Iri
 from .ranking import ScoredCandidate
 
@@ -45,63 +48,96 @@ class CoherenceParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceGraph:
-    """Sparse symmetric similarity over a document's candidate entities.
+    """Symmetric similarity over a document's candidate entities.
 
-    Edges are stored once under the lexicographically smaller endpoint first;
-    absent pairs have similarity 0.
+    ``nodes`` is sorted and ``sim[i, j]`` is the similarity of nodes i and
+    j, 0 for an unconnected pair and on the diagonal.
     """
 
     nodes: tuple[Iri, ...]
-    edges: Mapping[tuple[Iri, Iri], float]
+    sim: np.ndarray
 
-    def similarity(self, a: Iri, b: Iri) -> float:
-        if a == b:
-            return 0.0
-        key = (a, b) if a < b else (b, a)
-        return self.edges.get(key, 0.0)
+    @property
+    def edges(self) -> Mapping[tuple[Iri, Iri], float]:
+        """Connected pairs, smaller entity first, with their similarity."""
+        return _Edges(self)
+
+
+class _Edges(Mapping):
+    """Read-only view of a graph's connected pairs; sized without building
+    one Python object per pair."""
+
+    def __init__(self, graph: CoherenceGraph):
+        self._nodes = graph.nodes
+        self._upper = np.triu(graph.sim, 1)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._upper))
+
+    def __iter__(self) -> Iterator[tuple[Iri, Iri]]:
+        rows, cols = np.nonzero(self._upper)
+        node = self._nodes.__getitem__
+        return zip(map(node, rows.tolist()), map(node, cols.tolist()))
+
+    def __getitem__(self, pair: tuple[Iri, Iri]) -> float:
+        a, b = pair
+        if a in self._nodes and b in self._nodes:
+            value = float(self._upper[self._nodes.index(a), self._nodes.index(b)])
+            if value:
+                return value
+        raise KeyError(pair)
 
 
 def build_similarity(
     candidates: Iterable[Iri],
-    neighborhoods: Mapping[Iri, Neighborhood],
+    neighborhoods: Mapping[Iri, tuple[np.ndarray, np.ndarray]],
 ) -> CoherenceGraph:
     """Connect candidate pairs whose neighborhoods overlap.
 
-    The pair distance is the cheapest meeting point: min over shared entries
-    x of dist_a(x) + dist_b(x). Since each neighborhood contains its own seed
-    at 0, this is an upper bound on the true path length between the seeds.
-    Similarity is 1/(1+dist), so closer pairs score higher, capped at 1.
+    Each neighborhood is an (entity ids, distances) array pair holding each
+    entity at most once, its own seed at 0. The pair distance is the cheapest
+    meeting point: min over shared entries x of dist_a(x) + dist_b(x). Since
+    each neighborhood contains its own seed, this is an upper bound on the
+    true path length between the seeds. Similarity is 1/(1+dist), so closer
+    pairs score higher, capped at 1.
     """
     nodes = tuple(sorted(set(candidates)))
-    distance_maps: dict[Iri, dict[Iri, float]] = {}
+    hoods = []
     for node in nodes:
         hood = neighborhoods.get(node)
         if hood is None:
             raise PipelineError(f"no cached neighborhood for candidate {node}")
-        distance_maps[node] = hood.distances()
+        hoods.append(hood)
+    n = len(nodes)
+    sim = np.zeros((n, n))
+    if n < 2:
+        return CoherenceGraph(nodes=nodes, sim=sim)
 
-    edges: dict[tuple[Iri, Iri], float] = {}
-    for i, a in enumerate(nodes):
-        dist_a = distance_maps[a]
-        for b in nodes[i + 1:]:
-            dist_b = distance_maps[b]
-            # iterate the smaller map when intersecting
-            if len(dist_b) < len(dist_a):
-                small, large = dist_b, dist_a
-            else:
-                small, large = dist_a, dist_b
-            best = math.inf
-            for shared, d_small in small.items():
-                d_large = large.get(shared)
-                if d_large is not None:
-                    total = d_small + d_large
-                    if total < best:
-                        best = total
-            if best < math.inf:
-                edges[(a, b)] = 1.0 / (1.0 + best)
-    return CoherenceGraph(nodes=nodes, edges=edges)
+    # every entry, sorted by (entity id, owner); no neighborhood lists an
+    # entity twice, so the key is unique and the sort need not be stable
+    ids = np.concatenate([h[0] for h in hoods])
+    owner = np.repeat(np.arange(n), [len(h[0]) for h in hoods])
+    order = np.argsort(ids * n + owner)
+    ids, owner = ids[order], owner[order]
+    dist = np.concatenate([h[1] for h in hoods])[order]
+    # pair each entry with every later entry of the same id
+    later = np.searchsorted(ids, ids, side="right") - np.arange(len(ids)) - 1
+    first = np.repeat(np.arange(len(ids)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    a, b = owner[first], owner[second]
+    linked = a < b
+    pair = a[linked] * n + b[linked]
+    if pair.size:
+        # group minimum of each pair's meeting-point distances
+        order = np.argsort(pair)
+        pair = pair[order]
+        heads = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+        best = np.minimum.reduceat((dist[first] + dist[second])[linked][order], heads)
+        a, b = np.divmod(pair[heads], n)
+        sim[a, b] = sim[b, a] = 1.0 / (1.0 + best)
+    return CoherenceGraph(nodes=nodes, sim=sim)
 
 
 def greedy_prune(
@@ -118,15 +154,12 @@ def greedy_prune(
     point. Removed and unconnected candidates keep boost 1; survivors get
     1 + gamma * conn/max_conn where conn is measured among survivors only.
 
-    Similarities live in a dense matrix over the sorted nodes, and every
-    connectivity is a row sum in index order, so the boosts do not depend
-    on set iteration order (and thus not on PYTHONHASHSEED).
+    Every connectivity is a row sum of the graph's dense similarity matrix
+    in index order, so the boosts do not depend on set iteration order (and
+    thus not on PYTHONHASHSEED).
     """
-    nodes = sorted(graph.nodes)
+    nodes, sim = graph.nodes, graph.sim
     pos = {e: i for i, e in enumerate(nodes)}
-    sim = np.zeros((len(nodes), len(nodes)))
-    for (a, b), value in graph.edges.items():
-        sim[pos[a], pos[b]] = sim[pos[b], pos[a]] = value
     # members[m, i]: node i is still a candidate of mention m
     members = np.zeros((len(mention_candidates), len(nodes)), dtype=bool)
     for m, group in enumerate(mention_candidates):

@@ -31,13 +31,14 @@ are namespaced "t:" for tokens and "g:" for 3-grams.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,6 +122,16 @@ class IndexRecord:
             raise ValueError("related list must start with the entity itself at 0")
 
 
+class Related(NamedTuple):
+    """Every record's related list as one CSR over entity ids: record p's
+    neighbors are ``ids[indptr[p]:indptr[p + 1]]`` at ``distances`` from it.
+    An id below the record count is that record's position."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    distances: np.ndarray
+
+
 @dataclass(frozen=True)
 class CandidateHit:
     record: IndexRecord
@@ -166,16 +177,52 @@ def _record_to_json(r: IndexRecord) -> str:
     }, sort_keys=True)
 
 
-def _record_from_json(line: str) -> IndexRecord:
-    d = json.loads(line)
-    return IndexRecord(
-        uri=Iri(d["uri"]),
-        texts=tuple((f, t, w) for f, t, w in d["texts"]),
-        related_entities=tuple(Iri(e) for e in d["related"]),
-        related_weights=tuple(d["related_weights"]),
-        parent_entities=tuple(Iri(e) for e in d["parents"]),
-        parent_weights=tuple(d["parent_weights"]),
-    )
+def _records_from_jsonl(text: str) -> tuple[list[IndexRecord], Related]:
+    """Parse records.jsonl into records and their related lists as CSR.
+
+    Every distinct IRI string becomes one ``Iri`` and one entity id: record
+    positions first, then the related and parent entities that have no
+    record, in order of first appearance. Those stay addressable because
+    they can be where two candidates' neighborhoods meet. Lines are parsed
+    one at a time, so no parsed line outlives its record.
+    """
+    ids: dict[str, int] = {}  # in order of first appearance, renumbered below
+    iris: list[Iri] = []
+    id_of, iri_of = ids.__getitem__, iris.__getitem__
+    records: list[IndexRecord] = []
+    record_ids: list[int] = []
+    related_ids: list[int] = []
+    related_dist: list[float] = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        for name in itertools.chain((d["uri"],), d["related"], d["parents"]):
+            if name not in ids:
+                ids[name] = len(iris)
+                iris.append(Iri(name))
+        related = list(map(id_of, d["related"]))
+        record_ids.append(id_of(d["uri"]))
+        records.append(IndexRecord(
+            uri=iris[record_ids[-1]],
+            texts=tuple((f, t, w) for f, t, w in d["texts"]),
+            related_entities=tuple(map(iri_of, related)),
+            related_weights=tuple(d["related_weights"]),
+            parent_entities=tuple(map(iri_of, map(id_of, d["parents"]))),
+            parent_weights=tuple(d["parent_weights"]),
+        ))
+        related_ids.extend(related)
+        related_dist.extend(d["related_weights"])
+    renumber = np.empty(len(iris), dtype=np.int64)
+    renumber[record_ids] = np.arange(len(records))
+    unrecorded = np.ones(len(iris), dtype=bool)
+    unrecorded[record_ids] = False
+    renumber[unrecorded] = len(records) + np.arange(np.count_nonzero(unrecorded))
+    indptr = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([len(r.related_entities) for r in records], out=indptr[1:])
+    return records, Related(
+        indptr, renumber[np.array(related_ids, dtype=np.int64)],
+        np.array(related_dist, dtype=np.float64))
 
 
 def _hash_file(path: Path, digest) -> None:
@@ -275,16 +322,19 @@ class CandidateIndex:
     """Opened index directory: retrieval plus record and vector access."""
 
     def __init__(self, manifest: IndexManifest, records: list[IndexRecord],
-                 postings: dict[str, list[tuple[int, int]]], store: VectorStore):
+                 related: Related, postings: dict[str, list[tuple[int, int]]],
+                 store: VectorStore):
         self.manifest = manifest
         self._records = records
         self._by_uri = {r.uri: i for i, r in enumerate(records)}
+        for column in related:
+            column.flags.writeable = False
+        self._related = related
         self._postings = postings
         self._store = store
-        # per record position: its first text id (one extra entry for the end)
-        self._text_start: list[int] = [0]
         # per global text id: owning record position, field weight, and
-        # length normalizers for the token and gram scoring paths
+        # length normalizers for the token and gram scoring paths (lists,
+        # which the per-posting scoring loop indexes fastest)
         self._text_owner: list[int] = []
         self._text_weight: list[float] = []
         self._token_norm: list[float] = []
@@ -295,7 +345,11 @@ class CandidateIndex:
                 self._text_weight.append(weight)
                 self._token_norm.append(math.sqrt(max(len(tokenize(text)), 1)))
                 self._gram_norm.append(math.sqrt(max(len(char_ngrams(text, (3,))), 1)))
-            self._text_start.append(len(self._text_owner))
+        # the same weights as an array for block gathers, and per record
+        # position its first text id (one extra entry for the end)
+        self._weights = np.array(self._text_weight, dtype=np.float64)
+        self._text_start = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([len(r.texts) for r in records], out=self._text_start[1:])
 
     @classmethod
     def open(cls, path: str | Path) -> "CandidateIndex":
@@ -316,11 +370,7 @@ class CandidateIndex:
                 f"(this build reads {FORMAT_VERSION})")
         digest = hashlib.sha256()
         try:
-            records = [
-                _record_from_json(line)
-                for line in _read_hashed(path / RECORDS_FILE, digest).splitlines()
-                if line.strip()
-            ]
+            records, related = _records_from_jsonl(_read_hashed(path / RECORDS_FILE, digest))
             postings: dict[str, list[tuple[int, int]]] = {}
             for line in _read_hashed(path / POSTINGS_FILE, digest).splitlines():
                 if line.strip():
@@ -348,7 +398,7 @@ class CandidateIndex:
         if problem:
             store.close()
             raise IndexIntegrityError(f"index {path}: {problem}")
-        return cls(manifest, records, postings, store)
+        return cls(manifest, records, related, postings, store)
 
     def close(self) -> None:
         self._store.close()
@@ -412,7 +462,7 @@ class CandidateIndex:
         pos = self._by_uri.get(uri)
         if pos is None:
             return range(0)
-        return range(self._text_start[pos], self._text_start[pos + 1])
+        return range(int(self._text_start[pos]), int(self._text_start[pos + 1]))
 
     def load_vectors(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
         """Fetch the (lexical, semantic) vectors of the texts, one row per
@@ -426,25 +476,33 @@ class CandidateIndex:
             return None
         return Neighborhood(uri, tuple(zip(r.related_entities, r.related_weights)))
 
+    def related(self, uri: Iri) -> tuple[np.ndarray, np.ndarray] | None:
+        """A record's related entity ids and distances, itself first at 0:
+        read-only views into the index; None for an entity without one."""
+        pos = self._by_uri.get(uri)
+        if pos is None:
+            return None
+        lo, hi = self._related.indptr[pos:pos + 2]
+        return self._related.ids[lo:hi], self._related.distances[lo:hi]
+
     def candidate_block(self, uri: Iri) -> CandidateBlock:
         """Scoring rows for a candidate: every text of every related entity
         that is itself indexed, tagged with field weight and owner distance."""
-        record = self.record(uri)
-        if record is None:
+        related = self.related(uri)
+        if related is None:
             raise IndexIntegrityError(f"no index record for {uri}")
-        text_ids: list[int] = []
-        weights: list[float] = []
-        distances: list[float] = []
-        for entity, dist in zip(record.related_entities, record.related_weights):
-            ids = self.text_ids(entity)
-            text_ids.extend(ids)
-            weights.extend(self._text_weight[ids.start:ids.stop])
-            distances.extend([dist] * len(ids))
+        ids, distances = related
+        indexed = ids < len(self._records)
+        ids, distances = ids[indexed], distances[indexed]
+        starts = self._text_start[ids]
+        counts = self._text_start[ids + 1] - starts
+        ends = np.cumsum(counts)
+        text_ids = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
         lex_rows, sem_matrix = self.load_vectors(text_ids)
         return CandidateBlock(
             entity=uri,
             lex_rows=lex_rows,
             sem_matrix=sem_matrix,
-            field_weights=np.array(weights, dtype=np.float64),
-            distances=np.array(distances, dtype=np.float64),
+            field_weights=self._weights[text_ids],
+            distances=np.repeat(distances, counts),
         )

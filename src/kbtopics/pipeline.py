@@ -23,7 +23,7 @@ from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig
 from .edges import build_adjacency, compute_edge_weights, link_counts
 from .errors import ConfigError, KbTopicsError, PipelineError
-from .expansion import Neighborhood, expand_all
+from .expansion import expand_all
 from .index import (
     CandidateBlock,
     CandidateIndex,
@@ -202,12 +202,8 @@ class Classifier:
         if use_coherence and self._coherence.enabled:
             membership = [[c.entity for c in ranked] for ranked in ranked_lists]
             candidates = {e for group in membership for e in group}
-            neighborhoods: dict[Iri, Neighborhood] = {}
-            for uri in candidates:
-                hood = self._index.neighborhood(uri)
-                if hood is not None:
-                    neighborhoods[uri] = hood
-            graph = build_similarity(candidates, neighborhoods)
+            graph = build_similarity(
+                candidates, {uri: self._index.related(uri) for uri in candidates})
             boosts = greedy_prune(graph, membership, self._coherence)
             ranked_lists = apply_boosts(ranked_lists, boosts)
 

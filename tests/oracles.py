@@ -7,15 +7,17 @@ to them. Nothing under ``src/`` calls anything here.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from kbtopics.edges import EdgeDirection
-from kbtopics.index import ParentParams
+from kbtopics.expansion import Neighborhood
+from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
     Iri,
     KnowledgeBase,
@@ -23,6 +25,7 @@ from kbtopics.kb import (
     PropertyRegistry,
     iter_triple_file,
 )
+from kbtopics.ranking import CandidateBlock
 from kbtopics.vectors import SparseVector
 
 
@@ -102,3 +105,57 @@ def cosine_dense(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def similarity_by_pairs(
+    candidates: Iterable[Iri], neighborhoods: Mapping[Iri, Neighborhood]
+) -> dict[tuple[Iri, Iri], float]:
+    """build_similarity's edges by intersecting the candidates' distance
+    dicts pair by pair: {(a, b): 1/(1+best)} for a < b with a shared entry."""
+    nodes = tuple(sorted(set(candidates)))
+    distance_maps = {node: neighborhoods[node].distances() for node in nodes}
+    edges: dict[tuple[Iri, Iri], float] = {}
+    for i, a in enumerate(nodes):
+        dist_a = distance_maps[a]
+        for b in nodes[i + 1:]:
+            dist_b = distance_maps[b]
+            # iterate the smaller map when intersecting
+            if len(dist_b) < len(dist_a):
+                small, large = dist_b, dist_a
+            else:
+                small, large = dist_a, dist_b
+            best = math.inf
+            for shared, d_small in small.items():
+                d_large = large.get(shared)
+                if d_large is not None:
+                    total = d_small + d_large
+                    if total < best:
+                        best = total
+            if best < math.inf:
+                edges[(a, b)] = 1.0 / (1.0 + best)
+    return edges
+
+
+def block_by_loop(index: CandidateIndex, uri: Iri) -> tuple[list[int], CandidateBlock]:
+    """candidate_block by a loop over the record's related entities, each
+    one's text ids and field weights read from its own record. Returns the
+    text ids it loaded and the block."""
+    record = index.record(uri)
+    text_ids: list[int] = []
+    weights: list[float] = []
+    distances: list[float] = []
+    for entity, dist in zip(record.related_entities, record.related_weights):
+        owner = index.record(entity)
+        if owner is None:
+            continue
+        text_ids.extend(index.text_ids(entity))
+        weights.extend(w for _, _, w in owner.texts)
+        distances.extend([dist] * len(owner.texts))
+    lex_rows, sem_matrix = index.load_vectors(text_ids)
+    return text_ids, CandidateBlock(
+        entity=uri,
+        lex_rows=lex_rows,
+        sem_matrix=sem_matrix,
+        field_weights=np.array(weights, dtype=np.float64),
+        distances=np.array(distances, dtype=np.float64),
+    )

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file handling, output format, determinism."""
 
+import hashlib
 import json
 import os
 import struct
@@ -268,6 +269,27 @@ def test_deleted_postings_line_exits_2(index_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
     assert "content hash" in capsys.readouterr().err
+
+
+def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
+    broken = copy_index(index_dir, tmp_path / "broken")
+    records = broken / "records.jsonl"
+    lines = records.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["related"][-1] = "no scheme here"
+    lines[0] = json.dumps(record, sort_keys=True)
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # re-hash, so that only IRI validation can refuse the index
+    digest = hashlib.sha256()
+    for name in ("records.jsonl", "postings.jsonl", "vectors.bin"):
+        digest.update((broken / name).read_bytes())
+    manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
+    manifest["content_hash"] = digest.hexdigest()
+    (broken / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "not an absolute IRI" in capsys.readouterr().err
 
 
 def test_flipped_semantic_byte_exits_2(index_dir, tmp_path, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import kbtopics
@@ -25,9 +26,38 @@ from kbtopics.expansion import ExpansionParams, Neighborhood, expand
 from kbtopics.kb import Iri
 from kbtopics.ranking import ScoredCandidate
 
+from oracles import similarity_by_pairs
+
 
 def iri(name: str) -> Iri:
     return Iri(f"http://example.org/{name}")
+
+
+def interned(hoods: dict[Iri, Neighborhood]) -> dict[Iri, tuple[np.ndarray, np.ndarray]]:
+    """Neighborhoods as build_similarity takes them: entity ids, numbered in
+    order of first appearance, and distances."""
+    ids: dict[Iri, int] = {}
+    return {
+        seed: (np.array([ids.setdefault(e, len(ids)) for e, _ in h.neighbors],
+                        dtype=np.int64),
+               np.array([d for _, d in h.neighbors], dtype=np.float64))
+        for seed, h in hoods.items()
+    }
+
+
+def graph_from_edges(nodes, edges: dict[tuple[Iri, Iri], float]) -> CoherenceGraph:
+    """A graph over the sorted nodes with the given pair similarities."""
+    nodes = tuple(sorted(nodes))
+    pos = {e: i for i, e in enumerate(nodes)}
+    sim = np.zeros((len(nodes), len(nodes)))
+    for (a, b), value in edges.items():
+        sim[pos[a], pos[b]] = sim[pos[b], pos[a]] = value
+    return CoherenceGraph(nodes=nodes, sim=sim)
+
+
+def similarity(graph: CoherenceGraph, a: Iri, b: Iri) -> float:
+    """The similarity of a pair; 0 for a node with itself or an absent pair."""
+    return graph.edges.get((min(a, b), max(a, b)), 0.0)
 
 
 def hood(seed_name: str, entries: dict[str, float] | None = None) -> Neighborhood:
@@ -74,15 +104,15 @@ class TestParams:
 class TestBuildSimilarity:
     def test_disjoint_neighborhoods_no_edges(self):
         hoods = {iri("a"): hood("a", {"x": 1.0}), iri("b"): hood("b", {"y": 1.0})}
-        graph = build_similarity(hoods.keys(), hoods)
+        graph = build_similarity(hoods.keys(), interned(hoods))
         assert graph.edges == {}
-        assert graph.similarity(iri("a"), iri("b")) == 0.0
+        assert similarity(graph, iri("a"), iri("b")) == 0.0
 
     def test_direct_containment(self):
         # b itself is the shared entry: dist = 0.5 + 0
         hoods = {iri("a"): hood("a", {"b": 0.5}), iri("b"): hood("b")}
-        graph = build_similarity(hoods.keys(), hoods)
-        assert graph.similarity(iri("a"), iri("b")) == pytest.approx(1 / 1.5)
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 1.5)
 
     def test_shared_hub(self):
         hoods = {
@@ -90,23 +120,23 @@ class TestBuildSimilarity:
             iri("b"): hood("b", {"hub": 1.0}),
             iri("c"): hood("c", {"hub": 2.0}),
         }
-        graph = build_similarity(hoods.keys(), hoods)
-        assert graph.similarity(iri("a"), iri("b")) == pytest.approx(1 / 3)
-        assert graph.similarity(iri("a"), iri("c")) == pytest.approx(1 / 4)
-        assert graph.similarity(iri("b"), iri("c")) == pytest.approx(1 / 4)
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 3)
+        assert similarity(graph, iri("a"), iri("c")) == pytest.approx(1 / 4)
+        assert similarity(graph, iri("b"), iri("c")) == pytest.approx(1 / 4)
 
     def test_takes_cheapest_shared_entry(self):
         hoods = {
             iri("a"): hood("a", {"x": 3.0, "y": 0.5}),
             iri("b"): hood("b", {"x": 0.1, "y": 0.6}),
         }
-        graph = build_similarity(hoods.keys(), hoods)
-        assert graph.similarity(iri("a"), iri("b")) == pytest.approx(1 / 2.1)
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 2.1)
 
     def test_self_similarity_zero(self):
         hoods = {iri("a"): hood("a", {"x": 1.0})}
-        graph = build_similarity(hoods.keys(), hoods)
-        assert graph.similarity(iri("a"), iri("a")) == 0.0
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert similarity(graph, iri("a"), iri("a")) == 0.0
 
     def test_missing_neighborhood_raises(self):
         with pytest.raises(PipelineError):
@@ -123,12 +153,13 @@ class TestBuildSimilarity:
                 for x in rng.sample(pool, rng.randint(0, 5))
             }
             hoods[iri(name)] = hood(name, entries)
-        forward = build_similarity([iri(n) for n in names], hoods)
-        backward = build_similarity([iri(n) for n in reversed(names)], hoods)
-        assert forward == backward
+        forward = build_similarity([iri(n) for n in names], interned(hoods))
+        backward = build_similarity([iri(n) for n in reversed(names)], interned(hoods))
+        assert forward.nodes == backward.nodes
+        assert np.array_equal(forward.sim, backward.sim)
         for a in forward.nodes:
             for b in forward.nodes:
-                assert forward.similarity(a, b) == forward.similarity(b, a)
+                assert similarity(forward, a, b) == similarity(forward, b, a)
 
     def test_matches_pair_oracle_on_random_neighborhoods(self):
         rng = random.Random(21)
@@ -143,13 +174,13 @@ class TestBuildSimilarity:
                     if x != name
                 }
                 hoods[iri(name)] = hood(name, entries)
-            graph = build_similarity(hoods.keys(), hoods)
+            graph = build_similarity(hoods.keys(), interned(hoods))
             for i, a in enumerate(graph.nodes):
                 for b in graph.nodes[i + 1:]:
                     want = oracle_distance(
                         hoods[a].distances(), hoods[b].distances()
                     )
-                    got = graph.similarity(a, b)
+                    got = similarity(graph, a, b)
                     if want is None:
                         assert got == 0.0
                     else:
@@ -177,12 +208,97 @@ class TestBuildSimilarity:
         params = ExpansionParams(max_depth=3, max_distance=4.0, max_neighbors=512)
         seeds = nodes[:8]
         hoods = {s: expand(adj, s, params) for s in seeds}
-        graph = build_similarity(seeds, hoods)
+        graph = build_similarity(seeds, interned(hoods))
         true = dijkstra(sp.csr_matrix(dense), directed=False)
         for (a, b), sim in graph.edges.items():
             approx = 1.0 / sim - 1.0
             truth = true[nodes.index(a), nodes.index(b)]
             assert approx >= truth - 1e-9
+
+
+def assert_matches_pair_oracle(candidates, hoods):
+    """build_similarity equals the pair-by-pair intersection bitwise."""
+    graph = build_similarity(candidates, interned(hoods))
+    want = similarity_by_pairs(candidates, hoods)
+    assert graph.nodes == tuple(sorted(set(candidates)))
+    assert graph.edges == want
+    assert np.array_equal(graph.sim, graph_from_edges(graph.nodes, want).sim)
+
+
+# sums of these such as 0.1 + 0.2 round, so a different pairing or order
+# of additions would show in the last bit
+DISTANCES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def candidate_hoods(draw):
+    names = [f"c{i}" for i in range(draw(st.integers(0, 7)))]
+    pool = names + ["hub", "m0", "m1", "m2", "m3"]
+    shared_hub = draw(st.booleans())
+    hoods = {}
+    # insertion order decides the entity ids interned() hands out
+    for name in draw(st.permutations(names)):
+        entries = draw(st.dictionaries(
+            st.sampled_from(pool).filter(lambda x, seed=name: x != seed),
+            DISTANCES, max_size=6))
+        if shared_hub:
+            entries.setdefault("hub", draw(DISTANCES))
+        hoods[iri(name)] = hood(name, entries)
+    repeats = draw(st.lists(st.sampled_from(names), max_size=4)) if names else []
+    candidates = draw(st.permutations([iri(n) for n in names + repeats]))
+    return candidates, hoods
+
+
+class TestSimilarityOracle:
+    @given(candidate_hoods())
+    def test_matches_pair_oracle_bitwise(self, drawn):
+        assert_matches_pair_oracle(*drawn)
+
+    def test_no_nodes(self):
+        graph = build_similarity([], {})
+        assert graph.nodes == () and graph.sim.shape == (0, 0)
+        assert_matches_pair_oracle([], {})
+
+    def test_one_node(self):
+        hoods = {iri("a"): hood("a", {"x": 1.0})}
+        graph = build_similarity([iri("a")], interned(hoods))
+        assert graph.sim.tolist() == [[0.0]]
+        assert_matches_pair_oracle([iri("a")], hoods)
+
+    def test_seed_only_neighborhoods(self):
+        hoods = {iri("a"): hood("a"), iri("b"): hood("b"),
+                 iri("c"): hood("c", {"a": 0.5, "b": 1.0})}
+        assert_matches_pair_oracle(list(hoods), hoods)
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert set(graph.edges) == {(iri("a"), iri("c")), (iri("b"), iri("c"))}
+
+    def test_duplicate_candidates(self):
+        hoods = {iri("a"): hood("a", {"x": 0.1}), iri("b"): hood("b", {"x": 0.2})}
+        candidates = [iri("a"), iri("b"), iri("a"), iri("b"), iri("b")]
+        assert_matches_pair_oracle(candidates, hoods)
+        assert build_similarity(candidates, interned(hoods)).nodes == (iri("a"), iri("b"))
+
+    def test_meeting_point_shared_by_many(self):
+        steps = [0.1, 0.2, 0.3, 0.7, 0.1, 0.2, 0.3, 0.7]
+        hoods = {iri(f"c{i}"): hood(f"c{i}", {"hub": d, f"own{i}": 0.05})
+                 for i, d in enumerate(steps)}
+        assert_matches_pair_oracle(list(hoods), hoods)
+        graph = build_similarity(hoods.keys(), interned(hoods))
+        assert len(graph.edges) == len(steps) * (len(steps) - 1) // 2
+        assert similarity(graph, iri("c0"), iri("c1")) == 1.0 / (1.0 + (0.1 + 0.2))
+
+    def test_input_order_permuted(self):
+        rng = random.Random(5)
+        hoods = {iri(f"c{i}"): hood(f"c{i}", {f"n{j}": 0.1 * j for j in rng.sample(range(9), 4)})
+                 for i in range(8)}
+        base = build_similarity(hoods.keys(), interned(hoods))
+        for _ in range(5):
+            order = list(hoods)
+            rng.shuffle(order)
+            again = build_similarity(order[::-1], interned({e: hoods[e] for e in order}))
+            assert again.nodes == base.nodes
+            assert np.array_equal(again.sim, base.sim)
+            assert_matches_pair_oracle(order, hoods)
 
 
 def line_graph(sims: dict[tuple[str, str], float]) -> CoherenceGraph:
@@ -191,18 +307,18 @@ def line_graph(sims: dict[tuple[str, str], float]) -> CoherenceGraph:
     for (x, y), s in sims.items():
         a, b = sorted((iri(x), iri(y)))
         edges[(a, b)] = s
-    return CoherenceGraph(nodes=tuple(iri(n) for n in names), edges=edges)
+    return graph_from_edges([iri(n) for n in names], edges)
 
 
 class TestGreedyPrune:
     def test_single_candidate(self):
-        graph = CoherenceGraph(nodes=(iri("a"),), edges={})
+        graph = graph_from_edges((iri("a"),), {})
         boosts = greedy_prune(graph, [[iri("a")]], CoherenceParams())
         assert boosts == {iri("a"): 1.0}
 
     def test_edgeless_graph_all_ones(self):
         nodes = (iri("a"), iri("b"), iri("c"))
-        graph = CoherenceGraph(nodes=nodes, edges={})
+        graph = graph_from_edges(nodes, {})
         boosts = greedy_prune(graph, [list(nodes)], CoherenceParams())
         assert boosts == {n: 1.0 for n in nodes}
 
@@ -210,7 +326,7 @@ class TestGreedyPrune:
         sims = {("a", "b"): 0.5, ("a", "c"): 0.5, ("b", "c"): 0.5}
         graph = line_graph(sims)
         nodes = list(graph.nodes) + [iri("d")]
-        graph = CoherenceGraph(nodes=tuple(sorted(nodes)), edges=graph.edges)
+        graph = graph_from_edges(tuple(sorted(nodes)), graph.edges)
         params = CoherenceParams(prune_fraction=0.25)
         boosts = greedy_prune(graph, [nodes], params)
         assert boosts[iri("d")] == 1.0
@@ -229,7 +345,7 @@ class TestGreedyPrune:
         sims = {("b", "c"): 0.5, ("b", "d"): 0.5, ("c", "d"): 0.5}
         graph = line_graph(sims)
         nodes = tuple(sorted(list(graph.nodes) + [iri("a")]))
-        graph = CoherenceGraph(nodes=nodes, edges=graph.edges)
+        graph = graph_from_edges(nodes, graph.edges)
         mentions = [[iri("a")], [iri("b"), iri("c"), iri("d")]]
         params = CoherenceParams(prune_fraction=0.5)
         boosts = greedy_prune(graph, mentions, params)
@@ -244,7 +360,7 @@ class TestGreedyPrune:
         sims = {("a", "b"): 0.5, ("a", "c"): 0.5, ("b", "c"): 0.5}
         graph = line_graph(sims)
         nodes = tuple(sorted(list(graph.nodes) + [iri("d")]))
-        graph = CoherenceGraph(nodes=nodes, edges=graph.edges)
+        graph = graph_from_edges(nodes, graph.edges)
         boosts = greedy_prune(
             graph, [list(nodes)], CoherenceParams(prune_fraction=0.0)
         )
@@ -272,7 +388,7 @@ class TestGreedyPrune:
     def test_shared_candidate_decrements_all_mentions(self):
         graph = line_graph({("b", "c"): 0.5})
         nodes = tuple(sorted(list(graph.nodes) + [iri("a")]))
-        graph = CoherenceGraph(nodes=nodes, edges=graph.edges)
+        graph = graph_from_edges(nodes, graph.edges)
         mentions = [[iri("a"), iri("b")], [iri("a"), iri("c")]]
         boosts = greedy_prune(graph, mentions, CoherenceParams(prune_fraction=0.5))
         assert boosts[iri("a")] == 1.0
@@ -288,9 +404,7 @@ class TestGreedyPrune:
                 if rng.random() < 0.4:
                     sims[(x, y)] = round(rng.uniform(0.05, 0.95), 3)
         graph = line_graph(sims)
-        graph = CoherenceGraph(
-            nodes=tuple(sorted(iri(n) for n in names)), edges=graph.edges
-        )
+        graph = graph_from_edges([iri(n) for n in names], graph.edges)
         mentions = [[iri(n) for n in names[:5]], [iri(n) for n in names[4:]]]
         base = greedy_prune(graph, mentions, CoherenceParams())
         shuffled = [list(m) for m in mentions]
@@ -309,9 +423,7 @@ class TestGreedyPrune:
                     if rng.random() < 0.5:
                         sims[(x, y)] = rng.uniform(0.01, 1.0)
             nodes = tuple(sorted(iri(n) for n in names))
-            graph = CoherenceGraph(
-                nodes=nodes, edges=line_graph(sims).edges if sims else {}
-            )
+            graph = graph_from_edges(nodes, line_graph(sims).edges if sims else {})
             gamma = rng.choice([0.0, 0.25, 1.0])
             params = CoherenceParams(
                 gamma=gamma, prune_fraction=rng.choice([0.0, 0.25, 0.5])
@@ -325,15 +437,20 @@ class TestGreedyPrune:
         # a's connectivity 0.1 + 0.2 + 0.3 is 0.6 or 0.6000000000000001 by
         # summation order, b's is 0.6: the order decides which one is pruned
         script = """
+import numpy as np
 from kbtopics.coherence import CoherenceGraph, CoherenceParams, greedy_prune
 from kbtopics.kb import Iri
 iri = lambda n: Iri("http://example.org/" + n)
 edges = {(iri("a"), iri("x")): 0.1, (iri("a"), iri("y")): 0.2,
          (iri("a"), iri("z")): 0.3, (iri("b"), iri("w")): 0.6}
 nodes = tuple(sorted({n for pair in edges for n in pair}))
+sim = np.zeros((len(nodes), len(nodes)))
+for (a, b), value in edges.items():
+    i, j = nodes.index(a), nodes.index(b)
+    sim[i, j] = sim[j, i] = value
 mentions = [[iri("a"), iri("b")]] + [[iri(n)] for n in "wxyz"]
 params = CoherenceParams(prune_fraction=0.5)
-print(repr(greedy_prune(CoherenceGraph(nodes, edges), mentions, params)))
+print(repr(greedy_prune(CoherenceGraph(nodes, sim), mentions, params)))
 """
         src = str(Path(kbtopics.__file__).resolve().parents[1])
         outputs = set()

@@ -1,18 +1,22 @@
 """Index build, retrieval scoring, vector cache transparency, parents."""
 
+import hashlib
 import json
+import random
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kbtopics.edges import link_counts
+from kbtopics.coherence import build_similarity
+from kbtopics.edges import build_adjacency, compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
-from kbtopics.expansion import Neighborhood
+from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.index import (
     MANIFEST_FILE,
     POSTINGS_FILE,
+    RECORDS_FILE,
     VECTORS_FILE,
     CandidateIndex,
     Encoders,
@@ -20,11 +24,13 @@ from kbtopics.index import (
     build_index,
     compute_parents,
 )
-from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple
+from kbtopics.kb import (
+    Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
+)
 from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from oracles import parents_by_scan
+from oracles import block_by_loop, parents_by_scan
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -272,6 +278,23 @@ class TestOpenValidation:
         m[field] += 1
         (path / MANIFEST_FILE).write_text(json.dumps(m))
         with pytest.raises(IndexIntegrityError, match=field.split("_")[-1]):
+            CandidateIndex.open(path)
+
+    def test_invalid_related_iri_refused(self, built):
+        # the manifest is re-hashed, so only IRI validation can catch it
+        _, _, path = built
+        lines = (path / RECORDS_FILE).read_text().splitlines()
+        record = json.loads(lines[0])
+        record["related"][-1] = "no scheme here"
+        lines[0] = json.dumps(record, sort_keys=True)
+        (path / RECORDS_FILE).write_text("\n".join(lines) + "\n")
+        digest = hashlib.sha256()
+        for name in (RECORDS_FILE, POSTINGS_FILE, VECTORS_FILE):
+            digest.update((path / name).read_bytes())
+        m = json.loads((path / MANIFEST_FILE).read_text())
+        m["content_hash"] = digest.hexdigest()
+        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        with pytest.raises(IndexFormatError, match="IRI"):
             CandidateIndex.open(path)
 
     def test_deleted_postings_line_fails_content_hash(self, built):
@@ -543,3 +566,107 @@ class TestCandidateBlock:
         with CandidateIndex.open(path) as idx:
             with pytest.raises(IndexIntegrityError):
                 idx.candidate_block(iri("ghost"))
+
+
+def load_calls_and_block(idx, uri):
+    """candidate_block of uri, and the id lists it passed to load_vectors."""
+    calls = []
+    load = idx.load_vectors
+    idx.load_vectors = lambda ids: calls.append(np.asarray(ids).tolist()) or load(ids)
+    try:
+        return calls, idx.candidate_block(uri)
+    finally:
+        del idx.load_vectors
+
+
+def assert_block_matches_loop(idx, uri):
+    calls, block = load_calls_and_block(idx, uri)
+    want_ids, want = block_by_loop(idx, uri)
+    assert calls == [want_ids]
+    assert block.entity == want.entity
+    for got, expected in [
+        (block.lex_rows.keys, want.lex_rows.keys),
+        (block.lex_rows.values, want.lex_rows.values),
+        (block.lex_rows.indptr, want.lex_rows.indptr),
+        (block.sem_matrix, want.sem_matrix),
+        (block.field_weights, want.field_weights),
+        (block.distances, want.distances),
+    ]:
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+def random_index(seed, out, table):
+    """Build an index over a random KB in which only some entities have
+    texts, so neighborhoods reach entities without a record."""
+    rng = random.Random(seed)
+    names = [f"e{i}" for i in range(rng.randint(2, 12))]
+    words = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice"]
+    triples = []
+    for name in names:
+        if rng.random() < 0.6:
+            triples.append(Triple(iri(name), LABEL, Literal(" ".join(rng.sample(words, 2)))))
+        if rng.random() < 0.3:
+            triples.append(Triple(iri(name), SYN, Literal(rng.choice(words))))
+    for _ in range(rng.randint(0, 3 * len(names))):
+        triples.append(Triple(iri(rng.choice(names)), rng.choice([BROADER, MEMBER]),
+                              iri(rng.choice(names))))
+    kb = KnowledgeBase.from_triples(triples, registry())
+    seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
+    hoods = expand_all(build_adjacency(compute_edge_weights(kb)), seeds,
+                       ExpansionParams(max_depth=3, max_distance=6.0))
+    build_index(kb, hoods, {}, Encoders(table), out)
+    return out
+
+
+class TestBlockGather:
+    def test_toy_index_matches_loop(self, built):
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            for rec in idx.records:
+                assert_block_matches_loop(idx, rec.uri)
+            # mercury's neighbor arctic has no record and adds no rows
+            assert iri("arctic") in idx.record(iri("mercury")).related_entities
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_indexes_match_loop(self, tmp_path_factory, table, seed):
+        path = random_index(seed, tmp_path_factory.mktemp("random"), table)
+        with CandidateIndex.open(path) as idx:
+            for rec in idx.records:
+                assert_block_matches_loop(idx, rec.uri)
+
+    def test_some_random_index_reaches_unindexed_entities(self, tmp_path, table):
+        reached = 0
+        for seed in range(10):
+            with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
+                reached += sum(idx.record(e) is None
+                               for r in idx.records for e in r.related_entities)
+        assert reached > 0
+
+
+class TestRelated:
+    def test_views_follow_record(self, built):
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            for rec in idx.records:
+                ids, distances = idx.related(rec.uri)
+                assert distances.tolist() == list(rec.related_weights)
+                assert len(ids) == len(rec.related_entities)
+                assert not ids.flags.writeable and not distances.flags.writeable
+            assert idx.related(iri("ghost")) is None
+
+    def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
+        # bear and mercury share only arctic, which has no record
+        kb = toy_kb()
+        hoods = {
+            iri("bear"): Neighborhood(iri("bear"), ((iri("bear"), 0.0), (iri("arctic"), 1.25))),
+            iri("mercury"): Neighborhood(iri("mercury"), (
+                (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
+        }
+        build_index(kb, hoods, {}, Encoders(table), tmp_path / "index")
+        with CandidateIndex.open(tmp_path / "index") as idx:
+            assert idx.record(iri("arctic")) is None
+            pair = [iri("bear"), iri("mercury")]
+            graph = build_similarity(pair, {e: idx.related(e) for e in pair})
+        assert graph.edges == {(iri("bear"), iri("mercury")): 1.0 / (1.0 + 3.25)}
