@@ -2,43 +2,75 @@
 
 An index directory holds four files:
 
-  manifest.json   format version, counts, config/content hashes, timestamp
-  records.jsonl   one record per indexed entity, sorted by URI
-  postings.jsonl  inverted index, term -> [(text id, term frequency), ...]
-  vectors.bin     precomputed vectors, columns addressed by text id (see
-                  vector_store)
+  manifest.json  format version, counts, config/content hashes, timestamp
+  strings.json   string table: entity IRIs, field names, texts, and the
+                 token and 3-gram terms of the postings
+  columns.bin    records and postings as CSR arrays over those strings
+  vectors.bin    precomputed vectors, columns addressed by text id (see
+                 vector_store)
 
-An entity is indexed iff it has at least one registered text field. Each
-record carries the entity's texts, its expanded neighborhood (itself first
-at distance 0), and its parents with weights. Texts are numbered in record
-order, then text order within a record; that text id addresses both the
-postings and the vector columns, so a record's texts are one contiguous
-id range and need no stored handles.
+An entity is indexed iff it has at least one registered text field; its
+record holds its texts, its expanded neighborhood (itself first at distance
+0) and its parents with weights. Records are sorted by URI. Every entity the
+index names has an entity id: the records first, in record order, then the
+related and parent entities without a record, in order of first appearance;
+those stay addressable because they can be where two neighborhoods meet.
+Texts are numbered in record order, then text order within a record; that
+text id addresses the texts, the postings and the vector columns, so a
+record's texts are one contiguous id range.
 
-Opening an index checks it against its manifest: the format version, the
-record, text and embedding-dimension counts, the vector file's own layout
-and the content hash (sha256 over records, postings and vectors, in that
-order).
+``columns.bin`` is little-endian: an 8-byte magic, one ``<u8`` element
+count per section, then the sections in this order, each zero-padded to a
+whole number of 8-byte words:
+
+  related_indptr     <i8  record p's neighborhood is [indptr[p], indptr[p+1])
+  related_ids        <i4    entity ids, the record itself first
+  related_distances  <f8    distances, 0 for the record itself
+  parent_indptr      <i8  record p's parents
+  parent_ids         <i4    entity ids
+  parent_weights     <f8    weights
+  text_indptr        <i8  record p's texts (a text-id range)
+  text_fields        <i4    field ids
+  text_weights       <f8    the fields' search weights
+  posting_indptr     <i8  term t's postings, token terms first, then 3-grams
+  posting_texts      <i4    text ids, ascending
+  posting_tfs        <i4    term frequencies
+
+``strings.json`` holds the lists ``entities`` (by entity id), ``fields``
+(by field id), ``texts`` (by text id), ``tokens`` and ``grams`` (by term id,
+each sorted; gram term ids follow the token ones).
+
+Opening an index reads both files whole and views the sections with
+``np.frombuffer``; it builds nothing per record. It checks the index
+against its manifest (format version, record, text and embedding-dimension
+counts), the sections against each other (sizes, row pointers, id ranges,
+every neighborhood starting with its record at distance 0, every entity IRI
+valid) and the content hash (sha256 over strings, columns and vectors, in
+that order). An ``IndexRecord`` is a view that reads the columns when its
+fields are asked for.
 
 Retrieval scoring is deliberately simple and fully documented: per text,
 sum over matched query tokens of tf * idf / sqrt(text length), with
 idf = 1 + ln(N / (1 + df)); a text's contribution is weighted by its field's
 search weight and summed per entity. When no token matches anywhere, the
-query falls back to character 3-grams with the same formula. Postings terms
-are namespaced "t:" for tokens and "g:" for 3-grams.
+query falls back to character 3-grams with the same formula. A text's length
+in tokens (or 3-grams) is the sum of its token (or 3-gram) term frequencies.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
+import struct
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +91,30 @@ from .vectors import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
-RECORDS_FILE = "records.jsonl"
-POSTINGS_FILE = "postings.jsonl"
+STRINGS_FILE = "strings.json"
+COLUMNS_FILE = "columns.bin"
 VECTORS_FILE = "vectors.bin"
+
+COLUMNS_MAGIC = b"KBTCOL03"
+COLUMNS = (  # the sections of columns.bin, in file order
+    ("related_indptr", "<i8"),
+    ("related_ids", "<i4"),
+    ("related_distances", "<f8"),
+    ("parent_indptr", "<i8"),
+    ("parent_ids", "<i4"),
+    ("parent_weights", "<f8"),
+    ("text_indptr", "<i8"),
+    ("text_fields", "<i4"),
+    ("text_weights", "<f8"),
+    ("posting_indptr", "<i8"),
+    ("posting_texts", "<i4"),
+    ("posting_tfs", "<i4"),
+)
+_COLUMNS_HEAD = struct.Struct(f"<8s{len(COLUMNS)}Q")  # magic, section lengths
+STRING_LISTS = ("entities", "fields", "texts", "tokens", "grams")
 
 
 @dataclass(frozen=True)
@@ -103,37 +153,64 @@ def compute_parents(
     ]
 
 
-@dataclass(frozen=True)
 class IndexRecord:
-    uri: Iri
-    texts: tuple[tuple[str, str, float], ...]
-    related_entities: tuple[Iri, ...]
-    related_weights: tuple[float, ...]
-    parent_entities: tuple[Iri, ...]
-    parent_weights: tuple[float, ...]
+    """One indexed entity, read from the index's columns when a field is
+    asked for: ``texts`` as (field, text, search weight), ``related_*`` its
+    neighborhood (itself first at distance 0), ``parent_*`` its parents."""
 
-    def __post_init__(self) -> None:
-        if len(self.related_entities) != len(self.related_weights):
-            raise ValueError("related lists must be parallel")
-        if len(self.parent_entities) != len(self.parent_weights):
-            raise ValueError("parent lists must be parallel")
-        if not self.related_entities or self.related_entities[0] != self.uri \
-                or self.related_weights[0] != 0.0:
-            raise ValueError("related list must start with the entity itself at 0")
+    __slots__ = ("uri", "_index", "_pos")
+
+    def __init__(self, index: "CandidateIndex", pos: int):
+        self.uri: Iri = index._entities[pos]
+        self._index = index
+        self._pos = pos
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IndexRecord) and self._index is other._index \
+            and self._pos == other._pos
+
+    def __hash__(self) -> int:
+        return hash((self.uri, self._pos))
+
+    def __repr__(self) -> str:
+        return f"IndexRecord({self.uri!r})"
+
+    @property
+    def texts(self) -> tuple[tuple[str, str, float], ...]:
+        index = self._index
+        lo, hi = index._text_range[self._pos:self._pos + 2]
+        return tuple(zip(map(index._fields.__getitem__, index._text_field[lo:hi]),
+                         index._texts[lo:hi], index._text_weight[lo:hi]))
+
+    @property
+    def related_entities(self) -> tuple[Iri, ...]:
+        return tuple(e for e, _ in self._index._pairs(self._index._related, self._pos))
+
+    @property
+    def related_weights(self) -> tuple[float, ...]:
+        return tuple(d for _, d in self._index._pairs(self._index._related, self._pos))
+
+    @property
+    def parent_entities(self) -> tuple[Iri, ...]:
+        return tuple(q for q, _ in self._index._pairs(self._index._parents, self._pos))
+
+    @property
+    def parent_weights(self) -> tuple[float, ...]:
+        return tuple(w for _, w in self._index._pairs(self._index._parents, self._pos))
 
 
 class Related(NamedTuple):
-    """Every record's related list as one CSR over entity ids: record p's
-    neighbors are ``ids[indptr[p]:indptr[p + 1]]`` at ``distances`` from it.
-    An id below the record count is that record's position."""
+    """Every record's related (or parent) list as one CSR over entity ids:
+    record p's entries are ``ids[indptr[p]:indptr[p + 1]]`` with those
+    ``distances`` (or weights). An id below the record count is that
+    record's position."""
 
     indptr: np.ndarray
     ids: np.ndarray
     distances: np.ndarray
 
 
-@dataclass(frozen=True)
-class CandidateHit:
+class CandidateHit(NamedTuple):
     record: IndexRecord
     retrieval_score: float
 
@@ -166,63 +243,83 @@ class Encoders:
         return semantic_vector(text, self.table)
 
 
-def _record_to_json(r: IndexRecord) -> str:
-    return json.dumps({
-        "uri": r.uri,
-        "texts": [list(t) for t in r.texts],
-        "related": list(r.related_entities),
-        "related_weights": list(r.related_weights),
-        "parents": list(r.parent_entities),
-        "parent_weights": list(r.parent_weights),
-    }, sort_keys=True)
+def write_columns(path: Path, columns: Mapping[str, Iterable]) -> None:
+    """Write columns.bin from one sequence of values per section."""
+    arrays = [np.asarray(columns[name], dtype=dtype) for name, dtype in COLUMNS]
+    with path.open("wb") as fh:
+        fh.write(_COLUMNS_HEAD.pack(COLUMNS_MAGIC, *map(len, arrays)))
+        for array in arrays:
+            fh.write(array.tobytes())
+            fh.write(bytes(-array.nbytes % 8))
 
 
-def _records_from_jsonl(text: str) -> tuple[list[IndexRecord], Related]:
-    """Parse records.jsonl into records and their related lists as CSR.
+def read_columns(data: bytes) -> dict[str, np.ndarray]:
+    """The sections of a columns.bin image, as read-only views over it."""
+    if len(data) < _COLUMNS_HEAD.size or data[:len(COLUMNS_MAGIC)] != COLUMNS_MAGIC:
+        raise IndexFormatError(f"{COLUMNS_FILE} is not an index column file (bad magic)")
+    lengths = _COLUMNS_HEAD.unpack_from(data)[1:]
+    padded = [-(-n * np.dtype(dtype).itemsize // 8) * 8
+              for n, (_, dtype) in zip(lengths, COLUMNS)]
+    expected = _COLUMNS_HEAD.size + sum(padded)
+    if len(data) != expected:
+        raise IndexIntegrityError(
+            f"{COLUMNS_FILE} is {len(data)} bytes, its header implies {expected}")
+    columns, offset = {}, _COLUMNS_HEAD.size
+    for (name, dtype), n, size in zip(COLUMNS, lengths, padded):
+        columns[name] = np.frombuffer(data, dtype, n, offset)
+        offset += size
+    return columns
 
-    Every distinct IRI string becomes one ``Iri`` and one entity id: record
-    positions first, then the related and parent entities that have no
-    record, in order of first appearance. Those stay addressable because
-    they can be where two candidates' neighborhoods meet. Lines are parsed
-    one at a time, so no parsed line outlives its record.
-    """
-    ids: dict[str, int] = {}  # in order of first appearance, renumbered below
-    iris: list[Iri] = []
-    id_of, iri_of = ids.__getitem__, iris.__getitem__
-    records: list[IndexRecord] = []
-    record_ids: list[int] = []
-    related_ids: list[int] = []
-    related_dist: list[float] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        for name in itertools.chain((d["uri"],), d["related"], d["parents"]):
-            if name not in ids:
-                ids[name] = len(iris)
-                iris.append(Iri(name))
-        related = list(map(id_of, d["related"]))
-        record_ids.append(id_of(d["uri"]))
-        records.append(IndexRecord(
-            uri=iris[record_ids[-1]],
-            texts=tuple((f, t, w) for f, t, w in d["texts"]),
-            related_entities=tuple(map(iri_of, related)),
-            related_weights=tuple(d["related_weights"]),
-            parent_entities=tuple(map(iri_of, map(id_of, d["parents"]))),
-            parent_weights=tuple(d["parent_weights"]),
-        ))
-        related_ids.extend(related)
-        related_dist.extend(d["related_weights"])
-    renumber = np.empty(len(iris), dtype=np.int64)
-    renumber[record_ids] = np.arange(len(records))
-    unrecorded = np.ones(len(iris), dtype=bool)
-    unrecorded[record_ids] = False
-    renumber[unrecorded] = len(records) + np.arange(np.count_nonzero(unrecorded))
-    indptr = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum([len(r.related_entities) for r in records], out=indptr[1:])
-    return records, Related(
-        indptr, renumber[np.array(related_ids, dtype=np.int64)],
-        np.array(related_dist, dtype=np.float64))
+
+def _read_strings(data: bytes) -> dict[str, list[str]]:
+    """The string table; ValueError unless it holds every list, all strings."""
+    strings = json.loads(data)
+    if not isinstance(strings, dict) or not all(
+            isinstance(strings.get(key), list) for key in STRING_LISTS):
+        raise ValueError(f"{STRINGS_FILE} must hold the lists {', '.join(STRING_LISTS)}")
+    for key in STRING_LISTS:
+        try:
+            "".join(strings[key])
+        except TypeError:
+            raise ValueError(f"{STRINGS_FILE}: {key} holds a non-string") from None
+    return strings
+
+
+def _layout_problem(columns: Mapping[str, np.ndarray],
+                    strings: Mapping[str, list[str]]) -> str:
+    """What disagrees between the sections and the string table; "" if nothing."""
+    n_records = len(columns["related_indptr"]) - 1
+    n_terms = len(strings["tokens"]) + len(strings["grams"])
+    for indptr, rows, values in (
+        ("related_indptr", n_records, ("related_ids", "related_distances")),
+        ("parent_indptr", n_records, ("parent_ids", "parent_weights")),
+        ("text_indptr", n_records, ("text_fields", "text_weights")),
+        ("posting_indptr", n_terms, ("posting_texts", "posting_tfs")),
+    ):
+        ptr, size = columns[indptr], len(columns[values[0]])
+        if rows < 0 or len(ptr) != rows + 1 or len(columns[values[1]]) != size \
+                or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
+            return f"{indptr} does not fit its sections"
+    for name, bound in (("related_ids", len(strings["entities"])),
+                        ("parent_ids", len(strings["entities"])),
+                        ("text_fields", len(strings["fields"])),
+                        ("posting_texts", len(strings["texts"]))):
+        ids = columns[name]
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            return f"{name} out of range [0, {bound})"
+    starts = columns["related_indptr"][:-1]
+    if np.any(columns["related_indptr"][1:] == starts) \
+            or np.any(columns["related_ids"][starts] != np.arange(n_records)) \
+            or np.any(columns["related_distances"][starts] != 0.0):
+        return "a neighborhood does not start with its record at distance 0"
+    if len(strings["texts"]) != len(columns["text_fields"]):
+        return "text count: the string table and the columns disagree"
+    if columns["posting_tfs"].size and columns["posting_tfs"].min() < 1:
+        return "a term frequency below 1"
+    for key in ("entities", "tokens", "grams"):
+        if len(set(strings[key])) != len(strings[key]):
+            return f"duplicate {key} in the string table"
+    return ""
 
 
 def _hash_file(path: Path, digest) -> None:
@@ -233,10 +330,17 @@ def _hash_file(path: Path, digest) -> None:
             digest.update(chunk)
 
 
-def _read_hashed(path: Path, digest) -> str:
+def _read_hashed(path: Path, digest) -> bytes:
     data = path.read_bytes()
     digest.update(data)
-    return data.decode("utf-8")
+    return data
+
+
+def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> list[float]:
+    """sqrt(max(length, 1)) per text id, a text's length being the sum of
+    its term frequencies in the given postings."""
+    lengths = np.bincount(text_ids, weights=tfs, minlength=n_texts)
+    return np.sqrt(np.maximum(lengths, 1.0)).tolist()
 
 
 def build_index(
@@ -259,53 +363,58 @@ def build_index(
         if len(set(uris)) != len(uris):
             raise DataError("duplicate entity URI during index build")
 
-        text_count = 0
-        records: list[IndexRecord] = []
-        postings: dict[str, list[tuple[int, int]]] = {}
+        entity_ids = {uri: pos for pos, uri in enumerate(uris)}
+        field_ids: dict[str, int] = {}
+        texts: list[str] = []
+        # typed buffers rather than lists of Python numbers
+        columns = {name: array(np.dtype(dtype).char, [0] if name.endswith("_indptr") else [])
+                   for name, dtype in COLUMNS}
+        token_postings: dict[str, list[tuple[int, int]]] = {}
+        gram_postings: dict[str, list[tuple[int, int]]] = {}
         with VectorStoreWriter(out / VECTORS_FILE, encoders.table.dim) as store:
             for uri in uris:
-                texts = tuple((f, t, w) for f, t, w in entity_texts(kb, uri))
-                for _, text, _ in texts:
+                for field, text, weight in entity_texts(kb, uri):
                     text_id = store.put(encoders.lexical(text), encoders.semantic(text))
-                    token_counts: dict[str, int] = {}
-                    for tok in tokenize(text):
-                        token_counts[tok] = token_counts.get(tok, 0) + 1
-                    gram_counts: dict[str, int] = {}
-                    for gram in char_ngrams(text, (3,)):
-                        gram_counts[gram] = gram_counts.get(gram, 0) + 1
-                    for tok, tf in token_counts.items():
-                        postings.setdefault("t:" + tok, []).append((text_id, tf))
-                    for gram, tf in gram_counts.items():
-                        postings.setdefault("g:" + gram, []).append((text_id, tf))
+                    texts.append(text)
+                    columns["text_fields"].append(field_ids.setdefault(field, len(field_ids)))
+                    columns["text_weights"].append(weight)
+                    for postings, terms in ((token_postings, tokenize(text)),
+                                            (gram_postings, char_ngrams(text, (3,)))):
+                        for term, tf in Counter(terms).items():
+                            postings.setdefault(term, []).append((text_id, tf))
                 nbh = neighborhoods.get(uri)
                 related = nbh.neighbors if nbh is not None else ((uri, 0.0),)
-                entity_parents = tuple(parents.get(uri, ()))
-                records.append(IndexRecord(
-                    uri=uri,
-                    texts=texts,
-                    related_entities=tuple(e for e, _ in related),
-                    related_weights=tuple(d for _, d in related),
-                    parent_entities=tuple(q for q, _ in entity_parents),
-                    parent_weights=tuple(w for _, w in entity_parents),
-                ))
-                text_count += len(texts)
+                if related[0] != (uri, 0.0):
+                    raise DataError(f"neighborhood of {uri} does not start with it at 0")
+                for name, values, pairs in (
+                        ("related", "related_distances", related),
+                        ("parent", "parent_weights", parents.get(uri, ()))):
+                    for entity, value in pairs:
+                        columns[f"{name}_ids"].append(
+                            entity_ids.setdefault(entity, len(entity_ids)))
+                        columns[values].append(value)
+                    columns[f"{name}_indptr"].append(len(columns[values]))
+                columns["text_indptr"].append(len(texts))
 
-        with (out / RECORDS_FILE).open("w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(_record_to_json(r) + "\n")
-        with (out / POSTINGS_FILE).open("w", encoding="utf-8") as fh:
-            for term in sorted(postings):
-                fh.write(json.dumps(
-                    {"term": term, "postings": sorted(postings[term])},
-                    sort_keys=True) + "\n")
+        tokens, grams = sorted(token_postings), sorted(gram_postings)
+        plists = [token_postings[t] for t in tokens] + [gram_postings[g] for g in grams]
+        columns["posting_indptr"] = np.cumsum([0] + [len(p) for p in plists])
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(plists)), np.int64,
+                           2 * int(columns["posting_indptr"][-1]))
+        columns["posting_texts"], columns["posting_tfs"] = flat.reshape(-1, 2).T
+        write_columns(out / COLUMNS_FILE, columns)
+        strings = {"entities": list(entity_ids), "fields": list(field_ids),
+                   "texts": texts, "tokens": tokens, "grams": grams}
+        (out / STRINGS_FILE).write_text(
+            json.dumps(strings, separators=(",", ":")) + "\n", encoding="utf-8")
 
         digest = hashlib.sha256()
-        for name in (RECORDS_FILE, POSTINGS_FILE, VECTORS_FILE):
+        for name in (STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
             _hash_file(out / name, digest)
         manifest = IndexManifest(
             format_version=FORMAT_VERSION,
-            record_count=len(records),
-            text_count=text_count,
+            record_count=len(uris),
+            text_count=len(texts),
             embedding_dim=encoders.table.dim,
             config_hash=config_hash,
             content_hash=digest.hexdigest(),
@@ -314,42 +423,55 @@ def build_index(
         (out / MANIFEST_FILE).write_text(manifest.to_json(), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"index build failed in {out}: {exc}") from exc
-    logger.info("built index: %d records, %d texts", manifest.record_count, text_count)
+    logger.info("built index: %d records, %d texts", manifest.record_count, len(texts))
     return manifest
 
 
 class CandidateIndex:
     """Opened index directory: retrieval plus record and vector access."""
 
-    def __init__(self, manifest: IndexManifest, records: list[IndexRecord],
-                 related: Related, postings: dict[str, list[tuple[int, int]]],
+    def __init__(self, manifest: IndexManifest, entities: list[Iri],
+                 strings: Mapping[str, list[str]], columns: Mapping[str, np.ndarray],
                  store: VectorStore):
         self.manifest = manifest
-        self._records = records
-        self._by_uri = {r.uri: i for i, r in enumerate(records)}
-        for column in related:
-            column.flags.writeable = False
-        self._related = related
-        self._postings = postings
         self._store = store
-        # per global text id: owning record position, field weight, and
-        # length normalizers for the token and gram scoring paths (lists,
-        # which the per-posting scoring loop indexes fastest)
-        self._text_owner: list[int] = []
-        self._text_weight: list[float] = []
-        self._token_norm: list[float] = []
-        self._gram_norm: list[float] = []
-        for pos, r in enumerate(records):
-            for _, text, weight in r.texts:
-                self._text_owner.append(pos)
-                self._text_weight.append(weight)
-                self._token_norm.append(math.sqrt(max(len(tokenize(text)), 1)))
-                self._gram_norm.append(math.sqrt(max(len(char_ngrams(text, (3,))), 1)))
-        # the same weights as an array for block gathers, and per record
-        # position its first text id (one extra entry for the end)
-        self._weights = np.array(self._text_weight, dtype=np.float64)
-        self._text_start = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([len(r.texts) for r in records], out=self._text_start[1:])
+        self._entities = entities
+        self._fields = strings["fields"]
+        self._texts = strings["texts"]
+        n = len(columns["related_indptr"]) - 1
+        self._by_uri = dict(zip(entities[:n], range(n)))
+        related_ids = columns["related_ids"].astype(np.int64)  # id * n + owner keys
+        related_ids.flags.writeable = False
+        self._related = Related(
+            columns["related_indptr"], related_ids, columns["related_distances"])
+        self._parents = Related(
+            columns["parent_indptr"], columns["parent_ids"], columns["parent_weights"])
+        # per record position its first text id (one extra entry for the
+        # end), as an array for block gathers and a list for single records,
+        # and per text id its field and weight
+        self._text_start = columns["text_indptr"]
+        self._text_range = self._text_start.tolist()
+        self._text_field = columns["text_fields"].tolist()
+        self._field_ids = {name: i for i, name in enumerate(self._fields)}
+        self._weights = columns["text_weights"]
+        # postings: term -> term id -> [ptr[id], ptr[id + 1]) of the columns
+        tokens, grams = strings["tokens"], strings["grams"]
+        self._token_terms = dict(zip(tokens, range(len(tokens))))
+        self._gram_terms = dict(zip(grams, range(len(tokens), len(tokens) + len(grams))))
+        self._posting_ptr = columns["posting_indptr"].tolist()
+        self._posting_texts = columns["posting_texts"]
+        self._posting_tfs = columns["posting_tfs"]
+        # per text id: owning record position, field weight, and length
+        # normalizers for the token and gram scoring paths (lists, which the
+        # per-posting scoring loop indexes fastest)
+        self._text_owner = np.repeat(np.arange(n), np.diff(self._text_start)).tolist()
+        self._text_weight = self._weights.tolist()
+        split = self._posting_ptr[len(tokens)]
+        n_texts = len(self._texts)
+        self._token_norm = _length_norms(
+            self._posting_texts[:split], self._posting_tfs[:split], n_texts)
+        self._gram_norm = _length_norms(
+            self._posting_texts[split:], self._posting_tfs[split:], n_texts)
 
     @classmethod
     def open(cls, path: str | Path) -> "CandidateIndex":
@@ -367,27 +489,27 @@ class CandidateIndex:
         if manifest.format_version != FORMAT_VERSION:
             raise IndexFormatError(
                 f"index format {manifest.format_version} unsupported "
-                f"(this build reads {FORMAT_VERSION})")
+                f"(this build reads {FORMAT_VERSION}; rebuild the index)")
         digest = hashlib.sha256()
         try:
-            records, related = _records_from_jsonl(_read_hashed(path / RECORDS_FILE, digest))
-            postings: dict[str, list[tuple[int, int]]] = {}
-            for line in _read_hashed(path / POSTINGS_FILE, digest).splitlines():
-                if line.strip():
-                    d = json.loads(line)
-                    postings[d["term"]] = [(t, f) for t, f in d["postings"]]
+            strings = _read_strings(_read_hashed(path / STRINGS_FILE, digest))
+            columns = read_columns(_read_hashed(path / COLUMNS_FILE, digest))
+            entities = [Iri(e) for e in strings["entities"]]
         except OSError as exc:
             raise IndexFormatError(f"missing index file in {path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, a malformed table, an invalid IRI
             raise IndexFormatError(f"corrupt index file in {path}: {exc}") from exc
-        if len(records) != manifest.record_count:
+        problem = _layout_problem(columns, strings)
+        if problem:
+            raise IndexIntegrityError(f"index {path}: {problem}")
+        records = len(columns["related_indptr"]) - 1
+        if records != manifest.record_count:
             raise IndexIntegrityError(
-                f"record count {len(records)} != manifest {manifest.record_count}")
+                f"record count {records} != manifest {manifest.record_count}")
         store = VectorStore(path / VECTORS_FILE)
-        texts = sum(len(r.texts) for r in records)
-        problem = ""
+        texts = len(strings["texts"])
         if not texts == store.n_texts == manifest.text_count:
-            problem = (f"text count: records {texts}, vectors {store.n_texts}, "
+            problem = (f"text count: strings {texts}, vectors {store.n_texts}, "
                        f"manifest {manifest.text_count}")
         elif store.dim != manifest.embedding_dim:
             problem = f"embedding dim: vectors {store.dim}, manifest {manifest.embedding_dim}"
@@ -398,7 +520,7 @@ class CandidateIndex:
         if problem:
             store.close()
             raise IndexIntegrityError(f"index {path}: {problem}")
-        return cls(manifest, records, related, postings, store)
+        return cls(manifest, entities, strings, columns, store)
 
     def close(self) -> None:
         self._store.close()
@@ -410,27 +532,52 @@ class CandidateIndex:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_uri)
 
     @property
     def records(self) -> tuple[IndexRecord, ...]:
-        return tuple(self._records)
+        return tuple(IndexRecord(self, pos) for pos in range(len(self)))
 
     def record(self, uri: Iri) -> IndexRecord | None:
         pos = self._by_uri.get(uri)
-        return self._records[pos] if pos is not None else None
+        return IndexRecord(self, pos) if pos is not None else None
 
-    def _score_terms(self, terms: Mapping[str, int], prefix: str,
+    def _pairs(self, csr: Related, pos: int) -> tuple[tuple[Iri, float], ...]:
+        lo, hi = csr.indptr[pos:pos + 2].tolist()
+        return tuple(zip(map(self._entities.__getitem__, csr.ids[lo:hi].tolist()),
+                         csr.distances[lo:hi].tolist()))
+
+    def label(self, uri: Iri, field: str) -> str | None:
+        """The record's first text in the field; None if it has none."""
+        pos = self._by_uri.get(uri)
+        field_id = self._field_ids.get(field)
+        if pos is None or field_id is None:
+            return None
+        for text_id in range(self._text_range[pos], self._text_range[pos + 1]):
+            if self._text_field[text_id] == field_id:
+                return self._texts[text_id]
+        return None
+
+    def parents(self, uri: Iri) -> tuple[tuple[Iri, float], ...]:
+        """The record's (parent, weight) pairs; empty without a record."""
+        pos = self._by_uri.get(uri)
+        return () if pos is None else self._pairs(self._parents, pos)
+
+    def _score_terms(self, terms: Iterable[str], term_ids: Mapping[str, int],
                      norms: list[float]) -> dict[int, float]:
-        """tf-idf accumulation of query terms into per-record scores."""
+        """tf-idf accumulation of query terms into per-record scores, term
+        by term in sorted order, each term's postings in text-id order."""
         n_texts = max(len(self._text_owner), 1)
+        ptr = self._posting_ptr
         scores: dict[int, float] = {}
         for term in sorted(terms):
-            plist = self._postings.get(prefix + term)
-            if not plist:
+            t = term_ids.get(term)
+            if t is None or ptr[t] == ptr[t + 1]:
                 continue
-            idf = 1.0 + math.log(n_texts / (1.0 + len(plist)))
-            for text_id, tf in plist:
+            lo, hi = ptr[t], ptr[t + 1]
+            idf = 1.0 + math.log(n_texts / (1.0 + (hi - lo)))
+            for text_id, tf in zip(self._posting_texts[lo:hi].tolist(),
+                                   self._posting_tfs[lo:hi].tolist()):
                 gain = self._text_weight[text_id] * tf * idf / norms[text_id]
                 owner = self._text_owner[text_id]
                 scores[owner] = scores.get(owner, 0.0) + gain
@@ -441,20 +588,16 @@ class CandidateIndex:
         when no token matches at all. Ties break by URI."""
         if k < 1:
             raise ConfigError(f"k must be positive, got {k}")
-        tokens: dict[str, int] = {}
-        for tok in tokenize(mention_text):
-            tokens[tok] = tokens.get(tok, 0) + 1
+        tokens = set(tokenize(mention_text))
         if not tokens:
             return []
-        scores = self._score_terms(tokens, "t:", self._token_norm)
+        scores = self._score_terms(tokens, self._token_terms, self._token_norm)
         if not scores:
-            grams: dict[str, int] = {}
-            for gram in char_ngrams(mention_text, (3,)):
-                grams[gram] = grams.get(gram, 0) + 1
-            scores = self._score_terms(grams, "g:", self._gram_norm)
-        ranked = sorted(scores.items(),
-                        key=lambda kv: (-kv[1], self._records[kv[0]].uri))
-        return [CandidateHit(self._records[pos], score) for pos, score in ranked[:k]]
+            scores = self._score_terms(
+                set(char_ngrams(mention_text, (3,))), self._gram_terms, self._gram_norm)
+        entities = self._entities
+        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], entities[kv[0]]))
+        return [CandidateHit(IndexRecord(self, pos), score) for pos, score in ranked[:k]]
 
     def text_ids(self, uri: Iri) -> range:
         """Text ids of a record's texts, in the order of ``record.texts``;
@@ -462,7 +605,7 @@ class CandidateIndex:
         pos = self._by_uri.get(uri)
         if pos is None:
             return range(0)
-        return range(int(self._text_start[pos]), int(self._text_start[pos + 1]))
+        return range(*self._text_range[pos:pos + 2])
 
     def load_vectors(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
         """Fetch the (lexical, semantic) vectors of the texts, one row per
@@ -471,10 +614,8 @@ class CandidateIndex:
         return self._store.gather(text_ids)
 
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
-        r = self.record(uri)
-        if r is None:
-            return None
-        return Neighborhood(uri, tuple(zip(r.related_entities, r.related_weights)))
+        pos = self._by_uri.get(uri)
+        return None if pos is None else Neighborhood(uri, self._pairs(self._related, pos))
 
     def related(self, uri: Iri) -> tuple[np.ndarray, np.ndarray] | None:
         """A record's related entity ids and distances, itself first at 0:
@@ -492,7 +633,7 @@ class CandidateIndex:
         if related is None:
             raise IndexIntegrityError(f"no index record for {uri}")
         ids, distances = related
-        indexed = ids < len(self._records)
+        indexed = ids < len(self)
         ids, distances = ids[indexed], distances[indexed]
         starts = self._text_start[ids]
         counts = self._text_start[ids + 1] - starts

@@ -17,7 +17,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig
@@ -160,18 +160,8 @@ class Classifier:
         return block
 
     def _label(self, uri: Iri) -> str:
-        record = self._index.record(uri)
-        if record is not None:
-            for field_name, text, _ in record.texts:
-                if field_name == self._label_field:
-                    return text
-        return uri.local_name
-
-    def _parents(self, uri: Iri) -> Sequence[tuple[Iri, float]]:
-        record = self._index.record(uri)
-        if record is None:
-            return ()
-        return tuple(zip(record.parent_entities, record.parent_weights))
+        label = self._index.label(uri, self._label_field)
+        return uri.local_name if label is None else label
 
     def _mention_vectors(self, mention: Mention) -> MentionVectors:
         return MentionVectors(
@@ -210,7 +200,8 @@ class Classifier:
         topics = aggregate(
             ranked_lists, [m.lemma for m in mentions], self._selection, self._label
         )
-        topics = enhance_with_parents(topics, self._parents, self._selection, self._label)
+        topics = enhance_with_parents(
+            topics, self._index.parents, self._selection, self._label)
         keep = kneedle_cutoff([t.final_score for t in topics], self._selection)
         return topics[:keep]
 

@@ -26,7 +26,7 @@ from kbtopics.kb import (
     iter_triple_file,
 )
 from kbtopics.ranking import CandidateBlock
-from kbtopics.vectors import SparseVector
+from kbtopics.vectors import SparseVector, char_ngrams, tokenize
 
 
 def parents_by_scan(
@@ -159,3 +159,58 @@ def block_by_loop(index: CandidateIndex, uri: Iri) -> tuple[list[int], Candidate
         field_weights=np.array(weights, dtype=np.float64),
         distances=np.array(distances, dtype=np.float64),
     )
+
+
+def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[int]]:
+    """Token and character 3-gram counts of every text, by text id, from
+    tokenizing the records' texts again."""
+    tokens: list[int] = []
+    grams: list[int] = []
+    for record in index.records:
+        for _, text, _ in record.texts:
+            tokens.append(len(tokenize(text)))
+            grams.append(len(char_ngrams(text, (3,))))
+    return tokens, grams
+
+
+def query_by_loop(index: CandidateIndex, mention_text: str, k: int = 30
+                  ) -> list[tuple[Iri, float]]:
+    """CandidateIndex.query as (uri, score) pairs, by a dict-of-lists loop:
+    postings rebuilt by tokenizing every record's texts, then per query term
+    in sorted order and per posting in text-id order, scores accumulated per
+    record. Ties break by URI."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    owner: list[int] = []
+    weight: list[float] = []
+    records = index.records
+    for pos, record in enumerate(records):
+        for _, text, w in record.texts:
+            text_id = len(owner)
+            owner.append(pos)
+            weight.append(w)
+            for prefix, terms in (("t:", tokenize(text)), ("g:", char_ngrams(text, (3,)))):
+                for term in sorted(set(terms)):
+                    postings.setdefault(prefix + term, []).append((text_id, terms.count(term)))
+    token_len, gram_len = text_lengths_by_tokenizing(index)
+
+    def score_terms(terms: list[str], prefix: str, lengths: list[int]) -> dict[int, float]:
+        n_texts = max(len(owner), 1)
+        scores: dict[int, float] = {}
+        for term in sorted(set(terms)):
+            plist = postings.get(prefix + term)
+            if not plist:
+                continue
+            idf = 1.0 + math.log(n_texts / (1.0 + len(plist)))
+            for text_id, tf in plist:
+                gain = weight[text_id] * tf * idf / math.sqrt(max(lengths[text_id], 1))
+                scores[owner[text_id]] = scores.get(owner[text_id], 0.0) + gain
+        return scores
+
+    tokens = tokenize(mention_text)
+    if not tokens:
+        return []
+    scores = score_terms(tokens, "t:", token_len)
+    if not scores:
+        scores = score_terms(char_ngrams(mention_text, (3,)), "g:", gram_len)
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], records[kv[0]].uri))
+    return [(records[pos].uri, score) for pos, score in ranked[:k]]

@@ -12,6 +12,7 @@ import pytest
 
 import kbtopics
 from kbtopics.cli import CONFIG_COPY, main
+from kbtopics.index import COLUMNS_FILE, STRINGS_FILE, read_columns, write_columns
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CONFIG = DATA / "reference_config.yaml"
@@ -261,10 +262,14 @@ def copy_index(index_dir, dest):
 
 
 def test_deleted_postings_line_exits_2(index_dir, tmp_path, capsys):
+    # one posting deleted from the column file, which stays well formed
     broken = copy_index(index_dir, tmp_path / "broken")
-    postings = broken / "postings.jsonl"
-    postings.write_text("".join(postings.read_text(encoding="utf-8")
-                                .splitlines(keepends=True)[1:]), encoding="utf-8")
+    columns = {name: array.copy() for name, array in
+               read_columns((broken / COLUMNS_FILE).read_bytes()).items()}
+    for name in ("posting_texts", "posting_tfs"):
+        columns[name] = columns[name][1:]
+    columns["posting_indptr"][1:] -= 1
+    write_columns(broken / COLUMNS_FILE, columns)
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
@@ -273,15 +278,14 @@ def test_deleted_postings_line_exits_2(index_dir, tmp_path, capsys):
 
 def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
     broken = copy_index(index_dir, tmp_path / "broken")
-    records = broken / "records.jsonl"
-    lines = records.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[0])
-    record["related"][-1] = "no scheme here"
-    lines[0] = json.dumps(record, sort_keys=True)
-    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = read_columns((broken / COLUMNS_FILE).read_bytes())
+    last_related = int(columns["related_ids"][columns["related_indptr"][1] - 1])
+    strings = json.loads((broken / STRINGS_FILE).read_text(encoding="utf-8"))
+    strings["entities"][last_related] = "no scheme here"
+    (broken / STRINGS_FILE).write_text(json.dumps(strings), encoding="utf-8")
     # re-hash, so that only IRI validation can refuse the index
     digest = hashlib.sha256()
-    for name in ("records.jsonl", "postings.jsonl", "vectors.bin"):
+    for name in (STRINGS_FILE, COLUMNS_FILE, "vectors.bin"):
         digest.update((broken / name).read_bytes())
     manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
     manifest["content_hash"] = digest.hexdigest()
@@ -290,6 +294,17 @@ def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
     assert "not an absolute IRI" in capsys.readouterr().err
+
+
+def test_format_2_index_exits_2(index_dir, tmp_path, capsys):
+    old = copy_index(index_dir, tmp_path / "old")
+    manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 2
+    (old / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["classify", "--index", str(old), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "index format 2 unsupported" in capsys.readouterr().err
 
 
 def test_flipped_semantic_byte_exits_2(index_dir, tmp_path, capsys):
@@ -345,6 +360,28 @@ def test_expand_debug_prints_neighbors_and_parents(index_dir, capsys):
     assert "seal_pinniped" in out
     assert "neighborhood:" in out and "parents:" in out
     assert "marine_mammal" in out
+
+
+def test_expand_debug_output_pinned(index_dir, capsys):
+    # aflatoxin has two parents and a neighborhood of six, distances and
+    # weights printed with repr
+    code = main(["expand-debug", "--index", str(index_dir),
+                 "--entity", "http://example.org/kb/aflatoxin"])
+    assert code == 0
+    kb = "http://example.org/kb/"
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in [
+        f"entity\t{kb}aflatoxin",
+        "neighborhood:",
+        f"{kb}aflatoxin\t0.0",
+        f"{kb}toxic_substances\t1.8371173070873834",
+        f"{kb}mycotoxin\t2.0",
+        f"{kb}maize\t3.1622776601683795",
+        f"{kb}peanut\t3.1622776601683795",
+        f"{kb}mold\t3.732050807568877",
+        "parents:",
+        f"{kb}mycotoxin\t0.6597539553864471",
+        f"{kb}toxic_substances\t0.5841906810678655",
+    ])
 
 
 def test_expand_debug_unknown_entity_exits_2(index_dir, capsys):

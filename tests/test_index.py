@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import struct
 
@@ -14,23 +15,27 @@ from kbtopics.edges import build_adjacency, compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.index import (
+    COLUMNS_FILE,
     MANIFEST_FILE,
-    POSTINGS_FILE,
-    RECORDS_FILE,
+    STRINGS_FILE,
     VECTORS_FILE,
     CandidateIndex,
     Encoders,
     ParentParams,
     build_index,
     compute_parents,
+    read_columns,
+    write_columns,
 )
 from kbtopics.kb import (
     Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
 )
 from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
-from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
+from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
-from oracles import block_by_loop, parents_by_scan
+from oracles import (
+    block_by_loop, parents_by_scan, query_by_loop, text_lengths_by_tokenizing,
+)
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -125,6 +130,25 @@ def built(tmp_path, table):
     manifest = build_index(kb, neighborhoods_for(kb), parents,
                            Encoders(table), tmp_path / "index", config_hash="abc")
     return kb, manifest, tmp_path / "index"
+
+
+def edit_columns(path, edit):
+    """Rewrite the index's column file after ``edit`` changed its sections
+    (writable copies) in place or by replacing them."""
+    columns = {name: array.copy()
+               for name, array in read_columns((path / COLUMNS_FILE).read_bytes()).items()}
+    edit(columns)
+    write_columns(path / COLUMNS_FILE, columns)
+
+
+def rehash(path):
+    """Store the data files' current content hash in the manifest."""
+    digest = hashlib.sha256()
+    for name in (STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
+        digest.update((path / name).read_bytes())
+    m = json.loads((path / MANIFEST_FILE).read_text())
+    m["content_hash"] = digest.hexdigest()
+    (path / MANIFEST_FILE).write_text(json.dumps(m))
 
 
 class TestComputeParents:
@@ -225,6 +249,16 @@ class TestBuildIndex:
             assert len(idx) == 0
             assert idx.query("anything") == []
 
+    def test_texts_with_newlines_tabs_and_non_ascii_round_trip(self, tmp_path, table):
+        texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
+        kb = KnowledgeBase.from_triples(
+            [Triple(iri("odd"), LABEL, Literal(text)) for text in texts], registry())
+        manifest = build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        assert manifest.text_count == len(texts)
+        with CandidateIndex.open(tmp_path / "i") as idx:
+            assert [t for _, t, _ in idx.record(iri("odd")).texts] == sorted(texts)
+            assert [h.record.uri for h in idx.query("eisbär")] == [iri("odd")]
+
     def test_rebuild_has_identical_content_hash(self, built, tmp_path, table):
         kb, manifest, _ = built
         counts = link_counts(kb)
@@ -250,9 +284,20 @@ class TestOpenValidation:
             CandidateIndex.open(path)
 
     def test_corrupt_postings(self, built):
+        # the postings live in the column file
         _, _, path = built
-        (path / POSTINGS_FILE).write_text("not json\n")
-        with pytest.raises(IndexFormatError):
+        (path / COLUMNS_FILE).write_text("not columns\n")
+        with pytest.raises(IndexFormatError, match="magic"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("text", [
+        "not json\n", "[]", '{"entities": []}',
+        '{"entities": [], "fields": [], "texts": [1], "tokens": [], "grams": []}',
+    ], ids=["not-json", "not-object", "missing-lists", "non-string"])
+    def test_corrupt_string_table(self, built, text):
+        _, _, path = built
+        (path / STRINGS_FILE).write_text(text)
+        with pytest.raises(IndexFormatError, match="corrupt"):
             CandidateIndex.open(path)
 
     def test_record_count_mismatch(self, built):
@@ -283,25 +328,107 @@ class TestOpenValidation:
     def test_invalid_related_iri_refused(self, built):
         # the manifest is re-hashed, so only IRI validation can catch it
         _, _, path = built
-        lines = (path / RECORDS_FILE).read_text().splitlines()
-        record = json.loads(lines[0])
-        record["related"][-1] = "no scheme here"
-        lines[0] = json.dumps(record, sort_keys=True)
-        (path / RECORDS_FILE).write_text("\n".join(lines) + "\n")
-        digest = hashlib.sha256()
-        for name in (RECORDS_FILE, POSTINGS_FILE, VECTORS_FILE):
-            digest.update((path / name).read_bytes())
-        m = json.loads((path / MANIFEST_FILE).read_text())
-        m["content_hash"] = digest.hexdigest()
-        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        columns = read_columns((path / COLUMNS_FILE).read_bytes())
+        last_related = int(columns["related_ids"][columns["related_indptr"][1] - 1])
+        strings = json.loads((path / STRINGS_FILE).read_text())
+        strings["entities"][last_related] = "no scheme here"
+        (path / STRINGS_FILE).write_text(json.dumps(strings))
+        rehash(path)
         with pytest.raises(IndexFormatError, match="IRI"):
             CandidateIndex.open(path)
 
     def test_deleted_postings_line_fails_content_hash(self, built):
+        # one posting deleted, the column file otherwise well formed
         _, _, path = built
-        lines = (path / POSTINGS_FILE).read_text().splitlines(keepends=True)
-        (path / POSTINGS_FILE).write_text("".join(lines[1:]))
+
+        def delete_first_posting(columns):
+            for name in ("posting_texts", "posting_tfs"):
+                columns[name] = columns[name][1:]
+            columns["posting_indptr"][1:] -= 1
+        edit_columns(path, delete_first_posting)
         with pytest.raises(IndexIntegrityError, match="content hash"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 200])
+    def test_truncated_column_file(self, built, cut):
+        _, _, path = built
+        data = (path / COLUMNS_FILE).read_bytes()
+        (path / COLUMNS_FILE).write_bytes(data[:-cut])
+        with pytest.raises(IndexIntegrityError, match="bytes"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("indptr", [
+        "related_indptr", "parent_indptr", "text_indptr", "posting_indptr"])
+    def test_decreasing_indptr(self, built, indptr):
+        _, _, path = built
+
+        def decrease(columns):
+            columns[indptr][-2] = columns[indptr][-1] + 1
+        edit_columns(path, decrease)
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match=indptr):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("column, bound", [
+        ("related_ids", "entities"), ("parent_ids", "entities"),
+        ("text_fields", "fields"), ("posting_texts", "texts")])
+    @pytest.mark.parametrize("past", [0, 1000])
+    def test_id_out_of_range(self, built, column, bound, past):
+        _, _, path = built
+        n = len(json.loads((path / STRINGS_FILE).read_text())[bound])
+
+        def corrupt(columns):
+            columns[column][-1] = n + past
+        edit_columns(path, corrupt)
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match=f"{column} out of range"):
+            CandidateIndex.open(path)
+
+    def test_term_frequency_below_1_refused(self, built):
+        _, _, path = built
+        edit_columns(path, lambda columns: columns["posting_tfs"].__setitem__(-1, 0))
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="term frequency"):
+            CandidateIndex.open(path)
+
+    def test_negative_id_out_of_range(self, built):
+        _, _, path = built
+        edit_columns(path, lambda columns: columns["posting_texts"].__setitem__(0, -1))
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="posting_texts out of range"):
+            CandidateIndex.open(path)
+
+    def test_duplicate_entity_refused(self, built):
+        _, _, path = built
+        strings = json.loads((path / STRINGS_FILE).read_text())
+        strings["entities"][-1] = strings["entities"][0]
+        (path / STRINGS_FILE).write_text(json.dumps(strings))
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="duplicate entities"):
+            CandidateIndex.open(path)
+
+    def test_text_columns_must_cover_the_string_table(self, built):
+        # strings, vectors and manifest agree on the text count; the last
+        # text's field and weight are missing from the columns
+        _, _, path = built
+
+        def drop_last_text(columns):
+            for name in ("text_fields", "text_weights"):
+                columns[name] = columns[name][:-1]
+            columns["text_indptr"][-1] -= 1
+        edit_columns(path, drop_last_text)
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="text count"):
+            CandidateIndex.open(path)
+
+    def test_neighborhood_must_start_with_its_record(self, built):
+        _, _, path = built
+
+        def swap_first_two(columns):
+            columns["related_ids"][[0, 1]] = columns["related_ids"][[1, 0]]
+        edit_columns(path, swap_first_two)
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="start with its record"):
             CandidateIndex.open(path)
 
     def test_vectors_of_another_build_fail_content_hash(self, built, tmp_path):
@@ -399,6 +526,29 @@ class TestQuery:
             a = idx.query("marine mammal bear")
             b = idx.query("marine mammal bear")
             assert a == b
+
+
+class TestLabelsAndParents:
+    def test_label_is_the_first_text_of_the_field(self, tmp_path, table):
+        ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
+              Triple(iri("x"), SYN, Literal("beta"))]
+        build_index(KnowledgeBase.from_triples(ts, registry()), {}, {}, Encoders(table),
+                    tmp_path / "i")
+        with CandidateIndex.open(tmp_path / "i") as idx:
+            # texts are ordered by field, then text
+            assert idx.label(iri("x"), "label") == "alpha"
+            assert idx.label(iri("x"), "synonym") == "beta"
+            assert idx.label(iri("x"), "comment") is None
+            assert idx.label(iri("ghost"), "label") is None
+
+    def test_parents_follow_record(self, built):
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            for rec in idx.records:
+                assert idx.parents(rec.uri) == tuple(
+                    zip(rec.parent_entities, rec.parent_weights))
+            assert [q for q, _ in idx.parents(iri("bear"))] == [iri("group"), iri("mammal")]
+            assert idx.parents(iri("ghost")) == ()
 
 
 class TestVectors:
@@ -543,6 +693,33 @@ class TestVectorStoreFile:
             VectorStore(p)
 
 
+class TestColumnsFile:
+    COLUMNS = {
+        "related_indptr": [0, 1], "related_ids": [0], "related_distances": [0.0],
+        "parent_indptr": [0, 0], "parent_ids": [], "parent_weights": [],
+        "text_indptr": [0, 1], "text_fields": [0], "text_weights": [2.0],
+        "posting_indptr": [0, 1], "posting_texts": [0], "posting_tfs": [3],
+    }
+
+    def test_file_bytes(self, tmp_path):
+        # magic, one element count per section, then the sections in order,
+        # little-endian, each zero-padded to whole 8-byte words
+        path = tmp_path / COLUMNS_FILE
+        write_columns(path, self.COLUMNS)
+        pad = b"\x00" * 4
+        assert path.read_bytes() == b"".join([
+            b"KBTCOL03",
+            struct.pack("<12Q", 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 1, 1),
+            struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<d", 0.0),
+            struct.pack("<2q", 0, 0),
+            struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<d", 2.0),
+            struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<i", 3) + pad,
+        ])
+        columns = read_columns(path.read_bytes())
+        assert {name: a.tolist() for name, a in columns.items()} == self.COLUMNS
+        assert not any(a.flags.writeable for a in columns.values())
+
+
 class TestCandidateBlock:
     def test_rows_cover_neighborhood_texts(self, built):
         _, _, path = built
@@ -654,6 +831,8 @@ class TestRelated:
                 assert distances.tolist() == list(rec.related_weights)
                 assert len(ids) == len(rec.related_entities)
                 assert not ids.flags.writeable and not distances.flags.writeable
+                # int64, since coherence forms id * n + owner keys
+                assert ids.dtype == np.int64 and distances.dtype == np.float64
             assert idx.related(iri("ghost")) is None
 
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
@@ -670,3 +849,74 @@ class TestRelated:
             pair = [iri("bear"), iri("mercury")]
             graph = build_similarity(pair, {e: idx.related(e) for e in pair})
         assert graph.edges == {(iri("bear"), iri("mercury")): 1.0 / (1.0 + 3.25)}
+
+
+QUERY_WORDS = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice",
+               "mercuric", "sealz", "quicksilver", "xq", "ringed", "..."]
+
+
+def assert_query_matches_loop(idx, text, k):
+    got = [(h.record.uri, h.retrieval_score) for h in idx.query(text, k)]
+    want = query_by_loop(idx, text, k)
+    assert got == want
+    # bitwise, not merely equal as floats
+    assert [s.hex() for _, s in got] == [s.hex() for _, s in want]
+
+
+class TestRetrievalOracle:
+    TOY_QUERIES = ["ringed seal", "polar bear", "ice bear", "marine mammal bear seal",
+                   "mercuric", "quicksilvery", "bear bear", "zzqqjjxx", "..."]
+
+    def test_toy_index_matches_loop(self, built):
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            for text in self.TOY_QUERIES:
+                for k in (1, 2, 3, 30):
+                    assert_query_matches_loop(idx, text, k)
+            # "mercuric" takes the 3-gram fallback; k=1 keeps the best hit
+            assert idx.query("mercuric")
+            assert idx.query("polar", k=1)[0].record.uri == iri("bear")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=8),
+                    min_size=1, max_size=6),
+           st.integers(1, 6))
+    def test_random_indexes_match_loop(self, tmp_path_factory, table, seed, queries, k):
+        path = random_index(seed, tmp_path_factory.mktemp("random"), table)
+        with CandidateIndex.open(path) as idx:
+            for words in queries:
+                assert_query_matches_loop(idx, " ".join(words), k)
+
+    def test_random_indexes_have_ties_and_gram_fallbacks(self, tmp_path, table):
+        # the hypothesis test above draws from indexes like these
+        ties = grams = 0
+        for seed in range(10):
+            with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
+                indexed = {tok for r in idx.records for _, text, _ in r.texts
+                           for tok in tokenize(text)}
+                for text in QUERY_WORDS:
+                    hits = query_by_loop(idx, text, 30)
+                    ties += any(a[1] == b[1] for a, b in zip(hits, hits[1:]))
+                    grams += bool(hits) and not set(tokenize(text)) & indexed
+        assert ties > 0 and grams > 0
+
+
+class TestLengthNormalizers:
+    def test_toy_index_matches_tokenizing(self, built):
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            assert_norms_match_tokenizing(idx)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_indexes_match_tokenizing(self, tmp_path_factory, table, seed):
+        path = random_index(seed, tmp_path_factory.mktemp("random"), table)
+        with CandidateIndex.open(path) as idx:
+            assert_norms_match_tokenizing(idx)
+
+
+def assert_norms_match_tokenizing(idx):
+    tokens, grams = text_lengths_by_tokenizing(idx)
+    assert idx._token_norm == [math.sqrt(max(n, 1)) for n in tokens]
+    assert idx._gram_norm == [math.sqrt(max(n, 1)) for n in grams]

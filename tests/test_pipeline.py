@@ -9,7 +9,7 @@ import pytest
 from kbtopics.config import load_config, parse_config
 from kbtopics import pipeline
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
-from kbtopics.index import MANIFEST_FILE, POSTINGS_FILE, RECORDS_FILE, VECTORS_FILE
+from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, VECTORS_FILE
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
 
@@ -69,7 +69,7 @@ def test_build_runs_stages_in_order(built):
 
 def test_build_writes_index_files(built, toy_config):
     out, report = built
-    for name in (MANIFEST_FILE, RECORDS_FILE, POSTINGS_FILE, VECTORS_FILE):
+    for name in (MANIFEST_FILE, STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
         assert (out / name).exists()
     assert report.manifest.config_hash == toy_config.config_hash()
     assert report.manifest.record_count > 0
