@@ -77,7 +77,7 @@ import numpy as np
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood
 from .kb import Iri, KnowledgeBase, entity_texts
-from .ranking import CandidateBlock, LexicalRows
+from .ranking import CandidateBlocks, LexicalRows
 from .vector_store import VectorStore, VectorStoreWriter
 from .vectors import (
     EmbeddingTable,
@@ -613,6 +613,10 @@ class CandidateIndex:
         outside the index raises IndexIntegrityError."""
         return self._store.gather(text_ids)
 
+    def semantic_rows(self, text_ids: Sequence[int]) -> np.ndarray:
+        """The semantic vectors alone of ``load_vectors``."""
+        return self._store.semantic(text_ids)
+
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
         pos = self._by_uri.get(uri)
         return None if pos is None else Neighborhood(uri, self._pairs(self._related, pos))
@@ -626,24 +630,39 @@ class CandidateIndex:
         lo, hi = self._related.indptr[pos:pos + 2]
         return self._related.ids[lo:hi], self._related.distances[lo:hi]
 
-    def candidate_block(self, uri: Iri) -> CandidateBlock:
-        """Scoring rows for a candidate: every text of every related entity
-        that is itself indexed, tagged with field weight and owner distance."""
-        related = self.related(uri)
-        if related is None:
-            raise IndexIntegrityError(f"no index record for {uri}")
-        ids, distances = related
+    def candidate_blocks(self, uris: Sequence[Iri]) -> CandidateBlocks:
+        """Scoring rows of the candidates, by address and stacked in their
+        order: every text of every related entity that is itself indexed,
+        tagged with field weight and owner distance. One gather serves all
+        candidates."""
+        positions = []
+        for uri in uris:
+            pos = self._by_uri.get(uri)
+            if pos is None:
+                raise IndexIntegrityError(f"no index record for {uri}")
+            positions.append(pos)
+        pos = np.array(positions, dtype=np.intp)
+        lo = self._related.indptr[pos]
+        n_related = self._related.indptr[pos + 1] - lo
+        related = _ranges(lo, n_related)
+        ids, distances = self._related.ids[related], self._related.distances[related]
+        candidate = np.repeat(np.arange(len(pos)), n_related)
         indexed = ids < len(self)
-        ids, distances = ids[indexed], distances[indexed]
+        ids, distances, candidate = ids[indexed], distances[indexed], candidate[indexed]
         starts = self._text_start[ids]
         counts = self._text_start[ids + 1] - starts
-        ends = np.cumsum(counts)
-        text_ids = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
-        lex_rows, sem_matrix = self.load_vectors(text_ids)
-        return CandidateBlock(
-            entity=uri,
-            lex_rows=lex_rows,
-            sem_matrix=sem_matrix,
+        text_ids = _ranges(starts, counts)
+        return CandidateBlocks(
+            entities=tuple(uris),
+            sizes=np.bincount(candidate, weights=counts, minlength=len(pos)).astype(np.intp),
+            text_ids=text_ids,
             field_weights=self._weights[text_ids],
             distances=np.repeat(distances, counts),
         )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers [starts[i], starts[i] + counts[i]) for every i, in order."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total)

@@ -3,8 +3,11 @@
 Building runs load, cross-ref normalization, pruning, edge weighting,
 neighborhood expansion, parent derivation, and vector encoding into one index
 directory. Classification opens that directory read-only and turns documents
-into ranked topic lists; a classifier instance is safe to share across
-threads because every stage is pure and the block cache only ever fills.
+into ranked topic lists. A classifier keeps, per mention lemma, the part
+of scoring that does not depend on the sentence (retrieval, the candidates'
+row addresses and their partial scores) in a least-recently-used memo of at
+most one entry per indexed entity. An instance is safe to share across
+threads: every stage is pure and a lock guards the memo.
 """
 
 from __future__ import annotations
@@ -14,10 +17,14 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig
@@ -25,7 +32,6 @@ from .edges import build_adjacency, compute_edge_weights, link_counts
 from .errors import ConfigError, KbTopicsError, PipelineError
 from .expansion import expand_all
 from .index import (
-    CandidateBlock,
     CandidateIndex,
     Encoders,
     IndexManifest,
@@ -48,7 +54,7 @@ from .mentions import (
     RuleBasedDetector,
     merge_keywords,
 )
-from .ranking import MentionVectors, rank_candidates
+from .ranking import CandidateRows
 from .selection import TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
 from .vectors import EmbeddingTable, lexical_vector, semantic_vector
 
@@ -150,25 +156,34 @@ class Classifier:
         self._label_field = config.retrieval.label_field
         self._ngram_sizes = config.ngram_sizes
         self._rule_detector = RuleBasedDetector()
-        self._blocks: dict[Iri, CandidateBlock] = {}
+        # lemma -> stage one of its scoring, least recently used first
+        self._memo: OrderedDict[str, CandidateRows] = OrderedDict()
+        self._memo_size = max(len(index), 1)
+        self._memo_lock = threading.Lock()
 
-    def _block(self, uri: Iri) -> CandidateBlock:
-        block = self._blocks.get(uri)
-        if block is None:
-            block = self._index.candidate_block(uri)
-            self._blocks[uri] = block
-        return block
+    def _candidates(self, lemma: str) -> CandidateRows:
+        """The lemma's candidates with their rows' partial scores: retrieval,
+        one block gather and the sentence-independent kernel, once per lemma
+        while the memo holds it."""
+        with self._memo_lock:
+            rows = self._memo.get(lemma)
+            if rows is not None:
+                self._memo.move_to_end(lemma)
+                return rows
+        hits = self._index.query(lemma, self._k)
+        rows = CandidateRows.for_lemma(
+            lexical_vector(lemma, self._ngram_sizes), semantic_vector(lemma, self._table),
+            self._index.candidate_blocks([hit.record.uri for hit in hits]),
+            self._index, self._ranking)
+        with self._memo_lock:
+            self._memo[lemma] = rows
+            if len(self._memo) > self._memo_size:
+                self._memo.popitem(last=False)
+        return rows
 
     def _label(self, uri: Iri) -> str:
         label = self._index.label(uri, self._label_field)
         return uri.local_name if label is None else label
-
-    def _mention_vectors(self, mention: Mention) -> MentionVectors:
-        return MentionVectors(
-            lex=lexical_vector(mention.lemma, self._ngram_sizes),
-            sem=semantic_vector(mention.lemma, self._table),
-            ctx=semantic_vector(mention.sentence, self._table),
-        )
 
     def detect(self, doc: Document) -> list[Mention]:
         detector = (
@@ -181,12 +196,13 @@ class Classifier:
         if not mentions:
             return []
 
+        contexts: dict[str, np.ndarray] = {}
         ranked_lists = []
         for i, mention in enumerate(mentions):
-            hits = self._index.query(mention.lemma, self._k)
-            blocks = [self._block(hit.record.uri) for hit in hits]
-            vectors = self._mention_vectors(mention)
-            ranked = rank_candidates(vectors, blocks, self._ranking, i)
+            ctx = contexts.get(mention.sentence)
+            if ctx is None:
+                ctx = contexts[mention.sentence] = semantic_vector(mention.sentence, self._table)
+            ranked = self._candidates(mention.lemma).rank(ctx, self._index, self._ranking, i)
             ranked_lists.append(ranked[: self._coherence.top_m_per_mention])
 
         if use_coherence and self._coherence.enabled:
@@ -213,18 +229,35 @@ class Classifier:
     ) -> list[list[TopicResult]]:
         """Classify documents, preserving input order regardless of jobs.
 
-        With ``jobs`` > 1 this process and forked children, one worker per
-        usable CPU at most, claim short runs of documents from a shared
-        counter until none are left, so a worker on a busy CPU takes fewer.
-        Children share the opened index's mmap; what they add to the block
-        cache is lost when they exit.
+        With ``jobs`` > 1 this process classifies alone until
+        ``_FORK_AFTER_S`` has passed; forked children join it only if the
+        documents left look like at least that long again. Children share
+        the opened index's mmap and inherit the memo filled so far; what
+        they add to it is lost when they exit.
         """
         docs = list(docs)
         if jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {jobs}")
-        workers = min(jobs, len(docs), _usable_cpus())
-        if workers <= 1:
-            return [self.classify_document(d, use_coherence) for d in docs]
+        workers = min(jobs, _usable_cpus())
+        results = []
+        started = time.perf_counter()
+        for i, doc in enumerate(docs):
+            left = len(docs) - i
+            elapsed = time.perf_counter() - started
+            # estimated time left, elapsed / i * left, of at least _FORK_AFTER_S
+            if workers > 1 and left > 1 and elapsed >= _FORK_AFTER_S \
+                    and elapsed * left >= _FORK_AFTER_S * i:
+                return results + self._classify_forked(
+                    docs[i:], min(workers, left), use_coherence)
+            results.append(self.classify_document(doc, use_coherence))
+        return results
+
+    def _classify_forked(
+        self, docs: list[Document], workers: int, use_coherence: bool,
+    ) -> list[list[TopicResult]]:
+        """This process and ``workers`` - 1 forked children claim short runs
+        of documents from a shared counter until none are left, so a worker
+        on a busy CPU takes fewer."""
         step = -(-len(docs) // (workers * 8))
         # Worker k starts on run k; every later run goes to whoever asks first.
         claims = multiprocessing.Value("q", workers * step)
@@ -240,10 +273,16 @@ class Classifier:
                     claims.value = start + step
             return done
 
+        def child_runs(first: int) -> list[tuple[int, list[TopicResult]]]:
+            # A thread of this process may have held the memo lock at the
+            # fork; the child has no such thread to release it.
+            self._memo_lock = threading.Lock()
+            return classify_runs(first)
+
         children: list[tuple[int, int]] = []
         try:
             for first in range(1, workers):
-                children.append(_fork_call(classify_runs, first))
+                children.append(_fork_call(child_runs, first))
             pairs = classify_runs(0)
             while children:
                 pairs.extend(_collect(*children.pop(0)))
@@ -254,6 +293,15 @@ class Classifier:
                 os.waitpid(pid, 0)
         found = dict(pairs)
         return [found[i] for i in range(len(docs))]
+
+
+# Forking pays only for work well above its cost. Forking a 100 MB process
+# takes 2-4 ms, the child starts a few ms later and reaping it takes 1-8 ms;
+# each worker is also about a quarter slower per document (copy-on-write
+# faults, memo misses repeated per worker), and on a host that gives fewer
+# CPUs than it lists all of it is lost. A batch estimated at less than twice
+# this long is classified in this process alone.
+_FORK_AFTER_S = 0.1
 
 
 def _usable_cpus() -> int:

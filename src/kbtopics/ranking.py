@@ -17,20 +17,32 @@ itself). The candidate's score is the sum over rows. The activation floor
 a(0) > 0 means unrelated rows leak a little mass; that is intentional, the
 function's range is (0, 1).
 
-A block keeps its lexical rows in CSR form (uint64 gram keys, float64
-values, row pointers), so one kernel scores all candidates of a
-mention at once: the query's keys are sorted once, the elements of all
-blocks are matched against them with ``searchsorted`` and the products are
-summed per row with ``bincount``; both semantic cosines are row-wise
-sums over the stacked rows; one activation runs over all rows,
-and ``np.add.reduceat`` sums each block's rows into its score.
-``score_candidate`` is the same kernel over a single block.
+Scoring splits along that formula. Everything in d_i except a(ctx_i)
+depends only on the mention's lemma and the row, so it runs in two stages
+over the rows of all candidates of a mention, stacked in candidate order
+(``CandidateBlocks``, as an index gathers them):
+
+1. ``CandidateRows.for_lemma`` gathers the rows' vectors from a
+   ``VectorSource`` and computes ``partial = w_l*a(lex) + w_sm*a(sem)`` per
+   row. The lexical rows are CSR arrays: the query's keys are sorted once,
+   every element is matched against them with ``searchsorted`` and the
+   products are summed per row with ``bincount``; the semantic cosine is a
+   row-wise sum over the stacked rows.
+2. ``CandidateRows.scores`` gathers the rows' semantic vectors again, adds
+   ``w_sc*a(ctx)`` for the mention's sentence, weights each row and sums
+   each block's rows with ``np.add.reduceat``.
+
+A ``CandidateBlock`` holds only its rows' addresses (text ids) with their
+field weights and distances; the vectors stay in the index's memory map.
+So a classifier can keep the first stage per lemma for a few dozen bytes a
+row. ``rank_candidates`` and ``score_candidate`` stack blocks and run both
+stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -103,25 +115,55 @@ class LexicalRows:
             yield dict(zip(keys[lo:hi], values[lo:hi]))
 
 
+class VectorSource(Protocol):
+    """Vectors of texts by text id, one row per id in the given order (an
+    opened ``CandidateIndex``)."""
+
+    def load_vectors(self, text_ids: np.ndarray) -> tuple[LexicalRows, np.ndarray]: ...
+
+    def semantic_rows(self, text_ids: np.ndarray) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class CandidateBlock:
-    """All scoring rows of one candidate: its own texts plus the texts of
-    its neighborhood, with per-row field weights and owner distances."""
+    """All scoring rows of one candidate, by address: the text ids of its
+    own texts and of its neighborhood's, with per-row field weights and
+    owner distances."""
 
     entity: Iri
-    lex_rows: LexicalRows
-    sem_matrix: np.ndarray            # (n, D), rows unit-length or zero
+    text_ids: np.ndarray              # (n,) integer text ids
     field_weights: np.ndarray         # (n,)
     distances: np.ndarray             # (n,), w_e of each row's owner
 
     def __post_init__(self) -> None:
-        n = len(self.lex_rows)
-        if not (self.sem_matrix.shape[0] == self.field_weights.shape[0]
-                == self.distances.shape[0] == n):
+        if not (self.text_ids.shape[0] == self.field_weights.shape[0]
+                == self.distances.shape[0]):
             raise ValueError("candidate block row counts disagree")
 
     def __len__(self) -> int:
-        return len(self.lex_rows)
+        return self.text_ids.shape[0]
+
+
+@dataclass(frozen=True)
+class CandidateBlocks:
+    """The blocks of several candidates stacked in candidate order:
+    candidate i owns the next ``sizes[i]`` rows."""
+
+    entities: tuple[Iri, ...]
+    sizes: np.ndarray                 # (candidates,) rows per candidate
+    text_ids: np.ndarray              # (rows,)
+    field_weights: np.ndarray         # (rows,)
+    distances: np.ndarray             # (rows,)
+
+    @classmethod
+    def stack(cls, blocks: Sequence[CandidateBlock]) -> "CandidateBlocks":
+        def column(name: str, dtype) -> np.ndarray:
+            return np.concatenate([getattr(b, name) for b in blocks] or [np.zeros(0, dtype)])
+
+        return cls(tuple(b.entity for b in blocks),
+                   np.array([len(b) for b in blocks], dtype=np.intp),
+                   column("text_ids", np.intp), column("field_weights", np.float64),
+                   column("distances", np.float64))
 
 
 @dataclass(frozen=True)
@@ -136,20 +178,12 @@ class ScoredCandidate:
         return self.score * self.boost
 
 
-def _block_scores(
-    mention: MentionVectors, blocks: Sequence[CandidateBlock], params: RankingParams,
-) -> np.ndarray:
-    """Score of every block against one mention, in block order."""
-    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
-    n_rows = int(sizes.sum())
-    if n_rows == 0:
-        return np.zeros(len(blocks))
-    starts = np.cumsum(sizes) - sizes
-
-    query = sorted(mention.lex.items())
-    q_keys = np.array([k for k, _ in query], dtype=np.uint64)
-    q_vals = np.array([v for _, v in query], dtype=np.float64)
-    keys = np.concatenate([b.lex_rows.keys for b in blocks])
+def _lexical_cosines(query: SparseVector, rows: LexicalRows) -> np.ndarray:
+    """Dot product of the query with every row."""
+    pairs = sorted(query.items())
+    q_keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+    q_vals = np.array([v for _, v in pairs], dtype=np.float64)
+    keys = rows.keys
     # Most elements match no query key; a table of the query keys' low 12
     # bits screens them out before the exact (and slower) binary search.
     low_bits = np.zeros(1 << 12, dtype=bool)
@@ -159,44 +193,83 @@ def _block_scores(
     pos[pos == q_keys.shape[0]] = 0
     match = q_keys[pos] == keys[cand]
     hit, pos = cand[match], pos[match]
-    row_nnz = np.concatenate([b.lex_rows.indptr[1:] - b.lex_rows.indptr[:-1] for b in blocks])
-    row_ids = np.repeat(np.arange(n_rows), row_nnz)
-    values = np.concatenate([b.lex_rows.values for b in blocks])
-    lex = np.bincount(row_ids[hit], weights=values[hit] * q_vals[pos], minlength=n_rows)
+    n_rows = len(rows)
+    row_ids = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
+    return np.bincount(row_ids[hit], weights=rows.values[hit] * q_vals[pos],
+                       minlength=n_rows)
 
-    sem_matrix = np.concatenate([b.sem_matrix for b in blocks])
-    # row-wise sums rather than a BLAS product, whose rounding can depend on
-    # a row's position in the stack: a block scores the same wherever it sits
-    sem = (sem_matrix * mention.sem).sum(axis=1)
-    ctx = (sem_matrix * mention.ctx).sum(axis=1)
-    act = activation(np.concatenate([lex, sem, ctx]), params.alpha, params.beta)
-    per_row = (params.w_l * act[:n_rows] + params.w_sm * act[n_rows:2 * n_rows]
-               + params.w_sc * act[2 * n_rows:])
-    weights = np.concatenate([b.field_weights for b in blocks])
-    distances = np.concatenate([b.distances for b in blocks])
-    contrib = weights * per_row / (1.0 + distances)
 
-    scores = np.zeros(len(blocks))
-    filled = sizes > 0
-    scores[filled] = np.add.reduceat(contrib, starts[filled])
-    return scores
+@dataclass(frozen=True)
+class CandidateRows:
+    """A mention's candidate blocks with the part of their rows' score that
+    does not depend on the sentence: ``partial = w_l*a(lex) + w_sm*a(sem)``
+    per row. Built by ``for_lemma`` (stage one); ``scores`` and ``rank``
+    finish it for a sentence."""
+
+    blocks: CandidateBlocks
+    starts: np.ndarray                # first row of each block that has rows
+    filled: np.ndarray                # (candidates,) bool, which blocks have rows
+    partial: np.ndarray
+
+    @classmethod
+    def for_lemma(cls, lex: SparseVector, sem: np.ndarray, blocks: CandidateBlocks,
+                  vectors: VectorSource, params: RankingParams) -> "CandidateRows":
+        """Stage one, for the lexical and semantic vectors of a mention's lemma."""
+        lex_rows, sem_matrix = vectors.load_vectors(blocks.text_ids)
+        n = blocks.text_ids.shape[0]
+        # row-wise sums rather than a BLAS product, whose rounding can depend
+        # on a row's position in the stack: a block scores the same wherever
+        # it sits
+        act = activation(np.concatenate([_lexical_cosines(lex, lex_rows),
+                                         (sem_matrix * sem).sum(axis=1)]),
+                         params.alpha, params.beta)
+        filled = blocks.sizes > 0
+        return cls(
+            blocks=blocks,
+            starts=(np.cumsum(blocks.sizes) - blocks.sizes)[filled],
+            filled=filled,
+            partial=params.w_l * act[:n] + params.w_sm * act[n:],
+        )
+
+    def scores(self, ctx: np.ndarray, vectors: VectorSource,
+               params: RankingParams) -> np.ndarray:
+        """Every block's score for a sentence with context vector ``ctx``,
+        in block order (stage two)."""
+        blocks = self.blocks
+        ctx_cos = (vectors.semantic_rows(blocks.text_ids) * ctx).sum(axis=1)
+        per_row = self.partial + params.w_sc * activation(ctx_cos, params.alpha, params.beta)
+        contrib = blocks.field_weights * per_row / (1.0 + blocks.distances)
+        scores = np.zeros(len(blocks.entities))
+        scores[self.filled] = np.add.reduceat(contrib, self.starts)
+        return scores
+
+    def rank(self, ctx: np.ndarray, vectors: VectorSource, params: RankingParams,
+             mention_index: int = 0) -> list[ScoredCandidate]:
+        """Scored blocks, descending by score, ties broken by entity IRI."""
+        scored = [ScoredCandidate(e, mention_index, s) for e, s in
+                  zip(self.blocks.entities, self.scores(ctx, vectors, params).tolist())]
+        scored.sort(key=lambda c: (-c.score, c.entity))
+        return scored
 
 
 def score_candidate(
-    mention: MentionVectors, block: CandidateBlock, params: RankingParams,
+    mention: MentionVectors, block: CandidateBlock, vectors: VectorSource,
+    params: RankingParams,
 ) -> float:
     """Total activated, field-weighted, distance-attenuated similarity."""
-    return float(_block_scores(mention, [block], params)[0])
+    rows = CandidateRows.for_lemma(
+        mention.lex, mention.sem, CandidateBlocks.stack([block]), vectors, params)
+    return float(rows.scores(mention.ctx, vectors, params)[0])
 
 
 def rank_candidates(
     mention: MentionVectors,
     blocks: Sequence[CandidateBlock],
+    vectors: VectorSource,
     params: RankingParams,
     mention_index: int = 0,
 ) -> list[ScoredCandidate]:
     """Score every block; descending by score, ties broken by entity IRI."""
-    scores = _block_scores(mention, blocks, params).tolist()
-    scored = [ScoredCandidate(b.entity, mention_index, s) for b, s in zip(blocks, scores)]
-    scored.sort(key=lambda c: (-c.score, c.entity))
-    return scored
+    rows = CandidateRows.for_lemma(
+        mention.lex, mention.sem, CandidateBlocks.stack(blocks), vectors, params)
+    return rows.rank(mention.ctx, vectors, params, mention_index)

@@ -13,7 +13,8 @@ Text ids are 0..n_texts-1 in the order the writer received the vectors. The
 reader maps the file once, checks that the header, the file size and the row
 pointers agree, and exposes the columns as zero-copy views over the map; a
 batch of text ids is gathered with one fancy index per column, so the
-returned arrays are copies and never pin the map.
+returned arrays are copies and never pin the map. ``semantic`` gathers the
+semantic rows alone.
 """
 
 from __future__ import annotations
@@ -120,14 +121,18 @@ class VectorStore:
                 or np.any(self._indptr[1:] < self._indptr[:-1]):
             raise IndexIntegrityError(f"vector store {path}: row pointers corrupt")
 
-    def gather(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
-        """(lexical, semantic) vectors of the texts, one row per id in the
-        given order: CSR lexical rows and an (n, dim) matrix, both copies."""
+    def _ids(self, text_ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(text_ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_texts):
             raise IndexIntegrityError(
                 f"text id out of range [0, {self.n_texts}): "
                 f"{int(ids.min())}..{int(ids.max())}")
+        return ids
+
+    def gather(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
+        """(lexical, semantic) vectors of the texts, one row per id in the
+        given order: CSR lexical rows and an (n, dim) matrix, both copies."""
+        ids = self._ids(text_ids)
         starts = self._indptr[ids]
         lengths = self._indptr[ids + 1] - starts
         indptr = np.zeros(ids.shape[0] + 1, dtype=np.intp)
@@ -135,6 +140,11 @@ class VectorStore:
         take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         lex = LexicalRows(keys=self._keys[take], values=self._values[take], indptr=indptr)
         return lex, self._semantic[ids]
+
+    def semantic(self, text_ids: Sequence[int]) -> np.ndarray:
+        """The texts' semantic vectors, one row per id in the given order: an
+        (n, dim) copy."""
+        return self._semantic[self._ids(text_ids)]
 
     def close(self) -> None:
         self._indptr = self._keys = self._values = self._semantic = None

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,13 @@ from kbtopics.kb import (
     PropertyRegistry,
     iter_triple_file,
 )
-from kbtopics.ranking import CandidateBlock
+from kbtopics.ranking import (
+    CandidateBlock,
+    MentionVectors,
+    RankingParams,
+    VectorSource,
+    activation,
+)
 from kbtopics.vectors import SparseVector, char_ngrams, tokenize
 
 
@@ -136,10 +142,10 @@ def similarity_by_pairs(
     return edges
 
 
-def block_by_loop(index: CandidateIndex, uri: Iri) -> tuple[list[int], CandidateBlock]:
-    """candidate_block by a loop over the record's related entities, each
-    one's text ids and field weights read from its own record. Returns the
-    text ids it loaded and the block."""
+def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
+    """candidate_blocks of one uri by a loop over the record's related
+    entities, each one's text ids and field weights read from its own
+    record."""
     record = index.record(uri)
     text_ids: list[int] = []
     weights: list[float] = []
@@ -151,14 +157,59 @@ def block_by_loop(index: CandidateIndex, uri: Iri) -> tuple[list[int], Candidate
         text_ids.extend(index.text_ids(entity))
         weights.extend(w for _, _, w in owner.texts)
         distances.extend([dist] * len(owner.texts))
-    lex_rows, sem_matrix = index.load_vectors(text_ids)
-    return text_ids, CandidateBlock(
+    return CandidateBlock(
         entity=uri,
-        lex_rows=lex_rows,
-        sem_matrix=sem_matrix,
+        text_ids=np.array(text_ids, dtype=np.int64),
         field_weights=np.array(weights, dtype=np.float64),
         distances=np.array(distances, dtype=np.float64),
     )
+
+
+def block_scores_one_stage(
+    mention: MentionVectors, blocks: Sequence[CandidateBlock], vectors: VectorSource,
+    params: RankingParams,
+) -> np.ndarray:
+    """Score of every block against one mention, in block order, by one
+    kernel over each block's loaded vectors: all three similarities of every
+    row, one activation over all of them, then the weighting and a sum per
+    block."""
+    loaded = [vectors.load_vectors(b.text_ids) for b in blocks]
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    n_rows = int(sizes.sum())
+    if n_rows == 0:
+        return np.zeros(len(blocks))
+    starts = np.cumsum(sizes) - sizes
+
+    query = sorted(mention.lex.items())
+    q_keys = np.array([k for k, _ in query], dtype=np.uint64)
+    q_vals = np.array([v for _, v in query], dtype=np.float64)
+    keys = np.concatenate([lex.keys for lex, _ in loaded])
+    low_bits = np.zeros(1 << 12, dtype=bool)
+    low_bits[(q_keys & 0xFFF).astype(np.intp)] = True
+    cand = low_bits[(keys & 0xFFF).astype(np.intp)].nonzero()[0]
+    pos = np.searchsorted(q_keys, keys[cand])
+    pos[pos == q_keys.shape[0]] = 0
+    match = q_keys[pos] == keys[cand]
+    hit, pos = cand[match], pos[match]
+    row_nnz = np.concatenate([lex.indptr[1:] - lex.indptr[:-1] for lex, _ in loaded])
+    row_ids = np.repeat(np.arange(n_rows), row_nnz)
+    values = np.concatenate([lex.values for lex, _ in loaded])
+    lex = np.bincount(row_ids[hit], weights=values[hit] * q_vals[pos], minlength=n_rows)
+
+    sem_matrix = np.concatenate([sem for _, sem in loaded])
+    sem = (sem_matrix * mention.sem).sum(axis=1)
+    ctx = (sem_matrix * mention.ctx).sum(axis=1)
+    act = activation(np.concatenate([lex, sem, ctx]), params.alpha, params.beta)
+    per_row = (params.w_l * act[:n_rows] + params.w_sm * act[n_rows:2 * n_rows]
+               + params.w_sc * act[2 * n_rows:])
+    weights = np.concatenate([b.field_weights for b in blocks])
+    distances = np.concatenate([b.distances for b in blocks])
+    contrib = weights * per_row / (1.0 + distances)
+
+    scores = np.zeros(len(blocks))
+    filled = sizes > 0
+    scores[filled] = np.add.reduceat(contrib, starts[filled])
+    return scores
 
 
 def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[int]]:

@@ -42,7 +42,7 @@ from kbtopics.ranking import (
 from kbtopics.selection import SelectionParams, kneedle_cutoff
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from csr_blocks import block_from_rows
+from row_table import RowTable
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CONFIG = DATA / "reference_config.yaml"
@@ -322,19 +322,20 @@ def cosine_sparse(a, b):
     return sum(v * b[k] for k, v in a.items() if k in b)
 
 
-def naive_score(mention, block, params):
+def naive_score(mention, block, params, vectors):
     total = 0.0
     a = lambda x: (1.0 + math.exp(params.alpha - params.beta * x)) ** -2
-    for i, lex_row in enumerate(block.lex_rows):
+    lex_rows, sem_matrix = vectors.load_vectors(block.text_ids)
+    for i, lex_row in enumerate(lex_rows):
         lex = cosine_sparse(lex_row, mention.lex)
-        sem = float(np.dot(block.sem_matrix[i], mention.sem))
-        ctx = float(np.dot(block.sem_matrix[i], mention.ctx))
+        sem = float(np.dot(sem_matrix[i], mention.sem))
+        ctx = float(np.dot(sem_matrix[i], mention.ctx))
         d = params.w_l * a(lex) + params.w_sm * a(sem) + params.w_sc * a(ctx)
         total += block.field_weights[i] * d / (1.0 + block.distances[i])
     return total
 
 
-def random_block(rng, n_rows, dim=8):
+def random_block(rng, table, n_rows, dim=8):
     lex_rows = []
     for _ in range(n_rows):
         n_keys = int(rng.integers(1, 6))
@@ -346,7 +347,7 @@ def random_block(rng, n_rows, dim=8):
     sem /= np.linalg.norm(sem, axis=1, keepdims=True)
     if n_rows > 1:
         sem[1] = 0.0
-    return block_from_rows(
+    return table.block(
         iri("cand"),
         lex_rows,
         sem,
@@ -372,6 +373,7 @@ def test_criterion_04_ranking_kernel():
     rng = np.random.default_rng(7)
     n_pairs = 1000
     worst = 0.0
+    table = RowTable(8)
     for _ in range(n_pairs):
         params = RankingParams(
             w_l=float(rng.uniform(0.0, 2.0)),
@@ -380,10 +382,10 @@ def test_criterion_04_ranking_kernel():
             alpha=float(rng.uniform(2.0, 6.0)),
             beta=float(rng.uniform(4.0, 12.0)),
         )
-        block = random_block(rng, n_rows=int(rng.integers(1, 8)))
+        block = random_block(rng, table, n_rows=int(rng.integers(1, 8)))
         mention = random_mention(rng)
-        got = score_candidate(mention, block, params)
-        want = naive_score(mention, block, params)
+        got = score_candidate(mention, block, table, params)
+        want = naive_score(mention, block, params, table)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-6
 

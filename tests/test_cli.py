@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import kbtopics
+from kbtopics import pipeline
 from kbtopics.cli import CONFIG_COPY, main
 from kbtopics.index import COLUMNS_FILE, STRINGS_FILE, read_columns, write_columns
 
@@ -133,7 +134,10 @@ def test_classify_matches_gold_directs(index_dir, tmp_path):
         assert directs == gold[record["id"]], record["id"]
 
 
-def test_classify_jobs_output_identical(index_dir, tmp_path):
+def test_classify_jobs_output_identical(index_dir, tmp_path, monkeypatch):
+    # fork at the first document even though the toy batch is small
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "_FORK_AFTER_S", 0.0)
     one = tmp_path / "one.jsonl"
     four = tmp_path / "four.jsonl"
     main(["classify", "--index", str(index_dir), "--corpus", str(CORPUS),

@@ -30,6 +30,7 @@ from kbtopics.index import (
 from kbtopics.kb import (
     Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
 )
+from kbtopics.ranking import CandidateBlocks
 from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
@@ -724,51 +725,40 @@ class TestCandidateBlock:
     def test_rows_cover_neighborhood_texts(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            block = idx.candidate_block(iri("bear"))
+            block = idx.candidate_blocks([iri("bear")])
             # bear has 2 texts at distance 0, mammal 1 at 0.5, seal 1 at 1.0
-            assert len(block) == 4
+            assert block.entities == (iri("bear"),)
+            assert block.sizes.tolist() == [4]
             assert list(block.distances) == [0.0, 0.0, 0.5, 1.0]
             assert list(block.field_weights) == [2.0, 1.0, 2.0, 2.0]
 
     def test_unindexed_related_entities_skipped(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            block = idx.candidate_block(iri("mercury"))
+            block = idx.candidate_blocks([iri("mercury")])
             # the "arctic" neighbor has no texts, contributes no rows
-            assert len(block) == 2
+            assert block.sizes.tolist() == [2]
             assert list(block.distances) == [0.0, 0.0]
 
     def test_unknown_uri(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             with pytest.raises(IndexIntegrityError):
-                idx.candidate_block(iri("ghost"))
+                idx.candidate_blocks([iri("bear"), iri("ghost")])
 
 
-def load_calls_and_block(idx, uri):
-    """candidate_block of uri, and the id lists it passed to load_vectors."""
-    calls = []
-    load = idx.load_vectors
-    idx.load_vectors = lambda ids: calls.append(np.asarray(ids).tolist()) or load(ids)
+def assert_blocks_match_loop(idx, uris):
+    """candidate_blocks of the uris, gathered together, loads no vectors and
+    equals block_by_loop per uri, stacked."""
+    idx.load_vectors = lambda ids: pytest.fail("candidate_blocks loaded vectors")
     try:
-        return calls, idx.candidate_block(uri)
+        blocks = idx.candidate_blocks(uris)
     finally:
         del idx.load_vectors
-
-
-def assert_block_matches_loop(idx, uri):
-    calls, block = load_calls_and_block(idx, uri)
-    want_ids, want = block_by_loop(idx, uri)
-    assert calls == [want_ids]
-    assert block.entity == want.entity
-    for got, expected in [
-        (block.lex_rows.keys, want.lex_rows.keys),
-        (block.lex_rows.values, want.lex_rows.values),
-        (block.lex_rows.indptr, want.lex_rows.indptr),
-        (block.sem_matrix, want.sem_matrix),
-        (block.field_weights, want.field_weights),
-        (block.distances, want.distances),
-    ]:
+    want = CandidateBlocks.stack([block_by_loop(idx, uri) for uri in uris])
+    assert blocks.entities == want.entities == tuple(uris)
+    for name in ("sizes", "text_ids", "field_weights", "distances"):
+        got, expected = getattr(blocks, name), getattr(want, name)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
@@ -800,8 +790,13 @@ class TestBlockGather:
     def test_toy_index_matches_loop(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            for rec in idx.records:
-                assert_block_matches_loop(idx, rec.uri)
+            uris = [rec.uri for rec in idx.records]
+            for uri in uris:
+                assert_blocks_match_loop(idx, [uri])
+            assert_blocks_match_loop(idx, uris)
+            assert_blocks_match_loop(idx, uris[::-1] + uris[:3])
+            none = idx.candidate_blocks([])
+            assert none.entities == () and none.sizes.size == none.text_ids.size == 0
             # mercury's neighbor arctic has no record and adds no rows
             assert iri("arctic") in idx.record(iri("mercury")).related_entities
 
@@ -810,8 +805,10 @@ class TestBlockGather:
     def test_random_indexes_match_loop(self, tmp_path_factory, table, seed):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            for rec in idx.records:
-                assert_block_matches_loop(idx, rec.uri)
+            uris = [rec.uri for rec in idx.records]
+            for uri in uris:
+                assert_blocks_match_loop(idx, [uri])
+            assert_blocks_match_loop(idx, uris[::-1])
 
     def test_some_random_index_reaches_unindexed_entities(self, tmp_path, table):
         reached = 0

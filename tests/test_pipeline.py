@@ -2,7 +2,12 @@
 
 import json
 import os
+import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +17,8 @@ from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, VECTORS_FILE
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
+from kbtopics.ranking import CandidateRows
+from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -173,8 +180,14 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_workers_match_serial(classifier, monkeypatch):
+@pytest.fixture
+def forking(monkeypatch):
+    """classify_batch forks at its first document, on eight usable CPUs."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(pipeline, "_FORK_AFTER_S", 0.0)
+
+
+def test_forked_workers_match_serial(classifier, forking):
     docs = [d for d, _ in load_corpus()]
     assert classifier.classify_batch(docs, jobs=3) == classifier.classify_batch(docs, jobs=1)
     assert_no_children_left()
@@ -183,8 +196,7 @@ def test_forked_workers_match_serial(classifier, monkeypatch):
 # With four workers over ten documents, runs are one document long and worker
 # k starts on document k: document 0 fails in this process, 3 in a child.
 @pytest.mark.parametrize("failing_doc", [0, 3], ids=["parent_run", "child_run"])
-def test_forked_batch_raises_worker_errors(classifier, monkeypatch, failing_doc):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+def test_forked_batch_raises_worker_errors(classifier, forking, monkeypatch, failing_doc):
     docs = [d for d, _ in load_corpus()]
     real = classifier.classify_document
 
@@ -199,8 +211,7 @@ def test_forked_batch_raises_worker_errors(classifier, monkeypatch, failing_doc)
     assert_no_children_left()
 
 
-def test_dead_worker_raises_pipeline_error(classifier, monkeypatch):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+def test_dead_worker_raises_pipeline_error(classifier, forking, monkeypatch):
     docs = [d for d, _ in load_corpus()]
     real = classifier.classify_document
     parent = os.getpid()
@@ -214,6 +225,63 @@ def test_dead_worker_raises_pipeline_error(classifier, monkeypatch):
     with pytest.raises(PipelineError, match="no readable result"):
         classifier.classify_batch(docs, jobs=2)
     assert_no_children_left()
+
+
+def test_fork_while_another_thread_holds_the_memo_lock(classifier, forking, monkeypatch):
+    """The child inherits the lock held; no thread of its own will release it."""
+    docs = [d for d, _ in load_corpus()]
+    want = classifier.classify_batch(docs, jobs=1)
+    real_fork = os.fork
+
+    def fork_while_held():
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with classifier._memo_lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        pid = real_fork()
+        if pid == 0:
+            signal.alarm(10)  # a deadlocked child dies instead of hanging the test
+            return pid
+        release.set()
+        holder.join()
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_while_held)
+    assert classifier.classify_batch(docs, jobs=2) == want
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("doc_s, fork_at", [(0.03, 4), (0.015, None)])
+def test_batch_forks_only_when_enough_work_is_left(classifier, monkeypatch, doc_s, fork_at):
+    """Documents of ``doc_s`` each on a fake clock: with ten of 0.03 s, 0.12 s
+    have passed after four and about 0.18 s are left, so the other six are
+    forked; ten of 0.015 s stay in this process."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    now = [0.0]
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    docs = [d for d, _ in load_corpus()]
+    real = classifier.classify_document
+
+    def timed(doc, use_coherence=True):
+        now[0] += doc_s
+        return real(doc, use_coherence)
+
+    forked = []
+
+    def record(docs, workers, use_coherence):
+        forked.append((len(docs), workers))
+        return [real(d, use_coherence) for d in docs]
+
+    monkeypatch.setattr(classifier, "classify_document", timed)
+    monkeypatch.setattr(classifier, "_classify_forked", record)
+    assert classifier.classify_batch(docs, jobs=4) == [real(d) for d in docs]
+    assert forked == ([] if fork_at is None else [(len(docs) - fork_at, 4)])
 
 
 def test_batch_rejects_nonpositive_jobs(classifier):
@@ -230,16 +298,86 @@ def test_block_cache_fills_but_stays_transparent(built, toy_config):
     clf = open_classifier(built[0], toy_config)
     doc, _ = load_corpus()[2]
     calls = []
-    inner = clf._index.candidate_block
+    inner = clf._index.candidate_blocks
 
-    def counting(uri):
-        calls.append(uri)
-        return inner(uri)
+    def counting(uris):
+        calls.append(list(uris))
+        return inner(uris)
 
-    clf._index.candidate_block = counting
+    clf._index.candidate_blocks = counting
     first = clf.classify_document(doc)
     after_first = len(calls)
     second = clf.classify_document(doc)
     assert first == second
     assert after_first > 0
-    assert len(calls) == after_first  # served from cache on repeat
+    assert len(calls) == after_first  # served from the memo on repeat
+
+
+def fresh_topics(built, toy_config, docs):
+    """Each document's topics from a classifier of its own."""
+    return [open_classifier(built[0], toy_config).classify_document(d) for d in docs]
+
+
+def test_memo_hit_equals_fresh_classifier(built, toy_config):
+    clf = open_classifier(built[0], toy_config)
+    docs = [d for d, _ in load_corpus()]
+    got, hits = [], 0
+    for doc in docs:
+        hits += sum(m.lemma in clf._memo for m in clf.detect(doc))
+        got.append(clf.classify_document(doc))
+    assert hits > 0  # later documents reuse lemmas of earlier ones
+    assert got == fresh_topics(built, toy_config, docs)
+
+
+def test_same_lemma_in_two_sentences_keeps_each_context(built, toy_config, monkeypatch):
+    clf = open_classifier(built[0], toy_config)
+    doc = Document(id="two", title="Seals rest on sea ice.",
+                   abstract="Wax seal impressions authenticate old letters.",
+                   provided_mentions=("Seals", "seal"))
+    mentions = clf.detect(doc)
+    assert mentions[0].lemma == mentions[1].lemma
+    assert mentions[0].sentence != mentions[1].sentence
+    captured = []
+    real = pipeline.aggregate
+    monkeypatch.setattr(pipeline, "aggregate",
+                        lambda ranked, *a: captured.append(ranked) or real(ranked, *a))
+    clf.classify_document(doc, use_coherence=False)
+    index, table = clf._index, EmbeddingTable.load(toy_config.embedding_file)
+    for i, mention in enumerate(mentions):
+        hits = index.query(mention.lemma, toy_config.retrieval.k)
+        rows = CandidateRows.for_lemma(
+            lexical_vector(mention.lemma, toy_config.ngram_sizes),
+            semantic_vector(mention.lemma, table),
+            index.candidate_blocks([h.record.uri for h in hits]), index, toy_config.ranking)
+        want = rows.rank(semantic_vector(mention.sentence, table), index, toy_config.ranking, i)
+        assert captured[0][i] == want[: toy_config.coherence.top_m_per_mention]
+    assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]
+
+
+def test_memo_eviction_at_cap_changes_no_output(built, toy_config):
+    clf = open_classifier(built[0], toy_config)
+    assert clf._memo_size == len(clf._index)
+    clf._memo_size = 2
+    docs = [d for d, _ in load_corpus()]
+    got = [clf.classify_document(d) for d in docs]
+    assert len(clf._memo) == 2
+    assert len({m.lemma for d in docs for m in clf.detect(d)}) > 2
+    assert got == fresh_topics(built, toy_config, docs)
+
+
+def test_classifier_shared_across_threads(built, toy_config):
+    clf = open_classifier(built[0], toy_config)
+    docs = [d for d, _ in load_corpus()] * 4
+    want = [clf.classify_document(d) for d in docs]
+    clf._memo.clear()
+    clf._memo_size = 3  # evictions race with lookups
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(clf.classify_document, d) for d in docs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(clf._memo) <= 3

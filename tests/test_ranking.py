@@ -1,13 +1,17 @@
-"""Activation function and the bulk candidate scoring kernel."""
+"""Activation function and the two-stage candidate scoring kernel."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri
 from kbtopics.ranking import (
+    CandidateBlock,
+    CandidateBlocks,
+    CandidateRows,
     LexicalRows,
     MentionVectors,
     RankingParams,
@@ -18,8 +22,8 @@ from kbtopics.ranking import (
 )
 from kbtopics.vectors import lexical_vector
 
-from csr_blocks import block_from_rows
-from oracles import cosine_sparse
+from row_table import RowTable
+from oracles import block_scores_one_stage, cosine_sparse
 
 EX = "http://example.org/"
 
@@ -28,20 +32,21 @@ def iri(name):
     return Iri(EX + name)
 
 
-def naive_score(mention, block, params):
+def naive_score(mention, block, params, vectors):
     """Per-row reference implementation: explicit cosines, scalar math."""
     total = 0.0
-    for i, lex_row in enumerate(block.lex_rows):
+    lex_rows, sem_matrix = vectors.load_vectors(block.text_ids)
+    for i, lex_row in enumerate(lex_rows):
         lex = cosine_sparse(lex_row, mention.lex)
-        sem = float(np.dot(block.sem_matrix[i], mention.sem))
-        ctx = float(np.dot(block.sem_matrix[i], mention.ctx))
+        sem = float(np.dot(sem_matrix[i], mention.sem))
+        ctx = float(np.dot(sem_matrix[i], mention.ctx))
         a = lambda x: (1.0 + math.exp(params.alpha - params.beta * x)) ** -2
         d = (params.w_l * a(lex) + params.w_sm * a(sem) + params.w_sc * a(ctx))
         total += block.field_weights[i] * d / (1.0 + block.distances[i])
     return total
 
 
-def random_block(rng, entity="cand", n_rows=5, dim=8):
+def random_block(rng, table, entity="cand", n_rows=5, dim=8):
     lex_rows = []
     for _ in range(n_rows):
         n_keys = int(rng.integers(1, 6))
@@ -53,7 +58,7 @@ def random_block(rng, entity="cand", n_rows=5, dim=8):
     sem /= np.linalg.norm(sem, axis=1, keepdims=True)
     if n_rows > 1:
         sem[1] = 0.0  # exercise the zero-row exemption
-    return block_from_rows(
+    return table.block(
         iri(entity),
         lex_rows,
         sem,
@@ -110,65 +115,71 @@ class TestRankingParams:
             RankingParams(**kwargs)
 
 
-def single_row_block(text, field_weight=1.0, distance=0.0, sem_row=None, dim=4):
+def single_row_block(table, text, field_weight=1.0, distance=0.0, sem_row=None, dim=4):
     sem = np.zeros((1, dim)) if sem_row is None else np.asarray([sem_row], dtype=float)
-    return block_from_rows(iri("cand"), [lexical_vector(text)], sem,
-                           [field_weight], [distance])
+    return table.block(iri("cand"), [lexical_vector(text)], sem, [field_weight], [distance])
 
 
 class TestScoreCandidate:
     def test_identical_text_lexical_only(self):
         params = RankingParams(w_l=1.0, w_sm=0.0, w_sc=0.5)
         mention = MentionVectors(lexical_vector("polar bear"), np.zeros(4), np.zeros(4))
-        block = single_row_block("polar bear")
+        table = RowTable(4)
+        block = single_row_block(table, "polar bear")
         # lexical cosine 1 -> a(1); zero semantic rows add w_sc*a(0)
         want = activation(1.0) + 0.5 * activation(0.0)
-        assert score_candidate(mention, block, params) == pytest.approx(float(want), abs=1e-9)
+        assert score_candidate(mention, block, table, params) == pytest.approx(
+            float(want), abs=1e-9)
 
     def test_empty_block_scores_zero(self):
         params = RankingParams()
-        block = block_from_rows(iri("cand"), [], np.zeros((0, 4)), [], [])
+        table = RowTable(4)
+        block = table.block(iri("cand"), [], np.zeros((0, 4)), [], [])
         mention = MentionVectors(lexical_vector("x y z"), np.zeros(4), np.zeros(4))
-        assert score_candidate(mention, block, params) == 0.0
+        assert score_candidate(mention, block, table, params) == 0.0
 
     def test_zero_mention_vectors_closed_form(self):
         params = RankingParams()
         rng = np.random.default_rng(0)
-        block = random_block(rng, n_rows=6)
+        table = RowTable(8)
+        block = random_block(rng, table, n_rows=6)
         mention = MentionVectors({}, np.zeros(8), np.zeros(8))
         floor = float(activation(0.0, params.alpha, params.beta))
         want = float(np.sum(
             block.field_weights
             * (params.w_l + params.w_sm + params.w_sc) * floor
             / (1.0 + block.distances)))
-        assert score_candidate(mention, block, params) == pytest.approx(want, rel=1e-12)
+        assert score_candidate(mention, block, table, params) == pytest.approx(want, rel=1e-12)
 
     def test_distance_one_halves_contribution(self):
         params = RankingParams()
         mention = MentionVectors(lexical_vector("tuna"), np.zeros(4), np.zeros(4))
-        near = single_row_block("tuna", distance=0.0)
-        far = single_row_block("tuna", distance=1.0)
-        assert score_candidate(mention, far, params) == pytest.approx(
-            score_candidate(mention, near, params) / 2.0, rel=1e-12)
+        table = RowTable(4)
+        near = single_row_block(table, "tuna", distance=0.0)
+        far = single_row_block(table, "tuna", distance=1.0)
+        assert score_candidate(mention, far, table, params) == pytest.approx(
+            score_candidate(mention, near, table, params) / 2.0, rel=1e-12)
 
     def test_bulk_equals_naive_loop(self):
         params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
         rng = np.random.default_rng(1234)
+        table = RowTable(8)
         for _ in range(300):
             mention = random_mention(rng)
-            block = random_block(rng, n_rows=int(rng.integers(1, 8)))
-            got = score_candidate(mention, block, params)
-            want = naive_score(mention, block, params)
+            block = random_block(rng, table, n_rows=int(rng.integers(1, 8)))
+            got = score_candidate(mention, block, table, params)
+            want = naive_score(mention, block, params, table)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_monotone_in_semantic_cosine(self):
         params = RankingParams()
         mention = MentionVectors({}, np.array([1.0, 0.0]), np.zeros(2))
+        table = RowTable(2)
         scores = []
         for cos in np.linspace(-1, 1, 9):
             row = np.array([cos, math.sqrt(1 - cos**2)])
-            block = single_row_block("abc", sem_row=row, dim=2)
-            scores.append(score_candidate(mention, block, params))
+            block = single_row_block(table, "abc", sem_row=row, dim=2)
+            scores.append(score_candidate(mention, block, table, params))
         assert all(a < b for a, b in zip(scores, scores[1:]))
 
 
@@ -204,27 +215,35 @@ EDGE_CASES = {
 }
 
 
+def edge_case(case):
+    """The case's mention, blocks and row table."""
+    query, blocks_rows = EDGE_CASES[case]
+    rng = np.random.default_rng(5)
+    mention = random_mention(rng, dim=4)
+    mention = MentionVectors(query, mention.sem, mention.ctx)
+    table = RowTable(4)
+    blocks = []
+    for b, rows in enumerate(blocks_rows):
+        sem = rng.normal(size=(len(rows), 4))
+        blocks.append(table.block(
+            iri(f"c{b}"), rows, sem, rng.uniform(0.5, 3.0, size=len(rows)),
+            rng.uniform(0.0, 4.0, size=len(rows))))
+    return mention, blocks, table
+
+
 class TestKernelEdgeCases:
     """The CSR kernel against the per-row oracle on inputs random blocks miss."""
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_matches_per_row_oracle(self, case):
-        query, blocks_rows = EDGE_CASES[case]
-        rng = np.random.default_rng(5)
+        mention, blocks, table = edge_case(case)
         params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
-        mention = random_mention(rng, dim=4)
-        mention = MentionVectors(query, mention.sem, mention.ctx)
-        blocks = []
-        for b, rows in enumerate(blocks_rows):
-            sem = rng.normal(size=(len(rows), 4))
-            blocks.append(block_from_rows(
-                iri(f"c{b}"), rows, sem, rng.uniform(0.5, 3.0, size=len(rows)),
-                rng.uniform(0.0, 4.0, size=len(rows))))
-        scores = {c.entity: c.score for c in rank_candidates(mention, blocks, params)}
+        scores = {c.entity: c.score for c in rank_candidates(mention, blocks, table, params)}
         for block in blocks:
-            want = naive_score(mention, block, params)
+            want = naive_score(mention, block, params, table)
             assert scores[block.entity] == pytest.approx(want, abs=1e-6)
-            assert score_candidate(mention, block, params) == pytest.approx(want, abs=1e-6)
+            assert score_candidate(mention, block, table, params) == pytest.approx(
+                want, abs=1e-6)
 
     def test_signed_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -232,46 +251,130 @@ class TestKernelEdgeCases:
                         np.array([0, 1]))
 
 
+KEYS = st.one_of(st.integers(0, 40), st.integers(2**63 - 2, 2**63 + 2),
+                st.integers(TOP - 2, TOP), st.just(TOP - 2**16))
+ROWS = st.dictionaries(KEYS, st.floats(0.01, 1.0), max_size=5)
+COORDS = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def scoring_inputs(draw):
+    """A row table and blocks over it: rows without grams, keys at or above
+    2**63, duplicate keys across rows, zero-row blocks, texts in several
+    blocks; a query (maybe empty), two sentence contexts and a permutation
+    of the blocks."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(COORDS, min_size=dim, max_size=dim).map(np.array)
+    n_texts = draw(st.integers(0, 8))
+    table = RowTable(dim)
+    ids = table.add(draw(st.lists(ROWS, min_size=n_texts, max_size=n_texts)),
+                    np.array(draw(st.lists(vec, min_size=n_texts, max_size=n_texts)))
+                    .reshape(n_texts, dim))
+    texts = st.lists(st.sampled_from(ids.tolist()), max_size=6) if n_texts else st.just([])
+    text_lists = draw(st.lists(texts, max_size=5))
+    blocks = [CandidateBlock(
+        iri(f"c{b}"), np.array(texts, dtype=np.intp),
+        np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=len(texts),
+                               max_size=len(texts)))),
+        np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=len(texts),
+                               max_size=len(texts)))))
+        for b, texts in enumerate(text_lists)]
+    params = RankingParams(
+        w_l=draw(st.floats(0.0, 2.0)), w_sm=draw(st.floats(0.1, 2.0)),
+        w_sc=draw(st.floats(0.0, 2.0)), alpha=draw(st.floats(2.0, 6.0)),
+        beta=draw(st.floats(4.0, 12.0)))
+    return (table, blocks, draw(ROWS), draw(vec), [draw(vec), draw(vec)], params,
+            draw(st.permutations(range(len(blocks)))))
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestTwoStages:
+    """Stage one once per lemma, stage two per sentence, against the
+    one-stage kernel (``oracles.block_scores_one_stage``), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_inputs())
+    def test_equal_one_stage_bitwise(self, inputs):
+        table, blocks, lex, sem, contexts, params, perm = inputs
+        rows = CandidateRows.for_lemma(lex, sem, CandidateBlocks.stack(blocks), table, params)
+        permuted = [blocks[i] for i in perm]
+        rows_permuted = CandidateRows.for_lemma(
+            lex, sem, CandidateBlocks.stack(permuted), table, params)
+        for ctx in contexts:  # one stage one serves every sentence
+            mention = MentionVectors(lex, sem, ctx)
+            want = block_scores_one_stage(mention, blocks, table, params)
+            assert_bitwise(rows.scores(ctx, table, params), want)
+            assert_bitwise(rows_permuted.scores(ctx, table, params), want[list(perm)])
+            ranked = rank_candidates(mention, blocks, table, params)
+            assert rank_candidates(mention, permuted, table, params) == ranked
+            assert sorted(c.score for c in ranked) == sorted(want.tolist())
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_equal_one_stage_bitwise(self, case):
+        mention, blocks, table = edge_case(case)
+        params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
+        want = block_scores_one_stage(mention, blocks, table, params)
+        rows = CandidateRows.for_lemma(
+            mention.lex, mention.sem, CandidateBlocks.stack(blocks), table, params)
+        assert_bitwise(rows.scores(mention.ctx, table, params), want)
+        for block, score in zip(blocks, want.tolist()):
+            assert score_candidate(mention, block, table, params) == score
+
+    def test_rows_hold_addresses_only(self):
+        rng = np.random.default_rng(3)
+        table = RowTable(8)
+        blocks = [random_block(rng, table, entity=f"c{i}") for i in range(3)]
+        rows = CandidateRows.for_lemma(
+            {}, np.zeros(8), CandidateBlocks.stack(blocks), table, RankingParams())
+        assert rows.blocks.entities == tuple(b.entity for b in blocks)
+        assert rows.blocks.text_ids.tolist() == [i for b in blocks for i in b.text_ids.tolist()]
+        assert not any(isinstance(v, LexicalRows) or (isinstance(v, np.ndarray) and v.ndim > 1)
+                       for v in [*vars(rows).values(), *vars(rows.blocks).values()])
+
+
 class TestRankCandidates:
     def test_exact_match_ranks_first(self):
         mention = MentionVectors(lexical_vector("polar bear"), np.zeros(4), np.zeros(4))
+        table = RowTable(4)
         blocks = [
-            block_from_rows(iri("exact"), [lexical_vector("polar bear")],
-                            np.zeros((1, 4)), [1.0], [0.0]),
-            block_from_rows(iri("near"), [lexical_vector("polar bears")],
-                            np.zeros((1, 4)), [1.0], [0.0]),
-            block_from_rows(iri("far"), [lexical_vector("sea otter")],
-                            np.zeros((1, 4)), [1.0], [0.0]),
+            table.block(iri(name), [lexical_vector(text)], np.zeros((1, 4)), [1.0], [0.0])
+            for name, text in (("exact", "polar bear"), ("near", "polar bears"),
+                               ("far", "sea otter"))
         ]
-        ranked = rank_candidates(mention, blocks, RankingParams())
+        ranked = rank_candidates(mention, blocks, table, RankingParams())
         assert [c.entity for c in ranked] == [iri("exact"), iri("near"), iri("far")]
         assert ranked[0].score > ranked[1].score > ranked[2].score
 
     def test_empty(self):
         mention = MentionVectors({}, np.zeros(4), np.zeros(4))
-        assert rank_candidates(mention, [], RankingParams()) == []
+        assert rank_candidates(mention, [], RowTable(4), RankingParams()) == []
 
     def test_ties_break_by_iri(self):
         mention = MentionVectors(lexical_vector("tuna"), np.zeros(4), np.zeros(4))
+        table = RowTable(4)
         blocks = [
-            block_from_rows(iri(n), [lexical_vector("tuna")], np.zeros((1, 4)),
-                            [1.0], [0.0])
+            table.block(iri(n), [lexical_vector("tuna")], np.zeros((1, 4)), [1.0], [0.0])
             for n in ("zeta", "alpha", "mid")
         ]
-        ranked = rank_candidates(mention, blocks, RankingParams())
+        ranked = rank_candidates(mention, blocks, table, RankingParams())
         assert [c.entity for c in ranked] == [iri("alpha"), iri("mid"), iri("zeta")]
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(21)
         mention = random_mention(rng)
-        blocks = [random_block(rng, entity=f"c{i}") for i in range(6)]
-        base = rank_candidates(mention, blocks, RankingParams())
-        assert rank_candidates(mention, blocks[::-1], RankingParams()) == base
+        table = RowTable(8)
+        blocks = [random_block(rng, table, entity=f"c{i}") for i in range(6)]
+        base = rank_candidates(mention, blocks, table, RankingParams())
+        assert rank_candidates(mention, blocks[::-1], table, RankingParams()) == base
 
     def test_mention_index_recorded(self):
         mention = MentionVectors({}, np.zeros(4), np.zeros(4))
-        block = single_row_block("abc")
-        ranked = rank_candidates(mention, [block], RankingParams(), mention_index=7)
+        table = RowTable(4)
+        block = single_row_block(table, "abc")
+        ranked = rank_candidates(mention, [block], table, RankingParams(), mention_index=7)
         assert ranked[0].mention_index == 7
 
 
