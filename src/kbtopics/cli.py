@@ -10,26 +10,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from .config import AppConfig, KbSource, dump_config, load_config
+from .config import AppConfig, KbSource, load_config
 from .errors import ConfigError, DataError, KbTopicsError
 from .index import CandidateIndex
 from .kb import Iri
 from .mentions import Document
-from .pipeline import build_index_from_config, open_classifier
+from .pipeline import CONFIG_COPY, build_index_from_config, open_classifier
 from .selection import TopicResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-CONFIG_COPY = "config.yaml"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -47,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kbtopics",
         description="Topical classification of publications against a knowledge base.",
     )
+    parser.add_argument(
+        "--log-level", default="warning", choices=("debug", "info", "warning", "error"),
+        help="least severe log messages written to stderr (default warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     build = sub.add_parser("build-index", help="preprocess a knowledge base into an index directory")
@@ -56,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kb", action="append", default=None, metavar="FILE",
         help="triple file (repeatable; overrides kb.paths from the config)",
     )
-    build.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
+    build.add_argument("--force", action="store_true",
+                       help="replace the index in the output directory")
 
     classify = sub.add_parser("classify", help="classify a JSONL corpus against an index")
     classify.add_argument("--index", required=True, help="index directory")
@@ -85,12 +89,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
         paths = tuple(Path(p).resolve() for p in args.kb)
         config = replace(config, kb=KbSource(paths=paths, lenient=config.kb.lenient))
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.force:
+    if out.is_dir() and any(out.iterdir()) and not args.force:
         raise ConfigError(
             f"output directory {out} is not empty; pass --force to rebuild"
         )
     report = build_index_from_config(config, out)
-    (out / CONFIG_COPY).write_text(dump_config(config), encoding="utf-8")
     for timing in report.timings:
         print(f"{timing.name:<13} {timing.seconds:8.3f}s  {timing.detail}")
     print(f"index written to {out} ({report.manifest.record_count} records)")
@@ -235,6 +238,13 @@ def main(argv: list[str] | None = None) -> int:
         "classify": cmd_classify,
         "expand-debug": cmd_expand_debug,
     }
+    # the library's messages as Python prints them when nothing is
+    # configured, from the chosen level up
+    log = logging.getLogger("kbtopics")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
@@ -255,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # last resort: never trace-dump on users
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

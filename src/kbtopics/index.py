@@ -6,7 +6,9 @@ An index directory holds four files:
   strings.json   string table: entity IRIs, field names, texts, and the
                  token and 3-gram terms of the postings
   columns.bin    records and postings as CSR arrays over those strings
-  vectors.bin    precomputed vectors, columns addressed by text id (see
+  vectors.bin    precomputed vectors: the lexical ones by gram (a gram
+                 vocabulary with each gram's postings of text ids and
+                 values), the semantic ones as one matrix by text id (see
                  vector_store)
 
 An entity is indexed iff it has at least one registered text field; its
@@ -16,8 +18,8 @@ index names has an entity id: the records first, in record order, then the
 related and parent entities without a record, in order of first appearance;
 those stay addressable because they can be where two neighborhoods meet.
 Texts are numbered in record order, then text order within a record; that
-text id addresses the texts, the postings and the vector columns, so a
-record's texts are one contiguous id range.
+text id addresses the texts, the postings and the vectors, so a record's
+texts are one contiguous id range.
 
 ``columns.bin`` is little-endian: an 8-byte magic, one ``<u8`` element
 count per section, then the sections in this order, each zero-padded to a
@@ -63,22 +65,25 @@ import hashlib
 import json
 import logging
 import math
+import os
+import shutil
 import struct
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood
 from .kb import Iri, KnowledgeBase, entity_texts
-from .ranking import CandidateBlocks, LexicalRows
-from .vector_store import VectorStore, VectorStoreWriter
+from .ranking import CandidateBlocks
+from .vector_store import VectorStore, VectorStoreWriter, ranges
 from .vectors import (
     EmbeddingTable,
     NGRAM_SIZES,
@@ -91,7 +96,7 @@ from .vectors import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
 STRINGS_FILE = "strings.json"
@@ -374,14 +379,10 @@ def build_index(
         with VectorStoreWriter(out / VECTORS_FILE, encoders.table.dim) as store:
             for uri in uris:
                 for field, text, weight in entity_texts(kb, uri):
-                    text_id = store.put(encoders.lexical(text), encoders.semantic(text))
+                    store.put(encoders.lexical(text), encoders.semantic(text))
                     texts.append(text)
                     columns["text_fields"].append(field_ids.setdefault(field, len(field_ids)))
                     columns["text_weights"].append(weight)
-                    for postings, terms in ((token_postings, tokenize(text)),
-                                            (gram_postings, char_ngrams(text, (3,)))):
-                        for term, tf in Counter(terms).items():
-                            postings.setdefault(term, []).append((text_id, tf))
                 nbh = neighborhoods.get(uri)
                 related = nbh.neighbors if nbh is not None else ((uri, 0.0),)
                 if related[0] != (uri, 0.0):
@@ -395,6 +396,13 @@ def build_index(
                         columns[values].append(value)
                     columns[f"{name}_indptr"].append(len(columns[values]))
                 columns["text_indptr"].append(len(texts))
+        # The postings are gathered after the vector file is closed, so that
+        # its sort by gram does not add to their memory.
+        for text_id, text in enumerate(texts):
+            for postings, terms in ((token_postings, tokenize(text)),
+                                    (gram_postings, char_ngrams(text, (3,)))):
+                for term, tf in Counter(terms).items():
+                    postings.setdefault(term, []).append((text_id, tf))
 
         tokens, grams = sorted(token_postings), sorted(gram_postings)
         plists = [token_postings[t] for t in tokens] + [gram_postings[g] for g in grams]
@@ -425,6 +433,51 @@ def build_index(
         raise DataError(f"index build failed in {out}: {exc}") from exc
     logger.info("built index: %d records, %d texts", manifest.record_count, len(texts))
     return manifest
+
+
+@contextmanager
+def replacing_dir(out_dir: str | Path) -> Iterator[Path]:
+    """Yield a new empty directory to build an index in; when the block
+    completes, rename it to ``out_dir``, replacing an index there whole.
+
+    ``out_dir`` is resolved through symbolic links and the directory is made
+    beside it, so its parent must be writable. An existing ``out_dir`` must
+    be an empty directory or hold an index (a manifest), and must not be a
+    mount point; otherwise ``ConfigError``, before anything is written. If
+    the block or the rename fails, ``out_dir`` is left as it was.
+    """
+    out = Path(os.path.realpath(out_dir))
+    if out.exists():
+        if not out.is_dir():
+            raise ConfigError(f"output {out_dir} is not a directory")
+        if any(out.iterdir()) and not (out / MANIFEST_FILE).is_file():
+            raise ConfigError(
+                f"output directory {out_dir} holds no index; only an index is replaced")
+        if os.path.ismount(out):
+            raise ConfigError(
+                f"output directory {out_dir} is a mount point and cannot be replaced; "
+                "build into a directory inside it")
+    tmp = out.with_name(f".{out.name}.tmp-{os.getpid()}-{os.urandom(4).hex()}")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp.mkdir()
+        yield tmp
+        old = None
+        if out.exists():
+            old = tmp.with_name(tmp.name + ".old")
+            out.rename(old)
+        try:
+            tmp.rename(out)
+        except OSError:
+            if old is not None:
+                old.rename(out)
+            raise
+        if old is not None:
+            shutil.rmtree(old, ignore_errors=True)
+    except OSError as exc:
+        raise DataError(f"index build failed in {out}: {exc}") from exc
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 class CandidateIndex:
@@ -607,14 +660,15 @@ class CandidateIndex:
             return range(0)
         return range(*self._text_range[pos:pos + 2])
 
-    def load_vectors(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
-        """Fetch the (lexical, semantic) vectors of the texts, one row per
-        id in the given order: CSR lexical rows and an (n, D) matrix. An id
-        outside the index raises IndexIntegrityError."""
-        return self._store.gather(text_ids)
+    def lexical_cosines(self, query: SparseVector, text_ids: Sequence[int]) -> np.ndarray:
+        """The lexical cosine of the query vector with each text, one per id
+        in the given order, read from the postings of the query's grams. An
+        id outside the index raises IndexIntegrityError."""
+        return self._store.lexical_cosines(query, text_ids)
 
     def semantic_rows(self, text_ids: Sequence[int]) -> np.ndarray:
-        """The semantic vectors alone of ``load_vectors``."""
+        """The texts' semantic vectors, one row per id in the given order: an
+        (n, D) copy. An id outside the index raises IndexIntegrityError."""
         return self._store.semantic(text_ids)
 
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
@@ -644,14 +698,14 @@ class CandidateIndex:
         pos = np.array(positions, dtype=np.intp)
         lo = self._related.indptr[pos]
         n_related = self._related.indptr[pos + 1] - lo
-        related = _ranges(lo, n_related)
+        related = ranges(lo, n_related)
         ids, distances = self._related.ids[related], self._related.distances[related]
         candidate = np.repeat(np.arange(len(pos)), n_related)
         indexed = ids < len(self)
         ids, distances, candidate = ids[indexed], distances[indexed], candidate[indexed]
         starts = self._text_start[ids]
         counts = self._text_start[ids + 1] - starts
-        text_ids = _ranges(starts, counts)
+        text_ids = ranges(starts, counts)
         return CandidateBlocks(
             entities=tuple(uris),
             sizes=np.bincount(candidate, weights=counts, minlength=len(pos)).astype(np.intp),
@@ -659,10 +713,3 @@ class CandidateIndex:
             field_weights=self._weights[text_ids],
             distances=np.repeat(distances, counts),
         )
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The integers [starts[i], starts[i] + counts[i]) for every i, in order."""
-    ends = np.cumsum(counts)
-    total = ends[-1] if ends.size else 0
-    return np.repeat(starts - (ends - counts), counts) + np.arange(total)

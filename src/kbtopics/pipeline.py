@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .coherence import apply_boosts, build_similarity, greedy_prune
-from .config import AppConfig
+from .config import AppConfig, dump_config
 from .edges import build_adjacency, compute_edge_weights, link_counts
 from .errors import ConfigError, KbTopicsError, PipelineError
 from .expansion import expand_all
@@ -37,6 +37,7 @@ from .index import (
     IndexManifest,
     build_index,
     compute_parents,
+    replacing_dir,
 )
 from .kb import (
     Iri,
@@ -60,6 +61,8 @@ from .vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 logger = logging.getLogger(__name__)
 
+CONFIG_COPY = "config.yaml"
+
 
 @dataclass(frozen=True)
 class StageTiming:
@@ -75,7 +78,13 @@ class BuildReport:
 
 
 def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildReport:
-    """Run every offline stage and write the index directory."""
+    """Run every offline stage and write the index directory, with a copy of
+    ``config`` beside the index files (``CONFIG_COPY``).
+
+    The directory is built under a temporary name beside ``out_dir`` and
+    renamed into place when complete (see ``replacing_dir``): an index
+    already there is replaced whole, and a failed build leaves it as it was.
+    """
     if not config.kb.paths:
         raise ConfigError("kb.paths is empty; nothing to index")
     if config.embedding_file is None:
@@ -86,56 +95,58 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
     def staged(name: str, started: float, detail: str) -> None:
         timings.append(StageTiming(name, time.perf_counter() - started, detail))
 
-    stage = "load"
+    stage = ""
     try:
-        t = time.perf_counter()
-        stats = LoadStats()
-        triples = []
-        for path in config.kb.paths:
-            triples.extend(iter_triple_file(path, strict=not config.kb.lenient, stats=stats))
-        kb = KnowledgeBase.from_triples(triples, config.registry)
-        staged("load", t, f"{len(kb.triples)} triples, {len(kb.entities)} entities, "
-                          f"{stats.skipped_lines} lines skipped, "
-                          f"{stats.dropped_non_english} non-English literals dropped")
+        with replacing_dir(out_dir) as tmp:
+            stage = "load"
+            t = time.perf_counter()
+            stats = LoadStats()
+            triples = []
+            for path in config.kb.paths:
+                triples.extend(iter_triple_file(path, strict=not config.kb.lenient, stats=stats))
+            kb = KnowledgeBase.from_triples(triples, config.registry)
+            staged("load", t, f"{len(kb.triples)} triples, {len(kb.entities)} entities, "
+                              f"{stats.skipped_lines} lines skipped, "
+                              f"{stats.dropped_non_english} non-English literals dropped")
 
-        stage = "cross-refs"
-        t = time.perf_counter()
-        kb, xrefs = normalize_cross_refs(kb)
-        staged("cross-refs", t, f"{xrefs.converted} converted, {xrefs.unresolved} unresolved")
+            stage = "cross-refs"
+            t = time.perf_counter()
+            kb, xrefs = normalize_cross_refs(kb)
+            staged("cross-refs", t, f"{xrefs.converted} converted, {xrefs.unresolved} unresolved")
 
-        stage = "prune"
-        t = time.perf_counter()
-        kb, removed = prune_triples(kb)
-        staged("prune", t, f"{removed} triples removed")
+            stage = "prune"
+            t = time.perf_counter()
+            kb, removed = prune_triples(kb)
+            staged("prune", t, f"{removed} triples removed")
 
-        stage = "edge-weights"
-        t = time.perf_counter()
-        weighted = list(
-            compute_edge_weights(kb, config.edge_weights, memory_budget=config.memory_budget)
-        )
-        adjacency = build_adjacency(weighted)
-        staged("edge-weights", t, f"{len(weighted)} weighted edges")
+            stage = "edge-weights"
+            t = time.perf_counter()
+            weighted = list(
+                compute_edge_weights(kb, config.edge_weights, memory_budget=config.memory_budget)
+            )
+            adjacency = build_adjacency(weighted)
+            staged("edge-weights", t, f"{len(weighted)} weighted edges")
 
-        stage = "expansion"
-        t = time.perf_counter()
-        seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
-        neighborhoods = expand_all(adjacency, seeds, config.expansion)
-        staged("expansion", t, f"{len(seeds)} neighborhoods")
+            stage = "expansion"
+            t = time.perf_counter()
+            seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
+            neighborhoods = expand_all(adjacency, seeds, config.expansion)
+            staged("expansion", t, f"{len(seeds)} neighborhoods")
 
-        stage = "parents"
-        t = time.perf_counter()
-        counts = link_counts(kb)
-        parents = {e: compute_parents(kb, e, config.parents, counts) for e in seeds}
-        staged("parents", t, f"{sum(len(v) for v in parents.values())} parent links")
+            stage = "parents"
+            t = time.perf_counter()
+            counts = link_counts(kb)
+            parents = {e: compute_parents(kb, e, config.parents, counts) for e in seeds}
+            staged("parents", t, f"{sum(len(v) for v in parents.values())} parent links")
 
-        stage = "index"
-        t = time.perf_counter()
-        table = EmbeddingTable.load(config.embedding_file)
-        encoders = Encoders(table=table, ngram_sizes=config.ngram_sizes)
-        manifest = build_index(
-            kb, neighborhoods, parents, encoders, out_dir, config_hash=config.config_hash()
-        )
-        staged("index", t, f"{manifest.record_count} records, {manifest.text_count} texts")
+            stage = "index"
+            t = time.perf_counter()
+            table = EmbeddingTable.load(config.embedding_file)
+            encoders = Encoders(table=table, ngram_sizes=config.ngram_sizes)
+            manifest = build_index(
+                kb, neighborhoods, parents, encoders, tmp, config_hash=config.config_hash())
+            (tmp / CONFIG_COPY).write_text(dump_config(config), encoding="utf-8")
+            staged("index", t, f"{manifest.record_count} records, {manifest.text_count} texts")
     except KbTopicsError as exc:
         exc.stage = stage
         raise
@@ -163,8 +174,8 @@ class Classifier:
 
     def _candidates(self, lemma: str) -> CandidateRows:
         """The lemma's candidates with their rows' partial scores: retrieval,
-        one block gather and the sentence-independent kernel, once per lemma
-        while the memo holds it."""
+        the candidates' row addresses and the sentence-independent kernel,
+        once per lemma while the memo holds it."""
         with self._memo_lock:
             rows = self._memo.get(lemma)
             if rows is not None:

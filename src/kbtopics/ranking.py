@@ -22,27 +22,25 @@ depends only on the mention's lemma and the row, so it runs in two stages
 over the rows of all candidates of a mention, stacked in candidate order
 (``CandidateBlocks``, as an index gathers them):
 
-1. ``CandidateRows.for_lemma`` gathers the rows' vectors from a
-   ``VectorSource`` and computes ``partial = w_l*a(lex) + w_sm*a(sem)`` per
-   row. The lexical rows are CSR arrays: the query's keys are sorted once,
-   every element is matched against them with ``searchsorted`` and the
-   products are summed per row with ``bincount``; the semantic cosine is a
+1. ``CandidateRows.for_lemma`` asks a ``VectorSource`` for the rows'
+   lexical cosines with the lemma's vector (an index reads only the
+   postings of the lemma's grams) and their semantic vectors, and computes
+   ``partial = w_l*a(lex) + w_sm*a(sem)`` per row; the semantic cosine is a
    row-wise sum over the stacked rows.
 2. ``CandidateRows.scores`` gathers the rows' semantic vectors again, adds
    ``w_sc*a(ctx)`` for the mention's sentence, weights each row and sums
    each block's rows with ``np.add.reduceat``.
 
-A ``CandidateBlock`` holds only its rows' addresses (text ids) with their
+``CandidateBlocks`` hold only their rows' addresses (text ids) with their
 field weights and distances; the vectors stay in the index's memory map.
 So a classifier can keep the first stage per lemma for a few dozen bytes a
-row. ``rank_candidates`` and ``score_candidate`` stack blocks and run both
-stages.
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -76,94 +74,27 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
     return (1.0 + np.exp(alpha - beta * np.asarray(x, dtype=np.float64))) ** -2.0
 
 
-@dataclass(frozen=True)
-class MentionVectors:
-    """The three query vectors of one mention: lexical surface, semantic
-    surface, semantic sentence context."""
-
-    lex: SparseVector
-    sem: np.ndarray
-    ctx: np.ndarray
-
-
-@dataclass(frozen=True)
-class LexicalRows:
-    """Sparse unit rows in CSR form.
-
-    Row i holds ``keys[indptr[i]:indptr[i+1]]`` (uint64 gram hashes) and the
-    matching ``values``. Keys must be uint64: gram hashes use all 64 bits, and
-    any other integer or float dtype would mis-compare keys at or above 2**63.
-    Iterating yields each row as a ``SparseVector`` dict.
-    """
-
-    keys: np.ndarray                  # (nnz,) uint64
-    values: np.ndarray                # (nnz,) float64
-    indptr: np.ndarray                # (n + 1,) row starts, indptr[0] == 0
-
-    def __post_init__(self) -> None:
-        if self.keys.dtype != np.uint64:
-            raise ValueError(f"lexical keys must be uint64, got {self.keys.dtype}")
-        if self.indptr[-1] != self.keys.shape[0] or self.values.shape != self.keys.shape:
-            raise ValueError("lexical rows: indptr, keys and values disagree")
-
-    def __len__(self) -> int:
-        return self.indptr.shape[0] - 1
-
-    def __iter__(self) -> Iterator[SparseVector]:
-        keys, values, bounds = self.keys.tolist(), self.values.tolist(), self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield dict(zip(keys[lo:hi], values[lo:hi]))
-
-
 class VectorSource(Protocol):
-    """Vectors of texts by text id, one row per id in the given order (an
-    opened ``CandidateIndex``)."""
+    """Similarities and vectors of texts by text id, one row per id in the
+    given order (an opened ``CandidateIndex``)."""
 
-    def load_vectors(self, text_ids: np.ndarray) -> tuple[LexicalRows, np.ndarray]: ...
+    def lexical_cosines(self, query: SparseVector, text_ids: np.ndarray) -> np.ndarray: ...
 
     def semantic_rows(self, text_ids: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
-class CandidateBlock:
-    """All scoring rows of one candidate, by address: the text ids of its
-    own texts and of its neighborhood's, with per-row field weights and
-    owner distances."""
-
-    entity: Iri
-    text_ids: np.ndarray              # (n,) integer text ids
-    field_weights: np.ndarray         # (n,)
-    distances: np.ndarray             # (n,), w_e of each row's owner
-
-    def __post_init__(self) -> None:
-        if not (self.text_ids.shape[0] == self.field_weights.shape[0]
-                == self.distances.shape[0]):
-            raise ValueError("candidate block row counts disagree")
-
-    def __len__(self) -> int:
-        return self.text_ids.shape[0]
-
-
-@dataclass(frozen=True)
 class CandidateBlocks:
-    """The blocks of several candidates stacked in candidate order:
-    candidate i owns the next ``sizes[i]`` rows."""
+    """All scoring rows of several candidates, by address, stacked in
+    candidate order: candidate i owns the next ``sizes[i]`` rows, the texts
+    of itself and of its neighborhood, with per-row field weights and owner
+    distances."""
 
     entities: tuple[Iri, ...]
     sizes: np.ndarray                 # (candidates,) rows per candidate
     text_ids: np.ndarray              # (rows,)
     field_weights: np.ndarray         # (rows,)
-    distances: np.ndarray             # (rows,)
-
-    @classmethod
-    def stack(cls, blocks: Sequence[CandidateBlock]) -> "CandidateBlocks":
-        def column(name: str, dtype) -> np.ndarray:
-            return np.concatenate([getattr(b, name) for b in blocks] or [np.zeros(0, dtype)])
-
-        return cls(tuple(b.entity for b in blocks),
-                   np.array([len(b) for b in blocks], dtype=np.intp),
-                   column("text_ids", np.intp), column("field_weights", np.float64),
-                   column("distances", np.float64))
+    distances: np.ndarray             # (rows,), w_e of each row's owner
 
 
 @dataclass(frozen=True)
@@ -176,27 +107,6 @@ class ScoredCandidate:
     @property
     def effective(self) -> float:
         return self.score * self.boost
-
-
-def _lexical_cosines(query: SparseVector, rows: LexicalRows) -> np.ndarray:
-    """Dot product of the query with every row."""
-    pairs = sorted(query.items())
-    q_keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-    q_vals = np.array([v for _, v in pairs], dtype=np.float64)
-    keys = rows.keys
-    # Most elements match no query key; a table of the query keys' low 12
-    # bits screens them out before the exact (and slower) binary search.
-    low_bits = np.zeros(1 << 12, dtype=bool)
-    low_bits[(q_keys & 0xFFF).astype(np.intp)] = True
-    cand = low_bits[(keys & 0xFFF).astype(np.intp)].nonzero()[0]
-    pos = np.searchsorted(q_keys, keys[cand])
-    pos[pos == q_keys.shape[0]] = 0
-    match = q_keys[pos] == keys[cand]
-    hit, pos = cand[match], pos[match]
-    n_rows = len(rows)
-    row_ids = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
-    return np.bincount(row_ids[hit], weights=rows.values[hit] * q_vals[pos],
-                       minlength=n_rows)
 
 
 @dataclass(frozen=True)
@@ -215,12 +125,12 @@ class CandidateRows:
     def for_lemma(cls, lex: SparseVector, sem: np.ndarray, blocks: CandidateBlocks,
                   vectors: VectorSource, params: RankingParams) -> "CandidateRows":
         """Stage one, for the lexical and semantic vectors of a mention's lemma."""
-        lex_rows, sem_matrix = vectors.load_vectors(blocks.text_ids)
         n = blocks.text_ids.shape[0]
+        sem_matrix = vectors.semantic_rows(blocks.text_ids)
         # row-wise sums rather than a BLAS product, whose rounding can depend
         # on a row's position in the stack: a block scores the same wherever
         # it sits
-        act = activation(np.concatenate([_lexical_cosines(lex, lex_rows),
+        act = activation(np.concatenate([vectors.lexical_cosines(lex, blocks.text_ids),
                                          (sem_matrix * sem).sum(axis=1)]),
                          params.alpha, params.beta)
         filled = blocks.sizes > 0
@@ -250,26 +160,3 @@ class CandidateRows:
                   zip(self.blocks.entities, self.scores(ctx, vectors, params).tolist())]
         scored.sort(key=lambda c: (-c.score, c.entity))
         return scored
-
-
-def score_candidate(
-    mention: MentionVectors, block: CandidateBlock, vectors: VectorSource,
-    params: RankingParams,
-) -> float:
-    """Total activated, field-weighted, distance-attenuated similarity."""
-    rows = CandidateRows.for_lemma(
-        mention.lex, mention.sem, CandidateBlocks.stack([block]), vectors, params)
-    return float(rows.scores(mention.ctx, vectors, params)[0])
-
-
-def rank_candidates(
-    mention: MentionVectors,
-    blocks: Sequence[CandidateBlock],
-    vectors: VectorSource,
-    params: RankingParams,
-    mention_index: int = 0,
-) -> list[ScoredCandidate]:
-    """Score every block; descending by score, ties broken by entity IRI."""
-    rows = CandidateRows.for_lemma(
-        mention.lex, mention.sem, CandidateBlocks.stack(blocks), vectors, params)
-    return rows.rank(mention.ctx, vectors, params, mention_index)

@@ -1,20 +1,27 @@
-"""Columnar vector file addressed by text id.
+"""Vector file: lexical vectors column-major by gram, semantic rows by text id.
 
 Layout, all little-endian, every section a whole number of 8-byte words:
 
-  magic     8 bytes               b"KBTVEC02"
-  header    <u8 x 3               n_texts, dim, nnz
-  indptr    <i8 x (n_texts + 1)   text i's lexical elements: [indptr[i], indptr[i+1])
-  keys      <u8 x nnz             gram hashes, ascending within each text
-  values    <f8 x nnz             their weights
-  semantic  <f8 x (n_texts, dim)  one row per text
+  magic     8 bytes                b"KBTVEC04"
+  header    <u8 x 4                n_texts, dim, n_grams, nnz
+  vocab     <u8 x n_grams          gram hashes, strictly ascending
+  indptr    <i8 x (n_grams + 1)    gram g's postings: [indptr[g], indptr[g+1])
+  texts     <i4 x nnz              text ids, ascending within each gram,
+                                   zero-padded to a whole 8-byte word
+  values    <f8 x nnz              the gram's weight in each text's vector
+  semantic  <f8 x (n_texts, dim)   one row per text
 
 Text ids are 0..n_texts-1 in the order the writer received the vectors. The
-reader maps the file once, checks that the header, the file size and the row
-pointers agree, and exposes the columns as zero-copy views over the map; a
-batch of text ids is gathered with one fancy index per column, so the
-returned arrays are copies and never pin the map. ``semantic`` gathers the
-semantic rows alone.
+reader maps the file once, checks the header against the file size, the
+vocabulary's order, the gram pointers and the posting text ids' range, and
+exposes the sections as zero-copy views over the map.
+
+A query's lexical cosines (``LexicalColumns.cosines``) read only the
+postings of the grams the query holds: one ``searchsorted`` of its sorted
+keys in the vocabulary, their postings concatenated in ascending key order
+and summed per text with ``bincount``. Each text's terms are therefore added
+in ascending key order, as a row-major dot product over sorted keys would
+add them. Results are copies and never pin the map.
 """
 
 from __future__ import annotations
@@ -22,21 +29,57 @@ from __future__ import annotations
 import mmap
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IndexFormatError, IndexIntegrityError
-from .ranking import LexicalRows
 from .vectors import SparseVector
 
-MAGIC = b"KBTVEC02"
+MAGIC = b"KBTVEC04"
 
-_HEADER = struct.Struct("<8s3Q")  # magic, n_texts, dim, nnz
+_HEADER = struct.Struct("<8s4Q")  # magic, n_texts, dim, n_grams, nnz
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers [starts[i], starts[i] + counts[i]) for every i, in order."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total)
+
+
+class LexicalColumns(NamedTuple):
+    """Lexical vectors of ``n_texts`` texts stored by gram: ``vocab[g]``'s
+    postings are ``texts[indptr[g]:indptr[g + 1]]`` with those ``values``."""
+
+    vocab: np.ndarray                 # (n_grams,) uint64, strictly ascending
+    indptr: np.ndarray                # (n_grams + 1,)
+    texts: np.ndarray                 # (nnz,) text ids
+    values: np.ndarray                # (nnz,) float64
+    n_texts: int
+
+    def cosines(self, query: SparseVector, text_ids: np.ndarray) -> np.ndarray:
+        """Dot product of the query with each text's vector, one per id in
+        the given order."""
+        pairs = sorted(query.items())
+        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+        q_values = np.array([v for _, v in pairs], dtype=np.float64)
+        pos = np.searchsorted(self.vocab, keys)
+        found = pos < self.vocab.shape[0]
+        found[found] = self.vocab[pos[found]] == keys[found]
+        grams = pos[found]
+        starts = self.indptr[grams]
+        counts = self.indptr[grams + 1] - starts
+        take = ranges(starts, counts)
+        per_text = np.bincount(
+            self.texts[take], weights=self.values[take] * np.repeat(q_values[found], counts),
+            minlength=self.n_texts)
+        return per_text[text_ids]
 
 
 class VectorStoreWriter:
-    """Write side, one writer per file: buffers the vectors, writes the columns on close."""
+    """Write side, one writer per file: buffers the vectors in input order
+    and transposes the lexical ones by gram on close."""
 
     def __init__(self, path: str | Path, dim: int):
         self._path = Path(path)
@@ -53,22 +96,39 @@ class VectorStoreWriter:
         sem = np.asarray(sem, dtype="<f8")
         if sem.shape != (self._dim,):
             raise ValueError(f"semantic vector shape {sem.shape}, expected ({self._dim},)")
-        keys = np.fromiter(lex, "<u8", len(lex))
-        order = np.argsort(keys)
-        self._keys += keys[order].tobytes()
-        self._values += np.fromiter(lex.values(), "<f8", len(lex))[order].tobytes()
+        self._keys += np.fromiter(lex, "<u8", len(lex)).tobytes()
+        self._values += np.fromiter(lex.values(), "<f8", len(lex)).tobytes()
         self._semantic += sem.tobytes()
         self._row_nnz.append(len(lex))
         return len(self._row_nnz) - 1
 
     def close(self) -> None:
         n = len(self._row_nnz)
-        indptr = np.zeros(n + 1, dtype="<i8")
-        np.cumsum(self._row_nnz, out=indptr[1:])
+        # A stable sort by key keeps each gram's text ids in input order,
+        # ascending. Every permuted column is written and dropped before the
+        # next is made.
+        keys = np.frombuffer(self._keys, "<u8")
+        nnz = keys.shape[0]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(nnz, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        vocab = keys[starts]
+        del keys, first
         with self._path.open("wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, n, self._dim, int(indptr[-1])))
-            for column in (indptr.tobytes(), self._keys, self._values, self._semantic):
-                fh.write(column)
+            fh.write(_HEADER.pack(MAGIC, n, self._dim, vocab.shape[0], nnz))
+            # arrays are written through their buffers, without a bytes copy
+            fh.write(vocab)
+            fh.write(np.append(starts, nnz).astype("<i8"))
+            texts = np.repeat(np.arange(n, dtype="<i4"), self._row_nnz)[order]
+            fh.write(texts)
+            fh.write(bytes(-texts.nbytes % 8))
+            del texts
+            fh.write(np.frombuffer(self._values, "<f8")[order])
+            fh.write(self._semantic)
+        # freed now, not when the writer is dropped: a build goes on after it
+        self._keys, self._values, self._semantic = bytearray(), bytearray(), bytearray()
 
     def __enter__(self) -> "VectorStoreWriter":
         return self
@@ -78,7 +138,8 @@ class VectorStoreWriter:
 
 
 class VectorStore:
-    """Read side: text-id-addressed columns over one shared memory map."""
+    """Read side: lexical columns by gram and semantic rows by text id, over
+    one shared memory map."""
 
     def __init__(self, path: str | Path):
         path = Path(path)
@@ -91,7 +152,7 @@ class VectorStore:
         except ValueError as exc:
             self._file.close()
             raise IndexFormatError(f"vector store {path} is empty") from exc
-        self._indptr = self._keys = self._values = self._semantic = None
+        self.lexical = self._semantic = None
         try:
             self._map_columns(path)
         except (IndexFormatError, IndexIntegrityError):
@@ -104,22 +165,31 @@ class VectorStore:
         size = len(self._map)
         if size < _HEADER.size or self._map[: len(MAGIC)] != MAGIC:
             raise IndexFormatError(f"{path} is not a vector store (bad magic)")
-        _, n, dim, nnz = _HEADER.unpack_from(self._map)
-        expected = _HEADER.size + 8 * (n + 1 + 2 * nnz + n * dim)
+        _, n, dim, n_grams, nnz = _HEADER.unpack_from(self._map)
+        text_bytes = -(-4 * nnz // 8) * 8
+        expected = _HEADER.size + 8 * (2 * n_grams + 1 + nnz + n * dim) + text_bytes
         if size != expected:
             raise IndexIntegrityError(
                 f"vector store {path} is {size} bytes, its header implies {expected}")
         self.n_texts, self.dim = n, dim
-        offset = _HEADER.size
-        self._indptr = np.frombuffer(self._map, "<i8", n + 1, offset)
-        offset += 8 * (n + 1)
-        self._keys = np.frombuffer(self._map, "<u8", nnz, offset)
-        self._values = np.frombuffer(self._map, "<f8", nnz, offset + 8 * nnz)
-        offset += 16 * nnz
-        self._semantic = np.frombuffer(self._map, "<f8", n * dim, offset).reshape(n, dim)
-        if self._indptr[0] != 0 or self._indptr[-1] != nnz \
-                or np.any(self._indptr[1:] < self._indptr[:-1]):
-            raise IndexIntegrityError(f"vector store {path}: row pointers corrupt")
+        indptr_at = _HEADER.size + 8 * n_grams
+        texts_at = indptr_at + 8 * (n_grams + 1)
+        values_at = texts_at + text_bytes
+        self.lexical = LexicalColumns(
+            np.frombuffer(self._map, "<u8", n_grams, _HEADER.size),
+            np.frombuffer(self._map, "<i8", n_grams + 1, indptr_at),
+            np.frombuffer(self._map, "<i4", nnz, texts_at),
+            np.frombuffer(self._map, "<f8", nnz, values_at), n)
+        self._semantic = np.frombuffer(
+            self._map, "<f8", n * dim, values_at + 8 * nnz).reshape(n, dim)
+        if np.any(self.lexical.vocab[1:] <= self.lexical.vocab[:-1]):
+            raise IndexIntegrityError(f"vector store {path}: gram vocabulary not ascending")
+        if self.lexical.indptr[0] != 0 or self.lexical.indptr[-1] != nnz \
+                or np.any(self.lexical.indptr[1:] < self.lexical.indptr[:-1]):
+            raise IndexIntegrityError(f"vector store {path}: gram pointers corrupt")
+        if nnz and (self.lexical.texts.min() < 0 or self.lexical.texts.max() >= n):
+            raise IndexIntegrityError(
+                f"vector store {path}: posting text id out of range [0, {n})")
 
     def _ids(self, text_ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(text_ids, dtype=np.intp)
@@ -129,17 +199,10 @@ class VectorStore:
                 f"{int(ids.min())}..{int(ids.max())}")
         return ids
 
-    def gather(self, text_ids: Sequence[int]) -> tuple[LexicalRows, np.ndarray]:
-        """(lexical, semantic) vectors of the texts, one row per id in the
-        given order: CSR lexical rows and an (n, dim) matrix, both copies."""
-        ids = self._ids(text_ids)
-        starts = self._indptr[ids]
-        lengths = self._indptr[ids + 1] - starts
-        indptr = np.zeros(ids.shape[0] + 1, dtype=np.intp)
-        np.cumsum(lengths, out=indptr[1:])
-        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        lex = LexicalRows(keys=self._keys[take], values=self._values[take], indptr=indptr)
-        return lex, self._semantic[ids]
+    def lexical_cosines(self, query: SparseVector, text_ids: Sequence[int]) -> np.ndarray:
+        """The query's lexical cosine with each text, one per id in the given
+        order."""
+        return self.lexical.cosines(query, self._ids(text_ids))
 
     def semantic(self, text_ids: Sequence[int]) -> np.ndarray:
         """The texts' semantic vectors, one row per id in the given order: an
@@ -147,7 +210,7 @@ class VectorStore:
         return self._semantic[self._ids(text_ids)]
 
     def close(self) -> None:
-        self._indptr = self._keys = self._values = self._semantic = None
+        self.lexical = self._semantic = None
         self._map.close()
         self._file.close()
 

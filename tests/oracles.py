@@ -25,14 +25,10 @@ from kbtopics.kb import (
     PropertyRegistry,
     iter_triple_file,
 )
-from kbtopics.ranking import (
-    CandidateBlock,
-    MentionVectors,
-    RankingParams,
-    VectorSource,
-    activation,
-)
+from kbtopics.ranking import RankingParams, activation
 from kbtopics.vectors import SparseVector, char_ngrams, tokenize
+
+from row_table import CandidateBlock, LexicalRows, MentionVectors, RowTable
 
 
 def parents_by_scan(
@@ -165,25 +161,15 @@ def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
     )
 
 
-def block_scores_one_stage(
-    mention: MentionVectors, blocks: Sequence[CandidateBlock], vectors: VectorSource,
-    params: RankingParams,
-) -> np.ndarray:
-    """Score of every block against one mention, in block order, by one
-    kernel over each block's loaded vectors: all three similarities of every
-    row, one activation over all of them, then the weighting and a sum per
-    block."""
-    loaded = [vectors.load_vectors(b.text_ids) for b in blocks]
-    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
-    n_rows = int(sizes.sum())
-    if n_rows == 0:
-        return np.zeros(len(blocks))
-    starts = np.cumsum(sizes) - sizes
-
-    query = sorted(mention.lex.items())
-    q_keys = np.array([k for k, _ in query], dtype=np.uint64)
-    q_vals = np.array([v for _, v in query], dtype=np.float64)
-    keys = np.concatenate([lex.keys for lex, _ in loaded])
+def lexical_cosines_by_rows(query: SparseVector, rows: LexicalRows) -> np.ndarray:
+    """Dot product of the query with every CSR row: every element of the rows
+    is screened against a table of the query keys' low 12 bits, the
+    candidates are matched by binary search and the products summed per row
+    in element order."""
+    pairs = sorted(query.items())
+    q_keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+    q_vals = np.array([v for _, v in pairs], dtype=np.float64)
+    keys = rows.keys
     low_bits = np.zeros(1 << 12, dtype=bool)
     low_bits[(q_keys & 0xFFF).astype(np.intp)] = True
     cand = low_bits[(keys & 0xFFF).astype(np.intp)].nonzero()[0]
@@ -191,12 +177,28 @@ def block_scores_one_stage(
     pos[pos == q_keys.shape[0]] = 0
     match = q_keys[pos] == keys[cand]
     hit, pos = cand[match], pos[match]
-    row_nnz = np.concatenate([lex.indptr[1:] - lex.indptr[:-1] for lex, _ in loaded])
-    row_ids = np.repeat(np.arange(n_rows), row_nnz)
-    values = np.concatenate([lex.values for lex, _ in loaded])
-    lex = np.bincount(row_ids[hit], weights=values[hit] * q_vals[pos], minlength=n_rows)
+    n_rows = len(rows)
+    row_ids = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
+    return np.bincount(row_ids[hit], weights=rows.values[hit] * q_vals[pos],
+                       minlength=n_rows)
 
-    sem_matrix = np.concatenate([sem for _, sem in loaded])
+
+def block_scores_one_stage(
+    mention: MentionVectors, blocks: Sequence[CandidateBlock], vectors: RowTable,
+    params: RankingParams,
+) -> np.ndarray:
+    """Score of every block against one mention, in block order, by one
+    kernel over the blocks' rows loaded row by row: all three similarities
+    of every row (the lexical one by the row kernel), one activation over
+    all of them, then the weighting and a sum per block."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    n_rows = int(sizes.sum())
+    if n_rows == 0:
+        return np.zeros(len(blocks))
+    starts = np.cumsum(sizes) - sizes
+
+    lex_rows, sem_matrix = vectors.load_vectors(np.concatenate([b.text_ids for b in blocks]))
+    lex = lexical_cosines_by_rows(mention.lex, lex_rows)
     sem = (sem_matrix * mention.sem).sum(axis=1)
     ctx = (sem_matrix * mention.ctx).sum(axis=1)
     act = activation(np.concatenate([lex, sem, ctx]), params.alpha, params.beta)

@@ -29,20 +29,16 @@ from kbtopics.edges import (
     compute_edge_weights,
 )
 from kbtopics.expansion import ExpansionParams, expand
-from kbtopics.index import CandidateIndex
+from kbtopics.index import VECTORS_FILE, CandidateIndex
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple, iter_triple_file
 from kbtopics.mentions import Document
 from kbtopics.pipeline import open_classifier
-from kbtopics.ranking import (
-    MentionVectors,
-    RankingParams,
-    activation,
-    score_candidate,
-)
+from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
+from kbtopics.vector_store import VectorStore
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from row_table import RowTable
+from row_table import MentionVectors, RowTable, rows_of, score_candidate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CONFIG = DATA / "reference_config.yaml"
@@ -477,9 +473,12 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     sizes = toy_config.ngram_sizes
     n_texts = 0
     worst_sem = 0.0
-    with CandidateIndex.open(index_dir) as idx:
+    # the lexical vectors are stored by gram; read back per text
+    with CandidateIndex.open(index_dir) as idx, \
+            VectorStore(Path(index_dir) / VECTORS_FILE) as store:
         for rec in idx.records:
-            lex, sem = idx.load_vectors(idx.text_ids(rec.uri))
+            ids = idx.text_ids(rec.uri)
+            lex, sem = rows_of(store.lexical, ids), idx.semantic_rows(ids)
             for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -13,7 +14,11 @@ import pytest
 import kbtopics
 from kbtopics import pipeline
 from kbtopics.cli import CONFIG_COPY, main
+from kbtopics import index as index_mod
 from kbtopics.index import COLUMNS_FILE, STRINGS_FILE, read_columns, write_columns
+from kbtopics.vector_store import VectorStore
+
+from row_table import rows_of
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CONFIG = DATA / "reference_config.yaml"
@@ -75,6 +80,49 @@ def test_build_force_overwrites(tmp_path):
     assert main(["build-index", "--config", str(CONFIG), "--out", str(out)]) == 0
     assert main(["build-index", "--config", str(CONFIG), "--out", str(out),
                  "--force"]) == 0
+
+
+def test_build_force_over_format_3_index_leaves_no_stale_files(index_dir, tmp_path):
+    out = format_3_copy(index_dir, tmp_path / "idx")
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in index_dir.iterdir())
+    assert json.loads((out / "manifest.json").read_text())["format_version"] == 4
+    # the build directory was renamed into place, and the old index is gone
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+
+def test_failed_build_leaves_previous_index(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "idx"
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def fail(path, columns):
+        raise OSError("disk full")
+    # vectors.bin is already written when the column file fails
+    monkeypatch.setattr(index_mod, "write_columns", fail)
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(out), "--force"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+
+def test_build_force_refuses_directory_without_index(tmp_path, capsys):
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(out), "--force"]) == 1
+    assert "holds no index" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_log_level_info_reports_the_build(tmp_path, capsys):
+    assert main(["--log-level", "info", "build-index", "--config", str(CONFIG),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert "built index: " in capsys.readouterr().err
+    # warning, the default, keeps the library's info lines out of stderr
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    assert not logging.getLogger("kbtopics").handlers
 
 
 def test_build_kb_override_missing_file_fails_in_load_stage(tmp_path, capsys):
@@ -300,6 +348,47 @@ def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
     assert "not an absolute IRI" in capsys.readouterr().err
 
 
+def format_3_copy(index_dir, dest):
+    """A copy of the index as format 3 wrote it: a manifest saying 3 and
+    the lexical vectors row by row in vectors.bin (magic, n_texts, dim,
+    nnz, row pointers, keys, values, semantic rows); with a file that no
+    index of this format has."""
+    copy_index(index_dir, dest)
+    with VectorStore(dest / "vectors.bin") as store:
+        ids = range(store.n_texts)
+        rows, sem = rows_of(store.lexical, ids), store.semantic(ids)
+    (dest / "vectors.bin").write_bytes(b"".join([
+        b"KBTVEC02", struct.pack("<3Q", *sem.shape, len(rows.keys)),
+        rows.indptr.astype("<i8").tobytes(), rows.keys.astype("<u8").tobytes(),
+        rows.values.astype("<f8").tobytes(), sem.astype("<f8").tobytes()]))
+    manifest = json.loads((dest / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 3
+    (dest / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (dest / "records.jsonl").write_text("{}\n", encoding="utf-8")
+    return dest
+
+
+def test_format_3_index_exits_2(index_dir, tmp_path, capsys):
+    old = format_3_copy(index_dir, tmp_path / "old")
+    code = main(["classify", "--index", str(old), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "index format 3 unsupported" in capsys.readouterr().err
+
+
+def test_corrupt_gram_vocabulary_exits_2(index_dir, tmp_path, capsys):
+    broken = copy_index(index_dir, tmp_path / "broken")
+    vectors = broken / "vectors.bin"
+    data = bytearray(vectors.read_bytes())
+    # the first two gram hashes swapped: the vocabulary no longer ascends
+    data[40:56] = data[48:56] + data[40:48]
+    vectors.write_bytes(bytes(data))
+    code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "vocabulary not ascending" in capsys.readouterr().err
+
+
 def test_format_2_index_exits_2(index_dir, tmp_path, capsys):
     old = copy_index(index_dir, tmp_path / "old")
     manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
@@ -315,9 +404,9 @@ def test_flipped_semantic_byte_exits_2(index_dir, tmp_path, capsys):
     broken = copy_index(index_dir, tmp_path / "broken")
     vectors = broken / "vectors.bin"
     data = bytearray(vectors.read_bytes())
-    n_texts, _, nnz = struct.unpack_from("<3Q", data, 8)
+    n_texts, dim = struct.unpack_from("<2Q", data, 8)
     # lowest byte of the first semantic component: the file stays well formed
-    data[32 + 8 * (n_texts + 1) + 16 * nnz] ^= 0x01
+    data[-8 * n_texts * dim] ^= 0x01
     vectors.write_bytes(bytes(data))
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])

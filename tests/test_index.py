@@ -30,13 +30,14 @@ from kbtopics.index import (
 from kbtopics.kb import (
     Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
 )
-from kbtopics.ranking import CandidateBlocks
 from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
 from oracles import (
-    block_by_loop, parents_by_scan, query_by_loop, text_lengths_by_tokenizing,
+    block_by_loop, lexical_cosines_by_rows, parents_by_scan, query_by_loop,
+    text_lengths_by_tokenizing,
 )
+from row_table import lexical_rows, rows_of, stack
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -555,9 +556,10 @@ class TestLabelsAndParents:
 class TestVectors:
     def test_cache_transparency(self, built, table):
         kb, _, path = built
-        with CandidateIndex.open(path) as idx:
+        with CandidateIndex.open(path) as idx, VectorStore(path / VECTORS_FILE) as store:
             for rec in idx.records:
-                lex, sem = idx.load_vectors(idx.text_ids(rec.uri))
+                ids = idx.text_ids(rec.uri)
+                lex, sem = rows_of(store.lexical, ids), idx.semantic_rows(ids)
                 for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
@@ -574,18 +576,36 @@ class TestVectors:
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
             ids = list(range(manifest.text_count))
-            lex, sem = idx.load_vectors(ids)
-            assert len(lex) == len(sem) == len(ids)
-            lex_again, sem_again = idx.load_vectors(ids[::-1])
-            assert list(lex_again) == list(lex)[::-1]
-            np.testing.assert_array_equal(sem_again, sem[::-1])
+            sem = idx.semantic_rows(ids)
+            assert sem.shape == (len(ids), idx.manifest.embedding_dim)
+            np.testing.assert_array_equal(idx.semantic_rows(ids[::-1]), sem[::-1])
+            for rec in idx.records:
+                for _, text, _ in rec.texts:
+                    lex = idx.lexical_cosines(lexical_vector(text), ids)
+                    assert lex.shape == (len(ids),) and lex.max() > 0.99
+                    assert idx.lexical_cosines(lexical_vector(text), ids[::-1]).tolist() \
+                        == lex[::-1].tolist()
 
     def test_out_of_range_ids_rejected(self, built):
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
             for bad in (-1, manifest.text_count):
                 with pytest.raises(IndexIntegrityError):
-                    idx.load_vectors([0, bad])
+                    idx.lexical_cosines(lexical_vector("polar bear"), [0, bad])
+                with pytest.raises(IndexIntegrityError):
+                    idx.semantic_rows([0, bad])
+
+
+TOP = 2**64 - 1  # gram hashes use all 64 bits
+# small keys, and keys at or above 2**63 with their near misses
+KEYS = st.one_of(st.integers(0, 40), st.integers(2**63 - 2, 2**63 + 2),
+                 st.integers(TOP - 2, TOP), st.just(TOP - 2**16))
+ROWS = st.dictionaries(KEYS, st.floats(0.01, 1.0), max_size=5)
+
+
+def assert_bitwise(got, want):
+    # as float64: either kernel gives integer zeros when no term matches
+    assert got.astype(np.float64).tobytes() == want.astype(np.float64).tobytes()
 
 
 def write_store(path, rows, dim):
@@ -593,42 +613,55 @@ def write_store(path, rows, dim):
         return [w.put(lex, np.array(sem, dtype=np.float64)) for lex, sem in rows]
 
 
+def edit_store(path, at, data):
+    """Overwrite the vector file's bytes from offset ``at`` with ``data``."""
+    old = path.read_bytes()
+    path.write_bytes(old[:at] + data + old[at + len(data):])
+
+
 class TestVectorStoreFile:
-    ROWS = [({5: 0.25, 2**64 - 1: 0.5, 2: 0.75}, [1.0, -2.0]),
+    ROWS = [({5: 0.25, TOP: 0.5, 2: 0.75}, [1.0, -2.0]),
             ({}, [0.0, 0.0]),
-            ({7: 1.0}, [0.6, 0.8])]
+            ({7: 0.6, 5: 0.8}, [0.6, 0.8])]
+    # offsets in the file of ROWS: a 40-byte header, then 4 grams
+    VOCAB_AT, INDPTR_AT, TEXTS_AT = 40, 72, 112
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "v.bin"
         assert write_store(path, self.ROWS, 2) == [0, 1, 2]
         with VectorStore(path) as store:
             assert (store.n_texts, store.dim) == (3, 2)
-            lex, sem = store.gather([0, 1, 2])
-            reverse_lex, reverse_sem = store.gather([2, 1, 0])
-            assert lex.keys.dtype == np.uint64
-            assert lex.keys[:3].tolist() == [2, 5, 2**64 - 1]
+            assert store.lexical.vocab.dtype == np.uint64
+            assert store.lexical.vocab.tolist() == [2, 5, 7, TOP]
+            lex = rows_of(store.lexical, [0, 1, 2])
             assert list(lex) == [rows for rows, _ in self.ROWS]
+            assert list(rows_of(store.lexical, [2, 1, 0])) == list(lex)[::-1]
+            sem = store.semantic([0, 1, 2])
             np.testing.assert_array_equal(sem, [sem for _, sem in self.ROWS])
-            assert list(reverse_lex) == list(lex)[::-1]
-            np.testing.assert_array_equal(reverse_sem, sem[::-1])
-            empty_lex, empty_sem = store.gather([])
-            assert len(empty_lex) == 0 and empty_sem.shape == (0, 2)
-        # gathered arrays are copies: they outlive the closed map
-        assert list(lex)[0][2**64 - 1] == 0.5 and sem[2].tolist() == [0.6, 0.8]
+            np.testing.assert_array_equal(store.semantic([2, 1, 0]), sem[::-1])
+            cosines = store.lexical_cosines({5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
+            assert cosines.tolist() == [0.25 + 0.25, 0.0, 0.8, 0.5]
+            assert store.lexical_cosines({}, [2, 0]).tolist() == [0.0, 0.0]
+            assert store.lexical_cosines({5: 1.0}, []).shape == (0,)
+            assert store.semantic([]).shape == (0, 2)
+        # results are copies: they outlive the closed map
+        assert cosines[2] == 0.8 and sem[2].tolist() == [0.6, 0.8]
 
     def test_file_bytes(self, tmp_path):
-        # the on-disk layout: magic, n_texts/dim/nnz, row pointers, keys
-        # sorted within each text, values, then the semantic rows; all
-        # little-endian and unpadded
+        # the on-disk layout: magic, n_texts/dim/n_grams/nnz, the ascending
+        # gram vocabulary, its posting pointers, the postings' text ids
+        # (ascending within a gram, padded to 8 bytes) and values, then the
+        # semantic rows; all little-endian
         path = tmp_path / "v.bin"
-        write_store(path, self.ROWS[:2], 2)
+        write_store(path, self.ROWS, 2)
         assert path.read_bytes() == b"".join([
             MAGIC,
-            struct.pack("<3Q", 2, 2, 3),
-            struct.pack("<3q", 0, 3, 3),
-            struct.pack("<3Q", 2, 5, 2**64 - 1),
-            struct.pack("<3d", 0.75, 0.25, 0.5),
-            struct.pack("<4d", 1.0, -2.0, 0.0, 0.0),
+            struct.pack("<4Q", 3, 2, 4, 5),
+            struct.pack("<4Q", 2, 5, 7, TOP),
+            struct.pack("<5q", 0, 1, 3, 4, 5),
+            struct.pack("<5i", 0, 0, 2, 2, 0) + b"\x00" * 4,
+            struct.pack("<5d", 0.75, 0.25, 0.8, 0.6, 0.5),
+            struct.pack("<6d", 1.0, -2.0, 0.0, 0.0, 0.6, 0.8),
         ])
 
     def test_empty_store(self, tmp_path):
@@ -636,8 +669,8 @@ class TestVectorStoreFile:
         write_store(path, [], 4)
         with VectorStore(path) as store:
             assert (store.n_texts, store.dim) == (0, 4)
-            lex, sem = store.gather([])
-            assert len(lex) == 0 and sem.shape == (0, 4)
+            assert store.lexical_cosines({5: 1.0}, []).shape == (0,)
+            assert store.semantic([]).shape == (0, 4)
 
     def test_wrong_semantic_dim(self, tmp_path):
         with pytest.raises(ValueError):
@@ -646,7 +679,7 @@ class TestVectorStoreFile:
     @pytest.mark.parametrize("edit", [
         lambda b: b[:-8],                     # truncated
         lambda b: b + b"\x00" * 8,            # trailing bytes
-        lambda b: b[:8] + struct.pack("<3Q", 3, 3, 4) + b[32:],  # header disagrees
+        lambda b: b[:8] + struct.pack("<4Q", 3, 2, 4, 6) + b[40:],  # header disagrees
     ], ids=["truncated", "trailing", "header"])
     def test_size_must_match_header(self, tmp_path, edit):
         path = tmp_path / "v.bin"
@@ -655,16 +688,33 @@ class TestVectorStoreFile:
         with pytest.raises(IndexIntegrityError, match="bytes"):
             VectorStore(path)
 
-    @pytest.mark.parametrize("indptr", [(0, 3, 1, 4), (1, 3, 3, 4), (0, 3, 3, 3)],
+    @pytest.mark.parametrize("indptr", [(0, 3, 1, 4, 5), (1, 1, 3, 4, 5), (0, 1, 3, 4, 4)],
                              ids=["decreasing", "nonzero-start", "short-end"])
     def test_corrupt_row_pointers(self, tmp_path, indptr):
+        # the gram pointers: gram g's postings are [indptr[g], indptr[g+1])
         path = tmp_path / "v.bin"
         write_store(path, self.ROWS, 2)
-        data = path.read_bytes()
-        path.write_bytes(data[:32] + struct.pack("<4q", *indptr) + data[64:])
+        edit_store(path, self.INDPTR_AT, struct.pack("<5q", *indptr))
         # the columns are already mapped when this check fails; the map must
         # still close cleanly
-        with pytest.raises(IndexIntegrityError, match="row pointers"):
+        with pytest.raises(IndexIntegrityError, match="gram pointers"):
+            VectorStore(path)
+
+    @pytest.mark.parametrize("vocab", [(2, 7, 5, TOP), (2, 5, 5, TOP)],
+                             ids=["swapped", "repeated"])
+    def test_vocabulary_must_ascend(self, tmp_path, vocab):
+        path = tmp_path / "v.bin"
+        write_store(path, self.ROWS, 2)
+        edit_store(path, self.VOCAB_AT, struct.pack("<4Q", *vocab))
+        with pytest.raises(IndexIntegrityError, match="vocabulary"):
+            VectorStore(path)
+
+    @pytest.mark.parametrize("text_id", [-1, 3])
+    def test_posting_text_ids_in_range(self, tmp_path, text_id):
+        path = tmp_path / "v.bin"
+        write_store(path, self.ROWS, 2)
+        edit_store(path, self.TEXTS_AT + 4 * 2, struct.pack("<i", text_id))
+        with pytest.raises(IndexIntegrityError, match="posting text id"):
             VectorStore(path)
 
     def test_out_of_range_ids(self, tmp_path):
@@ -673,7 +723,9 @@ class TestVectorStoreFile:
         with VectorStore(path) as store:
             for bad in ([-1], [3], [0, 3]):
                 with pytest.raises(IndexIntegrityError):
-                    store.gather(bad)
+                    store.lexical_cosines({5: 1.0}, bad)
+                with pytest.raises(IndexIntegrityError):
+                    store.semantic(bad)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "v.bin"
@@ -684,6 +736,14 @@ class TestVectorStoreFile:
     def test_format_1_magic_refused(self, tmp_path):
         p = tmp_path / "v.bin"
         p.write_bytes(b"KBTVEC01" + b"\x00" * 32)
+        with pytest.raises(IndexFormatError, match="magic"):
+            VectorStore(p)
+
+    def test_row_major_format_3_store_refused(self, tmp_path):
+        # format 3 kept the lexical vectors row by row under this magic
+        p = tmp_path / "v.bin"
+        p.write_bytes(b"KBTVEC02" + struct.pack("<3Q", 1, 1, 0) + struct.pack("<2q", 0, 0)
+                      + struct.pack("<d", 1.0))
         with pytest.raises(IndexFormatError, match="magic"):
             VectorStore(p)
 
@@ -750,12 +810,13 @@ class TestCandidateBlock:
 def assert_blocks_match_loop(idx, uris):
     """candidate_blocks of the uris, gathered together, loads no vectors and
     equals block_by_loop per uri, stacked."""
-    idx.load_vectors = lambda ids: pytest.fail("candidate_blocks loaded vectors")
+    idx.lexical_cosines = idx.semantic_rows = \
+        lambda *args: pytest.fail("candidate_blocks loaded vectors")
     try:
         blocks = idx.candidate_blocks(uris)
     finally:
-        del idx.load_vectors
-    want = CandidateBlocks.stack([block_by_loop(idx, uri) for uri in uris])
+        del idx.lexical_cosines, idx.semantic_rows
+    want = stack([block_by_loop(idx, uri) for uri in uris])
     assert blocks.entities == want.entities == tuple(uris)
     for name in ("sizes", "text_ids", "field_weights", "distances"):
         got, expected = getattr(blocks, name), getattr(want, name)
@@ -917,3 +978,38 @@ def assert_norms_match_tokenizing(idx):
     tokens, grams = text_lengths_by_tokenizing(idx)
     assert idx._token_norm == [math.sqrt(max(n, 1)) for n in tokens]
     assert idx._gram_norm == [math.sqrt(max(n, 1)) for n in grams]
+
+
+class TestLexicalCosines:
+    """The column kernel's cosines against the row kernel the library used
+    before (``oracles.lexical_cosines_by_rows``), bit for bit: a query's
+    terms are added per text in the same order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.lists(st.sampled_from(QUERY_WORDS), max_size=4), min_size=1, max_size=4),
+           st.lists(st.integers(0, 2**16), max_size=12))
+    def test_random_indexes_equal_row_kernel(self, tmp_path_factory, table, seed, queries,
+                                             picks):
+        path = random_index(seed, tmp_path_factory.mktemp("random"), table)
+        with CandidateIndex.open(path) as idx:
+            texts = [text for rec in idx.records for _, text, _ in rec.texts]
+            ids = [p % len(texts) for p in picks] if texts else []
+            rows = lexical_rows([lexical_vector(texts[i]) for i in ids])
+            for words in queries:
+                query = lexical_vector(" ".join(words))
+                assert_bitwise(idx.lexical_cosines(query, ids),
+                               lexical_cosines_by_rows(query, rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ROWS, max_size=8), ROWS, st.lists(st.integers(0, 2**16), max_size=12))
+    def test_hand_written_stores_equal_row_kernel(self, tmp_path_factory, rows, query, picks):
+        # rows without grams, keys at or above 2**63 and their near misses,
+        # an empty query, a text requested several times
+        path = tmp_path_factory.mktemp("store") / "v.bin"
+        write_store(path, [(row, [0.0]) for row in rows], 1)
+        ids = [p % len(rows) for p in picks] if rows else []
+        with VectorStore(path) as store:
+            assert list(rows_of(store.lexical, ids)) == [rows[i] for i in ids]
+            assert_bitwise(store.lexical_cosines(query, ids), lexical_cosines_by_rows(
+                query, lexical_rows([rows[i] for i in ids])))

@@ -114,6 +114,43 @@ def test_build_content_hash_deterministic(tmp_path, toy_config, built):
     assert again.manifest.content_hash == first.manifest.content_hash
 
 
+def test_build_writes_config_copy(built, toy_config):
+    out, _ = built
+    copy = load_config(out / pipeline.CONFIG_COPY)
+    assert copy.config_hash() == toy_config.config_hash()
+
+
+def test_build_refuses_to_replace_a_directory_without_index(tmp_path, toy_config):
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    with pytest.raises(ConfigError, match="holds no index"):
+        build_index_from_config(toy_config, out)
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["notes"]
+
+
+def test_build_replaces_the_index_behind_a_symlink(tmp_path, toy_config, built):
+    real = tmp_path / "real"
+    build_index_from_config(toy_config, real)
+    (real / "stale.bin").write_bytes(b"old")
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    build_index_from_config(toy_config, link)
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert sorted(p.name for p in real.iterdir()) == sorted(p.name for p in built[0].iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+def test_build_refuses_to_replace_a_mount_point(tmp_path, toy_config, monkeypatch):
+    out = tmp_path / "volume"
+    out.mkdir()
+    monkeypatch.setattr(os.path, "ismount", lambda path: Path(path) == out.resolve())
+    with pytest.raises(ConfigError, match="mount point"):
+        build_index_from_config(toy_config, out)
+    assert [p.name for p in tmp_path.iterdir()] == ["volume"]
+
+
 def test_open_classifier_requires_embedding(built, tmp_path):
     out, _ = built
     cfg = parse_config({}, tmp_path)

@@ -8,21 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri
-from kbtopics.ranking import (
-    CandidateBlock,
-    CandidateBlocks,
-    CandidateRows,
-    LexicalRows,
-    MentionVectors,
-    RankingParams,
-    ScoredCandidate,
-    activation,
-    rank_candidates,
-    score_candidate,
-)
+from kbtopics.ranking import CandidateRows, RankingParams, ScoredCandidate, activation
 from kbtopics.vectors import lexical_vector
 
-from row_table import RowTable
+from row_table import (
+    CandidateBlock, LexicalRows, MentionVectors, RowTable, rank_candidates, score_candidate,
+    stack,
+)
 from oracles import block_scores_one_stage, cosine_sparse
 
 EX = "http://example.org/"
@@ -186,9 +178,10 @@ class TestScoreCandidate:
 TOP = 2**64 - 1  # gram hashes use all 64 bits
 EDGE_CASES = {
     # keys that a float64 cast would merge (TOP and TOP - 1, 2**63 + 5 and
-    # + 6) and that a signed cast would wrap; TOP - 2**16 shares TOP's low
-    # bits, so it passes the kernel's low-bit screen and only the exact
-    # comparison tells them apart
+    # + 6) and that a signed cast would wrap: near misses of a query key
+    # that sort next to it in the gram vocabulary; TOP - 2**16 shares TOP's
+    # low bits, so it also passes the row oracle's low-bit screen and only
+    # the exact comparison tells them apart
     "keys_at_or_above_2_63": (
         {2**63 + 5: 0.6, TOP: 0.8},
         [[{TOP: 1.0}, {2**63 + 5: 0.6, TOP: 0.8}, {TOP - 1: 1.0}],
@@ -232,7 +225,7 @@ def edge_case(case):
 
 
 class TestKernelEdgeCases:
-    """The CSR kernel against the per-row oracle on inputs random blocks miss."""
+    """The column kernel against the per-row oracle on inputs random blocks miss."""
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_matches_per_row_oracle(self, case):
@@ -292,17 +285,18 @@ def assert_bitwise(got, want):
 
 
 class TestTwoStages:
-    """Stage one once per lemma, stage two per sentence, against the
-    one-stage kernel (``oracles.block_scores_one_stage``), bit for bit."""
+    """Stage one once per lemma (lexical cosines from the column kernel),
+    stage two per sentence, against the one-stage kernel over rows
+    (``oracles.block_scores_one_stage``), bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(scoring_inputs())
     def test_equal_one_stage_bitwise(self, inputs):
         table, blocks, lex, sem, contexts, params, perm = inputs
-        rows = CandidateRows.for_lemma(lex, sem, CandidateBlocks.stack(blocks), table, params)
+        rows = CandidateRows.for_lemma(lex, sem, stack(blocks), table, params)
         permuted = [blocks[i] for i in perm]
         rows_permuted = CandidateRows.for_lemma(
-            lex, sem, CandidateBlocks.stack(permuted), table, params)
+            lex, sem, stack(permuted), table, params)
         for ctx in contexts:  # one stage one serves every sentence
             mention = MentionVectors(lex, sem, ctx)
             want = block_scores_one_stage(mention, blocks, table, params)
@@ -318,7 +312,7 @@ class TestTwoStages:
         params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
         want = block_scores_one_stage(mention, blocks, table, params)
         rows = CandidateRows.for_lemma(
-            mention.lex, mention.sem, CandidateBlocks.stack(blocks), table, params)
+            mention.lex, mention.sem, stack(blocks), table, params)
         assert_bitwise(rows.scores(mention.ctx, table, params), want)
         for block, score in zip(blocks, want.tolist()):
             assert score_candidate(mention, block, table, params) == score
@@ -328,7 +322,7 @@ class TestTwoStages:
         table = RowTable(8)
         blocks = [random_block(rng, table, entity=f"c{i}") for i in range(3)]
         rows = CandidateRows.for_lemma(
-            {}, np.zeros(8), CandidateBlocks.stack(blocks), table, RankingParams())
+            {}, np.zeros(8), stack(blocks), table, RankingParams())
         assert rows.blocks.entities == tuple(b.entity for b in blocks)
         assert rows.blocks.text_ids.tolist() == [i for b in blocks for i in b.text_ids.tolist()]
         assert not any(isinstance(v, LexicalRows) or (isinstance(v, np.ndarray) and v.ndim > 1)
