@@ -174,11 +174,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             )
 
     started = time.perf_counter()
-    classifier = open_classifier(index_dir, config)
     docs = [payload for kind, payload in entries if kind == "doc"]
-    topic_lists = classifier.classify_batch(
-        docs, jobs=args.jobs, use_coherence=not args.no_coherence
-    )
+    with open_classifier(index_dir, config) as classifier:
+        topic_lists = classifier.classify_batch(
+            docs, jobs=args.jobs, use_coherence=not args.no_coherence
+        )
 
     results = iter(topic_lists)
     out_lines = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -97,7 +98,7 @@ def _get_bool(d: Mapping[str, Any], key: str, default: bool, context: str) -> bo
 
 def _get_real(d: Mapping[str, Any], key: str, default: float, context: str) -> float:
     value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
     return float(value)
 
@@ -156,7 +157,7 @@ def _parse_registry(raw: Mapping[str, Any], context: str) -> PropertyRegistry:
         raw.get("edge_base_weights"), f"{context}.edge_base_weights"
     ).items():
         ectx = f"{context}.edge_base_weights[{pred}]"
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or math.isnan(w):
             raise ConfigError(f"{ectx} must be a number, got {w!r}")
         edge_base_weights[_get_iri(pred, ectx)] = float(w)
 

@@ -19,6 +19,7 @@ resulting edge multiset is identical to the in-memory path.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -63,12 +64,14 @@ class EdgeWeightParams:
     default_base_weight: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.f_l < 0 or self.f_g < 0:
-            raise ConfigError("link and group exponents must be nonnegative")
+        if not (0 <= self.f_l < math.inf and 0 <= self.f_g < math.inf):
+            raise ConfigError("link and group exponents must be nonnegative and finite, "
+                              f"got {self.f_l} and {self.f_g}")
         if self.c_max < 1:
             raise ConfigError(f"c_max must be at least 1, got {self.c_max}")
-        if self.default_base_weight <= 0:
-            raise ConfigError("default base weight must be positive")
+        if not 0 < self.default_base_weight < math.inf:
+            raise ConfigError("default base weight must be positive and finite, "
+                              f"got {self.default_base_weight}")
 
 
 def link_counts(kb: KnowledgeBase) -> dict[Iri, int]:

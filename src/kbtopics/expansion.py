@@ -3,26 +3,45 @@
 For each seed entity we collect every node reachable within ``max_depth``
 hops whose cheapest admissible path costs at most ``max_distance``, together
 with that minimal cost. Plain Dijkstra is not enough: under a hop bound a
-longer-but-shallower path can dominate a shorter-but-deeper one, so the
-search keeps a Pareto frontier of (depth, distance) labels per node and
-prunes anything dominated on both axes.
+longer-but-shallower path can dominate a shorter-but-deeper one.
+
+All seeds are expanded at once over integer entity ids, numbered in sorted
+IRI order, by frontier relaxation (a hop-bounded Bellman-Ford). Round k
+extends every label of round k - 1 by one edge, drops any distance over
+``max_distance``, takes one minimum per (seed, node), and keeps as the next
+frontier only the labels that beat every distance the node had after fewer
+hops: a label that does not is dominated, on depth and distance, by one
+that was already extended. After ``max_depth`` rounds, or once the frontier
+is empty, each node's distance is its minimum over all rounds.
+
+This is exact, not an approximation of a best-first search: a path's cost
+is its weights summed left to right, and float ``+`` is monotone, so
+extending the minimum of a set of labels gives the minimum of their
+extensions. Each round's minimum is therefore the float cost of the
+cheapest path with that many hops, bit for bit. Neighbors are ordered by
+(distance, entity), the entity ids breaking ties as IRIs sort, and each
+neighborhood is cut to its first ``max_neighbors``.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DataError
 from .kb import Iri
+from .vector_store import ranges
 
 logger = logging.getLogger(__name__)
 
 Adjacency = Mapping[Iri, tuple[tuple[Iri, float], ...]]
 
-PROGRESS_EVERY = 1000
+# Seeds expanded together: bounds the relaxation's temporary arrays, which
+# grow with seeds times the nodes each one reaches.
+SEED_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -34,8 +53,8 @@ class ExpansionParams:
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be at least 1, got {self.max_depth}")
-        if self.max_distance <= 0:
-            raise ConfigError("max_distance must be positive")
+        if not self.max_distance > 0:  # also refuses NaN
+            raise ConfigError(f"max_distance must be positive, got {self.max_distance}")
         if self.max_neighbors < 1:
             raise ConfigError("max_neighbors must be at least 1")
 
@@ -58,57 +77,141 @@ class Neighborhood:
         return len(self.neighbors)
 
 
-def _admit(labels: dict[Iri, list[tuple[int, float]]], node: Iri,
-           depth: int, dist: float) -> bool:
-    """Record (depth, dist) for node unless an existing label dominates it;
-    drop labels the new one dominates."""
-    existing = labels.get(node)
-    if existing is None:
-        labels[node] = [(depth, dist)]
-        return True
-    for d0, w0 in existing:
-        if d0 <= depth and w0 <= dist:
-            return False
-    existing[:] = [(d0, w0) for d0, w0 in existing if not (depth <= d0 and dist <= w0)]
-    existing.append((depth, dist))
-    return True
+class Neighborhoods(Mapping[Iri, Neighborhood]):
+    """Every seed's neighborhood as one CSR over entity ids.
+
+    ``entities`` lists the id space in sorted IRI order; seed i is
+    ``entities[seeds[i]]`` and its neighborhood is ``ids[indptr[i]:indptr[i
+    + 1]]`` with those ``distances``, ordered as ``Neighborhood.neighbors``.
+    As a mapping it yields the seeds in the order they were given and builds
+    each ``Neighborhood`` when asked.
+    """
+
+    def __init__(self, entities: list[Iri], seeds: np.ndarray, indptr: np.ndarray,
+                 ids: np.ndarray, distances: np.ndarray):
+        lo = indptr[:-1]
+        if np.any(indptr[1:] <= lo) or np.any(ids[lo] != seeds) \
+                or np.any(distances[lo] != 0.0):
+            raise DataError("a neighborhood does not start with its seed at distance 0")
+        self.entities = entities
+        self.seeds = seeds
+        self.indptr = indptr
+        self.ids = ids
+        self.distances = distances
+        self._rows = {entities[s]: i for i, s in enumerate(seeds.tolist())}
+
+    def row(self, seed: Iri) -> int:
+        """The seed's row of the CSR; -1 if it is not a seed."""
+        return self._rows.get(seed, -1)
+
+    def __getitem__(self, seed: Iri) -> Neighborhood:
+        i = self._rows[seed]
+        lo, hi = self.indptr[i:i + 2].tolist()
+        return Neighborhood(seed, tuple(zip(
+            map(self.entities.__getitem__, self.ids[lo:hi].tolist()),
+            self.distances[lo:hi].tolist())))
+
+    def __iter__(self) -> Iterator[Iri]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
-def expand(edges: Adjacency, seed: Iri, params: ExpansionParams | None = None) -> Neighborhood:
-    """Best-first traversal from seed under the depth and distance bounds."""
-    params = params or ExpansionParams()
-    labels: dict[Iri, list[tuple[int, float]]] = {seed: [(0, 0.0)]}
-    best: dict[Iri, float] = {}
-    heap: list[tuple[float, Iri, int]] = [(0.0, seed, 0)]
-    while heap:
-        dist, node, depth = heapq.heappop(heap)
-        if (depth, dist) not in labels[node]:
-            continue  # superseded by a dominating label after being queued
-        prev = best.get(node)
-        if prev is None or dist < prev:
-            best[node] = dist
-        if depth == params.max_depth:
-            continue
-        for target, weight in edges.get(node, ()):
-            nd = dist + weight
-            if nd > params.max_distance:
-                break  # neighbors sorted by weight, the rest are farther
-            if _admit(labels, target, depth + 1, nd):
-                heapq.heappush(heap, (nd, target, depth + 1))
-    neighbors = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))
-    if len(neighbors) > params.max_neighbors:
-        neighbors = neighbors[: params.max_neighbors]
-    return Neighborhood(seed, tuple(neighbors))
+def _edge_csr(edges: Adjacency, nodes: dict[Iri, int]) -> tuple[np.ndarray, ...]:
+    """The adjacency as a CSR over node ids: node u's edges lead to
+    ``targets[indptr[u]:indptr[u + 1]]`` with those ``weights``."""
+    sources = np.repeat(np.fromiter((nodes[s] for s in edges), np.int64, len(edges)),
+                        [len(row) for row in edges.values()])
+    targets = np.array([nodes[t] for row in edges.values() for t, _ in row], dtype=np.int64)
+    weights = np.array([w for row in edges.values() for _, w in row], dtype=np.float64)
+    if not np.all(weights >= 0):  # also refuses NaN
+        raise ConfigError("edge weights must be nonnegative")
+    order = np.argsort(sources, kind="stable")
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=len(nodes)), out=indptr[1:])
+    return indptr, targets[order], weights[order]
+
+
+def _group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, each with its least distance."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.minimum.reduceat(dist[order], starts) if starts.size else dist[:0]
+
+
+def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
+           params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every (seed, node) label of the seeds' neighborhoods as keys
+    ``seed_row * n_nodes + node``, ascending, with their minimal distances."""
+    indptr, targets, weights = csr
+    keys = np.arange(seeds.shape[0], dtype=np.int64) * n_nodes + seeds
+    best = np.zeros(seeds.shape[0])
+    frontier_keys, frontier = keys, best
+    for _ in range(params.max_depth):
+        rows, nodes = np.divmod(frontier_keys, n_nodes)
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        edge = ranges(starts, counts)
+        dist = np.repeat(frontier, counts) + weights[edge]
+        near = dist <= params.max_distance
+        cand_keys, cand = _group_min(
+            np.repeat(rows * n_nodes, counts)[near] + targets[edge[near]], dist[near])
+        pos = np.searchsorted(keys, cand_keys)
+        known = pos < keys.shape[0]
+        known[known] = keys[pos[known]] == cand_keys[known]
+        better = ~known
+        better[known] = cand[known] < best[pos[known]]
+        if not better.any():
+            break
+        improved = known & better
+        best[pos[improved]] = cand[improved]
+        new = ~known
+        keys = np.insert(keys, pos[new], cand_keys[new])
+        best = np.insert(best, pos[new], cand[new])
+        frontier_keys, frontier = cand_keys[better], cand[better]
+    return keys, best
 
 
 def expand_all(
     edges: Adjacency, entities: Iterable[Iri], params: ExpansionParams | None = None
-) -> dict[Iri, Neighborhood]:
-    """Expand every entity; equivalent to calling expand per seed."""
+) -> Neighborhoods:
+    """Expand every entity at once; the same neighborhoods, bit for bit, as
+    a label-setting search from each seed."""
     params = params or ExpansionParams()
-    out: dict[Iri, Neighborhood] = {}
-    for i, entity in enumerate(entities, start=1):
-        out[entity] = expand(edges, entity, params)
-        if i % PROGRESS_EVERY == 0:
-            logger.info("expanded %d entities", i)
-    return out
+    seeds = list(dict.fromkeys(entities))
+    names = sorted(set(edges).union(
+        (t for row in edges.values() for t, _ in row), seeds))
+    nodes = {name: i for i, name in enumerate(names)}
+    csr = _edge_csr(edges, nodes)
+    n_nodes = max(len(names), 1)
+    seed_ids = np.fromiter((nodes[s] for s in seeds), np.int64, len(seeds))
+    parts_ids, parts_dist, sizes = [], [], []
+    for lo in range(0, len(seeds), SEED_CHUNK):
+        chunk = seed_ids[lo:lo + SEED_CHUNK]
+        keys, dist = _relax(csr, chunk, n_nodes, params)
+        rows, ids = np.divmod(keys, n_nodes)
+        order = np.lexsort((ids, dist, rows))
+        rows, ids, dist = rows[order], ids[order], dist[order]
+        # rank of each label within its seed's row; keep the first max_neighbors
+        row_start = np.searchsorted(rows, rows)
+        keep = np.arange(rows.shape[0]) - row_start < params.max_neighbors
+        parts_ids.append(ids[keep])
+        parts_dist.append(dist[keep])
+        sizes.append(np.bincount(rows[keep], minlength=chunk.shape[0]))
+        logger.info("expanded %d of %d entities", min(lo + SEED_CHUNK, len(seeds)), len(seeds))
+    indptr = np.zeros(len(seeds) + 1, dtype=np.int64)
+    if seeds:
+        np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return Neighborhoods(
+        names, seed_ids, indptr,
+        np.concatenate(parts_ids) if parts_ids else np.zeros(0, np.int64),
+        np.concatenate(parts_dist) if parts_dist else np.zeros(0))
+
+
+def expand(edges: Adjacency, seed: Iri, params: ExpansionParams | None = None) -> Neighborhood:
+    """One seed's neighborhood."""
+    return expand_all(edges, [seed], params)[seed]

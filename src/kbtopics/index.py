@@ -68,29 +68,25 @@ import math
 import os
 import shutil
 import struct
-from array import array
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
-from .expansion import Neighborhood
+from .expansion import Neighborhood, Neighborhoods
 from .kb import Iri, KnowledgeBase, entity_texts
 from .ranking import CandidateBlocks
-from .vector_store import VectorStore, VectorStoreWriter, ranges
+from .vector_store import VectorStore, ranges, write_vector_store
 from .vectors import (
     EmbeddingTable,
     NGRAM_SIZES,
     SparseVector,
+    TextBatch,
     char_ngrams,
-    lexical_vector,
-    semantic_vector,
     tokenize,
 )
 
@@ -236,16 +232,11 @@ class IndexManifest:
 
 @dataclass(frozen=True)
 class Encoders:
-    """Text-to-vector functions used at build time and query time."""
+    """What a build encodes texts with: the embedding table and the n-gram
+    sizes of the lexical vectors."""
 
     table: EmbeddingTable
     ngram_sizes: tuple[int, ...] = NGRAM_SIZES
-
-    def lexical(self, text: str) -> SparseVector:
-        return lexical_vector(text, self.ngram_sizes)
-
-    def semantic(self, text: str) -> np.ndarray:
-        return semantic_vector(text, self.table)
 
 
 def write_columns(path: Path, columns: Mapping[str, Iterable]) -> None:
@@ -350,7 +341,7 @@ def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> list[f
 
 def build_index(
     kb: KnowledgeBase,
-    neighborhoods: Mapping[Iri, Neighborhood],
+    neighborhoods: Neighborhoods,
     parents: Mapping[Iri, Sequence[tuple[Iri, float]]],
     encoders: Encoders,
     out_dir: str | Path,
@@ -364,55 +355,28 @@ def build_index(
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        uris = sorted(e for e in kb.entities if entity_texts(kb, e))
-        if len(set(uris)) != len(uris):
-            raise DataError("duplicate entity URI during index build")
-
-        entity_ids = {uri: pos for pos, uri in enumerate(uris)}
+        texts_of = {e: entity_texts(kb, e) for e in kb.entities}
+        uris = sorted(e for e, rows in texts_of.items() if rows)
+        columns, entities = _graph_columns(uris, neighborhoods, parents)
+        rows = [row for uri in uris for row in texts_of[uri]]
+        texts = [text for _, text, _ in rows]
         field_ids: dict[str, int] = {}
-        texts: list[str] = []
-        # typed buffers rather than lists of Python numbers
-        columns = {name: array(np.dtype(dtype).char, [0] if name.endswith("_indptr") else [])
-                   for name, dtype in COLUMNS}
-        token_postings: dict[str, list[tuple[int, int]]] = {}
-        gram_postings: dict[str, list[tuple[int, int]]] = {}
-        with VectorStoreWriter(out / VECTORS_FILE, encoders.table.dim) as store:
-            for uri in uris:
-                for field, text, weight in entity_texts(kb, uri):
-                    store.put(encoders.lexical(text), encoders.semantic(text))
-                    texts.append(text)
-                    columns["text_fields"].append(field_ids.setdefault(field, len(field_ids)))
-                    columns["text_weights"].append(weight)
-                nbh = neighborhoods.get(uri)
-                related = nbh.neighbors if nbh is not None else ((uri, 0.0),)
-                if related[0] != (uri, 0.0):
-                    raise DataError(f"neighborhood of {uri} does not start with it at 0")
-                for name, values, pairs in (
-                        ("related", "related_distances", related),
-                        ("parent", "parent_weights", parents.get(uri, ()))):
-                    for entity, value in pairs:
-                        columns[f"{name}_ids"].append(
-                            entity_ids.setdefault(entity, len(entity_ids)))
-                        columns[values].append(value)
-                    columns[f"{name}_indptr"].append(len(columns[values]))
-                columns["text_indptr"].append(len(texts))
-        # The postings are gathered after the vector file is closed, so that
-        # its sort by gram does not add to their memory.
-        for text_id, text in enumerate(texts):
-            for postings, terms in ((token_postings, tokenize(text)),
-                                    (gram_postings, char_ngrams(text, (3,)))):
-                for term, tf in Counter(terms).items():
-                    postings.setdefault(term, []).append((text_id, tf))
+        columns["text_fields"] = [field_ids.setdefault(field, len(field_ids))
+                                  for field, _, _ in rows]
+        columns["text_weights"] = [weight for _, _, weight in rows]
+        columns["text_indptr"] = np.cumsum([0] + [len(texts_of[uri]) for uri in uris])
 
-        tokens, grams = sorted(token_postings), sorted(gram_postings)
-        plists = [token_postings[t] for t in tokens] + [gram_postings[g] for g in grams]
-        columns["posting_indptr"] = np.cumsum([0] + [len(p) for p in plists])
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(plists)), np.int64,
-                           2 * int(columns["posting_indptr"][-1]))
-        columns["posting_texts"], columns["posting_tfs"] = flat.reshape(-1, 2).T
+        batch = TextBatch(texts)
+        write_vector_store(out / VECTORS_FILE, batch.lexical_columns(encoders.ngram_sizes),
+                           batch.semantic_matrix(encoders.table))
+        tokens, grams = batch.token_postings(), batch.gram_postings(3)
+        columns["posting_indptr"] = np.concatenate(
+            (tokens.indptr, grams.indptr[1:] + tokens.indptr[-1]))
+        columns["posting_texts"] = np.concatenate((tokens.texts, grams.texts))
+        columns["posting_tfs"] = np.concatenate((tokens.counts, grams.counts))
         write_columns(out / COLUMNS_FILE, columns)
-        strings = {"entities": list(entity_ids), "fields": list(field_ids),
-                   "texts": texts, "tokens": tokens, "grams": grams}
+        strings = {"entities": entities, "fields": list(field_ids),
+                   "texts": texts, "tokens": tokens.terms, "grams": grams.terms}
         (out / STRINGS_FILE).write_text(
             json.dumps(strings, separators=(",", ":")) + "\n", encoding="utf-8")
 
@@ -433,6 +397,57 @@ def build_index(
         raise DataError(f"index build failed in {out}: {exc}") from exc
     logger.info("built index: %d records, %d texts", manifest.record_count, len(texts))
     return manifest
+
+
+def _graph_columns(
+    uris: list[Iri],
+    neighborhoods: Neighborhoods,
+    parents: Mapping[Iri, Sequence[tuple[Iri, float]]],
+) -> tuple[dict[str, np.ndarray], list[Iri]]:
+    """The related and parent sections of the records, in record order, and
+    the entity IRIs by entity id: the records', then those of the other
+    entities they name, in order of first appearance (each record's
+    neighborhood, then its parents). A record without a neighborhood has
+    itself alone."""
+    hoods = neighborhoods
+    n = len(uris)
+    node_of = dict(zip(hoods.entities, range(len(hoods.entities))))
+    records = np.fromiter((node_of.setdefault(u, len(node_of)) for u in uris), np.int64, n)
+    pairs = [parents.get(uri, ()) for uri in uris]
+    parent_counts = np.fromiter(map(len, pairs), np.int64, n)
+    parent_nodes = np.fromiter((node_of.setdefault(q, len(node_of)) for p in pairs for q, _ in p),
+                               np.int64, int(parent_counts.sum()))
+    names = list(node_of)
+    # a record without a neighborhood reads itself at 0, stored after the rest
+    ids = np.concatenate((hoods.ids, records))
+    distances = np.concatenate((hoods.distances, np.zeros(n)))
+    rows = np.fromiter(map(hoods.row, uris), np.int64, n)
+    has = rows >= 0
+    lo = np.where(has, hoods.indptr[rows], hoods.ids.shape[0] + np.arange(n))
+    related_counts = np.where(has, hoods.indptr[rows + 1] - hoods.indptr[rows], 1)
+    related = ranges(lo, related_counts)
+    # every entity reference in order: record p's neighbors, then its parents
+    related_end = np.cumsum(related_counts)
+    parent_end = np.cumsum(parent_counts)
+    order = np.empty(related.shape[0] + parent_nodes.shape[0], dtype=np.int64)
+    order[np.arange(related.shape[0]) + np.repeat(parent_end - parent_counts, related_counts)] \
+        = ids[related]
+    order[np.arange(parent_nodes.shape[0]) + np.repeat(related_end, parent_counts)] = parent_nodes
+    entity_id = np.full(len(names), -1, dtype=np.int64)
+    entity_id[records] = np.arange(n)
+    named, first = np.unique(order, return_index=True)
+    unnumbered = entity_id[named] < 0
+    others = named[unnumbered][np.argsort(first[unnumbered])]
+    entity_id[others] = np.arange(n, n + others.shape[0])
+    columns = {
+        "related_indptr": np.append(0, related_end),
+        "related_ids": entity_id[ids[related]],
+        "related_distances": distances[related],
+        "parent_indptr": np.append(0, parent_end),
+        "parent_ids": entity_id[parent_nodes],
+        "parent_weights": [w for p in pairs for _, w in p],
+    }
+    return columns, uris + [names[i] for i in others.tolist()]
 
 
 @contextmanager

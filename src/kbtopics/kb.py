@@ -11,6 +11,7 @@ load time and counted.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,8 @@ logger = logging.getLogger(__name__)
 # scheme ":" then one or more characters that are neither whitespace nor
 # one of <>"{}|^`\ ; "$" also matches before a final newline
 _IRI_RE = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]+$')
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 Direction = TypingLiteral["forward", "inverse"]
 
@@ -67,8 +70,9 @@ class TextField:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigError(f"text field {self.name!r} needs a positive weight")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(
+                f"text field {self.name!r} needs a positive finite weight, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class PropertyRegistry:
 
     def __post_init__(self) -> None:
         for pred, w in self.edge_base_weights.items():
-            if w <= 0:
-                raise ConfigError(f"edge base weight for {pred} must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise ConfigError(
+                    f"edge base weight for {pred} must be positive and finite, got {w}")
         for pred, direction in self.parent_properties:
             if direction not in ("forward", "inverse"):
                 raise ConfigError(f"parent property {pred}: bad direction {direction!r}")
@@ -185,9 +190,14 @@ def _unescape_literal(raw: str, where: tuple[str, int]) -> str:
             if len(hexpart) != width:
                 raise TripleParseError("truncated \\u escape in literal", *where)
             try:
-                out.append(chr(int(hexpart, 16)))
+                code = int(hexpart, 16)
+                char = chr(code)
             except ValueError:
                 raise TripleParseError(f"bad \\u escape {hexpart!r} in literal", *where) from None
+            if 0xD800 <= code <= 0xDFFF:
+                raise TripleParseError(
+                    f"\\u escape {hexpart!r} in literal is a surrogate, not a character", *where)
+            out.append(char)
             i += 2 + width
         else:
             raise TripleParseError(f"unknown escape \\{e} in literal", *where)
@@ -276,12 +286,15 @@ def iter_triple_file(
 ) -> Iterator[Triple]:
     """Yield triples from a file, dropping non-English literals.
 
-    In strict mode a malformed line aborts with TripleParseError; in lenient
-    mode it is skipped and counted.
+    In strict mode a malformed line, or one that is not valid UTF-8, aborts
+    with a DataError naming the file and line (TripleParseError for a
+    malformed triple); in lenient mode it is skipped and counted.
     """
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8")
+        # undecodable bytes become lone surrogates, which valid UTF-8 never
+        # decodes to, so that the line holding them is known
+        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read triple file {path}: {exc}") from exc
     with handle:
@@ -290,6 +303,8 @@ def iter_triple_file(
             if not line or line.startswith("#"):
                 continue
             try:
+                if _SURROGATE_RE.search(line):
+                    raise TripleParseError("not valid UTF-8", str(path), lineno)
                 triple = parse_triple_line(line, str(path), lineno)
             except TripleParseError:
                 if strict:

@@ -167,10 +167,21 @@ class Classifier:
         self._label_field = config.retrieval.label_field
         self._ngram_sizes = config.ngram_sizes
         self._rule_detector = RuleBasedDetector()
+        self._provided_detector = ProvidedMentionDetector()
         # lemma -> stage one of its scoring, least recently used first
         self._memo: OrderedDict[str, CandidateRows] = OrderedDict()
         self._memo_size = max(len(index), 1)
         self._memo_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the index this classifier reads."""
+        self._index.close()
+
+    def __enter__(self) -> "Classifier":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _candidates(self, lemma: str) -> CandidateRows:
         """The lemma's candidates with their rows' partial scores: retrieval,
@@ -198,7 +209,7 @@ class Classifier:
 
     def detect(self, doc: Document) -> list[Mention]:
         detector = (
-            ProvidedMentionDetector() if doc.provided_mentions else self._rule_detector
+            self._provided_detector if doc.provided_mentions else self._rule_detector
         )
         return merge_keywords(detector.detect(doc), doc)
 

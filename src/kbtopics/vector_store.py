@@ -11,8 +11,8 @@ Layout, all little-endian, every section a whole number of 8-byte words:
   values    <f8 x nnz              the gram's weight in each text's vector
   semantic  <f8 x (n_texts, dim)   one row per text
 
-Text ids are 0..n_texts-1 in the order the writer received the vectors. The
-reader maps the file once, checks the header against the file size, the
+Text ids are 0..n_texts-1, the rows of the semantic matrix. The reader
+maps the file once, checks the header against the file size, the
 vocabulary's order, the gram pointers and the posting text ids' range, and
 exposes the sections as zero-copy views over the map.
 
@@ -29,12 +29,14 @@ from __future__ import annotations
 import mmap
 import struct
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IndexFormatError, IndexIntegrityError
-from .vectors import SparseVector
+
+if TYPE_CHECKING:
+    from .vectors import SparseVector
 
 MAGIC = b"KBTVEC04"
 
@@ -77,64 +79,23 @@ class LexicalColumns(NamedTuple):
         return per_text[text_ids]
 
 
-class VectorStoreWriter:
-    """Write side, one writer per file: buffers the vectors in input order
-    and transposes the lexical ones by gram on close."""
-
-    def __init__(self, path: str | Path, dim: int):
-        self._path = Path(path)
-        self._dim = dim
-        # each column grows as one buffer: a few large blocks rather than
-        # three small arrays per text
-        self._row_nnz: list[int] = []
-        self._keys = bytearray()
-        self._values = bytearray()
-        self._semantic = bytearray()
-
-    def put(self, lex: SparseVector, sem: np.ndarray) -> int:
-        """Store one text's vectors; returns its text id."""
-        sem = np.asarray(sem, dtype="<f8")
-        if sem.shape != (self._dim,):
-            raise ValueError(f"semantic vector shape {sem.shape}, expected ({self._dim},)")
-        self._keys += np.fromiter(lex, "<u8", len(lex)).tobytes()
-        self._values += np.fromiter(lex.values(), "<f8", len(lex)).tobytes()
-        self._semantic += sem.tobytes()
-        self._row_nnz.append(len(lex))
-        return len(self._row_nnz) - 1
-
-    def close(self) -> None:
-        n = len(self._row_nnz)
-        # A stable sort by key keeps each gram's text ids in input order,
-        # ascending. Every permuted column is written and dropped before the
-        # next is made.
-        keys = np.frombuffer(self._keys, "<u8")
-        nnz = keys.shape[0]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(nnz, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        vocab = keys[starts]
-        del keys, first
-        with self._path.open("wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, n, self._dim, vocab.shape[0], nnz))
-            # arrays are written through their buffers, without a bytes copy
-            fh.write(vocab)
-            fh.write(np.append(starts, nnz).astype("<i8"))
-            texts = np.repeat(np.arange(n, dtype="<i4"), self._row_nnz)[order]
-            fh.write(texts)
-            fh.write(bytes(-texts.nbytes % 8))
-            del texts
-            fh.write(np.frombuffer(self._values, "<f8")[order])
-            fh.write(self._semantic)
-        # freed now, not when the writer is dropped: a build goes on after it
-        self._keys, self._values, self._semantic = bytearray(), bytearray(), bytearray()
-
-    def __enter__(self) -> "VectorStoreWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def write_vector_store(path: str | Path, lexical: LexicalColumns,
+                       semantic: np.ndarray) -> None:
+    """Write a vector file from the lexical columns and one semantic row per
+    text."""
+    if semantic.ndim != 2 or semantic.shape[0] != lexical.n_texts:
+        raise ValueError(f"semantic matrix of shape {semantic.shape} for "
+                         f"{lexical.n_texts} texts")
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, lexical.n_texts, semantic.shape[1],
+                              lexical.vocab.shape[0], lexical.texts.shape[0]))
+        # arrays are written through their buffers, without a bytes copy
+        for array, dtype in ((lexical.vocab, "<u8"), (lexical.indptr, "<i8"),
+                             (lexical.texts, "<i4"), (lexical.values, "<f8"),
+                             (semantic, "<f8")):
+            array = np.ascontiguousarray(array, dtype=dtype)
+            fh.write(array)
+            fh.write(bytes(-array.nbytes % 8))
 
 
 class VectorStore:

@@ -8,6 +8,11 @@ identical across processes and do not depend on PYTHONHASHSEED.
 Semantic vectors are the L2-normalized arithmetic mean of known token
 embeddings; a text with no known tokens maps to the zero vector, which has
 cosine 0 against everything.
+
+``lexical_vector``, ``tokenize`` and ``char_ngrams`` encode one text, as a
+query is encoded. ``TextBatch`` encodes the texts of an index together, to
+the same values: each text is normalized once, and its n-grams are cut once
+over one array of the code points of all texts, as integer gram codes.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from functools import lru_cache
 from hashlib import blake2b
 from math import sqrt
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .vector_store import LexicalColumns, ranges
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +84,136 @@ def lexical_vector(text: str, sizes: tuple[int, ...] = NGRAM_SIZES) -> SparseVec
     if norm == 0.0:
         return {}
     return {k: v / norm for k, v in counts.items()}
+
+
+class Postings(NamedTuple):
+    """Terms with the texts that hold them: term t, ``terms[t]``, occurs
+    ``counts[i]`` times in text ``texts[i]`` for i in ``[indptr[t],
+    indptr[t + 1])``. Terms ascend, and texts ascend within a term."""
+
+    terms: list[str]
+    indptr: np.ndarray
+    texts: np.ndarray
+    counts: np.ndarray
+
+
+def _postings(keys: np.ndarray, n_terms: int, n_texts: int,
+              counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries keyed ``term id * n_texts + text id``, gathered by term: the
+    term pointers, and per distinct pair its text id, ascending within each
+    term, and its count (the entries' summed ``counts``, or their number).
+    Sorts ``keys`` in place when there are no counts."""
+    if counts is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        del order
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    if counts is None:
+        summed = np.diff(np.append(starts, keys.shape[0]))
+    else:
+        summed = np.add.reduceat(counts, starts) if starts.size else counts
+    pair_terms, pair_texts = np.divmod(keys[starts], n_texts)
+    return (np.searchsorted(pair_terms, np.arange(n_terms + 1)), pair_texts.astype(np.int32),
+            summed.astype(np.int32))
+
+
+# the largest gram code built before codes are ranked again
+_CODE_LIMIT = 2**62
+
+
+class TextBatch:
+    """Texts encoded together, to the values the one-text functions give.
+
+    Each text is normalized once. Its n-grams are cut from one code-point
+    array of all normalized texts, each gram as an integer code that sorts
+    as the gram's string does; each distinct gram is sliced out once, and
+    hashed once.
+    """
+
+    def __init__(self, texts: Sequence[str]):
+        normalized = [normalize_text(t) for t in texts]
+        self._tokens = [_TOKEN_RE.findall(s) for s in normalized]
+        self._joined = "".join(normalized)
+        self._lengths = np.fromiter(map(len, normalized), np.int64, len(normalized))
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        chars = np.frombuffer(self._joined.encode("utf-32-le", "surrogatepass"), "<u4")
+        # code points ranked in their sorted order: a gram's code over these
+        # ranks sorts as its string does
+        self._alphabet, self._ranks = np.unique(chars, return_inverse=True)
+        self._grams: dict[int, Postings] = {}
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def gram_postings(self, n: int) -> Postings:
+        """The texts' n-grams (``char_ngrams(text, (n,))``) as postings, cut
+        once per size."""
+        if n not in self._grams:
+            per_text = np.maximum(self._lengths - n + 1, 0)
+            positions = ranges(self._starts, per_text)
+            codes = self._ranks[positions].astype(np.int64)
+            base = max(len(self._alphabet), 1)
+            for k in range(1, n):
+                if codes.size and (int(codes.max()) + 1) * base > _CODE_LIMIT:
+                    codes = np.unique(codes, return_inverse=True)[1]
+                codes *= base
+                codes += self._ranks[positions + k]
+            distinct, keys = np.unique(codes, return_inverse=True)
+            del codes
+            at = np.empty(distinct.shape[0], dtype=np.int64)
+            at[keys] = positions  # where each gram occurs, once
+            del positions
+            keys *= len(self)
+            keys += np.repeat(np.arange(len(self)), per_text)
+            self._grams[n] = Postings([self._joined[p:p + n] for p in at.tolist()],
+                                      *_postings(keys, distinct.shape[0], len(self)))
+        return self._grams[n]
+
+    def token_postings(self) -> Postings:
+        """The texts' tokens (``tokenize``) as postings."""
+        ids: dict[str, int] = {}
+        flat = [ids.setdefault(tok, len(ids)) for toks in self._tokens for tok in toks]
+        terms = sorted(ids)
+        rank = np.empty(len(terms), dtype=np.int64)
+        rank[[ids[t] for t in terms]] = np.arange(len(terms))
+        keys = rank[np.array(flat, dtype=np.int64)] * len(self)
+        keys += np.repeat(np.arange(len(self)), list(map(len, self._tokens)))
+        return Postings(terms, *_postings(keys, len(terms), len(self)))
+
+    def lexical_columns(self, sizes: tuple[int, ...] = NGRAM_SIZES) -> LexicalColumns:
+        """Every text's ``lexical_vector``, stored by gram hash."""
+        hashes, lengths, texts, counts = [], [], [], []
+        for n in sizes:
+            postings = self.gram_postings(n)
+            hashes.append(np.fromiter(map(hash_gram, postings.terms), np.uint64,
+                                      len(postings.terms)))
+            lengths.append(np.diff(postings.indptr))
+            texts.append(postings.texts)
+            counts.append(postings.counts)
+        # grams whose hashes collide are one key, as in lexical_vector
+        vocab, key_of = np.unique(np.concatenate(hashes), return_inverse=True)
+        keys = np.repeat(key_of, np.concatenate(lengths))
+        keys *= len(self)
+        keys += np.concatenate(texts)
+        indptr, texts, counts = _postings(keys, vocab.shape[0], len(self),
+                                          np.concatenate(counts))
+        del keys
+        counts = counts.astype(np.float64)
+        # sums of squared whole counts are exact, so in any order
+        norms = np.sqrt(np.bincount(texts, weights=counts * counts, minlength=len(self)))
+        return LexicalColumns(vocab, indptr, texts, counts / norms[texts], len(self))
+
+    def semantic_matrix(self, table: EmbeddingTable) -> np.ndarray:
+        """Every text's ``semantic_vector``, one row per text."""
+        out = np.zeros((len(self), table.dim), dtype=np.float64)
+        for i, tokens in enumerate(self._tokens):
+            out[i] = _mean_embedding(tokens, table)
+        return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +285,11 @@ def semantic_vector(text: str, table: EmbeddingTable) -> np.ndarray:
     A text with no known tokens (or a mean that cancels to zero) maps to the
     exact zero vector.
     """
-    rows = [v for v in (table.get(t) for t in tokenize(text)) if v is not None]
+    return _mean_embedding(tokenize(text), table)
+
+
+def _mean_embedding(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
+    rows = [v for v in (table.get(t) for t in tokens) if v is not None]
     if not rows:
         return np.zeros(table.dim, dtype=np.float64)
     mean = np.mean(rows, axis=0)

@@ -7,6 +7,7 @@ to them. Nothing under ``src/`` calls anything here.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from kbtopics.edges import EdgeDirection
-from kbtopics.expansion import Neighborhood
+from kbtopics.expansion import Adjacency, ExpansionParams, Neighborhood, Neighborhoods
 from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
     Iri,
@@ -50,6 +51,64 @@ def parents_by_scan(
         (q, float(max(link_counts.get(q, 1), 1)) ** -params.alpha)
         for q in sorted(found)
     ]
+
+
+def _admit(labels: dict[Iri, list[tuple[int, float]]], node: Iri,
+           depth: int, dist: float) -> bool:
+    """Record (depth, dist) for node unless an existing label dominates it;
+    drop labels the new one dominates."""
+    existing = labels.get(node)
+    if existing is None:
+        labels[node] = [(depth, dist)]
+        return True
+    for d0, w0 in existing:
+        if d0 <= depth and w0 <= dist:
+            return False
+    existing[:] = [(d0, w0) for d0, w0 in existing if not (depth <= d0 and dist <= w0)]
+    existing.append((depth, dist))
+    return True
+
+
+def expand_by_labels(edges: Adjacency, seed: Iri,
+                     params: ExpansionParams | None = None) -> Neighborhood:
+    """expand as a best-first label-setting search from one seed: a Pareto
+    frontier of (depth, distance) labels per node, anything dominated on
+    both axes pruned. Each adjacency row must be sorted by weight."""
+    params = params or ExpansionParams()
+    labels: dict[Iri, list[tuple[int, float]]] = {seed: [(0, 0.0)]}
+    best: dict[Iri, float] = {}
+    heap: list[tuple[float, Iri, int]] = [(0.0, seed, 0)]
+    while heap:
+        dist, node, depth = heapq.heappop(heap)
+        if (depth, dist) not in labels[node]:
+            continue  # superseded by a dominating label after being queued
+        prev = best.get(node)
+        if prev is None or dist < prev:
+            best[node] = dist
+        if depth == params.max_depth:
+            continue
+        for target, weight in edges.get(node, ()):
+            nd = dist + weight
+            if nd > params.max_distance:
+                break  # neighbors sorted by weight, the rest are farther
+            if _admit(labels, target, depth + 1, nd):
+                heapq.heappush(heap, (nd, target, depth + 1))
+    neighbors = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))
+    return Neighborhood(seed, tuple(neighbors[: params.max_neighbors]))
+
+
+def neighborhoods_of(given: Mapping[Iri, Neighborhood]) -> Neighborhoods:
+    """Hand-written neighborhoods in the array form expand_all returns."""
+    rows = [nbh.neighbors for nbh in given.values()]
+    names = sorted({e for row in rows for e, _ in row})
+    ids = {e: i for i, e in enumerate(names)}
+    return Neighborhoods(
+        names,
+        np.array([ids[seed] for seed in given], dtype=np.int64),
+        np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+        np.array([ids[e] for row in rows for e, _ in row], dtype=np.int64),
+        np.array([d for row in rows for _, d in row], dtype=np.float64),
+    )
 
 
 def iri_by_two_steps(value: str) -> bool:

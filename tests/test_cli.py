@@ -70,6 +70,37 @@ def test_build_index_reports_load_skips_and_drops(tmp_path, capsys):
                          "2 non-English literals dropped")
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ('<http://example.org/kb/seal> <http://example.org/vocab/synonym> "x\\uD800y" .\n'.encode(),
+     "surrogate"),
+    (b'<http://example.org/kb/seal> <http://example.org/vocab/synonym> "caf\xed\xa0\x80" .\n',
+     "not valid UTF-8"),
+], ids=["surrogate-escape", "invalid-utf8"])
+def test_malformed_kb_text_exits_2(tmp_path, capsys, bad_line, message):
+    kb = tmp_path / "kb.nt"
+    toy = (DATA / "toy_ontology.nt").read_bytes()
+    kb.write_bytes(toy + bad_line)
+    line = toy.count(b"\n") + 1
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(tmp_path / "idx"),
+                 "--kb", str(kb)]) == 2
+    err = capsys.readouterr().err
+    assert f"kb.nt:{line}:" in err and message in err
+    assert not (tmp_path / "idx").exists()
+
+
+def test_classify_closes_the_index(index_dir, tmp_path):
+    # a file left open warns when it is collected; -W error turns the
+    # warning into a message on stderr
+    src = str(Path(kbtopics.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "kbtopics.cli",
+         "classify", "--index", str(index_dir), "--corpus", str(CORPUS),
+         "--out", str(tmp_path / "o.jsonl")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
+
+
 def test_build_refuses_nonempty_dir_without_force(index_dir, capsys):
     assert main(["build-index", "--config", str(CONFIG), "--out", str(index_dir)]) == 1
     assert "--force" in capsys.readouterr().err

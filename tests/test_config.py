@@ -188,6 +188,42 @@ def test_bad_values_rejected(tmp_path, data, fragment):
         parse_config(data, tmp_path)
 
 
+NAN, INF = float("nan"), float("inf")
+P = "http://example.org/p"
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        ({"registry": {"edge_base_weights": {P: NAN}}}, "edge_base_weights"),
+        ({"registry": {"edge_base_weights": {P: INF}}}, "edge base weight"),
+        ({"registry": {"text_fields": {P: {"name": "label", "search_weight": NAN}}}},
+         "search_weight"),
+        ({"registry": {"text_fields": {P: {"name": "label", "search_weight": INF}}}},
+         "finite weight"),
+        ({"edge_weights": {"default_base_weight": NAN}}, "default_base_weight"),
+        ({"edge_weights": {"default_base_weight": INF}}, "default base weight"),
+        ({"edge_weights": {"f_l": NAN}}, "f_l"),
+        ({"edge_weights": {"f_g": NAN}}, "f_g"),
+        ({"expansion": {"max_distance": NAN}}, "max_distance"),
+        ({"ranking": {"w_l": NAN}}, "w_l"),
+        ({"ranking": {"alpha": NAN}}, "alpha"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, data, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(data, tmp_path)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_yaml_non_finite_edge_base_weight_exits_1(tmp_path, capsys, value):
+    from kbtopics.cli import main
+    path = tmp_path / "c.yaml"
+    path.write_text(f"registry:\n  edge_base_weights:\n    {P}: {value}\n", encoding="utf-8")
+    assert main(["build-index", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
+    assert "edge" in capsys.readouterr().err
+
+
 def test_relative_paths_resolve_against_config_dir(tmp_path):
     sub = tmp_path / "conf"
     sub.mkdir()

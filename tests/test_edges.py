@@ -133,6 +133,8 @@ class TestGroupCardinality:
 class TestEdgeWeightParams:
     @pytest.mark.parametrize("kwargs", [
         dict(f_l=-0.1), dict(f_g=-1.0), dict(c_max=0), dict(default_base_weight=0.0),
+        dict(f_l=float("nan")), dict(f_g=float("nan")), dict(f_l=float("inf")),
+        dict(default_base_weight=float("nan")), dict(default_base_weight=float("inf")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

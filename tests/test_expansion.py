@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from kbtopics import expansion
 from kbtopics.edges import DirectedEdge, WeightedEdge, build_adjacency
 from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand, expand_all
 from kbtopics.kb import Iri
+
+from oracles import expand_by_labels
 
 EX = "http://example.org/"
 
@@ -56,6 +60,7 @@ def enumerate_paths_oracle(edge_list, seed, max_depth, max_distance):
 class TestParams:
     @pytest.mark.parametrize("kwargs", [
         dict(max_depth=0), dict(max_distance=0.0), dict(max_neighbors=0),
+        dict(max_distance=float("nan")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -190,3 +195,74 @@ class TestExpandAll:
         result = expand_all(adj, [iri("A"), iri("X")])
         assert set(result[iri("A")].distances()) == {iri("A"), iri("B")}
         assert set(result[iri("X")].distances()) == {iri("X"), iri("Y")}
+
+
+def bits(nbh: Neighborhood) -> list[tuple[str, str]]:
+    """A neighborhood with its distances as exact bit patterns."""
+    return [(str(e), d.hex()) for e, d in nbh.neighbors]
+
+
+# few distinct weights, all exact in binary, so that paths often tie
+TIED_WEIGHTS = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5])
+EDGES = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                           st.one_of(TIED_WEIGHTS, st.floats(0.01, 2.0))), max_size=60)
+
+
+class TestAgainstLabelSettingOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(EDGES, st.integers(1, 4), st.floats(0.3, 4.0), st.integers(1, 14),
+           st.lists(st.integers(0, 15), min_size=1, max_size=8))
+    @example([(0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5), (0, 4, 1.0)],
+             3, 4.0, 3, [0])  # three entities tie at 1.0 around the cut
+    @example([(0, 1, 0.25), (1, 0, 0.25)], 50, 10.0, 5, [0, 1, 13])  # depth far past diameter
+    def test_bitwise_equal(self, edges, max_depth, max_distance, max_neighbors, seeds):
+        adj = adjacency(*[(f"n{s:02d}", f"n{t:02d}", w) for s, t, w in edges])
+        # seeds 12..15 are in no edge, and some of 0..11 may not be either
+        seed_iris = [iri(f"n{s:02d}") for s in seeds]
+        params = ExpansionParams(max_depth=max_depth, max_distance=max_distance,
+                                 max_neighbors=max_neighbors)
+        got = expand_all(adj, seed_iris, params)
+        assert list(got) == list(dict.fromkeys(seed_iris))
+        for seed in seed_iris:
+            assert bits(got[seed]) == bits(expand_by_labels(adj, seed, params))
+            assert got[seed] == expand(adj, seed, params)
+
+    def test_bitwise_equal_on_random_weights(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            edges = random_edges(rng, 40, 160)
+            adj = adjacency(*edges)
+            params = ExpansionParams(max_depth=int(rng.integers(1, 6)),
+                                     max_distance=float(rng.uniform(0.5, 4.0)),
+                                     max_neighbors=int(rng.integers(1, 40)))
+            seeds = [iri(f"n{i:03d}") for i in range(40)]
+            got = expand_all(adj, seeds, params)
+            for s in seeds:
+                assert bits(got[s]) == bits(expand_by_labels(adj, s, params))
+
+    def test_cut_inside_a_tie_keeps_the_lowest_iris(self):
+        adj = adjacency(("S", "c", 0.5), ("S", "a", 0.5), ("S", "b", 0.5), ("S", "d", 0.25))
+        nbh = expand(adj, iri("S"), ExpansionParams(max_neighbors=3))
+        assert nbh.neighbors == ((iri("S"), 0.0), (iri("d"), 0.25), (iri("a"), 0.5))
+
+    def test_seed_absent_from_the_edges(self):
+        adj = adjacency(("A", "B", 0.5))
+        result = expand_all(adj, [iri("ghost"), iri("A")])
+        assert result[iri("ghost")].neighbors == ((iri("ghost"), 0.0),)
+        assert result[iri("A")].neighbors == ((iri("A"), 0.0), (iri("B"), 0.5))
+
+    def test_chunks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        adj = adjacency(*random_edges(rng, 30, 120))
+        seeds = [iri(f"n{i:03d}") for i in range(30)]
+        whole = expand_all(adj, seeds)
+        monkeypatch.setattr(expansion, "SEED_CHUNK", 4)
+        chunked = expand_all(adj, seeds)
+        assert [bits(chunked[s]) for s in seeds] == [bits(whole[s]) for s in seeds]
+        assert chunked.indptr.tolist() == whole.indptr.tolist()
+
+    @pytest.mark.parametrize("weight", [float("nan"), -0.5])
+    def test_edge_weight_must_be_a_nonnegative_number(self, weight):
+        adj = {iri("A"): ((iri("B"), weight),)}
+        with pytest.raises(ConfigError, match="nonnegative"):
+            expand_all(adj, [iri("A")])

@@ -30,14 +30,14 @@ from kbtopics.index import (
 from kbtopics.kb import (
     Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
 )
-from kbtopics.vector_store import MAGIC, VectorStore, VectorStoreWriter
+from kbtopics.vector_store import MAGIC, VectorStore, write_vector_store
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
 from oracles import (
-    block_by_loop, lexical_cosines_by_rows, parents_by_scan, query_by_loop,
+    block_by_loop, lexical_cosines_by_rows, neighborhoods_of, parents_by_scan, query_by_loop,
     text_lengths_by_tokenizing,
 )
-from row_table import lexical_rows, rows_of, stack
+from row_table import columns_of, lexical_rows, rows_of, stack
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -108,9 +108,12 @@ def table(tmp_path_factory):
     return EmbeddingTable.load(p)
 
 
+NO_HOODS = neighborhoods_of({})
+
+
 def neighborhoods_for(kb):
     # hand-built: bear close to seal via mammal; others isolated
-    return {
+    return neighborhoods_of({
         iri("bear"): Neighborhood(iri("bear"), (
             (iri("bear"), 0.0), (iri("mammal"), 0.5), (iri("seal"), 1.0))),
         iri("seal"): Neighborhood(iri("seal"), (
@@ -118,7 +121,7 @@ def neighborhoods_for(kb):
         iri("mammal"): Neighborhood(iri("mammal"), ((iri("mammal"), 0.0),)),
         iri("mercury"): Neighborhood(iri("mercury"), (
             (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
-    }
+    })
 
 
 @pytest.fixture()
@@ -237,7 +240,7 @@ class TestBuildIndex:
     def test_entity_without_neighborhood_gets_self_only(self, tmp_path, table):
         kb = KnowledgeBase.from_triples(
             [Triple(iri("solo"), LABEL, Literal("solo entity"))], registry())
-        build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             rec = idx.record(iri("solo"))
             assert rec.related_entities == (iri("solo"),)
@@ -245,7 +248,7 @@ class TestBuildIndex:
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
         kb = KnowledgeBase.from_triples([], registry())
-        manifest = build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        manifest = build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
@@ -255,7 +258,7 @@ class TestBuildIndex:
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
         kb = KnowledgeBase.from_triples(
             [Triple(iri("odd"), LABEL, Literal(text)) for text in texts], registry())
-        manifest = build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        manifest = build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert [t for _, t, _ in idx.record(iri("odd")).texts] == sorted(texts)
@@ -482,7 +485,7 @@ class TestQuery:
             Triple(iri("a-ent"), LABEL, Literal("same label")),
         ]
         kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("same label", k=5)
             assert [h.record.uri for h in hits] == [iri("a-ent"), iri("b-ent")]
@@ -515,7 +518,7 @@ class TestQuery:
             Triple(iri("by-syn"), SYN, Literal("quicksilver")),
         ]
         kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(kb, {}, {}, Encoders(table), tmp_path / "i")
+        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("quicksilver")
             assert [h.record.uri for h in hits] == [iri("by-label"), iri("by-syn")]
@@ -534,7 +537,7 @@ class TestLabelsAndParents:
     def test_label_is_the_first_text_of_the_field(self, tmp_path, table):
         ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
               Triple(iri("x"), SYN, Literal("beta"))]
-        build_index(KnowledgeBase.from_triples(ts, registry()), {}, {}, Encoders(table),
+        build_index(KnowledgeBase.from_triples(ts, registry()), NO_HOODS, {}, Encoders(table),
                     tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
@@ -609,8 +612,9 @@ def assert_bitwise(got, want):
 
 
 def write_store(path, rows, dim):
-    with VectorStoreWriter(path, dim) as w:
-        return [w.put(lex, np.array(sem, dtype=np.float64)) for lex, sem in rows]
+    """A vector file of the (lexical, semantic) rows, text ids in row order."""
+    write_vector_store(path, columns_of([lex for lex, _ in rows]),
+                       np.array([sem for _, sem in rows], dtype=np.float64).reshape(-1, dim))
 
 
 def edit_store(path, at, data):
@@ -628,7 +632,7 @@ class TestVectorStoreFile:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "v.bin"
-        assert write_store(path, self.ROWS, 2) == [0, 1, 2]
+        write_store(path, self.ROWS, 2)
         with VectorStore(path) as store:
             assert (store.n_texts, store.dim) == (3, 2)
             assert store.lexical.vocab.dtype == np.uint64
@@ -673,8 +677,10 @@ class TestVectorStoreFile:
             assert store.semantic([]).shape == (0, 4)
 
     def test_wrong_semantic_dim(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_store(tmp_path / "v.bin", [({}, [1.0, 0.0, 0.0])], 2)
+        # one semantic row per text, as a matrix
+        for semantic in (np.zeros((2, 2)), np.zeros(2)):
+            with pytest.raises(ValueError, match="semantic matrix"):
+                write_vector_store(tmp_path / "v.bin", columns_of([{}]), semantic)
 
     @pytest.mark.parametrize("edit", [
         lambda b: b[:-8],                     # truncated
@@ -896,11 +902,11 @@ class TestRelated:
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
         # bear and mercury share only arctic, which has no record
         kb = toy_kb()
-        hoods = {
+        hoods = neighborhoods_of({
             iri("bear"): Neighborhood(iri("bear"), ((iri("bear"), 0.0), (iri("arctic"), 1.25))),
             iri("mercury"): Neighborhood(iri("mercury"), (
                 (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
-        }
+        })
         build_index(kb, hoods, {}, Encoders(table), tmp_path / "index")
         with CandidateIndex.open(tmp_path / "index") as idx:
             assert idx.record(iri("arctic")) is None

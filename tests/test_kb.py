@@ -146,6 +146,9 @@ class TestParseTripleLine:
         f'<{EX}a> <{EX}p> "bad\\q" .',        # unknown escape
         f'<{EX}a> <{EX}p> "bad\\u00g1" .',    # bad hex
         f"<relative> <{EX}p> <{EX}b> .",      # relative IRI
+        f'<{EX}a> <{EX}p> "bad\\uD800" .',    # surrogate, not a character
+        f'<{EX}a> <{EX}p> "bad\\U0000DFFF" .',  # surrogate, not a character
+        f'<{EX}a> <{EX}p> "bad\\U00110000" .',  # past the last code point
     ])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(TripleParseError):
@@ -216,6 +219,22 @@ class TestLoadTriples:
         with pytest.raises(DataError):
             load_triples(tmp_path / "absent.nt", make_registry())
 
+    def test_invalid_utf8_is_a_data_error_naming_the_line(self, tmp_path):
+        p = tmp_path / "kb.nt"
+        p.write_bytes(f"<{EX}a> <{EX}p> <{EX}b> .\n".encode()
+                      + f'<{EX}a> <{LABEL}> "caf'.encode() + b'\xed\xa0\x80" .\n')
+        with pytest.raises(DataError, match=r"kb\.nt:2: not valid UTF-8"):
+            load_triples(p, make_registry())
+
+    def test_lenient_mode_skips_and_counts_invalid_utf8(self, tmp_path):
+        p = tmp_path / "kb.nt"
+        p.write_bytes(f"<{EX}a> <{EX}p> <{EX}b> .\n".encode()
+                      + f'<{EX}a> <{LABEL}> "caf'.encode() + b'\xe9" .\n'
+                      + f'<{EX}b> <{LABEL}> "caf\u00e9" .\n'.encode())
+        kb, stats = load_triples(p, make_registry(), strict=False)
+        assert stats.skipped_lines == 1
+        assert {t.obj for t in kb.triples if not t.has_iri_object} == {Literal("café")}
+
 
 class TestKnowledgeBase:
     def test_from_triples_dedup_is_idempotent(self):
@@ -268,6 +287,16 @@ class TestRegistryValidation:
     def test_rejects_nonpositive_edge_weight(self):
         with pytest.raises(ConfigError):
             make_registry(edge_base_weights={Iri(EX + "p"): -1.0})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_field_weight(self, weight):
+        with pytest.raises(ConfigError, match="finite"):
+            TextField("label", weight)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_edge_weight(self, weight):
+        with pytest.raises(ConfigError, match="finite"):
+            make_registry(edge_base_weights={Iri(EX + "p"): weight})
 
     def test_rejects_bad_parent_direction(self):
         with pytest.raises(ConfigError):

@@ -64,7 +64,15 @@ def built(tmp_path_factory, toy_config):
 @pytest.fixture(scope="module")
 def classifier(built, toy_config):
     out, _ = built
-    return open_classifier(out, toy_config)
+    with open_classifier(out, toy_config) as clf:
+        yield clf
+
+
+@pytest.fixture()
+def clf(built, toy_config):
+    """A classifier of the test's own, with an empty memo."""
+    with open_classifier(built[0], toy_config) as clf:
+        yield clf
 
 
 def test_build_runs_stages_in_order(built):
@@ -185,6 +193,33 @@ def test_homonym_needs_coherence(classifier):
     assert "seal_artifact" not in with_coherence
     assert "seal_artifact" in without
     assert "seal_pinniped" not in without
+
+
+def test_provided_mention_detector_is_built_once(built, toy_config, monkeypatch):
+    # building one reads the abbreviation list from the package resources
+    made = []
+
+    class Counted(pipeline.ProvidedMentionDetector):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "ProvidedMentionDetector", Counted)
+    out, _ = built
+    with open_classifier(out, toy_config) as fresh:
+        docs = [doc for doc, _ in load_corpus() if doc.provided_mentions]
+        assert len(docs) > 1
+        for doc in docs:
+            fresh.classify_document(doc)
+    assert len(made) == 1
+
+
+def test_classifier_closes_its_index(built, toy_config):
+    out, _ = built
+    with open_classifier(out, toy_config) as fresh:
+        store = fresh._index._store
+        assert fresh.classify_document(load_corpus()[0][0])
+    assert store._file.closed and store._map.closed
 
 
 def test_empty_document_has_no_topics(classifier):
@@ -331,8 +366,7 @@ def test_repeat_classification_is_stable(classifier):
     assert classifier.classify_document(doc) == classifier.classify_document(doc)
 
 
-def test_block_cache_fills_but_stays_transparent(built, toy_config):
-    clf = open_classifier(built[0], toy_config)
+def test_block_cache_fills_but_stays_transparent(clf):
     doc, _ = load_corpus()[2]
     calls = []
     inner = clf._index.candidate_blocks
@@ -352,11 +386,14 @@ def test_block_cache_fills_but_stays_transparent(built, toy_config):
 
 def fresh_topics(built, toy_config, docs):
     """Each document's topics from a classifier of its own."""
-    return [open_classifier(built[0], toy_config).classify_document(d) for d in docs]
+    topics = []
+    for doc in docs:
+        with open_classifier(built[0], toy_config) as clf:
+            topics.append(clf.classify_document(doc))
+    return topics
 
 
-def test_memo_hit_equals_fresh_classifier(built, toy_config):
-    clf = open_classifier(built[0], toy_config)
+def test_memo_hit_equals_fresh_classifier(built, toy_config, clf):
     docs = [d for d, _ in load_corpus()]
     got, hits = [], 0
     for doc in docs:
@@ -366,8 +403,7 @@ def test_memo_hit_equals_fresh_classifier(built, toy_config):
     assert got == fresh_topics(built, toy_config, docs)
 
 
-def test_same_lemma_in_two_sentences_keeps_each_context(built, toy_config, monkeypatch):
-    clf = open_classifier(built[0], toy_config)
+def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch, clf):
     doc = Document(id="two", title="Seals rest on sea ice.",
                    abstract="Wax seal impressions authenticate old letters.",
                    provided_mentions=("Seals", "seal"))
@@ -391,8 +427,7 @@ def test_same_lemma_in_two_sentences_keeps_each_context(built, toy_config, monke
     assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]
 
 
-def test_memo_eviction_at_cap_changes_no_output(built, toy_config):
-    clf = open_classifier(built[0], toy_config)
+def test_memo_eviction_at_cap_changes_no_output(built, toy_config, clf):
     assert clf._memo_size == len(clf._index)
     clf._memo_size = 2
     docs = [d for d, _ in load_corpus()]
@@ -402,8 +437,7 @@ def test_memo_eviction_at_cap_changes_no_output(built, toy_config):
     assert got == fresh_topics(built, toy_config, docs)
 
 
-def test_classifier_shared_across_threads(built, toy_config):
-    clf = open_classifier(built[0], toy_config)
+def test_classifier_shared_across_threads(clf):
     docs = [d for d, _ in load_corpus()] * 4
     want = [clf.classify_document(d) for d in docs]
     clf._memo.clear()

@@ -1,14 +1,17 @@
 """Text normalization, hashed n-gram vectors, and embedding means."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from kbtopics import vectors
 from kbtopics.errors import DataError
 from kbtopics.vectors import (
     EmbeddingTable,
+    TextBatch,
     char_ngrams,
     hash_gram,
     lexical_vector,
@@ -18,6 +21,7 @@ from kbtopics.vectors import (
 )
 
 from oracles import cosine_dense, cosine_sparse
+from row_table import columns_of
 
 texts = st.text(max_size=60)
 
@@ -207,3 +211,95 @@ class TestSemanticVector:
         assert np.linalg.norm(semantic_vector("a c", t)) == pytest.approx(1.0)
         # opposite vectors cancel to an exact zero mean
         np.testing.assert_array_equal(semantic_vector("a b", t), np.zeros(3))
+
+
+def postings_by_loop(terms_of_text):
+    """Postings from each text's list of terms: the sorted terms, each with
+    its (text id, count) pairs in text order."""
+    postings = {}
+    for text_id, terms in enumerate(terms_of_text):
+        for term, count in Counter(terms).items():
+            postings.setdefault(term, []).append((text_id, count))
+    return [(term, postings[term]) for term in sorted(postings)]
+
+
+def postings_of(batch_postings):
+    ptr = batch_postings.indptr.tolist()
+    pairs = list(zip(batch_postings.texts.tolist(), batch_postings.counts.tolist()))
+    return [(term, pairs[ptr[t]:ptr[t + 1]]) for t, term in enumerate(batch_postings.terms)]
+
+
+def assert_columns_equal(got, want):
+    assert got.n_texts == want.n_texts
+    assert got.vocab.dtype == np.uint64 and got.texts.dtype == np.int32
+    assert got.vocab.tolist() == want.vocab.tolist()
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.texts.tolist() == want.texts.tolist()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+# NFKC expansions (ligature, roman numeral), characters outside the basic
+# plane, whitespace runs, texts shorter than a gram and empty ones
+SPECIAL = ["ﬁsh", "Ⅸ", "𝔘𝔫𝔦 𝔠𝔬𝔡𝔢", "😀😀😀😀", "ox", "", "  \t ", "A  b", "ǅemal", "aaaa"]
+BATCHES = st.lists(st.one_of(st.text(max_size=12), st.sampled_from(SPECIAL)), max_size=12)
+SIZES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
+
+
+class TestTextBatch:
+    """The batch encoder against the one-text functions it must equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(BATCHES, SIZES)
+    @example(SPECIAL, (3, 4))
+    @example(["ab", "abc"], (3, 3))  # a size twice counts its grams twice
+    @example([], (3, 4))
+    def test_lexical_columns_equal_per_text_vectors(self, texts, sizes):
+        got = TextBatch(texts).lexical_columns(sizes)
+        assert_columns_equal(got, columns_of([lexical_vector(t, sizes) for t in texts]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(BATCHES, st.integers(1, 5))
+    @example(SPECIAL, 3)
+    def test_gram_postings_equal_per_text_grams(self, texts, n):
+        assert postings_of(TextBatch(texts).gram_postings(n)) \
+            == postings_by_loop([char_ngrams(t, (n,)) for t in texts])
+
+    @settings(max_examples=200, deadline=None)
+    @given(BATCHES)
+    @example(SPECIAL)
+    def test_token_postings_equal_per_text_tokens(self, texts):
+        assert postings_of(TextBatch(texts).token_postings()) \
+            == postings_by_loop([tokenize(t) for t in texts])
+
+    def test_semantic_matrix_equals_per_text_vectors(self, table):
+        # fullwidth letters fold to "polar" only through NFKC
+        texts = ["polar bear", "Seal", "bear bear seal", "none", "", "ＰＯＬＡＲ bear"]
+        got = TextBatch(texts).semantic_matrix(table)
+        want = np.array([semantic_vector(t, table) for t in texts])
+        assert got.tobytes() == want.tobytes()
+        assert TextBatch([]).semantic_matrix(table).shape == (0, table.dim)
+
+    def test_codes_are_ranked_again_past_their_limit(self):
+        # 3000 distinct characters: 3000**6 does not fit the code limit, so
+        # the codes of a 6-gram are ranked again while they are built
+        chars = [chr(0x4E00 + i) for i in range(3000)]
+        texts = ["".join(chars[i:i + 9]) for i in range(0, 3000, 7)] + ["".join(chars[::-1])]
+        batch = TextBatch(texts)
+        assert_columns_equal(batch.lexical_columns((6, 2)),
+                             columns_of([lexical_vector(t, (6, 2)) for t in texts]))
+        assert postings_of(batch.gram_postings(6)) \
+            == postings_by_loop([char_ngrams(t, (6,)) for t in texts])
+
+    def test_colliding_hashes_are_one_key(self, monkeypatch):
+        # every gram of a length shares one hash, as distinct grams whose
+        # hashes collide do in lexical_vector
+        monkeypatch.setattr(vectors, "hash_gram", lambda gram: len(gram))
+        texts = ["polar bear", "bear", "sea", ""]
+        assert_columns_equal(TextBatch(texts).lexical_columns((3, 4)),
+                             columns_of([lexical_vector(t, (3, 4)) for t in texts]))
+
+    def test_each_distinct_gram_is_hashed_once(self, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(vectors, "hash_gram", lambda gram: hashed.append(gram) or 1)
+        TextBatch(["polar bear", "bear bear", "polar"]).lexical_columns((3,))
+        assert sorted(hashed) == sorted(set(char_ngrams("polar bear bear bear", (3,))))
