@@ -51,7 +51,6 @@ class AppConfig:
     kb: KbSource = field(default_factory=KbSource)
     registry: PropertyRegistry = field(default_factory=PropertyRegistry)
     edge_weights: EdgeWeightParams = field(default_factory=EdgeWeightParams)
-    memory_budget: int | None = None
     expansion: ExpansionParams = field(default_factory=ExpansionParams)
     parents: ParentParams = field(default_factory=ParentParams)
     embedding_file: Path | None = None
@@ -223,18 +222,13 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
         registry = _parse_registry(_require_mapping(data.get("registry"), "registry"), "registry")
 
         ew = _require_mapping(data.get("edge_weights"), "edge_weights")
-        _reject_unknown(
-            ew, {"f_l", "f_g", "c_max", "default_base_weight", "memory_budget"}, "edge_weights"
-        )
+        _reject_unknown(ew, {"f_l", "f_g", "c_max", "default_base_weight"}, "edge_weights")
         edge_weights = EdgeWeightParams(
             f_l=_get_real(ew, "f_l", 0.5, "edge_weights"),
             f_g=_get_real(ew, "f_g", 0.5, "edge_weights"),
             c_max=_get_int(ew, "c_max", 4, "edge_weights"),
             default_base_weight=_get_real(ew, "default_base_weight", 2.0, "edge_weights"),
         )
-        budget = ew.get("memory_budget")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ConfigError(f"edge_weights.memory_budget must be an integer, got {budget!r}")
 
         ex = _require_mapping(data.get("expansion"), "expansion")
         _reject_unknown(ex, {"max_depth", "max_distance", "max_neighbors"}, "expansion")
@@ -315,7 +309,6 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
         kb=kb,
         registry=registry,
         edge_weights=edge_weights,
-        memory_budget=budget,
         expansion=expansion,
         parents=parents,
         embedding_file=embedding_file,
@@ -377,7 +370,6 @@ def to_dict(config: AppConfig) -> dict[str, Any]:
             "f_g": config.edge_weights.f_g,
             "c_max": config.edge_weights.c_max,
             "default_base_weight": config.edge_weights.default_base_weight,
-            "memory_budget": config.memory_budget,
         },
         "expansion": {
             "max_depth": config.expansion.max_depth,

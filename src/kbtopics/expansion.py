@@ -31,13 +31,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .edges import WeightedGraph
 from .errors import ConfigError, DataError
 from .kb import Iri
 from .vector_store import ranges
 
 logger = logging.getLogger(__name__)
-
-Adjacency = Mapping[Iri, tuple[tuple[Iri, float], ...]]
 
 # Seeds expanded together: bounds the relaxation's temporary arrays, which
 # grow with seeds times the nodes each one reaches.
@@ -69,9 +68,6 @@ class Neighborhood:
 
     seed: Iri
     neighbors: tuple[tuple[Iri, float], ...]
-
-    def distances(self) -> dict[Iri, float]:
-        return dict(self.neighbors)
 
     def __len__(self) -> int:
         return len(self.neighbors)
@@ -118,19 +114,15 @@ class Neighborhoods(Mapping[Iri, Neighborhood]):
         return len(self._rows)
 
 
-def _edge_csr(edges: Adjacency, nodes: dict[Iri, int]) -> tuple[np.ndarray, ...]:
-    """The adjacency as a CSR over node ids: node u's edges lead to
+def _edge_csr(graph: WeightedGraph) -> tuple[np.ndarray, ...]:
+    """The graph as a CSR over entity ids: entity u's edges lead to
     ``targets[indptr[u]:indptr[u + 1]]`` with those ``weights``."""
-    sources = np.repeat(np.fromiter((nodes[s] for s in edges), np.int64, len(edges)),
-                        [len(row) for row in edges.values()])
-    targets = np.array([nodes[t] for row in edges.values() for t, _ in row], dtype=np.int64)
-    weights = np.array([w for row in edges.values() for _, w in row], dtype=np.float64)
-    if not np.all(weights >= 0):  # also refuses NaN
+    if not np.all(graph.weights >= 0):  # also refuses NaN
         raise ConfigError("edge weights must be nonnegative")
-    order = np.argsort(sources, kind="stable")
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=len(nodes)), out=indptr[1:])
-    return indptr, targets[order], weights[order]
+    order = np.argsort(graph.sources, kind="stable")
+    indptr = np.zeros(len(graph.entities) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.sources, minlength=len(graph.entities)), out=indptr[1:])
+    return indptr, graph.targets[order], graph.weights[order]
 
 
 def _group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,18 +169,17 @@ def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
 
 
 def expand_all(
-    edges: Adjacency, entities: Iterable[Iri], params: ExpansionParams | None = None
+    graph: WeightedGraph, entities: Iterable[Iri], params: ExpansionParams | None = None
 ) -> Neighborhoods:
-    """Expand every entity at once; the same neighborhoods, bit for bit, as
-    a label-setting search from each seed."""
+    """Expand every seed in ``entities``, each one of ``graph.entities``, at
+    once; the same neighborhoods, bit for bit, as a label-setting search
+    from each seed."""
     params = params or ExpansionParams()
     seeds = list(dict.fromkeys(entities))
-    names = sorted(set(edges).union(
-        (t for row in edges.values() for t, _ in row), seeds))
-    nodes = {name: i for i, name in enumerate(names)}
-    csr = _edge_csr(edges, nodes)
-    n_nodes = max(len(names), 1)
-    seed_ids = np.fromiter((nodes[s] for s in seeds), np.int64, len(seeds))
+    id_of = dict(zip(graph.entities, range(len(graph.entities))))
+    csr = _edge_csr(graph)
+    n_nodes = max(len(graph.entities), 1)
+    seed_ids = np.fromiter((id_of[s] for s in seeds), np.int64, len(seeds))
     parts_ids, parts_dist, sizes = [], [], []
     for lo in range(0, len(seeds), SEED_CHUNK):
         chunk = seed_ids[lo:lo + SEED_CHUNK]
@@ -207,11 +198,6 @@ def expand_all(
     if seeds:
         np.cumsum(np.concatenate(sizes), out=indptr[1:])
     return Neighborhoods(
-        names, seed_ids, indptr,
+        graph.entities, seed_ids, indptr,
         np.concatenate(parts_ids) if parts_ids else np.zeros(0, np.int64),
         np.concatenate(parts_dist) if parts_dist else np.zeros(0))
-
-
-def expand(edges: Adjacency, seed: Iri, params: ExpansionParams | None = None) -> Neighborhood:
-    """One seed's neighborhood."""
-    return expand_all(edges, [seed], params)[seed]

@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood, Neighborhoods
-from .kb import Iri, KnowledgeBase, entity_texts
+from .kb import Iri, KnowledgeBase
 from .ranking import CandidateBlocks
 from .vector_store import VectorStore, ranges, write_vector_store
 from .vectors import (
@@ -340,7 +340,7 @@ def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> list[f
 
 
 def build_index(
-    kb: KnowledgeBase,
+    texts_of: Mapping[Iri, Sequence[tuple[str, str, float]]],
     neighborhoods: Neighborhoods,
     parents: Mapping[Iri, Sequence[tuple[Iri, float]]],
     encoders: Encoders,
@@ -349,13 +349,14 @@ def build_index(
 ) -> IndexManifest:
     """Write a complete index directory; returns its manifest.
 
-    Rebuilding from identical inputs reproduces every byte except the
-    manifest timestamp (the content hash covers the three data files).
+    ``texts_of`` gives entities' texts as ``entity_texts`` lists them; each
+    entity with at least one becomes a record. Rebuilding from identical
+    inputs reproduces every byte except the manifest timestamp (the content
+    hash covers the three data files).
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        texts_of = {e: entity_texts(kb, e) for e in kb.entities}
         uris = sorted(e for e, rows in texts_of.items() if rows)
         columns, entities = _graph_columns(uris, neighborhoods, parents)
         rows = [row for uri in uris for row in texts_of[uri]]

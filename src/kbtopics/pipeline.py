@@ -28,7 +28,7 @@ import numpy as np
 
 from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig, dump_config
-from .edges import build_adjacency, compute_edge_weights, link_counts
+from .edges import compute_edge_weights, link_counts
 from .errors import ConfigError, KbTopicsError, PipelineError
 from .expansion import expand_all
 from .index import (
@@ -121,22 +121,19 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
 
             stage = "edge-weights"
             t = time.perf_counter()
-            weighted = list(
-                compute_edge_weights(kb, config.edge_weights, memory_budget=config.memory_budget)
-            )
-            adjacency = build_adjacency(weighted)
-            staged("edge-weights", t, f"{len(weighted)} weighted edges")
+            links = link_counts(kb)
+            graph = compute_edge_weights(kb, links, config.edge_weights)
+            staged("edge-weights", t, f"{len(graph.weights)} weighted edges")
 
             stage = "expansion"
             t = time.perf_counter()
-            seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
-            neighborhoods = expand_all(adjacency, seeds, config.expansion)
-            staged("expansion", t, f"{len(seeds)} neighborhoods")
+            texts = {e: rows for e in graph.entities if (rows := entity_texts(kb, e))}
+            neighborhoods = expand_all(graph, texts, config.expansion)
+            staged("expansion", t, f"{len(texts)} neighborhoods")
 
             stage = "parents"
             t = time.perf_counter()
-            counts = link_counts(kb)
-            parents = {e: compute_parents(kb, e, config.parents, counts) for e in seeds}
+            parents = {e: compute_parents(kb, e, config.parents, links) for e in texts}
             staged("parents", t, f"{sum(len(v) for v in parents.values())} parent links")
 
             stage = "index"
@@ -144,7 +141,7 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
             table = EmbeddingTable.load(config.embedding_file)
             encoders = Encoders(table=table, ngram_sizes=config.ngram_sizes)
             manifest = build_index(
-                kb, neighborhoods, parents, encoders, tmp, config_hash=config.config_hash())
+                texts, neighborhoods, parents, encoders, tmp, config_hash=config.config_hash())
             (tmp / CONFIG_COPY).write_text(dump_config(config), encoding="utf-8")
             staged("index", t, f"{manifest.record_count} records, {manifest.text_count} texts")
     except KbTopicsError as exc:

@@ -12,12 +12,12 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from kbtopics.edges import EdgeDirection
-from kbtopics.expansion import Adjacency, ExpansionParams, Neighborhood, Neighborhoods
+from kbtopics.edges import WeightedGraph
+from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
 from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
     Iri,
@@ -51,6 +51,50 @@ def parents_by_scan(
         (q, float(max(link_counts.get(q, 1), 1)) ** -params.alpha)
         for q in sorted(found)
     ]
+
+
+EdgeDirection = Literal["spo", "ops"]
+
+# source -> (target, weight) rows, each sorted by (weight, target)
+Adjacency = Mapping[Iri, tuple[tuple[Iri, float], ...]]
+
+
+def graph_of(edges: Iterable[tuple[Iri, Iri, float]], entities: Iterable[Iri] = ()
+             ) -> WeightedGraph:
+    """(source, target, weight) edges as a WeightedGraph over their endpoints
+    and ``entities``."""
+    edges = list(edges)
+    names = sorted({e for s, t, _ in edges for e in (s, t)}.union(entities))
+    ids = {e: i for i, e in enumerate(names)}
+    return WeightedGraph(
+        names,
+        np.array([ids[s] for s, _, _ in edges], dtype=np.int64),
+        np.array([ids[t] for _, t, _ in edges], dtype=np.int64),
+        np.array([w for _, _, w in edges], dtype=np.float64),
+    )
+
+
+def adjacency_of(graph: WeightedGraph) -> Adjacency:
+    """The graph as a dict of rows, parallel edges collapsed to the cheapest."""
+    best: dict[Iri, dict[Iri, float]] = {}
+    for s, t, w in zip(graph.sources.tolist(), graph.targets.tolist(), graph.weights.tolist()):
+        row = best.setdefault(graph.entities[s], {})
+        target = graph.entities[t]
+        if target not in row or w < row[target]:
+            row[target] = w
+    return {s: tuple(sorted(row.items(), key=lambda tw: (tw[1], tw[0])))
+            for s, row in best.items()}
+
+
+def expand(graph: WeightedGraph, seed: Iri, params: ExpansionParams | None = None
+           ) -> Neighborhood:
+    """One seed's neighborhood."""
+    return expand_all(graph, [seed], params)[seed]
+
+
+def distances(nbh: Neighborhood) -> dict[Iri, float]:
+    """A neighborhood as {entity: distance}."""
+    return dict(nbh.neighbors)
 
 
 def _admit(labels: dict[Iri, list[tuple[int, float]]], node: Iri,
@@ -174,7 +218,7 @@ def similarity_by_pairs(
     """build_similarity's edges by intersecting the candidates' distance
     dicts pair by pair: {(a, b): 1/(1+best)} for a < b with a shared entry."""
     nodes = tuple(sorted(set(candidates)))
-    distance_maps = {node: neighborhoods[node].distances() for node in nodes}
+    distance_maps = {node: distances(neighborhoods[node]) for node in nodes}
     edges: dict[tuple[Iri, Iri], float] = {}
     for i, a in enumerate(nodes):
         dist_a = distance_maps[a]

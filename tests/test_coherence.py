@@ -22,11 +22,11 @@ from kbtopics.coherence import (
     greedy_prune,
 )
 from kbtopics.errors import ConfigError, PipelineError
-from kbtopics.expansion import ExpansionParams, Neighborhood, expand
+from kbtopics.expansion import ExpansionParams, Neighborhood
 from kbtopics.kb import Iri
 from kbtopics.ranking import ScoredCandidate
 
-from oracles import similarity_by_pairs
+from oracles import distances, expand, graph_of, similarity_by_pairs
 
 
 def iri(name: str) -> Iri:
@@ -178,7 +178,7 @@ class TestBuildSimilarity:
             for i, a in enumerate(graph.nodes):
                 for b in graph.nodes[i + 1:]:
                     want = oracle_distance(
-                        hoods[a].distances(), hoods[b].distances()
+                        distances(hoods[a]), distances(hoods[b])
                     )
                     got = similarity(graph, a, b)
                     if want is None:
@@ -193,21 +193,17 @@ class TestBuildSimilarity:
         n = 20
         nodes = [iri(f"v{i:02d}") for i in range(n)]
         dense = np.zeros((n, n))
-        adjacency: dict[Iri, list[tuple[Iri, float]]] = {u: [] for u in nodes}
+        edges = []
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.2:
                     w = round(rng.uniform(0.2, 1.5), 3)
                     dense[i, j] = dense[j, i] = w
-                    adjacency[nodes[i]].append((nodes[j], w))
-                    adjacency[nodes[j]].append((nodes[i], w))
-        adj = {
-            u: tuple(sorted(vs, key=lambda p: (p[1], p[0])))
-            for u, vs in adjacency.items()
-        }
+                    edges += [(nodes[i], nodes[j], w), (nodes[j], nodes[i], w)]
+        weighted = graph_of(edges, nodes)
         params = ExpansionParams(max_depth=3, max_distance=4.0, max_neighbors=512)
         seeds = nodes[:8]
-        hoods = {s: expand(adj, s, params) for s in seeds}
+        hoods = {s: expand(weighted, s, params) for s in seeds}
         graph = build_similarity(seeds, interned(hoods))
         true = dijkstra(sp.csr_matrix(dense), directed=False)
         for (a, b), sim in graph.edges.items():

@@ -23,7 +23,6 @@ def test_empty_mapping_gives_all_defaults(tmp_path):
     assert cfg.kb.paths == ()
     assert cfg.kb.lenient is False
     assert cfg.embedding_file is None
-    assert cfg.memory_budget is None
     assert cfg.ngram_sizes == (3, 4)
     assert cfg.edge_weights.f_l == 0.5
     assert cfg.edge_weights.f_g == 0.5
@@ -70,7 +69,6 @@ def test_reference_config_loads():
     assert label.weight == 2.0
     assert len(cfg.registry.parent_properties) == 2
     assert cfg.registry.cross_ref_prefixes == {"MSH": "http://example.org/mesh/"}
-    assert cfg.memory_budget is None
 
 
 def test_non_mapping_config_rejected(tmp_path):
@@ -170,7 +168,7 @@ def test_negative_edge_base_weight_rejected(tmp_path):
         ({"coherence": {"prune_fraction": 1.0}}, "prune_fraction"),
         ({"edge_weights": {"c_max": 1.5}}, "edge_weights.c_max"),
         ({"edge_weights": {"c_max": True}}, "edge_weights.c_max"),
-        ({"edge_weights": {"memory_budget": "big"}}, "memory_budget"),
+        ({"edge_weights": {"memory_budget": 1_000_000}}, "memory_budget"),
         ({"kb": {"paths": "single.nt"}}, "kb.paths"),
         ({"kb": {"lenient": "yes"}}, "kb.lenient"),
         ({"encoder": {"ngram_sizes": []}}, "ngram_sizes"),

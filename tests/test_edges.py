@@ -1,20 +1,13 @@
-"""Edge weighting: link counts, group sizes, truncation, and the spill path."""
+"""Edge weighting: link counts, group sizes, truncation."""
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from kbtopics.edges import (
-    MIN_MEMORY_BUDGET,
-    DirectedEdge,
-    EdgeWeightParams,
-    WeightedEdge,
-    build_adjacency,
-    compute_edge_weights,
-    link_counts,
-)
-from kbtopics.errors import ConfigError, PipelineError
+from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts
+from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
 
 from oracles import group_cardinality
@@ -35,11 +28,16 @@ def kb_from(spo_list, base_weights=None) -> KnowledgeBase:
     return KnowledgeBase.from_triples(triples, reg)
 
 
-def edge_key(we: WeightedEdge):
-    return (we.edge.s, we.edge.p, we.edge.o, we.edge.d, we.weight)
+def weighted(kb: KnowledgeBase, params: EdgeWeightParams | None = None
+             ) -> list[tuple[Iri, Iri, float]]:
+    """compute_edge_weights' edges as sorted (source, target, weight)."""
+    g = compute_edge_weights(kb, link_counts(kb), params)
+    name = g.entities.__getitem__
+    return sorted(zip(map(name, g.sources.tolist()), map(name, g.targets.tolist()),
+                      g.weights.tolist()))
 
 
-def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[WeightedEdge]:
+def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[tuple[Iri, Iri, float]]:
     """Independent full-scan evaluation of the weighting rules."""
     links: dict[Iri, int] = {}
     for e in {t.subject for t in kb.triples} | {t.obj for t in kb.triples if isinstance(t.obj, Iri)}:
@@ -61,9 +59,7 @@ def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[WeightedEd
             (w_p * links[o] ** params.f_l * g ** params.f_g, o)
             for _, _, o, _ in members
         )
-        out.extend(
-            WeightedEdge(DirectedEdge(s, p, o, d), w) for w, o in scored[: params.c_max]
-        )
+        out.extend((s, o, w) for w, o in scored[: params.c_max])
     return out
 
 
@@ -145,27 +141,30 @@ class TestComputeEdgeWeights:
     def test_hand_evaluated_chain(self):
         kb = kb_from([("A", "p", "B"), ("B", "q", "C")],
                      base_weights={"p": 1.0, "q": 1.0})
-        got = {edge_key(e)[:4]: e.weight for e in compute_edge_weights(kb)}
+        got = {(s, t): w for s, t, w in weighted(kb)}
         root2 = math.sqrt(2)
-        assert got[(iri("A"), iri("p"), iri("B"), "spo")] == pytest.approx(root2, abs=1e-8)
-        assert got[(iri("B"), iri("p"), iri("A"), "ops")] == pytest.approx(1.0)
-        assert got[(iri("B"), iri("q"), iri("C"), "spo")] == pytest.approx(1.0)
-        assert got[(iri("C"), iri("q"), iri("B"), "ops")] == pytest.approx(root2, abs=1e-8)
+        assert got == {
+            (iri("A"), iri("B")): pytest.approx(root2, abs=1e-8),  # spo p
+            (iri("B"), iri("A")): pytest.approx(1.0),              # ops p
+            (iri("B"), iri("C")): pytest.approx(1.0),              # spo q
+            (iri("C"), iri("B")): pytest.approx(root2, abs=1e-8),  # ops q
+        }
 
     def test_zero_exponents_give_base_weights(self):
         kb = kb_from([("A", "p", "B"), ("A", "p", "C"), ("B", "q", "C")],
                      base_weights={"p": 0.25})
         params = EdgeWeightParams(f_l=0.0, f_g=0.0)
-        for we in compute_edge_weights(kb, params):
-            expected = 0.25 if we.edge.p == iri("p") else 2.0
-            assert we.weight == expected
+        q_pairs = {(iri("B"), iri("C")), (iri("C"), iri("B"))}
+        edges = weighted(kb, params)
+        assert len(edges) == 6
+        for s, t, w in edges:
+            assert w == (2.0 if (s, t) in q_pairs else 0.25)
 
     def test_every_iri_triple_yields_two_edges_before_truncation(self):
         rng = np.random.default_rng(7)
         kb = random_kb(rng)
         n_iri = sum(1 for t in kb.triples if t.has_iri_object)
-        edges = list(compute_edge_weights(kb, EdgeWeightParams(c_max=10**9)))
-        assert len(edges) == 2 * n_iri
+        assert len(weighted(kb, EdgeWeightParams(c_max=10**9))) == 2 * n_iri
 
     def test_truncation_keeps_lowest_weights(self):
         # B01..B10 with increasing link counts, so ascending weights.
@@ -173,92 +172,53 @@ class TestComputeEdgeWeights:
         for i in range(1, 11):
             triples += [(f"B{i:02d}", "q", f"C{i:02d}x{j}") for j in range(i - 1)]
         kb = kb_from(triples, base_weights={"p": 1.0, "q": 1.0})
-        survivors = [
-            we for we in compute_edge_weights(kb)
-            if we.edge.s == iri("A") and we.edge.d == "spo"
-        ]
-        assert sorted(we.edge.o for we in survivors) == [iri(f"B{i:02d}") for i in (1, 2, 3, 4)]
+        survivors = [t for s, t, _ in weighted(kb) if s == iri("A")]
+        assert sorted(survivors) == [iri(f"B{i:02d}") for i in (1, 2, 3, 4)]
 
     def test_truncation_ties_break_lexicographically(self):
         kb = kb_from([("A", "p", f"B{i:02d}") for i in range(10)], base_weights={"p": 1.0})
-        survivors = [we for we in compute_edge_weights(kb)
-                     if we.edge.s == iri("A") and we.edge.d == "spo"]
-        assert sorted(we.edge.o for we in survivors) == [iri(f"B{i:02d}") for i in range(4)]
+        survivors = [t for s, t, _ in weighted(kb) if s == iri("A")]
+        assert sorted(survivors) == [iri(f"B{i:02d}") for i in range(4)]
 
     def test_matches_brute_force_oracle(self):
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
             kb = random_kb(rng, n_entities=15, n_triples=90)
             params = EdgeWeightParams()
-            got = sorted(map(edge_key, compute_edge_weights(kb, params)))
-            want = sorted(map(edge_key, oracle_edges(kb, params)))
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g[:4] == w[:4]
-                assert g[4] == pytest.approx(w[4], abs=1e-9)
+            # exact: the same float operations in the same order
+            assert weighted(kb, params) == sorted(oracle_edges(kb, params))
 
     def test_monotone_in_links_and_group_size(self):
         rng = np.random.default_rng(42)
         kb = random_kb(rng, n_entities=10, n_triples=40)
         params = EdgeWeightParams(c_max=10**9)
-        before = {edge_key(e)[:4]: e.weight for e in compute_edge_weights(kb, params)}
-        grown = KnowledgeBase.from_triples(
-            list(kb.triples) + [Triple(iri("e01"), iri("p0"), iri("e02"))],
-            kb.registry,
-        )
-        after = {edge_key(e)[:4]: e.weight for e in compute_edge_weights(grown, params)}
-        for key, w in before.items():
-            assert after[key] >= w - 1e-12
-
-
-class TestSpillPath:
-    def test_budget_below_minimum_rejected(self):
-        kb = kb_from([("A", "p", "B")])
-        with pytest.raises(ConfigError):
-            list(compute_edge_weights(kb, memory_budget=MIN_MEMORY_BUDGET - 1))
-
-    def test_spill_matches_in_memory_exactly(self, tmp_path):
-        rng = np.random.default_rng(11)
-        kb = random_kb(rng, n_entities=25, n_triples=200)
-        in_mem = sorted(map(edge_key, compute_edge_weights(kb)))
-        spilled = sorted(map(edge_key, compute_edge_weights(
-            kb, memory_budget=MIN_MEMORY_BUDGET, spill_dir=tmp_path)))
-        assert in_mem == spilled  # weights bit-identical, not just close
-
-    def test_spill_cleans_up(self, tmp_path):
-        kb = kb_from([("A", "p", "B")])
-        list(compute_edge_weights(kb, memory_budget=MIN_MEMORY_BUDGET, spill_dir=tmp_path))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_unusable_spill_dir_is_pipeline_error(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file, not dir")
-        kb = kb_from([("A", "p", "B")])
-        with pytest.raises(PipelineError):
-            list(compute_edge_weights(kb, memory_budget=MIN_MEMORY_BUDGET,
-                                      spill_dir=blocker))
+        added = Triple(iri("e01"), iri("p0"), iri("e02"))
+        grown = KnowledgeBase.from_triples(list(kb.triples) + [added], kb.registry)
+        before, after = defaultdict(list), defaultdict(list)
+        for s, t, w in weighted(kb, params):
+            before[s, t].append(w)
+        for s, t, w in weighted(grown, params):
+            after[s, t].append(w)
+        # the pairs the added triple joins gain an edge; every other pair
+        # keeps its edges, none cheaper
+        for pair, ws in before.items():
+            if set(pair) == {iri("e01"), iri("e02")}:
+                continue
+            assert len(after[pair]) == len(ws)
+            for w0, w1 in zip(sorted(ws), sorted(after[pair])):
+                assert w1 >= w0 - 1e-12
 
     def test_deterministic_across_runs(self):
         kb = random_kb(np.random.default_rng(5))
-        first = list(map(edge_key, compute_edge_weights(kb)))
-        second = list(map(edge_key, compute_edge_weights(kb)))
-        assert first == second
+        first = compute_edge_weights(kb, link_counts(kb))
+        second = compute_edge_weights(kb, link_counts(kb))
+        assert first.entities == second.entities
+        for a, b in zip(first[1:], second[1:]):
+            assert a.tolist() == b.tolist()
 
-
-class TestBuildAdjacency:
-    def test_parallel_edges_keep_minimum(self):
-        a, b = iri("A"), iri("B")
-        edges = [
-            WeightedEdge(DirectedEdge(a, iri("p"), b, "spo"), 2.0),
-            WeightedEdge(DirectedEdge(a, iri("q"), b, "spo"), 0.5),
-        ]
-        assert build_adjacency(edges) == {a: ((b, 0.5),)}
-
-    def test_rows_sorted_by_weight_then_target(self):
-        a = iri("A")
-        edges = [
-            WeightedEdge(DirectedEdge(a, iri("p"), iri("C"), "spo"), 1.0),
-            WeightedEdge(DirectedEdge(a, iri("p"), iri("B"), "spo"), 1.0),
-            WeightedEdge(DirectedEdge(a, iri("p"), iri("D"), "spo"), 0.1),
-        ]
-        assert build_adjacency(edges)[a] == ((iri("D"), 0.1), (iri("B"), 1.0), (iri("C"), 1.0))
+    def test_ids_number_the_entities_in_iri_order(self):
+        kb = random_kb(np.random.default_rng(8))
+        g = compute_edge_weights(kb, link_counts(kb))
+        assert g.entities == sorted(kb.entities)
+        assert g.sources.dtype == g.targets.dtype == np.int64
+        assert g.weights.dtype == np.float64

@@ -9,12 +9,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from kbtopics import expansion
-from kbtopics.edges import DirectedEdge, WeightedEdge, build_adjacency
 from kbtopics.errors import ConfigError
-from kbtopics.expansion import ExpansionParams, Neighborhood, expand, expand_all
+from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.kb import Iri
 
-from oracles import expand_by_labels
+from oracles import adjacency_of, distances, expand, expand_by_labels, graph_of
 
 EX = "http://example.org/"
 
@@ -23,13 +22,10 @@ def iri(name) -> Iri:
     return Iri(EX + str(name))
 
 
-def adjacency(*edges):
-    """Adjacency from (source, target, weight) triples."""
-    weighted = [
-        WeightedEdge(DirectedEdge(iri(s), iri("p"), iri(t), "spo"), w)
-        for s, t, w in edges
-    ]
-    return build_adjacency(weighted)
+def graph(*edges, seeds=()):
+    """A graph from (source, target, weight) triples of names, over their
+    endpoints and ``seeds``."""
+    return graph_of(((iri(s), iri(t), w) for s, t, w in edges), map(iri, seeds))
 
 
 def enumerate_paths_oracle(edge_list, seed, max_depth, max_distance):
@@ -71,26 +67,26 @@ class TestExpand:
     CHAIN = [("A", "B", 0.5), ("B", "C", 0.5), ("C", "D", 0.5)]
 
     def test_depth_limited_chain(self):
-        nbh = expand(adjacency(*self.CHAIN), iri("A"),
+        nbh = expand(graph(*self.CHAIN), iri("A"),
                      ExpansionParams(max_depth=2, max_distance=10.0))
-        assert nbh.distances() == {iri("A"): 0.0, iri("B"): 0.5, iri("C"): 1.0}
+        assert distances(nbh) == {iri("A"): 0.0, iri("B"): 0.5, iri("C"): 1.0}
 
     def test_distance_limited_chain(self):
-        nbh = expand(adjacency(*self.CHAIN), iri("A"),
+        nbh = expand(graph(*self.CHAIN), iri("A"),
                      ExpansionParams(max_depth=10, max_distance=1.2))
-        assert nbh.distances() == {iri("A"): 0.0, iri("B"): 0.5, iri("C"): 1.0}
+        assert distances(nbh) == {iri("A"): 0.0, iri("B"): 0.5, iri("C"): 1.0}
 
     def test_distance_cap_is_inclusive(self):
-        nbh = expand(adjacency(("A", "B", 1.0)), iri("A"),
+        nbh = expand(graph(("A", "B", 1.0)), iri("A"),
                      ExpansionParams(max_depth=3, max_distance=1.0))
-        assert iri("B") in nbh.distances()
+        assert iri("B") in distances(nbh)
 
     def test_isolated_seed(self):
-        nbh = expand({}, iri("lonely"))
+        nbh = expand(graph(seeds=["lonely"]), iri("lonely"))
         assert nbh.neighbors == ((iri("lonely"), 0.0),)
 
     def test_seed_first_and_sorted(self):
-        nbh = expand(adjacency(("A", "C", 0.7), ("A", "B", 0.7), ("A", "D", 0.2)), iri("A"))
+        nbh = expand(graph(("A", "C", 0.7), ("A", "B", 0.7), ("A", "D", 0.2)), iri("A"))
         assert nbh.neighbors[0] == (iri("A"), 0.0)
         assert nbh.neighbors == (
             (iri("A"), 0.0), (iri("D"), 0.2), (iri("B"), 0.7), (iri("C"), 0.7))
@@ -98,33 +94,43 @@ class TestExpand:
     def test_deep_cheap_path_wins_but_shallow_route_still_explored(self):
         # S->A direct costs 1.0; S->B->A costs 0.2 but uses both hops, so T
         # (one hop past A) is only reachable through the expensive route.
-        adj = adjacency(("S", "A", 1.0), ("S", "B", 0.1), ("B", "A", 0.1), ("A", "T", 1.0))
-        nbh = expand(adj, iri("S"), ExpansionParams(max_depth=2, max_distance=4.0))
-        assert nbh.distances() == {
+        g = graph(("S", "A", 1.0), ("S", "B", 0.1), ("B", "A", 0.1), ("A", "T", 1.0))
+        nbh = expand(g, iri("S"), ExpansionParams(max_depth=2, max_distance=4.0))
+        assert distances(nbh) == {
             iri("S"): 0.0, iri("B"): 0.1, iri("A"): 0.2, iri("T"): 2.0}
 
     def test_cycle_terminates(self):
-        adj = adjacency(("A", "B", 0.1), ("B", "A", 0.1))
-        nbh = expand(adj, iri("A"), ExpansionParams(max_depth=50, max_distance=100.0))
-        assert nbh.distances() == {iri("A"): 0.0, iri("B"): 0.1}
+        g = graph(("A", "B", 0.1), ("B", "A", 0.1))
+        nbh = expand(g, iri("A"), ExpansionParams(max_depth=50, max_distance=100.0))
+        assert distances(nbh) == {iri("A"): 0.0, iri("B"): 0.1}
 
     def test_neighbor_cap_keeps_closest(self):
         edges = [("S", f"L{i:02d}", 0.1 * (i + 1)) for i in range(10)]
-        nbh = expand(adjacency(*edges), iri("S"),
+        nbh = expand(graph(*edges), iri("S"),
                      ExpansionParams(max_depth=3, max_distance=100.0, max_neighbors=5))
         assert len(nbh) == 5
         assert [e for e, _ in nbh.neighbors] == [
             iri("S"), iri("L00"), iri("L01"), iri("L02"), iri("L03")]
 
+    def test_parallel_edges_keep_minimum(self):
+        # the same pair joined twice, as by two predicates: the cheaper edge
+        # decides, the other changes nothing
+        params = ExpansionParams(max_depth=2, max_distance=3.0)
+        cheapest = expand(graph(("A", "B", 0.5), ("B", "C", 1.0)), iri("A"), params)
+        for parallel in [("A", "B", 2.0), ("A", "B", 0.5)]:
+            both = expand(graph(parallel, ("A", "B", 0.5), ("B", "C", 1.0)), iri("A"), params)
+            assert bits(both) == bits(cheapest)
+        assert distances(cheapest) == {iri("A"): 0.0, iri("B"): 0.5, iri("C"): 1.5}
+
     def test_independent_of_edge_iteration_order(self):
         rng = np.random.default_rng(3)
         edges = [(f"n{int(rng.integers(8))}", f"n{int(rng.integers(8))}",
                   round(float(rng.uniform(0.1, 1.0)), 3)) for _ in range(30)]
-        base = expand(adjacency(*edges), iri("n0"))
+        base = expand(graph(*edges, seeds=["n0"]), iri("n0"))
         for perm_seed in range(3):
             shuffled = list(edges)
             np.random.default_rng(perm_seed).shuffle(shuffled)
-            assert expand(adjacency(*shuffled), iri("n0")) == base
+            assert expand(graph(*shuffled, seeds=["n0"]), iri("n0")) == base
 
 
 def random_edges(rng, n_nodes, n_edges):
@@ -147,7 +153,7 @@ class TestAgainstShortestPathOracle:
             n = 60
             edges = random_edges(rng, n, 400)
             max_distance = 2.3456
-            nbh = expand(adjacency(*edges), iri("n000"),
+            nbh = expand(graph(*edges, seeds=["n000"]), iri("n000"),
                          ExpansionParams(max_depth=n, max_distance=max_distance))
             index = {f"n{i:03d}": i for i in range(n)}
             mat = np.zeros((n, n))
@@ -159,7 +165,7 @@ class TestAgainstShortestPathOracle:
                 for i in range(n)
                 if dist[i] <= max_distance
             }
-            got = nbh.distances()
+            got = distances(nbh)
             assert set(got) == set(want)
             for k, v in want.items():
                 assert got[k] == pytest.approx(v, abs=1e-9)
@@ -169,7 +175,7 @@ class TestAgainstShortestPathOracle:
             rng = np.random.default_rng(seed)
             edges = random_edges(rng, 9, 28)
             params = ExpansionParams(max_depth=3, max_distance=2.0)
-            got = expand(adjacency(*edges), iri("n000"), params).distances()
+            got = distances(expand(graph(*edges, seeds=["n000"]), iri("n000"), params))
             raw = [(iri(s), iri(t), w) for s, t, w in edges]
             want = enumerate_paths_oracle(raw, iri("n000"),
                                           params.max_depth, params.max_distance)
@@ -180,21 +186,21 @@ class TestExpandAll:
     def test_matches_individual_expand(self):
         rng = np.random.default_rng(9)
         edges = random_edges(rng, 12, 50)
-        adj = adjacency(*edges)
+        g = graph(*edges)
         entities = sorted({iri(s) for s, _, _ in edges} | {iri(t) for _, t, _ in edges})
-        result = expand_all(adj, entities)
+        result = expand_all(g, entities)
         assert set(result) == set(entities)
         for e in entities:
-            assert result[e] == expand(adj, e)
+            assert result[e] == expand(g, e)
 
     def test_empty_entities(self):
-        assert expand_all({}, []) == {}
+        assert expand_all(graph(), []) == {}
 
     def test_disconnected_components_never_mix(self):
-        adj = adjacency(("A", "B", 0.1), ("X", "Y", 0.1))
-        result = expand_all(adj, [iri("A"), iri("X")])
-        assert set(result[iri("A")].distances()) == {iri("A"), iri("B")}
-        assert set(result[iri("X")].distances()) == {iri("X"), iri("Y")}
+        g = graph(("A", "B", 0.1), ("X", "Y", 0.1))
+        result = expand_all(g, [iri("A"), iri("X")])
+        assert set(distances(result[iri("A")])) == {iri("A"), iri("B")}
+        assert set(distances(result[iri("X")])) == {iri("X"), iri("Y")}
 
 
 def bits(nbh: Neighborhood) -> list[tuple[str, str]]:
@@ -216,53 +222,54 @@ class TestAgainstLabelSettingOracle:
              3, 4.0, 3, [0])  # three entities tie at 1.0 around the cut
     @example([(0, 1, 0.25), (1, 0, 0.25)], 50, 10.0, 5, [0, 1, 13])  # depth far past diameter
     def test_bitwise_equal(self, edges, max_depth, max_distance, max_neighbors, seeds):
-        adj = adjacency(*[(f"n{s:02d}", f"n{t:02d}", w) for s, t, w in edges])
-        # seeds 12..15 are in no edge, and some of 0..11 may not be either
+        # seeds 12..15 are in no edge, and some of 0..11 may not be either;
+        # a pair listed twice is joined by parallel edges
+        g = graph(*[(f"n{s:02d}", f"n{t:02d}", w) for s, t, w in edges],
+                  seeds=[f"n{s:02d}" for s in seeds])
         seed_iris = [iri(f"n{s:02d}") for s in seeds]
         params = ExpansionParams(max_depth=max_depth, max_distance=max_distance,
                                  max_neighbors=max_neighbors)
-        got = expand_all(adj, seed_iris, params)
+        got = expand_all(g, seed_iris, params)
         assert list(got) == list(dict.fromkeys(seed_iris))
         for seed in seed_iris:
-            assert bits(got[seed]) == bits(expand_by_labels(adj, seed, params))
-            assert got[seed] == expand(adj, seed, params)
+            assert bits(got[seed]) == bits(expand_by_labels(adjacency_of(g), seed, params))
+            assert got[seed] == expand(g, seed, params)
 
     def test_bitwise_equal_on_random_weights(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             edges = random_edges(rng, 40, 160)
-            adj = adjacency(*edges)
+            g = graph(*edges, seeds=[f"n{i:03d}" for i in range(40)])
             params = ExpansionParams(max_depth=int(rng.integers(1, 6)),
                                      max_distance=float(rng.uniform(0.5, 4.0)),
                                      max_neighbors=int(rng.integers(1, 40)))
             seeds = [iri(f"n{i:03d}") for i in range(40)]
-            got = expand_all(adj, seeds, params)
+            got = expand_all(g, seeds, params)
             for s in seeds:
-                assert bits(got[s]) == bits(expand_by_labels(adj, s, params))
+                assert bits(got[s]) == bits(expand_by_labels(adjacency_of(g), s, params))
 
     def test_cut_inside_a_tie_keeps_the_lowest_iris(self):
-        adj = adjacency(("S", "c", 0.5), ("S", "a", 0.5), ("S", "b", 0.5), ("S", "d", 0.25))
-        nbh = expand(adj, iri("S"), ExpansionParams(max_neighbors=3))
+        g = graph(("S", "c", 0.5), ("S", "a", 0.5), ("S", "b", 0.5), ("S", "d", 0.25))
+        nbh = expand(g, iri("S"), ExpansionParams(max_neighbors=3))
         assert nbh.neighbors == ((iri("S"), 0.0), (iri("d"), 0.25), (iri("a"), 0.5))
 
     def test_seed_absent_from_the_edges(self):
-        adj = adjacency(("A", "B", 0.5))
-        result = expand_all(adj, [iri("ghost"), iri("A")])
+        g = graph(("A", "B", 0.5), seeds=["ghost"])
+        result = expand_all(g, [iri("ghost"), iri("A")])
         assert result[iri("ghost")].neighbors == ((iri("ghost"), 0.0),)
         assert result[iri("A")].neighbors == ((iri("A"), 0.0), (iri("B"), 0.5))
 
     def test_chunks_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(5)
-        adj = adjacency(*random_edges(rng, 30, 120))
+        g = graph(*random_edges(rng, 30, 120), seeds=[f"n{i:03d}" for i in range(30)])
         seeds = [iri(f"n{i:03d}") for i in range(30)]
-        whole = expand_all(adj, seeds)
+        whole = expand_all(g, seeds)
         monkeypatch.setattr(expansion, "SEED_CHUNK", 4)
-        chunked = expand_all(adj, seeds)
+        chunked = expand_all(g, seeds)
         assert [bits(chunked[s]) for s in seeds] == [bits(whole[s]) for s in seeds]
         assert chunked.indptr.tolist() == whole.indptr.tolist()
 
     @pytest.mark.parametrize("weight", [float("nan"), -0.5])
     def test_edge_weight_must_be_a_nonnegative_number(self, weight):
-        adj = {iri("A"): ((iri("B"), weight),)}
         with pytest.raises(ConfigError, match="nonnegative"):
-            expand_all(adj, [iri("A")])
+            expand_all(graph(("A", "B", weight)), [iri("A")])

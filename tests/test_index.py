@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbtopics.coherence import build_similarity
-from kbtopics.edges import build_adjacency, compute_edge_weights, link_counts
+from kbtopics.edges import compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.index import (
@@ -111,6 +111,11 @@ def table(tmp_path_factory):
 NO_HOODS = neighborhoods_of({})
 
 
+def texts_of(kb):
+    """Every entity's texts, as build_index takes them."""
+    return {e: entity_texts(kb, e) for e in kb.entities}
+
+
 def neighborhoods_for(kb):
     # hand-built: bear close to seal via mammal; others isolated
     return neighborhoods_of({
@@ -132,7 +137,7 @@ def built(tmp_path, table):
         e: compute_parents(kb, e, ParentParams(), counts)
         for e in kb.entities
     }
-    manifest = build_index(kb, neighborhoods_for(kb), parents,
+    manifest = build_index(texts_of(kb), neighborhoods_for(kb), parents,
                            Encoders(table), tmp_path / "index", config_hash="abc")
     return kb, manifest, tmp_path / "index"
 
@@ -240,7 +245,7 @@ class TestBuildIndex:
     def test_entity_without_neighborhood_gets_self_only(self, tmp_path, table):
         kb = KnowledgeBase.from_triples(
             [Triple(iri("solo"), LABEL, Literal("solo entity"))], registry())
-        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             rec = idx.record(iri("solo"))
             assert rec.related_entities == (iri("solo"),)
@@ -248,7 +253,7 @@ class TestBuildIndex:
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
         kb = KnowledgeBase.from_triples([], registry())
-        manifest = build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        manifest = build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
@@ -258,7 +263,7 @@ class TestBuildIndex:
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
         kb = KnowledgeBase.from_triples(
             [Triple(iri("odd"), LABEL, Literal(text)) for text in texts], registry())
-        manifest = build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        manifest = build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert [t for _, t, _ in idx.record(iri("odd")).texts] == sorted(texts)
@@ -269,7 +274,7 @@ class TestBuildIndex:
         counts = link_counts(kb)
         parents = {e: compute_parents(kb, e, ParentParams(), counts)
                    for e in kb.entities}
-        again = build_index(kb, neighborhoods_for(kb), parents,
+        again = build_index(texts_of(kb), neighborhoods_for(kb), parents,
                             Encoders(table), tmp_path / "again", config_hash="abc")
         assert again.content_hash == manifest.content_hash
         assert again.record_count == manifest.record_count
@@ -442,7 +447,7 @@ class TestOpenValidation:
         _, manifest, path = built
         other = tmp_path / "other-emb.txt"
         other.write_text("polar 0 0 0 1\nbear 0 0 1 0\n", encoding="utf-8")
-        build_index(toy_kb(), neighborhoods_for(toy_kb()), {},
+        build_index(texts_of(toy_kb()), neighborhoods_for(toy_kb()), {},
                     Encoders(EmbeddingTable.load(other)), tmp_path / "other")
         (path / VECTORS_FILE).write_bytes((tmp_path / "other" / VECTORS_FILE).read_bytes())
         with pytest.raises(IndexIntegrityError, match="content hash"):
@@ -485,7 +490,7 @@ class TestQuery:
             Triple(iri("a-ent"), LABEL, Literal("same label")),
         ]
         kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("same label", k=5)
             assert [h.record.uri for h in hits] == [iri("a-ent"), iri("b-ent")]
@@ -518,7 +523,7 @@ class TestQuery:
             Triple(iri("by-syn"), SYN, Literal("quicksilver")),
         ]
         kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(kb, NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("quicksilver")
             assert [h.record.uri for h in hits] == [iri("by-label"), iri("by-syn")]
@@ -537,8 +542,8 @@ class TestLabelsAndParents:
     def test_label_is_the_first_text_of_the_field(self, tmp_path, table):
         ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
               Triple(iri("x"), SYN, Literal("beta"))]
-        build_index(KnowledgeBase.from_triples(ts, registry()), NO_HOODS, {}, Encoders(table),
-                    tmp_path / "i")
+        kb = KnowledgeBase.from_triples(ts, registry())
+        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
             assert idx.label(iri("x"), "label") == "alpha"
@@ -847,9 +852,9 @@ def random_index(seed, out, table):
                               iri(rng.choice(names))))
     kb = KnowledgeBase.from_triples(triples, registry())
     seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
-    hoods = expand_all(build_adjacency(compute_edge_weights(kb)), seeds,
+    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), seeds,
                        ExpansionParams(max_depth=3, max_distance=6.0))
-    build_index(kb, hoods, {}, Encoders(table), out)
+    build_index(texts_of(kb), hoods, {}, Encoders(table), out)
     return out
 
 
@@ -907,7 +912,7 @@ class TestRelated:
             iri("mercury"): Neighborhood(iri("mercury"), (
                 (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
         })
-        build_index(kb, hoods, {}, Encoders(table), tmp_path / "index")
+        build_index(texts_of(kb), hoods, {}, Encoders(table), tmp_path / "index")
         with CandidateIndex.open(tmp_path / "index") as idx:
             assert idx.record(iri("arctic")) is None
             pair = [iri("bear"), iri("mercury")]
