@@ -34,7 +34,7 @@ import numpy as np
 from .edges import WeightedGraph
 from .errors import ConfigError, DataError
 from .kb import Iri
-from .vector_store import ranges
+from .vectors import ranges
 
 logger = logging.getLogger(__name__)
 

@@ -1,15 +1,13 @@
 """Persistent candidate index: retrieval, cached graph context, vectors.
 
-An index directory holds four files:
+``build_index`` writes the manifest and two data files:
 
-  manifest.json  format version, counts, config/content hashes, timestamp
+  manifest.json  format version, counts, the encoders the vectors were
+                 made with, config/content hashes, timestamp
   strings.json   string table: entity IRIs, field names, texts, and the
                  token and 3-gram terms of the postings
-  columns.bin    records and postings as CSR arrays over those strings
-  vectors.bin    precomputed vectors: the lexical ones by gram (a gram
-                 vocabulary with each gram's postings of text ids and
-                 values), the semantic ones as one matrix by text id (see
-                 vector_store)
+  columns.bin    records, postings and precomputed vectors as arrays over
+                 those strings and text ids
 
 An entity is indexed iff it has at least one registered text field; its
 record holds its texts, its expanded neighborhood (itself first at distance
@@ -37,19 +35,36 @@ whole number of 8-byte words:
   posting_indptr     <i8  term t's postings, token terms first, then 3-grams
   posting_texts      <i4    text ids, ascending
   posting_tfs        <i4    term frequencies
+  gram_vocab         <u8  lexical vectors by gram: gram hashes, strictly ascending
+  gram_indptr        <i8  gram g's postings
+  gram_texts         <i4    text ids, ascending within a gram
+  gram_values        <f8    the gram's weight in each text's lexical vector
+  semantic           <f8  semantic vectors, text_count x embedding_dim
+                          elements: one row per text id
+
+A section's count is its number of elements, so the semantic matrix counts
+its elements, not its rows.
 
 ``strings.json`` holds the lists ``entities`` (by entity id), ``fields``
 (by field id), ``texts`` (by text id), ``tokens`` and ``grams`` (by term id,
 each sorted; gram term ids follow the token ones).
 
-Opening an index reads both files whole and views the sections with
-``np.frombuffer``; it builds nothing per record. It checks the index
-against its manifest (format version, record, text and embedding-dimension
-counts), the sections against each other (sizes, row pointers, id ranges,
-every neighborhood starting with its record at distance 0, every entity IRI
-valid) and the content hash (sha256 over strings, columns and vectors, in
-that order). An ``IndexRecord`` is a view that reads the columns when its
-fields are asked for.
+Opening an index reads the string table whole, memory-maps the column file
+once and views every section over that map with ``np.frombuffer``; it
+builds nothing per record. It checks the index against its manifest (format
+version, record and text counts, the semantic matrix's size against the
+embedding dimension), the sections against each other (sizes, row pointers,
+id ranges, the gram vocabulary's order, every neighborhood starting with its
+record at distance 0, every entity IRI valid) and the content hash (sha256
+over strings and columns, in that order, read in chunks so that it faults
+none of the map's pages in). An ``IndexRecord`` is a view that reads the
+columns when its fields are asked for. Closing drops the index's views; the
+map, and its file, go with the last view, so a view that ``related`` handed
+out stays readable.
+
+The manifest names the encoders the vectors were made with: the embedding
+dimension, the n-gram sizes and the embedding table's digest.
+``IndexManifest.encoder_mismatch`` tells what differs from other encoders.
 
 Retrieval scoring is deliberately simple and fully documented: per text,
 sum over matched query tokens of tf * idf / sqrt(text length), with
@@ -65,6 +80,7 @@ import hashlib
 import json
 import logging
 import math
+import mmap
 import os
 import shutil
 import struct
@@ -80,26 +96,26 @@ from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityErro
 from .expansion import Neighborhood, Neighborhoods
 from .kb import Iri, KnowledgeBase
 from .ranking import CandidateBlocks
-from .vector_store import VectorStore, ranges, write_vector_store
 from .vectors import (
     EmbeddingTable,
+    LexicalColumns,
     NGRAM_SIZES,
     SparseVector,
     TextBatch,
     char_ngrams,
+    ranges,
     tokenize,
 )
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 MANIFEST_FILE = "manifest.json"
 STRINGS_FILE = "strings.json"
 COLUMNS_FILE = "columns.bin"
-VECTORS_FILE = "vectors.bin"
 
-COLUMNS_MAGIC = b"KBTCOL03"
+COLUMNS_MAGIC = b"KBTCOL05"
 COLUMNS = (  # the sections of columns.bin, in file order
     ("related_indptr", "<i8"),
     ("related_ids", "<i4"),
@@ -113,6 +129,11 @@ COLUMNS = (  # the sections of columns.bin, in file order
     ("posting_indptr", "<i8"),
     ("posting_texts", "<i4"),
     ("posting_tfs", "<i4"),
+    ("gram_vocab", "<u8"),
+    ("gram_indptr", "<i8"),
+    ("gram_texts", "<i4"),
+    ("gram_values", "<f8"),
+    ("semantic", "<f8"),
 )
 _COLUMNS_HEAD = struct.Struct(f"<8s{len(COLUMNS)}Q")  # magic, section lengths
 STRING_LISTS = ("entities", "fields", "texts", "tokens", "grams")
@@ -222,12 +243,27 @@ class IndexManifest:
     record_count: int
     text_count: int
     embedding_dim: int
+    embedding_sha256: str
+    ngram_sizes: list[int]
     config_hash: str
     content_hash: str
     created_at: str
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True, indent=2) + "\n"
+
+    def encoder_mismatch(self, encoders: Encoders) -> str:
+        """What differs between the encoders the index was built with and
+        the given ones; "" if nothing."""
+        table, sizes = encoders.table, list(encoders.ngram_sizes)
+        if table.dim != self.embedding_dim:
+            return (f"embedding dimension {table.dim}, "
+                    f"but the index was built with {self.embedding_dim}")
+        if sizes != self.ngram_sizes:
+            return f"n-gram sizes {sizes}, but the index was built with {self.ngram_sizes}"
+        if table.digest != self.embedding_sha256:
+            return "embedding table differs from the one the index was built with"
+        return ""
 
 
 @dataclass(frozen=True)
@@ -240,17 +276,19 @@ class Encoders:
 
 
 def write_columns(path: Path, columns: Mapping[str, Iterable]) -> None:
-    """Write columns.bin from one sequence of values per section."""
-    arrays = [np.asarray(columns[name], dtype=dtype) for name, dtype in COLUMNS]
+    """Write columns.bin from one array or sequence of values per section."""
+    arrays = [np.ascontiguousarray(columns[name], dtype=dtype) for name, dtype in COLUMNS]
     with path.open("wb") as fh:
-        fh.write(_COLUMNS_HEAD.pack(COLUMNS_MAGIC, *map(len, arrays)))
+        fh.write(_COLUMNS_HEAD.pack(COLUMNS_MAGIC, *(array.size for array in arrays)))
+        # arrays are written through their buffers, without a bytes copy
         for array in arrays:
-            fh.write(array.tobytes())
+            fh.write(array)
             fh.write(bytes(-array.nbytes % 8))
 
 
-def read_columns(data: bytes) -> dict[str, np.ndarray]:
-    """The sections of a columns.bin image, as read-only views over it."""
+def read_columns(data: bytes | mmap.mmap) -> dict[str, np.ndarray]:
+    """The sections of a columns.bin image (its bytes, or a map of the
+    file), as read-only views over it."""
     if len(data) < _COLUMNS_HEAD.size or data[:len(COLUMNS_MAGIC)] != COLUMNS_MAGIC:
         raise IndexFormatError(f"{COLUMNS_FILE} is not an index column file (bad magic)")
     lengths = _COLUMNS_HEAD.unpack_from(data)[1:]
@@ -281,16 +319,24 @@ def _read_strings(data: bytes) -> dict[str, list[str]]:
     return strings
 
 
-def _layout_problem(columns: Mapping[str, np.ndarray],
-                    strings: Mapping[str, list[str]]) -> str:
-    """What disagrees between the sections and the string table; "" if nothing."""
+def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, list[str]],
+                    manifest: IndexManifest) -> str:
+    """What disagrees between the sections, the string table and the
+    manifest; "" if nothing."""
     n_records = len(columns["related_indptr"]) - 1
+    n_texts = len(strings["texts"])
+    if not n_texts == len(columns["text_fields"]) == manifest.text_count:
+        return (f"text count: strings {n_texts}, columns {len(columns['text_fields'])}, "
+                f"manifest {manifest.text_count}")
+    if n_records != manifest.record_count:
+        return f"record count {n_records} != manifest {manifest.record_count}"
     n_terms = len(strings["tokens"]) + len(strings["grams"])
     for indptr, rows, values in (
         ("related_indptr", n_records, ("related_ids", "related_distances")),
         ("parent_indptr", n_records, ("parent_ids", "parent_weights")),
         ("text_indptr", n_records, ("text_fields", "text_weights")),
         ("posting_indptr", n_terms, ("posting_texts", "posting_tfs")),
+        ("gram_indptr", len(columns["gram_vocab"]), ("gram_texts", "gram_values")),
     ):
         ptr, size = columns[indptr], len(columns[values[0]])
         if rows < 0 or len(ptr) != rows + 1 or len(columns[values[1]]) != size \
@@ -299,7 +345,8 @@ def _layout_problem(columns: Mapping[str, np.ndarray],
     for name, bound in (("related_ids", len(strings["entities"])),
                         ("parent_ids", len(strings["entities"])),
                         ("text_fields", len(strings["fields"])),
-                        ("posting_texts", len(strings["texts"]))):
+                        ("posting_texts", n_texts),
+                        ("gram_texts", n_texts)):
         ids = columns[name]
         if ids.size and (ids.min() < 0 or ids.max() >= bound):
             return f"{name} out of range [0, {bound})"
@@ -308,8 +355,12 @@ def _layout_problem(columns: Mapping[str, np.ndarray],
             or np.any(columns["related_ids"][starts] != np.arange(n_records)) \
             or np.any(columns["related_distances"][starts] != 0.0):
         return "a neighborhood does not start with its record at distance 0"
-    if len(strings["texts"]) != len(columns["text_fields"]):
-        return "text count: the string table and the columns disagree"
+    vocab = columns["gram_vocab"]
+    if np.any(vocab[1:] <= vocab[:-1]):
+        return "gram vocabulary not ascending"
+    if len(columns["semantic"]) != n_texts * manifest.embedding_dim:
+        return (f"semantic size {len(columns['semantic'])} != text count {n_texts} "
+                f"x embedding dim {manifest.embedding_dim}")
     if columns["posting_tfs"].size and columns["posting_tfs"].min() < 1:
         return "a term frequency below 1"
     for key in ("entities", "tokens", "grams"):
@@ -352,7 +403,7 @@ def build_index(
     ``texts_of`` gives entities' texts as ``entity_texts`` lists them; each
     entity with at least one becomes a record. Rebuilding from identical
     inputs reproduces every byte except the manifest timestamp (the content
-    hash covers the three data files).
+    hash covers the two data files).
     """
     out = Path(out_dir)
     try:
@@ -368,8 +419,10 @@ def build_index(
         columns["text_indptr"] = np.cumsum([0] + [len(texts_of[uri]) for uri in uris])
 
         batch = TextBatch(texts)
-        write_vector_store(out / VECTORS_FILE, batch.lexical_columns(encoders.ngram_sizes),
-                           batch.semantic_matrix(encoders.table))
+        lexical = batch.lexical_columns(encoders.ngram_sizes)
+        columns.update(gram_vocab=lexical.vocab, gram_indptr=lexical.indptr,
+                       gram_texts=lexical.texts, gram_values=lexical.values,
+                       semantic=batch.semantic_matrix(encoders.table))
         tokens, grams = batch.token_postings(), batch.gram_postings(3)
         columns["posting_indptr"] = np.concatenate(
             (tokens.indptr, grams.indptr[1:] + tokens.indptr[-1]))
@@ -382,13 +435,15 @@ def build_index(
             json.dumps(strings, separators=(",", ":")) + "\n", encoding="utf-8")
 
         digest = hashlib.sha256()
-        for name in (STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
+        for name in (STRINGS_FILE, COLUMNS_FILE):
             _hash_file(out / name, digest)
         manifest = IndexManifest(
             format_version=FORMAT_VERSION,
             record_count=len(uris),
             text_count=len(texts),
             embedding_dim=encoders.table.dim,
+            embedding_sha256=encoders.table.digest,
+            ngram_sizes=list(encoders.ngram_sizes),
             config_hash=config_hash,
             content_hash=digest.hexdigest(),
             created_at=datetime.now(timezone.utc).isoformat(),
@@ -501,9 +556,9 @@ class CandidateIndex:
 
     def __init__(self, manifest: IndexManifest, entities: list[Iri],
                  strings: Mapping[str, list[str]], columns: Mapping[str, np.ndarray],
-                 store: VectorStore):
+                 data: mmap.mmap):
         self.manifest = manifest
-        self._store = store
+        self._map = data  # the column file, which every section views
         self._entities = entities
         self._fields = strings["fields"]
         self._texts = strings["texts"]
@@ -541,6 +596,9 @@ class CandidateIndex:
             self._posting_texts[:split], self._posting_tfs[:split], n_texts)
         self._gram_norm = _length_norms(
             self._posting_texts[split:], self._posting_tfs[split:], n_texts)
+        self._lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
+                                       columns["gram_texts"], columns["gram_values"], n_texts)
+        self._semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
 
     @classmethod
     def open(cls, path: str | Path) -> "CandidateIndex":
@@ -551,48 +609,40 @@ class CandidateIndex:
             raise IndexFormatError(f"cannot open index at {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise IndexFormatError(f"corrupt manifest in {path}: {exc}") from exc
+        if isinstance(raw, dict) and raw.get("format_version") != FORMAT_VERSION:
+            raise IndexFormatError(
+                f"index format {raw.get('format_version')} unsupported "
+                f"(this build reads {FORMAT_VERSION}; rebuild the index)")
         try:
             manifest = IndexManifest(**raw)
         except TypeError as exc:
             raise IndexFormatError(f"manifest fields wrong in {path}: {exc}") from exc
-        if manifest.format_version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"index format {manifest.format_version} unsupported "
-                f"(this build reads {FORMAT_VERSION}; rebuild the index)")
         digest = hashlib.sha256()
         try:
             strings = _read_strings(_read_hashed(path / STRINGS_FILE, digest))
-            columns = read_columns(_read_hashed(path / COLUMNS_FILE, digest))
+            with (path / COLUMNS_FILE).open("rb") as fh:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            columns = read_columns(data)
+            _hash_file(path / COLUMNS_FILE, digest)
             entities = [Iri(e) for e in strings["entities"]]
         except OSError as exc:
             raise IndexFormatError(f"missing index file in {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or UTF-8, a malformed table, an invalid IRI
+        except ValueError as exc:
+            # bad JSON or UTF-8, a malformed table, an empty column file
+            # (which cannot be mapped), an invalid IRI
             raise IndexFormatError(f"corrupt index file in {path}: {exc}") from exc
-        problem = _layout_problem(columns, strings)
+        problem = _layout_problem(columns, strings, manifest)
+        if not problem and digest.hexdigest() != manifest.content_hash:
+            problem = "content hash does not match the manifest"
         if problem:
             raise IndexIntegrityError(f"index {path}: {problem}")
-        records = len(columns["related_indptr"]) - 1
-        if records != manifest.record_count:
-            raise IndexIntegrityError(
-                f"record count {records} != manifest {manifest.record_count}")
-        store = VectorStore(path / VECTORS_FILE)
-        texts = len(strings["texts"])
-        if not texts == store.n_texts == manifest.text_count:
-            problem = (f"text count: strings {texts}, vectors {store.n_texts}, "
-                       f"manifest {manifest.text_count}")
-        elif store.dim != manifest.embedding_dim:
-            problem = f"embedding dim: vectors {store.dim}, manifest {manifest.embedding_dim}"
-        else:
-            _hash_file(path / VECTORS_FILE, digest)
-            if digest.hexdigest() != manifest.content_hash:
-                problem = "content hash does not match the manifest"
-        if problem:
-            store.close()
-            raise IndexIntegrityError(f"index {path}: {problem}")
-        return cls(manifest, entities, strings, columns, store)
+        return cls(manifest, entities, strings, columns, data)
 
     def close(self) -> None:
-        self._store.close()
+        """Drop the index's views of its column file. The map goes with the
+        last view, so views handed out before stay readable."""
+        self._map = self._lexical = self._semantic = self._related = self._parents = None
+        self._text_start = self._weights = self._posting_texts = self._posting_tfs = None
 
     def __enter__(self) -> "CandidateIndex":
         return self
@@ -676,16 +726,24 @@ class CandidateIndex:
             return range(0)
         return range(*self._text_range[pos:pos + 2])
 
+    def _checked_ids(self, text_ids: Sequence[int]) -> np.ndarray:
+        ids = np.asarray(text_ids, dtype=np.intp)
+        n = self._lexical.n_texts
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise IndexIntegrityError(
+                f"text id out of range [0, {n}): {int(ids.min())}..{int(ids.max())}")
+        return ids
+
     def lexical_cosines(self, query: SparseVector, text_ids: Sequence[int]) -> np.ndarray:
         """The lexical cosine of the query vector with each text, one per id
         in the given order, read from the postings of the query's grams. An
         id outside the index raises IndexIntegrityError."""
-        return self._store.lexical_cosines(query, text_ids)
+        return self._lexical.cosines(query, self._checked_ids(text_ids))
 
     def semantic_rows(self, text_ids: Sequence[int]) -> np.ndarray:
         """The texts' semantic vectors, one row per id in the given order: an
         (n, D) copy. An id outside the index raises IndexIntegrityError."""
-        return self._store.semantic(text_ids)
+        return self._semantic[self._checked_ids(text_ids)]
 
     def neighborhood(self, uri: Iri) -> Neighborhood | None:
         pos = self._by_uri.get(uri)

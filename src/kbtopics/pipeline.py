@@ -29,7 +29,7 @@ import numpy as np
 from .coherence import apply_boosts, build_similarity, greedy_prune
 from .config import AppConfig, dump_config
 from .edges import compute_edge_weights, link_counts
-from .errors import ConfigError, KbTopicsError, PipelineError
+from .errors import ConfigError, IndexIntegrityError, KbTopicsError, PipelineError
 from .expansion import expand_all
 from .index import (
     CandidateIndex,
@@ -369,9 +369,15 @@ def _collect(pid: int, read_fd: int):
 
 
 def open_classifier(index_dir: str | Path, config: AppConfig) -> Classifier:
-    """Open an index and bind it to classification parameters."""
+    """Open an index and bind it to classification parameters. The config's
+    encoders (embedding table and n-gram sizes) must be the ones the index
+    was built with; otherwise IndexIntegrityError."""
     if config.embedding_file is None:
         raise ConfigError("encoder.embedding_file is required for classification")
-    index = CandidateIndex.open(index_dir)
     table = EmbeddingTable.load(config.embedding_file)
+    index = CandidateIndex.open(index_dir)
+    problem = index.manifest.encoder_mismatch(Encoders(table, config.ngram_sizes))
+    if problem:
+        index.close()
+        raise IndexIntegrityError(f"index {index_dir}: {problem}")
     return Classifier(index, table, config)

@@ -12,13 +12,24 @@ cosine 0 against everything.
 ``lexical_vector``, ``tokenize`` and ``char_ngrams`` encode one text, as a
 query is encoded. ``TextBatch`` encodes the texts of an index together, to
 the same values: each text is normalized once, and its n-grams are cut once
-over one array of the code points of all texts, as integer gram codes.
+over one array of the code points of all texts, as integer gram codes. It
+stores the lexical vectors column-major by gram (``LexicalColumns``).
+
+A query's lexical cosines (``LexicalColumns.cosines``) read only the
+postings of the grams the query holds: one ``searchsorted`` of its sorted
+keys in the vocabulary, their postings concatenated in ascending key order
+and summed per text with ``bincount``. Each text's terms are therefore added
+in ascending key order, as a row-major dot product over sorted keys would
+add them. Results are new arrays, which never pin the memory the columns
+view.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import re
+import struct
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +41,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .vector_store import LexicalColumns, ranges
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +105,42 @@ class Postings(NamedTuple):
     indptr: np.ndarray
     texts: np.ndarray
     counts: np.ndarray
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers [starts[i], starts[i] + counts[i]) for every i, in order."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total)
+
+
+class LexicalColumns(NamedTuple):
+    """Lexical vectors of ``n_texts`` texts stored by gram: ``vocab[g]``'s
+    postings are ``texts[indptr[g]:indptr[g + 1]]`` with those ``values``."""
+
+    vocab: np.ndarray                 # (n_grams,) uint64, strictly ascending
+    indptr: np.ndarray                # (n_grams + 1,)
+    texts: np.ndarray                 # (nnz,) text ids, ascending within a gram
+    values: np.ndarray                # (nnz,) float64
+    n_texts: int
+
+    def cosines(self, query: SparseVector, text_ids: np.ndarray) -> np.ndarray:
+        """Dot product of the query with each text's vector, one per id in
+        the given order."""
+        pairs = sorted(query.items())
+        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+        q_values = np.array([v for _, v in pairs], dtype=np.float64)
+        pos = np.searchsorted(self.vocab, keys)
+        found = pos < self.vocab.shape[0]
+        found[found] = self.vocab[pos[found]] == keys[found]
+        grams = pos[found]
+        starts = self.indptr[grams]
+        counts = self.indptr[grams + 1] - starts
+        take = ranges(starts, counts)
+        per_text = np.bincount(
+            self.texts[take], weights=self.values[take] * np.repeat(q_values[found], counts),
+            minlength=self.n_texts)
+        return per_text[text_ids]
 
 
 def _postings(keys: np.ndarray, n_terms: int, n_texts: int,
@@ -221,12 +267,15 @@ class EmbeddingTable:
     """Word-embedding lookup loaded from a whitespace-separated text file.
 
     Each line is ``token v1 ... vD``; an optional two-integer first line
-    (vocabulary size and dimension) is accepted and skipped. Duplicate tokens
-    keep the first occurrence.
+    (vocabulary size and dimension) is accepted, and its dimension must be
+    the rows'. Duplicate tokens keep the first occurrence. ``digest`` is a
+    sha256 of the table as loaded: its dimension, then each token and its
+    values in load order.
     """
 
     dim: int
     _vectors: dict[str, np.ndarray]
+    digest: str
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
@@ -237,12 +286,14 @@ class EmbeddingTable:
             raise DataError(f"cannot read embeddings {path}: {exc}") from exc
         vectors: dict[str, np.ndarray] = {}
         dim = 0
+        header_dim = None
         duplicates = 0
         for lineno, line in enumerate(lines, start=1):
             parts = line.split()
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                header_dim = int(parts[1])
                 continue
             token, values = parts[0], parts[1:]
             if not values:
@@ -253,6 +304,9 @@ class EmbeddingTable:
                 raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
             if dim == 0:
                 dim = vec.shape[0]
+                if header_dim is not None and dim != header_dim:
+                    raise DataError(
+                        f"{path}:{lineno}: dimension {dim} != header dimension {header_dim}")
             elif vec.shape[0] != dim:
                 raise DataError(
                     f"{path}:{lineno}: dimension {vec.shape[0]} != expected {dim}"
@@ -267,7 +321,11 @@ class EmbeddingTable:
         if duplicates:
             logger.warning("%s: ignored %d duplicate embedding tokens", path, duplicates)
         logger.info("loaded %d embeddings of dimension %d from %s", len(vectors), dim, path)
-        return cls(dim, vectors)
+        digest = hashlib.sha256(struct.pack("<Q", dim))
+        for token, vec in vectors.items():
+            word = token.encode("utf-8")
+            digest.update(struct.pack("<Q", len(word)) + word + vec.astype("<f8").tobytes())
+        return cls(dim, vectors, digest.hexdigest())
 
     def get(self, token: str) -> np.ndarray | None:
         return self._vectors.get(token)

@@ -19,8 +19,7 @@ from kbtopics.kb import Iri
 from kbtopics.ranking import (
     CandidateBlocks, CandidateRows, RankingParams, ScoredCandidate, VectorSource,
 )
-from kbtopics.vector_store import LexicalColumns
-from kbtopics.vectors import SparseVector
+from kbtopics.vectors import LexicalColumns, SparseVector
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def columns_of(rows: Sequence[SparseVector]) -> LexicalColumns:
 def rows_of(columns: LexicalColumns, text_ids) -> LexicalRows:
     """The texts' vectors read back from the columns as CSR rows, one per id
     in the given order, by a loop over every gram's postings; a text twice
-    in one gram's postings is an error. Copies: they outlive a closed store."""
+    in one gram's postings is an error. Copies: they outlive a closed index."""
     rows: list[SparseVector] = [{} for _ in range(columns.n_texts)]
     ptr, texts, values = columns.indptr.tolist(), columns.texts.tolist(), columns.values.tolist()
     for g, key in enumerate(columns.vocab.tolist()):

@@ -23,13 +23,12 @@ from kbtopics.cli import main
 from kbtopics.config import load_config
 from kbtopics.edges import EdgeWeightParams, WeightedGraph, compute_edge_weights, link_counts
 from kbtopics.expansion import ExpansionParams, expand_all
-from kbtopics.index import VECTORS_FILE, CandidateIndex
+from kbtopics.index import CandidateIndex
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
 from kbtopics.mentions import Document
 from kbtopics.pipeline import open_classifier
 from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
-from kbtopics.vector_store import VectorStore
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 from row_table import MentionVectors, RowTable, rows_of, score_candidate
@@ -453,11 +452,10 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     n_texts = 0
     worst_sem = 0.0
     # the lexical vectors are stored by gram; read back per text
-    with CandidateIndex.open(index_dir) as idx, \
-            VectorStore(Path(index_dir) / VECTORS_FILE) as store:
+    with CandidateIndex.open(index_dir) as idx:
         for rec in idx.records:
             ids = idx.text_ids(rec.uri)
-            lex, sem = rows_of(store.lexical, ids), idx.semantic_rows(ids)
+            lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
             for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)

@@ -16,7 +16,7 @@ from kbtopics import pipeline
 from kbtopics.cli import CONFIG_COPY, main
 from kbtopics import index as index_mod
 from kbtopics.index import COLUMNS_FILE, STRINGS_FILE, read_columns, write_columns
-from kbtopics.vector_store import VectorStore
+from kbtopics.vectors import LexicalColumns
 
 from row_table import rows_of
 
@@ -117,7 +117,8 @@ def test_build_force_over_format_3_index_leaves_no_stale_files(index_dir, tmp_pa
     out = format_3_copy(index_dir, tmp_path / "idx")
     assert main(["build-index", "--config", str(CONFIG), "--out", str(out), "--force"]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in index_dir.iterdir())
-    assert json.loads((out / "manifest.json").read_text())["format_version"] == 4
+    assert json.loads((out / "manifest.json").read_text())["format_version"] \
+        == index_mod.FORMAT_VERSION
     # the build directory was renamed into place, and the old index is gone
     assert [p.name for p in tmp_path.iterdir()] == ["idx"]
 
@@ -127,9 +128,12 @@ def test_failed_build_leaves_previous_index(tmp_path, monkeypatch, capsys):
     assert main(["build-index", "--config", str(CONFIG), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
+    write_columns = index_mod.write_columns
+
     def fail(path, columns):
+        write_columns(path, columns)
         raise OSError("disk full")
-    # vectors.bin is already written when the column file fails
+    # the column file is already written when the build fails
     monkeypatch.setattr(index_mod, "write_columns", fail)
     assert main(["build-index", "--config", str(CONFIG), "--out", str(out), "--force"]) == 2
     assert "disk full" in capsys.readouterr().err
@@ -330,8 +334,8 @@ def test_corrupt_index_exits_2(index_dir, tmp_path, capsys):
     broken.mkdir()
     for item in index_dir.iterdir():
         (broken / item.name).write_bytes(item.read_bytes())
-    vectors = broken / "vectors.bin"
-    vectors.write_bytes(vectors.read_bytes()[:32])
+    columns = broken / COLUMNS_FILE
+    columns.write_bytes(columns.read_bytes()[:32])
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
@@ -368,7 +372,7 @@ def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
     (broken / STRINGS_FILE).write_text(json.dumps(strings), encoding="utf-8")
     # re-hash, so that only IRI validation can refuse the index
     digest = hashlib.sha256()
-    for name in (STRINGS_FILE, COLUMNS_FILE, "vectors.bin"):
+    for name in (STRINGS_FILE, COLUMNS_FILE):
         digest.update((broken / name).read_bytes())
     manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
     manifest["content_hash"] = digest.hexdigest()
@@ -381,13 +385,16 @@ def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
 
 def format_3_copy(index_dir, dest):
     """A copy of the index as format 3 wrote it: a manifest saying 3 and
-    the lexical vectors row by row in vectors.bin (magic, n_texts, dim,
-    nnz, row pointers, keys, values, semantic rows); with a file that no
+    the vectors in vectors.bin, the lexical ones row by row (magic, n_texts,
+    dim, nnz, row pointers, keys, values, semantic rows); with files that no
     index of this format has."""
     copy_index(index_dir, dest)
-    with VectorStore(dest / "vectors.bin") as store:
-        ids = range(store.n_texts)
-        rows, sem = rows_of(store.lexical, ids), store.semantic(ids)
+    columns = read_columns((dest / COLUMNS_FILE).read_bytes())
+    n_texts = len(columns["text_fields"])
+    rows = rows_of(LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
+                                  columns["gram_texts"], columns["gram_values"], n_texts),
+                   range(n_texts))
+    sem = columns["semantic"].reshape(n_texts, -1)
     (dest / "vectors.bin").write_bytes(b"".join([
         b"KBTVEC02", struct.pack("<3Q", *sem.shape, len(rows.keys)),
         rows.indptr.astype("<i8").tobytes(), rows.keys.astype("<u8").tobytes(),
@@ -407,13 +414,29 @@ def test_format_3_index_exits_2(index_dir, tmp_path, capsys):
     assert "index format 3 unsupported" in capsys.readouterr().err
 
 
+def test_format_4_index_exits_2(index_dir, tmp_path, capsys):
+    # format 4 kept the vectors in vectors.bin, and its manifest named no
+    # encoders beyond the embedding dimension
+    old = copy_index(index_dir, tmp_path / "old")
+    manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 4
+    del manifest["embedding_sha256"], manifest["ngram_sizes"]
+    (old / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (old / "vectors.bin").write_bytes(b"KBTVEC04")
+    code = main(["classify", "--index", str(old), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "index format 4 unsupported" in err and "rebuild" in err
+
+
 def test_corrupt_gram_vocabulary_exits_2(index_dir, tmp_path, capsys):
     broken = copy_index(index_dir, tmp_path / "broken")
-    vectors = broken / "vectors.bin"
-    data = bytearray(vectors.read_bytes())
+    columns = {name: array.copy() for name, array in
+               read_columns((broken / COLUMNS_FILE).read_bytes()).items()}
     # the first two gram hashes swapped: the vocabulary no longer ascends
-    data[40:56] = data[48:56] + data[40:48]
-    vectors.write_bytes(bytes(data))
+    columns["gram_vocab"][[0, 1]] = columns["gram_vocab"][[1, 0]]
+    write_columns(broken / COLUMNS_FILE, columns)
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
@@ -433,16 +456,75 @@ def test_format_2_index_exits_2(index_dir, tmp_path, capsys):
 
 def test_flipped_semantic_byte_exits_2(index_dir, tmp_path, capsys):
     broken = copy_index(index_dir, tmp_path / "broken")
-    vectors = broken / "vectors.bin"
-    data = bytearray(vectors.read_bytes())
-    n_texts, dim = struct.unpack_from("<2Q", data, 8)
-    # lowest byte of the first semantic component: the file stays well formed
-    data[-8 * n_texts * dim] ^= 0x01
-    vectors.write_bytes(bytes(data))
+    manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
+    columns = broken / COLUMNS_FILE
+    data = bytearray(columns.read_bytes())
+    # lowest byte of the first semantic component, in the file's last
+    # section: the file stays well formed
+    data[-8 * manifest["text_count"] * manifest["embedding_dim"]] ^= 0x01
+    columns.write_bytes(bytes(data))
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
     assert "content hash" in capsys.readouterr().err
+
+
+def test_every_index_data_file_is_hashed(index_dir, tmp_path, capsys):
+    # a byte flipped in the middle of any file of the index but the manifest
+    # and the config copy leaves it well formed; only the content hash can
+    # refuse it
+    names = sorted(p.name for p in index_dir.iterdir()
+                   if p.name not in ("manifest.json", CONFIG_COPY))
+    assert names
+    for name in names:
+        broken = copy_index(index_dir, tmp_path / f"flipped-{name}")
+        data = bytearray((broken / name).read_bytes())
+        data[len(data) // 2] ^= 0x01
+        (broken / name).write_bytes(bytes(data))
+        code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert (name, code) == (name, 2)
+        assert "content hash" in capsys.readouterr().err, name
+
+
+def encoder_config(tmp_path, embeddings=DATA / "toy_embeddings.txt", ngram_sizes="[3, 4]"):
+    """The reference config with its encoder settings replaced."""
+    config = tmp_path / "encoder.yaml"
+    text = CONFIG.read_text(encoding="utf-8").replace("toy_embeddings.txt", str(embeddings))
+    assert "ngram_sizes: [3, 4]" in text
+    config.write_text(text.replace("ngram_sizes: [3, 4]", f"ngram_sizes: {ngram_sizes}"),
+                      encoding="utf-8")
+    return config
+
+
+def edited_embeddings(tmp_path, edit):
+    """The toy embedding table with ``edit`` applied to each row's values."""
+    header, *rows = (DATA / "toy_embeddings.txt").read_text(encoding="utf-8").splitlines()
+    rows = [row.split() for row in rows]
+    rows = [[token, *edit(values)] for token, *values in rows]
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join([f"{len(rows)} {len(rows[0]) - 1}",
+                               *(" ".join(row) for row in rows)]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("change, message", [
+    ("ngram", "n-gram sizes [2], but the index was built with [3, 4]"),
+    ("dimension", "embedding dimension 15, but the index was built with 16"),
+    ("values", "embedding table differs"),
+])
+def test_encoder_mismatch_exits_2(index_dir, tmp_path, capsys, change, message):
+    # classify with encoders other than the build's: the vectors it would
+    # compare no longer match the stored ones
+    if change == "ngram":
+        config = encoder_config(tmp_path, ngram_sizes="[2]")
+    else:
+        edit = (lambda v: v[:15]) if change == "dimension" else (lambda v: ["0.5", *v[1:]])
+        config = encoder_config(tmp_path, edited_embeddings(tmp_path, edit))
+    code = main(["classify", "--index", str(index_dir), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl"), "--config", str(config)])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_output_independent_of_hash_seed(tmp_path):

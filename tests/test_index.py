@@ -15,12 +15,14 @@ from kbtopics.edges import compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.index import (
+    COLUMNS,
     COLUMNS_FILE,
+    FORMAT_VERSION,
     MANIFEST_FILE,
     STRINGS_FILE,
-    VECTORS_FILE,
     CandidateIndex,
     Encoders,
+    IndexManifest,
     ParentParams,
     build_index,
     compute_parents,
@@ -30,7 +32,6 @@ from kbtopics.index import (
 from kbtopics.kb import (
     Iri, KnowledgeBase, Literal, PropertyRegistry, TextField, Triple, entity_texts,
 )
-from kbtopics.vector_store import MAGIC, VectorStore, write_vector_store
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
 from oracles import (
@@ -154,7 +155,7 @@ def edit_columns(path, edit):
 def rehash(path):
     """Store the data files' current content hash in the manifest."""
     digest = hashlib.sha256()
-    for name in (STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
+    for name in (STRINGS_FILE, COLUMNS_FILE):
         digest.update((path / name).read_bytes())
     m = json.loads((path / MANIFEST_FILE).read_text())
     m["content_hash"] = digest.hexdigest()
@@ -442,14 +443,17 @@ class TestOpenValidation:
             CandidateIndex.open(path)
 
     def test_vectors_of_another_build_fail_content_hash(self, built, tmp_path):
-        # same texts, other embeddings: the vector file passes every layout
-        # and count check, only the content hash tells it apart
+        # same texts, other embeddings: the semantic section passes every
+        # layout and count check, only the content hash tells it apart
         _, manifest, path = built
         other = tmp_path / "other-emb.txt"
         other.write_text("polar 0 0 0 1\nbear 0 0 1 0\n", encoding="utf-8")
         build_index(texts_of(toy_kb()), neighborhoods_for(toy_kb()), {},
                     Encoders(EmbeddingTable.load(other)), tmp_path / "other")
-        (path / VECTORS_FILE).write_bytes((tmp_path / "other" / VECTORS_FILE).read_bytes())
+        semantic = read_columns((tmp_path / "other" / COLUMNS_FILE).read_bytes())["semantic"]
+        assert semantic.tolist() != read_columns(
+            (path / COLUMNS_FILE).read_bytes())["semantic"].tolist()
+        edit_columns(path, lambda columns: columns.__setitem__("semantic", semantic))
         with pytest.raises(IndexIntegrityError, match="content hash"):
             CandidateIndex.open(path)
 
@@ -564,10 +568,10 @@ class TestLabelsAndParents:
 class TestVectors:
     def test_cache_transparency(self, built, table):
         kb, _, path = built
-        with CandidateIndex.open(path) as idx, VectorStore(path / VECTORS_FILE) as store:
+        with CandidateIndex.open(path) as idx:
             for rec in idx.records:
                 ids = idx.text_ids(rec.uri)
-                lex, sem = rows_of(store.lexical, ids), idx.semantic_rows(ids)
+                lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
                 for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
@@ -617,152 +621,183 @@ def assert_bitwise(got, want):
 
 
 def write_store(path, rows, dim):
-    """A vector file of the (lexical, semantic) rows, text ids in row order."""
-    write_vector_store(path, columns_of([lex for lex, _ in rows]),
-                       np.array([sem for _, sem in rows], dtype=np.float64).reshape(-1, dim))
+    """An index of one record whose texts have the (lexical, semantic) rows
+    as vectors, text ids in row order; returns its directory."""
+    lexical = columns_of([lex for lex, _ in rows])
+    n = len(rows)
+    path.mkdir(parents=True, exist_ok=True)
+    write_columns(path / COLUMNS_FILE, {
+        "related_indptr": [0, 1], "related_ids": [0], "related_distances": [0.0],
+        "parent_indptr": [0, 0], "parent_ids": [], "parent_weights": [],
+        "text_indptr": [0, n], "text_fields": [0] * n, "text_weights": [1.0] * n,
+        "posting_indptr": [0], "posting_texts": [], "posting_tfs": [],
+        "gram_vocab": lexical.vocab, "gram_indptr": lexical.indptr,
+        "gram_texts": lexical.texts, "gram_values": lexical.values,
+        "semantic": np.array([sem for _, sem in rows], dtype=np.float64).reshape(n, dim),
+    })
+    (path / STRINGS_FILE).write_text(json.dumps({
+        "entities": [EX + "r"], "fields": ["label"], "texts": [f"text {i}" for i in range(n)],
+        "tokens": [], "grams": []}))
+    (path / MANIFEST_FILE).write_text(IndexManifest(
+        FORMAT_VERSION, record_count=1, text_count=n, embedding_dim=dim, embedding_sha256="",
+        ngram_sizes=[3, 4], config_hash="", content_hash="", created_at="").to_json())
+    rehash(path)
+    return path
 
 
-def edit_store(path, at, data):
-    """Overwrite the vector file's bytes from offset ``at`` with ``data``."""
-    old = path.read_bytes()
-    path.write_bytes(old[:at] + data + old[at + len(data):])
+def edit_section(path, name, values):
+    """Overwrite the start of the index's named column section with
+    ``values``, and re-hash, so that only the layout checks can refuse it."""
+    edit_columns(path, lambda columns: columns[name].__setitem__(slice(len(values)), values))
+    rehash(path)
+
+
+# where columns.bin's header holds the element count of the gram values
+GRAM_VALUES_COUNT_AT = 8 + 8 * [name for name, _ in COLUMNS].index("gram_values")
 
 
 class TestVectorStoreFile:
+    """The vector sections of the column file, read through an opened index."""
+
     ROWS = [({5: 0.25, TOP: 0.5, 2: 0.75}, [1.0, -2.0]),
             ({}, [0.0, 0.0]),
             ({7: 0.6, 5: 0.8}, [0.6, 0.8])]
-    # offsets in the file of ROWS: a 40-byte header, then 4 grams
-    VOCAB_AT, INDPTR_AT, TEXTS_AT = 40, 72, 112
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        with VectorStore(path) as store:
-            assert (store.n_texts, store.dim) == (3, 2)
-            assert store.lexical.vocab.dtype == np.uint64
-            assert store.lexical.vocab.tolist() == [2, 5, 7, TOP]
-            lex = rows_of(store.lexical, [0, 1, 2])
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        with CandidateIndex.open(path) as idx:
+            lexical = idx._lexical
+            assert (lexical.n_texts, idx.manifest.embedding_dim) == (3, 2)
+            assert lexical.vocab.dtype == np.uint64
+            assert lexical.vocab.tolist() == [2, 5, 7, TOP]
+            lex = rows_of(lexical, [0, 1, 2])
             assert list(lex) == [rows for rows, _ in self.ROWS]
-            assert list(rows_of(store.lexical, [2, 1, 0])) == list(lex)[::-1]
-            sem = store.semantic([0, 1, 2])
+            assert list(rows_of(lexical, [2, 1, 0])) == list(lex)[::-1]
+            sem = idx.semantic_rows([0, 1, 2])
             np.testing.assert_array_equal(sem, [sem for _, sem in self.ROWS])
-            np.testing.assert_array_equal(store.semantic([2, 1, 0]), sem[::-1])
-            cosines = store.lexical_cosines({5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
+            np.testing.assert_array_equal(idx.semantic_rows([2, 1, 0]), sem[::-1])
+            cosines = idx.lexical_cosines({5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
             assert cosines.tolist() == [0.25 + 0.25, 0.0, 0.8, 0.5]
-            assert store.lexical_cosines({}, [2, 0]).tolist() == [0.0, 0.0]
-            assert store.lexical_cosines({5: 1.0}, []).shape == (0,)
-            assert store.semantic([]).shape == (0, 2)
-        # results are copies: they outlive the closed map
+            assert idx.lexical_cosines({}, [2, 0]).tolist() == [0.0, 0.0]
+            assert idx.lexical_cosines({5: 1.0}, []).shape == (0,)
+            assert idx.semantic_rows([]).shape == (0, 2)
+        # results are copies: they outlive the closed index
         assert cosines[2] == 0.8 and sem[2].tolist() == [0.6, 0.8]
 
     def test_file_bytes(self, tmp_path):
-        # the on-disk layout: magic, n_texts/dim/n_grams/nnz, the ascending
-        # gram vocabulary, its posting pointers, the postings' text ids
-        # (ascending within a gram, padded to 8 bytes) and values, then the
-        # semantic rows; all little-endian
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        assert path.read_bytes() == b"".join([
-            MAGIC,
-            struct.pack("<4Q", 3, 2, 4, 5),
+        # the vector sections, last in the column file: their element counts
+        # in the header, then the ascending gram vocabulary, its posting
+        # pointers, the postings' text ids (ascending within a gram, padded
+        # to 8 bytes) and values, and the semantic rows; all little-endian
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        data = (path / COLUMNS_FILE).read_bytes()
+        names = [name for name, _ in COLUMNS]
+        first = names.index("gram_vocab")
+        assert names[first:] == ["gram_vocab", "gram_indptr", "gram_texts", "gram_values",
+                                 "semantic"]
+        assert data[8 + 8 * first:8 + 8 * len(names)] == struct.pack("<5Q", 4, 5, 5, 5, 6)
+        assert data.endswith(b"".join([
             struct.pack("<4Q", 2, 5, 7, TOP),
             struct.pack("<5q", 0, 1, 3, 4, 5),
             struct.pack("<5i", 0, 0, 2, 2, 0) + b"\x00" * 4,
             struct.pack("<5d", 0.75, 0.25, 0.8, 0.6, 0.5),
             struct.pack("<6d", 1.0, -2.0, 0.0, 0.0, 0.6, 0.8),
-        ])
+        ]))
 
     def test_empty_store(self, tmp_path):
-        path = tmp_path / "v.bin"
-        write_store(path, [], 4)
-        with VectorStore(path) as store:
-            assert (store.n_texts, store.dim) == (0, 4)
-            assert store.lexical_cosines({5: 1.0}, []).shape == (0,)
-            assert store.semantic([]).shape == (0, 4)
+        path = write_store(tmp_path / "i", [], 4)
+        with CandidateIndex.open(path) as idx:
+            assert (idx._lexical.n_texts, idx.manifest.embedding_dim) == (0, 4)
+            assert idx.lexical_cosines({5: 1.0}, []).shape == (0,)
+            assert idx.semantic_rows([]).shape == (0, 4)
 
     def test_wrong_semantic_dim(self, tmp_path):
-        # one semantic row per text, as a matrix
-        for semantic in (np.zeros((2, 2)), np.zeros(2)):
-            with pytest.raises(ValueError, match="semantic matrix"):
-                write_vector_store(tmp_path / "v.bin", columns_of([{}]), semantic)
+        # the semantic section counts its elements: one row of the
+        # manifest's embedding dimension per text
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        assert len(read_columns((path / COLUMNS_FILE).read_bytes())["semantic"]) == 6
+        m = json.loads((path / MANIFEST_FILE).read_text())
+        m["embedding_dim"] = 3
+        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        with pytest.raises(IndexIntegrityError,
+                           match="semantic size 6 != text count 3 x embedding dim 3"):
+            CandidateIndex.open(path)
 
     @pytest.mark.parametrize("edit", [
         lambda b: b[:-8],                     # truncated
         lambda b: b + b"\x00" * 8,            # trailing bytes
-        lambda b: b[:8] + struct.pack("<4Q", 3, 2, 4, 6) + b[40:],  # header disagrees
+        lambda b: b[:GRAM_VALUES_COUNT_AT] + struct.pack("<Q", 6)  # header disagrees
+        + b[GRAM_VALUES_COUNT_AT + 8:],
     ], ids=["truncated", "trailing", "header"])
     def test_size_must_match_header(self, tmp_path, edit):
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        path.write_bytes(edit(path.read_bytes()))
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        (path / COLUMNS_FILE).write_bytes(edit((path / COLUMNS_FILE).read_bytes()))
         with pytest.raises(IndexIntegrityError, match="bytes"):
-            VectorStore(path)
+            CandidateIndex.open(path)
 
     @pytest.mark.parametrize("indptr", [(0, 3, 1, 4, 5), (1, 1, 3, 4, 5), (0, 1, 3, 4, 4)],
                              ids=["decreasing", "nonzero-start", "short-end"])
     def test_corrupt_row_pointers(self, tmp_path, indptr):
         # the gram pointers: gram g's postings are [indptr[g], indptr[g+1])
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        edit_store(path, self.INDPTR_AT, struct.pack("<5q", *indptr))
-        # the columns are already mapped when this check fails; the map must
-        # still close cleanly
-        with pytest.raises(IndexIntegrityError, match="gram pointers"):
-            VectorStore(path)
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        edit_section(path, "gram_indptr", indptr)
+        with pytest.raises(IndexIntegrityError, match="gram_indptr does not fit"):
+            CandidateIndex.open(path)
 
     @pytest.mark.parametrize("vocab", [(2, 7, 5, TOP), (2, 5, 5, TOP)],
                              ids=["swapped", "repeated"])
     def test_vocabulary_must_ascend(self, tmp_path, vocab):
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        edit_store(path, self.VOCAB_AT, struct.pack("<4Q", *vocab))
-        with pytest.raises(IndexIntegrityError, match="vocabulary"):
-            VectorStore(path)
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        edit_section(path, "gram_vocab", vocab)
+        with pytest.raises(IndexIntegrityError, match="vocabulary not ascending"):
+            CandidateIndex.open(path)
 
     @pytest.mark.parametrize("text_id", [-1, 3])
     def test_posting_text_ids_in_range(self, tmp_path, text_id):
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        edit_store(path, self.TEXTS_AT + 4 * 2, struct.pack("<i", text_id))
-        with pytest.raises(IndexIntegrityError, match="posting text id"):
-            VectorStore(path)
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        edit_section(path, "gram_texts", (0, 0, text_id))
+        with pytest.raises(IndexIntegrityError, match=r"gram_texts out of range \[0, 3\)"):
+            CandidateIndex.open(path)
 
     def test_out_of_range_ids(self, tmp_path):
-        path = tmp_path / "v.bin"
-        write_store(path, self.ROWS, 2)
-        with VectorStore(path) as store:
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        with CandidateIndex.open(path) as idx:
             for bad in ([-1], [3], [0, 3]):
                 with pytest.raises(IndexIntegrityError):
-                    store.lexical_cosines({5: 1.0}, bad)
+                    idx.lexical_cosines({5: 1.0}, bad)
                 with pytest.raises(IndexIntegrityError):
-                    store.semantic(bad)
+                    idx.semantic_rows(bad)
 
     def test_bad_magic(self, tmp_path):
-        p = tmp_path / "v.bin"
-        p.write_bytes(b"NOTSTORE" + b"\x00" * 32)
-        with pytest.raises(IndexFormatError):
-            VectorStore(p)
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        data = (path / COLUMNS_FILE).read_bytes()
+        (path / COLUMNS_FILE).write_bytes(b"NOTSTORE" + data[8:])
+        with pytest.raises(IndexFormatError, match="magic"):
+            CandidateIndex.open(path)
 
     def test_format_1_magic_refused(self, tmp_path):
-        p = tmp_path / "v.bin"
-        p.write_bytes(b"KBTVEC01" + b"\x00" * 32)
-        with pytest.raises(IndexFormatError, match="magic"):
-            VectorStore(p)
+        # the magics of format 1's vector file and format 4's column file
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        data = (path / COLUMNS_FILE).read_bytes()
+        for magic in (b"KBTVEC01", b"KBTCOL03"):
+            (path / COLUMNS_FILE).write_bytes(magic + data[8:])
+            with pytest.raises(IndexFormatError, match="magic"):
+                CandidateIndex.open(path)
 
     def test_row_major_format_3_store_refused(self, tmp_path):
-        # format 3 kept the lexical vectors row by row under this magic
-        p = tmp_path / "v.bin"
-        p.write_bytes(b"KBTVEC02" + struct.pack("<3Q", 1, 1, 0) + struct.pack("<2q", 0, 0)
-                      + struct.pack("<d", 1.0))
+        # format 3 kept the lexical vectors row by row in a vector file
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        (path / COLUMNS_FILE).write_bytes(
+            b"KBTVEC02" + struct.pack("<3Q", 1, 1, 0) + struct.pack("<2q", 0, 0)
+            + struct.pack("<d", 1.0))
         with pytest.raises(IndexFormatError, match="magic"):
-            VectorStore(p)
+            CandidateIndex.open(path)
 
     def test_empty_file(self, tmp_path):
-        p = tmp_path / "v.bin"
-        p.write_bytes(b"")
+        path = write_store(tmp_path / "i", self.ROWS, 2)
+        (path / COLUMNS_FILE).write_bytes(b"")
         with pytest.raises(IndexFormatError):
-            VectorStore(p)
+            CandidateIndex.open(path)
 
 
 class TestColumnsFile:
@@ -771,6 +806,8 @@ class TestColumnsFile:
         "parent_indptr": [0, 0], "parent_ids": [], "parent_weights": [],
         "text_indptr": [0, 1], "text_fields": [0], "text_weights": [2.0],
         "posting_indptr": [0, 1], "posting_texts": [0], "posting_tfs": [3],
+        "gram_vocab": [9], "gram_indptr": [0, 1], "gram_texts": [0], "gram_values": [1.0],
+        "semantic": [0.6, 0.8],
     }
 
     def test_file_bytes(self, tmp_path):
@@ -780,12 +817,14 @@ class TestColumnsFile:
         write_columns(path, self.COLUMNS)
         pad = b"\x00" * 4
         assert path.read_bytes() == b"".join([
-            b"KBTCOL03",
-            struct.pack("<12Q", 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 1, 1),
+            b"KBTCOL05",
+            struct.pack("<17Q", 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2),
             struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<d", 0.0),
             struct.pack("<2q", 0, 0),
             struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<d", 2.0),
             struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<i", 3) + pad,
+            struct.pack("<Q", 9), struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad,
+            struct.pack("<d", 1.0), struct.pack("<2d", 0.6, 0.8),
         ])
         columns = read_columns(path.read_bytes())
         assert {name: a.tolist() for name, a in columns.items()} == self.COLUMNS
@@ -1017,10 +1056,9 @@ class TestLexicalCosines:
     def test_hand_written_stores_equal_row_kernel(self, tmp_path_factory, rows, query, picks):
         # rows without grams, keys at or above 2**63 and their near misses,
         # an empty query, a text requested several times
-        path = tmp_path_factory.mktemp("store") / "v.bin"
-        write_store(path, [(row, [0.0]) for row in rows], 1)
+        path = write_store(tmp_path_factory.mktemp("store"), [(row, [0.0]) for row in rows], 1)
         ids = [p % len(rows) for p in picks] if rows else []
-        with VectorStore(path) as store:
-            assert list(rows_of(store.lexical, ids)) == [rows[i] for i in ids]
-            assert_bitwise(store.lexical_cosines(query, ids), lexical_cosines_by_rows(
+        with CandidateIndex.open(path) as idx:
+            assert list(rows_of(idx._lexical, ids)) == [rows[i] for i in ids]
+            assert_bitwise(idx.lexical_cosines(query, ids), lexical_cosines_by_rows(
                 query, lexical_rows([rows[i] for i in ids])))

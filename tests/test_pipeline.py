@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from kbtopics.config import load_config, parse_config
 from kbtopics import pipeline
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
-from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, VECTORS_FILE
+from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
 from kbtopics.ranking import CandidateRows
@@ -84,8 +85,8 @@ def test_build_runs_stages_in_order(built):
 
 def test_build_writes_index_files(built, toy_config):
     out, report = built
-    for name in (MANIFEST_FILE, STRINGS_FILE, COLUMNS_FILE, VECTORS_FILE):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [MANIFEST_FILE, STRINGS_FILE, COLUMNS_FILE, pipeline.CONFIG_COPY])
     assert report.manifest.config_hash == toy_config.config_hash()
     assert report.manifest.record_count > 0
 
@@ -215,11 +216,27 @@ def test_provided_mention_detector_is_built_once(built, toy_config, monkeypatch)
 
 
 def test_classifier_closes_its_index(built, toy_config):
+    # nothing the classifier keeps, its memo included, holds a view of the
+    # index's map once it is closed, so the map and its file are released
     out, _ = built
     with open_classifier(out, toy_config) as fresh:
-        store = fresh._index._store
+        mapped = weakref.ref(fresh._index._map)
         assert fresh.classify_document(load_corpus()[0][0])
-    assert store._file.closed and store._map.closed
+    assert mapped() is None
+
+
+def test_related_view_outlives_close(built, toy_config):
+    out, _ = built
+    with open_classifier(out, toy_config) as fresh:
+        index = fresh._index
+        mapped = weakref.ref(index._map)
+        uri = index.records[0].uri
+        ids, distances = index.related(uri)
+        want = (ids.tolist(), distances.tolist())
+    assert mapped() is not None
+    assert (ids.tolist(), distances.tolist()) == want and distances[0] == 0.0
+    del ids, distances
+    assert mapped() is None
 
 
 def test_empty_document_has_no_topics(classifier):

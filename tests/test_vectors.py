@@ -162,6 +162,25 @@ class TestEmbeddingTable:
         t = EmbeddingTable.load(p)
         assert len(t) == 2 and t.dim == 2
 
+    def test_header_dimension_must_match_rows(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("2 3\na 1 0\nb 0 1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="dimension 2 != header dimension 3"):
+            EmbeddingTable.load(p)
+
+    @pytest.mark.parametrize("other, same", [
+        ("2 2\na 1 0\nb 0 1\n", True),          # a header
+        ("a 1 0\nb 0 1\na 5 5\n", True),        # a duplicate, ignored
+        ("b 0 1\na 1 0\n", False),              # load order
+        ("a 1 0\nb 0 1.5\n", False),            # a value
+        ("a 1 0\nc 0 1\n", False),              # a token
+    ])
+    def test_digest_covers_the_table_as_loaded(self, tmp_path, other, same):
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        q.write_text(other, encoding="utf-8")
+        assert (EmbeddingTable.load(p).digest == EmbeddingTable.load(q).digest) == same
+
     def test_duplicate_token_keeps_first(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1 0\na 0 1\n", encoding="utf-8")
