@@ -12,16 +12,16 @@ Lower weight means a closer relation. Within each (s,p,d) group only the
 c_max lowest-weight edges survive, ties going to the target that sorts first.
 
 The result is the form expansion relaxes: arrays of source ids, target ids
-and weights over the KB's entities numbered in sorted IRI order. Edges that
-join one pair through several predicates or directions all stay; a
-traversal takes the cheapest.
+and weights over the KB's entity ids, which the KB numbers in sorted IRI
+order. Edges that join one pair through several predicates or directions
+all stay; a traversal takes the cheapest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,18 +58,12 @@ class WeightedGraph(NamedTuple):
     weights: np.ndarray  # float64
 
 
-def link_counts(kb: KnowledgeBase) -> dict[Iri, int]:
-    """l(x): triples with x as subject plus triples with x as IRI object.
-
-    Literal-object triples count toward their subject but have no countable
-    object side.
-    """
-    counts: dict[Iri, int] = {}
-    for t in kb.triples:
-        counts[t.subject] = counts.get(t.subject, 0) + 1
-        if isinstance(t.obj, Iri):
-            counts[t.obj] = counts.get(t.obj, 0) + 1
-    return counts
+def link_counts(kb: KnowledgeBase) -> np.ndarray:
+    """l(x) per entity id: triples with x as subject plus triples with x as
+    IRI object (a literal object is not counted)."""
+    n = len(kb.entities)
+    return (np.bincount(kb.subject_ids, minlength=n)
+            + np.bincount(kb.object_ids[kb.object_ids >= 0], minlength=n))
 
 
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -80,33 +74,29 @@ def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def compute_edge_weights(
-    kb: KnowledgeBase, links: Mapping[Iri, int], params: EdgeWeightParams | None = None,
+    kb: KnowledgeBase, links: np.ndarray, params: EdgeWeightParams | None = None,
 ) -> WeightedGraph:
     """Weight all graph edges, truncating every (s,p,d) group to c_max.
 
-    ``links`` are the KB's link counts, as ``link_counts`` gives them.
+    ``links`` are the KB's link counts by entity id, as ``link_counts``
+    gives them. The graph's ids are the KB's.
     """
     params = params or EdgeWeightParams()
-    entities = sorted(kb.entities)
-    ids = dict(zip(entities, range(len(entities))))
-    predicates: dict[Iri, int] = {}
-    s, p, o = np.array(
-        [(ids[t.subject], predicates.setdefault(t.predicate, len(predicates)), ids[t.obj])
-         for t in kb.triples if isinstance(t.obj, Iri)], dtype=np.int64).reshape(-1, 3).T
+    iri_object = kb.object_ids >= 0
+    s, p, o = kb.subject_ids[iri_object], kb.predicate_ids[iri_object], kb.object_ids[iri_object]
     # spo edges, then ops edges
     sources, targets = np.concatenate((s, o)), np.concatenate((o, s))
     predicate = np.concatenate((p, p))
     ops = np.arange(sources.shape[0]) >= s.shape[0]
     # one integer key per (source, predicate, direction) group
-    _, groups, sizes = np.unique((sources * len(predicates) + predicate) * 2 + ops,
+    _, groups, sizes = np.unique((sources * len(kb.predicates) + predicate) * 2 + ops,
                                  return_inverse=True, return_counts=True)
     base = np.array([kb.registry.edge_base_weights.get(q, params.default_base_weight)
-                     for q in predicates], dtype=np.float64)
-    link = np.fromiter((links[e] for e in entities), np.int64, len(entities))
-    weights = (base[predicate] * _powers(link[targets], params.f_l)
+                     for q in kb.predicates], dtype=np.float64)
+    weights = (base[predicate] * _powers(links[targets], params.f_l)
                * _powers(sizes, params.f_g)[groups])
     # each group's edges by weight, then target IRI; keep the first c_max
     order = np.lexsort((targets, weights, groups))
     rank = np.arange(order.shape[0]) - (np.cumsum(sizes) - sizes)[groups[order]]
     keep = order[rank < params.c_max]
-    return WeightedGraph(entities, sources[keep], targets[keep], weights[keep])
+    return WeightedGraph(kb.entities, sources[keep], targets[keep], weights[keep])

@@ -148,31 +148,24 @@ class ParentParams:
             raise ConfigError(f"parent alpha must be in (0,1), got {self.alpha}")
 
 
-def compute_parents(
-    kb: KnowledgeBase,
-    entity: Iri,
-    params: ParentParams,
-    link_counts: Mapping[Iri, int],
-) -> list[tuple[Iri, float]]:
-    """One-hop parents along configured properties, weighted l(q)^(-alpha).
-
-    Heavily linked parents are near-universal and get small weights.
-    Deduplicated, sorted by IRI. Forward parents come from the entity's
-    subject triples, inverse ones from the KB's (predicate, object) index,
-    so the cost does not grow with the size of the KB.
-    """
-    found: set[Iri] = set()
+def compute_parents(kb: KnowledgeBase, params: ParentParams, link_counts: np.ndarray,
+                    ) -> dict[Iri, list[tuple[Iri, float]]]:
+    """One-hop parents along configured properties (forward: subject to IRI
+    object; inverse: back), weighted l(q)^(-alpha) so that heavily linked,
+    near-universal parents weigh little. Deduplicated, without the entity
+    itself, sorted by IRI; only the entities that have any, in id order."""
+    n = len(kb.entities)
+    keys = [np.zeros(0, dtype=np.int64)]  # child * n + parent
     for pred, direction in kb.registry.parent_properties:
-        if direction == "forward":
-            found.update(t.obj for t in kb.subject_triples(entity)
-                         if t.predicate == pred and isinstance(t.obj, Iri))
-        else:
-            found.update(kb.subjects_with(pred, entity))
-    found.discard(entity)
-    return [
-        (q, float(max(link_counts.get(q, 1), 1)) ** -params.alpha)
-        for q in sorted(found)
-    ]
+        on = kb.with_predicate((pred,)) & (kb.object_ids >= 0) & (kb.subject_ids != kb.object_ids)
+        s, o = kb.subject_ids[on], kb.object_ids[on]
+        keys.append(s * n + o if direction == "forward" else o * n + s)
+    found: dict[Iri, list[tuple[Iri, float]]] = {}
+    for key in sorted(set(np.concatenate(keys).tolist())):
+        child, q = divmod(key, n)
+        found.setdefault(kb.entities[child], []).append(
+            (kb.entities[q], float(max(link_counts[q], 1)) ** -params.alpha))
+    return found
 
 
 class IndexRecord:
@@ -639,10 +632,10 @@ class CandidateIndex:
         return cls(manifest, entities, strings, columns, data)
 
     def close(self) -> None:
-        """Drop the index's views of its column file. The map goes with the
-        last view, so views handed out before stay readable."""
-        self._map = self._lexical = self._semantic = self._related = self._parents = None
-        self._text_start = self._weights = self._posting_texts = self._posting_tfs = None
+        """Drop all the index holds; any later read raises ValueError. The map
+        goes with its last view, so views handed out before stay readable."""
+        self.__dict__.clear()
+        self.__class__ = _ClosedIndex
 
     def __enter__(self) -> "CandidateIndex":
         return self
@@ -787,3 +780,12 @@ class CandidateIndex:
             field_weights=self._weights[text_ids],
             distances=np.repeat(distances, counts),
         )
+
+
+class _ClosedIndex(CandidateIndex):
+    """A closed index: it holds nothing, and reading what it held raises.
+    (An open one has no ``__getattr__``, which would slow every attribute
+    read.)"""
+
+    def __getattr__(self, name: str):
+        raise AttributeError(name) if name.startswith("__") else ValueError("the index is closed")

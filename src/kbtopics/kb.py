@@ -6,6 +6,11 @@ angle brackets, literals in double quotes with optional ``@lang`` tag or
 `` .``, and ``#`` comments. Blank nodes are rejected. Only untagged and
 English-tagged literals are kept; literals in other languages are dropped at
 load time and counted.
+
+The parsed triples are interned once into a ``KnowledgeBase`` of integer id
+arrays, which numbers the entities in sorted IRI order. Cross-reference
+normalization and pruning are array operations that give a new one, and
+the text projection reads every entity's texts in one pass over it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Literal as TypingLiteral
+from typing import Collection, Iterable, Iterator, Literal as TypingLiteral
+
+import numpy as np
 
 from .errors import ConfigError, DataError, TripleParseError
 
@@ -58,10 +65,6 @@ class Triple:
     subject: Iri
     predicate: Iri
     obj: Iri | Literal
-
-    @property
-    def has_iri_object(self) -> bool:
-        return isinstance(self.obj, Iri)
 
 
 @dataclass(frozen=True)
@@ -106,56 +109,63 @@ class PropertyRegistry:
             raise ConfigError("cross_ref_predicates configured without a cross_ref_target")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeBase:
-    """Deduplicated triple collection, immutable after construction.
+    """Distinct triples as three id arrays, in the order they first occurred.
 
-    ``from_triples`` builds it in one pass over the triples, which also
-    collects ``entities`` (distinct IRIs in subject or object position,
-    predicates excluded) and indexes the triples by subject and, for the
-    registry's inverse parent properties, by (predicate, IRI object).
+    Triple i is ``(entities[subject_ids[i]], predicates[predicate_ids[i]],
+    o)``: o is ``entities[object_ids[i]]`` if ``object_ids[i] >= 0``, else
+    the literal ``literals[~object_ids[i]]`` (a literal is its text and
+    language tag). ``entities``, the IRIs in subject or object position, are
+    sorted: this numbering, the only one, is what edges, expansion and
+    parents use, and ids compare as IRIs do.
     """
 
-    triples: tuple[Triple, ...]
     registry: PropertyRegistry
-    entities: frozenset[Iri] = field(repr=False)
-    _by_subject: dict[Iri, tuple[Triple, ...]] = field(repr=False)
-    _by_object: dict[tuple[Iri, Iri], tuple[Iri, ...]] = field(repr=False)
+    entities: list[Iri]
+    predicates: list[Iri]
+    literals: list[Literal]
+    subject_ids: np.ndarray  # int64, as are the other two
+    predicate_ids: np.ndarray
+    object_ids: np.ndarray
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple], registry: PropertyRegistry) -> "KnowledgeBase":
-        unique = tuple(dict.fromkeys(triples))
-        by_subject: dict[Iri, list[Triple]] = {}
-        by_object: dict[tuple[Iri, Iri], list[Iri]] = {}
-        objects: set[Iri] = set()
-        inverse = {p for p, d in registry.parent_properties if d == "inverse"}
-        for t in unique:
-            by_subject.setdefault(t.subject, []).append(t)
-            if isinstance(t.obj, Iri):
-                objects.add(t.obj)
-                if t.predicate in inverse:
-                    by_object.setdefault((t.predicate, t.obj), []).append(t.subject)
-        return cls(
-            unique,
-            registry,
-            frozenset(objects.union(by_subject)),
-            {s: tuple(ts) for s, ts in by_subject.items()},
-            {k: tuple(ss) for k, ss in by_object.items()},
-        )
+    def intern(cls, triples: Iterable[Triple], registry: PropertyRegistry) -> "KnowledgeBase":
+        """The KB of the triples, read in one pass."""
+        iris: dict[Iri, int] = {}
+        predicates: dict[Iri, int] = {}
+        literals: dict[Literal, int] = {}
+        ids: list[int] = []
+        for t in triples:
+            ids += (iris.setdefault(t.subject, len(iris)),
+                    predicates.setdefault(t.predicate, len(predicates)),
+                    ~literals.setdefault(t.obj, len(literals)) if isinstance(t.obj, Literal)
+                    else iris.setdefault(t.obj, len(iris)))
+        s, p, o = np.array(ids, dtype=np.int64).reshape(-1, 3).T
+        return cls._of(registry, list(iris), list(predicates), list(literals), s, p, o)
+
+    @classmethod
+    def _of(cls, registry: PropertyRegistry, names: list[Iri], predicates: list[Iri],
+            literals: list[Literal], s: np.ndarray, p: np.ndarray, o: np.ndarray):
+        """The KB of the id triples over ``names`` (in any order, repeats and
+        unused names allowed): entities renumbered, first occurrences kept."""
+        entities = sorted({names[i] for i in set(s.tolist()).union(o[o >= 0].tolist())})
+        position = dict(zip(entities, range(len(entities))))
+        new_id = np.array([position.get(name, -1) for name in names], dtype=np.int64)
+        s, o = new_id[s], np.where(o >= 0, new_id[np.maximum(o, 0)], o)
+        order = np.lexsort((o, p, s))  # stable: equal triples stay in order
+        spo = np.stack((s, p, o))[:, order]
+        first = np.ones(order.shape[0], dtype=bool)
+        first[1:] = np.any(spo[:, 1:] != spo[:, :-1], axis=0)
+        keep = np.sort(order[first])
+        return cls(registry, entities, predicates, literals, s[keep], p[keep], o[keep])
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self.subject_ids.shape[0]
 
-    def subject_triples(self, entity: Iri) -> tuple[Triple, ...]:
-        return self._by_subject.get(entity, ())
-
-    def subjects_with(self, predicate: Iri, obj: Iri) -> tuple[Iri, ...]:
-        """Subjects of the triples ``(?, predicate, obj)``, in triple order.
-
-        Only inverse parent properties are indexed; any other predicate
-        gives ``()``.
-        """
-        return self._by_object.get((predicate, obj), ())
+    def with_predicate(self, predicates: Collection[Iri]) -> np.ndarray:
+        """Per triple, whether its predicate is one of ``predicates``."""
+        return np.array([q in predicates for q in self.predicates], dtype=bool)[self.predicate_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +353,27 @@ def normalize_cross_refs(kb: KnowledgeBase) -> tuple[KnowledgeBase, CrossRefRepo
     report = CrossRefReport()
     if not reg.cross_ref_predicates:
         return kb, report
-    out: list[Triple] = []
-    for t in kb.triples:
-        if t.predicate in reg.cross_ref_predicates and isinstance(t.obj, Literal):
-            m = _XREF_RE.match(t.obj.text)
-            ns = reg.cross_ref_prefixes.get(m.group(1)) if m else None
-            if ns is not None:
-                try:
-                    resolved = Iri(ns + m.group(2))
-                except ValueError:
-                    report.unresolved += 1
-                    out.append(t)
-                    continue
-                out.append(Triple(t.subject, reg.cross_ref_target, resolved))
-                report.converted += 1
-                continue
+    predicates = list(dict.fromkeys(kb.predicates + [reg.cross_ref_target]))
+    target = predicates.index(reg.cross_ref_target)
+    names = list(kb.entities)  # then each resolved IRI; _of merges repeats
+    p, o = kb.predicate_ids.copy(), kb.object_ids.copy()
+    for i in np.flatnonzero(kb.with_predicate(reg.cross_ref_predicates) & (o < 0)).tolist():
+        m = _XREF_RE.match(kb.literals[~o[i]].text)
+        ns = reg.cross_ref_prefixes.get(m.group(1)) if m else None
+        try:
+            resolved = None if ns is None else Iri(ns + m.group(2))
+        except ValueError:
+            resolved = None
+        if resolved is None:
             report.unresolved += 1
-        out.append(t)
+            continue
+        names.append(resolved)
+        p[i], o[i] = target, len(names) - 1
+        report.converted += 1
     if report.unresolved:
         logger.info("cross-ref normalization: %d converted, %d unresolved",
                     report.converted, report.unresolved)
-    return KnowledgeBase.from_triples(out, reg), report
+    return KnowledgeBase._of(reg, names, predicates, kb.literals, kb.subject_ids, p, o), report
 
 
 def prune_triples(kb: KnowledgeBase) -> tuple[KnowledgeBase, int]:
@@ -371,22 +381,24 @@ def prune_triples(kb: KnowledgeBase) -> tuple[KnowledgeBase, int]:
     prune = kb.registry.prune_predicates
     if not prune:
         return kb, 0
-    kept = [t for t in kb.triples if t.predicate not in prune]
-    removed = len(kb.triples) - len(kept)
-    return KnowledgeBase.from_triples(kept, kb.registry), removed
+    keep = ~kb.with_predicate(prune)
+    pruned = KnowledgeBase._of(kb.registry, kb.entities, kb.predicates, kb.literals,
+                               kb.subject_ids[keep], kb.predicate_ids[keep],
+                               kb.object_ids[keep])
+    return pruned, len(kb) - len(pruned)
 
 
-def entity_texts(kb: KnowledgeBase, entity: Iri) -> list[tuple[str, str, float]]:
-    """All registered text-field literals of an entity.
-
-    Returns (field_name, text, search_weight) tuples ordered by field name
-    then text; unknown entities yield an empty list.
-    """
-    fields = kb.registry.text_fields
-    rows = [
-        (fields[t.predicate].name, t.obj.text, fields[t.predicate].weight)
-        for t in kb.subject_triples(entity)
-        if isinstance(t.obj, Literal) and t.predicate in fields
-    ]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+def entity_texts(kb: KnowledgeBase) -> dict[Iri, list[tuple[str, str, float]]]:
+    """Every entity's registered text-field literals as (field_name, text,
+    search_weight), by field name, then text, then triple order; only the
+    entities that have any, in id order."""
+    fields = [kb.registry.text_fields.get(q) for q in kb.predicates]
+    texts = kb.with_predicate(kb.registry.text_fields) & (kb.object_ids < 0)
+    rows = [(s, fields[p].name, kb.literals[~o].text, fields[p].weight)
+            for s, p, o in zip(kb.subject_ids[texts].tolist(), kb.predicate_ids[texts].tolist(),
+                               kb.object_ids[texts].tolist())]
+    rows.sort(key=lambda row: row[:3])
+    by_entity: dict[Iri, list[tuple[str, str, float]]] = {}
+    for s, name, text, weight in rows:
+        by_entity.setdefault(kb.entities[s], []).append((name, text, weight))
+    return by_entity

@@ -91,59 +91,54 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
         raise ConfigError("encoder.embedding_file is required to build an index")
 
     timings: list[StageTiming] = []
-
-    def staged(name: str, started: float, detail: str) -> None:
-        timings.append(StageTiming(name, time.perf_counter() - started, detail))
-
     stage = ""
+
+    def staged(detail: str) -> None:
+        nonlocal started
+        timings.append(StageTiming(stage, time.perf_counter() - started, detail))
+        started = time.perf_counter()  # the next stage starts now
+
     try:
         with replacing_dir(out_dir) as tmp:
-            stage = "load"
-            t = time.perf_counter()
+            stage, started = "load", time.perf_counter()
             stats = LoadStats()
-            triples = []
-            for path in config.kb.paths:
-                triples.extend(iter_triple_file(path, strict=not config.kb.lenient, stats=stats))
-            kb = KnowledgeBase.from_triples(triples, config.registry)
-            staged("load", t, f"{len(kb.triples)} triples, {len(kb.entities)} entities, "
-                              f"{stats.skipped_lines} lines skipped, "
-                              f"{stats.dropped_non_english} non-English literals dropped")
+            kb = KnowledgeBase.intern(
+                (triple for path in config.kb.paths
+                 for triple in iter_triple_file(path, strict=not config.kb.lenient, stats=stats)),
+                config.registry)
+            staged(f"{len(kb)} triples, {len(kb.entities)} entities, "
+                   f"{stats.skipped_lines} lines skipped, "
+                   f"{stats.dropped_non_english} non-English literals dropped")
 
             stage = "cross-refs"
-            t = time.perf_counter()
             kb, xrefs = normalize_cross_refs(kb)
-            staged("cross-refs", t, f"{xrefs.converted} converted, {xrefs.unresolved} unresolved")
+            staged(f"{xrefs.converted} converted, {xrefs.unresolved} unresolved")
 
             stage = "prune"
-            t = time.perf_counter()
             kb, removed = prune_triples(kb)
-            staged("prune", t, f"{removed} triples removed")
+            staged(f"{removed} triples removed")
 
             stage = "edge-weights"
-            t = time.perf_counter()
             links = link_counts(kb)
             graph = compute_edge_weights(kb, links, config.edge_weights)
-            staged("edge-weights", t, f"{len(graph.weights)} weighted edges")
+            staged(f"{len(graph.weights)} weighted edges")
 
             stage = "expansion"
-            t = time.perf_counter()
-            texts = {e: rows for e in graph.entities if (rows := entity_texts(kb, e))}
+            texts = entity_texts(kb)
             neighborhoods = expand_all(graph, texts, config.expansion)
-            staged("expansion", t, f"{len(texts)} neighborhoods")
+            staged(f"{len(texts)} neighborhoods")
 
             stage = "parents"
-            t = time.perf_counter()
-            parents = {e: compute_parents(kb, e, config.parents, links) for e in texts}
-            staged("parents", t, f"{sum(len(v) for v in parents.values())} parent links")
+            parents = compute_parents(kb, config.parents, links)
+            staged(f"{sum(len(parents.get(e, ())) for e in texts)} parent links")
 
             stage = "index"
-            t = time.perf_counter()
             table = EmbeddingTable.load(config.embedding_file)
             encoders = Encoders(table=table, ngram_sizes=config.ngram_sizes)
             manifest = build_index(
                 texts, neighborhoods, parents, encoders, tmp, config_hash=config.config_hash())
             (tmp / CONFIG_COPY).write_text(dump_config(config), encoding="utf-8")
-            staged("index", t, f"{manifest.record_count} records, {manifest.text_count} texts")
+            staged(f"{manifest.record_count} records, {manifest.text_count} texts")
     except KbTopicsError as exc:
         exc.stage = stage
         raise

@@ -2,7 +2,8 @@
 
 The references do their job the slow, obvious way, by a full scan of the
 triples or a plain loop over dict entries, and tests compare the library
-to them. Nothing under ``src/`` calls anything here.
+to them. ``TripleKB`` is the knowledge base as triple objects, with the
+cleaning steps that rebuild it. Nothing under ``src/`` calls anything here.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from kbtopics.edges import WeightedGraph
+from kbtopics.edges import EdgeWeightParams, WeightedGraph
 from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
 from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
+    CrossRefReport,
     Iri,
     KnowledgeBase,
+    Literal as LiteralValue,
     LoadStats,
     PropertyRegistry,
+    Triple,
     iter_triple_file,
 )
 from kbtopics.ranking import RankingParams, activation
@@ -32,10 +36,103 @@ from kbtopics.vectors import SparseVector, char_ngrams, tokenize
 from row_table import CandidateBlock, LexicalRows, MentionVectors, RowTable
 
 
+@dataclass(frozen=True)
+class TripleKB:
+    """The knowledge base as distinct triple objects in first-occurrence
+    order, with cleaning steps that rebuild it: the reference the id-array
+    ``KnowledgeBase`` is compared against."""
+
+    triples: tuple[Triple, ...]
+    registry: PropertyRegistry
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[Triple], registry: PropertyRegistry) -> "TripleKB":
+        return cls(tuple(dict.fromkeys(triples)), registry)
+
+    @property
+    def entities(self) -> frozenset[Iri]:
+        """IRIs in subject or object position."""
+        return frozenset(t.subject for t in self.triples).union(
+            t.obj for t in self.triples if isinstance(t.obj, Iri))
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+
+def triples_of(kb: KnowledgeBase) -> tuple[Triple, ...]:
+    """The id-array KB's triples as objects, in its order."""
+    return tuple(
+        Triple(kb.entities[s], kb.predicates[p], kb.entities[o] if o >= 0 else kb.literals[~o])
+        for s, p, o in zip(kb.subject_ids.tolist(), kb.predicate_ids.tolist(),
+                           kb.object_ids.tolist()))
+
+
+def objects_of(kb: KnowledgeBase) -> TripleKB:
+    return TripleKB(triples_of(kb), kb.registry)
+
+
+_XREF_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(\S+)$")
+
+
+def cross_refs_by_objects(kb: TripleKB) -> tuple[TripleKB, CrossRefReport]:
+    """normalize_cross_refs by rewriting each reference triple object."""
+    reg = kb.registry
+    report = CrossRefReport()
+    if not reg.cross_ref_predicates:
+        return kb, report
+    out: list[Triple] = []
+    for t in kb.triples:
+        if t.predicate in reg.cross_ref_predicates and isinstance(t.obj, LiteralValue):
+            m = _XREF_RE.match(t.obj.text)
+            ns = reg.cross_ref_prefixes.get(m.group(1)) if m else None
+            if ns is not None:
+                try:
+                    resolved = Iri(ns + m.group(2))
+                except ValueError:
+                    report.unresolved += 1
+                    out.append(t)
+                    continue
+                out.append(Triple(t.subject, reg.cross_ref_target, resolved))
+                report.converted += 1
+                continue
+            report.unresolved += 1
+        out.append(t)
+    return TripleKB.from_triples(out, reg), report
+
+
+def prune_by_objects(kb: TripleKB) -> tuple[TripleKB, int]:
+    """prune_triples by filtering the triple objects."""
+    prune = kb.registry.prune_predicates
+    if not prune:
+        return kb, 0
+    kept = [t for t in kb.triples if t.predicate not in prune]
+    return TripleKB.from_triples(kept, kb.registry), len(kb.triples) - len(kept)
+
+
+def link_counts_by_scan(kb: TripleKB) -> dict[Iri, int]:
+    """l(x) of every entity by counting its subject and IRI-object triples."""
+    return {e: sum(1 for t in kb.triples if t.subject == e)
+            + sum(1 for t in kb.triples if isinstance(t.obj, Iri) and t.obj == e)
+            for e in kb.entities}
+
+
+def texts_by_scan(kb: TripleKB, entity: Iri) -> list[tuple[str, str, float]]:
+    """entity_texts of one entity from a scan of its subject triples."""
+    fields = kb.registry.text_fields
+    rows = [
+        (fields[t.predicate].name, t.obj.text, fields[t.predicate].weight)
+        for t in kb.triples
+        if t.subject == entity and isinstance(t.obj, LiteralValue) and t.predicate in fields
+    ]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
 def parents_by_scan(
-    kb: KnowledgeBase, entity: Iri, params: ParentParams, link_counts: Mapping[Iri, int]
+    kb: TripleKB, entity: Iri, params: ParentParams, link_counts: Mapping[Iri, int]
 ) -> list[tuple[Iri, float]]:
-    """compute_parents by scanning every triple for each parent property."""
+    """compute_parents of one entity by scanning every triple for each
+    parent property."""
     found: set[Iri] = set()
     for pred, direction in kb.registry.parent_properties:
         for t in kb.triples:
@@ -51,6 +148,29 @@ def parents_by_scan(
         (q, float(max(link_counts.get(q, 1), 1)) ** -params.alpha)
         for q in sorted(found)
     ]
+
+
+def edges_by_scan(kb: TripleKB, params: EdgeWeightParams) -> list[tuple[Iri, Iri, float]]:
+    """compute_edge_weights' edges as sorted (source, target, weight), by an
+    independent full-scan evaluation of the weighting rules."""
+    links = link_counts_by_scan(kb)
+    records = []
+    for t in kb.triples:
+        if isinstance(t.obj, Iri):
+            records.append((t.subject, t.predicate, t.obj, "spo"))
+            records.append((t.obj, t.predicate, t.subject, "ops"))
+    out = []
+    groups = sorted({(s, p, d) for s, p, d in ((r[0], r[1], r[3]) for r in records)})
+    for s, p, d in groups:
+        members = [r for r in records if r[0] == s and r[1] == p and r[3] == d]
+        g = len(members)
+        w_p = kb.registry.edge_base_weights.get(p, params.default_base_weight)
+        scored = sorted(
+            (w_p * links[o] ** params.f_l * g ** params.f_g, o)
+            for _, _, o, _ in members
+        )
+        out.extend((s, o, w) for w, o in scored[: params.c_max])
+    return sorted(out)
 
 
 EdgeDirection = Literal["spo", "ops"]
@@ -162,7 +282,7 @@ def iri_by_two_steps(value: str) -> bool:
         c in '<>"{}|^`\\' for c in value)
 
 
-def group_cardinality(kb: KnowledgeBase, s: Iri, p: Iri, d: EdgeDirection) -> int:
+def group_cardinality(kb: TripleKB, s: Iri, p: Iri, d: EdgeDirection) -> int:
     """g(s,p,d): the number of parallel IRI-object edges leaving s via p in
     direction d. Callers must only ask about groups that exist."""
     if d == "spo":
@@ -189,11 +309,11 @@ def load_triples(
     """Load and deduplicate one triple file, counting what was kept."""
     stats = LoadSummary()
     raw = list(iter_triple_file(path, strict=strict, stats=stats))
-    kb = KnowledgeBase.from_triples(raw, registry)
+    kb = KnowledgeBase.intern(raw, registry)
     stats.duplicates = len(raw) - len(kb)
     stats.triples = len(kb)
     stats.entities = len(kb.entities)
-    stats.literals = sum(1 for t in kb.triples if not t.has_iri_object)
+    stats.literals = int((kb.object_ids < 0).sum())
     return kb, stats
 
 

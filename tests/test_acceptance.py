@@ -114,42 +114,41 @@ def load_corpus():
 # criterion 1: edge weighting against a brute-force oracle
 
 
-def kb_from(spo_list, base_weights=None) -> KnowledgeBase:
-    reg = PropertyRegistry(
-        edge_base_weights={iri(p): w for p, w in (base_weights or {}).items()}
+def registry_of(base_weights) -> PropertyRegistry:
+    return PropertyRegistry(
+        edge_base_weights={iri(p): w for p, w in base_weights.items()}
     )
-    triples = []
-    for s, p, o in spo_list:
-        obj = Literal(o[4:]) if isinstance(o, str) and o.startswith("lit:") else iri(o)
-        triples.append(Triple(iri(s), iri(p), obj))
-    return KnowledgeBase.from_triples(triples, reg)
 
 
-def random_kb(rng: np.random.Generator, n_entities: int, n_triples: int) -> KnowledgeBase:
-    triples = []
+def random_triples(rng: np.random.Generator, n_entities: int, n_triples: int) -> list[Triple]:
+    spo = []
     for _ in range(n_triples):
         s = int(rng.integers(n_entities))
         o = int(rng.integers(n_entities))
         p = int(rng.integers(3))
-        triples.append((f"e{s:02d}", f"p{p}", f"e{o:02d}"))
+        spo.append((f"e{s:02d}", f"p{p}", f"e{o:02d}"))
     for _ in range(max(n_triples // 6, 1)):
         s = int(rng.integers(n_entities))
-        triples.append((f"e{s:02d}", "label", "lit:some text"))
-    return kb_from(triples, base_weights={"p0": 0.5, "p1": 1.0})
+        spo.append((f"e{s:02d}", "label", "lit:some text"))
+    return [Triple(iri(s), iri(p), Literal(o[4:]) if o.startswith("lit:") else iri(o))
+            for s, p, o in spo]
 
 
-def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[tuple[Iri, Iri, float]]:
-    """Full-scan reference: recount links, regroup, rescore, retruncate."""
+def oracle_edges(triples: list[Triple], registry: PropertyRegistry,
+                 params: EdgeWeightParams) -> list[tuple[Iri, Iri, float]]:
+    """Full-scan reference: dedupe, recount links, regroup, rescore,
+    retruncate."""
+    triples = list(dict.fromkeys(triples))
     links: dict[Iri, int] = {}
-    pool = {t.subject for t in kb.triples} | {
-        t.obj for t in kb.triples if isinstance(t.obj, Iri)
+    pool = {t.subject for t in triples} | {
+        t.obj for t in triples if isinstance(t.obj, Iri)
     }
     for e in pool:
-        links[e] = sum(1 for t in kb.triples if t.subject == e) + sum(
-            1 for t in kb.triples if isinstance(t.obj, Iri) and t.obj == e
+        links[e] = sum(1 for t in triples if t.subject == e) + sum(
+            1 for t in triples if isinstance(t.obj, Iri) and t.obj == e
         )
     records = []
-    for t in kb.triples:
+    for t in triples:
         if isinstance(t.obj, Iri):
             records.append((t.subject, t.predicate, t.obj, "spo"))
             records.append((t.obj, t.predicate, t.subject, "ops"))
@@ -157,7 +156,7 @@ def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[tuple[Iri,
     for s, p, d in sorted({(r[0], r[1], r[3]) for r in records}):
         members = [r for r in records if r[0] == s and r[1] == p and r[3] == d]
         g = len(members)
-        w_p = kb.registry.edge_base_weights.get(p, params.default_base_weight)
+        w_p = registry.edge_base_weights.get(p, params.default_base_weight)
         scored = sorted(
             (w_p * links[o] ** params.f_l * g ** params.f_g, o)
             for _, _, o, _ in members
@@ -172,7 +171,9 @@ def test_criterion_01_edge_weight_oracle():
     n_kbs = 100
     n_edges = mismatched = 0
     for _ in range(n_kbs):
-        kb = random_kb(rng, int(rng.integers(5, 26)), int(rng.integers(20, 201)))
+        triples = random_triples(rng, int(rng.integers(5, 26)), int(rng.integers(20, 201)))
+        registry = registry_of({"p0": 0.5, "p1": 1.0})
+        kb = KnowledgeBase.intern(triples, registry)
         params = EdgeWeightParams(
             f_l=float(rng.uniform(0.2, 0.8)),
             f_g=float(rng.uniform(0.2, 0.8)),
@@ -183,7 +184,7 @@ def test_criterion_01_edge_weight_oracle():
         name = g.entities.__getitem__
         got = Counter(zip(map(name, g.sources.tolist()), map(name, g.targets.tolist()),
                           g.weights.tolist()))
-        want = Counter(oracle_edges(kb, params))  # exact, to the last bit
+        want = Counter(oracle_edges(triples, registry, params))  # exact, to the last bit
         mismatched += got != want
         n_edges += sum(want.values())
     elapsed = time.perf_counter() - started

@@ -10,7 +10,7 @@ from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
 
-from oracles import group_cardinality
+from oracles import edges_by_scan, group_cardinality, link_counts_by_scan, objects_of, triples_of
 
 EX = "http://example.org/"
 
@@ -25,7 +25,7 @@ def kb_from(spo_list, base_weights=None) -> KnowledgeBase:
     for s, p, o in spo_list:
         obj = Literal(o[4:]) if isinstance(o, str) and o.startswith("lit:") else iri(o)
         triples.append(Triple(iri(s), iri(p), obj))
-    return KnowledgeBase.from_triples(triples, reg)
+    return KnowledgeBase.intern(triples, reg)
 
 
 def weighted(kb: KnowledgeBase, params: EdgeWeightParams | None = None
@@ -35,32 +35,6 @@ def weighted(kb: KnowledgeBase, params: EdgeWeightParams | None = None
     name = g.entities.__getitem__
     return sorted(zip(map(name, g.sources.tolist()), map(name, g.targets.tolist()),
                       g.weights.tolist()))
-
-
-def oracle_edges(kb: KnowledgeBase, params: EdgeWeightParams) -> list[tuple[Iri, Iri, float]]:
-    """Independent full-scan evaluation of the weighting rules."""
-    links: dict[Iri, int] = {}
-    for e in {t.subject for t in kb.triples} | {t.obj for t in kb.triples if isinstance(t.obj, Iri)}:
-        links[e] = sum(1 for t in kb.triples if t.subject == e) + sum(
-            1 for t in kb.triples if isinstance(t.obj, Iri) and t.obj == e
-        )
-    records = []
-    for t in kb.triples:
-        if isinstance(t.obj, Iri):
-            records.append((t.subject, t.predicate, t.obj, "spo"))
-            records.append((t.obj, t.predicate, t.subject, "ops"))
-    out = []
-    groups = sorted({(s, p, d) for s, p, d in ((r[0], r[1], r[3]) for r in records)})
-    for s, p, d in groups:
-        members = [r for r in records if r[0] == s and r[1] == p and r[3] == d]
-        g = len(members)
-        w_p = kb.registry.edge_base_weights.get(p, params.default_base_weight)
-        scored = sorted(
-            (w_p * links[o] ** params.f_l * g ** params.f_g, o)
-            for _, _, o, _ in members
-        )
-        out.extend((s, o, w) for w, o in scored[: params.c_max])
-    return out
 
 
 def random_kb(rng: np.random.Generator, n_entities=20, n_triples=120) -> KnowledgeBase:
@@ -80,15 +54,18 @@ class TestLinkCounts:
     def test_two_triple_chain(self):
         kb = kb_from([("A", "p", "B"), ("B", "q", "C")])
         counts = link_counts(kb)
-        assert counts == {iri("A"): 1, iri("B"): 2, iri("C"): 1}
+        assert kb.entities == [iri("A"), iri("B"), iri("C")]
+        assert counts.tolist() == [1, 2, 1]
 
     def test_absent_entity_defaults_to_zero(self):
-        counts = link_counts(kb_from([("A", "p", "B")]))
-        assert counts.get(iri("ghost"), 0) == 0
+        kb = kb_from([("A", "p", "B")])
+        counts = link_counts(kb)
+        assert counts.shape == (len(kb.entities),) and counts.dtype == np.int64
+        assert dict(zip(kb.entities, counts.tolist())).get(iri("ghost"), 0) == 0
 
     def test_literal_triples_count_subject_only(self):
         kb = kb_from([("A", "label", "lit:apple"), ("A", "p", "B")])
-        counts = link_counts(kb)
+        counts = dict(zip(kb.entities, link_counts(kb).tolist()))
         assert counts[iri("A")] == 2
         assert counts[iri("B")] == 1
 
@@ -96,34 +73,30 @@ class TestLinkCounts:
         rng = np.random.default_rng(101)
         kb = random_kb(rng)
         counts = link_counts(kb)
-        for e in kb.entities:
-            expected = sum(1 for t in kb.triples if t.subject == e) + sum(
-                1 for t in kb.triples if isinstance(t.obj, Iri) and t.obj == e
-            )
-            assert counts[e] == expected
+        assert dict(zip(kb.entities, counts.tolist())) == link_counts_by_scan(objects_of(kb))
 
 
 class TestGroupCardinality:
     def test_spo_group(self):
         kb = kb_from([("A", "p", "B"), ("A", "p", "C")])
-        assert group_cardinality(kb, iri("A"), iri("p"), "spo") == 2
+        assert group_cardinality(objects_of(kb), iri("A"), iri("p"), "spo") == 2
 
     def test_ops_group(self):
         kb = kb_from([("A", "p", "B")])
-        assert group_cardinality(kb, iri("B"), iri("p"), "ops") == 1
+        assert group_cardinality(objects_of(kb), iri("B"), iri("p"), "ops") == 1
 
     def test_singleton_group(self):
         kb = kb_from([("A", "p", "B"), ("A", "q", "C")])
-        assert group_cardinality(kb, iri("A"), iri("p"), "spo") == 1
+        assert group_cardinality(objects_of(kb), iri("A"), iri("p"), "spo") == 1
 
     def test_missing_group_raises(self):
         kb = kb_from([("A", "p", "B")])
         with pytest.raises(ValueError):
-            group_cardinality(kb, iri("A"), iri("q"), "spo")
+            group_cardinality(objects_of(kb), iri("A"), iri("q"), "spo")
 
     def test_literal_objects_not_in_groups(self):
         kb = kb_from([("A", "p", "B"), ("A", "p", "lit:text")])
-        assert group_cardinality(kb, iri("A"), iri("p"), "spo") == 1
+        assert group_cardinality(objects_of(kb), iri("A"), iri("p"), "spo") == 1
 
 
 class TestEdgeWeightParams:
@@ -163,7 +136,7 @@ class TestComputeEdgeWeights:
     def test_every_iri_triple_yields_two_edges_before_truncation(self):
         rng = np.random.default_rng(7)
         kb = random_kb(rng)
-        n_iri = sum(1 for t in kb.triples if t.has_iri_object)
+        n_iri = int((kb.object_ids >= 0).sum())
         assert len(weighted(kb, EdgeWeightParams(c_max=10**9))) == 2 * n_iri
 
     def test_truncation_keeps_lowest_weights(self):
@@ -186,14 +159,14 @@ class TestComputeEdgeWeights:
             kb = random_kb(rng, n_entities=15, n_triples=90)
             params = EdgeWeightParams()
             # exact: the same float operations in the same order
-            assert weighted(kb, params) == sorted(oracle_edges(kb, params))
+            assert weighted(kb, params) == edges_by_scan(objects_of(kb), params)
 
     def test_monotone_in_links_and_group_size(self):
         rng = np.random.default_rng(42)
         kb = random_kb(rng, n_entities=10, n_triples=40)
         params = EdgeWeightParams(c_max=10**9)
         added = Triple(iri("e01"), iri("p0"), iri("e02"))
-        grown = KnowledgeBase.from_triples(list(kb.triples) + [added], kb.registry)
+        grown = KnowledgeBase.intern(triples_of(kb) + (added,), kb.registry)
         before, after = defaultdict(list), defaultdict(list)
         for s, t, w in weighted(kb, params):
             before[s, t].append(w)
@@ -219,6 +192,7 @@ class TestComputeEdgeWeights:
     def test_ids_number_the_entities_in_iri_order(self):
         kb = random_kb(np.random.default_rng(8))
         g = compute_edge_weights(kb, link_counts(kb))
-        assert g.entities == sorted(kb.entities)
+        assert g.entities is kb.entities
+        assert g.entities == sorted(g.entities)
         assert g.sources.dtype == g.targets.dtype == np.int64
         assert g.weights.dtype == np.float64

@@ -35,8 +35,8 @@ from kbtopics.kb import (
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, tokenize
 
 from oracles import (
-    block_by_loop, lexical_cosines_by_rows, neighborhoods_of, parents_by_scan, query_by_loop,
-    text_lengths_by_tokenizing,
+    TripleKB, block_by_loop, lexical_cosines_by_rows, link_counts_by_scan, neighborhoods_of,
+    parents_by_scan, query_by_loop, text_lengths_by_tokenizing, triples_of,
 )
 from row_table import columns_of, lexical_rows, rows_of, stack
 
@@ -63,14 +63,22 @@ EDGE_CASES = [
 ]
 
 
-def kb_from_spo(spo, parent_properties):
-    """A KB of the named triples, the first three repeated as duplicates."""
+def triples_from_spo(spo):
+    """The named triples, the first three repeated as duplicates."""
     triples = [
         Triple(iri(s), p, Literal(EX + o[1:]) if o.startswith("'") else iri(o))
         for s, p, o in spo
     ]
-    return KnowledgeBase.from_triples(triples + triples[:3], PropertyRegistry(
-        text_fields=registry().text_fields, parent_properties=tuple(parent_properties)))
+    return triples + triples[:3]
+
+
+def parents_registry(parent_properties):
+    return PropertyRegistry(
+        text_fields=registry().text_fields, parent_properties=tuple(parent_properties))
+
+
+def kb_from_spo(spo, parent_properties):
+    return KnowledgeBase.intern(triples_from_spo(spo), parents_registry(parent_properties))
 
 
 def registry():
@@ -95,7 +103,7 @@ def toy_kb():
         Triple(iri("arctic"), BROADER, iri("mammal")),
         Triple(iri("group"), MEMBER, iri("bear")),
     ]
-    return KnowledgeBase.from_triples(ts, registry())
+    return KnowledgeBase.intern(ts, registry())
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +120,6 @@ def table(tmp_path_factory):
 NO_HOODS = neighborhoods_of({})
 
 
-def texts_of(kb):
-    """Every entity's texts, as build_index takes them."""
-    return {e: entity_texts(kb, e) for e in kb.entities}
 
 
 def neighborhoods_for(kb):
@@ -133,12 +138,8 @@ def neighborhoods_for(kb):
 @pytest.fixture()
 def built(tmp_path, table):
     kb = toy_kb()
-    counts = link_counts(kb)
-    parents = {
-        e: compute_parents(kb, e, ParentParams(), counts)
-        for e in kb.entities
-    }
-    manifest = build_index(texts_of(kb), neighborhoods_for(kb), parents,
+    parents = compute_parents(kb, ParentParams(), link_counts(kb))
+    manifest = build_index(entity_texts(kb), neighborhoods_for(kb), parents,
                            Encoders(table), tmp_path / "index", config_hash="abc")
     return kb, manifest, tmp_path / "index"
 
@@ -162,40 +163,53 @@ def rehash(path):
     (path / MANIFEST_FILE).write_text(json.dumps(m))
 
 
+def parents_of(kb, entity, params=ParentParams()):
+    return compute_parents(kb, params, link_counts(kb)).get(entity, [])
+
+
 class TestComputeParents:
     def test_forward_and_inverse(self):
-        kb = toy_kb()
-        counts = link_counts(kb)
-        parents = compute_parents(kb, iri("bear"), ParentParams(), counts)
+        parents = parents_of(toy_kb(), iri("bear"))
         assert [p for p, _ in parents] == [iri("group"), iri("mammal")]
 
     def test_weights_from_link_counts(self):
-        kb = toy_kb()
-        counts = link_counts(kb)
-        parents = dict(compute_parents(kb, iri("bear"), ParentParams(), counts))
+        parents = dict(parents_of(toy_kb(), iri("bear")))
         # l(group)=1 -> weight exactly 1; l(mammal)=4 -> 4^-0.3
         assert parents[iri("group")] == 1.0
         assert parents[iri("mammal")] == pytest.approx(4.0 ** -0.3)
 
     def test_large_link_count_weight(self):
-        kb = KnowledgeBase.from_triples(
+        kb = KnowledgeBase.intern(
             [Triple(iri("x"), BROADER, iri("root"))], registry())
-        parents = compute_parents(kb, iri("x"), ParentParams(alpha=0.3),
-                                  {iri("root"): 1000})
+        counts = np.ones(len(kb.entities), dtype=np.int64)
+        counts[kb.entities.index(iri("root"))] = 1000
+        parents = compute_parents(kb, ParentParams(alpha=0.3), counts)[iri("x")]
         assert parents[0][1] == pytest.approx(0.12589254117941673, abs=1e-12)
 
     def test_no_parent_edges(self):
-        kb = toy_kb()
-        assert compute_parents(kb, iri("mammal"), ParentParams(), link_counts(kb)) == []
+        assert parents_of(toy_kb(), iri("mammal")) == []
+
+    def test_inverse_parents_come_from_inverse_properties_only(self):
+        member = Iri(EX + "hasMember")
+        part_of = Iri(EX + "partOf")
+        ts = [
+            Triple(iri("g1"), member, iri("a")),
+            Triple(iri("g2"), member, iri("a")),
+            Triple(iri("a"), part_of, iri("b")),
+            Triple(iri("c"), part_of, iri("b")),
+        ]
+        kb = KnowledgeBase.intern(
+            ts, parents_registry(((member, "inverse"), (part_of, "forward"))))
+        parents = compute_parents(kb, ParentParams(), link_counts(kb))
+        assert [q for q, _ in parents[iri("a")]] == [iri("b"), iri("g1"), iri("g2")]
+        assert iri("b") not in parents
 
     def test_self_loops_duplicates_literals_and_object_only_entities(self):
         kb = kb_from_spo(EDGE_CASES, [(BROADER, "forward"), (MEMBER, "inverse")])
-        counts = link_counts(kb)
-        parents = {e: [q for q, _ in compute_parents(kb, e, ParentParams(), counts)]
-                   for e in kb.entities}
-        assert parents[iri("a")] == [iri("b"), iri("c"), iri("leaf")]
-        assert parents[iri("leaf")] == [iri("d")]
-        assert parents[iri("d")] == []
+        parents = compute_parents(kb, ParentParams(), link_counts(kb))
+        assert [q for q, _ in parents[iri("a")]] == [iri("b"), iri("c"), iri("leaf")]
+        assert [q for q, _ in parents[iri("leaf")]] == [iri("d")]
+        assert iri("d") not in parents
 
     @given(
         st.lists(st.tuples(
@@ -211,12 +225,15 @@ class TestComputeParents:
     @example(spo=EDGE_CASES, parent_properties=[(BROADER, "forward"), (MEMBER, "inverse")],
              alpha=0.3)
     def test_matches_scan_oracle(self, spo, parent_properties, alpha):
-        kb = kb_from_spo(spo, parent_properties)
-        counts = link_counts(kb)
+        triples = triples_from_spo(spo)
+        kb = KnowledgeBase.intern(triples, parents_registry(parent_properties))
+        okb = TripleKB.from_triples(triples, kb.registry)
         params = ParentParams(alpha=alpha)
-        for e in sorted(kb.entities | {iri("ghost")}):
-            assert compute_parents(kb, e, params, counts) == \
-                parents_by_scan(kb, e, params, counts)
+        parents = compute_parents(kb, params, link_counts(kb))
+        counts = link_counts_by_scan(okb)
+        for e in sorted(okb.entities | {iri("ghost")}):
+            assert parents.get(e, []) == parents_by_scan(okb, e, params, counts)
+        assert list(parents) == sorted(parents)
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -228,9 +245,8 @@ class TestBuildIndex:
     def test_record_count_is_entities_with_texts(self, built):
         kb, manifest, path = built
         expected = sorted(
-            e for e in kb.entities
-            if any(t.predicate in kb.registry.text_fields and not t.has_iri_object
-                   for t in kb.subject_triples(e)))
+            {t.subject for t in triples_of(kb)
+             if t.predicate in kb.registry.text_fields and isinstance(t.obj, Literal)})
         assert manifest.record_count == len(expected) == 4
         with CandidateIndex.open(path) as idx:
             assert [r.uri for r in idx.records] == expected
@@ -244,17 +260,17 @@ class TestBuildIndex:
             assert iri("mammal") in bear.parent_entities
 
     def test_entity_without_neighborhood_gets_self_only(self, tmp_path, table):
-        kb = KnowledgeBase.from_triples(
+        kb = KnowledgeBase.intern(
             [Triple(iri("solo"), LABEL, Literal("solo entity"))], registry())
-        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             rec = idx.record(iri("solo"))
             assert rec.related_entities == (iri("solo"),)
             assert rec.related_weights == (0.0,)
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
-        kb = KnowledgeBase.from_triples([], registry())
-        manifest = build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        kb = KnowledgeBase.intern([], registry())
+        manifest = build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
@@ -262,9 +278,9 @@ class TestBuildIndex:
 
     def test_texts_with_newlines_tabs_and_non_ascii_round_trip(self, tmp_path, table):
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
-        kb = KnowledgeBase.from_triples(
+        kb = KnowledgeBase.intern(
             [Triple(iri("odd"), LABEL, Literal(text)) for text in texts], registry())
-        manifest = build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        manifest = build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert [t for _, t, _ in idx.record(iri("odd")).texts] == sorted(texts)
@@ -272,13 +288,51 @@ class TestBuildIndex:
 
     def test_rebuild_has_identical_content_hash(self, built, tmp_path, table):
         kb, manifest, _ = built
-        counts = link_counts(kb)
-        parents = {e: compute_parents(kb, e, ParentParams(), counts)
-                   for e in kb.entities}
-        again = build_index(texts_of(kb), neighborhoods_for(kb), parents,
+        parents = compute_parents(kb, ParentParams(), link_counts(kb))
+        again = build_index(entity_texts(kb), neighborhoods_for(kb), parents,
                             Encoders(table), tmp_path / "again", config_hash="abc")
         assert again.content_hash == manifest.content_hash
         assert again.record_count == manifest.record_count
+
+
+# Every public read of an index, given the index and one of its records
+# taken before the index was closed.
+INDEX_READS = {
+    "query": lambda idx, rec: idx.query("bear"),
+    "related": lambda idx, rec: idx.related(rec.uri),
+    "parents": lambda idx, rec: idx.parents(rec.uri),
+    "neighborhood": lambda idx, rec: idx.neighborhood(rec.uri),
+    "candidate_blocks": lambda idx, rec: idx.candidate_blocks([rec.uri]),
+    "semantic_rows": lambda idx, rec: idx.semantic_rows([0]),
+    "lexical_cosines": lambda idx, rec: idx.lexical_cosines({1: 1.0}, [0]),
+    "label": lambda idx, rec: idx.label(rec.uri, "label"),
+    "record": lambda idx, rec: idx.record(rec.uri),
+    "records": lambda idx, rec: idx.records,
+    "text_ids": lambda idx, rec: idx.text_ids(rec.uri),
+    "len": lambda idx, rec: len(idx),
+    "manifest": lambda idx, rec: idx.manifest,
+    "record.texts": lambda idx, rec: rec.texts,
+    "record.parent_entities": lambda idx, rec: rec.parent_entities,
+}
+
+
+@pytest.mark.parametrize("read", INDEX_READS)
+def test_closed_index_reads_raise(built, read):
+    _, _, path = built
+    idx = CandidateIndex.open(path)
+    record = idx.record(iri("bear"))
+    INDEX_READS[read](idx, record)  # answers while open
+    idx.close()
+    idx.close()  # closing twice is fine
+    with pytest.raises(ValueError, match="the index is closed"):
+        INDEX_READS[read](idx, record)
+
+
+def test_missing_attribute_of_an_open_index_is_an_attribute_error(built):
+    _, _, path = built
+    with CandidateIndex.open(path) as idx:
+        assert not hasattr(idx, "_no_such_attribute")
+    assert not hasattr(idx, "__no_such_dunder__")
 
 
 class TestOpenValidation:
@@ -448,7 +502,7 @@ class TestOpenValidation:
         _, manifest, path = built
         other = tmp_path / "other-emb.txt"
         other.write_text("polar 0 0 0 1\nbear 0 0 1 0\n", encoding="utf-8")
-        build_index(texts_of(toy_kb()), neighborhoods_for(toy_kb()), {},
+        build_index(entity_texts(toy_kb()), neighborhoods_for(toy_kb()), {},
                     Encoders(EmbeddingTable.load(other)), tmp_path / "other")
         semantic = read_columns((tmp_path / "other" / COLUMNS_FILE).read_bytes())["semantic"]
         assert semantic.tolist() != read_columns(
@@ -493,8 +547,8 @@ class TestQuery:
             Triple(iri("b-ent"), LABEL, Literal("same label")),
             Triple(iri("a-ent"), LABEL, Literal("same label")),
         ]
-        kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        kb = KnowledgeBase.intern(ts, registry())
+        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("same label", k=5)
             assert [h.record.uri for h in hits] == [iri("a-ent"), iri("b-ent")]
@@ -526,8 +580,8 @@ class TestQuery:
             Triple(iri("by-label"), LABEL, Literal("quicksilver")),
             Triple(iri("by-syn"), SYN, Literal("quicksilver")),
         ]
-        kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        kb = KnowledgeBase.intern(ts, registry())
+        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             hits = idx.query("quicksilver")
             assert [h.record.uri for h in hits] == [iri("by-label"), iri("by-syn")]
@@ -546,8 +600,8 @@ class TestLabelsAndParents:
     def test_label_is_the_first_text_of_the_field(self, tmp_path, table):
         ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
               Triple(iri("x"), SYN, Literal("beta"))]
-        kb = KnowledgeBase.from_triples(ts, registry())
-        build_index(texts_of(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        kb = KnowledgeBase.intern(ts, registry())
+        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
             assert idx.label(iri("x"), "label") == "alpha"
@@ -889,11 +943,11 @@ def random_index(seed, out, table):
     for _ in range(rng.randint(0, 3 * len(names))):
         triples.append(Triple(iri(rng.choice(names)), rng.choice([BROADER, MEMBER]),
                               iri(rng.choice(names))))
-    kb = KnowledgeBase.from_triples(triples, registry())
-    seeds = sorted(e for e in kb.entities if entity_texts(kb, e))
-    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), seeds,
+    kb = KnowledgeBase.intern(triples, registry())
+    texts = entity_texts(kb)
+    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts,
                        ExpansionParams(max_depth=3, max_distance=6.0))
-    build_index(texts_of(kb), hoods, {}, Encoders(table), out)
+    build_index(texts, hoods, {}, Encoders(table), out)
     return out
 
 
@@ -951,7 +1005,7 @@ class TestRelated:
             iri("mercury"): Neighborhood(iri("mercury"), (
                 (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
         })
-        build_index(texts_of(kb), hoods, {}, Encoders(table), tmp_path / "index")
+        build_index(entity_texts(kb), hoods, {}, Encoders(table), tmp_path / "index")
         with CandidateIndex.open(tmp_path / "index") as idx:
             assert idx.record(iri("arctic")) is None
             pair = [iri("bear"), iri("mercury")]

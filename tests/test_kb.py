@@ -1,9 +1,11 @@
 """Triple parsing, deduplication, and cleaning behaviour."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, DataError, TripleParseError
+from kbtopics.index import ParentParams, compute_parents
 from kbtopics.kb import (
     CrossRefReport,
     Iri,
@@ -18,7 +20,18 @@ from kbtopics.kb import (
     prune_triples,
 )
 
-from oracles import iri_by_two_steps, load_triples
+from oracles import (
+    TripleKB,
+    cross_refs_by_objects,
+    edges_by_scan,
+    iri_by_two_steps,
+    link_counts_by_scan,
+    load_triples,
+    parents_by_scan,
+    prune_by_objects,
+    texts_by_scan,
+    triples_of,
+)
 
 EX = "http://example.org/"
 LABEL = Iri(EX + "label")
@@ -122,7 +135,7 @@ class TestParseTripleLine:
     def test_iri_object(self):
         t = parse_triple_line(f"<{EX}a> <{EX}p> <{EX}b> .")
         assert t == Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b"))
-        assert t.has_iri_object
+        assert isinstance(t.obj, Iri)
 
     def test_literal_object_with_lang(self):
         t = parse_triple_line(f'<{EX}a> <{LABEL}> "Polar Bear"@en .')
@@ -200,7 +213,7 @@ class TestLoadTriples:
         ]))
         kb, stats = load_triples(p, make_registry())
         assert stats.dropped_non_english == 2
-        texts = {t.obj.text for t in kb.triples}
+        texts = {t.obj.text for t in triples_of(kb)}
         assert texts == {"bear", "bear cub", "untagged"}
 
     def test_strict_mode_raises_with_line_number(self, tmp_path):
@@ -233,50 +246,53 @@ class TestLoadTriples:
                       + f'<{EX}b> <{LABEL}> "caf\u00e9" .\n'.encode())
         kb, stats = load_triples(p, make_registry(), strict=False)
         assert stats.skipped_lines == 1
-        assert {t.obj for t in kb.triples if not t.has_iri_object} == {Literal("café")}
+        assert {t.obj for t in triples_of(kb) if isinstance(t.obj, Literal)} == {Literal("café")}
 
 
 class TestKnowledgeBase:
-    def test_from_triples_dedup_is_idempotent(self):
+    def test_intern_dedup_is_idempotent(self):
         reg = make_registry()
         ts = [
             Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b")),
             Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b")),
             Triple(Iri(EX + "a"), LABEL, Literal("A")),
         ]
-        kb1 = KnowledgeBase.from_triples(ts, reg)
-        kb2 = KnowledgeBase.from_triples(kb1.triples, reg)
-        assert kb1.triples == kb2.triples
+        kb1 = KnowledgeBase.intern(ts, reg)
+        kb2 = KnowledgeBase.intern(triples_of(kb1), reg)
+        assert triples_of(kb1) == triples_of(kb2) == tuple(ts[1:])
         assert len(kb1) == 2
 
     def test_entities_exclude_predicates_and_literals(self):
-        kb = KnowledgeBase.from_triples(
+        kb = KnowledgeBase.intern(
             [Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b")),
              Triple(Iri(EX + "a"), LABEL, Literal("A"))],
             make_registry(),
         )
-        assert kb.entities == {EX + "a", EX + "b"}
+        assert kb.entities == [EX + "a", EX + "b"]
 
-    def test_subject_index(self):
-        t1 = Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b"))
-        t2 = Triple(Iri(EX + "b"), Iri(EX + "p"), Iri(EX + "c"))
-        kb = KnowledgeBase.from_triples([t1, t2], make_registry())
-        assert kb.subject_triples(Iri(EX + "a")) == (t1,)
-        assert kb.subject_triples(Iri(EX + "zzz")) == ()
+    def test_id_arrays_decode_to_the_triples_in_order(self):
+        t1 = Triple(Iri(EX + "b"), Iri(EX + "p"), Iri(EX + "c"))
+        t2 = Triple(Iri(EX + "a"), Iri(EX + "q"), Literal("A", "en"))
+        t3 = Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b"))
+        kb = KnowledgeBase.intern([t1, t2, t3], make_registry())
+        # entities numbered in IRI order, not in the order they were read
+        assert kb.entities == [EX + "a", EX + "b", EX + "c"]
+        assert kb.subject_ids.tolist() == [1, 0, 0]
+        assert kb.object_ids.tolist() == [2, ~0, 1]
+        assert kb.literals[0] == Literal("A", "en")
+        assert triples_of(kb) == (t1, t2, t3)
 
-    def test_object_index_covers_inverse_parent_properties_only(self):
-        member = Iri(EX + "hasMember")
-        part_of = Iri(EX + "partOf")
-        ts = [
-            Triple(Iri(EX + "g1"), member, Iri(EX + "a")),
-            Triple(Iri(EX + "g2"), member, Iri(EX + "a")),
-            Triple(Iri(EX + "a"), part_of, Iri(EX + "b")),
-            Triple(Iri(EX + "c"), part_of, Iri(EX + "b")),
-        ]
-        reg = make_registry(parent_properties=((member, "inverse"), (part_of, "forward")))
-        kb = KnowledgeBase.from_triples(ts, reg)
-        assert kb.subjects_with(member, Iri(EX + "a")) == (EX + "g1", EX + "g2")
-        assert kb.subjects_with(part_of, Iri(EX + "b")) == ()
+    def test_literal_identity_is_text_and_language(self):
+        a = Iri(EX + "a")
+        ts = [Triple(a, LABEL, Literal("x")), Triple(a, LABEL, Literal("x", "en")),
+              Triple(a, LABEL, Literal("x"))]
+        kb = KnowledgeBase.intern(ts, make_registry())
+        assert triples_of(kb) == tuple(ts[:2])
+
+    def test_empty(self):
+        kb = KnowledgeBase.intern([], make_registry())
+        assert len(kb) == 0 and kb.entities == []
+        assert entity_texts(kb) == {}
 
 
 class TestRegistryValidation:
@@ -310,39 +326,46 @@ class TestRegistryValidation:
 class TestNormalizeCrossRefs:
     def build(self, *objs: str) -> KnowledgeBase:
         ts = [Triple(Iri(EX + "a"), XREF, Literal(o)) for o in objs]
-        return KnowledgeBase.from_triples(ts, make_registry())
+        return KnowledgeBase.intern(ts, make_registry())
 
     def test_known_prefix_becomes_close_match(self):
         kb, report = normalize_cross_refs(self.build("XDB:123"))
         assert report == CrossRefReport(converted=1, unresolved=0)
-        assert kb.triples == (Triple(Iri(EX + "a"), CLOSE, Iri(EX + "xdb/123")),)
+        assert triples_of(kb) == (Triple(Iri(EX + "a"), CLOSE, Iri(EX + "xdb/123")),)
+        assert kb.entities == [EX + "a", EX + "xdb/123"]
 
     def test_unknown_prefix_left_in_place(self):
         kb, report = normalize_cross_refs(self.build("NOPE:42", "not a ref at all"))
         assert report.converted == 0
         assert report.unresolved == 2
-        assert all(t.predicate == XREF for t in kb.triples)
+        assert all(t.predicate == XREF for t in triples_of(kb))
+
+    def test_invalid_iri_left_in_place(self):
+        kb, report = normalize_cross_refs(self.build("XDB:a<b", "XDB:ok"))
+        assert report == CrossRefReport(converted=1, unresolved=1)
+        assert triples_of(kb) == (Triple(Iri(EX + "a"), XREF, Literal("XDB:a<b")),
+                                  Triple(Iri(EX + "a"), CLOSE, Iri(EX + "xdb/ok")))
 
     def test_conversion_dedups_against_existing(self):
         ts = [
             Triple(Iri(EX + "a"), XREF, Literal("XDB:123")),
             Triple(Iri(EX + "a"), CLOSE, Iri(EX + "xdb/123")),
         ]
-        kb, report = normalize_cross_refs(KnowledgeBase.from_triples(ts, make_registry()))
+        kb, report = normalize_cross_refs(KnowledgeBase.intern(ts, make_registry()))
         assert report.converted == 1
         assert len(kb) == 1
 
     def test_idempotent(self):
         kb1, _ = normalize_cross_refs(self.build("XDB:123", "NOPE:42"))
         kb2, report2 = normalize_cross_refs(kb1)
-        assert kb1.triples == kb2.triples
+        assert triples_of(kb1) == triples_of(kb2)
         assert report2.converted == 0
 
     def test_iri_objects_under_xref_predicate_untouched(self):
         ts = [Triple(Iri(EX + "a"), XREF, Iri(EX + "b"))]
-        kb, report = normalize_cross_refs(KnowledgeBase.from_triples(ts, make_registry()))
+        kb, report = normalize_cross_refs(KnowledgeBase.intern(ts, make_registry()))
         assert report == CrossRefReport()
-        assert kb.triples == tuple(ts)
+        assert triples_of(kb) == tuple(ts)
 
 
 class TestPruneTriples:
@@ -352,23 +375,25 @@ class TestPruneTriples:
             Triple(Iri(EX + "a"), SOURCE, Iri(EX + "pipeline")),
             Triple(Iri(EX + "a"), LABEL, Literal("A")),
         ]
-        kb, removed = prune_triples(KnowledgeBase.from_triples(ts, make_registry()))
+        kb, removed = prune_triples(KnowledgeBase.intern(ts, make_registry()))
         assert removed == 2
-        assert kb.triples == (ts[2],)
+        assert triples_of(kb) == (ts[2],)
+        # an entity whose only link was pruned is no longer an entity
+        assert kb.entities == [EX + "a"]
 
     def test_close_match_survives_pruning(self):
-        kb0, _ = normalize_cross_refs(KnowledgeBase.from_triples(
+        kb0, _ = normalize_cross_refs(KnowledgeBase.intern(
             [Triple(Iri(EX + "a"), XREF, Literal("XDB:9"))], make_registry()))
         kb1, removed = prune_triples(kb0)
         assert removed == 0
-        assert kb1.triples == kb0.triples
+        assert triples_of(kb1) == triples_of(kb0)
 
     def test_idempotent(self):
         ts = [Triple(Iri(EX + "a"), SOURCE, Literal("x")),
               Triple(Iri(EX + "a"), LABEL, Literal("A"))]
-        kb1, _ = prune_triples(KnowledgeBase.from_triples(ts, make_registry()))
+        kb1, _ = prune_triples(KnowledgeBase.intern(ts, make_registry()))
         kb2, removed2 = prune_triples(kb1)
-        assert kb1.triples == kb2.triples
+        assert triples_of(kb1) == triples_of(kb2)
         assert removed2 == 0
 
 
@@ -382,13 +407,123 @@ class TestEntityTexts:
             Triple(a, Iri(EX + "other"), Literal("ignored")),
             Triple(a, LABEL, Iri(EX + "not-text")),
         ]
-        kb = KnowledgeBase.from_triples(ts, make_registry())
-        assert entity_texts(kb, a) == [
+        kb = KnowledgeBase.intern(ts, make_registry())
+        assert entity_texts(kb) == {a: [
             ("label", "polar bear", 2.0),
             ("synonym", "ice bear", 1.0),
             ("synonym", "white bear", 1.0),
-        ]
+        ]}
 
     def test_unknown_entity_empty(self):
-        kb = KnowledgeBase.from_triples([], make_registry())
-        assert entity_texts(kb, Iri(EX + "ghost")) == []
+        kb = KnowledgeBase.intern([Triple(Iri(EX + "a"), LABEL, Iri(EX + "b"))],
+                                  make_registry())
+        assert entity_texts(kb) == {}
+        assert entity_texts(KnowledgeBase.intern([], make_registry())) == {}
+
+    def test_ties_keep_triple_order(self):
+        # two predicates mapped to one field name, with different weights
+        a, alias = Iri(EX + "a"), Iri(EX + "alias")
+        reg = make_registry(text_fields={LABEL: TextField("label", 2.0),
+                                         alias: TextField("label", 0.5)})
+        ts = [Triple(a, alias, Literal("bear")), Triple(a, LABEL, Literal("bear")),
+              Triple(a, LABEL, Literal("ant"))]
+        assert entity_texts(KnowledgeBase.intern(ts, reg)) == {a: [
+            ("label", "ant", 2.0), ("label", "bear", 0.5), ("label", "bear", 2.0)]}
+        assert entity_texts(KnowledgeBase.intern(ts[1:] + ts[:1], reg)) == {a: [
+            ("label", "ant", 2.0), ("label", "bear", 2.0), ("label", "bear", 0.5)]}
+
+
+# Generated KBs: four entities and a cross-ref target that can also be
+# written as an IRI; literals tagged and untagged, references that resolve,
+# that resolve to an invalid IRI or that do not resolve.
+ALIAS = Iri(EX + "alias")
+PART_OF = Iri(EX + "partOf")
+MEMBER = Iri(EX + "hasMember")
+NODES = [Iri(EX + n) for n in ("a", "b", "c", "d")]
+XDB1 = Iri(EX + "xdb/1")
+TEXTS = ["bear", "x", "XDB:1", "XDB:2", "XDB:a<b", "BAD:1", "NOPE:1", "not a ref"]
+PREDICATES = [LABEL, SYN, ALIAS, PART_OF, MEMBER, XREF, CLOSE, SOURCE, Iri(EX + "related")]
+
+
+def oracle_registry() -> PropertyRegistry:
+    return make_registry(
+        text_fields={LABEL: TextField("label", 2.0), SYN: TextField("synonym", 1.0),
+                     ALIAS: TextField("label", 0.5)},
+        edge_base_weights={PART_OF: 0.5, CLOSE: 0.75},
+        parent_properties=((PART_OF, "forward"), (MEMBER, "inverse")),
+        cross_ref_prefixes={"XDB": EX + "xdb/", "BAD": "not an iri/"},
+    )
+
+
+def cleaned(triples):
+    """The library's KB and the object KB after cross-refs and pruning, with
+    both steps' reports."""
+    reg = oracle_registry()
+    kb, xrefs = normalize_cross_refs(KnowledgeBase.intern(triples, reg))
+    kb, removed = prune_triples(kb)
+    okb, oxrefs = cross_refs_by_objects(TripleKB.from_triples(triples, reg))
+    okb, oremoved = prune_by_objects(okb)
+    return kb, okb, (xrefs, removed), (oxrefs, oremoved)
+
+
+A, B, C, D = NODES
+EDGE_CASES = [
+    Triple(A, LABEL, Literal("x")), Triple(A, LABEL, Literal("x", "en")),  # tagged and not
+    Triple(A, XREF, Literal("XDB:1")), Triple(A, CLOSE, XDB1),  # converts to an existing triple
+    Triple(B, XREF, Literal("XDB:a<b")), Triple(B, XREF, Literal("BAD:1")),  # invalid IRIs
+    Triple(C, SOURCE, D),  # d's only link is pruned
+    Triple(A, ALIAS, Literal("bear")), Triple(A, LABEL, Literal("bear")),  # one field name
+    Triple(A, PART_OF, B), Triple(C, MEMBER, A),  # forward and inverse parents
+    Triple(B, PART_OF, B), Triple(C, MEMBER, C),  # self-parents
+]
+
+
+class TestAgainstObjectKB:
+    """The id-array KB against the object KB of tests/oracles.py: the same
+    triples in the same order, link counts, weighted edges, texts and
+    parents."""
+
+    def test_edge_cases(self):
+        kb, okb, reports, oreports = cleaned(EDGE_CASES)
+        assert reports == oreports == (CrossRefReport(converted=1, unresolved=2), 1)
+        assert D not in kb.entities
+        assert len(kb) == len(EDGE_CASES) - 2
+        assert entity_texts(kb)[A] == [("label", "bear", 0.5), ("label", "bear", 2.0),
+                                       ("label", "x", 2.0), ("label", "x", 2.0)]
+        assert [q for q, _ in compute_parents(kb, ParentParams(), link_counts(kb))[A]] == [B, C]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(
+        Triple,
+        st.sampled_from(NODES),
+        st.sampled_from(PREDICATES),
+        st.sampled_from(NODES + [XDB1])
+        | st.builds(Literal, st.sampled_from(TEXTS), st.sampled_from([None, "en"])),
+    ), max_size=40))
+    @example(triples=EDGE_CASES)
+    def test_matches_object_kb(self, triples):
+        kb, okb, reports, oreports = cleaned(triples)
+        assert reports == oreports
+        assert triples_of(kb) == okb.triples
+        assert kb.entities == sorted(okb.entities)
+
+        links = link_counts(kb)
+        olinks = link_counts_by_scan(okb)
+        assert dict(zip(kb.entities, links.tolist())) == olinks
+
+        params = EdgeWeightParams(c_max=2)
+        graph = compute_edge_weights(kb, links, params)
+        name = graph.entities.__getitem__
+        assert graph.entities == kb.entities
+        assert sorted(zip(map(name, graph.sources.tolist()), map(name, graph.targets.tolist()),
+                          graph.weights.tolist())) == edges_by_scan(okb, params)
+
+        entities = sorted(okb.entities)
+        texts = entity_texts(kb)
+        assert list(texts.items()) == [
+            (e, rows) for e in entities if (rows := texts_by_scan(okb, e))]
+
+        alpha = ParentParams(alpha=0.3)
+        parents = compute_parents(kb, alpha, links)
+        assert list(parents.items()) == [
+            (e, found) for e in entities if (found := parents_by_scan(okb, e, alpha, olinks))]

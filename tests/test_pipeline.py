@@ -83,6 +83,27 @@ def test_build_runs_stages_in_order(built):
     assert all(t.detail for t in report.timings)
 
 
+# The toy index as the reference config builds it: any change to a build
+# stage that moves a byte of the index or a stage's counts shows here.
+TOY_CONTENT_HASH = "04bf640042b2f3d3149cd0d88e4ce354d30cee9c4474f6ebf0bac115d5f098b2"
+TOY_DETAILS = [
+    "153 triples, 54 entities, 0 lines skipped, 1 non-English literals dropped",
+    "2 converted, 1 unresolved",
+    "5 triples removed",
+    "151 weighted edges",
+    "53 neighborhoods",
+    "42 parent links",
+    "53 records, 71 texts",
+]
+
+
+def test_toy_index_bytes_and_stage_details_are_pinned(built):
+    _, report = built
+    assert report.manifest.content_hash == TOY_CONTENT_HASH
+    assert (report.manifest.record_count, report.manifest.text_count) == (53, 71)
+    assert [t.detail for t in report.timings] == TOY_DETAILS
+
+
 def test_build_writes_index_files(built, toy_config):
     out, report = built
     assert sorted(p.name for p in out.iterdir()) == sorted(
