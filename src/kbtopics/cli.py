@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from .config import AppConfig, KbSource, load_config
+from .config import KbSource, load_config
 from .errors import ConfigError, DataError, KbTopicsError
 from .index import CandidateIndex
 from .kb import Iri

@@ -7,6 +7,11 @@ angle brackets, literals in double quotes with optional ``@lang`` tag or
 English-tagged literals are kept; literals in other languages are dropped at
 load time and counted.
 
+A line is first matched whole by one pattern for the common shapes (three
+IRIs, or two IRIs and a literal with no backslash), whose strings go to the
+KB tables as they are. Any other line (escapes, invalid UTF-8, blank nodes,
+bad IRIs or tags) goes to the character parser, which gives every error.
+
 The parsed triples are interned once into a ``KnowledgeBase`` of integer id
 arrays, which numbers the entities in sorted IRI order. Cross-reference
 normalization and pruning are array operations that give a new one, and
@@ -20,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Literal as TypingLiteral
+from typing import Collection, Iterable, Iterator, Literal as TypingLiteral, NamedTuple
 
 import numpy as np
 
@@ -28,9 +33,15 @@ from .errors import ConfigError, DataError, TripleParseError
 
 logger = logging.getLogger(__name__)
 
-# scheme ":" then one or more characters that are neither whitespace nor
-# one of <>"{}|^`\ ; "$" also matches before a final newline
-_IRI_RE = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]+$')
+# scheme ":" then one or more characters that are neither whitespace, a
+# lone surrogate (not a character) nor one of <>"{}|^`\
+_IRI = r'[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\\ud800-\udfff]+'
+_IRI_RE = re.compile(_IRI)
+_LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# a whole line of a common shape: groups subject, predicate, then object IRI
+# or literal text and language tag; a datatype is matched and discarded
+_LINE_RE = re.compile(rf'<({_IRI})>[ \t]*<({_IRI})>[ \t]*(?:<({_IRI})>|'
+                      rf'"([^"\\\ud800-\udfff]*)"(?:@({_LANG})|\^\^<{_IRI}>)?)[ \t]*\.')
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
@@ -44,7 +55,7 @@ class Iri(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not _IRI_RE.match(value):
+        if not _IRI_RE.fullmatch(value):
             raise ValueError(f"not an absolute IRI: {value!r}")
         return super().__new__(cls, value)
 
@@ -54,14 +65,12 @@ class Iri(str):
         return re.split(r"[#/]", self)[-1] or str(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     text: str
     lang: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     obj: Iri | Literal
@@ -130,19 +139,20 @@ class KnowledgeBase:
     object_ids: np.ndarray
 
     @classmethod
-    def intern(cls, triples: Iterable[Triple], registry: PropertyRegistry) -> "KnowledgeBase":
-        """The KB of the triples, read in one pass."""
-        iris: dict[Iri, int] = {}
-        predicates: dict[Iri, int] = {}
-        literals: dict[Literal, int] = {}
+    def intern(cls, triples: Iterable[tuple], registry: PropertyRegistry) -> "KnowledgeBase":
+        """The KB of the ``(subject, predicate, object)`` tuples, read in one
+        pass; an object is an IRI string or a ``(text, lang)`` tuple."""
+        iris: dict[str, int] = {}
+        predicates: dict[str, int] = {}
+        literals: dict[tuple[str, str | None], int] = {}
         ids: list[int] = []
-        for t in triples:
-            ids += (iris.setdefault(t.subject, len(iris)),
-                    predicates.setdefault(t.predicate, len(predicates)),
-                    ~literals.setdefault(t.obj, len(literals)) if isinstance(t.obj, Literal)
-                    else iris.setdefault(t.obj, len(iris)))
+        for s, p, o in triples:
+            ids += (iris.setdefault(s, len(iris)), predicates.setdefault(p, len(predicates)),
+                    ~literals.setdefault(o, len(literals)) if isinstance(o, tuple)
+                    else iris.setdefault(o, len(iris)))
         s, p, o = np.array(ids, dtype=np.int64).reshape(-1, 3).T
-        return cls._of(registry, list(iris), list(predicates), list(literals), s, p, o)
+        return cls._of(registry, [Iri(n) for n in iris], [Iri(q) for q in predicates],
+                       [Literal(*lit) for lit in literals], s, p, o)
 
     @classmethod
     def _of(cls, registry: PropertyRegistry, names: list[Iri], predicates: list[Iri],
@@ -243,7 +253,7 @@ def _take_literal(line: str, pos: int, where: tuple[str, int]) -> tuple[Literal,
     i += 1
     lang: str | None = None
     if line[i : i + 1] == "@":
-        m = re.match(r"[A-Za-z]+(-[A-Za-z0-9]+)*", line[i + 1 :])
+        m = re.match(_LANG, line[i + 1 :])
         if not m:
             raise TripleParseError("malformed language tag", *where)
         lang = m.group(0)
@@ -275,6 +285,8 @@ def parse_triple_line(line: str, path: str = "", lineno: int = 0) -> Triple:
     """Parse a single ``s p o .`` line; raises TripleParseError on anything
     malformed."""
     where = (path, lineno)
+    if _SURROGATE_RE.search(line):  # what undecodable bytes were read as
+        raise TripleParseError("not valid UTF-8", *where)
     pos = _skip_ws(line, 0)
     subject, pos = _take_iri(line, pos, where)
     pos = _skip_ws(line, pos)
@@ -293,8 +305,10 @@ def parse_triple_line(line: str, path: str = "", lineno: int = 0) -> Triple:
 
 def iter_triple_file(
     path: str | Path, strict: bool = True, stats: LoadStats | None = None
-) -> Iterator[Triple]:
-    """Yield triples from a file, dropping non-English literals.
+) -> Iterator[tuple]:
+    """Yield a file's triples as ``KnowledgeBase.intern`` takes them,
+    dropping non-English literals: plain strings where the line pattern
+    matches, else the character parser's ``Triple``.
 
     In strict mode a malformed line, or one that is not valid UTF-8, aborts
     with a DataError naming the file and line (TripleParseError for a
@@ -310,19 +324,21 @@ def iter_triple_file(
     with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if m := _LINE_RE.fullmatch(line):
+                s, p, o, text, lang = m.groups()
+                triple = (s, p, o or (text, lang))
+            elif not line or line.startswith("#"):
                 continue
-            try:
-                if _SURROGATE_RE.search(line):
-                    raise TripleParseError("not valid UTF-8", str(path), lineno)
-                triple = parse_triple_line(line, str(path), lineno)
-            except TripleParseError:
-                if strict:
-                    raise
-                if stats is not None:
-                    stats.skipped_lines += 1
-                continue
-            if isinstance(triple.obj, Literal) and not _english(triple.obj.lang):
+            else:
+                try:
+                    triple = parse_triple_line(line, str(path), lineno)
+                except TripleParseError:
+                    if strict:
+                        raise
+                    if stats is not None:
+                        stats.skipped_lines += 1
+                    continue
+            if isinstance(triple[2], tuple) and not _english(triple[2][1]):
                 if stats is not None:
                     stats.dropped_non_english += 1
                 continue
@@ -333,7 +349,7 @@ def iter_triple_file(
 # Cleaning operations
 # ---------------------------------------------------------------------------
 
-_XREF_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(\S+)$")
+_XREF_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*):(\S+)")
 
 
 @dataclass
@@ -358,7 +374,7 @@ def normalize_cross_refs(kb: KnowledgeBase) -> tuple[KnowledgeBase, CrossRefRepo
     names = list(kb.entities)  # then each resolved IRI; _of merges repeats
     p, o = kb.predicate_ids.copy(), kb.object_ids.copy()
     for i in np.flatnonzero(kb.with_predicate(reg.cross_ref_predicates) & (o < 0)).tolist():
-        m = _XREF_RE.match(kb.literals[~o[i]].text)
+        m = _XREF_RE.fullmatch(kb.literals[~o[i]].text)
         ns = reg.cross_ref_prefixes.get(m.group(1)) if m else None
         try:
             resolved = None if ns is None else Iri(ns + m.group(2))

@@ -255,10 +255,21 @@ class TextBatch:
         return LexicalColumns(vocab, indptr, texts, counts / norms[texts], len(self))
 
     def semantic_matrix(self, table: EmbeddingTable) -> np.ndarray:
-        """Every text's ``semantic_vector``, one row per text."""
+        """Every text's ``semantic_vector``, one row per text. One ``np.mean``
+        per count of known tokens adds each text's rows in order, bit for bit
+        as ``semantic_vector`` does; so does the per-row norm."""
         out = np.zeros((len(self), table.dim), dtype=np.float64)
+        by_count: dict[int, tuple[list[int], list[list[np.ndarray]]]] = {}
         for i, tokens in enumerate(self._tokens):
-            out[i] = _mean_embedding(tokens, table)
+            if rows := [v for v in map(table.get, tokens) if v is not None]:
+                ids, stack = by_count.setdefault(len(rows), ([], []))
+                ids.append(i)
+                stack.append(rows)
+        for ids, stack in by_count.values():
+            means = np.mean(stack, axis=1)
+            norms = np.array([np.linalg.norm(mean) for mean in means])
+            nonzero = norms != 0.0
+            out[np.array(ids)[nonzero]] = means[nonzero] / norms[nonzero, None]
         return out
 
 
@@ -343,11 +354,7 @@ def semantic_vector(text: str, table: EmbeddingTable) -> np.ndarray:
     A text with no known tokens (or a mean that cancels to zero) maps to the
     exact zero vector.
     """
-    return _mean_embedding(tokenize(text), table)
-
-
-def _mean_embedding(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
-    rows = [v for v in (table.get(t) for t in tokens) if v is not None]
+    rows = [v for v in map(table.get, tokenize(text)) if v is not None]
     if not rows:
         return np.zeros(table.dim, dtype=np.float64)
     mean = np.mean(rows, axis=0)

@@ -18,6 +18,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from kbtopics.edges import EdgeWeightParams, WeightedGraph
+from kbtopics.errors import TripleParseError
 from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
 from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
@@ -29,6 +30,7 @@ from kbtopics.kb import (
     PropertyRegistry,
     Triple,
     iter_triple_file,
+    parse_triple_line,
 )
 from kbtopics.ranking import RankingParams, activation
 from kbtopics.vectors import SparseVector, char_ngrams, tokenize
@@ -71,7 +73,7 @@ def objects_of(kb: KnowledgeBase) -> TripleKB:
     return TripleKB(triples_of(kb), kb.registry)
 
 
-_XREF_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.\-]*):(\S+)$")
+_XREF_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*):(\S+)")
 
 
 def cross_refs_by_objects(kb: TripleKB) -> tuple[TripleKB, CrossRefReport]:
@@ -83,7 +85,7 @@ def cross_refs_by_objects(kb: TripleKB) -> tuple[TripleKB, CrossRefReport]:
     out: list[Triple] = []
     for t in kb.triples:
         if t.predicate in reg.cross_ref_predicates and isinstance(t.obj, LiteralValue):
-            m = _XREF_RE.match(t.obj.text)
+            m = _XREF_RE.fullmatch(t.obj.text)
             ns = reg.cross_ref_prefixes.get(m.group(1)) if m else None
             if ns is not None:
                 try:
@@ -278,8 +280,8 @@ def neighborhoods_of(given: Mapping[Iri, Neighborhood]) -> Neighborhoods:
 def iri_by_two_steps(value: str) -> bool:
     """The IRI accept set as a scheme regex followed by a scan for the
     characters an IRI may not contain."""
-    return bool(re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:\S+$", value)) and not any(
-        c in '<>"{}|^`\\' for c in value)
+    return bool(re.fullmatch(r"[A-Za-z][A-Za-z0-9+.\-]*:\S+", value)) and not any(
+        c in '<>"{}|^`\\' or "\ud800" <= c <= "\udfff" for c in value)
 
 
 def group_cardinality(kb: TripleKB, s: Iri, p: Iri, d: EdgeDirection) -> int:
@@ -315,6 +317,34 @@ def load_triples(
     stats.entities = len(kb.entities)
     stats.literals = int((kb.object_ids < 0).sum())
     return kb, stats
+
+
+def triples_by_character_parser(
+    path: str | Path, strict: bool = True, stats: LoadStats | None = None
+) -> list[Triple]:
+    """iter_triple_file with every line through the character parser and no
+    whole-line pattern: the reference the pattern is compared against."""
+    out: list[Triple] = []
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                triple = parse_triple_line(line, str(path), lineno)
+            except TripleParseError:
+                if strict:
+                    raise
+                if stats is not None:
+                    stats.skipped_lines += 1
+                continue
+            lang = triple.obj.lang if isinstance(triple.obj, LiteralValue) else None
+            if lang is not None and lang.lower() != "en" and not lang.lower().startswith("en-"):
+                if stats is not None:
+                    stats.dropped_non_english += 1
+                continue
+            out.append(triple)
+    return out
 
 
 def cosine_sparse(a: SparseVector, b: SparseVector) -> float:

@@ -153,6 +153,12 @@ def test_invalid_iri_rejected(tmp_path):
         parse_config(data, tmp_path)
 
 
+def test_iri_with_final_newline_rejected(tmp_path):
+    data = {"registry": {"edge_base_weights": {"http://example.org/p\n": 1.0}}}
+    with pytest.raises(ConfigError, match="not an absolute IRI"):
+        parse_config(data, tmp_path)
+
+
 def test_negative_edge_base_weight_rejected(tmp_path):
     data = {"registry": {"edge_base_weights": {"http://example.org/p": -1.0}}}
     with pytest.raises(ConfigError, match="positive"):

@@ -1,7 +1,5 @@
 """Neighborhood expansion against shortest-path and path-enumeration oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st

@@ -1,5 +1,7 @@
 """Triple parsing, deduplication, and cleaning behaviour."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,10 +13,12 @@ from kbtopics.kb import (
     Iri,
     KnowledgeBase,
     Literal,
+    LoadStats,
     PropertyRegistry,
     TextField,
     Triple,
     entity_texts,
+    iter_triple_file,
     normalize_cross_refs,
     parse_triple_line,
     prune_triples,
@@ -30,6 +34,7 @@ from oracles import (
     parents_by_scan,
     prune_by_objects,
     texts_by_scan,
+    triples_by_character_parser,
     triples_of,
 )
 
@@ -100,7 +105,8 @@ class TestIri:
         (":x", False),
         ("1http://x", False),
         ("http:// x", False),
-        ("http://x\n", True),             # "$" matches before a final newline
+        ("http://x\n", False),
+        ("http://x/\ud800", False),       # a lone surrogate is not a character
         ("http://x\n\n", False),
         ("http://x\r", False),
         ("\nhttp://x", False),
@@ -249,6 +255,78 @@ class TestLoadTriples:
         assert {t.obj for t in triples_of(kb) if isinstance(t.obj, Literal)} == {Literal("café")}
 
 
+# Generated N-Triples lines for comparing iter_triple_file, which matches a
+# line whole against one pattern before the character parser, with the
+# character parser alone. "\udcXX" stands for the undecodable byte XX.
+GOOD_IRIS = [f"<{EX}a>", f"<{EX}b>", f"<{LABEL}>", "<urn:x:1>", "<http://exämple.org/é>"]
+BAD_IRIS = ["<relative>", "<http://a b>", '<http://x"y>', "<>", "<http://x", "_:b1",
+            "<http://x/\udcff>", "<1http://x>", "<http://x\\u0041>", "http://x"]
+PLAIN_PIECES = ["a", "bear", " ", "\t", "é", "#", ".", "<", ">", "@", "^"]
+ODD_PIECES = ["\\n", '\\"', "\\\\", "\\u00e9", "\\U0001F600", "\\uD800", "\\q", "\\u00g1",
+              "\\", '"', "\udcff", "\udc80\udc80"]
+GOOD_SUFFIXES = ["", "@en", "@EN-gb", "@de", "@fr-CA", "@zh-Hant-TW",
+                 "^^<http://www.w3.org/2001/XMLSchema#int>"]
+SUFFIXES = GOOD_SUFFIXES + ["@en-", "@9", "@", "^^<bad>", "^^", "^^x", "^"]
+GOOD_SEPARATORS = ["", " ", "\t", "  ", " \t "]
+SEPARATORS = GOOD_SEPARATORS + ["\xa0"]
+ENDS = [" .", ".", "", " . ", ". x", "..", " . # note"]
+
+literals = st.builds(
+    lambda text, suffix: f'"{text}"{suffix}',
+    st.lists(st.sampled_from(PLAIN_PIECES * 3 + ODD_PIECES), max_size=4).map("".join),
+    st.sampled_from(GOOD_SUFFIXES * 2 + SUFFIXES))
+# mostly well-formed parts, so that lines one part away from a common shape abound
+terms = st.sampled_from(GOOD_IRIS * 4 + BAD_IRIS)
+triple_lines = st.builds(
+    lambda sp, ws, end: f"{ws[0]}{sp[0]}{ws[1]}{sp[1]}{ws[2]}{sp[2]}{ws[3]}{end}",
+    st.tuples(terms, terms, terms | literals),
+    st.tuples(*[st.sampled_from(SEPARATORS)] * 4),
+    st.sampled_from(ENDS[:2] * 3 + ENDS))
+lines = triple_lines | st.sampled_from(["", "   ", "# comment", "#<urn:a> <urn:b> <urn:c> ."])
+
+
+def load_outcome(read, path, strict):
+    """What reading ``path`` gives: the triples, the KB and the counts, or
+    the parse error's message and location."""
+    stats = LoadStats()
+    try:
+        triples = list(read(path, strict, stats))
+    except TripleParseError as exc:
+        return "error", str(exc), exc.path, exc.line
+    kb = KnowledgeBase.intern(triples, make_registry())
+    return ("ok", triples, kb.entities, [type(e) for e in kb.entities], kb.predicates,
+            kb.literals, [type(lit) for lit in kb.literals], kb.subject_ids.tolist(),
+            kb.predicate_ids.tolist(), kb.object_ids.tolist(), stats)
+
+
+class TestLinePattern:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example([f'<{EX}a> <{LABEL}> "caf\udcc3" .', f"<{EX}a>\t<{EX}p><{EX}b>."], "\n", True)
+    @example([f'<{EX}a> <{LABEL}> "x"@de .', f'<{EX}a> <{LABEL}> "x\\n"@en .'], "\n", False)
+    def test_same_outcome_as_character_parser(self, tmp_path_factory, rows, newline, strict):
+        path = tmp_path_factory.mktemp("nt") / "kb.nt"
+        path.write_bytes(newline.join(rows).encode("utf-8", "surrogateescape"))
+        assert load_outcome(iter_triple_file, path, strict) == load_outcome(
+            triples_by_character_parser, path, strict)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        lambda sp, ws: f"{sp[0]}{ws[0]}{sp[1]}{ws[1]}{sp[2]}{ws[2]}.",
+        st.tuples(st.sampled_from(GOOD_IRIS), st.sampled_from(GOOD_IRIS),
+                  st.sampled_from(GOOD_IRIS) | st.builds(
+                      lambda text, suffix: f'"{text}"{suffix}', st.text(st.characters(
+                          blacklist_characters='"\\\n\r', blacklist_categories=("Cs",))),
+                      st.sampled_from(GOOD_SUFFIXES))),
+        st.tuples(*[st.sampled_from(GOOD_SEPARATORS)] * 3)), max_size=8))
+    def test_common_lines_skip_the_character_parser(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("nt") / "kb.nt"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        with mock.patch("kbtopics.kb.parse_triple_line", side_effect=AssertionError):
+            fast = list(iter_triple_file(path))
+        assert fast == triples_by_character_parser(path)
+
+
 class TestKnowledgeBase:
     def test_intern_dedup_is_idempotent(self):
         reg = make_registry()
@@ -339,6 +417,11 @@ class TestNormalizeCrossRefs:
         assert report.converted == 0
         assert report.unresolved == 2
         assert all(t.predicate == XREF for t in triples_of(kb))
+
+    def test_final_newline_is_not_a_reference(self):
+        kb, report = normalize_cross_refs(self.build("XDB:123\n"))
+        assert report == CrossRefReport(converted=0, unresolved=1)
+        assert triples_of(kb) == (Triple(Iri(EX + "a"), XREF, Literal("XDB:123\n")),)
 
     def test_invalid_iri_left_in_place(self):
         kb, report = normalize_cross_refs(self.build("XDB:a<b", "XDB:ok"))
@@ -441,7 +524,7 @@ PART_OF = Iri(EX + "partOf")
 MEMBER = Iri(EX + "hasMember")
 NODES = [Iri(EX + n) for n in ("a", "b", "c", "d")]
 XDB1 = Iri(EX + "xdb/1")
-TEXTS = ["bear", "x", "XDB:1", "XDB:2", "XDB:a<b", "BAD:1", "NOPE:1", "not a ref"]
+TEXTS = ["bear", "x", "XDB:1", "XDB:2", "XDB:1\n", "XDB:a<b", "BAD:1", "NOPE:1", "not a ref"]
 PREDICATES = [LABEL, SYN, ALIAS, PART_OF, MEMBER, XREF, CLOSE, SOURCE, Iri(EX + "related")]
 
 

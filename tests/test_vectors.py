@@ -2,10 +2,11 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kbtopics import vectors
 from kbtopics.errors import DataError
@@ -263,6 +264,15 @@ SPECIAL = ["ﬁsh", "Ⅸ", "𝔘𝔫𝔦 𝔠𝔬𝔡𝔢", "😀😀😀😀", 
 BATCHES = st.lists(st.one_of(st.text(max_size=12), st.sampled_from(SPECIAL)), max_size=12)
 SIZES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
 
+# known to the fixture's table, to the toy table, to CANCELLING, or to none
+WORDS = ["bear", "polar", "seal", "ice", "whale", "sea", "arctic", "up", "down", "ghost", "zz"]
+CANCELLING = EmbeddingTable(2, {"up": np.array([0.0, 1.0]), "down": np.array([0.0, -1.0])}, "")
+
+
+@pytest.fixture(scope="module")
+def toy_table():
+    return EmbeddingTable.load(Path(__file__).resolve().parents[1] / "data" / "toy_embeddings.txt")
+
 
 class TestTextBatch:
     """The batch encoder against the one-text functions it must equal."""
@@ -290,12 +300,18 @@ class TestTextBatch:
         assert postings_of(TextBatch(texts).token_postings()) \
             == postings_by_loop([tokenize(t) for t in texts])
 
-    def test_semantic_matrix_equals_per_text_vectors(self, table):
-        # fullwidth letters fold to "polar" only through NFKC
-        texts = ["polar bear", "Seal", "bear bear seal", "none", "", "ＰＯＬＡＲ bear"]
-        got = TextBatch(texts).semantic_matrix(table)
-        want = np.array([semantic_vector(t, table) for t in texts])
-        assert got.tobytes() == want.tobytes()
+    # the fixture's table is only read
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join), max_size=20))
+    # fullwidth letters fold to "polar" only through NFKC
+    @example(["polar bear", "Seal", "bear bear seal", "none", "", "ＰＯＬＡＲ bear"])
+    @example(["up down", "up", "up up down down", "ghost"])  # means that cancel to zero
+    def test_semantic_matrix_equals_per_text_vectors(self, table, toy_table, texts):
+        for tab in (table, toy_table, CANCELLING):
+            got = TextBatch(texts).semantic_matrix(tab)
+            want = np.array([semantic_vector(t, tab) for t in texts]).reshape(-1, tab.dim)
+            assert got.tobytes() == want.tobytes()
         assert TextBatch([]).semantic_matrix(table).shape == (0, table.dim)
 
     def test_codes_are_ranked_again_past_their_limit(self):
