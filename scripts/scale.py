@@ -1,12 +1,13 @@
 """Scaling sweep: build, open and classify at several KB sizes.
 
-    python3 scripts/scale.py [--sizes 1000 4000 16000 64000] [--seed 1] [--out BENCH_scale.json]
+    python3 scripts/scale.py [--out BENCH_scale.json]
 
 Run from the root of a checkout; it imports ``kbtopics`` from the
-checkout's ``src/``. Each size is generated by ``perfbench/gen.py`` with the
-``classify-cold`` workload's shape and only its entity count changed (gen.py
-is imported, not modified), and runs in its own process, so that its peak
-RSS is its own. Per size it records:
+checkout's ``src/``. Each of ``SIZES`` (entity counts) is generated by
+``perfbench/gen.py`` with the ``classify-cold`` workload's shape, seed
+``SEED`` and only its entity count changed (gen.py is imported, not
+modified), and runs in its own process, so that its peak RSS is its own.
+Per size it records:
 
 - the distinct triples kept and the lines written;
 - the build's seconds per stage, and in all;
@@ -43,6 +44,8 @@ import gen  # noqa: E402
 from kbtopics import Document, build_index_from_config, load_config, open_classifier  # noqa: E402
 
 SHAPE = "classify-cold"
+SIZES = (1000, 4000, 16000, 64000)
+SEED = 1
 PASSES = 3
 
 
@@ -50,18 +53,18 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def one_size(entities: int, seed: int, work: Path) -> dict:
+def one_size(entities: int, work: Path) -> dict:
     """Generate, build, open and classify at one size."""
     workload = f"{SHAPE}-{entities}"
     gen.SHAPES[workload] = dataclasses.replace(gen.SHAPES[SHAPE], entities=entities)
-    model = gen.write_inputs(workload, seed, work, ROOT / "data" / "toy_embeddings.txt")
+    model = gen.write_inputs(workload, SEED, work, ROOT / "data" / "toy_embeddings.txt")
     config = load_config(work / "config.yaml")
     generator_rss = peak_rss_mb()
     started = time.perf_counter()
     report = build_index_from_config(config, work / "index")
     build_s = time.perf_counter() - started
     docs = []
-    for d in gen.documents(workload, seed, model):
+    for d in gen.documents(workload, SEED, model):
         if len(docs) == model.shape.docs:
             break
         docs.append(Document(id=d.id, title=d.title, abstract=d.abstract,
@@ -98,23 +101,21 @@ def one_size(entities: int, seed: int, work: Path) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 4000, 16000, 64000])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     parser.add_argument("--one", type=int, help=argparse.SUPPRESS)  # child: one size
     args = parser.parse_args(argv)
     if args.one is not None:
         with tempfile.TemporaryDirectory(prefix="kbtopics-scale-") as work:
-            print(json.dumps(one_size(args.one, args.seed, Path(work))))
+            print(json.dumps(one_size(args.one, Path(work))))
         return 0
     rows = []
-    for entities in args.sizes:
+    for entities in SIZES:
         child = subprocess.run(
-            [sys.executable, __file__, "--one", str(entities), "--seed", str(args.seed)],
+            [sys.executable, __file__, "--one", str(entities)],
             check=True, capture_output=True, text=True)
         rows.append(json.loads(child.stdout.splitlines()[-1]))
         print(json.dumps(rows[-1]), flush=True)
-    result = {"shape": SHAPE, "seed": args.seed, "passes": PASSES,
+    result = {"shape": SHAPE, "seed": SEED, "passes": PASSES,
               "python": platform.python_version(), "cpus": os.cpu_count(), "sizes": rows}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

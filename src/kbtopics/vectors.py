@@ -170,6 +170,7 @@ def _postings(keys: np.ndarray, n_terms: int, n_texts: int,
 
 # the largest gram code built before codes are ranked again
 _CODE_LIMIT = 2**62
+_MEAN_VALUES = 2**20  # the most stacked values (8 bytes each) one semantic np.mean copies
 
 
 class TextBatch:
@@ -255,21 +256,22 @@ class TextBatch:
         return LexicalColumns(vocab, indptr, texts, counts / norms[texts], len(self))
 
     def semantic_matrix(self, table: EmbeddingTable) -> np.ndarray:
-        """Every text's ``semantic_vector``, one row per text. One ``np.mean``
-        per count of known tokens adds each text's rows in order, bit for bit
-        as ``semantic_vector`` does; so does the per-row norm."""
+        """Every text's ``semantic_vector`` bit for bit, one row per text. The
+        texts with k known tokens share ``np.mean``s, which add each text's rows
+        in order, over at most ``_MEAN_VALUES`` values or one text's rows each."""
         out = np.zeros((len(self), table.dim), dtype=np.float64)
-        by_count: dict[int, tuple[list[int], list[list[np.ndarray]]]] = {}
+        by_count: dict[int, list[tuple[int, list[np.ndarray]]]] = {}
         for i, tokens in enumerate(self._tokens):
             if rows := [v for v in map(table.get, tokens) if v is not None]:
-                ids, stack = by_count.setdefault(len(rows), ([], []))
-                ids.append(i)
-                stack.append(rows)
-        for ids, stack in by_count.values():
-            means = np.mean(stack, axis=1)
-            norms = np.array([np.linalg.norm(mean) for mean in means])
-            nonzero = norms != 0.0
-            out[np.array(ids)[nonzero]] = means[nonzero] / norms[nonzero, None]
+                by_count.setdefault(len(rows), []).append((i, rows))
+        for count, texts in by_count.items():
+            step = max(1, _MEAN_VALUES // (count * table.dim))
+            for at in range(0, len(texts), step):
+                ids, stack = zip(*texts[at:at + step])
+                means = np.mean(stack, axis=1)
+                norms = np.array([np.linalg.norm(mean) for mean in means])
+                nonzero = norms != 0.0
+                out[np.array(ids)[nonzero]] = means[nonzero] / norms[nonzero, None]
         return out
 
 

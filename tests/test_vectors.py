@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,9 +310,12 @@ class TestTextBatch:
     @example(["up down", "up", "up up down down", "ghost"])  # means that cancel to zero
     def test_semantic_matrix_equals_per_text_vectors(self, table, toy_table, texts):
         for tab in (table, toy_table, CANCELLING):
-            got = TextBatch(texts).semantic_matrix(tab)
             want = np.array([semantic_vector(t, tab) for t in texts]).reshape(-1, tab.dim)
-            assert got.tobytes() == want.tobytes()
+            # slices of one text, of at most two texts of one token, and whole
+            for cap in (1, 2 * tab.dim, vectors._MEAN_VALUES):
+                with mock.patch.object(vectors, "_MEAN_VALUES", cap):
+                    got = TextBatch(texts).semantic_matrix(tab)
+                assert got.tobytes() == want.tobytes()
         assert TextBatch([]).semantic_matrix(table).shape == (0, table.dim)
 
     def test_codes_are_ranked_again_past_their_limit(self):
