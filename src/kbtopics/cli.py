@@ -151,6 +151,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "pass --config or rebuild the index"
         )
     config = load_config(config_path)
+    if args.no_coherence:
+        config = replace(config, coherence=replace(config.coherence, enabled=False))
 
     corpus = Path(args.corpus)
     try:
@@ -176,9 +178,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     docs = [payload for kind, payload in entries if kind == "doc"]
     with open_classifier(index_dir, config) as classifier:
-        topic_lists = classifier.classify_batch(
-            docs, jobs=args.jobs, use_coherence=not args.no_coherence
-        )
+        topic_lists = classifier.classify_batch(docs, jobs=args.jobs)
 
     results = iter(topic_lists)
     out_lines = []
@@ -247,21 +247,14 @@ def main(argv: list[str] | None = None) -> int:
     log.setLevel(args.log_level.upper())
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        stage = getattr(exc, "stage", "")
-        tag = f" [{stage}]" if stage else ""
-        print(f"error{tag}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        stage = getattr(exc, "stage", "")
-        tag = f" [{stage}]" if stage else ""
-        print(f"error{tag}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except KbTopicsError as exc:
+        code = (EXIT_USAGE if isinstance(exc, ConfigError)
+                else EXIT_DATA if isinstance(exc, DataError) else EXIT_INTERNAL)
         stage = getattr(exc, "stage", "")
         tag = f" [{stage}]" if stage else ""
-        print(f"internal error{tag}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        prefix = "internal error" if code == EXIT_INTERNAL else "error"
+        print(f"{prefix}{tag}: {exc}", file=sys.stderr)
+        return code
     except Exception as exc:  # last resort: never trace-dump on users
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -65,12 +65,6 @@ class AppConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-_TOP_KEYS = {
-    "kb", "registry", "edge_weights", "expansion", "parents",
-    "encoder", "ranking", "coherence", "selection", "retrieval",
-}
-
-
 def _require_mapping(value: Any, context: str) -> Mapping[str, Any]:
     if value is None:
         return {}
@@ -114,6 +108,22 @@ def _get_str(d: Mapping[str, Any], key: str, default: str, context: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{context}.{key} must be a string, got {value!r}")
     return value
+
+
+# The flat parameter sections, each the AppConfig field of the same name.
+# A section accepts exactly its dataclass's fields; each value is read by
+# the getter for the field's type, with the field's default.
+_SECTIONS: dict[str, type] = {
+    "edge_weights": EdgeWeightParams,
+    "expansion": ExpansionParams,
+    "parents": ParentParams,
+    "ranking": RankingParams,
+    "coherence": CoherenceParams,
+    "selection": SelectionParams,
+    "retrieval": RetrievalParams,
+}
+_GETTERS = {"float": _get_real, "int": _get_int, "bool": _get_bool, "str": _get_str}
+_TOP_KEYS = {"kb", "registry", "encoder", *_SECTIONS}
 
 
 def _get_iri(value: Any, context: str) -> Iri:
@@ -221,27 +231,6 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
 
         registry = _parse_registry(_require_mapping(data.get("registry"), "registry"), "registry")
 
-        ew = _require_mapping(data.get("edge_weights"), "edge_weights")
-        _reject_unknown(ew, {"f_l", "f_g", "c_max", "default_base_weight"}, "edge_weights")
-        edge_weights = EdgeWeightParams(
-            f_l=_get_real(ew, "f_l", 0.5, "edge_weights"),
-            f_g=_get_real(ew, "f_g", 0.5, "edge_weights"),
-            c_max=_get_int(ew, "c_max", 4, "edge_weights"),
-            default_base_weight=_get_real(ew, "default_base_weight", 2.0, "edge_weights"),
-        )
-
-        ex = _require_mapping(data.get("expansion"), "expansion")
-        _reject_unknown(ex, {"max_depth", "max_distance", "max_neighbors"}, "expansion")
-        expansion = ExpansionParams(
-            max_depth=_get_int(ex, "max_depth", 3, "expansion"),
-            max_distance=_get_real(ex, "max_distance", 4.0, "expansion"),
-            max_neighbors=_get_int(ex, "max_neighbors", 512, "expansion"),
-        )
-
-        pa = _require_mapping(data.get("parents"), "parents")
-        _reject_unknown(pa, {"alpha"}, "parents")
-        parents = ParentParams(alpha=_get_real(pa, "alpha", 0.3, "parents"))
-
         enc = _require_mapping(data.get("encoder"), "encoder")
         _reject_unknown(enc, {"embedding_file", "ngram_sizes"}, "encoder")
         embedding_file = None
@@ -257,49 +246,13 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
         ):
             raise ConfigError("encoder.ngram_sizes must be a non-empty list of positive integers")
 
-        ra = _require_mapping(data.get("ranking"), "ranking")
-        _reject_unknown(ra, {"w_l", "w_sm", "w_sc", "alpha", "beta"}, "ranking")
-        ranking = RankingParams(
-            w_l=_get_real(ra, "w_l", 1.0, "ranking"),
-            w_sm=_get_real(ra, "w_sm", 1.0, "ranking"),
-            w_sc=_get_real(ra, "w_sc", 0.5, "ranking"),
-            alpha=_get_real(ra, "alpha", 4.0, "ranking"),
-            beta=_get_real(ra, "beta", 8.0, "ranking"),
-        )
-
-        co = _require_mapping(data.get("coherence"), "coherence")
-        _reject_unknown(
-            co,
-            {"top_m_per_mention", "min_keep", "gamma", "prune_fraction", "enabled"},
-            "coherence",
-        )
-        coherence = CoherenceParams(
-            top_m_per_mention=_get_int(co, "top_m_per_mention", 3, "coherence"),
-            min_keep=_get_int(co, "min_keep", 1, "coherence"),
-            gamma=_get_real(co, "gamma", 0.25, "coherence"),
-            prune_fraction=_get_real(co, "prune_fraction", 0.5, "coherence"),
-            enabled=_get_bool(co, "enabled", True, "coherence"),
-        )
-
-        se = _require_mapping(data.get("selection"), "selection")
-        _reject_unknown(
-            se,
-            {"lambda_diversity", "kneedle_sensitivity", "min_topics", "include_parents"},
-            "selection",
-        )
-        selection = SelectionParams(
-            lambda_diversity=_get_real(se, "lambda_diversity", 0.2, "selection"),
-            kneedle_sensitivity=_get_real(se, "kneedle_sensitivity", 1.0, "selection"),
-            min_topics=_get_int(se, "min_topics", 3, "selection"),
-            include_parents=_get_bool(se, "include_parents", True, "selection"),
-        )
-
-        re_ = _require_mapping(data.get("retrieval"), "retrieval")
-        _reject_unknown(re_, {"k", "label_field"}, "retrieval")
-        retrieval = RetrievalParams(
-            k=_get_int(re_, "k", 30, "retrieval"),
-            label_field=_get_str(re_, "label_field", "label", "retrieval"),
-        )
+        sections = {}
+        for name, params in _SECTIONS.items():
+            raw = _require_mapping(data.get(name), name)
+            _reject_unknown(raw, {f.name for f in fields(params)}, name)
+            sections[name] = params(**{
+                f.name: _GETTERS[f.type](raw, f.name, f.default, name) for f in fields(params)
+            })
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -308,15 +261,9 @@ def parse_config(data: Mapping[str, Any], base_dir: Path) -> AppConfig:
     return AppConfig(
         kb=kb,
         registry=registry,
-        edge_weights=edge_weights,
-        expansion=expansion,
-        parents=parents,
         embedding_file=embedding_file,
         ngram_sizes=tuple(sizes_raw),
-        ranking=ranking,
-        coherence=coherence,
-        selection=selection,
-        retrieval=retrieval,
+        **sections,
     )
 
 
@@ -365,45 +312,10 @@ def to_dict(config: AppConfig) -> dict[str, Any]:
                 "target": None if reg.cross_ref_target is None else str(reg.cross_ref_target),
             },
         },
-        "edge_weights": {
-            "f_l": config.edge_weights.f_l,
-            "f_g": config.edge_weights.f_g,
-            "c_max": config.edge_weights.c_max,
-            "default_base_weight": config.edge_weights.default_base_weight,
-        },
-        "expansion": {
-            "max_depth": config.expansion.max_depth,
-            "max_distance": config.expansion.max_distance,
-            "max_neighbors": config.expansion.max_neighbors,
-        },
-        "parents": {"alpha": config.parents.alpha},
         "encoder": {
             "ngram_sizes": list(config.ngram_sizes),
         },
-        "ranking": {
-            "w_l": config.ranking.w_l,
-            "w_sm": config.ranking.w_sm,
-            "w_sc": config.ranking.w_sc,
-            "alpha": config.ranking.alpha,
-            "beta": config.ranking.beta,
-        },
-        "coherence": {
-            "top_m_per_mention": config.coherence.top_m_per_mention,
-            "min_keep": config.coherence.min_keep,
-            "gamma": config.coherence.gamma,
-            "prune_fraction": config.coherence.prune_fraction,
-            "enabled": config.coherence.enabled,
-        },
-        "selection": {
-            "lambda_diversity": config.selection.lambda_diversity,
-            "kneedle_sensitivity": config.selection.kneedle_sensitivity,
-            "min_topics": config.selection.min_topics,
-            "include_parents": config.selection.include_parents,
-        },
-        "retrieval": {
-            "k": config.retrieval.k,
-            "label_field": config.retrieval.label_field,
-        },
+        **{name: asdict(getattr(config, name)) for name in _SECTIONS},
     }
     if config.embedding_file is not None:
         out["encoder"]["embedding_file"] = str(config.embedding_file)

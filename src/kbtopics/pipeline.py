@@ -205,7 +205,7 @@ class Classifier:
         )
         return merge_keywords(detector.detect(doc), doc)
 
-    def classify_document(self, doc: Document, use_coherence: bool = True) -> list[TopicResult]:
+    def classify_document(self, doc: Document) -> list[TopicResult]:
         mentions = self.detect(doc)
         if not mentions:
             return []
@@ -219,7 +219,7 @@ class Classifier:
             ranked = self._candidates(mention.lemma).rank(ctx, self._index, self._ranking, i)
             ranked_lists.append(ranked[: self._coherence.top_m_per_mention])
 
-        if use_coherence and self._coherence.enabled:
+        if self._coherence.enabled:
             membership = [[c.entity for c in ranked] for ranked in ranked_lists]
             candidates = {e for group in membership for e in group}
             graph = build_similarity(
@@ -235,12 +235,7 @@ class Classifier:
         keep = kneedle_cutoff([t.final_score for t in topics], self._selection)
         return topics[:keep]
 
-    def classify_batch(
-        self,
-        docs: Iterable[Document],
-        jobs: int = 1,
-        use_coherence: bool = True,
-    ) -> list[list[TopicResult]]:
+    def classify_batch(self, docs: Iterable[Document], jobs: int = 1) -> list[list[TopicResult]]:
         """Classify documents, preserving input order regardless of jobs.
 
         With ``jobs`` > 1 this process classifies alone until
@@ -261,14 +256,11 @@ class Classifier:
             # estimated time left, elapsed / i * left, of at least _FORK_AFTER_S
             if workers > 1 and left > 1 and elapsed >= _FORK_AFTER_S \
                     and elapsed * left >= _FORK_AFTER_S * i:
-                return results + self._classify_forked(
-                    docs[i:], min(workers, left), use_coherence)
-            results.append(self.classify_document(doc, use_coherence))
+                return results + self._classify_forked(docs[i:], min(workers, left))
+            results.append(self.classify_document(doc))
         return results
 
-    def _classify_forked(
-        self, docs: list[Document], workers: int, use_coherence: bool,
-    ) -> list[list[TopicResult]]:
+    def _classify_forked(self, docs: list[Document], workers: int) -> list[list[TopicResult]]:
         """This process and ``workers`` - 1 forked children claim short runs
         of documents from a shared counter until none are left, so a worker
         on a busy CPU takes fewer."""
@@ -281,7 +273,7 @@ class Classifier:
             start = first * step
             while start < len(docs):
                 for i in range(start, min(start + step, len(docs))):
-                    done.append((i, self.classify_document(docs[i], use_coherence)))
+                    done.append((i, self.classify_document(docs[i])))
                 with claims.get_lock():
                     start = claims.value
                     claims.value = start + step

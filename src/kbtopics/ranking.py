@@ -39,6 +39,7 @@ row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -64,6 +65,9 @@ class RankingParams:
             raise ConfigError("at least one similarity component weight must be positive")
         if self.beta <= 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
+        for name in ("w_l", "w_sm", "w_sc", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"ranking {name} must be finite, got {getattr(self, name)}")
 
 
 def activation(x, alpha: float = 4.0, beta: float = 8.0):

@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,13 @@ def index_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def classifier(index_dir, toy_config):
     with open_classifier(index_dir, toy_config) as clf:
+        yield clf
+
+
+@pytest.fixture(scope="module")
+def no_coherence(index_dir, toy_config):
+    config = replace(toy_config, coherence=replace(toy_config.coherence, enabled=False))
+    with open_classifier(index_dir, config) as clf:
         yield clf
 
 
@@ -476,7 +484,7 @@ def direct_set(topics):
     return {leaf(t.entity) for t in topics if t.origin == "direct"}
 
 
-def test_criterion_08_toy_corpus_exact(classifier):
+def test_criterion_08_toy_corpus_exact(classifier, no_coherence):
     corpus = load_corpus()
     tp = fp = fn = 0
     all_exact = True
@@ -491,7 +499,7 @@ def test_criterion_08_toy_corpus_exact(classifier):
 
     homonym_doc, homonym_gold = next((d, g) for d, g in corpus if d.id == "d10")
     with_coherence = direct_set(classifier.classify_document(homonym_doc))
-    without = direct_set(classifier.classify_document(homonym_doc, use_coherence=False))
+    without = direct_set(no_coherence.classify_document(homonym_doc))
     flips = (
         with_coherence == homonym_gold
         and "seal_pinniped" in with_coherence

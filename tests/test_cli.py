@@ -14,6 +14,7 @@ import pytest
 import kbtopics
 from kbtopics import pipeline
 from kbtopics.cli import CONFIG_COPY, main
+from kbtopics.errors import ConfigError, IndexIntegrityError, PipelineError
 from kbtopics import index as index_mod
 from kbtopics.index import COLUMNS_FILE, STRINGS_FILE, read_columns, write_columns
 from kbtopics.vectors import LexicalColumns
@@ -601,3 +602,21 @@ def test_expand_debug_invalid_iri_exits_1(index_dir, capsys):
     code = main(["expand-debug", "--index", str(index_dir), "--entity", "not an iri"])
     assert code == 1
     assert "invalid entity IRI" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 1, "error"),
+    (IndexIntegrityError, 2, "error"),
+    (PipelineError, 3, "internal error"),
+])
+def test_package_error_exit_code_and_stage_tag(tmp_path, capsys, monkeypatch, error, code, prefix):
+    import kbtopics.cli as cli_mod
+
+    def fail(config, out_dir):
+        exc = error("went wrong")
+        exc.stage = "parents"
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "build_index_from_config", fail)
+    assert main(["build-index", "--config", str(CONFIG), "--out", str(tmp_path / "idx")]) == code
+    assert capsys.readouterr().err == f"{prefix} [parents]: went wrong\n"

@@ -1,11 +1,15 @@
 """Config parsing: defaults, strict schema, path resolution, round-trips."""
 
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 from kbtopics.config import (
+    _GETTERS,
+    _SECTIONS,
     AppConfig,
     dump_config,
     load_config,
@@ -212,6 +216,12 @@ P = "http://example.org/p"
         ({"expansion": {"max_distance": NAN}}, "max_distance"),
         ({"ranking": {"w_l": NAN}}, "w_l"),
         ({"ranking": {"alpha": NAN}}, "alpha"),
+        ({"ranking": {"w_l": INF}}, "ranking w_l must be finite"),
+        ({"ranking": {"w_sm": INF}}, "ranking w_sm must be finite"),
+        ({"ranking": {"w_sc": INF}}, "ranking w_sc must be finite"),
+        ({"ranking": {"alpha": INF}}, "ranking alpha must be finite"),
+        ({"ranking": {"alpha": -INF}}, "ranking alpha must be finite"),
+        ({"ranking": {"beta": INF}}, "ranking beta must be finite"),
     ],
 )
 def test_non_finite_numbers_rejected(tmp_path, data, fragment):
@@ -226,6 +236,46 @@ def test_yaml_non_finite_edge_base_weight_exits_1(tmp_path, capsys, value):
     path.write_text(f"registry:\n  edge_base_weights:\n    {P}: {value}\n", encoding="utf-8")
     assert main(["build-index", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
     assert "edge" in capsys.readouterr().err
+
+
+def test_infinite_max_distance_accepted(tmp_path):
+    cfg = parse_config({"expansion": {"max_distance": INF}}, tmp_path)
+    assert cfg.expansion.max_distance == INF
+
+
+def test_yaml_infinite_ranking_beta_exits_1(tmp_path, capsys):
+    from kbtopics.cli import main
+    path = tmp_path / "c.yaml"
+    path.write_text("ranking:\n  beta: .inf\n", encoding="utf-8")
+    assert main(["build-index", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
+    assert capsys.readouterr().err == "error: ranking beta must be finite, got inf\n"
+
+
+# A value of the wrong type for each field type the section getters read.
+WRONG_TYPE = {"float": "x", "int": 1.5, "bool": 1, "str": 1}
+SECTION_FIELDS = [(name, f) for name, params in _SECTIONS.items() for f in fields(params)]
+
+
+@pytest.mark.parametrize("section, field", SECTION_FIELDS,
+                         ids=[f"{name}.{f.name}" for name, f in SECTION_FIELDS])
+def test_wrong_type_names_section_and_field(tmp_path, section, field):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{field.name} must be")):
+        parse_config({section: {field.name: WRONG_TYPE[field.type]}}, tmp_path)
+
+
+def test_every_section_field_has_a_getter_and_a_plain_default():
+    assert set(WRONG_TYPE) == set(_GETTERS)
+    for _, f in SECTION_FIELDS:
+        assert f.type in _GETTERS
+        assert f.default is not MISSING and f.default_factory is MISSING
+
+
+def test_reference_config_writes_out_every_section_default():
+    raw = yaml.safe_load(REFERENCE.read_text(encoding="utf-8"))
+    for name, params in _SECTIONS.items():
+        want = {f.name: f.default for f in fields(params)}
+        assert raw[name] == want
+        assert {k: type(v) for k, v in raw[name].items()} == {k: type(v) for k, v in want.items()}
 
 
 def test_relative_paths_resolve_against_config_dir(tmp_path):

@@ -7,6 +7,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,6 +67,14 @@ def built(tmp_path_factory, toy_config):
 def classifier(built, toy_config):
     out, _ = built
     with open_classifier(out, toy_config) as clf:
+        yield clf
+
+
+@pytest.fixture(scope="module")
+def no_coherence(built, toy_config):
+    """A classifier whose config turns coherence off."""
+    config = replace(toy_config, coherence=replace(toy_config.coherence, enabled=False))
+    with open_classifier(built[0], config) as clf:
         yield clf
 
 
@@ -207,10 +216,10 @@ def test_direct_topics_carry_their_mention_lemmas(classifier):
     assert "sea ice" in lemmas
 
 
-def test_homonym_needs_coherence(classifier):
+def test_homonym_needs_coherence(classifier, no_coherence):
     doc, _ = load_corpus()[-1]
     with_coherence = direct_set(classifier.classify_document(doc))
-    without = direct_set(classifier.classify_document(doc, use_coherence=False))
+    without = direct_set(no_coherence.classify_document(doc))
     assert "seal_pinniped" in with_coherence
     assert "seal_artifact" not in with_coherence
     assert "seal_artifact" in without
@@ -310,10 +319,10 @@ def test_forked_batch_raises_worker_errors(classifier, forking, monkeypatch, fai
     docs = [d for d, _ in load_corpus()]
     real = classifier.classify_document
 
-    def failing(doc, use_coherence=True):
+    def failing(doc):
         if doc.id == docs[failing_doc].id:
             raise ConfigError(f"cannot classify {doc.id}")
-        return real(doc, use_coherence)
+        return real(doc)
 
     monkeypatch.setattr(classifier, "classify_document", failing)
     with pytest.raises(ConfigError, match=f"cannot classify {docs[failing_doc].id}"):
@@ -326,10 +335,10 @@ def test_dead_worker_raises_pipeline_error(classifier, forking, monkeypatch):
     real = classifier.classify_document
     parent = os.getpid()
 
-    def dying(doc, use_coherence=True):
+    def dying(doc):
         if os.getpid() != parent:
             os._exit(3)
-        return real(doc, use_coherence)
+        return real(doc)
 
     monkeypatch.setattr(classifier, "classify_document", dying)
     with pytest.raises(PipelineError, match="no readable result"):
@@ -378,15 +387,15 @@ def test_batch_forks_only_when_enough_work_is_left(classifier, monkeypatch, doc_
     docs = [d for d, _ in load_corpus()]
     real = classifier.classify_document
 
-    def timed(doc, use_coherence=True):
+    def timed(doc):
         now[0] += doc_s
-        return real(doc, use_coherence)
+        return real(doc)
 
     forked = []
 
-    def record(docs, workers, use_coherence):
+    def record(docs, workers):
         forked.append((len(docs), workers))
-        return [real(d, use_coherence) for d in docs]
+        return [real(d) for d in docs]
 
     monkeypatch.setattr(classifier, "classify_document", timed)
     monkeypatch.setattr(classifier, "_classify_forked", record)
@@ -441,19 +450,19 @@ def test_memo_hit_equals_fresh_classifier(built, toy_config, clf):
     assert got == fresh_topics(built, toy_config, docs)
 
 
-def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch, clf):
+def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch, no_coherence):
     doc = Document(id="two", title="Seals rest on sea ice.",
                    abstract="Wax seal impressions authenticate old letters.",
                    provided_mentions=("Seals", "seal"))
-    mentions = clf.detect(doc)
+    mentions = no_coherence.detect(doc)
     assert mentions[0].lemma == mentions[1].lemma
     assert mentions[0].sentence != mentions[1].sentence
     captured = []
     real = pipeline.aggregate
     monkeypatch.setattr(pipeline, "aggregate",
                         lambda ranked, *a: captured.append(ranked) or real(ranked, *a))
-    clf.classify_document(doc, use_coherence=False)
-    index, table = clf._index, EmbeddingTable.load(toy_config.embedding_file)
+    no_coherence.classify_document(doc)
+    index, table = no_coherence._index, EmbeddingTable.load(toy_config.embedding_file)
     for i, mention in enumerate(mentions):
         hits = index.query(mention.lemma, toy_config.retrieval.k)
         rows = CandidateRows.for_lemma(
