@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -89,11 +88,18 @@ def _get_bool(d: Mapping[str, Any], key: str, default: bool, context: str) -> bo
     return value
 
 
+def _real(value: Any, name: str) -> float:
+    """``value`` as a float; ``name`` is its key in error messages."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
 def _get_real(d: Mapping[str, Any], key: str, default: float, context: str) -> float:
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _real(d.get(key, default), f"{context}.{key}")
 
 
 def _get_int(d: Mapping[str, Any], key: str, default: int, context: str) -> int:
@@ -166,9 +172,7 @@ def _parse_registry(raw: Mapping[str, Any], context: str) -> PropertyRegistry:
         raw.get("edge_base_weights"), f"{context}.edge_base_weights"
     ).items():
         ectx = f"{context}.edge_base_weights[{pred}]"
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or math.isnan(w):
-            raise ConfigError(f"{ectx} must be a number, got {w!r}")
-        edge_base_weights[_get_iri(pred, ectx)] = float(w)
+        edge_base_weights[_get_iri(pred, ectx)] = _real(w, ectx)
 
     parent_properties: list[tuple[Iri, str]] = []
     raw_parents = raw.get("parent_properties", [])
@@ -271,11 +275,11 @@ def load_config(path: str | Path) -> AppConfig:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:
         data = {}

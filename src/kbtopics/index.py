@@ -85,7 +85,7 @@ import os
 import shutil
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -257,6 +257,14 @@ class IndexManifest:
         if table.digest != self.embedding_sha256:
             return "embedding table differs from the one the index was built with"
         return ""
+
+
+def _is_a(value: object, annotation: str) -> bool:
+    """Whether a manifest's JSON value has its field's annotated type:
+    ``int`` (not ``bool``), ``str`` or ``list[...]`` of one of those."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_is_a(v, annotation[5:-1]) for v in value)
+    return isinstance(value, {"int": int, "str": str}[annotation]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -600,7 +608,7 @@ class CandidateIndex:
             raw = json.loads((path / MANIFEST_FILE).read_text(encoding="utf-8"))
         except OSError as exc:
             raise IndexFormatError(f"cannot open index at {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, an integer too long to convert
             raise IndexFormatError(f"corrupt manifest in {path}: {exc}") from exc
         if isinstance(raw, dict) and raw.get("format_version") != FORMAT_VERSION:
             raise IndexFormatError(
@@ -610,6 +618,11 @@ class CandidateIndex:
             manifest = IndexManifest(**raw)
         except TypeError as exc:
             raise IndexFormatError(f"manifest fields wrong in {path}: {exc}") from exc
+        for f in fields(IndexManifest):
+            value = getattr(manifest, f.name)
+            if not _is_a(value, f.type):
+                raise IndexFormatError(
+                    f"manifest fields wrong in {path}: {f.name} is not {f.type}: {value!r}")
         digest = hashlib.sha256()
         try:
             strings = _read_strings(_read_hashed(path / STRINGS_FILE, digest))

@@ -5,24 +5,23 @@ neighborhood expansion, parent derivation, and vector encoding into one index
 directory. Classification opens that directory read-only and turns documents
 into ranked topic lists. A classifier keeps, per mention lemma, the part
 of scoring that does not depend on the sentence (retrieval, the candidates'
-row addresses and their partial scores) in a least-recently-used memo of at
+row addresses and their partial scores) in a ``functools.lru_cache`` of at
 most one entry per indexed entity. An instance is safe to share across
-threads: every stage is pure and a lock guards the memo.
+threads: every stage is pure, and the cache needs no lock of ours.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import os
-import pickle
-import signal
-import threading
 import time
-from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -155,15 +154,23 @@ class Classifier:
         self._ranking = config.ranking
         self._coherence = config.coherence
         self._selection = config.selection
-        self._k = config.retrieval.k
         self._label_field = config.retrieval.label_field
-        self._ngram_sizes = config.ngram_sizes
         self._rule_detector = RuleBasedDetector()
         self._provided_detector = ProvidedMentionDetector()
-        # lemma -> stage one of its scoring, least recently used first
-        self._memo: OrderedDict[str, CandidateRows] = OrderedDict()
-        self._memo_size = max(len(index), 1)
-        self._memo_lock = threading.Lock()
+
+        def stage_one(lemma: str) -> CandidateRows:
+            """The lemma's candidates with their rows' partial scores: retrieval,
+            the candidates' row addresses and the sentence-independent kernel."""
+            hits = index.query(lemma, config.retrieval.k)
+            return CandidateRows.for_lemma(
+                lexical_vector(lemma, config.ngram_sizes), semantic_vector(lemma, table),
+                index.candidate_blocks([hit.record.uri for hit in hits]),
+                index, config.ranking)
+
+        # lemma -> stage one, least recently used evicted first. The closure
+        # refers to no ``self``: a bound method would make a reference cycle
+        # that keeps a dropped classifier alive until a collection.
+        self._candidates = functools.lru_cache(maxsize=max(len(index), 1))(stage_one)
 
     def close(self) -> None:
         """Close the index this classifier reads."""
@@ -174,26 +181,6 @@ class Classifier:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _candidates(self, lemma: str) -> CandidateRows:
-        """The lemma's candidates with their rows' partial scores: retrieval,
-        the candidates' row addresses and the sentence-independent kernel,
-        once per lemma while the memo holds it."""
-        with self._memo_lock:
-            rows = self._memo.get(lemma)
-            if rows is not None:
-                self._memo.move_to_end(lemma)
-                return rows
-        hits = self._index.query(lemma, self._k)
-        rows = CandidateRows.for_lemma(
-            lexical_vector(lemma, self._ngram_sizes), semantic_vector(lemma, self._table),
-            self._index.candidate_blocks([hit.record.uri for hit in hits]),
-            self._index, self._ranking)
-        with self._memo_lock:
-            self._memo[lemma] = rows
-            if len(self._memo) > self._memo_size:
-                self._memo.popitem(last=False)
-        return rows
 
     def _label(self, uri: Iri) -> str:
         label = self._index.label(uri, self._label_field)
@@ -239,10 +226,11 @@ class Classifier:
         """Classify documents, preserving input order regardless of jobs.
 
         With ``jobs`` > 1 this process classifies alone until
-        ``_FORK_AFTER_S`` has passed; forked children join it only if the
-        documents left look like at least that long again. Children share
-        the opened index's mmap and inherit the memo filled so far; what
-        they add to it is lost when they exit.
+        ``_FORK_AFTER_S`` has passed. If the documents left look like at
+        least that long again, it hands them to a pool of forked workers and
+        waits for their results. Workers share the opened index's mmap and
+        inherit the memo filled so far; what they add to it is lost when
+        they exit.
         """
         docs = list(docs)
         if jobs < 1:
@@ -261,52 +249,29 @@ class Classifier:
         return results
 
     def _classify_forked(self, docs: list[Document], workers: int) -> list[list[TopicResult]]:
-        """This process and ``workers`` - 1 forked children claim short runs
-        of documents from a shared counter until none are left, so a worker
-        on a busy CPU takes fewer."""
+        """``workers`` forked processes classify short runs of documents,
+        each taking the next run when it finishes one, so a worker on a busy
+        CPU takes fewer. This process waits for them."""
         step = -(-len(docs) // (workers * 8))
-        # Worker k starts on run k; every later run goes to whoever asks first.
-        claims = multiprocessing.Value("q", workers * step)
-
-        def classify_runs(first: int) -> list[tuple[int, list[TopicResult]]]:
-            done = []
-            start = first * step
-            while start < len(docs):
-                for i in range(start, min(start + step, len(docs))):
-                    done.append((i, self.classify_document(docs[i])))
-                with claims.get_lock():
-                    start = claims.value
-                    claims.value = start + step
-            return done
-
-        def child_runs(first: int) -> list[tuple[int, list[TopicResult]]]:
-            # A thread of this process may have held the memo lock at the
-            # fork; the child has no such thread to release it.
-            self._memo_lock = threading.Lock()
-            return classify_runs(first)
-
-        children: list[tuple[int, int]] = []
+        # The fork hands each worker this classifier and the documents;
+        # only run bounds and topic lists cross the pipes.
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(self, docs))
         try:
-            for first in range(1, workers):
-                children.append(_fork_call(child_runs, first))
-            pairs = classify_runs(0)
-            while children:
-                pairs.extend(_collect(*children.pop(0)))
+            runs = pool.map(_classify_run, (slice(i, i + step) for i in range(0, len(docs), step)))
+            return [topics for run in runs for topics in run]
+        except BrokenProcessPool as exc:
+            raise PipelineError("a classify worker sent no readable result") from exc
         finally:
-            for pid, read_fd in children:
-                os.kill(pid, signal.SIGKILL)
-                os.close(read_fd)
-                os.waitpid(pid, 0)
-        found = dict(pairs)
-        return [found[i] for i in range(len(docs))]
+            pool.shutdown(cancel_futures=True)
 
 
-# Forking pays only for work well above its cost. Forking a 100 MB process
-# takes 2-4 ms, the child starts a few ms later and reaping it takes 1-8 ms;
-# each worker is also about a quarter slower per document (copy-on-write
-# faults, memo misses repeated per worker), and on a host that gives fewer
-# CPUs than it lists all of it is lost. A batch estimated at less than twice
-# this long is classified in this process alone.
+# Forking pays only for work well above its cost. A pool of two workers
+# forked from a 90 MB process costs about 30 ms on a 2-vCPU VM: 10 ms to
+# fork, 10 ms more to a first result, 7 ms to shut down. Each worker is also
+# about a quarter slower per document (copy-on-write faults, memo misses
+# repeated per worker), and on a host that gives fewer CPUs than it lists
+# all of it is lost. A batch estimated at under 2 * _FORK_AFTER_S stays here.
 _FORK_AFTER_S = 0.1
 
 
@@ -319,40 +284,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_call(fn: Callable[[int], object], arg: int) -> tuple[int, int]:
-    """Run ``fn(arg)`` in a forked child. Returns the child's pid and the
-    read end of a pipe that carries its pickled result or exception."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, fn(arg))
-            except Exception as exc:
-                payload = (False, exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
+# What a forked worker classifies: set in each worker by _start_worker.
+_batch: tuple[Classifier, list[Document]] | None = None
 
 
-def _collect(pid: int, read_fd: int):
-    """Read a child's result, reap it, and re-raise its exception if any."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            ok, value = pickle.load(pipe)
-    except Exception as exc:
-        raise PipelineError(f"classify worker {pid} sent no readable result") from exc
-    finally:
-        os.waitpid(pid, 0)
-    if not ok:
-        raise value
-    return value
+def _start_worker(classifier: Classifier, docs: list[Document]) -> None:
+    global _batch
+    _batch = classifier, docs
+
+
+def _classify_run(run: slice) -> list[list[TopicResult]]:
+    classifier, docs = _batch
+    return [classifier.classify_document(doc) for doc in docs[run]]
 
 
 def open_classifier(index_dir: str | Path, config: AppConfig) -> Classifier:

@@ -295,7 +295,7 @@ class EmbeddingTable:
         path = Path(path)
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read embeddings {path}: {exc}") from exc
         vectors: dict[str, np.ndarray] = {}
         dim = 0
@@ -315,6 +315,8 @@ class EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if dim == 0:
                 dim = vec.shape[0]
                 if header_dim is not None and dim != header_dim:

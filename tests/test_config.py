@@ -263,6 +263,35 @@ def test_wrong_type_names_section_and_field(tmp_path, section, field):
         parse_config({section: {field.name: WRONG_TYPE[field.type]}}, tmp_path)
 
 
+FLOAT_FIELDS = [(name, f) for name, f in SECTION_FIELDS if f.type == "float"]
+HUGE = 10**400  # a YAML integer of 401 digits, beyond any float
+
+
+@pytest.mark.parametrize("section, field", FLOAT_FIELDS,
+                         ids=[f"{name}.{f.name}" for name, f in FLOAT_FIELDS])
+def test_integer_beyond_float_names_section_and_field(tmp_path, section, field):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{field.name} is too large")):
+        parse_config({section: {field.name: HUGE}}, tmp_path)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"registry": {"edge_base_weights": {P: HUGE}}}, f"registry.edge_base_weights[{P}]"),
+    ({"registry": {"text_fields": {P: {"name": "label", "search_weight": HUGE}}}},
+     f"registry.text_fields[{P}].search_weight"),
+], ids=["edge_base_weight", "search_weight"])
+def test_registry_integer_beyond_float_names_its_key(tmp_path, data, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} is too large")):
+        parse_config(data, tmp_path)
+
+
+def test_yaml_integer_beyond_float_exits_1(tmp_path, capsys):
+    from kbtopics.cli import main
+    path = tmp_path / "c.yaml"
+    path.write_text(f"ranking:\n  w_l: {HUGE}\n", encoding="utf-8")
+    assert main(["build-index", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
+    assert capsys.readouterr().err == "error: ranking.w_l is too large for a float\n"
+
+
 def test_every_section_field_has_a_getter_and_a_plain_default():
     assert set(WRONG_TYPE) == set(_GETTERS)
     for _, f in SECTION_FIELDS:
@@ -304,6 +333,17 @@ def test_invalid_yaml_raises_config_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("kb: [unclosed\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("content, fragment", [
+    (b"ranking:\n  w_l: \xff\n", "cannot read config"),
+    (b"ranking:\n  w_l: 1" + b"0" * 5000 + b"\n", "invalid YAML"),
+], ids=["not-utf8", "5001-digit-integer"])
+def test_undecodable_config_raises_config_error(tmp_path, content, fragment):
+    path = tmp_path / "c.yaml"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=fragment):
         load_config(path)
 
 

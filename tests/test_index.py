@@ -5,6 +5,7 @@ import json
 import math
 import random
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -364,6 +365,32 @@ class TestOpenValidation:
         (path / STRINGS_FILE).write_text(text)
         with pytest.raises(IndexFormatError, match="corrupt"):
             CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff{}", b'{"record_count": 1' + b"0" * 5000 + b"}",
+    ], ids=["not-utf8", "5001-digit-integer"])
+    def test_undecodable_manifest_refused(self, built, content):
+        _, _, path = built
+        (path / MANIFEST_FILE).write_bytes(content)
+        with pytest.raises(IndexFormatError, match="corrupt manifest"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(IndexManifest)])
+    def test_wrong_typed_manifest_field_refused(self, built, field):
+        _, manifest, path = built
+        value = getattr(manifest, field)
+        if isinstance(value, list):
+            wrong = [None, len(value), [float(v) for v in value], [str(v) for v in value]]
+        elif isinstance(value, int):
+            wrong = [float(value), None, True, str(value)]
+        else:
+            wrong = [None, 1, [value]]
+        for bad in wrong:
+            m = json.loads((path / MANIFEST_FILE).read_text())
+            m[field] = bad
+            (path / MANIFEST_FILE).write_text(json.dumps(m))
+            with pytest.raises(IndexFormatError, match=f"{field} is not|index format"):
+                CandidateIndex.open(path)
 
     def test_record_count_mismatch(self, built):
         _, _, path = built

@@ -1,5 +1,7 @@
 """Offline build orchestration and the document classification pipeline."""
 
+import functools
+import gc
 import json
 import os
 import signal
@@ -312,9 +314,9 @@ def test_forked_workers_match_serial(classifier, forking):
     assert_no_children_left()
 
 
-# With four workers over ten documents, runs are one document long and worker
-# k starts on document k: document 0 fails in this process, 3 in a child.
-@pytest.mark.parametrize("failing_doc", [0, 3], ids=["parent_run", "child_run"])
+# With four workers over ten documents, runs are one document long: document
+# 0 fails in the first run, 3 in a later one.
+@pytest.mark.parametrize("failing_doc", [0, 3], ids=["first_run", "child_run"])
 def test_forked_batch_raises_worker_errors(classifier, forking, monkeypatch, failing_doc):
     docs = [d for d, _ in load_corpus()]
     real = classifier.classify_document
@@ -346,33 +348,38 @@ def test_dead_worker_raises_pipeline_error(classifier, forking, monkeypatch):
     assert_no_children_left()
 
 
-def test_fork_while_another_thread_holds_the_memo_lock(classifier, forking, monkeypatch):
-    """The child inherits the lock held; no thread of its own will release it."""
+def test_fork_while_another_thread_is_inside_a_memo_miss(clf, forking, monkeypatch):
+    """The workers fork while a thread of this process is blocked inside a
+    memo miss; no thread of theirs will finish it, and they need none to."""
     docs = [d for d, _ in load_corpus()]
-    want = classifier.classify_batch(docs, jobs=1)
-    real_fork = os.fork
+    want = clf.classify_batch(docs, jobs=1)
+    entered, release = threading.Event(), threading.Event()
+    query = clf._index.query
 
-    def fork_while_held():
-        held, release = threading.Event(), threading.Event()
+    def blocking_query(lemma, k):
+        if lemma == "blocked lemma":
+            entered.set()
+            assert release.wait(timeout=30)
+        return query(lemma, k)
 
-        def hold():
-            with classifier._memo_lock:
-                held.set()
-                release.wait()
+    start_worker = pipeline._start_worker
 
-        holder = threading.Thread(target=hold)
-        holder.start()
-        held.wait()
-        pid = real_fork()
-        if pid == 0:
-            signal.alarm(10)  # a deadlocked child dies instead of hanging the test
-            return pid
+    def start_guarded(*args):
+        signal.alarm(10)  # a deadlocked worker dies instead of hanging the test
+        start_worker(*args)
+
+    monkeypatch.setattr(clf._index, "query", blocking_query)
+    monkeypatch.setattr(pipeline, "_start_worker", start_guarded)
+    clf._candidates.cache_clear()
+    miss = threading.Thread(target=clf._candidates, args=("blocked lemma",))
+    miss.start()
+    try:
+        assert entered.wait(timeout=30)
+        assert clf.classify_batch(docs, jobs=2) == want
+    finally:
         release.set()
-        holder.join()
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_while_held)
-    assert classifier.classify_batch(docs, jobs=2) == want
+        miss.join(timeout=30)
+    assert not miss.is_alive()
     assert_no_children_left()
 
 
@@ -444,8 +451,11 @@ def test_memo_hit_equals_fresh_classifier(built, toy_config, clf):
     docs = [d for d, _ in load_corpus()]
     got, hits = [], 0
     for doc in docs:
-        hits += sum(m.lemma in clf._memo for m in clf.detect(doc))
+        lemmas = [m.lemma for m in clf.detect(doc)]
+        before = clf._candidates.cache_info().hits
         got.append(clf.classify_document(doc))
+        # hits beyond those of the document's own repeated lemmas
+        hits += clf._candidates.cache_info().hits - before - (len(lemmas) - len(set(lemmas)))
     assert hits > 0  # later documents reuse lemmas of earlier ones
     assert got == fresh_topics(built, toy_config, docs)
 
@@ -475,11 +485,11 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
 
 
 def test_memo_eviction_at_cap_changes_no_output(built, toy_config, clf):
-    assert clf._memo_size == len(clf._index)
-    clf._memo_size = 2
+    assert clf._candidates.cache_info().maxsize == len(clf._index)
+    clf._candidates = functools.lru_cache(2)(clf._candidates.__wrapped__)
     docs = [d for d, _ in load_corpus()]
     got = [clf.classify_document(d) for d in docs]
-    assert len(clf._memo) == 2
+    assert clf._candidates.cache_info().currsize == 2
     assert len({m.lemma for d in docs for m in clf.detect(d)}) > 2
     assert got == fresh_topics(built, toy_config, docs)
 
@@ -487,8 +497,8 @@ def test_memo_eviction_at_cap_changes_no_output(built, toy_config, clf):
 def test_classifier_shared_across_threads(clf):
     docs = [d for d, _ in load_corpus()] * 4
     want = [clf.classify_document(d) for d in docs]
-    clf._memo.clear()
-    clf._memo_size = 3  # evictions race with lookups
+    # a memo of three lemmas: evictions race with lookups
+    clf._candidates = functools.lru_cache(3)(clf._candidates.__wrapped__)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -498,4 +508,21 @@ def test_classifier_shared_across_threads(clf):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-    assert len(clf._memo) <= 3
+    info = clf._candidates.cache_info()
+    assert info.maxsize == 3 and info.currsize <= 3
+
+
+def test_dropped_classifier_is_freed_without_gc(built, toy_config):
+    # the memo refers to the index, not to the classifier, so no reference
+    # cycle keeps a dropped classifier alive until a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open_classifier(built[0], toy_config) as fresh:
+            assert fresh.classify_document(load_corpus()[0][0])
+            dropped = weakref.ref(fresh)
+        del fresh
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()

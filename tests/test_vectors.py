@@ -1,6 +1,7 @@
 """Text normalization, hashed n-gram vectors, and embedding means."""
 
 import math
+import re
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -199,6 +200,20 @@ class TestEmbeddingTable:
         p = tmp_path / "emb.txt"
         p.write_text(content, encoding="utf-8")
         with pytest.raises(DataError):
+            EmbeddingTable.load(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_values_raise(self, tmp_path, value):
+        # a NaN or infinite score would be written as invalid JSON
+        p = tmp_path / "emb.txt"
+        p.write_text(f"a 1 0\nb 0 {value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}:2: non-finite embedding value")):
+            EmbeddingTable.load(p)
+
+    def test_undecodable_file_raises(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(b"a 1 0\ncaf\xe9 0 1\n")
+        with pytest.raises(DataError, match="cannot read embeddings"):
             EmbeddingTable.load(p)
 
     def test_vectors_are_read_only(self, table):
