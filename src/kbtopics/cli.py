@@ -156,17 +156,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     corpus = Path(args.corpus)
     try:
-        lines = corpus.read_text(encoding="utf-8").splitlines()
+        # split as bytes: only \n, \r\n and \r end a line, not the other
+        # line breaks str.splitlines knows, which JSON strings may hold raw
+        lines = corpus.read_bytes().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read corpus {corpus}: {exc}") from exc
 
     entries: list[tuple[str, Any]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for lineno, line in enumerate(lines, start=1):
         obj: Any = None
         try:
+            raw = line.decode("utf-8").strip()
+            if not raw:
+                continue
             obj = json.loads(raw)
             entries.append(("doc", _document_from_json(obj)))
         except (ValueError, TypeError) as exc:
@@ -216,17 +218,16 @@ def cmd_expand_debug(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"invalid entity IRI: {exc}") from exc
     with CandidateIndex.open(args.index) as index:
-        record = index.record(entity)
-        if record is None:
+        pos = index.position(entity)
+        if pos is None:
             raise DataError(f"entity not indexed: {entity}")
-        hood = index.neighborhood(entity)
         print(f"entity\t{entity}")
         print("neighborhood:")
-        for neighbor, distance in hood.neighbors:
+        for neighbor, distance in index.neighborhood(entity).neighbors:
             print(f"{neighbor}\t{distance!r}")
         print("parents:")
-        for parent, weight in zip(record.parent_entities, record.parent_weights):
-            print(f"{parent}\t{weight!r}")
+        for parent, weight in index.parents(pos):
+            print(f"{index.names[parent]}\t{weight!r}")
     return EXIT_OK
 
 

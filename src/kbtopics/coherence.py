@@ -1,14 +1,15 @@
 """Document-global score adjustment via graph coherence.
 
 Candidates that sit close together in the knowledge graph are assumed to
-describe the same document context. Each candidate brings its precomputed
-neighborhood as parallel arrays of integer entity ids and distances; a pair's
-distance is the cheapest meeting point of their neighborhoods, found for all
-pairs at once by sorting the concatenated entries by (entity id, owner) and
-taking a sort-based group minimum. The similarities fill a dense matrix over
-the sorted candidates, weakly connected candidates are pruned greedily from
-it, and the survivors' scores are boosted in proportion to how strongly they
-connect to the rest.
+describe the same document context. Candidates are record positions, and
+each one's precomputed neighborhood is its row of the index's related CSR:
+integer entity ids and distances. A pair's distance is the cheapest meeting
+point of their neighborhoods, found for all pairs at once by sorting the
+concatenated entries by (entity id, owner) and taking a sort-based group
+minimum. The similarities fill a dense matrix over the sorted candidates,
+weakly connected candidates are pruned greedily from it, and the survivors'
+scores are boosted in proportion to how strongly they connect to the rest.
+Ties break by position, which orders as the records' IRIs do.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, PipelineError
-from .kb import Iri
+from .errors import ConfigError
+from .index import Related
 from .ranking import ScoredCandidate
+from .vectors import ranges
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,12 @@ class CoherenceGraph:
     j, 0 for an unconnected pair and on the diagonal.
     """
 
-    nodes: tuple[Iri, ...]
+    nodes: tuple[int, ...]
     sim: np.ndarray
 
     @property
-    def edges(self) -> Mapping[tuple[Iri, Iri], float]:
-        """Connected pairs, smaller entity first, with their similarity."""
+    def edges(self) -> Mapping[tuple[int, int], float]:
+        """Connected pairs, smaller position first, with their similarity."""
         return _Edges(self)
 
 
@@ -76,12 +78,12 @@ class _Edges(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self._upper))
 
-    def __iter__(self) -> Iterator[tuple[Iri, Iri]]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         rows, cols = np.nonzero(self._upper)
         node = self._nodes.__getitem__
         return zip(map(node, rows.tolist()), map(node, cols.tolist()))
 
-    def __getitem__(self, pair: tuple[Iri, Iri]) -> float:
+    def __getitem__(self, pair: tuple[int, int]) -> float:
         a, b = pair
         if a in self._nodes and b in self._nodes:
             value = float(self._upper[self._nodes.index(a), self._nodes.index(b)])
@@ -90,26 +92,17 @@ class _Edges(Mapping):
         raise KeyError(pair)
 
 
-def build_similarity(
-    candidates: Iterable[Iri],
-    neighborhoods: Mapping[Iri, tuple[np.ndarray, np.ndarray]],
-) -> CoherenceGraph:
+def build_similarity(candidates: Iterable[int], related: Related) -> CoherenceGraph:
     """Connect candidate pairs whose neighborhoods overlap.
 
-    Each neighborhood is an (entity ids, distances) array pair holding each
-    entity at most once, its own seed at 0. The pair distance is the cheapest
-    meeting point: min over shared entries x of dist_a(x) + dist_b(x). Since
-    each neighborhood contains its own seed, this is an upper bound on the
-    true path length between the seeds. Similarity is 1/(1+dist), so closer
-    pairs score higher, capped at 1.
+    Candidate p's neighborhood is row p of ``related``: int64 entity ids,
+    each at most once, with distances, its own seed at 0. The pair distance
+    is the cheapest meeting point: min over shared entries x of
+    dist_a(x) + dist_b(x). Since each neighborhood contains its own seed,
+    this is an upper bound on the true path length between the seeds.
+    Similarity is 1/(1+dist), so closer pairs score higher, capped at 1.
     """
     nodes = tuple(sorted(set(candidates)))
-    hoods = []
-    for node in nodes:
-        hood = neighborhoods.get(node)
-        if hood is None:
-            raise PipelineError(f"no cached neighborhood for candidate {node}")
-        hoods.append(hood)
     n = len(nodes)
     sim = np.zeros((n, n))
     if n < 2:
@@ -117,11 +110,15 @@ def build_similarity(
 
     # every entry, sorted by (entity id, owner); no neighborhood lists an
     # entity twice, so the key is unique and the sort need not be stable
-    ids = np.concatenate([h[0] for h in hoods])
-    owner = np.repeat(np.arange(n), [len(h[0]) for h in hoods])
+    pos = np.array(nodes, dtype=np.intp)
+    lo = related.indptr[pos]
+    counts = related.indptr[pos + 1] - lo
+    entries = ranges(lo, counts)
+    ids = related.ids[entries]
+    owner = np.repeat(np.arange(n), counts)
     order = np.argsort(ids * n + owner)
     ids, owner = ids[order], owner[order]
-    dist = np.concatenate([h[1] for h in hoods])[order]
+    dist = related.distances[entries][order]
     # pair each entry with every later entry of the same id
     later = np.searchsorted(ids, ids, side="right") - np.arange(len(ids)) - 1
     first = np.repeat(np.arange(len(ids)), later)
@@ -142,15 +139,15 @@ def build_similarity(
 
 def greedy_prune(
     graph: CoherenceGraph,
-    mention_candidates: Sequence[Iterable[Iri]],
+    mention_candidates: Sequence[Iterable[int]],
     params: CoherenceParams,
-) -> dict[Iri, float]:
+) -> dict[int, float]:
     """Drop weakly connected candidates, then boost the survivors.
 
     The prune budget is prune_fraction of the candidates that could be
     removed individually without starving a mention below min_keep. Victims
     are picked by lowest total similarity to the remaining active set (ties
-    by entity), skipping any whose removal would violate min_keep at that
+    by position), skipping any whose removal would violate min_keep at that
     point. Removed and unconnected candidates keep boost 1; survivors get
     1 + gamma * conn/max_conn where conn is measured among survivors only.
 
@@ -179,7 +176,7 @@ def greedy_prune(
         if not eligible.any():
             break
         conn = np.where(active, sim, 0.0).sum(axis=1)
-        # argmin takes the first minimum, i.e. the smallest entity
+        # argmin takes the first minimum, i.e. the smallest position
         victim = int(np.argmin(np.where(eligible, conn, np.inf)))
         active[victim] = False
         counts -= members[:, victim]
@@ -195,7 +192,7 @@ def greedy_prune(
 
 def apply_boosts(
     ranked: Sequence[Sequence[ScoredCandidate]],
-    boosts: Mapping[Iri, float],
+    boosts: Mapping[int, float],
 ) -> list[list[ScoredCandidate]]:
     """Multiply scores by their boosts and re-sort each per-mention list."""
     for value in boosts.values():

@@ -55,12 +55,16 @@ builds nothing per record. It checks the index against its manifest (format
 version, record and text counts, the semantic matrix's size against the
 embedding dimension), the sections against each other (sizes, row pointers,
 id ranges, the gram vocabulary's order, every neighborhood starting with its
-record at distance 0, every entity IRI valid) and the content hash (sha256
-over strings and columns, in that order, read in chunks so that it faults
-none of the map's pages in). An ``IndexRecord`` is a view that reads the
-columns when its fields are asked for. Closing drops the index's views; the
-map, and its file, go with the last view, so a view that ``related`` handed
-out stays readable.
+record at distance 0, the record IRIs strictly ascending, every entity IRI
+valid) and the content hash (sha256 over strings and columns, in that order,
+read in chunks so that it faults none of the map's pages in). Closing drops
+the index's views; the map, and its file, go with the last view, so a view
+of ``related`` taken before stays readable.
+
+An opened index addresses records by position: retrieval returns positions,
+and ``candidate_blocks``, ``parents`` and ``label`` take them; ``position``
+finds a URI's by binary search over the sorted record IRIs. Since records
+are sorted by URI, ties that break by record position break in URI order.
 
 The manifest names the encoders the vectors were made with: the embedding
 dimension, the n-gram sizes and the embedding table's digest.
@@ -69,18 +73,21 @@ dimension, the n-gram sizes and the embedding table's digest.
 Retrieval scoring is deliberately simple and fully documented: per text,
 sum over matched query tokens of tf * idf / sqrt(text length), with
 idf = 1 + ln(N / (1 + df)); a text's contribution is weighted by its field's
-search weight and summed per entity. When no token matches anywhere, the
-query falls back to character 3-grams with the same formula. A text's length
-in tokens (or 3-grams) is the sum of its token (or 3-gram) term frequencies.
+search weight and summed per entity. When no token matches anywhere,
+retrieval falls back to character 3-grams with the same formula. A text's
+length in tokens (or 3-grams) is the sum of its token (or 3-gram) term
+frequencies.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
 import math
 import mmap
+import operator
 import os
 import shutil
 import struct
@@ -94,7 +101,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood, Neighborhoods
-from .kb import Iri, KnowledgeBase
+from .kb import Iri, KnowledgeBase, check_iris
 from .ranking import CandidateBlocks
 from .vectors import (
     EmbeddingTable,
@@ -168,52 +175,6 @@ def compute_parents(kb: KnowledgeBase, params: ParentParams, link_counts: np.nda
     return found
 
 
-class IndexRecord:
-    """One indexed entity, read from the index's columns when a field is
-    asked for: ``texts`` as (field, text, search weight), ``related_*`` its
-    neighborhood (itself first at distance 0), ``parent_*`` its parents."""
-
-    __slots__ = ("uri", "_index", "_pos")
-
-    def __init__(self, index: "CandidateIndex", pos: int):
-        self.uri: Iri = index._entities[pos]
-        self._index = index
-        self._pos = pos
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IndexRecord) and self._index is other._index \
-            and self._pos == other._pos
-
-    def __hash__(self) -> int:
-        return hash((self.uri, self._pos))
-
-    def __repr__(self) -> str:
-        return f"IndexRecord({self.uri!r})"
-
-    @property
-    def texts(self) -> tuple[tuple[str, str, float], ...]:
-        index = self._index
-        lo, hi = index._text_range[self._pos:self._pos + 2]
-        return tuple(zip(map(index._fields.__getitem__, index._text_field[lo:hi]),
-                         index._texts[lo:hi], index._text_weight[lo:hi]))
-
-    @property
-    def related_entities(self) -> tuple[Iri, ...]:
-        return tuple(e for e, _ in self._index._pairs(self._index._related, self._pos))
-
-    @property
-    def related_weights(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self._index._pairs(self._index._related, self._pos))
-
-    @property
-    def parent_entities(self) -> tuple[Iri, ...]:
-        return tuple(q for q, _ in self._index._pairs(self._index._parents, self._pos))
-
-    @property
-    def parent_weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self._index._pairs(self._index._parents, self._pos))
-
-
 class Related(NamedTuple):
     """Every record's related (or parent) list as one CSR over entity ids:
     record p's entries are ``ids[indptr[p]:indptr[p + 1]]`` with those
@@ -223,11 +184,6 @@ class Related(NamedTuple):
     indptr: np.ndarray
     ids: np.ndarray
     distances: np.ndarray
-
-
-class CandidateHit(NamedTuple):
-    record: IndexRecord
-    retrieval_score: float
 
 
 @dataclass(frozen=True)
@@ -367,6 +323,9 @@ def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, lis
     for key in ("entities", "tokens", "grams"):
         if len(set(strings[key])) != len(strings[key]):
             return f"duplicate {key} in the string table"
+    records = strings["entities"][:n_records]
+    if not all(map(operator.lt, records, records[1:])):
+        return "record IRIs not strictly ascending"
     return ""
 
 
@@ -553,21 +512,21 @@ def replacing_dir(out_dir: str | Path) -> Iterator[Path]:
 
 
 class CandidateIndex:
-    """Opened index directory: retrieval plus record and vector access."""
+    """Opened index directory: retrieval plus record and vector access.
+    ``names`` holds the entity IRIs by entity id, as strings; ``related``
+    every record's neighborhood."""
 
-    def __init__(self, manifest: IndexManifest, entities: list[Iri],
-                 strings: Mapping[str, list[str]], columns: Mapping[str, np.ndarray],
-                 data: mmap.mmap):
+    def __init__(self, manifest: IndexManifest, strings: Mapping[str, list[str]],
+                 columns: Mapping[str, np.ndarray], data: mmap.mmap):
         self.manifest = manifest
         self._map = data  # the column file, which every section views
-        self._entities = entities
+        self.names = strings["entities"]
         self._fields = strings["fields"]
         self._texts = strings["texts"]
-        n = len(columns["related_indptr"]) - 1
-        self._by_uri = dict(zip(entities[:n], range(n)))
+        n = self._n = len(columns["related_indptr"]) - 1
         related_ids = columns["related_ids"].astype(np.int64)  # id * n + owner keys
         related_ids.flags.writeable = False
-        self._related = Related(
+        self.related = Related(
             columns["related_indptr"], related_ids, columns["related_distances"])
         self._parents = Related(
             columns["parent_indptr"], columns["parent_ids"], columns["parent_weights"])
@@ -630,7 +589,7 @@ class CandidateIndex:
                 data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             columns = read_columns(data)
             _hash_file(path / COLUMNS_FILE, digest)
-            entities = [Iri(e) for e in strings["entities"]]
+            check_iris(strings["entities"])
         except OSError as exc:
             raise IndexFormatError(f"missing index file in {path}: {exc}") from exc
         except ValueError as exc:
@@ -642,7 +601,7 @@ class CandidateIndex:
             problem = "content hash does not match the manifest"
         if problem:
             raise IndexIntegrityError(f"index {path}: {problem}")
-        return cls(manifest, entities, strings, columns, data)
+        return cls(manifest, strings, columns, data)
 
     def close(self) -> None:
         """Drop all the index holds; any later read raises ValueError. The map
@@ -657,36 +616,52 @@ class CandidateIndex:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._by_uri)
+        return self._n
 
-    @property
-    def records(self) -> tuple[IndexRecord, ...]:
-        return tuple(IndexRecord(self, pos) for pos in range(len(self)))
+    def position(self, uri: str) -> int | None:
+        """The record position of a URI; None for an entity without a record."""
+        pos = bisect.bisect_left(self.names, uri, 0, self._n)
+        return pos if pos < self._n and self.names[pos] == uri else None
 
-    def record(self, uri: Iri) -> IndexRecord | None:
-        pos = self._by_uri.get(uri)
-        return IndexRecord(self, pos) if pos is not None else None
+    def texts(self, uri: str) -> tuple[tuple[str, str, float], ...]:
+        """A record's texts as (field, text, search weight); empty for an
+        entity without a record."""
+        return tuple((self._fields[self._text_field[i]], self._texts[i], self._text_weight[i])
+                     for i in self.text_ids(uri))
 
-    def _pairs(self, csr: Related, pos: int) -> tuple[tuple[Iri, float], ...]:
-        lo, hi = csr.indptr[pos:pos + 2].tolist()
-        return tuple(zip(map(self._entities.__getitem__, csr.ids[lo:hi].tolist()),
-                         csr.distances[lo:hi].tolist()))
+    def text_ids(self, uri: str) -> range:
+        """Text ids of a record's texts, in the order of ``texts``; empty for
+        an entity the index holds no record of."""
+        pos = self.position(uri)
+        return range(0) if pos is None else range(*self._text_range[pos:pos + 2])
 
-    def label(self, uri: Iri, field: str) -> str | None:
-        """The record's first text in the field; None if it has none."""
-        pos = self._by_uri.get(uri)
+    def label(self, entity: int, field: str) -> str | None:
+        """The first text in the field of the record at an entity id; None if
+        it has none, or the entity no record."""
         field_id = self._field_ids.get(field)
-        if pos is None or field_id is None:
+        if entity >= self._n or field_id is None:
             return None
-        for text_id in range(self._text_range[pos], self._text_range[pos + 1]):
+        for text_id in range(self._text_range[entity], self._text_range[entity + 1]):
             if self._text_field[text_id] == field_id:
                 return self._texts[text_id]
         return None
 
-    def parents(self, uri: Iri) -> tuple[tuple[Iri, float], ...]:
-        """The record's (parent, weight) pairs; empty without a record."""
-        pos = self._by_uri.get(uri)
-        return () if pos is None else self._pairs(self._parents, pos)
+    def parents(self, pos: int) -> tuple[tuple[int, float], ...]:
+        """The (parent entity id, weight) pairs of the record at a position."""
+        lo, hi = self._parents.indptr[pos:pos + 2].tolist()
+        return tuple(zip(self._parents.ids[lo:hi].tolist(),
+                         self._parents.distances[lo:hi].tolist()))
+
+    def neighborhood(self, uri: str) -> Neighborhood | None:
+        """A record's neighborhood by IRI, itself first at 0; None for an
+        entity without a record."""
+        pos = self.position(uri)
+        if pos is None:
+            return None
+        lo, hi = self.related.indptr[pos:pos + 2].tolist()
+        return Neighborhood(Iri(uri), tuple(zip(
+            (Iri(self.names[i]) for i in self.related.ids[lo:hi].tolist()),
+            self.related.distances[lo:hi].tolist())))
 
     def _score_terms(self, terms: Iterable[str], term_ids: Mapping[str, int],
                      norms: list[float]) -> dict[int, float]:
@@ -708,9 +683,10 @@ class CandidateIndex:
                 scores[owner] = scores.get(owner, 0.0) + gain
         return scores
 
-    def query(self, mention_text: str, k: int = 30) -> list[CandidateHit]:
-        """Top-k records by field-weighted token tf-idf; 3-gram fallback
-        when no token matches at all. Ties break by URI."""
+    def retrieve(self, mention_text: str, k: int = 30) -> list[tuple[int, float]]:
+        """Top-k records by field-weighted token tf-idf, as (position, score)
+        pairs; 3-gram fallback when no token matches at all. Ties break by
+        position, that is by URI."""
         if k < 1:
             raise ConfigError(f"k must be positive, got {k}")
         tokens = set(tokenize(mention_text))
@@ -720,17 +696,7 @@ class CandidateIndex:
         if not scores:
             scores = self._score_terms(
                 set(char_ngrams(mention_text, (3,))), self._gram_terms, self._gram_norm)
-        entities = self._entities
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], entities[kv[0]]))
-        return [CandidateHit(IndexRecord(self, pos), score) for pos, score in ranked[:k]]
-
-    def text_ids(self, uri: Iri) -> range:
-        """Text ids of a record's texts, in the order of ``record.texts``;
-        empty for an entity the index holds no record of."""
-        pos = self._by_uri.get(uri)
-        if pos is None:
-            return range(0)
-        return range(*self._text_range[pos:pos + 2])
+        return sorted(scores.items(), key=lambda hit: (-hit[1], hit[0]))[:k]
 
     def _checked_ids(self, text_ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(text_ids, dtype=np.intp)
@@ -751,43 +717,24 @@ class CandidateIndex:
         (n, D) copy. An id outside the index raises IndexIntegrityError."""
         return self._semantic[self._checked_ids(text_ids)]
 
-    def neighborhood(self, uri: Iri) -> Neighborhood | None:
-        pos = self._by_uri.get(uri)
-        return None if pos is None else Neighborhood(uri, self._pairs(self._related, pos))
-
-    def related(self, uri: Iri) -> tuple[np.ndarray, np.ndarray] | None:
-        """A record's related entity ids and distances, itself first at 0:
-        read-only views into the index; None for an entity without one."""
-        pos = self._by_uri.get(uri)
-        if pos is None:
-            return None
-        lo, hi = self._related.indptr[pos:pos + 2]
-        return self._related.ids[lo:hi], self._related.distances[lo:hi]
-
-    def candidate_blocks(self, uris: Sequence[Iri]) -> CandidateBlocks:
-        """Scoring rows of the candidates, by address and stacked in their
-        order: every text of every related entity that is itself indexed,
-        tagged with field weight and owner distance. One gather serves all
-        candidates."""
-        positions = []
-        for uri in uris:
-            pos = self._by_uri.get(uri)
-            if pos is None:
-                raise IndexIntegrityError(f"no index record for {uri}")
-            positions.append(pos)
+    def candidate_blocks(self, positions: Sequence[int]) -> CandidateBlocks:
+        """Scoring rows of the records at the positions, by address and
+        stacked in their order: every text of every related entity that is
+        itself indexed, tagged with field weight and owner distance. One
+        gather serves all candidates."""
         pos = np.array(positions, dtype=np.intp)
-        lo = self._related.indptr[pos]
-        n_related = self._related.indptr[pos + 1] - lo
+        lo = self.related.indptr[pos]
+        n_related = self.related.indptr[pos + 1] - lo
         related = ranges(lo, n_related)
-        ids, distances = self._related.ids[related], self._related.distances[related]
+        ids, distances = self.related.ids[related], self.related.distances[related]
         candidate = np.repeat(np.arange(len(pos)), n_related)
-        indexed = ids < len(self)
+        indexed = ids < self._n
         ids, distances, candidate = ids[indexed], distances[indexed], candidate[indexed]
         starts = self._text_start[ids]
         counts = self._text_start[ids + 1] - starts
         text_ids = ranges(starts, counts)
         return CandidateBlocks(
-            entities=tuple(uris),
+            entities=tuple(positions),
             sizes=np.bincount(candidate, weights=counts, minlength=len(pos)).astype(np.intp),
             text_ids=text_ids,
             field_weights=self._weights[text_ids],

@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 # lone surrogate (not a character) nor one of <>"{}|^`\
 _IRI = r'[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\\ud800-\udfff]+'
 _IRI_RE = re.compile(_IRI)
+_IRI_LINES_RE = re.compile(f"(?:{_IRI}\n)*")
 _LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # a whole line of a common shape: groups subject, predicate, then object IRI
 # or literal text and language tag; a datatype is matched and discarded
@@ -63,6 +64,16 @@ class Iri(str):
     def local_name(self) -> str:
         """Tail after the last '#' or '/', for display fallbacks."""
         return re.split(r"[#/]", self)[-1] or str(self)
+
+
+def check_iris(names: list[str]) -> None:
+    """ValueError, with ``Iri``'s message for the first invalid name, unless
+    every name is an absolute IRI; one pattern match over all of them."""
+    joined = "\n".join([*names, ""])
+    # a name that holds a newline would pass as two
+    if joined.count("\n") != len(names) or not _IRI_LINES_RE.fullmatch(joined):
+        for name in names:
+            Iri(name)
 
 
 class Literal(NamedTuple):

@@ -3,11 +3,13 @@
 Building runs load, cross-ref normalization, pruning, edge weighting,
 neighborhood expansion, parent derivation, and vector encoding into one index
 directory. Classification opens that directory read-only and turns documents
-into ranked topic lists. A classifier keeps, per mention lemma, the part
-of scoring that does not depend on the sentence (retrieval, the candidates'
-row addresses and their partial scores) in a ``functools.lru_cache`` of at
-most one entry per indexed entity. An instance is safe to share across
-threads: every stage is pure, and the cache needs no lock of ours.
+into ranked topic lists. Candidates are record positions from retrieval to
+the knee cut; only the topics kept are named by IRI and label. A classifier
+keeps, per mention lemma, the part of scoring that does not depend on the
+sentence (retrieval, the candidates' row addresses and their partial scores)
+in a ``functools.lru_cache`` of at most one entry per indexed entity. An
+instance is safe to share across threads: every stage is pure, and the
+cache needs no lock of ours.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .mentions import (
     merge_keywords,
 )
 from .ranking import CandidateRows
-from .selection import TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
+from .selection import Topic, TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
 from .vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 logger = logging.getLogger(__name__)
@@ -161,11 +163,10 @@ class Classifier:
         def stage_one(lemma: str) -> CandidateRows:
             """The lemma's candidates with their rows' partial scores: retrieval,
             the candidates' row addresses and the sentence-independent kernel."""
-            hits = index.query(lemma, config.retrieval.k)
+            hits = index.retrieve(lemma, config.retrieval.k)
             return CandidateRows.for_lemma(
                 lexical_vector(lemma, config.ngram_sizes), semantic_vector(lemma, table),
-                index.candidate_blocks([hit.record.uri for hit in hits]),
-                index, config.ranking)
+                index.candidate_blocks([pos for pos, _ in hits]), index, config.ranking)
 
         # lemma -> stage one, least recently used evicted first. The closure
         # refers to no ``self``: a bound method would make a reference cycle
@@ -182,9 +183,11 @@ class Classifier:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _label(self, uri: Iri) -> str:
-        label = self._index.label(uri, self._label_field)
-        return uri.local_name if label is None else label
+    def _named(self, topic: Topic) -> TopicResult:
+        uri = Iri(self._index.names[topic.entity])
+        label = self._index.label(topic.entity, self._label_field)
+        return TopicResult(uri, uri.local_name if label is None else label,
+                           topic.final_score, topic.supporting_lemmas, topic.origin)
 
     def detect(self, doc: Document) -> list[Mention]:
         detector = (
@@ -208,19 +211,16 @@ class Classifier:
 
         if self._coherence.enabled:
             membership = [[c.entity for c in ranked] for ranked in ranked_lists]
-            candidates = {e for group in membership for e in group}
             graph = build_similarity(
-                candidates, {uri: self._index.related(uri) for uri in candidates})
+                [e for group in membership for e in group], self._index.related)
             boosts = greedy_prune(graph, membership, self._coherence)
             ranked_lists = apply_boosts(ranked_lists, boosts)
 
-        topics = aggregate(
-            ranked_lists, [m.lemma for m in mentions], self._selection, self._label
-        )
+        topics = aggregate(ranked_lists, [m.lemma for m in mentions], self._selection)
         topics = enhance_with_parents(
-            topics, self._index.parents, self._selection, self._label)
+            topics, self._index.parents, self._selection, self._index.names.__getitem__)
         keep = kneedle_cutoff([t.final_score for t in topics], self._selection)
-        return topics[:keep]
+        return [self._named(t) for t in topics[:keep]]
 
     def classify_batch(self, docs: Iterable[Document], jobs: int = 1) -> list[list[TopicResult]]:
         """Classify documents, preserving input order regardless of jobs.

@@ -31,10 +31,11 @@ over the rows of all candidates of a mention, stacked in candidate order
    ``w_sc*a(ctx)`` for the mention's sentence, weights each row and sums
    each block's rows with ``np.add.reduceat``.
 
-``CandidateBlocks`` hold only their rows' addresses (text ids) with their
-field weights and distances; the vectors stay in the index's memory map.
-So a classifier can keep the first stage per lemma for a few dozen bytes a
-row.
+``CandidateBlocks`` name their candidates by record position and hold only
+their rows' addresses (text ids) with their field weights and distances;
+the vectors stay in the index's memory map. So a classifier can keep the
+first stage per lemma for a few dozen bytes a row. Ranked candidates stay
+record positions too, and positions order as the records' IRIs do.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError
-from .kb import Iri
 from .vectors import SparseVector
 
 
@@ -90,11 +90,11 @@ class VectorSource(Protocol):
 @dataclass(frozen=True)
 class CandidateBlocks:
     """All scoring rows of several candidates, by address, stacked in
-    candidate order: candidate i owns the next ``sizes[i]`` rows, the texts
-    of itself and of its neighborhood, with per-row field weights and owner
-    distances."""
+    candidate order: candidate i, the record at position ``entities[i]``,
+    owns the next ``sizes[i]`` rows, the texts of itself and of its
+    neighborhood, with per-row field weights and owner distances."""
 
-    entities: tuple[Iri, ...]
+    entities: tuple[int, ...]
     sizes: np.ndarray                 # (candidates,) rows per candidate
     text_ids: np.ndarray              # (rows,)
     field_weights: np.ndarray         # (rows,)
@@ -103,7 +103,7 @@ class CandidateBlocks:
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    entity: Iri
+    entity: int                       # record position
     mention_index: int
     score: float
     boost: float = 1.0
@@ -159,7 +159,7 @@ class CandidateRows:
 
     def rank(self, ctx: np.ndarray, vectors: VectorSource, params: RankingParams,
              mention_index: int = 0) -> list[ScoredCandidate]:
-        """Scored blocks, descending by score, ties broken by entity IRI."""
+        """Scored blocks, descending by score, ties broken by position."""
         scored = [ScoredCandidate(e, mention_index, s) for e, s in
                   zip(self.blocks.entities, self.scores(ctx, vectors, params).tolist())]
         scored.sort(key=lambda c: (-c.score, c.entity))

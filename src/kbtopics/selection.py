@@ -3,14 +3,15 @@
 Per-mention winners are folded into document topics scored by total evidence
 times a diversity multiplier, broader parent entities inherit a weighted
 share of their children's scores, and the sorted score curve is cut at its
-knee so only the strong head survives.
+knee so only the strong head survives. Topics are entity ids until then; a
+classifier names only the topics it keeps (``TopicResult``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +42,15 @@ class SelectionParams:
             raise ConfigError(f"min_topics must be nonnegative, got {self.min_topics}")
 
 
+class Topic(NamedTuple):
+    """A document topic by entity id, before it is named."""
+
+    entity: int
+    final_score: float
+    supporting_lemmas: frozenset[str]
+    origin: TopicOrigin
+
+
 @dataclass(frozen=True)
 class TopicResult:
     entity: Iri
@@ -58,19 +68,18 @@ def aggregate(
     per_mention_ranked: Sequence[Sequence[ScoredCandidate]],
     lemmas: Sequence[str],
     params: SelectionParams,
-    label_for: Callable[[Iri], str],
-) -> list[TopicResult]:
+) -> list[Topic]:
     """Fold per-mention winners into direct topics.
 
     Each mention contributes its single best candidate by boosted score.
     A topic's final score is the sum of those contributions scaled by
     1 + lambda * (distinct supporting lemmas - 1), so repeat evidence under
-    different surface lemmas counts extra.
+    different surface lemmas counts extra. Ties break by record position.
     """
     if len(per_mention_ranked) != len(lemmas):
         raise ValueError("one lemma per mention required")
-    totals: dict[Iri, float] = {}
-    lemma_sets: dict[Iri, set[str]] = {}
+    totals: dict[int, float] = {}
+    lemma_sets: dict[int, set[str]] = {}
     for ranked, lemma in zip(per_mention_ranked, lemmas):
         if not ranked:
             continue
@@ -81,65 +90,45 @@ def aggregate(
     for entity, total in totals.items():
         count = len(lemma_sets[entity])
         final = total * (1.0 + params.lambda_diversity * (count - 1))
-        topics.append(
-            TopicResult(
-                entity=entity,
-                label=label_for(entity),
-                final_score=final,
-                supporting_lemmas=frozenset(lemma_sets[entity]),
-                origin="direct",
-            )
-        )
+        topics.append(Topic(entity, final, frozenset(lemma_sets[entity]), "direct"))
     topics.sort(key=lambda t: (-t.final_score, t.entity))
     return topics
 
 
 def enhance_with_parents(
-    topics: Sequence[TopicResult],
-    parents_of: Callable[[Iri], Sequence[tuple[Iri, float]]],
+    topics: Sequence[Topic],
+    parents_of: Callable[[int], Sequence[tuple[int, float]]],
     params: SelectionParams,
-    label_for: Callable[[Iri], str],
-) -> list[TopicResult]:
+    name_of: Callable[[int], str],
+) -> list[Topic]:
     """Credit broader parent entities with a weighted share of child scores.
 
     Contributions are computed from the incoming direct scores in one pass;
     parents of parents are not chased. A parent that is itself a direct topic
     absorbs the contribution into its direct score, anything else enters as a
-    new topic of parent origin carrying its children's lemmas.
+    new topic of parent origin carrying its children's lemmas. Ties break by
+    ``name_of`` the entity, its IRI: a parent without a record has an entity
+    id that does not order as its IRI.
     """
     if not params.include_parents:
         return list(topics)
-    contributions: dict[Iri, float] = {}
-    inherited: dict[Iri, set[str]] = {}
+    contributions: dict[int, float] = {}
+    inherited: dict[int, set[str]] = {}
     for topic in topics:
         for parent, weight in parents_of(topic.entity):
             contributions[parent] = (
                 contributions.get(parent, 0.0) + weight * topic.final_score
             )
             inherited.setdefault(parent, set()).update(topic.supporting_lemmas)
-    combined: list[TopicResult] = []
+    combined: list[Topic] = []
     for topic in topics:
         extra = contributions.pop(topic.entity, 0.0)
         if extra:
-            topic = TopicResult(
-                entity=topic.entity,
-                label=topic.label,
-                final_score=topic.final_score + extra,
-                supporting_lemmas=topic.supporting_lemmas,
-                origin=topic.origin,
-            )
+            topic = topic._replace(final_score=topic.final_score + extra)
         combined.append(topic)
     for parent, score in contributions.items():
-        combined.append(
-            TopicResult(
-                entity=parent,
-                label=label_for(parent),
-                final_score=score,
-                supporting_lemmas=frozenset(inherited[parent]),
-                origin="parent",
-            )
-        )
-    combined.sort(key=lambda t: (-t.final_score, t.entity))
+        combined.append(Topic(parent, score, frozenset(inherited[parent]), "parent"))
+    combined.sort(key=lambda t: (-t.final_score, name_of(t.entity)))
     return combined
 
 

@@ -392,20 +392,17 @@ def similarity_by_pairs(
 
 
 def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
-    """candidate_blocks of one uri by a loop over the record's related
-    entities, each one's text ids and field weights read from its own
-    record."""
-    record = index.record(uri)
+    """candidate_blocks of one uri's record by a loop over its neighborhood,
+    each related entity's text ids and field weights read by its IRI (none
+    for an entity without a record)."""
     text_ids: list[int] = []
     weights: list[float] = []
     distances: list[float] = []
-    for entity, dist in zip(record.related_entities, record.related_weights):
-        owner = index.record(entity)
-        if owner is None:
-            continue
+    for entity, dist in index.neighborhood(uri).neighbors:
+        texts = index.texts(entity)
         text_ids.extend(index.text_ids(entity))
-        weights.extend(w for _, _, w in owner.texts)
-        distances.extend([dist] * len(owner.texts))
+        weights.extend(w for _, _, w in texts)
+        distances.extend([dist] * len(texts))
     return CandidateBlock(
         entity=uri,
         text_ids=np.array(text_ids, dtype=np.int64),
@@ -472,8 +469,8 @@ def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[i
     tokenizing the records' texts again."""
     tokens: list[int] = []
     grams: list[int] = []
-    for record in index.records:
-        for _, text, _ in record.texts:
+    for uri in index.names[:len(index)]:
+        for _, text, _ in index.texts(uri):
             tokens.append(len(tokenize(text)))
             grams.append(len(char_ngrams(text, (3,))))
     return tokens, grams
@@ -481,16 +478,16 @@ def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[i
 
 def query_by_loop(index: CandidateIndex, mention_text: str, k: int = 30
                   ) -> list[tuple[Iri, float]]:
-    """CandidateIndex.query as (uri, score) pairs, by a dict-of-lists loop:
-    postings rebuilt by tokenizing every record's texts, then per query term
-    in sorted order and per posting in text-id order, scores accumulated per
-    record. Ties break by URI."""
+    """CandidateIndex.retrieve with each position's URI, by a dict-of-lists
+    loop: postings rebuilt by tokenizing every record's texts, then per query
+    term in sorted order and per posting in text-id order, scores accumulated
+    per record. Ties break by URI."""
     postings: dict[str, list[tuple[int, int]]] = {}
     owner: list[int] = []
     weight: list[float] = []
-    records = index.records
-    for pos, record in enumerate(records):
-        for _, text, w in record.texts:
+    records = [Iri(uri) for uri in index.names[:len(index)]]
+    for pos, uri in enumerate(records):
+        for _, text, w in index.texts(uri):
             text_id = len(owner)
             owner.append(pos)
             weight.append(w)
@@ -518,5 +515,5 @@ def query_by_loop(index: CandidateIndex, mention_text: str, k: int = 30
     scores = score_terms(tokens, "t:", token_len)
     if not scores:
         scores = score_terms(char_ngrams(mention_text, (3,)), "g:", gram_len)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], records[kv[0]].uri))
-    return [(records[pos].uri, score) for pos, score in ranked[:k]]
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], records[kv[0]]))
+    return [(records[pos], score) for pos, score in ranked[:k]]

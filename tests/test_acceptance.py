@@ -462,10 +462,10 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     worst_sem = 0.0
     # the lexical vectors are stored by gram; read back per text
     with CandidateIndex.open(index_dir) as idx:
-        for rec in idx.records:
-            ids = idx.text_ids(rec.uri)
+        for uri in idx.names[:len(idx)]:
+            ids = idx.text_ids(uri)
             lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
-            for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
+            for (_, text, _), lv, sv in zip(idx.texts(uri), lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)
                 worst_sem = max(worst_sem, float(np.max(np.abs(sv - fresh)))

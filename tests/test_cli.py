@@ -302,6 +302,41 @@ def test_malformed_lines_become_error_objects(index_dir, tmp_path):
     assert records[3]["id"] == "good2" and "topics" in records[3]
 
 
+def test_invalid_utf8_line_is_malformed(index_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"id": "good", "title": "Mercury in tuna", "mentions": ["Mercury"]}\n'
+                       b'{"id": "bad", "title": "\xff"}\n'
+                       b'{"id": "good2", "title": "Mercury", "mentions": ["Mercury"]}\n')
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--index", str(index_dir), "--corpus", str(corpus),
+                 "--out", str(out)]) == 0
+    records = read_jsonl(out)
+    assert [r["id"] for r in records] == ["good", None, "good2"]
+    assert records[1]["error"].startswith("line 2: 'utf-8' codec can't decode byte 0xff")
+    assert records[0]["topics"] and records[2]["topics"]
+    assert "(1 malformed lines)" in capsys.readouterr().out
+
+
+def test_only_newlines_end_corpus_lines(index_dir, tmp_path):
+    # json.dumps(..., ensure_ascii=False) writes U+2028 and U+2029 raw;
+    # they, U+0085 and a form feed are characters of a line, not its end
+    odd = "Mercury\u2028in\u2029tuna\x85\x0c"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "odd", "title": odd, "mentions": ["Mercury"]}, ensure_ascii=False)
+        + "\r\nnot json\r"
+        + json.dumps({"id": "last", "title": "Mercury", "mentions": ["Mercury"]}) + "\n",
+        encoding="utf-8", newline="")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--index", str(index_dir), "--corpus", str(corpus),
+                 "--out", str(out)]) == 0
+    records = read_jsonl(out)
+    assert [r["id"] for r in records] == ["odd", None, "last"]
+    assert [t["uri"] for t in records[0]["topics"]] == [t["uri"] for t in records[2]["topics"]]
+    assert records[0]["topics"]
+    assert records[1]["error"].startswith("line 2: ")
+
+
 def test_numeric_ids_are_coerced(index_dir, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": 7, "title": "Mercury", "mentions": ["Mercury"]}\n')

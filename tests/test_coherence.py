@@ -21,8 +21,9 @@ from kbtopics.coherence import (
     build_similarity,
     greedy_prune,
 )
-from kbtopics.errors import ConfigError, PipelineError
+from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood
+from kbtopics.index import Related
 from kbtopics.kb import Iri
 from kbtopics.ranking import ScoredCandidate
 
@@ -33,16 +34,28 @@ def iri(name: str) -> Iri:
     return Iri(f"http://example.org/{name}")
 
 
-def interned(hoods: dict[Iri, Neighborhood]) -> dict[Iri, tuple[np.ndarray, np.ndarray]]:
-    """Neighborhoods as build_similarity takes them: entity ids, numbered in
-    order of first appearance, and distances."""
-    ids: dict[Iri, int] = {}
-    return {
-        seed: (np.array([ids.setdefault(e, len(ids)) for e, _ in h.neighbors],
-                        dtype=np.int64),
-               np.array([d for _, d in h.neighbors], dtype=np.float64))
-        for seed, h in hoods.items()
-    }
+def interned(hoods: dict[Iri, Neighborhood]) -> Related:
+    """Neighborhoods as an index holds them: one CSR row per seed, the seeds
+    in IRI order so that a seed's row is its entity id, and the other
+    entities numbered after them in order of first appearance, walking the
+    neighborhoods in insertion order."""
+    seeds = sorted(hoods)
+    ids = {seed: i for i, seed in enumerate(seeds)}
+    for h in hoods.values():
+        for e, _ in h.neighbors:
+            ids.setdefault(e, len(ids))
+    rows = [hoods[seed].neighbors for seed in seeds]
+    return Related(np.cumsum([0] + [len(r) for r in rows]),
+                   np.array([ids[e] for r in rows for e, _ in r], dtype=np.int64),
+                   np.array([d for r in rows for _, d in r], dtype=np.float64))
+
+
+def similarity_graph(candidates, hoods: dict[Iri, Neighborhood]) -> CoherenceGraph:
+    """build_similarity of the candidates over the hoods, its nodes named by
+    IRI again."""
+    seeds = sorted(hoods)
+    graph = build_similarity([seeds.index(c) for c in candidates], interned(hoods))
+    return CoherenceGraph(tuple(seeds[p] for p in graph.nodes), graph.sim)
 
 
 def graph_from_edges(nodes, edges: dict[tuple[Iri, Iri], float]) -> CoherenceGraph:
@@ -104,14 +117,14 @@ class TestParams:
 class TestBuildSimilarity:
     def test_disjoint_neighborhoods_no_edges(self):
         hoods = {iri("a"): hood("a", {"x": 1.0}), iri("b"): hood("b", {"y": 1.0})}
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert graph.edges == {}
         assert similarity(graph, iri("a"), iri("b")) == 0.0
 
     def test_direct_containment(self):
         # b itself is the shared entry: dist = 0.5 + 0
         hoods = {iri("a"): hood("a", {"b": 0.5}), iri("b"): hood("b")}
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 1.5)
 
     def test_shared_hub(self):
@@ -120,7 +133,7 @@ class TestBuildSimilarity:
             iri("b"): hood("b", {"hub": 1.0}),
             iri("c"): hood("c", {"hub": 2.0}),
         }
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 3)
         assert similarity(graph, iri("a"), iri("c")) == pytest.approx(1 / 4)
         assert similarity(graph, iri("b"), iri("c")) == pytest.approx(1 / 4)
@@ -130,17 +143,13 @@ class TestBuildSimilarity:
             iri("a"): hood("a", {"x": 3.0, "y": 0.5}),
             iri("b"): hood("b", {"x": 0.1, "y": 0.6}),
         }
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert similarity(graph, iri("a"), iri("b")) == pytest.approx(1 / 2.1)
 
     def test_self_similarity_zero(self):
         hoods = {iri("a"): hood("a", {"x": 1.0})}
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert similarity(graph, iri("a"), iri("a")) == 0.0
-
-    def test_missing_neighborhood_raises(self):
-        with pytest.raises(PipelineError):
-            build_similarity([iri("a")], {})
 
     def test_symmetry_and_permutation_determinism(self):
         rng = random.Random(7)
@@ -153,8 +162,8 @@ class TestBuildSimilarity:
                 for x in rng.sample(pool, rng.randint(0, 5))
             }
             hoods[iri(name)] = hood(name, entries)
-        forward = build_similarity([iri(n) for n in names], interned(hoods))
-        backward = build_similarity([iri(n) for n in reversed(names)], interned(hoods))
+        forward = similarity_graph([iri(n) for n in names], hoods)
+        backward = similarity_graph([iri(n) for n in reversed(names)], hoods)
         assert forward.nodes == backward.nodes
         assert np.array_equal(forward.sim, backward.sim)
         for a in forward.nodes:
@@ -174,7 +183,7 @@ class TestBuildSimilarity:
                     if x != name
                 }
                 hoods[iri(name)] = hood(name, entries)
-            graph = build_similarity(hoods.keys(), interned(hoods))
+            graph = similarity_graph(hoods.keys(), hoods)
             for i, a in enumerate(graph.nodes):
                 for b in graph.nodes[i + 1:]:
                     want = oracle_distance(
@@ -204,7 +213,7 @@ class TestBuildSimilarity:
         params = ExpansionParams(max_depth=3, max_distance=4.0, max_neighbors=512)
         seeds = nodes[:8]
         hoods = {s: expand(weighted, s, params) for s in seeds}
-        graph = build_similarity(seeds, interned(hoods))
+        graph = similarity_graph(seeds, hoods)
         true = dijkstra(sp.csr_matrix(dense), directed=False)
         for (a, b), sim in graph.edges.items():
             approx = 1.0 / sim - 1.0
@@ -214,7 +223,7 @@ class TestBuildSimilarity:
 
 def assert_matches_pair_oracle(candidates, hoods):
     """build_similarity equals the pair-by-pair intersection bitwise."""
-    graph = build_similarity(candidates, interned(hoods))
+    graph = similarity_graph(candidates, hoods)
     want = similarity_by_pairs(candidates, hoods)
     assert graph.nodes == tuple(sorted(set(candidates)))
     assert graph.edges == want
@@ -232,7 +241,8 @@ def candidate_hoods(draw):
     pool = names + ["hub", "m0", "m1", "m2", "m3"]
     shared_hub = draw(st.booleans())
     hoods = {}
-    # insertion order decides the entity ids interned() hands out
+    # insertion order decides the ids interned() hands out to entities
+    # other than the seeds
     for name in draw(st.permutations(names)):
         entries = draw(st.dictionaries(
             st.sampled_from(pool).filter(lambda x, seed=name: x != seed),
@@ -251,13 +261,13 @@ class TestSimilarityOracle:
         assert_matches_pair_oracle(*drawn)
 
     def test_no_nodes(self):
-        graph = build_similarity([], {})
+        graph = similarity_graph([], {})
         assert graph.nodes == () and graph.sim.shape == (0, 0)
         assert_matches_pair_oracle([], {})
 
     def test_one_node(self):
         hoods = {iri("a"): hood("a", {"x": 1.0})}
-        graph = build_similarity([iri("a")], interned(hoods))
+        graph = similarity_graph([iri("a")], hoods)
         assert graph.sim.tolist() == [[0.0]]
         assert_matches_pair_oracle([iri("a")], hoods)
 
@@ -265,21 +275,21 @@ class TestSimilarityOracle:
         hoods = {iri("a"): hood("a"), iri("b"): hood("b"),
                  iri("c"): hood("c", {"a": 0.5, "b": 1.0})}
         assert_matches_pair_oracle(list(hoods), hoods)
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert set(graph.edges) == {(iri("a"), iri("c")), (iri("b"), iri("c"))}
 
     def test_duplicate_candidates(self):
         hoods = {iri("a"): hood("a", {"x": 0.1}), iri("b"): hood("b", {"x": 0.2})}
         candidates = [iri("a"), iri("b"), iri("a"), iri("b"), iri("b")]
         assert_matches_pair_oracle(candidates, hoods)
-        assert build_similarity(candidates, interned(hoods)).nodes == (iri("a"), iri("b"))
+        assert similarity_graph(candidates, hoods).nodes == (iri("a"), iri("b"))
 
     def test_meeting_point_shared_by_many(self):
         steps = [0.1, 0.2, 0.3, 0.7, 0.1, 0.2, 0.3, 0.7]
         hoods = {iri(f"c{i}"): hood(f"c{i}", {"hub": d, f"own{i}": 0.05})
                  for i, d in enumerate(steps)}
         assert_matches_pair_oracle(list(hoods), hoods)
-        graph = build_similarity(hoods.keys(), interned(hoods))
+        graph = similarity_graph(hoods.keys(), hoods)
         assert len(graph.edges) == len(steps) * (len(steps) - 1) // 2
         assert similarity(graph, iri("c0"), iri("c1")) == 1.0 / (1.0 + (0.1 + 0.2))
 
@@ -287,11 +297,11 @@ class TestSimilarityOracle:
         rng = random.Random(5)
         hoods = {iri(f"c{i}"): hood(f"c{i}", {f"n{j}": 0.1 * j for j in rng.sample(range(9), 4)})
                  for i in range(8)}
-        base = build_similarity(hoods.keys(), interned(hoods))
+        base = similarity_graph(hoods.keys(), hoods)
         for _ in range(5):
             order = list(hoods)
             rng.shuffle(order)
-            again = build_similarity(order[::-1], interned({e: hoods[e] for e in order}))
+            again = similarity_graph(order[::-1], {e: hoods[e] for e in order})
             assert again.nodes == base.nodes
             assert np.array_equal(again.sim, base.sim)
             assert_matches_pair_oracle(order, hoods)

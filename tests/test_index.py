@@ -52,6 +52,11 @@ def iri(name):
     return Iri(EX + name)
 
 
+def hits(idx, text, k=30):
+    """The index's retrieval hits as (uri, score) pairs."""
+    return [(idx.names[pos], score) for pos, score in idx.retrieve(text, k)]
+
+
 # Names for random KBs: an object quoted with "'" becomes a literal whose
 # text is the IRI, so a literal under a parent predicate can look like the
 # entity; "leaf" is only ever an object.
@@ -250,24 +255,21 @@ class TestBuildIndex:
              if t.predicate in kb.registry.text_fields and isinstance(t.obj, Literal)})
         assert manifest.record_count == len(expected) == 4
         with CandidateIndex.open(path) as idx:
-            assert [r.uri for r in idx.records] == expected
+            assert idx.names[:len(idx)] == expected
 
     def test_records_carry_neighborhoods_and_parents(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            bear = idx.record(iri("bear"))
-            assert bear.related_entities[0] == iri("bear")
-            assert bear.related_weights[0] == 0.0
-            assert iri("mammal") in bear.parent_entities
+            assert idx.neighborhood(iri("bear")).neighbors[0] == (iri("bear"), 0.0)
+            parents = idx.parents(idx.position(iri("bear")))
+            assert iri("mammal") in [idx.names[q] for q, _ in parents]
 
     def test_entity_without_neighborhood_gets_self_only(self, tmp_path, table):
         kb = KnowledgeBase.intern(
             [Triple(iri("solo"), LABEL, Literal("solo entity"))], registry())
         build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
-            rec = idx.record(iri("solo"))
-            assert rec.related_entities == (iri("solo"),)
-            assert rec.related_weights == (0.0,)
+            assert idx.neighborhood(iri("solo")).neighbors == ((iri("solo"), 0.0),)
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
         kb = KnowledgeBase.intern([], registry())
@@ -275,7 +277,7 @@ class TestBuildIndex:
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
-            assert idx.query("anything") == []
+            assert idx.retrieve("anything") == []
 
     def test_texts_with_newlines_tabs_and_non_ascii_round_trip(self, tmp_path, table):
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
@@ -284,8 +286,8 @@ class TestBuildIndex:
         manifest = build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
-            assert [t for _, t, _ in idx.record(iri("odd")).texts] == sorted(texts)
-            assert [h.record.uri for h in idx.query("eisbär")] == [iri("odd")]
+            assert [t for _, t, _ in idx.texts(iri("odd"))] == sorted(texts)
+            assert [uri for uri, _ in hits(idx, "eisbär")] == [iri("odd")]
 
     def test_rebuild_has_identical_content_hash(self, built, tmp_path, table):
         kb, manifest, _ = built
@@ -296,24 +298,23 @@ class TestBuildIndex:
         assert again.record_count == manifest.record_count
 
 
-# Every public read of an index, given the index and one of its records
-# taken before the index was closed.
+# Every public read of an index, given the index and the IRI of one of its
+# records.
 INDEX_READS = {
-    "query": lambda idx, rec: idx.query("bear"),
-    "related": lambda idx, rec: idx.related(rec.uri),
-    "parents": lambda idx, rec: idx.parents(rec.uri),
-    "neighborhood": lambda idx, rec: idx.neighborhood(rec.uri),
-    "candidate_blocks": lambda idx, rec: idx.candidate_blocks([rec.uri]),
-    "semantic_rows": lambda idx, rec: idx.semantic_rows([0]),
-    "lexical_cosines": lambda idx, rec: idx.lexical_cosines({1: 1.0}, [0]),
-    "label": lambda idx, rec: idx.label(rec.uri, "label"),
-    "record": lambda idx, rec: idx.record(rec.uri),
-    "records": lambda idx, rec: idx.records,
-    "text_ids": lambda idx, rec: idx.text_ids(rec.uri),
-    "len": lambda idx, rec: len(idx),
-    "manifest": lambda idx, rec: idx.manifest,
-    "record.texts": lambda idx, rec: rec.texts,
-    "record.parent_entities": lambda idx, rec: rec.parent_entities,
+    "retrieve": lambda idx, uri: idx.retrieve("bear"),
+    "related": lambda idx, uri: idx.related,
+    "parents": lambda idx, uri: idx.parents(0),
+    "neighborhood": lambda idx, uri: idx.neighborhood(uri),
+    "candidate_blocks": lambda idx, uri: idx.candidate_blocks([0]),
+    "semantic_rows": lambda idx, uri: idx.semantic_rows([0]),
+    "lexical_cosines": lambda idx, uri: idx.lexical_cosines({1: 1.0}, [0]),
+    "label": lambda idx, uri: idx.label(0, "label"),
+    "position": lambda idx, uri: idx.position(uri),
+    "names": lambda idx, uri: idx.names,
+    "text_ids": lambda idx, uri: idx.text_ids(uri),
+    "len": lambda idx, uri: len(idx),
+    "manifest": lambda idx, uri: idx.manifest,
+    "texts": lambda idx, uri: idx.texts(uri),
 }
 
 
@@ -321,12 +322,11 @@ INDEX_READS = {
 def test_closed_index_reads_raise(built, read):
     _, _, path = built
     idx = CandidateIndex.open(path)
-    record = idx.record(iri("bear"))
-    INDEX_READS[read](idx, record)  # answers while open
+    INDEX_READS[read](idx, iri("bear"))  # answers while open
     idx.close()
     idx.close()  # closing twice is fine
     with pytest.raises(ValueError, match="the index is closed"):
-        INDEX_READS[read](idx, record)
+        INDEX_READS[read](idx, iri("bear"))
 
 
 def test_missing_attribute_of_an_open_index_is_an_attribute_error(built):
@@ -418,15 +418,29 @@ class TestOpenValidation:
             CandidateIndex.open(path)
 
     def test_invalid_related_iri_refused(self, built):
-        # the manifest is re-hashed, so only IRI validation can catch it
+        # the manifest is re-hashed, so only IRI validation can catch it; a
+        # name holding a newline must not pass as two IRIs
         _, _, path = built
         columns = read_columns((path / COLUMNS_FILE).read_bytes())
         last_related = int(columns["related_ids"][columns["related_indptr"][1] - 1])
+        table = (path / STRINGS_FILE).read_text()
+        for bad in ("no scheme here", "http://a.org/x\nhttp://b.org/y"):
+            strings = json.loads(table)
+            strings["entities"][last_related] = bad
+            (path / STRINGS_FILE).write_text(json.dumps(strings))
+            rehash(path)
+            with pytest.raises(IndexFormatError, match="not an absolute IRI"):
+                CandidateIndex.open(path)
+
+    def test_record_iris_out_of_order_refused(self, built):
+        # positions stand for URI order, in lookups and in tie-breaks
+        _, _, path = built
         strings = json.loads((path / STRINGS_FILE).read_text())
-        strings["entities"][last_related] = "no scheme here"
+        strings["entities"][0], strings["entities"][1] = \
+            strings["entities"][1], strings["entities"][0]
         (path / STRINGS_FILE).write_text(json.dumps(strings))
         rehash(path)
-        with pytest.raises(IndexFormatError, match="IRI"):
+        with pytest.raises(IndexIntegrityError, match="record IRIs not strictly ascending"):
             CandidateIndex.open(path)
 
     def test_deleted_postings_line_fails_content_hash(self, built):
@@ -543,31 +557,31 @@ class TestQuery:
     def test_exact_unique_label_ranks_first(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            hits = idx.query("ringed seal", k=5)
-            assert hits and hits[0].record.uri == iri("seal")
-            assert hits[0].retrieval_score > 0
+            got = hits(idx, "ringed seal", k=5)
+            assert got and got[0][0] == iri("seal")
+            assert got[0][1] > 0
 
     def test_no_overlap_returns_empty(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             # shares no token and no character 3-gram with any indexed text
-            assert idx.query("zzqqjjxx") == []
+            assert idx.retrieve("zzqqjjxx") == []
 
     def test_empty_mention_returns_empty(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            assert idx.query("...") == []
+            assert idx.retrieve("...") == []
 
     def test_k_caps_results(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            assert len(idx.query("marine mammal bear seal", k=2)) == 2
+            assert len(idx.retrieve("marine mammal bear seal", k=2)) == 2
 
     def test_invalid_k(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             with pytest.raises(ConfigError):
-                idx.query("bear", k=0)
+                idx.retrieve("bear", k=0)
 
     def test_identical_labels_tie_by_iri(self, tmp_path, table):
         ts = [
@@ -577,30 +591,30 @@ class TestQuery:
         kb = KnowledgeBase.intern(ts, registry())
         build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
-            hits = idx.query("same label", k=5)
-            assert [h.record.uri for h in hits] == [iri("a-ent"), iri("b-ent")]
-            assert hits[0].retrieval_score == hits[1].retrieval_score
+            got = hits(idx, "same label", k=5)
+            assert [uri for uri, _ in got] == [iri("a-ent"), iri("b-ent")]
+            assert got[0][1] == got[1][1]
+            assert got == query_by_loop(idx, "same label", k=5)
 
     def test_gram_fallback_when_no_token_matches(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             # "mercuric" shares no token with any text but shares 3-grams
             # with "mercury"
-            hits = idx.query("mercuric")
-            assert hits and hits[0].record.uri == iri("mercury")
+            got = hits(idx, "mercuric")
+            assert got and got[0][0] == iri("mercury")
 
     def test_token_match_suppresses_gram_fallback(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            hits = idx.query("polar")
-            assert [h.record.uri for h in hits] == [iri("bear")]
+            assert [uri for uri, _ in hits(idx, "polar")] == [iri("bear")]
 
     def test_recall_floor(self, built):
         kb, _, path = built
         with CandidateIndex.open(path) as idx:
-            hits = idx.query("marine mammal", k=len(idx))
+            got = hits(idx, "marine mammal", k=len(idx))
             # every record whose text contains both tokens must be present
-            assert iri("mammal") in {h.record.uri for h in hits}
+            assert iri("mammal") in {uri for uri, _ in got}
 
     def test_field_weight_prefers_label_over_synonym(self, tmp_path, table):
         ts = [
@@ -610,16 +624,15 @@ class TestQuery:
         kb = KnowledgeBase.intern(ts, registry())
         build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
-            hits = idx.query("quicksilver")
-            assert [h.record.uri for h in hits] == [iri("by-label"), iri("by-syn")]
-            assert hits[0].retrieval_score == pytest.approx(
-                2.0 * hits[1].retrieval_score / 1.0)
+            got = hits(idx, "quicksilver")
+            assert [uri for uri, _ in got] == [iri("by-label"), iri("by-syn")]
+            assert got[0][1] == pytest.approx(2.0 * got[1][1] / 1.0)
 
     def test_determinism(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            a = idx.query("marine mammal bear")
-            b = idx.query("marine mammal bear")
+            a = idx.retrieve("marine mammal bear")
+            b = idx.retrieve("marine mammal bear")
             assert a == b
 
 
@@ -631,29 +644,32 @@ class TestLabelsAndParents:
         build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
-            assert idx.label(iri("x"), "label") == "alpha"
-            assert idx.label(iri("x"), "synonym") == "beta"
-            assert idx.label(iri("x"), "comment") is None
-            assert idx.label(iri("ghost"), "label") is None
+            x = idx.position(iri("x"))
+            assert idx.label(x, "label") == "alpha"
+            assert idx.label(x, "synonym") == "beta"
+            assert idx.label(x, "comment") is None
+            # an entity id past the records names no record
+            assert idx.label(len(idx), "label") is None
 
     def test_parents_follow_record(self, built):
-        _, _, path = built
+        kb, _, path = built
+        want = compute_parents(kb, ParentParams(), link_counts(kb))
         with CandidateIndex.open(path) as idx:
-            for rec in idx.records:
-                assert idx.parents(rec.uri) == tuple(
-                    zip(rec.parent_entities, rec.parent_weights))
-            assert [q for q, _ in idx.parents(iri("bear"))] == [iri("group"), iri("mammal")]
-            assert idx.parents(iri("ghost")) == ()
+            for pos, uri in enumerate(idx.names[:len(idx)]):
+                assert [(idx.names[q], w) for q, w in idx.parents(pos)] == want.get(uri, [])
+            bear = idx.parents(idx.position(iri("bear")))
+            assert [idx.names[q] for q, _ in bear] == [iri("group"), iri("mammal")]
+            assert idx.position(iri("ghost")) is None
 
 
 class TestVectors:
     def test_cache_transparency(self, built, table):
         kb, _, path = built
         with CandidateIndex.open(path) as idx:
-            for rec in idx.records:
-                ids = idx.text_ids(rec.uri)
+            for uri in idx.names[:len(idx)]:
+                ids = idx.text_ids(uri)
                 lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
-                for (_, text, _), lv, sv in zip(rec.texts, lex, sem):
+                for (_, text, _), lv, sv in zip(idx.texts(uri), lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
                         sv, semantic_vector(text, table), atol=1e-7)
@@ -661,7 +677,7 @@ class TestVectors:
     def test_text_ids_follow_record_order(self, built):
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
-            ids = [i for r in idx.records for i in idx.text_ids(r.uri)]
+            ids = [i for uri in idx.names[:len(idx)] for i in idx.text_ids(uri)]
             assert ids == list(range(manifest.text_count))
             assert idx.text_ids(iri("ghost")) == range(0)
 
@@ -672,8 +688,8 @@ class TestVectors:
             sem = idx.semantic_rows(ids)
             assert sem.shape == (len(ids), idx.manifest.embedding_dim)
             np.testing.assert_array_equal(idx.semantic_rows(ids[::-1]), sem[::-1])
-            for rec in idx.records:
-                for _, text, _ in rec.texts:
+            for uri in idx.names[:len(idx)]:
+                for _, text, _ in idx.texts(uri):
                     lex = idx.lexical_cosines(lexical_vector(text), ids)
                     assert lex.shape == (len(ids),) and lex.max() > 0.99
                     assert idx.lexical_cosines(lexical_vector(text), ids[::-1]).tolist() \
@@ -916,9 +932,10 @@ class TestCandidateBlock:
     def test_rows_cover_neighborhood_texts(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            block = idx.candidate_blocks([iri("bear")])
+            bear = idx.position(iri("bear"))
+            block = idx.candidate_blocks([bear])
             # bear has 2 texts at distance 0, mammal 1 at 0.5, seal 1 at 1.0
-            assert block.entities == (iri("bear"),)
+            assert block.entities == (bear,)
             assert block.sizes.tolist() == [4]
             assert list(block.distances) == [0.0, 0.0, 0.5, 1.0]
             assert list(block.field_weights) == [2.0, 1.0, 2.0, 2.0]
@@ -926,29 +943,34 @@ class TestCandidateBlock:
     def test_unindexed_related_entities_skipped(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            block = idx.candidate_blocks([iri("mercury")])
+            block = idx.candidate_blocks([idx.position(iri("mercury"))])
             # the "arctic" neighbor has no texts, contributes no rows
             assert block.sizes.tolist() == [2]
             assert list(block.distances) == [0.0, 0.0]
 
     def test_unknown_uri(self, built):
+        # a block is gathered at a record's position; an entity without a
+        # record has none, whether it sorts before, between or after them
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            with pytest.raises(IndexIntegrityError):
-                idx.candidate_blocks([iri("bear"), iri("ghost")])
+            for pos, uri in enumerate(idx.names[:len(idx)]):
+                assert idx.position(uri) == pos
+            for name in ("a", "ghost", "zzz", "arctic"):
+                assert idx.position(iri(name)) is None
 
 
 def assert_blocks_match_loop(idx, uris):
-    """candidate_blocks of the uris, gathered together, loads no vectors and
-    equals block_by_loop per uri, stacked."""
+    """candidate_blocks of the uris' positions, gathered together, loads no
+    vectors and equals block_by_loop per uri, stacked."""
+    positions = [idx.position(uri) for uri in uris]
     idx.lexical_cosines = idx.semantic_rows = \
         lambda *args: pytest.fail("candidate_blocks loaded vectors")
     try:
-        blocks = idx.candidate_blocks(uris)
+        blocks = idx.candidate_blocks(positions)
     finally:
         del idx.lexical_cosines, idx.semantic_rows
     want = stack([block_by_loop(idx, uri) for uri in uris])
-    assert blocks.entities == want.entities == tuple(uris)
+    assert blocks.entities == tuple(positions) and want.entities == tuple(uris)
     for name in ("sizes", "text_ids", "field_weights", "distances"):
         got, expected = getattr(blocks, name), getattr(want, name)
         assert got.dtype == expected.dtype
@@ -982,7 +1004,7 @@ class TestBlockGather:
     def test_toy_index_matches_loop(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            uris = [rec.uri for rec in idx.records]
+            uris = idx.names[:len(idx)]
             for uri in uris:
                 assert_blocks_match_loop(idx, [uri])
             assert_blocks_match_loop(idx, uris)
@@ -990,14 +1012,14 @@ class TestBlockGather:
             none = idx.candidate_blocks([])
             assert none.entities == () and none.sizes.size == none.text_ids.size == 0
             # mercury's neighbor arctic has no record and adds no rows
-            assert iri("arctic") in idx.record(iri("mercury")).related_entities
+            assert iri("arctic") in dict(idx.neighborhood(iri("mercury")).neighbors)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_indexes_match_loop(self, tmp_path_factory, table, seed):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            uris = [rec.uri for rec in idx.records]
+            uris = idx.names[:len(idx)]
             for uri in uris:
                 assert_blocks_match_loop(idx, [uri])
             assert_blocks_match_loop(idx, uris[::-1])
@@ -1006,8 +1028,8 @@ class TestBlockGather:
         reached = 0
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
-                reached += sum(idx.record(e) is None
-                               for r in idx.records for e in r.related_entities)
+                reached += sum(idx.position(e) is None for uri in idx.names[:len(idx)]
+                               for e, _ in idx.neighborhood(uri).neighbors)
         assert reached > 0
 
 
@@ -1015,14 +1037,16 @@ class TestRelated:
     def test_views_follow_record(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            for rec in idx.records:
-                ids, distances = idx.related(rec.uri)
-                assert distances.tolist() == list(rec.related_weights)
-                assert len(ids) == len(rec.related_entities)
-                assert not ids.flags.writeable and not distances.flags.writeable
-                # int64, since coherence forms id * n + owner keys
-                assert ids.dtype == np.int64 and distances.dtype == np.float64
-            assert idx.related(iri("ghost")) is None
+            related = idx.related
+            for pos, uri in enumerate(idx.names[:len(idx)]):
+                lo, hi = related.indptr[pos:pos + 2]
+                neighbors = idx.neighborhood(uri).neighbors
+                assert [idx.names[i] for i in related.ids[lo:hi]] == [e for e, _ in neighbors]
+                assert related.distances[lo:hi].tolist() == [d for _, d in neighbors]
+            assert not related.ids.flags.writeable and not related.distances.flags.writeable
+            # int64, since coherence forms id * n + owner keys
+            assert related.ids.dtype == np.int64 and related.distances.dtype == np.float64
+            assert idx.neighborhood(iri("ghost")) is None
 
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
         # bear and mercury share only arctic, which has no record
@@ -1034,10 +1058,10 @@ class TestRelated:
         })
         build_index(entity_texts(kb), hoods, {}, Encoders(table), tmp_path / "index")
         with CandidateIndex.open(tmp_path / "index") as idx:
-            assert idx.record(iri("arctic")) is None
-            pair = [iri("bear"), iri("mercury")]
-            graph = build_similarity(pair, {e: idx.related(e) for e in pair})
-        assert graph.edges == {(iri("bear"), iri("mercury")): 1.0 / (1.0 + 3.25)}
+            assert idx.position(iri("arctic")) is None
+            pair = (idx.position(iri("bear")), idx.position(iri("mercury")))
+            graph = build_similarity(pair, idx.related)
+        assert graph.edges == {pair: 1.0 / (1.0 + 3.25)}
 
 
 QUERY_WORDS = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice",
@@ -1045,7 +1069,7 @@ QUERY_WORDS = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice",
 
 
 def assert_query_matches_loop(idx, text, k):
-    got = [(h.record.uri, h.retrieval_score) for h in idx.query(text, k)]
+    got = hits(idx, text, k)
     want = query_by_loop(idx, text, k)
     assert got == want
     # bitwise, not merely equal as floats
@@ -1063,8 +1087,8 @@ class TestRetrievalOracle:
                 for k in (1, 2, 3, 30):
                     assert_query_matches_loop(idx, text, k)
             # "mercuric" takes the 3-gram fallback; k=1 keeps the best hit
-            assert idx.query("mercuric")
-            assert idx.query("polar", k=1)[0].record.uri == iri("bear")
+            assert idx.retrieve("mercuric")
+            assert hits(idx, "polar", k=1)[0][0] == iri("bear")
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -1082,7 +1106,7 @@ class TestRetrievalOracle:
         ties = grams = 0
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
-                indexed = {tok for r in idx.records for _, text, _ in r.texts
+                indexed = {tok for uri in idx.names[:len(idx)] for _, text, _ in idx.texts(uri)
                            for tok in tokenize(text)}
                 for text in QUERY_WORDS:
                     hits = query_by_loop(idx, text, 30)
@@ -1124,7 +1148,7 @@ class TestLexicalCosines:
                                              picks):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            texts = [text for rec in idx.records for _, text, _ in rec.texts]
+            texts = [text for uri in idx.names[:len(idx)] for _, text, _ in idx.texts(uri)]
             ids = [p % len(texts) for p in picks] if texts else []
             rows = lexical_rows([lexical_vector(texts[i]) for i in ids])
             for words in queries:

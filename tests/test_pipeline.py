@@ -18,11 +18,15 @@ import pytest
 from kbtopics.config import load_config, parse_config
 from kbtopics import pipeline
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
-from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE
+from kbtopics.expansion import Neighborhood
+from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, build_index
+from kbtopics.kb import Iri
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
 from kbtopics.ranking import CandidateRows
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
+
+from oracles import neighborhoods_of
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -262,13 +266,31 @@ def test_related_view_outlives_close(built, toy_config):
     with open_classifier(out, toy_config) as fresh:
         index = fresh._index
         mapped = weakref.ref(index._map)
-        uri = index.records[0].uri
-        ids, distances = index.related(uri)
+        lo, hi = index.related.indptr[:2]
+        ids, distances = index.related.ids[lo:hi], index.related.distances[lo:hi]
         want = (ids.tolist(), distances.tolist())
     assert mapped() is not None
     assert (ids.tolist(), distances.tolist()) == want and distances[0] == 0.0
     del ids, distances
     assert mapped() is None
+
+
+def test_equal_parents_without_records_are_listed_in_iri_order(tmp_path, toy_config):
+    """A child credits two parents without a record with equal weight. Their
+    entity ids follow first appearance, and the child's neighborhood names
+    the later IRI first; the output still lists them in IRI order."""
+    child, early, late = (Iri(f"http://example.org/{n}") for n in ("child", "a-up", "z-up"))
+    hoods = neighborhoods_of({child: Neighborhood(child, ((child, 0.0), (late, 1.0)))})
+    encoders = Encoders(EmbeddingTable.load(toy_config.embedding_file), toy_config.ngram_sizes)
+    build_index({child: [("label", "polar bear", 2.0)]}, hoods,
+                {child: [(early, 0.5), (late, 0.5)]}, encoders, tmp_path / "index")
+    doc = Document(id="d", title="A polar bear.", provided_mentions=("polar bear",))
+    with open_classifier(tmp_path / "index", toy_config) as clf:
+        assert clf._index.names == [child, late, early]
+        topics = clf.classify_document(doc)
+    assert [(t.entity, t.origin) for t in topics] == [
+        (child, "direct"), (early, "parent"), (late, "parent")]
+    assert topics[1].final_score == topics[2].final_score
 
 
 def test_empty_document_has_no_topics(classifier):
@@ -354,13 +376,13 @@ def test_fork_while_another_thread_is_inside_a_memo_miss(clf, forking, monkeypat
     docs = [d for d, _ in load_corpus()]
     want = clf.classify_batch(docs, jobs=1)
     entered, release = threading.Event(), threading.Event()
-    query = clf._index.query
+    retrieve = clf._index.retrieve
 
-    def blocking_query(lemma, k):
+    def blocking_retrieve(lemma, k):
         if lemma == "blocked lemma":
             entered.set()
             assert release.wait(timeout=30)
-        return query(lemma, k)
+        return retrieve(lemma, k)
 
     start_worker = pipeline._start_worker
 
@@ -368,7 +390,7 @@ def test_fork_while_another_thread_is_inside_a_memo_miss(clf, forking, monkeypat
         signal.alarm(10)  # a deadlocked worker dies instead of hanging the test
         start_worker(*args)
 
-    monkeypatch.setattr(clf._index, "query", blocking_query)
+    monkeypatch.setattr(clf._index, "retrieve", blocking_retrieve)
     monkeypatch.setattr(pipeline, "_start_worker", start_guarded)
     clf._candidates.cache_clear()
     miss = threading.Thread(target=clf._candidates, args=("blocked lemma",))
@@ -425,9 +447,9 @@ def test_block_cache_fills_but_stays_transparent(clf):
     calls = []
     inner = clf._index.candidate_blocks
 
-    def counting(uris):
-        calls.append(list(uris))
-        return inner(uris)
+    def counting(positions):
+        calls.append(list(positions))
+        return inner(positions)
 
     clf._index.candidate_blocks = counting
     first = clf.classify_document(doc)
@@ -474,11 +496,11 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
     no_coherence.classify_document(doc)
     index, table = no_coherence._index, EmbeddingTable.load(toy_config.embedding_file)
     for i, mention in enumerate(mentions):
-        hits = index.query(mention.lemma, toy_config.retrieval.k)
+        hits = index.retrieve(mention.lemma, toy_config.retrieval.k)
         rows = CandidateRows.for_lemma(
             lexical_vector(mention.lemma, toy_config.ngram_sizes),
             semantic_vector(mention.lemma, table),
-            index.candidate_blocks([h.record.uri for h in hits]), index, toy_config.ranking)
+            index.candidate_blocks([pos for pos, _ in hits]), index, toy_config.ranking)
         want = rows.rank(semantic_vector(mention.sentence, table), index, toy_config.ranking, i)
         assert captured[0][i] == want[: toy_config.coherence.top_m_per_mention]
     assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]

@@ -10,6 +10,7 @@ from kbtopics.kb import Iri
 from kbtopics.ranking import ScoredCandidate
 from kbtopics.selection import (
     SelectionParams,
+    Topic,
     TopicResult,
     aggregate,
     enhance_with_parents,
@@ -21,24 +22,14 @@ def iri(name: str) -> Iri:
     return Iri(f"http://example.org/{name}")
 
 
-def label_for(entity: Iri) -> str:
-    return entity.local_name
-
-
 def cand(name: str, score: float, mention: int = 0, boost: float = 1.0) -> ScoredCandidate:
     return ScoredCandidate(
         entity=iri(name), mention_index=mention, score=score, boost=boost
     )
 
 
-def topic(name: str, score: float, lemmas=("x",), origin="direct") -> TopicResult:
-    return TopicResult(
-        entity=iri(name),
-        label=name,
-        final_score=score,
-        supporting_lemmas=frozenset(lemmas),
-        origin=origin,
-    )
+def topic(name: str, score: float, lemmas=("x",), origin="direct") -> Topic:
+    return Topic(iri(name), score, frozenset(lemmas), origin)
 
 
 class TestParams:
@@ -66,74 +57,71 @@ class TestParams:
 class TestTopicResult:
     def test_direct_requires_lemmas(self):
         with pytest.raises(ValueError):
-            topic("a", 1.0, lemmas=())
+            TopicResult(iri("a"), "a", 1.0, frozenset(), "direct")
 
 
 class TestAggregate:
     def test_single_mention_single_lemma(self):
-        out = aggregate([[cand("a", 4.0)]], ["bear"], SelectionParams(), label_for)
+        out = aggregate([[cand("a", 4.0)]], ["bear"], SelectionParams())
         assert len(out) == 1
         assert out[0].entity == iri("a")
         assert out[0].final_score == pytest.approx(4.0)
         assert out[0].supporting_lemmas == frozenset({"bear"})
         assert out[0].origin == "direct"
-        assert out[0].label == "a"
 
     def test_two_mentions_distinct_lemmas(self):
         ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["bear", "polar bear"], SelectionParams(), label_for)
+        out = aggregate(ranked, ["bear", "polar bear"], SelectionParams())
         assert out[0].final_score == pytest.approx((3 + 2) * 1.2)
         assert out[0].supporting_lemmas == frozenset({"bear", "polar bear"})
 
     def test_repeated_lemma_no_diversity_bonus(self):
         ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["bear", "bear"], SelectionParams(), label_for)
+        out = aggregate(ranked, ["bear", "bear"], SelectionParams())
         assert out[0].final_score == pytest.approx(5.0)
 
     def test_equal_scores_tie_by_iri(self):
         ranked = [[cand("b", 2.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["x", "y"], SelectionParams(), label_for)
+        out = aggregate(ranked, ["x", "y"], SelectionParams())
         assert [t.entity for t in out] == [iri("a"), iri("b")]
 
     def test_empty_mentions_skipped(self):
-        out = aggregate([[], [cand("a", 1.0, 1)]], ["x", "y"], SelectionParams(), label_for)
+        out = aggregate([[], [cand("a", 1.0, 1)]], ["x", "y"], SelectionParams())
         assert len(out) == 1
-        assert aggregate([[], []], ["x", "y"], SelectionParams(), label_for) == []
+        assert aggregate([[], []], ["x", "y"], SelectionParams()) == []
 
     def test_winner_uses_boosted_score(self):
         ranked = [[cand("a", 5.0), cand("b", 4.5, boost=1.2)]]
-        out = aggregate(ranked, ["x"], SelectionParams(), label_for)
+        out = aggregate(ranked, ["x"], SelectionParams())
         assert out[0].entity == iri("b")
         assert out[0].final_score == pytest.approx(5.4)
 
     def test_winner_tie_breaks_by_iri(self):
         ranked = [[cand("b", 2.0), cand("a", 2.0)]]
-        out = aggregate(ranked, ["x"], SelectionParams(), label_for)
+        out = aggregate(ranked, ["x"], SelectionParams())
         assert out[0].entity == iri("a")
 
     def test_requires_one_lemma_per_mention(self):
         with pytest.raises(ValueError):
-            aggregate([[cand("a", 1.0)]], [], SelectionParams(), label_for)
+            aggregate([[cand("a", 1.0)]], [], SelectionParams())
 
     def test_mention_order_irrelevant(self):
         ranked = [[cand("a", 3.0, 0)], [cand("b", 7.0, 1)], [cand("a", 2.0, 2)]]
         lemmas = ["l1", "l2", "l3"]
-        base = aggregate(ranked, lemmas, SelectionParams(), label_for)
+        base = aggregate(ranked, lemmas, SelectionParams())
         perm = [2, 0, 1]
         again = aggregate(
-            [ranked[i] for i in perm], [lemmas[i] for i in perm],
-            SelectionParams(), label_for,
+            [ranked[i] for i in perm], [lemmas[i] for i in perm], SelectionParams(),
         )
         assert base == again
 
     def test_monotone_in_contribution_and_diversity(self):
         ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        base = aggregate(ranked, ["x", "x"], SelectionParams(), label_for)
+        base = aggregate(ranked, ["x", "x"], SelectionParams())
         bumped = aggregate(
-            [[cand("a", 3.5, 0)], [cand("a", 2.0, 1)]], ["x", "x"],
-            SelectionParams(), label_for,
+            [[cand("a", 3.5, 0)], [cand("a", 2.0, 1)]], ["x", "x"], SelectionParams(),
         )
-        diverse = aggregate(ranked, ["x", "y"], SelectionParams(), label_for)
+        diverse = aggregate(ranked, ["x", "y"], SelectionParams())
         assert bumped[0].final_score > base[0].final_score
         assert diverse[0].final_score > base[0].final_score
 
@@ -142,13 +130,13 @@ class TestEnhanceWithParents:
     def test_disabled_returns_input(self):
         topics = [topic("a", 10.0)]
         params = SelectionParams(include_parents=False)
-        assert enhance_with_parents(topics, lambda e: [(iri("p"), 1.0)], params, label_for) == topics
+        assert enhance_with_parents(topics, lambda e: [(iri("p"), 1.0)], params, str) == topics
 
     def test_unit_weight_parent(self):
         topics = [topic("a", 10.0, lemmas=("bear",))]
         parents = {iri("a"): [(iri("p"), 1.0)]}
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         by_entity = {t.entity: t for t in out}
         assert by_entity[iri("p")].final_score == pytest.approx(10.0)
@@ -161,7 +149,7 @@ class TestEnhanceWithParents:
         topics = [topic("a", 10.0)]
         parents = {iri("a"): [(iri("p"), weight)]}
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         by_entity = {t.entity: t for t in out}
         assert by_entity[iri("p")].final_score == pytest.approx(1.2589254117941673)
@@ -170,7 +158,7 @@ class TestEnhanceWithParents:
         topics = [topic("c", 10.0, lemmas=("cub",)), topic("p", 4.0, lemmas=("pa",))]
         parents = {iri("c"): [(iri("p"), 0.5)]}
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         by_entity = {t.entity: t for t in out}
         assert by_entity[iri("p")].final_score == pytest.approx(9.0)
@@ -184,7 +172,7 @@ class TestEnhanceWithParents:
             iri("c2"): [(iri("p"), 0.5)],
         }
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         by_entity = {t.entity: t for t in out}
         assert by_entity[iri("p")].final_score == pytest.approx(8.0)
@@ -197,7 +185,7 @@ class TestEnhanceWithParents:
             iri("p"): [(iri("g"), 1.0)],
         }
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         assert {t.entity for t in out} == {iri("c"), iri("p")}
 
@@ -210,7 +198,7 @@ class TestEnhanceWithParents:
             for i, n in enumerate(names)
         }
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         before = {t.entity: t.final_score for t in topics}
         after = {t.entity: t.final_score for t in out}
@@ -224,7 +212,7 @@ class TestEnhanceWithParents:
             iri("c2"): [(iri("p"), 1.0)],
         }
         out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), label_for
+            topics, lambda e: parents.get(e, []), SelectionParams(), str
         )
         scores = [t.final_score for t in out]
         assert scores == sorted(scores, reverse=True)
