@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,9 +200,8 @@ def apply_boosts(
             raise ValueError(f"boosts must be >= 1, got {value}")
     out: list[list[ScoredCandidate]] = []
     for candidates in ranked:
-        adjusted = [
-            replace(c, boost=boosts.get(c.entity, 1.0)) for c in candidates
-        ]
+        adjusted = [ScoredCandidate(c.entity, c.mention_index, c.score,
+                                    boosts.get(c.entity, 1.0)) for c in candidates]
         adjusted.sort(key=lambda c: (-c.effective, c.entity))
         out.append(adjusted)
     return out

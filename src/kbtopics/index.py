@@ -55,8 +55,8 @@ builds nothing per record. It checks the index against its manifest (format
 version, record and text counts, the semantic matrix's size against the
 embedding dimension), the sections against each other (sizes, row pointers,
 id ranges, the gram vocabulary's order, every neighborhood starting with its
-record at distance 0, the record IRIs strictly ascending, every entity IRI
-valid) and the content hash (sha256 over strings and columns, in that order,
+record at distance 0, the record IRIs, tokens and grams strictly ascending,
+every entity IRI valid and distinct) and the content hash (sha256 over strings and columns, in that order,
 read in chunks so that it faults none of the map's pages in). Closing drops
 the index's views; the map, and its file, go with the last view, so a view
 of ``related`` taken before stays readable.
@@ -320,12 +320,14 @@ def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, lis
                 f"x embedding dim {manifest.embedding_dim}")
     if columns["posting_tfs"].size and columns["posting_tfs"].min() < 1:
         return "a term frequency below 1"
-    for key in ("entities", "tokens", "grams"):
-        if len(set(strings[key])) != len(strings[key]):
-            return f"duplicate {key} in the string table"
-    records = strings["entities"][:n_records]
-    if not all(map(operator.lt, records, records[1:])):
-        return "record IRIs not strictly ascending"
+    if len(set(strings["entities"])) != len(strings["entities"]):
+        return "duplicate entities in the string table"
+    # the lists written sorted are checked to ascend, which also rules out
+    # duplicates
+    for key, names in (("record IRIs", strings["entities"][:n_records]),
+                       ("tokens", strings["tokens"]), ("grams", strings["grams"])):
+        if not all(map(operator.lt, names, names[1:])):
+            return f"{key} not strictly ascending"
     return ""
 
 
@@ -556,6 +558,7 @@ class CandidateIndex:
             self._posting_texts[:split], self._posting_tfs[:split], n_texts)
         self._gram_norm = _length_norms(
             self._posting_texts[split:], self._posting_tfs[split:], n_texts)
+        self.text_count = n_texts
         self._lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
                                        columns["gram_texts"], columns["gram_values"], n_texts)
         self._semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
@@ -700,22 +703,24 @@ class CandidateIndex:
 
     def _checked_ids(self, text_ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(text_ids, dtype=np.intp)
-        n = self._lexical.n_texts
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise IndexIntegrityError(
-                f"text id out of range [0, {n}): {int(ids.min())}..{int(ids.max())}")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.text_count):
+            raise IndexIntegrityError(f"text id out of range [0, {self.text_count}): "
+                                      f"{int(ids.min())}..{int(ids.max())}")
         return ids
 
-    def lexical_cosines(self, query: SparseVector, text_ids: Sequence[int]) -> np.ndarray:
-        """The lexical cosine of the query vector with each text, one per id
-        in the given order, read from the postings of the query's grams. An
-        id outside the index raises IndexIntegrityError."""
-        return self._lexical.cosines(query, self._checked_ids(text_ids))
+    def lexical_cosines(self, queries: Sequence[SparseVector], slots: Sequence[int],
+                        text_ids: Sequence[int]) -> np.ndarray:
+        """Row i's lexical cosine of the query vector ``queries[slots[i]]``
+        with text ``text_ids[i]``, read from the postings of the queries'
+        grams. The ids are checked once for the batch: one outside the index
+        raises IndexIntegrityError."""
+        return self._lexical.cosines(queries, np.asarray(slots, dtype=np.intp),
+                                     self._checked_ids(text_ids))
 
     def semantic_rows(self, text_ids: Sequence[int]) -> np.ndarray:
         """The texts' semantic vectors, one row per id in the given order: an
         (n, D) copy. An id outside the index raises IndexIntegrityError."""
-        return self._semantic[self._checked_ids(text_ids)]
+        return np.take(self._semantic, self._checked_ids(text_ids), axis=0)
 
     def candidate_blocks(self, positions: Sequence[int]) -> CandidateBlocks:
         """Scoring rows of the records at the positions, by address and
@@ -734,7 +739,7 @@ class CandidateIndex:
         counts = self._text_start[ids + 1] - starts
         text_ids = ranges(starts, counts)
         return CandidateBlocks(
-            entities=tuple(positions),
+            entities=pos,
             sizes=np.bincount(candidate, weights=counts, minlength=len(pos)).astype(np.intp),
             text_ids=text_ids,
             field_weights=self._weights[text_ids],

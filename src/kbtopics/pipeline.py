@@ -4,17 +4,21 @@ Building runs load, cross-ref normalization, pruning, edge weighting,
 neighborhood expansion, parent derivation, and vector encoding into one index
 directory. Classification opens that directory read-only and turns documents
 into ranked topic lists. Candidates are record positions from retrieval to
-the knee cut; only the topics kept are named by IRI and label. A classifier
-keeps, per mention lemma, the part of scoring that does not depend on the
-sentence (retrieval, the candidates' row addresses and their partial scores)
-in a ``functools.lru_cache`` of at most one entry per indexed entity. An
-instance is safe to share across threads: every stage is pure, and the
-cache needs no lock of ours.
+the knee cut; only the topics kept are named by IRI and label.
+
+Per document, scoring runs as two batches (``ranking``): the document's
+distinct lemmas are looked up in the memo together and its misses scored in
+one stage-one pass, then every mention is ranked against its sentence in one
+stage-two pass. The memo keeps, per lemma, the part of scoring that does not
+depend on the sentence (the candidates' row addresses and partial scores, as
+arrays of their own) in a plain dict of at most one entry per indexed
+entity, least recently used evicted first. An instance is safe to share
+across threads without a lock: every stage is pure, and each touch of the
+memo is a single dict operation.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import multiprocessing
 import os
@@ -56,7 +60,7 @@ from .mentions import (
     RuleBasedDetector,
     merge_keywords,
 )
-from .ranking import CandidateRows
+from .ranking import CandidateRows, rank_mentions, score_lemmas
 from .selection import Topic, TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
 from .vectors import EmbeddingTable, lexical_vector, semantic_vector
 
@@ -156,22 +160,14 @@ class Classifier:
         self._ranking = config.ranking
         self._coherence = config.coherence
         self._selection = config.selection
-        self._label_field = config.retrieval.label_field
+        self._retrieval = config.retrieval
+        self._ngram_sizes = config.ngram_sizes
         self._rule_detector = RuleBasedDetector()
         self._provided_detector = ProvidedMentionDetector()
-
-        def stage_one(lemma: str) -> CandidateRows:
-            """The lemma's candidates with their rows' partial scores: retrieval,
-            the candidates' row addresses and the sentence-independent kernel."""
-            hits = index.retrieve(lemma, config.retrieval.k)
-            return CandidateRows.for_lemma(
-                lexical_vector(lemma, config.ngram_sizes), semantic_vector(lemma, table),
-                index.candidate_blocks([pos for pos, _ in hits]), index, config.ranking)
-
-        # lemma -> stage one, least recently used evicted first. The closure
-        # refers to no ``self``: a bound method would make a reference cycle
-        # that keeps a dropped classifier alive until a collection.
-        self._candidates = functools.lru_cache(maxsize=max(len(index), 1))(stage_one)
+        # lemma -> stage one, least recently used first (a hit is inserted
+        # again); see _candidates for why it needs no lock
+        self._memo: dict[str, CandidateRows] = {}
+        self._memo_cap = max(len(index), 1)
 
     def close(self) -> None:
         """Close the index this classifier reads."""
@@ -185,7 +181,7 @@ class Classifier:
 
     def _named(self, topic: Topic) -> TopicResult:
         uri = Iri(self._index.names[topic.entity])
-        label = self._index.label(topic.entity, self._label_field)
+        label = self._index.label(topic.entity, self._retrieval.label_field)
         return TopicResult(uri, uri.local_name if label is None else label,
                            topic.final_score, topic.supporting_lemmas, topic.origin)
 
@@ -195,19 +191,54 @@ class Classifier:
         )
         return merge_keywords(detector.detect(doc), doc)
 
+    def _candidates(self, lemmas: Iterable[str]) -> dict[str, CandidateRows]:
+        """Stage one of the lemmas: hits from the memo, and the misses as
+        one batch (retrieval and the encoders per lemma, then one gather of
+        all their candidates' rows and one ``score_lemmas``).
+
+        Each touch of the memo is one dict operation, atomic under the
+        interpreter lock, so there is no lock a fork could inherit held. A
+        race costs only work: two threads missing one lemma both score it,
+        to equal rows, and the memo exceeds its cap by the misses of the
+        documents being classified until their threads trim it."""
+        memo, found, misses = self._memo, {}, []
+        for lemma in lemmas:
+            rows = memo.pop(lemma, None)
+            if rows is None:
+                misses.append(lemma)
+            else:
+                memo[lemma] = found[lemma] = rows
+        if misses:
+            index, k = self._index, self._retrieval.k
+            hits = [[pos for pos, _ in index.retrieve(lemma, k)] for lemma in misses]
+            scored = score_lemmas(
+                [lexical_vector(lemma, self._ngram_sizes) for lemma in misses],
+                np.array([semantic_vector(lemma, self._table) for lemma in misses]),
+                index.candidate_blocks([pos for positions in hits for pos in positions]),
+                [len(positions) for positions in hits], index, self._ranking)
+            for lemma, rows in zip(misses, scored):
+                memo[lemma] = found[lemma] = rows
+            while len(memo) > self._memo_cap:
+                try:
+                    memo.pop(next(iter(memo)), None)  # the least recently used
+                except RuntimeError:  # another thread resized it; look again
+                    pass
+        return found
+
     def classify_document(self, doc: Document) -> list[TopicResult]:
         mentions = self.detect(doc)
         if not mentions:
             return []
 
+        candidates = self._candidates(dict.fromkeys(m.lemma for m in mentions))
         contexts: dict[str, np.ndarray] = {}
-        ranked_lists = []
-        for i, mention in enumerate(mentions):
-            ctx = contexts.get(mention.sentence)
-            if ctx is None:
-                ctx = contexts[mention.sentence] = semantic_vector(mention.sentence, self._table)
-            ranked = self._candidates(mention.lemma).rank(ctx, self._index, self._ranking, i)
-            ranked_lists.append(ranked[: self._coherence.top_m_per_mention])
+        for mention in mentions:
+            if mention.sentence not in contexts:
+                contexts[mention.sentence] = semantic_vector(mention.sentence, self._table)
+        ranked_lists = rank_mentions(
+            [candidates[m.lemma] for m in mentions],
+            np.array([contexts[m.sentence] for m in mentions]),
+            self._index, self._ranking, self._coherence.top_m_per_mention)
 
         if self._coherence.enabled:
             membership = [[c.entity for c in ranked] for ranked in ranked_lists]

@@ -18,18 +18,26 @@ a(0) > 0 means unrelated rows leak a little mass; that is intentional, the
 function's range is (0, 1).
 
 Scoring splits along that formula. Everything in d_i except a(ctx_i)
-depends only on the mention's lemma and the row, so it runs in two stages
-over the rows of all candidates of a mention, stacked in candidate order
-(``CandidateBlocks``, as an index gathers them):
+depends only on the mention's lemma and the row, so it runs in two stages,
+each one array pass over the rows of many candidates stacked in candidate
+order (``CandidateBlocks``, as an index gathers them):
 
-1. ``CandidateRows.for_lemma`` asks a ``VectorSource`` for the rows'
-   lexical cosines with the lemma's vector (an index reads only the
-   postings of the lemma's grams) and their semantic vectors, and computes
-   ``partial = w_l*a(lex) + w_sm*a(sem)`` per row; the semantic cosine is a
-   row-wise sum over the stacked rows.
-2. ``CandidateRows.scores`` gathers the rows' semantic vectors again, adds
-   ``w_sc*a(ctx)`` for the mention's sentence, weights each row and sums
-   each block's rows with ``np.add.reduceat``.
+1. ``score_lemmas``, for several lemmas: one lexical pass for all their
+   queries (an index reads only the postings of their grams), one gather of
+   the rows' semantic vectors, each row summed with its own lemma's vector,
+   and one activation give ``partial = w_l*a(lex) + w_sm*a(sem)`` per row,
+   split into one ``CandidateRows`` per lemma with arrays of its own.
+2. ``rank_mentions``, for several mentions: the rows' semantic vectors
+   gathered again and summed with each row's own sentence context, ``w_sc *
+   a(ctx)`` added, each row weighted, each block's rows summed with one
+   ``np.add.reduceat``, and one lexsort keeping each mention's best.
+
+A single lemma or mention is a batch of one, and every row's arithmetic is
+the same in any batch, so scores are bit for bit those of a batch of one.
+The temporaries that grow with a batch (the lexical accumulator, lemmas ×
+texts, and the gathered rows, rows × dimension) hold at most
+``_BATCH_VALUES`` values each; beyond that, lemmas and rows go in chunks,
+a lexical chunk holding at least one lemma.
 
 ``CandidateBlocks`` name their candidates by record position and hold only
 their rows' addresses (text ids) with their field weights and distances;
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -78,11 +86,22 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
     return (1.0 + np.exp(alpha - beta * np.asarray(x, dtype=np.float64))) ** -2.0
 
 
+# the most values (8 bytes each) one batch temporary holds: the lexical
+# accumulator, or the gathered semantic rows and the vectors they are
+# multiplied by. 1 MB stays in a core's L2 cache: at 128k texts, an
+# accumulator of six lemmas (6 MB) read 10-20% slower than one lemma at a time
+_BATCH_VALUES = 2**17
+
+
 class VectorSource(Protocol):
     """Similarities and vectors of texts by text id, one row per id in the
-    given order (an opened ``CandidateIndex``)."""
+    given order (an opened ``CandidateIndex``). ``semantic_rows`` returns a
+    new array, which scoring overwrites."""
 
-    def lexical_cosines(self, query: SparseVector, text_ids: np.ndarray) -> np.ndarray: ...
+    text_count: int
+
+    def lexical_cosines(self, queries: Sequence[SparseVector], slots: np.ndarray,
+                        text_ids: np.ndarray) -> np.ndarray: ...
 
     def semantic_rows(self, text_ids: np.ndarray) -> np.ndarray: ...
 
@@ -94,7 +113,7 @@ class CandidateBlocks:
     owns the next ``sizes[i]`` rows, the texts of itself and of its
     neighborhood, with per-row field weights and owner distances."""
 
-    entities: tuple[int, ...]
+    entities: np.ndarray              # (candidates,) record positions
     sizes: np.ndarray                 # (candidates,) rows per candidate
     text_ids: np.ndarray              # (rows,)
     field_weights: np.ndarray         # (rows,)
@@ -115,52 +134,100 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class CandidateRows:
-    """A mention's candidate blocks with the part of their rows' score that
+    """A lemma's candidate blocks with the part of their rows' score that
     does not depend on the sentence: ``partial = w_l*a(lex) + w_sm*a(sem)``
-    per row. Built by ``for_lemma`` (stage one); ``scores`` and ``rank``
-    finish it for a sentence."""
+    per row. Made by ``score_lemmas`` (stage one) and finished by
+    ``rank_mentions`` (stage two); its arrays are its own."""
 
     blocks: CandidateBlocks
-    starts: np.ndarray                # first row of each block that has rows
-    filled: np.ndarray                # (candidates,) bool, which blocks have rows
     partial: np.ndarray
 
-    @classmethod
-    def for_lemma(cls, lex: SparseVector, sem: np.ndarray, blocks: CandidateBlocks,
-                  vectors: VectorSource, params: RankingParams) -> "CandidateRows":
-        """Stage one, for the lexical and semantic vectors of a mention's lemma."""
-        n = blocks.text_ids.shape[0]
-        sem_matrix = vectors.semantic_rows(blocks.text_ids)
+
+def _row_sums(vectors: VectorSource, text_ids: np.ndarray, queries: np.ndarray,
+              query_of: np.ndarray) -> np.ndarray:
+    """Row i's dot product of text ``text_ids[i]``'s semantic vector with
+    ``queries[query_of[i]]``, gathering at most ``_BATCH_VALUES`` values of
+    rows at a time."""
+    out = np.empty(text_ids.shape[0])
+    step = max(1, _BATCH_VALUES // max(queries.shape[1], 1))
+    for lo in range(0, text_ids.shape[0], step):
+        rows = vectors.semantic_rows(text_ids[lo:lo + step])
+        rows *= np.take(queries, query_of[lo:lo + step], axis=0)
         # row-wise sums rather than a BLAS product, whose rounding can depend
-        # on a row's position in the stack: a block scores the same wherever
+        # on a row's position in the stack: a row scores the same wherever
         # it sits
-        act = activation(np.concatenate([vectors.lexical_cosines(lex, blocks.text_ids),
-                                         (sem_matrix * sem).sum(axis=1)]),
-                         params.alpha, params.beta)
-        filled = blocks.sizes > 0
-        return cls(
-            blocks=blocks,
-            starts=(np.cumsum(blocks.sizes) - blocks.sizes)[filled],
-            filled=filled,
-            partial=params.w_l * act[:n] + params.w_sm * act[n:],
-        )
+        out[lo:lo + step] = rows.sum(axis=1)
+    return out
 
-    def scores(self, ctx: np.ndarray, vectors: VectorSource,
-               params: RankingParams) -> np.ndarray:
-        """Every block's score for a sentence with context vector ``ctx``,
-        in block order (stage two)."""
-        blocks = self.blocks
-        ctx_cos = (vectors.semantic_rows(blocks.text_ids) * ctx).sum(axis=1)
-        per_row = self.partial + params.w_sc * activation(ctx_cos, params.alpha, params.beta)
-        contrib = blocks.field_weights * per_row / (1.0 + blocks.distances)
-        scores = np.zeros(len(blocks.entities))
-        scores[self.filled] = np.add.reduceat(contrib, self.starts)
-        return scores
 
-    def rank(self, ctx: np.ndarray, vectors: VectorSource, params: RankingParams,
-             mention_index: int = 0) -> list[ScoredCandidate]:
-        """Scored blocks, descending by score, ties broken by position."""
-        scored = [ScoredCandidate(e, mention_index, s) for e, s in
-                  zip(self.blocks.entities, self.scores(ctx, vectors, params).tolist())]
-        scored.sort(key=lambda c: (-c.score, c.entity))
-        return scored
+def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
+                 blocks: CandidateBlocks, candidates: Sequence[int],
+                 vectors: VectorSource, params: RankingParams) -> list[CandidateRows]:
+    """Stage one for several lemmas: lemma j, with lexical vector
+    ``lexical[j]`` and semantic vector ``semantic[j]``, has the next
+    ``candidates[j]`` blocks of ``blocks``. The lexical pass takes as many
+    lemmas at a time as keep its accumulator within ``_BATCH_VALUES``, and at
+    least one."""
+    n_lemmas = len(candidates)
+    block_ptr = np.zeros(n_lemmas + 1, dtype=np.intp)
+    np.cumsum(candidates, out=block_ptr[1:])
+    row_ptr = np.zeros(blocks.sizes.shape[0] + 1, dtype=np.intp)
+    np.cumsum(blocks.sizes, out=row_ptr[1:])
+    row_ptr = row_ptr[block_ptr]  # lemma j's rows are [row_ptr[j], row_ptr[j + 1])
+    slots = np.repeat(np.arange(n_lemmas), np.diff(row_ptr))
+    n = row_ptr[-1]
+    lex = np.empty(n)
+    step = max(1, _BATCH_VALUES // max(vectors.text_count, 1))
+    for lo in range(0, n_lemmas, step):
+        rows = slice(row_ptr[lo], row_ptr[min(lo + step, n_lemmas)])
+        lex[rows] = vectors.lexical_cosines(
+            lexical[lo:lo + step], slots[rows] - lo, blocks.text_ids[rows])
+    act = activation(np.concatenate([lex, _row_sums(vectors, blocks.text_ids, semantic, slots)]),
+                     params.alpha, params.beta)
+    partial = params.w_l * act[:n] + params.w_sm * act[n:]
+    out = []
+    for b0, b1, r0, r1 in zip(block_ptr.tolist(), block_ptr[1:].tolist(),
+                              row_ptr.tolist(), row_ptr[1:].tolist()):
+        out.append(CandidateRows(
+            CandidateBlocks(blocks.entities[b0:b1].copy(), blocks.sizes[b0:b1].copy(),
+                            blocks.text_ids[r0:r1].copy(), blocks.field_weights[r0:r1].copy(),
+                            blocks.distances[r0:r1].copy()),
+            partial[r0:r1].copy()))
+    return out
+
+
+def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, vectors: VectorSource,
+                  params: RankingParams, top_m: int) -> list[list[ScoredCandidate]]:
+    """Stage two for several mentions: mention i's candidates ``rows[i]``
+    scored against its sentence's context vector ``contexts[i]``. Each
+    mention keeps its best ``top_m``, descending by score, ties broken by
+    position."""
+    if not rows:
+        return []
+
+    def stacked(column):
+        return np.concatenate([column(r) for r in rows])
+
+    sizes = stacked(lambda r: r.blocks.sizes)
+    n_blocks = np.array([r.blocks.sizes.shape[0] for r in rows], dtype=np.intp)
+    mention_of_row = np.repeat(np.arange(len(rows)), [r.partial.shape[0] for r in rows])
+    ctx = _row_sums(vectors, stacked(lambda r: r.blocks.text_ids), contexts, mention_of_row)
+    per_row = stacked(lambda r: r.partial) + params.w_sc * activation(
+        ctx, params.alpha, params.beta)
+    contrib = stacked(lambda r: r.blocks.field_weights) * per_row / (
+        1.0 + stacked(lambda r: r.blocks.distances))
+    scores = np.zeros(sizes.shape[0])
+    filled = sizes > 0
+    scores[filled] = np.add.reduceat(contrib, (np.cumsum(sizes) - sizes)[filled])
+    # by mention, then descending score, then position; each mention's first
+    # top_m of that order are kept
+    entities = stacked(lambda r: r.blocks.entities)
+    mention = np.repeat(np.arange(len(rows)), n_blocks)
+    order = np.lexsort((entities, -scores, mention))
+    keep = order[np.arange(order.shape[0]) - np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks)
+                 < top_m]
+    ranked: list[list[ScoredCandidate]] = [[] for _ in rows]
+    for entity, i, score in zip(entities[keep].tolist(), mention[keep].tolist(),
+                                scores[keep].tolist()):
+        ranked[i].append(ScoredCandidate(entity, i, score))
+    return ranked

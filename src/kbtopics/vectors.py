@@ -15,13 +15,15 @@ the same values: each text is normalized once, and its n-grams are cut once
 over one array of the code points of all texts, as integer gram codes. It
 stores the lexical vectors column-major by gram (``LexicalColumns``).
 
-A query's lexical cosines (``LexicalColumns.cosines``) read only the
-postings of the grams the query holds: one ``searchsorted`` of its sorted
-keys in the vocabulary, their postings concatenated in ascending key order
-and summed per text with ``bincount``. Each text's terms are therefore added
-in ascending key order, as a row-major dot product over sorted keys would
-add them. Results are new arrays, which never pin the memory the columns
-view.
+Lexical cosines (``LexicalColumns.cosines``) are computed for several
+queries at once and read only the postings of the grams the queries hold:
+one ``searchsorted`` of each query's sorted keys in the vocabulary, their
+postings concatenated query after query, each in ascending key order, and
+summed per (query, text) with one ``bincount`` over ``query * n_texts +
+text`` keys. Each text's terms with a query are therefore added in ascending
+key order, as a row-major dot product over sorted keys would add them, and
+however many queries share the pass. Results are new arrays, which never pin
+the memory the columns view.
 """
 
 from __future__ import annotations
@@ -124,12 +126,15 @@ class LexicalColumns(NamedTuple):
     values: np.ndarray                # (nnz,) float64
     n_texts: int
 
-    def cosines(self, query: SparseVector, text_ids: np.ndarray) -> np.ndarray:
-        """Dot product of the query with each text's vector, one per id in
-        the given order."""
-        pairs = sorted(query.items())
-        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-        q_values = np.array([v for _, v in pairs], dtype=np.float64)
+    def cosines(self, queries: Sequence[SparseVector], slots: np.ndarray,
+                text_ids: np.ndarray) -> np.ndarray:
+        """Row i's dot product of ``queries[slots[i]]`` with the vector of text
+        ``text_ids[i]``. The accumulator holds ``len(queries) * n_texts``
+        values; callers bound it by the queries they pass at once."""
+        pairs = [sorted(query.items()) for query in queries]
+        keys = np.array([k for p in pairs for k, _ in p], dtype=np.uint64)
+        q_values = np.array([v for p in pairs for _, v in p], dtype=np.float64)
+        owner = np.repeat(np.arange(len(pairs)) * self.n_texts, [len(p) for p in pairs])
         pos = np.searchsorted(self.vocab, keys)
         found = pos < self.vocab.shape[0]
         found[found] = self.vocab[pos[found]] == keys[found]
@@ -137,10 +142,11 @@ class LexicalColumns(NamedTuple):
         starts = self.indptr[grams]
         counts = self.indptr[grams + 1] - starts
         take = ranges(starts, counts)
-        per_text = np.bincount(
-            self.texts[take], weights=self.values[take] * np.repeat(q_values[found], counts),
-            minlength=self.n_texts)
-        return per_text[text_ids]
+        sums = np.bincount(
+            np.repeat(owner[found], counts) + self.texts[take],
+            weights=self.values[take] * np.repeat(q_values[found], counts),
+            minlength=len(pairs) * self.n_texts)
+        return sums[slots * self.n_texts + text_ids]
 
 
 def _postings(keys: np.ndarray, n_terms: int, n_texts: int,

@@ -404,7 +404,7 @@ def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
         weights.extend(w for _, _, w in texts)
         distances.extend([dist] * len(texts))
     return CandidateBlock(
-        entity=uri,
+        entity=index.position(uri),
         text_ids=np.array(text_ids, dtype=np.int64),
         field_weights=np.array(weights, dtype=np.float64),
         distances=np.array(distances, dtype=np.float64),
@@ -431,6 +431,17 @@ def lexical_cosines_by_rows(query: SparseVector, rows: LexicalRows) -> np.ndarra
     row_ids = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
     return np.bincount(row_ids[hit], weights=rows.values[hit] * q_vals[pos],
                        minlength=n_rows)
+
+
+def partial_by_rows(lex: SparseVector, sem: np.ndarray, blocks: Sequence[CandidateBlock],
+                    vectors: RowTable, params: RankingParams) -> np.ndarray:
+    """Stage one's ``partial`` of the blocks' rows for one lemma, by the row
+    kernel over rows loaded row by row: ``w_l*a(lex) + w_sm*a(sem)``."""
+    ids = np.concatenate([b.text_ids for b in blocks] or [np.zeros(0, dtype=np.intp)])
+    lex_rows, sem_matrix = vectors.load_vectors(ids)
+    act = activation(np.concatenate([lexical_cosines_by_rows(lex, lex_rows),
+                                     (sem_matrix * sem).sum(axis=1)]), params.alpha, params.beta)
+    return params.w_l * act[:ids.shape[0]] + params.w_sm * act[ids.shape[0]:]
 
 
 def block_scores_one_stage(

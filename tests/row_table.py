@@ -5,9 +5,10 @@ The library stores lexical vectors by gram (``LexicalColumns``) and scores a
 query from its grams' postings. Tests describe rows as ``SparseVector``
 dicts; this module turns rows into columns and back, keeps the row-major
 CSR form (``LexicalRows``) that the oracles score, and holds rows in a
-``RowTable`` that scores like an opened index. ``score_candidate`` and
-``rank_candidates`` run both scoring stages of ``CandidateRows`` for one
-mention over ``CandidateBlock``s, one candidate's rows each.
+``RowTable`` that scores like an opened index. ``score_candidate``,
+``rank_candidates`` and ``block_scores`` run both scoring stages
+(``score_lemmas`` and ``rank_mentions``) for one mention, a batch of one,
+over ``CandidateBlock``s, one candidate's rows each.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from kbtopics.kb import Iri
 from kbtopics.ranking import (
-    CandidateBlocks, CandidateRows, RankingParams, ScoredCandidate, VectorSource,
+    CandidateBlocks, CandidateRows, RankingParams, ScoredCandidate, VectorSource, rank_mentions,
+    score_lemmas,
 )
 from kbtopics.vectors import LexicalColumns, SparseVector
 
@@ -38,7 +39,7 @@ class CandidateBlock:
     own texts and of its neighborhood's, with per-row field weights and
     owner distances."""
 
-    entity: Iri
+    entity: int                       # record position
     text_ids: np.ndarray              # (n,) integer text ids
     field_weights: np.ndarray         # (n,)
     distances: np.ndarray             # (n,), w_e of each row's owner
@@ -57,25 +58,39 @@ def stack(blocks: Sequence[CandidateBlock]) -> CandidateBlocks:
     def column(name: str, dtype) -> np.ndarray:
         return np.concatenate([getattr(b, name) for b in blocks] or [np.zeros(0, dtype)])
 
-    return CandidateBlocks(tuple(b.entity for b in blocks),
+    return CandidateBlocks(np.array([b.entity for b in blocks], dtype=np.intp),
                            np.array([len(b) for b in blocks], dtype=np.intp),
                            column("text_ids", np.intp), column("field_weights", np.float64),
                            column("distances", np.float64))
 
 
-def score_candidate(mention: MentionVectors, block: CandidateBlock, vectors: VectorSource,
-                    params: RankingParams) -> float:
-    """Total activated, field-weighted, distance-attenuated similarity."""
-    rows = CandidateRows.for_lemma(mention.lex, mention.sem, stack([block]), vectors, params)
-    return float(rows.scores(mention.ctx, vectors, params)[0])
+def lemma_rows(mention: MentionVectors, blocks: Sequence[CandidateBlock], vectors: VectorSource,
+               params: RankingParams) -> CandidateRows:
+    """Stage one for the mention's lemma alone."""
+    [rows] = score_lemmas([mention.lex], mention.sem[None], stack(blocks), [len(blocks)],
+                          vectors, params)
+    return rows
 
 
 def rank_candidates(mention: MentionVectors, blocks: Sequence[CandidateBlock],
-                    vectors: VectorSource, params: RankingParams,
-                    mention_index: int = 0) -> list[ScoredCandidate]:
-    """Score every block; descending by score, ties broken by entity IRI."""
-    rows = CandidateRows.for_lemma(mention.lex, mention.sem, stack(blocks), vectors, params)
-    return rows.rank(mention.ctx, vectors, params, mention_index)
+                    vectors: VectorSource, params: RankingParams) -> list[ScoredCandidate]:
+    """Score every block; descending by score, ties broken by position."""
+    [ranked] = rank_mentions([lemma_rows(mention, blocks, vectors, params)], mention.ctx[None],
+                             vectors, params, max(len(blocks), 1))
+    return ranked
+
+
+def block_scores(mention: MentionVectors, blocks: Sequence[CandidateBlock],
+                 vectors: VectorSource, params: RankingParams) -> np.ndarray:
+    """Every block's score, in block order (their positions are distinct)."""
+    scores = {c.entity: c.score for c in rank_candidates(mention, blocks, vectors, params)}
+    return np.array([scores[b.entity] for b in blocks], dtype=np.float64)
+
+
+def score_candidate(mention: MentionVectors, block: CandidateBlock, vectors: VectorSource,
+                    params: RankingParams) -> float:
+    """Total activated, field-weighted, distance-attenuated similarity."""
+    return float(block_scores(mention, [block], vectors, params)[0])
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,7 @@ class RowTable:
         self._columns = None
         return np.arange(first, len(self.lex), dtype=np.intp)
 
-    def block(self, entity: Iri, rows: Sequence[SparseVector], sem_matrix,
+    def block(self, entity: int, rows: Sequence[SparseVector], sem_matrix,
               field_weights, distances) -> CandidateBlock:
         """A block over newly stored rows."""
         return CandidateBlock(
@@ -175,10 +190,15 @@ class RowTable:
             distances=np.asarray(distances, dtype=np.float64),
         )
 
-    def lexical_cosines(self, query: SparseVector, text_ids) -> np.ndarray:
+    @property
+    def text_count(self) -> int:
+        return len(self.lex)
+
+    def lexical_cosines(self, queries: Sequence[SparseVector], slots, text_ids) -> np.ndarray:
         if self._columns is None:
             self._columns = columns_of(self.lex)
-        return self._columns.cosines(query, np.asarray(text_ids, dtype=np.intp))
+        return self._columns.cosines(queries, np.asarray(slots, dtype=np.intp),
+                                     np.asarray(text_ids, dtype=np.intp))
 
     def load_vectors(self, text_ids) -> tuple[LexicalRows, np.ndarray]:
         """The texts' (lexical, semantic) vectors, row by row: CSR rows and

@@ -331,7 +331,7 @@ def random_block(rng, table, n_rows, dim=8):
     if n_rows > 1:
         sem[1] = 0.0
     return table.block(
-        iri("cand"),
+        0,
         lex_rows,
         sem,
         field_weights=rng.uniform(0.5, 3.0, size=n_rows),

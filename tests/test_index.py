@@ -307,7 +307,8 @@ INDEX_READS = {
     "neighborhood": lambda idx, uri: idx.neighborhood(uri),
     "candidate_blocks": lambda idx, uri: idx.candidate_blocks([0]),
     "semantic_rows": lambda idx, uri: idx.semantic_rows([0]),
-    "lexical_cosines": lambda idx, uri: idx.lexical_cosines({1: 1.0}, [0]),
+    "lexical_cosines": lambda idx, uri: idx.lexical_cosines([{1: 1.0}], [0], [0]),
+    "text_count": lambda idx, uri: idx.text_count,
     "label": lambda idx, uri: idx.label(0, "label"),
     "position": lambda idx, uri: idx.position(uri),
     "names": lambda idx, uri: idx.names,
@@ -441,6 +442,20 @@ class TestOpenValidation:
         (path / STRINGS_FILE).write_text(json.dumps(strings))
         rehash(path)
         with pytest.raises(IndexIntegrityError, match="record IRIs not strictly ascending"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("tokens", lambda terms: terms.__setitem__(1, terms[0])),  # a repeated token
+        ("grams", lambda terms: terms.__setitem__(slice(0, 2), terms[1::-1])),  # two swapped
+    ])
+    def test_terms_out_of_order_refused(self, built, key, edit):
+        # tokens and grams are written sorted; an open checks that they ascend
+        _, _, path = built
+        strings = json.loads((path / STRINGS_FILE).read_text())
+        edit(strings[key])
+        (path / STRINGS_FILE).write_text(json.dumps(strings))
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match=f"{key} not strictly ascending"):
             CandidateIndex.open(path)
 
     def test_deleted_postings_line_fails_content_hash(self, built):
@@ -690,9 +705,9 @@ class TestVectors:
             np.testing.assert_array_equal(idx.semantic_rows(ids[::-1]), sem[::-1])
             for uri in idx.names[:len(idx)]:
                 for _, text, _ in idx.texts(uri):
-                    lex = idx.lexical_cosines(lexical_vector(text), ids)
+                    lex = cosines(idx, lexical_vector(text), ids)
                     assert lex.shape == (len(ids),) and lex.max() > 0.99
-                    assert idx.lexical_cosines(lexical_vector(text), ids[::-1]).tolist() \
+                    assert cosines(idx, lexical_vector(text), ids[::-1]).tolist() \
                         == lex[::-1].tolist()
 
     def test_out_of_range_ids_rejected(self, built):
@@ -700,7 +715,7 @@ class TestVectors:
         with CandidateIndex.open(path) as idx:
             for bad in (-1, manifest.text_count):
                 with pytest.raises(IndexIntegrityError):
-                    idx.lexical_cosines(lexical_vector("polar bear"), [0, bad])
+                    cosines(idx, lexical_vector("polar bear"), [0, bad])
                 with pytest.raises(IndexIntegrityError):
                     idx.semantic_rows([0, bad])
 
@@ -773,13 +788,17 @@ class TestVectorStoreFile:
             sem = idx.semantic_rows([0, 1, 2])
             np.testing.assert_array_equal(sem, [sem for _, sem in self.ROWS])
             np.testing.assert_array_equal(idx.semantic_rows([2, 1, 0]), sem[::-1])
-            cosines = idx.lexical_cosines({5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
-            assert cosines.tolist() == [0.25 + 0.25, 0.0, 0.8, 0.5]
-            assert idx.lexical_cosines({}, [2, 0]).tolist() == [0.0, 0.0]
-            assert idx.lexical_cosines({5: 1.0}, []).shape == (0,)
+            lex = cosines(idx, {5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
+            assert lex.tolist() == [0.25 + 0.25, 0.0, 0.8, 0.5]
+            assert cosines(idx, {}, [2, 0]).tolist() == [0.0, 0.0]
+            assert cosines(idx, {5: 1.0}, []).shape == (0,)
+            # several queries in one pass, a row naming its query by slot
+            together = idx.lexical_cosines([{}, {5: 1.0, TOP: 0.5, 6: 1.0}, {7: 1.0}],
+                                           [1, 2, 0, 1, 1, 1, 2], [0, 1, 2, 0, 1, 2, 2])
+            assert together.tolist() == [0.25 + 0.25, 0.0, 0.0, 0.5, 0.0, 0.8, 0.6]
             assert idx.semantic_rows([]).shape == (0, 2)
         # results are copies: they outlive the closed index
-        assert cosines[2] == 0.8 and sem[2].tolist() == [0.6, 0.8]
+        assert lex[2] == 0.8 and sem[2].tolist() == [0.6, 0.8]
 
     def test_file_bytes(self, tmp_path):
         # the vector sections, last in the column file: their element counts
@@ -805,7 +824,7 @@ class TestVectorStoreFile:
         path = write_store(tmp_path / "i", [], 4)
         with CandidateIndex.open(path) as idx:
             assert (idx._lexical.n_texts, idx.manifest.embedding_dim) == (0, 4)
-            assert idx.lexical_cosines({5: 1.0}, []).shape == (0,)
+            assert cosines(idx, {5: 1.0}, []).shape == (0,)
             assert idx.semantic_rows([]).shape == (0, 4)
 
     def test_wrong_semantic_dim(self, tmp_path):
@@ -861,7 +880,7 @@ class TestVectorStoreFile:
         with CandidateIndex.open(path) as idx:
             for bad in ([-1], [3], [0, 3]):
                 with pytest.raises(IndexIntegrityError):
-                    idx.lexical_cosines({5: 1.0}, bad)
+                    cosines(idx, {5: 1.0}, bad)
                 with pytest.raises(IndexIntegrityError):
                     idx.semantic_rows(bad)
 
@@ -935,7 +954,7 @@ class TestCandidateBlock:
             bear = idx.position(iri("bear"))
             block = idx.candidate_blocks([bear])
             # bear has 2 texts at distance 0, mammal 1 at 0.5, seal 1 at 1.0
-            assert block.entities == (bear,)
+            assert block.entities.tolist() == [bear]
             assert block.sizes.tolist() == [4]
             assert list(block.distances) == [0.0, 0.0, 0.5, 1.0]
             assert list(block.field_weights) == [2.0, 1.0, 2.0, 2.0]
@@ -959,6 +978,11 @@ class TestCandidateBlock:
                 assert idx.position(iri(name)) is None
 
 
+def cosines(idx, query, text_ids):
+    """The lexical cosines of one query with each text."""
+    return idx.lexical_cosines([query], [0] * len(text_ids), text_ids)
+
+
 def assert_blocks_match_loop(idx, uris):
     """candidate_blocks of the uris' positions, gathered together, loads no
     vectors and equals block_by_loop per uri, stacked."""
@@ -970,7 +994,7 @@ def assert_blocks_match_loop(idx, uris):
     finally:
         del idx.lexical_cosines, idx.semantic_rows
     want = stack([block_by_loop(idx, uri) for uri in uris])
-    assert blocks.entities == tuple(positions) and want.entities == tuple(uris)
+    assert blocks.entities.tolist() == want.entities.tolist() == positions
     for name in ("sizes", "text_ids", "field_weights", "distances"):
         got, expected = getattr(blocks, name), getattr(want, name)
         assert got.dtype == expected.dtype
@@ -1010,7 +1034,7 @@ class TestBlockGather:
             assert_blocks_match_loop(idx, uris)
             assert_blocks_match_loop(idx, uris[::-1] + uris[:3])
             none = idx.candidate_blocks([])
-            assert none.entities == () and none.sizes.size == none.text_ids.size == 0
+            assert none.entities.size == none.sizes.size == none.text_ids.size == 0
             # mercury's neighbor arctic has no record and adds no rows
             assert iri("arctic") in dict(idx.neighborhood(iri("mercury")).neighbors)
 
@@ -1151,10 +1175,13 @@ class TestLexicalCosines:
             texts = [text for uri in idx.names[:len(idx)] for _, text, _ in idx.texts(uri)]
             ids = [p % len(texts) for p in picks] if texts else []
             rows = lexical_rows([lexical_vector(texts[i]) for i in ids])
-            for words in queries:
-                query = lexical_vector(" ".join(words))
-                assert_bitwise(idx.lexical_cosines(query, ids),
-                               lexical_cosines_by_rows(query, rows))
+            queries = [lexical_vector(" ".join(words)) for words in queries]
+            for query in queries:
+                assert_bitwise(cosines(idx, query, ids), lexical_cosines_by_rows(query, rows))
+            # every query in one pass, each over the same ids
+            slots = np.repeat(np.arange(len(queries)), len(ids))
+            assert_bitwise(idx.lexical_cosines(queries, slots, ids * len(queries)),
+                           np.concatenate([lexical_cosines_by_rows(q, rows) for q in queries]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ROWS, max_size=8), ROWS, st.lists(st.integers(0, 2**16), max_size=12))
@@ -1165,5 +1192,5 @@ class TestLexicalCosines:
         ids = [p % len(rows) for p in picks] if rows else []
         with CandidateIndex.open(path) as idx:
             assert list(rows_of(idx._lexical, ids)) == [rows[i] for i in ids]
-            assert_bitwise(idx.lexical_cosines(query, ids), lexical_cosines_by_rows(
+            assert_bitwise(cosines(idx, query, ids), lexical_cosines_by_rows(
                 query, lexical_rows([rows[i] for i in ids])))

@@ -1,6 +1,5 @@
 """Offline build orchestration and the document classification pipeline."""
 
-import functools
 import gc
 import json
 import os
@@ -16,14 +15,14 @@ from types import SimpleNamespace
 import pytest
 
 from kbtopics.config import load_config, parse_config
-from kbtopics import pipeline
+from kbtopics import pipeline, ranking
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.expansion import Neighborhood
 from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, build_index
 from kbtopics.kb import Iri
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
-from kbtopics.ranking import CandidateRows
+from kbtopics.ranking import rank_mentions, score_lemmas
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 from oracles import neighborhoods_of
@@ -392,8 +391,8 @@ def test_fork_while_another_thread_is_inside_a_memo_miss(clf, forking, monkeypat
 
     monkeypatch.setattr(clf._index, "retrieve", blocking_retrieve)
     monkeypatch.setattr(pipeline, "_start_worker", start_guarded)
-    clf._candidates.cache_clear()
-    miss = threading.Thread(target=clf._candidates, args=("blocked lemma",))
+    clf._memo.clear()
+    miss = threading.Thread(target=clf._candidates, args=(["blocked lemma"],))
     miss.start()
     try:
         assert entered.wait(timeout=30)
@@ -473,11 +472,8 @@ def test_memo_hit_equals_fresh_classifier(built, toy_config, clf):
     docs = [d for d, _ in load_corpus()]
     got, hits = [], 0
     for doc in docs:
-        lemmas = [m.lemma for m in clf.detect(doc)]
-        before = clf._candidates.cache_info().hits
+        hits += len({m.lemma for m in clf.detect(doc)} & clf._memo.keys())
         got.append(clf.classify_document(doc))
-        # hits beyond those of the document's own repeated lemmas
-        hits += clf._candidates.cache_info().hits - before - (len(lemmas) - len(set(lemmas)))
     assert hits > 0  # later documents reuse lemmas of earlier ones
     assert got == fresh_topics(built, toy_config, docs)
 
@@ -496,47 +492,87 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
     no_coherence.classify_document(doc)
     index, table = no_coherence._index, EmbeddingTable.load(toy_config.embedding_file)
     for i, mention in enumerate(mentions):
+        # each mention as a batch of one
         hits = index.retrieve(mention.lemma, toy_config.retrieval.k)
-        rows = CandidateRows.for_lemma(
-            lexical_vector(mention.lemma, toy_config.ngram_sizes),
-            semantic_vector(mention.lemma, table),
-            index.candidate_blocks([pos for pos, _ in hits]), index, toy_config.ranking)
-        want = rows.rank(semantic_vector(mention.sentence, table), index, toy_config.ranking, i)
-        assert captured[0][i] == want[: toy_config.coherence.top_m_per_mention]
+        rows = score_lemmas(
+            [lexical_vector(mention.lemma, toy_config.ngram_sizes)],
+            semantic_vector(mention.lemma, table)[None],
+            index.candidate_blocks([pos for pos, _ in hits]), [len(hits)], index,
+            toy_config.ranking)
+        [want] = rank_mentions(rows, semantic_vector(mention.sentence, table)[None], index,
+                               toy_config.ranking, toy_config.coherence.top_m_per_mention)
+        assert [(c.entity, c.mention_index, c.score) for c in captured[0][i]] \
+            == [(c.entity, i, c.score) for c in want]
     assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]
 
 
 def test_memo_eviction_at_cap_changes_no_output(built, toy_config, clf):
-    assert clf._candidates.cache_info().maxsize == len(clf._index)
-    clf._candidates = functools.lru_cache(2)(clf._candidates.__wrapped__)
+    assert clf._memo_cap == len(clf._index)
+    clf._memo_cap = 2
     docs = [d for d, _ in load_corpus()]
     got = [clf.classify_document(d) for d in docs]
-    assert clf._candidates.cache_info().currsize == 2
+    assert len(clf._memo) == 2
     assert len({m.lemma for d in docs for m in clf.detect(d)}) > 2
     assert got == fresh_topics(built, toy_config, docs)
+
+
+def test_memo_evicts_the_least_recently_used(clf):
+    clf._memo_cap = 2
+    for lemmas in (["seal", "bear"], ["seal"], ["tuna"]):  # the hit on seal renews it
+        assert clf._candidates(lemmas).keys() == set(lemmas)
+    assert list(clf._memo) == ["seal", "tuna"]
+    # the hit on tuna renews it, then the misses are inserted, and the cap
+    # keeps the last two
+    assert clf._candidates(["fish", "bear", "tuna"]).keys() == {"fish", "bear", "tuna"}
+    assert list(clf._memo) == ["fish", "bear"]
+
+
+@pytest.mark.parametrize("lexical_lemmas", [1, 2])
+def test_chunked_batches_give_the_same_topics(built, toy_config, clf, monkeypatch,
+                                              lexical_lemmas):
+    """Documents with more distinct lemmas than one lexical chunk holds (one
+    or two lemmas), and more rows than one semantic chunk holds."""
+    docs = [d for d, _ in load_corpus()]
+    assert max(len({m.lemma for m in clf.detect(d)}) for d in docs) > 2
+    monkeypatch.setattr(ranking, "_BATCH_VALUES", lexical_lemmas * clf._index.text_count)
+    assert [clf.classify_document(d) for d in docs] == fresh_topics(built, toy_config, docs)
 
 
 def test_classifier_shared_across_threads(clf):
     docs = [d for d, _ in load_corpus()] * 4
     want = [clf.classify_document(d) for d in docs]
     # a memo of three lemmas: evictions race with lookups
-    clf._candidates = functools.lru_cache(3)(clf._candidates.__wrapped__)
+    clf._memo_cap = 3
+    clf._memo.clear()
+    largest, done = [0], threading.Event()
+
+    def sample():
+        while not done.is_set():
+            largest[0] = max(largest[0], len(clf._memo))
+
+    sampler = threading.Thread(target=sample)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        sampler.start()
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(clf.classify_document, d) for d in docs]
             got = [f.result(timeout=120) for f in futures]
     finally:
+        done.set()
         sys.setswitchinterval(interval)
+        sampler.join(timeout=30)
+    assert not sampler.is_alive()
     assert got == want
-    info = clf._candidates.cache_info()
-    assert info.maxsize == 3 and info.currsize <= 3
+    assert len(clf._memo) <= 3
+    # while threads insert, the memo exceeds its cap only by their misses
+    most_lemmas = max(len({m.lemma for m in clf.detect(d)}) for d in docs)
+    assert 0 < largest[0] <= 3 + 8 * most_lemmas
 
 
 def test_dropped_classifier_is_freed_without_gc(built, toy_config):
-    # the memo refers to the index, not to the classifier, so no reference
-    # cycle keeps a dropped classifier alive until a collection
+    # nothing the classifier holds, its memo included, refers back to it, so
+    # no reference cycle keeps a dropped classifier alive until a collection
     enabled = gc.isenabled()
     gc.disable()
     try:

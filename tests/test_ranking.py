@@ -1,27 +1,24 @@
 """Activation function and the two-stage candidate scoring kernel."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbtopics import ranking
 from kbtopics.errors import ConfigError
-from kbtopics.kb import Iri
-from kbtopics.ranking import CandidateRows, RankingParams, ScoredCandidate, activation
+from kbtopics.ranking import (
+    RankingParams, ScoredCandidate, activation, rank_mentions, score_lemmas,
+)
 from kbtopics.vectors import lexical_vector
 
 from row_table import (
-    CandidateBlock, LexicalRows, MentionVectors, RowTable, rank_candidates, score_candidate,
-    stack,
+    CandidateBlock, LexicalRows, MentionVectors, RowTable, block_scores, lemma_rows,
+    rank_candidates, score_candidate, stack,
 )
-from oracles import block_scores_one_stage, cosine_sparse
-
-EX = "http://example.org/"
-
-
-def iri(name):
-    return Iri(EX + name)
+from oracles import block_scores_one_stage, cosine_sparse, partial_by_rows
 
 
 def naive_score(mention, block, params, vectors):
@@ -38,7 +35,7 @@ def naive_score(mention, block, params, vectors):
     return total
 
 
-def random_block(rng, table, entity="cand", n_rows=5, dim=8):
+def random_block(rng, table, entity=0, n_rows=5, dim=8):
     lex_rows = []
     for _ in range(n_rows):
         n_keys = int(rng.integers(1, 6))
@@ -51,7 +48,7 @@ def random_block(rng, table, entity="cand", n_rows=5, dim=8):
     if n_rows > 1:
         sem[1] = 0.0  # exercise the zero-row exemption
     return table.block(
-        iri(entity),
+        entity,
         lex_rows,
         sem,
         field_weights=rng.uniform(0.5, 3.0, size=n_rows),
@@ -109,7 +106,7 @@ class TestRankingParams:
 
 def single_row_block(table, text, field_weight=1.0, distance=0.0, sem_row=None, dim=4):
     sem = np.zeros((1, dim)) if sem_row is None else np.asarray([sem_row], dtype=float)
-    return table.block(iri("cand"), [lexical_vector(text)], sem, [field_weight], [distance])
+    return table.block(0, [lexical_vector(text)], sem, [field_weight], [distance])
 
 
 class TestScoreCandidate:
@@ -126,7 +123,7 @@ class TestScoreCandidate:
     def test_empty_block_scores_zero(self):
         params = RankingParams()
         table = RowTable(4)
-        block = table.block(iri("cand"), [], np.zeros((0, 4)), [], [])
+        block = table.block(0, [], np.zeros((0, 4)), [], [])
         mention = MentionVectors(lexical_vector("x y z"), np.zeros(4), np.zeros(4))
         assert score_candidate(mention, block, table, params) == 0.0
 
@@ -219,7 +216,7 @@ def edge_case(case):
     for b, rows in enumerate(blocks_rows):
         sem = rng.normal(size=(len(rows), 4))
         blocks.append(table.block(
-            iri(f"c{b}"), rows, sem, rng.uniform(0.5, 3.0, size=len(rows)),
+            b, rows, sem, rng.uniform(0.5, 3.0, size=len(rows)),
             rng.uniform(0.0, 4.0, size=len(rows))))
     return mention, blocks, table
 
@@ -266,7 +263,7 @@ def scoring_inputs(draw):
     texts = st.lists(st.sampled_from(ids.tolist()), max_size=6) if n_texts else st.just([])
     text_lists = draw(st.lists(texts, max_size=5))
     blocks = [CandidateBlock(
-        iri(f"c{b}"), np.array(texts, dtype=np.intp),
+        b, np.array(texts, dtype=np.intp),
         np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=len(texts),
                                max_size=len(texts)))),
         np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=len(texts),
@@ -293,15 +290,12 @@ class TestTwoStages:
     @given(scoring_inputs())
     def test_equal_one_stage_bitwise(self, inputs):
         table, blocks, lex, sem, contexts, params, perm = inputs
-        rows = CandidateRows.for_lemma(lex, sem, stack(blocks), table, params)
         permuted = [blocks[i] for i in perm]
-        rows_permuted = CandidateRows.for_lemma(
-            lex, sem, stack(permuted), table, params)
         for ctx in contexts:  # one stage one serves every sentence
             mention = MentionVectors(lex, sem, ctx)
             want = block_scores_one_stage(mention, blocks, table, params)
-            assert_bitwise(rows.scores(ctx, table, params), want)
-            assert_bitwise(rows_permuted.scores(ctx, table, params), want[list(perm)])
+            assert_bitwise(block_scores(mention, blocks, table, params), want)
+            assert_bitwise(block_scores(mention, permuted, table, params), want[list(perm)])
             ranked = rank_candidates(mention, blocks, table, params)
             assert rank_candidates(mention, permuted, table, params) == ranked
             assert sorted(c.score for c in ranked) == sorted(want.tolist())
@@ -311,22 +305,106 @@ class TestTwoStages:
         mention, blocks, table = edge_case(case)
         params = RankingParams(w_l=1.0, w_sm=0.8, w_sc=0.3)
         want = block_scores_one_stage(mention, blocks, table, params)
-        rows = CandidateRows.for_lemma(
-            mention.lex, mention.sem, stack(blocks), table, params)
-        assert_bitwise(rows.scores(mention.ctx, table, params), want)
+        assert_bitwise(block_scores(mention, blocks, table, params), want)
         for block, score in zip(blocks, want.tolist()):
             assert score_candidate(mention, block, table, params) == score
 
     def test_rows_hold_addresses_only(self):
         rng = np.random.default_rng(3)
         table = RowTable(8)
-        blocks = [random_block(rng, table, entity=f"c{i}") for i in range(3)]
-        rows = CandidateRows.for_lemma(
-            {}, np.zeros(8), stack(blocks), table, RankingParams())
-        assert rows.blocks.entities == tuple(b.entity for b in blocks)
+        blocks = [random_block(rng, table, entity=i) for i in range(3)]
+        rows = lemma_rows(MentionVectors({}, np.zeros(8), np.zeros(8)), blocks, table,
+                          RankingParams())
+        assert rows.blocks.entities.tolist() == [0, 1, 2]
         assert rows.blocks.text_ids.tolist() == [i for b in blocks for i in b.text_ids.tolist()]
         assert not any(isinstance(v, LexicalRows) or (isinstance(v, np.ndarray) and v.ndim > 1)
                        for v in [*vars(rows).values(), *vars(rows.blocks).values()])
+
+
+WORDS = ["", "a", "ab", "tuna", "polar bear", "seal"]  # some shorter than a 3-gram
+QUERIES = st.one_of(ROWS, st.sampled_from(WORDS).map(lexical_vector))
+
+
+@st.composite
+def lemma_batches(draw):
+    """A row table, lemmas over it (a query, maybe empty, a semantic vector
+    and blocks, maybe none) and sentence contexts, a ``_BATCH_VALUES`` small
+    enough to split a batch into chunks or not, and ranking parameters."""
+    table, blocks, _, _, _, params, _ = draw(scoring_inputs())
+    dim = table.sem.shape[1]
+    vec = st.lists(COORDS, min_size=dim, max_size=dim).map(np.array)
+    lemmas = []
+    for _ in range(draw(st.integers(1, 5))):
+        picked = draw(st.lists(st.sampled_from(blocks), max_size=4, unique_by=lambda b: b.entity)
+                      if blocks else st.just([]))
+        lemmas.append((draw(QUERIES), draw(vec), picked))
+    contexts = draw(st.lists(vec, min_size=1, max_size=3))
+    batch_values = draw(st.sampled_from([1, 7, 40, 2 * table.text_count or 1, 2**20]))
+    return table, lemmas, contexts, batch_values, params
+
+
+def scored_together(table, lemmas, order, params):
+    """Stage one of the lemmas in the given order, repeats included, as one
+    batch over one stack of all their blocks."""
+    picked = [lemmas[j] for j in order]
+    return score_lemmas([lex for lex, _, _ in picked],
+                        np.array([sem for _, sem, _ in picked]).reshape(len(picked), -1),
+                        stack([b for _, _, blocks in picked for b in blocks]),
+                        [len(blocks) for _, _, blocks in picked], table, params)
+
+
+class TestBatches:
+    """Many lemmas in one stage-one pass, and many mentions in one stage-two
+    pass, each bit for bit a batch of one and the row oracles, in one chunk
+    or several."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lemma_batches(), st.data())
+    def test_lemma_batch_equals_each_lemma_alone(self, batch, data):
+        table, lemmas, _, batch_values, params = batch
+        order = data.draw(st.lists(st.integers(0, len(lemmas) - 1), min_size=1, max_size=8))
+        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values):
+            together = scored_together(table, lemmas, order, params)
+        assert len(together) == len(order)
+        for j, rows in zip(order, together):
+            lex, sem, blocks = lemmas[j]
+            [alone] = scored_together(table, lemmas, [j], params)
+            assert_bitwise(rows.partial, alone.partial)
+            assert_bitwise(rows.partial, partial_by_rows(lex, sem, blocks, table, params))
+            for name in ("entities", "sizes", "text_ids", "field_weights", "distances"):
+                assert_bitwise(getattr(rows.blocks, name), getattr(alone.blocks, name))
+            # the rows own their arrays, none a view of the batch's
+            assert all(a.base is None for a in (rows.partial, *vars(rows.blocks).values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lemma_batches(), st.data())
+    def test_mention_batch_equals_each_mention_alone(self, batch, data):
+        table, lemmas, contexts, batch_values, params = batch
+        # mentions as (lemma, sentence), sharing either or not
+        mentions = data.draw(st.lists(st.tuples(st.integers(0, len(lemmas) - 1),
+                                                st.integers(0, len(contexts) - 1)),
+                                      min_size=1, max_size=8))
+        top_m = data.draw(st.integers(1, 5))
+        rows = scored_together(table, lemmas, range(len(lemmas)), params)
+        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values):
+            ranked = rank_mentions([rows[j] for j, _ in mentions],
+                                   np.array([contexts[c] for _, c in mentions]), table,
+                                   params, top_m)
+        assert len(ranked) == len(mentions)
+        for i, ((j, c), got) in enumerate(zip(mentions, ranked)):
+            [alone] = rank_mentions([rows[j]], contexts[c][None], table, params, top_m)
+            assert [s.mention_index for s in got] == [i] * len(got)
+            assert [(s.entity, s.score) for s in got] == [(s.entity, s.score) for s in alone]
+            lex, sem, blocks = lemmas[j]
+            want = block_scores_one_stage(MentionVectors(lex, sem, contexts[c]), blocks, table,
+                                          params)
+            best = sorted(zip((-want).tolist(), [b.entity for b in blocks]))[:top_m]
+            assert [(s.entity, s.score) for s in got] == [(e, -s) for s, e in best]
+
+    def test_empty_batches(self):
+        table, params = RowTable(4), RankingParams()
+        assert score_lemmas([], np.zeros((0, 4)), stack([]), [], table, params) == []
+        assert rank_mentions([], np.zeros((0, 4)), table, params, 3) == []
 
 
 class TestRankCandidates:
@@ -334,12 +412,11 @@ class TestRankCandidates:
         mention = MentionVectors(lexical_vector("polar bear"), np.zeros(4), np.zeros(4))
         table = RowTable(4)
         blocks = [
-            table.block(iri(name), [lexical_vector(text)], np.zeros((1, 4)), [1.0], [0.0])
-            for name, text in (("exact", "polar bear"), ("near", "polar bears"),
-                               ("far", "sea otter"))
+            table.block(pos, [lexical_vector(text)], np.zeros((1, 4)), [1.0], [0.0])
+            for pos, text in ((2, "polar bear"), (0, "polar bears"), (1, "sea otter"))
         ]
         ranked = rank_candidates(mention, blocks, table, RankingParams())
-        assert [c.entity for c in ranked] == [iri("exact"), iri("near"), iri("far")]
+        assert [c.entity for c in ranked] == [2, 0, 1]
         assert ranked[0].score > ranked[1].score > ranked[2].score
 
     def test_empty(self):
@@ -347,33 +424,46 @@ class TestRankCandidates:
         assert rank_candidates(mention, [], RowTable(4), RankingParams()) == []
 
     def test_ties_break_by_iri(self):
+        # by position, which orders as the records' IRIs do
         mention = MentionVectors(lexical_vector("tuna"), np.zeros(4), np.zeros(4))
         table = RowTable(4)
         blocks = [
-            table.block(iri(n), [lexical_vector("tuna")], np.zeros((1, 4)), [1.0], [0.0])
-            for n in ("zeta", "alpha", "mid")
+            table.block(pos, [lexical_vector("tuna")], np.zeros((1, 4)), [1.0], [0.0])
+            for pos in (9, 0, 4)
         ]
         ranked = rank_candidates(mention, blocks, table, RankingParams())
-        assert [c.entity for c in ranked] == [iri("alpha"), iri("mid"), iri("zeta")]
+        assert [c.entity for c in ranked] == [0, 4, 9]
+        assert len({c.score for c in ranked}) == 1
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(21)
         mention = random_mention(rng)
         table = RowTable(8)
-        blocks = [random_block(rng, table, entity=f"c{i}") for i in range(6)]
+        blocks = [random_block(rng, table, entity=i) for i in range(6)]
         base = rank_candidates(mention, blocks, table, RankingParams())
         assert rank_candidates(mention, blocks[::-1], table, RankingParams()) == base
 
     def test_mention_index_recorded(self):
         mention = MentionVectors({}, np.zeros(4), np.zeros(4))
         table = RowTable(4)
-        block = single_row_block(table, "abc")
-        ranked = rank_candidates(mention, [block], table, RankingParams(), mention_index=7)
-        assert ranked[0].mention_index == 7
+        rows = lemma_rows(mention, [single_row_block(table, "abc")], table, RankingParams())
+        ranked = rank_mentions([rows] * 8, np.zeros((8, 4)), table, RankingParams(), 3)
+        assert [[c.mention_index for c in r] for r in ranked] == [[i] for i in range(8)]
+
+    def test_keeps_top_m_per_mention(self):
+        rng = np.random.default_rng(8)
+        table = RowTable(8)
+        blocks = [random_block(rng, table, entity=i) for i in range(6)]
+        mention = random_mention(rng)
+        everything = rank_candidates(mention, blocks, table, RankingParams())
+        rows = lemma_rows(mention, blocks, table, RankingParams())
+        for top_m in (1, 2, 6, 7):
+            [ranked] = rank_mentions([rows], mention.ctx[None], table, RankingParams(), top_m)
+            assert ranked == everything[:top_m]
 
 
 class TestScoredCandidate:
     def test_effective_score(self):
-        c = ScoredCandidate(iri("e"), 0, score=2.0, boost=1.25)
+        c = ScoredCandidate(0, 0, score=2.0, boost=1.25)
         assert c.effective == 2.5
-        assert ScoredCandidate(iri("e"), 0, 2.0).effective == 2.0
+        assert ScoredCandidate(0, 0, 2.0).effective == 2.0
