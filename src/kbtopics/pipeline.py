@@ -9,12 +9,13 @@ the knee cut; only the topics kept are named by IRI and label.
 Per document, scoring runs as two batches (``ranking``): the document's
 distinct lemmas are looked up in the memo together and its misses scored in
 one stage-one pass, then every mention is ranked against its sentence in one
-stage-two pass. The memo keeps, per lemma, the part of scoring that does not
-depend on the sentence (the candidates' row addresses and partial scores, as
-arrays of their own) in a plain dict of at most one entry per indexed
-entity, least recently used evicted first. An instance is safe to share
-across threads without a lock: every stage is pure, and each touch of the
-memo is a single dict operation.
+stage-two pass, which computes each distinct (sentence, text) context
+cosine once where the rows repeat pairs densely. The memo keeps, per lemma,
+the part of scoring that does not depend on the sentence (the candidates'
+row addresses and partial scores, as arrays of their own) in a plain dict
+of at most one entry per indexed entity, least recently used evicted first.
+An instance is safe to share across threads without a lock: every stage is
+pure, and each touch of the memo is a single dict operation.
 """
 
 from __future__ import annotations
@@ -220,7 +221,9 @@ class Classifier:
                 memo[lemma] = found[lemma] = rows
             while len(memo) > self._memo_cap:
                 try:
-                    memo.pop(next(iter(memo)), None)  # the least recently used
+                    # the least recently used; None (a no-op) if other
+                    # threads emptied it since the length was read
+                    memo.pop(next(iter(memo), None), None)
                 except RuntimeError:  # another thread resized it; look again
                     pass
         return found
@@ -231,14 +234,12 @@ class Classifier:
             return []
 
         candidates = self._candidates(dict.fromkeys(m.lemma for m in mentions))
-        contexts: dict[str, np.ndarray] = {}
-        for mention in mentions:
-            if mention.sentence not in contexts:
-                contexts[mention.sentence] = semantic_vector(mention.sentence, self._table)
+        sentences: dict[str, int] = {}  # each distinct sentence's position
+        sentence_of = [sentences.setdefault(m.sentence, len(sentences)) for m in mentions]
         ranked_lists = rank_mentions(
             [candidates[m.lemma] for m in mentions],
-            np.array([contexts[m.sentence] for m in mentions]),
-            self._index, self._ranking, self._coherence.top_m_per_mention)
+            np.array([semantic_vector(sentence, self._table) for sentence in sentences]),
+            sentence_of, self._index, self._ranking, self._coherence.top_m_per_mention)
 
         if self._coherence.enabled:
             membership = [[c.entity for c in ranked] for ranked in ranked_lists]

@@ -27,17 +27,23 @@ order (``CandidateBlocks``, as an index gathers them):
    the rows' semantic vectors, each row summed with its own lemma's vector,
    and one activation give ``partial = w_l*a(lex) + w_sm*a(sem)`` per row,
    split into one ``CandidateRows`` per lemma with arrays of its own.
-2. ``rank_mentions``, for several mentions: the rows' semantic vectors
-   gathered again and summed with each row's own sentence context, ``w_sc *
-   a(ctx)`` added, each row weighted, each block's rows summed with one
-   ``np.add.reduceat``, and one lexsort keeping each mention's best.
+2. ``rank_mentions``, for several mentions, given one context vector per
+   distinct sentence: the rows' semantic vectors gathered again and summed
+   with their sentence's context, ``w_sc * a(ctx)`` added, each row
+   weighted, each block's rows summed with one ``np.add.reduceat``, and one
+   lexsort keeping each mention's best. Where the rows are dense in the
+   document's (sentence, text) pairs, the context term is computed once per
+   distinct pair and read by every row holding it.
 
 A single lemma or mention is a batch of one, and every row's arithmetic is
 the same in any batch, so scores are bit for bit those of a batch of one.
 The temporaries that grow with a batch (the lexical accumulator, lemmas ×
 texts, and the gathered rows, rows × dimension) hold at most
 ``_BATCH_VALUES`` values each; beyond that, lemmas and rows go in chunks,
-a lexical chunk holding at least one lemma.
+a lexical chunk holding at least one lemma. Stage two finds its distinct
+pairs through a scatter table of sentences × texts slots, without sorting
+the rows, and only when that is at most ``_PAIR_SLOTS_PER_ROW`` slots per
+row, so the table grows with the document, not with the knowledge base.
 
 ``CandidateBlocks`` name their candidates by record position and hold only
 their rows' addresses (text ids) with their field weights and distances;
@@ -91,6 +97,15 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
 # multiplied by. 1 MB stays in a core's L2 cache: at 128k texts, an
 # accumulator of six lemmas (6 MB) read 10-20% slower than one lemma at a time
 _BATCH_VALUES = 2**17
+
+# stage two finds the rows that repeat a (sentence, text) pair through a
+# table of sentences × texts slots only when there is a row for at most
+# this many slots. Sparser rows repeat too few pairs to pay for the table:
+# on the benchmark workloads' seed-1 documents (one 2-vCPU Xeon host),
+# deduplicating took 1.3 times the per-row pass where 3% of the rows
+# repeat a pair (about 1% of the slots filled), 1.2 times at 13% (0.1) and
+# 0.8 times at 50% (0.5)
+_PAIR_SLOTS_PER_ROW = 4
 
 
 class VectorSource(Protocol):
@@ -196,12 +211,50 @@ def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
     return out
 
 
-def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, vectors: VectorSource,
-                  params: RankingParams, top_m: int) -> list[list[ScoredCandidate]]:
+def _pair_heads(keys: np.ndarray, size: int) -> np.ndarray:
+    """For keys each below ``size``, the index of one element holding each
+    element's key, the same for all elements that hold it (its head): one
+    scatter of the indices through a table of ``size`` slots and one gather
+    back. One of the writes to a slot stays (NumPy leaves which
+    unspecified); any one serves as the head."""
+    table = np.empty(size, dtype=np.intp)
+    table[keys] = np.arange(keys.shape[0])
+    return table[keys]
+
+
+def _context_terms(sentence: np.ndarray, text_ids: np.ndarray, contexts: np.ndarray,
+                   vectors: VectorSource, params: RankingParams) -> np.ndarray:
+    """Row i's ``w_sc * a(ctx)``, ctx the dot product of text
+    ``text_ids[i]``'s semantic vector with ``contexts[sentence[i]]``. When
+    there is a row for at most ``_PAIR_SLOTS_PER_ROW`` of the sentences ×
+    texts slots, each distinct pair's term is computed once, at the head row
+    of its key ``sentence * text_count + text`` (``_pair_heads``), and read
+    by every row holding the pair; sparser rows repeat too few pairs to pay
+    for the table, and each row's term is computed."""
+
+    def terms(text_ids, sentence):
+        return params.w_sc * activation(_row_sums(vectors, text_ids, contexts, sentence),
+                                        params.alpha, params.beta)
+
+    slots = contexts.shape[0] * vectors.text_count
+    if text_ids.shape[0] * _PAIR_SLOTS_PER_ROW < slots:
+        return terms(text_ids, sentence)
+    head = _pair_heads(sentence * vectors.text_count + text_ids, slots)
+    distinct = np.flatnonzero(head == np.arange(head.shape[0]))
+    term = np.empty(head.shape[0])
+    term[distinct] = terms(text_ids[distinct], sentence[distinct])
+    return term[head]
+
+
+def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_of: Sequence[int],
+                  vectors: VectorSource, params: RankingParams,
+                  top_m: int) -> list[list[ScoredCandidate]]:
     """Stage two for several mentions: mention i's candidates ``rows[i]``
-    scored against its sentence's context vector ``contexts[i]``. Each
-    mention keeps its best ``top_m``, descending by score, ties broken by
-    position."""
+    scored against its sentence's context vector ``contexts[sentence_of[i]]``,
+    ``contexts`` holding one vector per distinct sentence. A row's context
+    term depends only on its (sentence, text) pair (``_context_terms``).
+    Each mention keeps its best ``top_m``, descending by score, ties broken
+    by position."""
     if not rows:
         return []
 
@@ -210,10 +263,10 @@ def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, vectors: 
 
     sizes = stacked(lambda r: r.blocks.sizes)
     n_blocks = np.array([r.blocks.sizes.shape[0] for r in rows], dtype=np.intp)
-    mention_of_row = np.repeat(np.arange(len(rows)), [r.partial.shape[0] for r in rows])
-    ctx = _row_sums(vectors, stacked(lambda r: r.blocks.text_ids), contexts, mention_of_row)
-    per_row = stacked(lambda r: r.partial) + params.w_sc * activation(
-        ctx, params.alpha, params.beta)
+    sentence = np.repeat(np.asarray(sentence_of, dtype=np.intp),
+                         [r.partial.shape[0] for r in rows])
+    per_row = stacked(lambda r: r.partial) + _context_terms(
+        sentence, stacked(lambda r: r.blocks.text_ids), contexts, vectors, params)
     contrib = stacked(lambda r: r.blocks.field_weights) * per_row / (
         1.0 + stacked(lambda r: r.blocks.distances))
     scores = np.zeros(sizes.shape[0])

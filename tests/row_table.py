@@ -76,7 +76,7 @@ def rank_candidates(mention: MentionVectors, blocks: Sequence[CandidateBlock],
                     vectors: VectorSource, params: RankingParams) -> list[ScoredCandidate]:
     """Score every block; descending by score, ties broken by position."""
     [ranked] = rank_mentions([lemma_rows(mention, blocks, vectors, params)], mention.ctx[None],
-                             vectors, params, max(len(blocks), 1))
+                             [0], vectors, params, max(len(blocks), 1))
     return ranked
 
 

@@ -499,8 +499,8 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
             semantic_vector(mention.lemma, table)[None],
             index.candidate_blocks([pos for pos, _ in hits]), [len(hits)], index,
             toy_config.ranking)
-        [want] = rank_mentions(rows, semantic_vector(mention.sentence, table)[None], index,
-                               toy_config.ranking, toy_config.coherence.top_m_per_mention)
+        [want] = rank_mentions(rows, semantic_vector(mention.sentence, table)[None], [0],
+                               index, toy_config.ranking, toy_config.coherence.top_m_per_mention)
         assert [(c.entity, c.mention_index, c.score) for c in captured[0][i]] \
             == [(c.entity, i, c.score) for c in want]
     assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]
@@ -525,6 +525,76 @@ def test_memo_evicts_the_least_recently_used(clf):
     # keeps the last two
     assert clf._candidates(["fish", "bear", "tuna"]).keys() == {"fish", "bear", "tuna"}
     assert list(clf._memo) == ["fish", "bear"]
+
+
+class EmptiedOnEviction(dict):
+    """A memo that other threads empty once, between the eviction's length
+    check and its look at the oldest lemma."""
+
+    emptied = False
+
+    def __iter__(self):
+        if not self.emptied:
+            self.emptied = True
+            self.clear()
+        return super().__iter__()
+
+
+def test_memo_emptied_by_other_threads_during_eviction(clf):
+    clf._memo_cap = 1
+    clf._memo = EmptiedOnEviction()
+    assert clf._candidates(["seal", "bear"]).keys() == {"seal", "bear"}
+    assert clf._memo.emptied and not clf._memo
+
+
+class SemanticReads:
+    """An index that records the text ids of every ``semantic_rows`` read."""
+
+    def __init__(self, index):
+        self._index, self.text_ids = index, []
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def semantic_rows(self, text_ids):
+        self.text_ids.extend(text_ids.tolist())
+        return self._index.semantic_rows(text_ids)
+
+
+@pytest.mark.parametrize("slots_per_row", [ranking._PAIR_SLOTS_PER_ROW, 2**40])
+def test_stage_two_reads_each_sentence_text_pair_once(clf, monkeypatch, slots_per_row):
+    """With every lemma in the memo, the only semantic reads are stage two's.
+    Where a document has a row for at most ``_PAIR_SLOTS_PER_ROW`` of its
+    (sentence, text) slots, they are one per distinct pair, not one per row,
+    through one table of those slots; elsewhere one per row, and no table."""
+    monkeypatch.setattr(ranking, "_PAIR_SLOTS_PER_ROW", slots_per_row)
+    tables = []
+    heads = ranking._pair_heads
+    monkeypatch.setattr(ranking, "_pair_heads",
+                        lambda keys, size: tables.append((keys.shape[0], size))
+                        or heads(keys, size))
+    n_texts, dense_rows, dense_pairs = clf._index.text_count, 0, 0
+    for doc, _ in load_corpus():
+        want = clf.classify_document(doc)  # fills the memo
+        sentences, pairs, texts = {}, set(), []
+        for m in clf.detect(doc):
+            s = sentences.setdefault(m.sentence, len(sentences))
+            ids = clf._memo[m.lemma].blocks.text_ids.tolist()
+            pairs |= {(s, t) for t in ids}
+            texts += ids
+        slots = len(sentences) * n_texts
+        reads = SemanticReads(clf._index)
+        monkeypatch.setattr(clf, "_index", reads)
+        tables.clear()
+        assert clf.classify_document(doc) == want
+        monkeypatch.setattr(clf, "_index", reads._index)
+        if texts and len(texts) * slots_per_row >= slots:
+            assert sorted(reads.text_ids) == sorted(t for _, t in pairs)
+            assert tables == [(len(texts), slots)]
+            dense_rows, dense_pairs = dense_rows + len(texts), dense_pairs + len(pairs)
+        else:
+            assert sorted(reads.text_ids) == sorted(texts) and tables == []
+    assert dense_pairs < dense_rows
 
 
 @pytest.mark.parametrize("lexical_lemmas", [1, 2])

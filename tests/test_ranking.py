@@ -380,19 +380,23 @@ class TestBatches:
     @given(lemma_batches(), st.data())
     def test_mention_batch_equals_each_mention_alone(self, batch, data):
         table, lemmas, contexts, batch_values, params = batch
-        # mentions as (lemma, sentence), sharing either or not
+        # mentions as (lemma, sentence), sharing either or not; lemmas share
+        # blocks and blocks share texts, so rows repeat (sentence, text) pairs
         mentions = data.draw(st.lists(st.tuples(st.integers(0, len(lemmas) - 1),
                                                 st.integers(0, len(contexts) - 1)),
-                                      min_size=1, max_size=8))
+                                      min_size=1, max_size=12))
         top_m = data.draw(st.integers(1, 5))
+        # context terms per row (0), per distinct pair (2**40) or as the
+        # density of the rows decides
+        slots_per_row = data.draw(st.sampled_from([0, ranking._PAIR_SLOTS_PER_ROW, 2**40]))
         rows = scored_together(table, lemmas, range(len(lemmas)), params)
-        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values):
-            ranked = rank_mentions([rows[j] for j, _ in mentions],
-                                   np.array([contexts[c] for _, c in mentions]), table,
-                                   params, top_m)
+        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values), \
+                mock.patch.object(ranking, "_PAIR_SLOTS_PER_ROW", slots_per_row):
+            ranked = rank_mentions([rows[j] for j, _ in mentions], np.array(contexts),
+                                   [c for _, c in mentions], table, params, top_m)
         assert len(ranked) == len(mentions)
         for i, ((j, c), got) in enumerate(zip(mentions, ranked)):
-            [alone] = rank_mentions([rows[j]], contexts[c][None], table, params, top_m)
+            [alone] = rank_mentions([rows[j]], contexts[c][None], [0], table, params, top_m)
             assert [s.mention_index for s in got] == [i] * len(got)
             assert [(s.entity, s.score) for s in got] == [(s.entity, s.score) for s in alone]
             lex, sem, blocks = lemmas[j]
@@ -404,7 +408,7 @@ class TestBatches:
     def test_empty_batches(self):
         table, params = RowTable(4), RankingParams()
         assert score_lemmas([], np.zeros((0, 4)), stack([]), [], table, params) == []
-        assert rank_mentions([], np.zeros((0, 4)), table, params, 3) == []
+        assert rank_mentions([], np.zeros((0, 4)), [], table, params, 3) == []
 
 
 class TestRankCandidates:
@@ -447,7 +451,7 @@ class TestRankCandidates:
         mention = MentionVectors({}, np.zeros(4), np.zeros(4))
         table = RowTable(4)
         rows = lemma_rows(mention, [single_row_block(table, "abc")], table, RankingParams())
-        ranked = rank_mentions([rows] * 8, np.zeros((8, 4)), table, RankingParams(), 3)
+        ranked = rank_mentions([rows] * 8, np.zeros((1, 4)), [0] * 8, table, RankingParams(), 3)
         assert [[c.mention_index for c in r] for r in ranked] == [[i] for i in range(8)]
 
     def test_keeps_top_m_per_mention(self):
@@ -458,7 +462,8 @@ class TestRankCandidates:
         everything = rank_candidates(mention, blocks, table, RankingParams())
         rows = lemma_rows(mention, blocks, table, RankingParams())
         for top_m in (1, 2, 6, 7):
-            [ranked] = rank_mentions([rows], mention.ctx[None], table, RankingParams(), top_m)
+            [ranked] = rank_mentions([rows], mention.ctx[None], [0], table, RankingParams(),
+                                     top_m)
             assert ranked == everything[:top_m]
 
 
