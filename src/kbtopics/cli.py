@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any
 
 from .config import KbSource, load_config
-from .errors import ConfigError, DataError, KbTopicsError
-from .index import CandidateIndex
+from .errors import ConfigError, DataError, IndexFormatError, KbTopicsError
+from .index import MANIFEST_FILE, CandidateIndex
 from .kb import Iri
 from .mentions import Document
 from .pipeline import CONFIG_COPY, build_index_from_config, open_classifier
@@ -144,6 +144,8 @@ def _topic_to_json(topic: TopicResult) -> dict[str, Any]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     index_dir = Path(args.index)
+    if not (index_dir / MANIFEST_FILE).is_file():  # as opening it would, before its config
+        raise IndexFormatError(f"cannot open index at {index_dir}: no {MANIFEST_FILE}")
     config_path = Path(args.config) if args.config else index_dir / CONFIG_COPY
     if not config_path.exists():
         raise ConfigError(

@@ -66,7 +66,7 @@ def link_counts(kb: KnowledgeBase) -> np.ndarray:
             + np.bincount(kb.object_ids[kb.object_ids >= 0], minlength=n))
 
 
-def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+def powers(values: np.ndarray, exponent: float) -> np.ndarray:
     """``values ** exponent`` by Python's float power, once per distinct
     value: ``np.power`` may round differently in the last bit."""
     distinct, inverse = np.unique(values, return_inverse=True)
@@ -93,8 +93,8 @@ def compute_edge_weights(
                                  return_inverse=True, return_counts=True)
     base = np.array([kb.registry.edge_base_weights.get(q, params.default_base_weight)
                      for q in kb.predicates], dtype=np.float64)
-    weights = (base[predicate] * _powers(links[targets], params.f_l)
-               * _powers(sizes, params.f_g)[groups])
+    weights = (base[predicate] * powers(links[targets], params.f_l)
+               * powers(sizes, params.f_g)[groups])
     # each group's edges by weight, then target IRI; keep the first c_max
     order = np.lexsort((targets, weights, groups))
     rank = np.arange(order.shape[0]) - (np.cumsum(sizes) - sizes)[groups[order]]

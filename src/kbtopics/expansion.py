@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -79,8 +80,8 @@ class Neighborhoods(Mapping[Iri, Neighborhood]):
     ``entities`` lists the id space in sorted IRI order; seed i is
     ``entities[seeds[i]]`` and its neighborhood is ``ids[indptr[i]:indptr[i
     + 1]]`` with those ``distances``, ordered as ``Neighborhood.neighbors``.
-    As a mapping it yields the seeds in the order they were given and builds
-    each ``Neighborhood`` when asked.
+    As a mapping it is keyed by the seeds' IRIs, yields them in seed order
+    and builds each ``Neighborhood`` when asked.
     """
 
     def __init__(self, entities: list[Iri], seeds: np.ndarray, indptr: np.ndarray,
@@ -94,11 +95,10 @@ class Neighborhoods(Mapping[Iri, Neighborhood]):
         self.indptr = indptr
         self.ids = ids
         self.distances = distances
-        self._rows = {entities[s]: i for i, s in enumerate(seeds.tolist())}
 
-    def row(self, seed: Iri) -> int:
-        """The seed's row of the CSR; -1 if it is not a seed."""
-        return self._rows.get(seed, -1)
+    @cached_property
+    def _rows(self) -> dict[Iri, int]:
+        return {self.entities[s]: i for i, s in enumerate(self.seeds.tolist())}
 
     def __getitem__(self, seed: Iri) -> Neighborhood:
         i = self._rows[seed]
@@ -111,7 +111,7 @@ class Neighborhoods(Mapping[Iri, Neighborhood]):
         return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.seeds)
 
 
 def _edge_csr(graph: WeightedGraph) -> tuple[np.ndarray, ...]:
@@ -169,20 +169,18 @@ def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
 
 
 def expand_all(
-    graph: WeightedGraph, entities: Iterable[Iri], params: ExpansionParams | None = None
+    graph: WeightedGraph, seeds: np.ndarray, params: ExpansionParams | None = None
 ) -> Neighborhoods:
-    """Expand every seed in ``entities``, each one of ``graph.entities``, at
-    once; the same neighborhoods, bit for bit, as a label-setting search
-    from each seed."""
+    """Expand every seed, a distinct id of ``graph.entities``, at once; the
+    same neighborhoods, bit for bit, as a label-setting search from each
+    seed. Row i of the result is ``seeds[i]``'s."""
     params = params or ExpansionParams()
-    seeds = list(dict.fromkeys(entities))
-    id_of = dict(zip(graph.entities, range(len(graph.entities))))
+    seeds = np.asarray(seeds, dtype=np.int64)
     csr = _edge_csr(graph)
     n_nodes = max(len(graph.entities), 1)
-    seed_ids = np.fromiter((id_of[s] for s in seeds), np.int64, len(seeds))
     parts_ids, parts_dist, sizes = [], [], []
     for lo in range(0, len(seeds), SEED_CHUNK):
-        chunk = seed_ids[lo:lo + SEED_CHUNK]
+        chunk = seeds[lo:lo + SEED_CHUNK]
         keys, dist = _relax(csr, chunk, n_nodes, params)
         rows, ids = np.divmod(keys, n_nodes)
         order = np.lexsort((ids, dist, rows))
@@ -195,9 +193,9 @@ def expand_all(
         sizes.append(np.bincount(rows[keep], minlength=chunk.shape[0]))
         logger.info("expanded %d of %d entities", min(lo + SEED_CHUNK, len(seeds)), len(seeds))
     indptr = np.zeros(len(seeds) + 1, dtype=np.int64)
-    if seeds:
+    if sizes:
         np.cumsum(np.concatenate(sizes), out=indptr[1:])
     return Neighborhoods(
-        graph.entities, seed_ids, indptr,
+        graph.entities, seeds, indptr,
         np.concatenate(parts_ids) if parts_ids else np.zeros(0, np.int64),
         np.concatenate(parts_dist) if parts_dist else np.zeros(0))

@@ -99,6 +99,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .edges import powers
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhood, Neighborhoods
 from .kb import Iri, KnowledgeBase, check_iris
@@ -155,35 +156,32 @@ class ParentParams:
             raise ConfigError(f"parent alpha must be in (0,1), got {self.alpha}")
 
 
-def compute_parents(kb: KnowledgeBase, params: ParentParams, link_counts: np.ndarray,
-                    ) -> dict[Iri, list[tuple[Iri, float]]]:
+class Related(NamedTuple):
+    """Related (or parent) lists as one CSR over entity ids: row p's entries
+    are ``ids[indptr[p]:indptr[p + 1]]`` with those ``distances`` (or
+    weights). In an index, row p is record p's and an id below the record
+    count is that record's position."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    distances: np.ndarray
+
+
+def compute_parents(kb: KnowledgeBase, params: ParentParams, link_counts: np.ndarray) -> Related:
     """One-hop parents along configured properties (forward: subject to IRI
     object; inverse: back), weighted l(q)^(-alpha) so that heavily linked,
-    near-universal parents weigh little. Deduplicated, without the entity
-    itself, sorted by IRI; only the entities that have any, in id order."""
+    near-universal parents weigh little. Row e of the CSR over KB ids holds
+    entity e's parents, deduplicated, without e itself, ascending."""
     n = len(kb.entities)
     keys = [np.zeros(0, dtype=np.int64)]  # child * n + parent
     for pred, direction in kb.registry.parent_properties:
         on = kb.with_predicate((pred,)) & (kb.object_ids >= 0) & (kb.subject_ids != kb.object_ids)
         s, o = kb.subject_ids[on], kb.object_ids[on]
         keys.append(s * n + o if direction == "forward" else o * n + s)
-    found: dict[Iri, list[tuple[Iri, float]]] = {}
-    for key in sorted(set(np.concatenate(keys).tolist())):
-        child, q = divmod(key, n)
-        found.setdefault(kb.entities[child], []).append(
-            (kb.entities[q], float(max(link_counts[q], 1)) ** -params.alpha))
-    return found
-
-
-class Related(NamedTuple):
-    """Every record's related (or parent) list as one CSR over entity ids:
-    record p's entries are ``ids[indptr[p]:indptr[p + 1]]`` with those
-    ``distances`` (or weights). An id below the record count is that
-    record's position."""
-
-    indptr: np.ndarray
-    ids: np.ndarray
-    distances: np.ndarray
+    child, parent = np.divmod(np.unique(np.concatenate(keys)), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child, minlength=n), out=indptr[1:])
+    return Related(indptr, parent, powers(np.maximum(link_counts[parent], 1), -params.alpha))
 
 
 @dataclass(frozen=True)
@@ -353,32 +351,36 @@ def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> list[f
 
 
 def build_index(
-    texts_of: Mapping[Iri, Sequence[tuple[str, str, float]]],
+    texts: tuple[np.ndarray, np.ndarray, Sequence[tuple[str, str, float]]],
     neighborhoods: Neighborhoods,
-    parents: Mapping[Iri, Sequence[tuple[Iri, float]]],
+    parents: Related,
     encoders: Encoders,
     out_dir: str | Path,
     config_hash: str = "",
 ) -> IndexManifest:
     """Write a complete index directory; returns its manifest.
 
-    ``texts_of`` gives entities' texts as ``entity_texts`` lists them; each
-    entity with at least one becomes a record. Rebuilding from identical
-    inputs reproduces every byte except the manifest timestamp (the content
-    hash covers the two data files).
+    ``texts`` are the records' texts as ``entity_texts`` gives them: every
+    entity it lists becomes a record. The neighborhoods' seeds must be those
+    records' ids, in the same order (otherwise ValueError), and ``parents``
+    a CSR over the same KB ids, as ``compute_parents`` gives it; IRIs come
+    from ``neighborhoods.entities``. Rebuilding from identical inputs
+    reproduces every byte except the manifest timestamp (the content hash
+    covers the two data files).
     """
+    records, text_indptr, rows = texts
+    if not np.array_equal(neighborhoods.seeds, records):
+        raise ValueError("the neighborhoods' seeds are not the records in record order")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        uris = sorted(e for e, rows in texts_of.items() if rows)
-        columns, entities = _graph_columns(uris, neighborhoods, parents)
-        rows = [row for uri in uris for row in texts_of[uri]]
+        columns, entities = _graph_columns(neighborhoods, parents)
         texts = [text for _, text, _ in rows]
         field_ids: dict[str, int] = {}
         columns["text_fields"] = [field_ids.setdefault(field, len(field_ids))
                                   for field, _, _ in rows]
         columns["text_weights"] = [weight for _, _, weight in rows]
-        columns["text_indptr"] = np.cumsum([0] + [len(texts_of[uri]) for uri in uris])
+        columns["text_indptr"] = text_indptr
 
         batch = TextBatch(texts)
         lexical = batch.lexical_columns(encoders.ngram_sizes)
@@ -401,7 +403,7 @@ def build_index(
             _hash_file(out / name, digest)
         manifest = IndexManifest(
             format_version=FORMAT_VERSION,
-            record_count=len(uris),
+            record_count=len(records),
             text_count=len(texts),
             embedding_dim=encoders.table.dim,
             embedding_sha256=encoders.table.digest,
@@ -417,55 +419,42 @@ def build_index(
     return manifest
 
 
-def _graph_columns(
-    uris: list[Iri],
-    neighborhoods: Neighborhoods,
-    parents: Mapping[Iri, Sequence[tuple[Iri, float]]],
-) -> tuple[dict[str, np.ndarray], list[Iri]]:
-    """The related and parent sections of the records, in record order, and
-    the entity IRIs by entity id: the records', then those of the other
-    entities they name, in order of first appearance (each record's
-    neighborhood, then its parents). A record without a neighborhood has
-    itself alone."""
-    hoods = neighborhoods
-    n = len(uris)
-    node_of = dict(zip(hoods.entities, range(len(hoods.entities))))
-    records = np.fromiter((node_of.setdefault(u, len(node_of)) for u in uris), np.int64, n)
-    pairs = [parents.get(uri, ()) for uri in uris]
-    parent_counts = np.fromiter(map(len, pairs), np.int64, n)
-    parent_nodes = np.fromiter((node_of.setdefault(q, len(node_of)) for p in pairs for q, _ in p),
-                               np.int64, int(parent_counts.sum()))
-    names = list(node_of)
-    # a record without a neighborhood reads itself at 0, stored after the rest
-    ids = np.concatenate((hoods.ids, records))
-    distances = np.concatenate((hoods.distances, np.zeros(n)))
-    rows = np.fromiter(map(hoods.row, uris), np.int64, n)
-    has = rows >= 0
-    lo = np.where(has, hoods.indptr[rows], hoods.ids.shape[0] + np.arange(n))
-    related_counts = np.where(has, hoods.indptr[rows + 1] - hoods.indptr[rows], 1)
-    related = ranges(lo, related_counts)
+def _graph_columns(hoods: Neighborhoods, parents: Related
+                   ) -> tuple[dict[str, np.ndarray], list[Iri]]:
+    """The related and parent sections of the records, which are the
+    neighborhoods' seeds in seed order, and the entity IRIs by entity id:
+    the records', then those of the other entities they name, in order of
+    first appearance (each record's neighborhood, then its parents). The
+    neighborhoods' CSR is the related sections; the records' rows of
+    ``parents``, a CSR over the same ids, are the parent sections."""
+    records, related = hoods.seeds, hoods.ids
+    n = records.shape[0]
+    lo = parents.indptr[records]
+    parent_counts = parents.indptr[records + 1] - lo
+    parent_rows = ranges(lo, parent_counts)
+    parent_nodes = parents.ids[parent_rows]
     # every entity reference in order: record p's neighbors, then its parents
-    related_end = np.cumsum(related_counts)
     parent_end = np.cumsum(parent_counts)
     order = np.empty(related.shape[0] + parent_nodes.shape[0], dtype=np.int64)
-    order[np.arange(related.shape[0]) + np.repeat(parent_end - parent_counts, related_counts)] \
-        = ids[related]
-    order[np.arange(parent_nodes.shape[0]) + np.repeat(related_end, parent_counts)] = parent_nodes
-    entity_id = np.full(len(names), -1, dtype=np.int64)
+    order[np.arange(related.shape[0])
+          + np.repeat(parent_end - parent_counts, np.diff(hoods.indptr))] = related
+    order[np.arange(parent_nodes.shape[0])
+          + np.repeat(hoods.indptr[1:], parent_counts)] = parent_nodes
+    entity_id = np.full(len(hoods.entities), -1, dtype=np.int64)
     entity_id[records] = np.arange(n)
     named, first = np.unique(order, return_index=True)
     unnumbered = entity_id[named] < 0
     others = named[unnumbered][np.argsort(first[unnumbered])]
     entity_id[others] = np.arange(n, n + others.shape[0])
     columns = {
-        "related_indptr": np.append(0, related_end),
-        "related_ids": entity_id[ids[related]],
-        "related_distances": distances[related],
+        "related_indptr": hoods.indptr,
+        "related_ids": entity_id[related],
+        "related_distances": hoods.distances,
         "parent_indptr": np.append(0, parent_end),
         "parent_ids": entity_id[parent_nodes],
-        "parent_weights": [w for p in pairs for _, w in p],
+        "parent_weights": parents.distances[parent_rows],
     }
-    return columns, uris + [names[i] for i in others.tolist()]
+    return columns, [hoods.entities[i] for i in records.tolist() + others.tolist()]
 
 
 @contextmanager

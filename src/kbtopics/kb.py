@@ -415,17 +415,18 @@ def prune_triples(kb: KnowledgeBase) -> tuple[KnowledgeBase, int]:
     return pruned, len(kb) - len(pruned)
 
 
-def entity_texts(kb: KnowledgeBase) -> dict[Iri, list[tuple[str, str, float]]]:
-    """Every entity's registered text-field literals as (field_name, text,
-    search_weight), by field name, then text, then triple order; only the
-    entities that have any, in id order."""
+def entity_texts(kb: KnowledgeBase
+                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str, float]]]:
+    """The registered text-field literals of the entities that have any, as
+    ``(ids, indptr, rows)``: the entities' KB ids, ascending, and each one's
+    rows ``rows[indptr[i]:indptr[i + 1]]`` as (field_name, text,
+    search_weight), by field name, then text, then triple order."""
     fields = [kb.registry.text_fields.get(q) for q in kb.predicates]
     texts = kb.with_predicate(kb.registry.text_fields) & (kb.object_ids < 0)
     rows = [(s, fields[p].name, kb.literals[~o].text, fields[p].weight)
             for s, p, o in zip(kb.subject_ids[texts].tolist(), kb.predicate_ids[texts].tolist(),
                                kb.object_ids[texts].tolist())]
     rows.sort(key=lambda row: row[:3])
-    by_entity: dict[Iri, list[tuple[str, str, float]]] = {}
-    for s, name, text, weight in rows:
-        by_entity.setdefault(kb.entities[s], []).append((name, text, weight))
-    return by_entity
+    ids, starts = np.unique(np.array([row[0] for row in rows], dtype=np.int64),
+                            return_index=True)
+    return ids, np.append(starts, len(rows)), [row[1:] for row in rows]

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
-from typing import Literal as TypingLiteral, Protocol
+from typing import Literal as TypingLiteral
 
 MentionSource = TypingLiteral["text", "keyword"]
 
@@ -146,10 +146,6 @@ def split_sentences(text: str, abbreviations: frozenset[str]) -> list[tuple[int,
         e -= len(segment) - len(segment.rstrip())
         trimmed.append((s, e))
     return trimmed
-
-
-class MentionDetector(Protocol):
-    def detect(self, doc: Document) -> list[Mention]: ...
 
 
 @dataclass(frozen=True)

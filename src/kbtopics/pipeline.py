@@ -131,12 +131,13 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
 
             stage = "expansion"
             texts = entity_texts(kb)
-            neighborhoods = expand_all(graph, texts, config.expansion)
-            staged(f"{len(texts)} neighborhoods")
+            records = texts[0]
+            neighborhoods = expand_all(graph, records, config.expansion)
+            staged(f"{len(records)} neighborhoods")
 
             stage = "parents"
             parents = compute_parents(kb, config.parents, links)
-            staged(f"{sum(len(parents.get(e, ())) for e in texts)} parent links")
+            staged(f"{np.diff(parents.indptr)[records].sum()} parent links")
 
             stage = "index"
             table = EmbeddingTable.load(config.embedding_file)

@@ -20,7 +20,7 @@ import numpy as np
 from kbtopics.edges import EdgeWeightParams, WeightedGraph
 from kbtopics.errors import TripleParseError
 from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
-from kbtopics.index import CandidateIndex, ParentParams
+from kbtopics.index import CandidateIndex, ParentParams, Related
 from kbtopics.kb import (
     CrossRefReport,
     Iri,
@@ -29,6 +29,7 @@ from kbtopics.kb import (
     LoadStats,
     PropertyRegistry,
     Triple,
+    entity_texts,
     iter_triple_file,
     parse_triple_line,
 )
@@ -208,10 +209,17 @@ def adjacency_of(graph: WeightedGraph) -> Adjacency:
             for s, row in best.items()}
 
 
+def expand_iris(graph: WeightedGraph, seeds: Iterable[Iri],
+                params: ExpansionParams | None = None) -> Neighborhoods:
+    """expand_all of the seeds named by IRI, each once, in the order given."""
+    ids = dict(zip(graph.entities, range(len(graph.entities))))
+    return expand_all(graph, [ids[seed] for seed in dict.fromkeys(seeds)], params)
+
+
 def expand(graph: WeightedGraph, seed: Iri, params: ExpansionParams | None = None
            ) -> Neighborhood:
     """One seed's neighborhood."""
-    return expand_all(graph, [seed], params)[seed]
+    return expand_iris(graph, [seed], params)[seed]
 
 
 def distances(nbh: Neighborhood) -> dict[Iri, float]:
@@ -263,18 +271,46 @@ def expand_by_labels(edges: Adjacency, seed: Iri,
     return Neighborhood(seed, tuple(neighbors[: params.max_neighbors]))
 
 
-def neighborhoods_of(given: Mapping[Iri, Neighborhood]) -> Neighborhoods:
-    """Hand-written neighborhoods in the array form expand_all returns."""
+def neighborhoods_of(entities: list[Iri], given: Mapping[Iri, Neighborhood]) -> Neighborhoods:
+    """Hand-written neighborhoods in the array form expand_all returns, over
+    the ids of ``entities`` (a KB's, in sorted IRI order)."""
+    ids = dict(zip(entities, range(len(entities))))
     rows = [nbh.neighbors for nbh in given.values()]
-    names = sorted({e for row in rows for e, _ in row})
-    ids = {e: i for i, e in enumerate(names)}
     return Neighborhoods(
-        names,
+        entities,
         np.array([ids[seed] for seed in given], dtype=np.int64),
         np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
         np.array([ids[e] for row in rows for e, _ in row], dtype=np.int64),
         np.array([d for row in rows for _, d in row], dtype=np.float64),
     )
+
+
+def record_hoods(kb: KnowledgeBase, given: Mapping[Iri, Neighborhood] | None = None
+                 ) -> Neighborhoods:
+    """Neighborhoods of the KB's records (the entities entity_texts lists),
+    in record order: the given one, else the record alone."""
+    given = given or {}
+    records = [kb.entities[i] for i in entity_texts(kb)[0].tolist()]
+    return neighborhoods_of(kb.entities, {
+        e: given.get(e, Neighborhood(e, ((e, 0.0),))) for e in records})
+
+
+def texts_by_iri(kb: KnowledgeBase) -> dict[Iri, list[tuple[str, str, float]]]:
+    """entity_texts as {entity IRI: its rows}, in id order."""
+    ids, indptr, rows = entity_texts(kb)
+    return {kb.entities[e]: rows[lo:hi]
+            for e, lo, hi in zip(ids.tolist(), indptr.tolist(), indptr[1:].tolist())}
+
+
+def parents_by_iri(kb: KnowledgeBase, parents: Related) -> dict[Iri, list[tuple[Iri, float]]]:
+    """compute_parents' CSR as {entity IRI: its (parent IRI, weight) pairs},
+    in id order, only the entities that have any."""
+    named = {}
+    for e, (lo, hi) in enumerate(zip(parents.indptr.tolist(), parents.indptr[1:].tolist())):
+        if hi > lo:
+            named[kb.entities[e]] = [(kb.entities[q], w) for q, w in zip(
+                parents.ids[lo:hi].tolist(), parents.distances[lo:hi].tolist())]
+    return named
 
 
 def iri_by_two_steps(value: str) -> bool:

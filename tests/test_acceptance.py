@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import dijkstra
 from kbtopics.cli import main
 from kbtopics.config import load_config
 from kbtopics.edges import EdgeWeightParams, WeightedGraph, compute_edge_weights, link_counts
-from kbtopics.expansion import ExpansionParams, expand_all
+from kbtopics.expansion import ExpansionParams
 from kbtopics.index import CandidateIndex
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
 from kbtopics.mentions import Document
@@ -32,6 +32,7 @@ from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
+from oracles import expand_iris
 from row_table import MentionVectors, RowTable, rows_of, score_candidate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -232,7 +233,7 @@ def graph_of(edges, seed):
 
 def expand(edges, seed, params):
     """The seed's neighborhood as {entity: distance}."""
-    return dict(expand_all(graph_of(edges, seed), [seed], params)[seed].neighbors)
+    return dict(expand_iris(graph_of(edges, seed), [seed], params)[seed].neighbors)
 
 
 def walk_all_paths(edges, seed, max_depth, max_distance):

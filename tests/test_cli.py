@@ -260,6 +260,16 @@ def test_classify_without_stored_config_exits_1(index_dir, tmp_path, capsys):
     assert "no configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [[], ["--config", str(CONFIG)]])
+def test_classify_missing_index_exits_2(tmp_path, capsys, config):
+    out = tmp_path / "o.jsonl"
+    code = main(["classify", "--index", str(tmp_path / "none"), "--corpus", str(CORPUS),
+                 "--out", str(out), *config])
+    assert code == 2
+    assert "cannot open index" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_explicit_config_overrides(index_dir, tmp_path):
     out = tmp_path / "topics.jsonl"
     code = main(["classify", "--index", str(index_dir), "--corpus", str(CORPUS),

@@ -11,7 +11,7 @@ from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.kb import Iri
 
-from oracles import adjacency_of, distances, expand, expand_by_labels, graph_of
+from oracles import adjacency_of, distances, expand, expand_by_labels, expand_iris, graph_of
 
 EX = "http://example.org/"
 
@@ -186,7 +186,7 @@ class TestExpandAll:
         edges = random_edges(rng, 12, 50)
         g = graph(*edges)
         entities = sorted({iri(s) for s, _, _ in edges} | {iri(t) for _, t, _ in edges})
-        result = expand_all(g, entities)
+        result = expand_iris(g, entities)
         assert set(result) == set(entities)
         for e in entities:
             assert result[e] == expand(g, e)
@@ -194,9 +194,18 @@ class TestExpandAll:
     def test_empty_entities(self):
         assert expand_all(graph(), []) == {}
 
+    def test_rows_follow_the_seed_ids(self):
+        g = graph(("A", "B", 0.5), ("C", "A", 0.25), seeds=["D"])
+        result = expand_all(g, np.array([2, 0, 3]))
+        assert result.seeds.tolist() == [2, 0, 3]
+        assert list(result) == [iri("C"), iri("A"), iri("D")]
+        assert result.indptr.tolist() == [0, 3, 5, 6]
+        assert result.ids.tolist() == [2, 0, 1, 0, 1, 3]
+        assert result.distances.tolist() == [0.0, 0.25, 0.75, 0.0, 0.5, 0.0]
+
     def test_disconnected_components_never_mix(self):
         g = graph(("A", "B", 0.1), ("X", "Y", 0.1))
-        result = expand_all(g, [iri("A"), iri("X")])
+        result = expand_iris(g, [iri("A"), iri("X")])
         assert set(distances(result[iri("A")])) == {iri("A"), iri("B")}
         assert set(distances(result[iri("X")])) == {iri("X"), iri("Y")}
 
@@ -227,7 +236,7 @@ class TestAgainstLabelSettingOracle:
         seed_iris = [iri(f"n{s:02d}") for s in seeds]
         params = ExpansionParams(max_depth=max_depth, max_distance=max_distance,
                                  max_neighbors=max_neighbors)
-        got = expand_all(g, seed_iris, params)
+        got = expand_iris(g, seed_iris, params)
         assert list(got) == list(dict.fromkeys(seed_iris))
         for seed in seed_iris:
             assert bits(got[seed]) == bits(expand_by_labels(adjacency_of(g), seed, params))
@@ -242,7 +251,7 @@ class TestAgainstLabelSettingOracle:
                                      max_distance=float(rng.uniform(0.5, 4.0)),
                                      max_neighbors=int(rng.integers(1, 40)))
             seeds = [iri(f"n{i:03d}") for i in range(40)]
-            got = expand_all(g, seeds, params)
+            got = expand_iris(g, seeds, params)
             for s in seeds:
                 assert bits(got[s]) == bits(expand_by_labels(adjacency_of(g), s, params))
 
@@ -253,7 +262,7 @@ class TestAgainstLabelSettingOracle:
 
     def test_seed_absent_from_the_edges(self):
         g = graph(("A", "B", 0.5), seeds=["ghost"])
-        result = expand_all(g, [iri("ghost"), iri("A")])
+        result = expand_iris(g, [iri("ghost"), iri("A")])
         assert result[iri("ghost")].neighbors == ((iri("ghost"), 0.0),)
         assert result[iri("A")].neighbors == ((iri("A"), 0.0), (iri("B"), 0.5))
 
@@ -261,13 +270,13 @@ class TestAgainstLabelSettingOracle:
         rng = np.random.default_rng(5)
         g = graph(*random_edges(rng, 30, 120), seeds=[f"n{i:03d}" for i in range(30)])
         seeds = [iri(f"n{i:03d}") for i in range(30)]
-        whole = expand_all(g, seeds)
+        whole = expand_iris(g, seeds)
         monkeypatch.setattr(expansion, "SEED_CHUNK", 4)
-        chunked = expand_all(g, seeds)
+        chunked = expand_iris(g, seeds)
         assert [bits(chunked[s]) for s in seeds] == [bits(whole[s]) for s in seeds]
         assert chunked.indptr.tolist() == whole.indptr.tolist()
 
     @pytest.mark.parametrize("weight", [float("nan"), -0.5])
     def test_edge_weight_must_be_a_nonnegative_number(self, weight):
         with pytest.raises(ConfigError, match="nonnegative"):
-            expand_all(graph(("A", "B", weight)), [iri("A")])
+            expand_all(graph(("A", "B", weight)), [0])

@@ -1,4 +1,6 @@
-"""Every module-level import in src/ and tests/ is used."""
+"""Every module-level import in src/ and tests/ is used, and every
+module-level function and class of the package is named somewhere in the
+program besides its own definition."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")  # an __init__ imports to re-export
+PROGRAM = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def names_used(tree: ast.AST) -> set[str]:
@@ -59,3 +62,40 @@ def test_unused_imports_are_found():
               "def f(x: 'Mapping[str, int]') -> None:\n"
               "    return os.path.join(x)\n")
     assert unused_imports(source) == [(2, "j"), (3, "Sequence")]
+
+
+def names_referenced(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, imports or reaches as an attribute, and
+    every string constant, which ``getattr`` and patching reach names by."""
+    names = names_used(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.add(n.value)
+    return names
+
+
+def unreferenced_definitions(sources: dict[str, str], package: str) -> list[str]:
+    """``module.name`` of each module-level function and class of the
+    modules under ``package`` (keys are paths) that no source names."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    referenced = set().union(*map(names_referenced, trees.values()))
+    return sorted(f"{Path(path).stem}.{node.name}" for path, tree in trees.items()
+                  if path.startswith(package) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in referenced)
+
+
+def test_every_definition_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PROGRAM}
+    assert unreferenced_definitions(sources, "src/kbtopics/") == []
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {"src/kbtopics/a.py": "def used(): pass\ndef alone(): pass\nclass C: pass\n",
+               "src/kbtopics/b.py": "from .a import used\nx = getattr(y, 'C')\n",
+               "scripts/s.py": "def script_only(): pass\n"}
+    assert unreferenced_definitions(sources, "src/kbtopics/") == ["a.alone"]

@@ -25,6 +25,7 @@ from kbtopics.index import (
     Encoders,
     IndexManifest,
     ParentParams,
+    Related,
     build_index,
     compute_parents,
     read_columns,
@@ -37,7 +38,8 @@ from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, to
 
 from oracles import (
     TripleKB, block_by_loop, lexical_cosines_by_rows, link_counts_by_scan, neighborhoods_of,
-    parents_by_scan, query_by_loop, text_lengths_by_tokenizing, triples_of,
+    parents_by_iri, parents_by_scan, query_by_loop, record_hoods, text_lengths_by_tokenizing,
+    triples_of,
 )
 from row_table import columns_of, lexical_rows, rows_of, stack
 
@@ -123,14 +125,20 @@ def table(tmp_path_factory):
     return EmbeddingTable.load(p)
 
 
-NO_HOODS = neighborhoods_of({})
+def no_parents(kb):
+    """compute_parents' CSR with no parent in it."""
+    return Related(np.zeros(len(kb.entities) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   np.zeros(0))
 
 
+def build_alone(kb, table, out):
+    """Index the KB's records, each its own neighborhood, without parents."""
+    return build_index(entity_texts(kb), record_hoods(kb), no_parents(kb), Encoders(table), out)
 
 
 def neighborhoods_for(kb):
     # hand-built: bear close to seal via mammal; others isolated
-    return neighborhoods_of({
+    return record_hoods(kb, {
         iri("bear"): Neighborhood(iri("bear"), (
             (iri("bear"), 0.0), (iri("mammal"), 0.5), (iri("seal"), 1.0))),
         iri("seal"): Neighborhood(iri("seal"), (
@@ -170,7 +178,7 @@ def rehash(path):
 
 
 def parents_of(kb, entity, params=ParentParams()):
-    return compute_parents(kb, params, link_counts(kb)).get(entity, [])
+    return parents_by_iri(kb, compute_parents(kb, params, link_counts(kb))).get(entity, [])
 
 
 class TestComputeParents:
@@ -189,7 +197,7 @@ class TestComputeParents:
             [Triple(iri("x"), BROADER, iri("root"))], registry())
         counts = np.ones(len(kb.entities), dtype=np.int64)
         counts[kb.entities.index(iri("root"))] = 1000
-        parents = compute_parents(kb, ParentParams(alpha=0.3), counts)[iri("x")]
+        parents = parents_by_iri(kb, compute_parents(kb, ParentParams(alpha=0.3), counts))[iri("x")]
         assert parents[0][1] == pytest.approx(0.12589254117941673, abs=1e-12)
 
     def test_no_parent_edges(self):
@@ -206,13 +214,13 @@ class TestComputeParents:
         ]
         kb = KnowledgeBase.intern(
             ts, parents_registry(((member, "inverse"), (part_of, "forward"))))
-        parents = compute_parents(kb, ParentParams(), link_counts(kb))
+        parents = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
         assert [q for q, _ in parents[iri("a")]] == [iri("b"), iri("g1"), iri("g2")]
         assert iri("b") not in parents
 
     def test_self_loops_duplicates_literals_and_object_only_entities(self):
         kb = kb_from_spo(EDGE_CASES, [(BROADER, "forward"), (MEMBER, "inverse")])
-        parents = compute_parents(kb, ParentParams(), link_counts(kb))
+        parents = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
         assert [q for q, _ in parents[iri("a")]] == [iri("b"), iri("c"), iri("leaf")]
         assert [q for q, _ in parents[iri("leaf")]] == [iri("d")]
         assert iri("d") not in parents
@@ -237,9 +245,16 @@ class TestComputeParents:
         params = ParentParams(alpha=alpha)
         parents = compute_parents(kb, params, link_counts(kb))
         counts = link_counts_by_scan(okb)
-        for e in sorted(okb.entities | {iri("ghost")}):
-            assert parents.get(e, []) == parents_by_scan(okb, e, params, counts)
-        assert list(parents) == sorted(parents)
+        assert kb.entities == sorted(okb.entities)
+        assert len(parents.indptr) == len(kb.entities) + 1
+        for e, uri in enumerate(kb.entities):
+            lo, hi = parents.indptr[e:e + 2].tolist()
+            row = zip(parents.ids[lo:hi].tolist(), parents.distances[lo:hi].tolist())
+            want = parents_by_scan(okb, uri, params, counts)
+            assert [(kb.entities[q], w) for q, w in row] == want
+        # an entity missing from the KB has no row, and no parents
+        assert iri("ghost") not in kb.entities
+        assert parents_by_scan(okb, iri("ghost"), params, counts) == []
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -264,16 +279,22 @@ class TestBuildIndex:
             parents = idx.parents(idx.position(iri("bear")))
             assert iri("mammal") in [idx.names[q] for q, _ in parents]
 
-    def test_entity_without_neighborhood_gets_self_only(self, tmp_path, table):
-        kb = KnowledgeBase.intern(
-            [Triple(iri("solo"), LABEL, Literal("solo entity"))], registry())
-        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
-        with CandidateIndex.open(tmp_path / "i") as idx:
-            assert idx.neighborhood(iri("solo")).neighbors == ((iri("solo"), 0.0),)
+    @pytest.mark.parametrize("seeds", [
+        ["bear", "mammal", "seal", "mercury"],  # out of record order
+        ["bear", "mammal", "mercury"],  # a record left out
+        ["bear", "mammal", "mercury", "seal", "arctic"],  # an entity without texts
+    ])
+    def test_neighborhoods_must_be_the_records_in_record_order(self, tmp_path, table, seeds):
+        kb = toy_kb()
+        hoods = neighborhoods_of(kb.entities, {
+            iri(e): Neighborhood(iri(e), ((iri(e), 0.0),)) for e in seeds})
+        with pytest.raises(ValueError, match="record order"):
+            build_index(entity_texts(kb), hoods, no_parents(kb), Encoders(table), tmp_path / "i")
+        assert not (tmp_path / "i").exists()
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
         kb = KnowledgeBase.intern([], registry())
-        manifest = build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        manifest = build_alone(kb, table, tmp_path / "i")
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
@@ -283,7 +304,7 @@ class TestBuildIndex:
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
         kb = KnowledgeBase.intern(
             [Triple(iri("odd"), LABEL, Literal(text)) for text in texts], registry())
-        manifest = build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        manifest = build_alone(kb, table, tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert [t for _, t, _ in idx.texts(iri("odd"))] == sorted(texts)
@@ -558,7 +579,7 @@ class TestOpenValidation:
         _, manifest, path = built
         other = tmp_path / "other-emb.txt"
         other.write_text("polar 0 0 0 1\nbear 0 0 1 0\n", encoding="utf-8")
-        build_index(entity_texts(toy_kb()), neighborhoods_for(toy_kb()), {},
+        build_index(entity_texts(toy_kb()), neighborhoods_for(toy_kb()), no_parents(toy_kb()),
                     Encoders(EmbeddingTable.load(other)), tmp_path / "other")
         semantic = read_columns((tmp_path / "other" / COLUMNS_FILE).read_bytes())["semantic"]
         assert semantic.tolist() != read_columns(
@@ -604,7 +625,7 @@ class TestQuery:
             Triple(iri("a-ent"), LABEL, Literal("same label")),
         ]
         kb = KnowledgeBase.intern(ts, registry())
-        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_alone(kb, table, tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             got = hits(idx, "same label", k=5)
             assert [uri for uri, _ in got] == [iri("a-ent"), iri("b-ent")]
@@ -637,7 +658,7 @@ class TestQuery:
             Triple(iri("by-syn"), SYN, Literal("quicksilver")),
         ]
         kb = KnowledgeBase.intern(ts, registry())
-        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_alone(kb, table, tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             got = hits(idx, "quicksilver")
             assert [uri for uri, _ in got] == [iri("by-label"), iri("by-syn")]
@@ -656,7 +677,7 @@ class TestLabelsAndParents:
         ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
               Triple(iri("x"), SYN, Literal("beta"))]
         kb = KnowledgeBase.intern(ts, registry())
-        build_index(entity_texts(kb), NO_HOODS, {}, Encoders(table), tmp_path / "i")
+        build_alone(kb, table, tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
             x = idx.position(iri("x"))
@@ -668,13 +689,24 @@ class TestLabelsAndParents:
 
     def test_parents_follow_record(self, built):
         kb, _, path = built
-        want = compute_parents(kb, ParentParams(), link_counts(kb))
+        want = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
         with CandidateIndex.open(path) as idx:
             for pos, uri in enumerate(idx.names[:len(idx)]):
                 assert [(idx.names[q], w) for q, w in idx.parents(pos)] == want.get(uri, [])
             bear = idx.parents(idx.position(iri("bear")))
             assert [idx.names[q] for q, _ in bear] == [iri("group"), iri("mammal")]
             assert idx.position(iri("ghost")) is None
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_indexes_carry_the_kb_parents(self, tmp_path_factory, table, seed):
+        kb = random_kb(seed)
+        want = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
+        with CandidateIndex.open(random_index(seed, tmp_path_factory.mktemp("random"), table)
+                                 ) as idx:
+            for pos, uri in enumerate(idx.names[:len(idx)]):
+                assert [(idx.names[q], w) for q, w in idx.parents(pos)] == want.get(uri, [])
 
 
 class TestVectors:
@@ -1001,9 +1033,9 @@ def assert_blocks_match_loop(idx, uris):
         assert np.array_equal(got, expected)
 
 
-def random_index(seed, out, table):
-    """Build an index over a random KB in which only some entities have
-    texts, so neighborhoods reach entities without a record."""
+def random_kb(seed):
+    """A random KB in which only some entities have texts, so neighborhoods
+    and parents reach entities without a record."""
     rng = random.Random(seed)
     names = [f"e{i}" for i in range(rng.randint(2, 12))]
     words = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice"]
@@ -1016,11 +1048,17 @@ def random_index(seed, out, table):
     for _ in range(rng.randint(0, 3 * len(names))):
         triples.append(Triple(iri(rng.choice(names)), rng.choice([BROADER, MEMBER]),
                               iri(rng.choice(names))))
-    kb = KnowledgeBase.intern(triples, registry())
+    return KnowledgeBase.intern(triples, registry())
+
+
+def random_index(seed, out, table):
+    """Build an index over ``random_kb(seed)`` as the pipeline does."""
+    kb = random_kb(seed)
     texts = entity_texts(kb)
-    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts,
+    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts[0],
                        ExpansionParams(max_depth=3, max_distance=6.0))
-    build_index(texts, hoods, {}, Encoders(table), out)
+    build_index(texts, hoods, compute_parents(kb, ParentParams(), link_counts(kb)),
+                Encoders(table), out)
     return out
 
 
@@ -1075,12 +1113,12 @@ class TestRelated:
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
         # bear and mercury share only arctic, which has no record
         kb = toy_kb()
-        hoods = neighborhoods_of({
+        hoods = record_hoods(kb, {
             iri("bear"): Neighborhood(iri("bear"), ((iri("bear"), 0.0), (iri("arctic"), 1.25))),
             iri("mercury"): Neighborhood(iri("mercury"), (
                 (iri("mercury"), 0.0), (iri("arctic"), 2.0))),
         })
-        build_index(entity_texts(kb), hoods, {}, Encoders(table), tmp_path / "index")
+        build_index(entity_texts(kb), hoods, no_parents(kb), Encoders(table), tmp_path / "index")
         with CandidateIndex.open(tmp_path / "index") as idx:
             assert idx.position(iri("arctic")) is None
             pair = (idx.position(iri("bear")), idx.position(iri("mercury")))

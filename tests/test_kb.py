@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,8 +32,10 @@ from oracles import (
     iri_by_two_steps,
     link_counts_by_scan,
     load_triples,
+    parents_by_iri,
     parents_by_scan,
     prune_by_objects,
+    texts_by_iri,
     texts_by_scan,
     triples_by_character_parser,
     triples_of,
@@ -370,7 +373,7 @@ class TestKnowledgeBase:
     def test_empty(self):
         kb = KnowledgeBase.intern([], make_registry())
         assert len(kb) == 0 and kb.entities == []
-        assert entity_texts(kb) == {}
+        assert texts_by_iri(kb) == {}
 
 
 class TestRegistryValidation:
@@ -491,17 +494,29 @@ class TestEntityTexts:
             Triple(a, LABEL, Iri(EX + "not-text")),
         ]
         kb = KnowledgeBase.intern(ts, make_registry())
-        assert entity_texts(kb) == {a: [
+        assert texts_by_iri(kb) == {a: [
             ("label", "polar bear", 2.0),
             ("synonym", "ice bear", 1.0),
             ("synonym", "white bear", 1.0),
         ]}
 
+    def test_ids_ascend_with_a_row_pointer(self):
+        a, b, c = (Iri(EX + n) for n in "abc")
+        ts = [Triple(c, LABEL, Literal("sea")), Triple(b, LABEL, Iri(EX + "x")),
+              Triple(a, SYN, Literal("ice")), Triple(c, SYN, Literal("ice"))]
+        kb = KnowledgeBase.intern(ts, make_registry())
+        ids, indptr, rows = entity_texts(kb)
+        assert [kb.entities[i] for i in ids.tolist()] == [a, c]
+        assert ids.dtype == indptr.dtype == np.int64
+        assert indptr.tolist() == [0, 1, 3]
+        assert rows == [("synonym", "ice", 1.0), ("label", "sea", 2.0), ("synonym", "ice", 1.0)]
+
     def test_unknown_entity_empty(self):
         kb = KnowledgeBase.intern([Triple(Iri(EX + "a"), LABEL, Iri(EX + "b"))],
                                   make_registry())
-        assert entity_texts(kb) == {}
-        assert entity_texts(KnowledgeBase.intern([], make_registry())) == {}
+        assert texts_by_iri(kb) == {}
+        ids, indptr, rows = entity_texts(KnowledgeBase.intern([], make_registry()))
+        assert (ids.tolist(), indptr.tolist(), rows) == ([], [0], [])
 
     def test_ties_keep_triple_order(self):
         # two predicates mapped to one field name, with different weights
@@ -510,9 +525,9 @@ class TestEntityTexts:
                                          alias: TextField("label", 0.5)})
         ts = [Triple(a, alias, Literal("bear")), Triple(a, LABEL, Literal("bear")),
               Triple(a, LABEL, Literal("ant"))]
-        assert entity_texts(KnowledgeBase.intern(ts, reg)) == {a: [
+        assert texts_by_iri(KnowledgeBase.intern(ts, reg)) == {a: [
             ("label", "ant", 2.0), ("label", "bear", 0.5), ("label", "bear", 2.0)]}
-        assert entity_texts(KnowledgeBase.intern(ts[1:] + ts[:1], reg)) == {a: [
+        assert texts_by_iri(KnowledgeBase.intern(ts[1:] + ts[:1], reg)) == {a: [
             ("label", "ant", 2.0), ("label", "bear", 2.0), ("label", "bear", 0.5)]}
 
 
@@ -571,9 +586,10 @@ class TestAgainstObjectKB:
         assert reports == oreports == (CrossRefReport(converted=1, unresolved=2), 1)
         assert D not in kb.entities
         assert len(kb) == len(EDGE_CASES) - 2
-        assert entity_texts(kb)[A] == [("label", "bear", 0.5), ("label", "bear", 2.0),
+        assert texts_by_iri(kb)[A] == [("label", "bear", 0.5), ("label", "bear", 2.0),
                                        ("label", "x", 2.0), ("label", "x", 2.0)]
-        assert [q for q, _ in compute_parents(kb, ParentParams(), link_counts(kb))[A]] == [B, C]
+        parents = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
+        assert [q for q, _ in parents[A]] == [B, C]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.builds(
@@ -602,11 +618,10 @@ class TestAgainstObjectKB:
                           graph.weights.tolist())) == edges_by_scan(okb, params)
 
         entities = sorted(okb.entities)
-        texts = entity_texts(kb)
-        assert list(texts.items()) == [
+        assert list(texts_by_iri(kb).items()) == [
             (e, rows) for e in entities if (rows := texts_by_scan(okb, e))]
 
         alpha = ParentParams(alpha=0.3)
-        parents = compute_parents(kb, alpha, links)
+        parents = parents_by_iri(kb, compute_parents(kb, alpha, links))
         assert list(parents.items()) == [
             (e, found) for e in entities if (found := parents_by_scan(okb, e, alpha, olinks))]

@@ -1,6 +1,7 @@
 """Offline build orchestration and the document classification pipeline."""
 
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -12,23 +13,25 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from kbtopics.config import load_config, parse_config
 from kbtopics import pipeline, ranking
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.expansion import Neighborhood
-from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, build_index
-from kbtopics.kb import Iri
+from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, Related, build_index
+from kbtopics.kb import Iri, KnowledgeBase, entity_texts
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
 from kbtopics.ranking import rank_mentions, score_lemmas
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from oracles import neighborhoods_of
+from oracles import record_hoods
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
+RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 STAGES = ["load", "cross-refs", "prune", "edge-weights", "expansion", "parents", "index"]
 
 
@@ -111,8 +114,16 @@ TOY_DETAILS = [
 ]
 
 
+TOY_FILE_SHA256 = {
+    STRINGS_FILE: "4efe72f58f9d1cf917efb08db1f8338b0c021233ccd605ddf920c45299c3571d",
+    COLUMNS_FILE: "164766dac112e9d19d1fd168eb9ef15c624c37bfe2cba4f8e83f1c10035ebf0b",
+}
+
+
 def test_toy_index_bytes_and_stage_details_are_pinned(built):
-    _, report = built
+    out, report = built
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in TOY_FILE_SHA256} == TOY_FILE_SHA256
     assert report.manifest.content_hash == TOY_CONTENT_HASH
     assert (report.manifest.record_count, report.manifest.text_count) == (53, 71)
     assert [t.detail for t in report.timings] == TOY_DETAILS
@@ -279,10 +290,15 @@ def test_equal_parents_without_records_are_listed_in_iri_order(tmp_path, toy_con
     entity ids follow first appearance, and the child's neighborhood names
     the later IRI first; the output still lists them in IRI order."""
     child, early, late = (Iri(f"http://example.org/{n}") for n in ("child", "a-up", "z-up"))
-    hoods = neighborhoods_of({child: Neighborhood(child, ((child, 0.0), (late, 1.0)))})
+    broader = Iri("http://www.w3.org/2004/02/skos/core#broader")
+    kb = KnowledgeBase.intern([(child, RDFS_LABEL, ("polar bear", None)),
+                               (child, broader, early), (child, broader, late)],
+                              toy_config.registry)
+    hoods = record_hoods(kb, {child: Neighborhood(child, ((child, 0.0), (late, 1.0)))})
     encoders = Encoders(EmbeddingTable.load(toy_config.embedding_file), toy_config.ngram_sizes)
-    build_index({child: [("label", "polar bear", 2.0)]}, hoods,
-                {child: [(early, 0.5), (late, 0.5)]}, encoders, tmp_path / "index")
+    # the parents' CSR over kb.entities, [early, child, late], by hand
+    parents = Related(np.array([0, 0, 2, 2]), np.array([0, 2]), np.array([0.5, 0.5]))
+    build_index(entity_texts(kb), hoods, parents, encoders, tmp_path / "index")
     doc = Document(id="d", title="A polar bear.", provided_mentions=("polar bear",))
     with open_classifier(tmp_path / "index", toy_config) as clf:
         assert clf._index.names == [child, late, early]
