@@ -7,22 +7,23 @@ integer entity ids and distances. A pair's distance is the cheapest meeting
 point of their neighborhoods, found for all pairs at once by sorting the
 concatenated entries by (entity id, owner) and taking a sort-based group
 minimum. The similarities fill a dense matrix over the sorted candidates,
-weakly connected candidates are pruned greedily from it, and the survivors'
-scores are boosted in proportion to how strongly they connect to the rest.
-Ties break by position, which orders as the records' IRIs do.
+weakly connected candidates are pruned greedily from it, and the survivors
+are boosted in proportion to how strongly they connect to the rest. The
+candidates come in as stage two's aligned (mention, entity) arrays and the
+boosts go out as one per row, which the classifier multiplies into the
+scores. Ties break by position, which orders as the records' IRIs do.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .index import Related
-from .ranking import ScoredCandidate
 from .vectors import ranges
 
 
@@ -62,47 +63,25 @@ class CoherenceGraph:
     sim: np.ndarray
 
     @property
-    def edges(self) -> Mapping[tuple[int, int], float]:
+    def edges(self) -> dict[tuple[int, int], float]:
         """Connected pairs, smaller position first, with their similarity."""
-        return _Edges(self)
+        rows, cols = np.nonzero(np.triu(self.sim, 1))
+        return {(self.nodes[i], self.nodes[j]): float(self.sim[i, j])
+                for i, j in zip(rows.tolist(), cols.tolist())}
 
 
-class _Edges(Mapping):
-    """Read-only view of a graph's connected pairs; sized without building
-    one Python object per pair."""
-
-    def __init__(self, graph: CoherenceGraph):
-        self._nodes = graph.nodes
-        self._upper = np.triu(graph.sim, 1)
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._upper))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        rows, cols = np.nonzero(self._upper)
-        node = self._nodes.__getitem__
-        return zip(map(node, rows.tolist()), map(node, cols.tolist()))
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        a, b = pair
-        if a in self._nodes and b in self._nodes:
-            value = float(self._upper[self._nodes.index(a), self._nodes.index(b)])
-            if value:
-                return value
-        raise KeyError(pair)
-
-
-def build_similarity(candidates: Iterable[int], related: Related) -> CoherenceGraph:
+def build_similarity(candidates: Sequence[int] | np.ndarray, related: Related) -> CoherenceGraph:
     """Connect candidate pairs whose neighborhoods overlap.
 
-    Candidate p's neighborhood is row p of ``related``: int64 entity ids,
-    each at most once, with distances, its own seed at 0. The pair distance
+    Candidate p's neighborhood is row p of ``related``: entity ids, each at
+    most once, with distances, its own seed at 0. The pair distance
     is the cheapest meeting point: min over shared entries x of
     dist_a(x) + dist_b(x). Since each neighborhood contains its own seed,
     this is an upper bound on the true path length between the seeds.
     Similarity is 1/(1+dist), so closer pairs score higher, capped at 1.
     """
-    nodes = tuple(sorted(set(candidates)))
+    pos = np.unique(np.asarray(candidates, dtype=np.intp))
+    nodes = tuple(pos.tolist())
     n = len(nodes)
     sim = np.zeros((n, n))
     if n < 2:
@@ -110,11 +89,11 @@ def build_similarity(candidates: Iterable[int], related: Related) -> CoherenceGr
 
     # every entry, sorted by (entity id, owner); no neighborhood lists an
     # entity twice, so the key is unique and the sort need not be stable
-    pos = np.array(nodes, dtype=np.intp)
     lo = related.indptr[pos]
     counts = related.indptr[pos + 1] - lo
     entries = ranges(lo, counts)
-    ids = related.ids[entries]
+    # int64 before the keys are formed: int32 ids times n stay int32
+    ids = related.ids[entries].astype(np.int64)
     owner = np.repeat(np.arange(n), counts)
     order = np.argsort(ids * n + owner)
     ids, owner = ids[order], owner[order]
@@ -137,12 +116,11 @@ def build_similarity(candidates: Iterable[int], related: Related) -> CoherenceGr
     return CoherenceGraph(nodes=nodes, sim=sim)
 
 
-def greedy_prune(
-    graph: CoherenceGraph,
-    mention_candidates: Sequence[Iterable[int]],
-    params: CoherenceParams,
-) -> dict[int, float]:
-    """Drop weakly connected candidates, then boost the survivors.
+def greedy_prune(graph: CoherenceGraph, mention: np.ndarray, entity: np.ndarray,
+                 params: CoherenceParams) -> np.ndarray:
+    """Drop weakly connected candidates, then boost the survivors: one boost
+    per row of the aligned ``mention`` and ``entity`` arrays, each entity one
+    of the graph's nodes.
 
     The prune budget is prune_fraction of the candidates that could be
     removed individually without starving a mention below min_keep. Victims
@@ -152,17 +130,14 @@ def greedy_prune(
     1 + gamma * conn/max_conn where conn is measured among survivors only.
 
     Every connectivity is a row sum of the graph's dense similarity matrix
-    in index order, so the boosts do not depend on set iteration order (and
+    in index order, so the boosts do not depend on the rows' order (and
     thus not on PYTHONHASHSEED).
     """
-    nodes, sim = graph.nodes, graph.sim
-    pos = {e: i for i, e in enumerate(nodes)}
+    sim = graph.sim
+    node = np.searchsorted(graph.nodes, entity)
     # members[m, i]: node i is still a candidate of mention m
-    members = np.zeros((len(mention_candidates), len(nodes)), dtype=bool)
-    for m, group in enumerate(mention_candidates):
-        for e in group:
-            if e in pos:
-                members[m, pos[e]] = True
+    members = np.zeros((int(mention.max(initial=-1)) + 1, len(graph.nodes)), dtype=bool)
+    members[mention, node] = True
     counts = members.sum(axis=1)
 
     def removal_allowed() -> np.ndarray:
@@ -170,7 +145,7 @@ def greedy_prune(
         return ~members[starved].any(axis=0)
 
     budget = math.floor(params.prune_fraction * int(removal_allowed().sum()))
-    active = np.ones(len(nodes), dtype=bool)
+    active = np.ones(len(graph.nodes), dtype=bool)
     for _ in range(budget):
         eligible = active & removal_allowed()
         if not eligible.any():
@@ -184,24 +159,7 @@ def greedy_prune(
 
     conn = np.where(active, sim, 0.0).sum(axis=1)
     max_conn = float(conn[active].max(initial=0.0))
-    boosts = np.ones(len(nodes))
+    boosts = np.ones(len(graph.nodes))
     if max_conn > 0:
         boosts[active] = 1.0 + params.gamma * conn[active] / max_conn
-    return dict(zip(nodes, boosts.tolist()))
-
-
-def apply_boosts(
-    ranked: Sequence[Sequence[ScoredCandidate]],
-    boosts: Mapping[int, float],
-) -> list[list[ScoredCandidate]]:
-    """Multiply scores by their boosts and re-sort each per-mention list."""
-    for value in boosts.values():
-        if value < 1.0:
-            raise ValueError(f"boosts must be >= 1, got {value}")
-    out: list[list[ScoredCandidate]] = []
-    for candidates in ranked:
-        adjusted = [ScoredCandidate(c.entity, c.mention_index, c.score,
-                                    boosts.get(c.entity, 1.0)) for c in candidates]
-        adjusted.sort(key=lambda c: (-c.effective, c.entity))
-        out.append(adjusted)
-    return out
+    return boosts[node]

@@ -515,10 +515,8 @@ class CandidateIndex:
         self._fields = strings["fields"]
         self._texts = strings["texts"]
         n = self._n = len(columns["related_indptr"]) - 1
-        related_ids = columns["related_ids"].astype(np.int64)  # id * n + owner keys
-        related_ids.flags.writeable = False
         self.related = Related(
-            columns["related_indptr"], related_ids, columns["related_distances"])
+            columns["related_indptr"], columns["related_ids"], columns["related_distances"])
         self._parents = Related(
             columns["parent_indptr"], columns["parent_ids"], columns["parent_weights"])
         # per record position its first text id (one extra entry for the

@@ -423,10 +423,17 @@ def entity_texts(kb: KnowledgeBase
     search_weight), by field name, then text, then triple order."""
     fields = [kb.registry.text_fields.get(q) for q in kb.predicates]
     texts = kb.with_predicate(kb.registry.text_fields) & (kb.object_ids < 0)
-    rows = [(s, fields[p].name, kb.literals[~o].text, fields[p].weight)
-            for s, p, o in zip(kb.subject_ids[texts].tolist(), kb.predicate_ids[texts].tolist(),
-                               kb.object_ids[texts].tolist())]
-    rows.sort(key=lambda row: row[:3])
-    ids, starts = np.unique(np.array([row[0] for row in rows], dtype=np.int64),
-                            return_index=True)
-    return ids, np.append(starts, len(rows)), [row[1:] for row in rows]
+    subjects, predicates = kb.subject_ids[texts], kb.predicate_ids[texts]
+    literals, literal_of = np.unique(~kb.object_ids[texts], return_inverse=True)
+    values = [kb.literals[i].text for i in literals.tolist()]
+    # field names and texts ranked in Python's str order (NumPy U arrays
+    # drop trailing NULs); the stable sort keeps triple order among equals
+    names = sorted({f.name for f in fields if f is not None})
+    field_rank = np.array([names.index(f.name) if f else -1 for f in fields], dtype=np.intp)
+    rank = {text: i for i, text in enumerate(sorted(set(values)))}
+    text_rank = np.array([rank[text] for text in values], dtype=np.intp)
+    order = np.lexsort((text_rank[literal_of], field_rank[predicates], subjects))
+    rows = [(fields[p].name, values[t], fields[p].weight)
+            for p, t in zip(predicates[order].tolist(), literal_of[order].tolist())]
+    ids, starts = np.unique(subjects[order], return_index=True)
+    return ids, np.append(starts, len(rows)), rows

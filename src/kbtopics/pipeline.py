@@ -10,7 +10,9 @@ Per document, scoring runs as two batches (``ranking``): the document's
 distinct lemmas are looked up in the memo together and its misses scored in
 one stage-one pass, then every mention is ranked against its sentence in one
 stage-two pass, which computes each distinct (sentence, text) context
-cosine once where the rows repeat pairs densely. The memo keeps, per lemma,
+cosine once where the rows repeat pairs densely. Stage two's kept candidates
+stay three aligned arrays (mention, position, score) through coherence,
+which gives one boost per row, and aggregation. The memo keeps, per lemma,
 the part of scoring that does not depend on the sentence (the candidates'
 row addresses and partial scores, as arrays of their own) in a plain dict
 of at most one entry per indexed entity, least recently used evicted first.
@@ -32,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coherence import apply_boosts, build_similarity, greedy_prune
+from .coherence import build_similarity, greedy_prune
 from .config import AppConfig, dump_config
 from .edges import compute_edge_weights, link_counts
 from .errors import ConfigError, IndexIntegrityError, KbTopicsError, PipelineError
@@ -237,19 +239,19 @@ class Classifier:
         candidates = self._candidates(dict.fromkeys(m.lemma for m in mentions))
         sentences: dict[str, int] = {}  # each distinct sentence's position
         sentence_of = [sentences.setdefault(m.sentence, len(sentences)) for m in mentions]
-        ranked_lists = rank_mentions(
+        ranked = rank_mentions(
             [candidates[m.lemma] for m in mentions],
             np.array([semantic_vector(sentence, self._table) for sentence in sentences]),
             sentence_of, self._index, self._ranking, self._coherence.top_m_per_mention)
 
+        effective = ranked.score
         if self._coherence.enabled:
-            membership = [[c.entity for c in ranked] for ranked in ranked_lists]
-            graph = build_similarity(
-                [e for group in membership for e in group], self._index.related)
-            boosts = greedy_prune(graph, membership, self._coherence)
-            ranked_lists = apply_boosts(ranked_lists, boosts)
+            graph = build_similarity(ranked.entity, self._index.related)
+            effective = effective * greedy_prune(graph, ranked.mention, ranked.entity,
+                                                 self._coherence)
 
-        topics = aggregate(ranked_lists, [m.lemma for m in mentions], self._selection)
+        topics = aggregate(ranked.mention, ranked.entity, effective,
+                           [m.lemma for m in mentions], self._selection)
         topics = enhance_with_parents(
             topics, self._index.parents, self._selection, self._index.names.__getitem__)
         keep = kneedle_cutoff([t.final_score for t in topics], self._selection)

@@ -49,14 +49,16 @@ row, so the table grows with the document, not with the knowledge base.
 their rows' addresses (text ids) with their field weights and distances;
 the vectors stay in the index's memory map. So a classifier can keep the
 first stage per lemma for a few dozen bytes a row. Ranked candidates stay
-record positions too, and positions order as the records' IRIs do.
+record positions, and positions order as the records' IRIs do: stage two
+returns every mention's kept candidates as three aligned arrays
+(``Ranked``), which coherence and aggregation read as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -135,16 +137,13 @@ class CandidateBlocks:
     distances: np.ndarray             # (rows,), w_e of each row's owner
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    entity: int                       # record position
-    mention_index: int
-    score: float
-    boost: float = 1.0
+class Ranked(NamedTuple):
+    """Kept candidates of several mentions as three aligned arrays, by
+    mention, then descending score, then position."""
 
-    @property
-    def effective(self) -> float:
-        return self.score * self.boost
+    mention: np.ndarray               # (kept,) mention index
+    entity: np.ndarray                # (kept,) record position
+    score: np.ndarray                 # (kept,)
 
 
 @dataclass(frozen=True)
@@ -247,8 +246,7 @@ def _context_terms(sentence: np.ndarray, text_ids: np.ndarray, contexts: np.ndar
 
 
 def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_of: Sequence[int],
-                  vectors: VectorSource, params: RankingParams,
-                  top_m: int) -> list[list[ScoredCandidate]]:
+                  vectors: VectorSource, params: RankingParams, top_m: int) -> Ranked:
     """Stage two for several mentions: mention i's candidates ``rows[i]``
     scored against its sentence's context vector ``contexts[sentence_of[i]]``,
     ``contexts`` holding one vector per distinct sentence. A row's context
@@ -256,7 +254,7 @@ def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_
     Each mention keeps its best ``top_m``, descending by score, ties broken
     by position."""
     if not rows:
-        return []
+        return Ranked(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
     def stacked(column):
         return np.concatenate([column(r) for r in rows])
@@ -279,8 +277,4 @@ def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_
     order = np.lexsort((entities, -scores, mention))
     keep = order[np.arange(order.shape[0]) - np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks)
                  < top_m]
-    ranked: list[list[ScoredCandidate]] = [[] for _ in rows]
-    for entity, i, score in zip(entities[keep].tolist(), mention[keep].tolist(),
-                                scores[keep].tolist()):
-        ranked[i].append(ScoredCandidate(entity, i, score))
-    return ranked
+    return Ranked(mention[keep], entities[keep], scores[keep])

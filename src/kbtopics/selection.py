@@ -1,10 +1,12 @@
 """Topic aggregation, parent enhancement, and knee-based cutoff.
 
-Per-mention winners are folded into document topics scored by total evidence
-times a diversity multiplier, broader parent entities inherit a weighted
-share of their children's scores, and the sorted score curve is cut at its
-knee so only the strong head survives. Topics are entity ids until then; a
-classifier names only the topics it keeps (``TopicResult``).
+Per-mention winners, picked from stage two's aligned (mention, entity,
+boosted score) arrays with one sort, are folded into document topics scored
+by total evidence times a diversity multiplier, broader parent entities
+inherit a weighted share of their children's scores, and the sorted score
+curve is cut at its knee so only the strong head survives. Topics are
+entity ids until then; a classifier names only the topics it keeps
+(``TopicResult``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .kb import Iri
-from .ranking import ScoredCandidate
 
 TopicOrigin = Literal["direct", "parent"]
 
@@ -64,33 +65,35 @@ class TopicResult:
             raise ValueError("direct topics need at least one supporting lemma")
 
 
-def aggregate(
-    per_mention_ranked: Sequence[Sequence[ScoredCandidate]],
-    lemmas: Sequence[str],
-    params: SelectionParams,
-) -> list[Topic]:
+def aggregate(mention: np.ndarray, entity: np.ndarray, effective: np.ndarray,
+              lemmas: Sequence[str], params: SelectionParams) -> list[Topic]:
     """Fold per-mention winners into direct topics.
 
-    Each mention contributes its single best candidate by boosted score.
-    A topic's final score is the sum of those contributions scaled by
+    Row r holds candidate ``entity[r]`` of mention ``mention[r]`` with its
+    boosted score ``effective[r]``; mention i has lemma ``lemmas[i]``. Each
+    mention contributes its single best candidate by boosted score, ties by
+    record position. A topic's final score is the sum of those
+    contributions, added in mention order, scaled by
     1 + lambda * (distinct supporting lemmas - 1), so repeat evidence under
     different surface lemmas counts extra. Ties break by record position.
     """
-    if len(per_mention_ranked) != len(lemmas):
+    if mention.size and int(mention.max()) >= len(lemmas):
         raise ValueError("one lemma per mention required")
+    order = np.lexsort((entity, -effective, mention))
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = mention[order[1:]] != mention[order[:-1]]
+    winners = order[first]
     totals: dict[int, float] = {}
     lemma_sets: dict[int, set[str]] = {}
-    for ranked, lemma in zip(per_mention_ranked, lemmas):
-        if not ranked:
-            continue
-        winner = min(ranked, key=lambda c: (-c.effective, c.entity))
-        totals[winner.entity] = totals.get(winner.entity, 0.0) + winner.effective
-        lemma_sets.setdefault(winner.entity, set()).add(lemma)
+    for m, e, value in zip(mention[winners].tolist(), entity[winners].tolist(),
+                           effective[winners].tolist()):
+        totals[e] = totals.get(e, 0.0) + value
+        lemma_sets.setdefault(e, set()).add(lemmas[m])
     topics = []
-    for entity, total in totals.items():
-        count = len(lemma_sets[entity])
+    for e, total in totals.items():
+        count = len(lemma_sets[e])
         final = total * (1.0 + params.lambda_diversity * (count - 1))
-        topics.append(Topic(entity, final, frozenset(lemma_sets[entity]), "direct"))
+        topics.append(Topic(e, final, frozenset(lemma_sets[e]), "direct"))
     topics.sort(key=lambda t: (-t.final_score, t.entity))
     return topics
 

@@ -17,6 +17,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
+from kbtopics.coherence import CoherenceGraph, CoherenceParams
 from kbtopics.edges import EdgeWeightParams, WeightedGraph
 from kbtopics.errors import TripleParseError
 from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
@@ -34,6 +35,7 @@ from kbtopics.kb import (
     parse_triple_line,
 )
 from kbtopics.ranking import RankingParams, activation
+from kbtopics.selection import SelectionParams, Topic
 from kbtopics.vectors import SparseVector, char_ngrams, tokenize
 
 from row_table import CandidateBlock, LexicalRows, MentionVectors, RowTable
@@ -426,6 +428,64 @@ def similarity_by_pairs(
                 edges[(a, b)] = 1.0 / (1.0 + best)
     return edges
 
+
+
+def prune_by_lists(graph: CoherenceGraph, mention_candidates: Sequence[Iterable[int]],
+                   params: CoherenceParams) -> dict[int, float]:
+    """greedy_prune over per-mention candidate lists, each node's boost by
+    node: the membership matrix filled pair by pair through a node-to-index
+    dict, then the same greedy rounds."""
+    nodes, sim = graph.nodes, graph.sim
+    pos = {e: i for i, e in enumerate(nodes)}
+    members = np.zeros((len(mention_candidates), len(nodes)), dtype=bool)
+    for m, group in enumerate(mention_candidates):
+        for e in group:
+            if e in pos:
+                members[m, pos[e]] = True
+    counts = members.sum(axis=1)
+
+    def removal_allowed() -> np.ndarray:
+        starved = counts - 1 < params.min_keep
+        return ~members[starved].any(axis=0)
+
+    budget = math.floor(params.prune_fraction * int(removal_allowed().sum()))
+    active = np.ones(len(nodes), dtype=bool)
+    for _ in range(budget):
+        eligible = active & removal_allowed()
+        if not eligible.any():
+            break
+        conn = np.where(active, sim, 0.0).sum(axis=1)
+        victim = int(np.argmin(np.where(eligible, conn, np.inf)))
+        active[victim] = False
+        counts -= members[:, victim]
+        members[:, victim] = False
+
+    conn = np.where(active, sim, 0.0).sum(axis=1)
+    max_conn = float(conn[active].max(initial=0.0))
+    boosts = np.ones(len(nodes))
+    if max_conn > 0:
+        boosts[active] = 1.0 + params.gamma * conn[active] / max_conn
+    return dict(zip(nodes, boosts.tolist()))
+
+
+def topics_by_lists(ranked: Sequence[Sequence[tuple[int, float]]], boosts: Mapping[int, float],
+                    lemmas: Sequence[str], params: SelectionParams) -> list[Topic]:
+    """Direct topics from per-mention (entity, score) lists: each score
+    times its entity's boost (1 without one), each mention's winner the
+    ``min`` by (-effective, entity), winners summed per entity in mention
+    order."""
+    totals: dict[int, float] = {}
+    lemma_sets: dict[int, set[str]] = {}
+    for candidates, lemma in zip(ranked, lemmas, strict=True):
+        if not candidates:
+            continue
+        effective = {e: score * boosts.get(e, 1.0) for e, score in candidates}
+        winner = min(effective, key=lambda e: (-effective[e], e))
+        totals[winner] = totals.get(winner, 0.0) + effective[winner]
+        lemma_sets.setdefault(winner, set()).add(lemma)
+    topics = [Topic(e, total * (1.0 + params.lambda_diversity * (len(lemma_sets[e]) - 1)),
+                    frozenset(lemma_sets[e]), "direct") for e, total in totals.items()]
+    return sorted(topics, key=lambda t: (-t.final_score, t.entity))
 
 def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
     """candidate_blocks of one uri's record by a loop over its neighborhood,

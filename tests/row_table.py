@@ -8,16 +8,17 @@ CSR form (``LexicalRows``) that the oracles score, and holds rows in a
 ``RowTable`` that scores like an opened index. ``score_candidate``,
 ``rank_candidates`` and ``block_scores`` run both scoring stages
 (``score_lemmas`` and ``rank_mentions``) for one mention, a batch of one,
-over ``CandidateBlock``s, one candidate's rows each.
+over ``CandidateBlock``s, one candidate's rows each; ``per_mention`` splits
+stage two's aligned arrays into one list of ``Candidate``s per mention.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from kbtopics.ranking import (
-    CandidateBlocks, CandidateRows, RankingParams, ScoredCandidate, VectorSource, rank_mentions,
+    CandidateBlocks, CandidateRows, Ranked, RankingParams, VectorSource, rank_mentions,
     score_lemmas,
 )
 from kbtopics.vectors import LexicalColumns, SparseVector
@@ -72,11 +73,26 @@ def lemma_rows(mention: MentionVectors, blocks: Sequence[CandidateBlock], vector
     return rows
 
 
+class Candidate(NamedTuple):
+    entity: int                       # record position
+    score: float
+
+
+def per_mention(ranked: Ranked, n_mentions: int) -> list[list[Candidate]]:
+    """Stage two's kept rows as one list per mention, in their order."""
+    out: list[list[Candidate]] = [[] for _ in range(n_mentions)]
+    for m, entity, score in zip(ranked.mention.tolist(), ranked.entity.tolist(),
+                                ranked.score.tolist()):
+        out[m].append(Candidate(entity, score))
+    return out
+
+
 def rank_candidates(mention: MentionVectors, blocks: Sequence[CandidateBlock],
-                    vectors: VectorSource, params: RankingParams) -> list[ScoredCandidate]:
+                    vectors: VectorSource, params: RankingParams) -> list[Candidate]:
     """Score every block; descending by score, ties broken by position."""
-    [ranked] = rank_mentions([lemma_rows(mention, blocks, vectors, params)], mention.ctx[None],
-                             [0], vectors, params, max(len(blocks), 1))
+    [ranked] = per_mention(rank_mentions([lemma_rows(mention, blocks, vectors, params)],
+                                         mention.ctx[None], [0], vectors, params,
+                                         max(len(blocks), 1)), 1)
     return ranked
 
 

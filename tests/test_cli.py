@@ -231,6 +231,27 @@ def test_classify_jobs_output_identical(index_dir, tmp_path, monkeypatch):
     assert one.read_bytes() == four.read_bytes()
 
 
+# sha256 of the toy corpus's classify output; JSON writes each score with
+# repr, so the pins hold the scores bit for bit
+TOY_TOPICS_SHA256 = {
+    "coherence": "ef07f29119e44e8c9bd7350e8e5351e2f9a42dcc48b54608ebc3dfcf66b39f14",
+    "no-coherence": "23e8ce5a660728cc19db9ee196426adb3e2781abe4f8fcf99c9418add8cd39ad",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("mode", sorted(TOY_TOPICS_SHA256))
+def test_toy_classify_output_is_pinned(index_dir, tmp_path, monkeypatch, mode, jobs):
+    # with four jobs, fork at the first document
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "_FORK_AFTER_S", 0.0)
+    out = tmp_path / "topics.jsonl"
+    flags = ["--no-coherence"] if mode == "no-coherence" else []
+    assert main(["classify", "--index", str(index_dir), "--corpus", str(CORPUS),
+                 "--out", str(out), "--jobs", jobs, *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TOY_TOPICS_SHA256[mode]
+
+
 def test_no_coherence_flips_homonym(index_dir, tmp_path):
     with_c = tmp_path / "with.jsonl"
     without = tmp_path / "without.jsonl"

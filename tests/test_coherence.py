@@ -10,24 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import kbtopics
-from kbtopics.coherence import (
-    CoherenceGraph,
-    CoherenceParams,
-    apply_boosts,
-    build_similarity,
-    greedy_prune,
-)
+from kbtopics.coherence import CoherenceGraph, CoherenceParams, build_similarity, greedy_prune
 from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood
 from kbtopics.index import Related
 from kbtopics.kb import Iri
-from kbtopics.ranking import ScoredCandidate
+from kbtopics.selection import SelectionParams, aggregate
 
-from oracles import distances, expand, graph_of, similarity_by_pairs
+from oracles import (
+    distances, expand, graph_of, prune_by_lists, similarity_by_pairs, topics_by_lists,
+)
 
 
 def iri(name: str) -> Iri:
@@ -38,7 +34,8 @@ def interned(hoods: dict[Iri, Neighborhood]) -> Related:
     """Neighborhoods as an index holds them: one CSR row per seed, the seeds
     in IRI order so that a seed's row is its entity id, and the other
     entities numbered after them in order of first appearance, walking the
-    neighborhoods in insertion order."""
+    neighborhoods in insertion order; ids as int32, as the index stores
+    them."""
     seeds = sorted(hoods)
     ids = {seed: i for i, seed in enumerate(seeds)}
     for h in hoods.values():
@@ -46,7 +43,7 @@ def interned(hoods: dict[Iri, Neighborhood]) -> Related:
             ids.setdefault(e, len(ids))
     rows = [hoods[seed].neighbors for seed in seeds]
     return Related(np.cumsum([0] + [len(r) for r in rows]),
-                   np.array([ids[e] for r in rows for e, _ in r], dtype=np.int64),
+                   np.array([ids[e] for r in rows for e, _ in r], dtype=np.int32),
                    np.array([d for r in rows for _, d in r], dtype=np.float64))
 
 
@@ -66,6 +63,22 @@ def graph_from_edges(nodes, edges: dict[tuple[Iri, Iri], float]) -> CoherenceGra
     for (a, b), value in edges.items():
         sim[pos[a], pos[b]] = sim[pos[b], pos[a]] = value
     return CoherenceGraph(nodes=nodes, sim=sim)
+
+
+def prune(graph: CoherenceGraph, mentions, params: CoherenceParams) -> dict:
+    """greedy_prune over per-mention lists of the graph's nodes, which may
+    be any sorted names, as {node: boost}: the nodes become their positions
+    and the lists the aligned (mention, entity) rows, and every row of a
+    node must get the same boost."""
+    mention = np.repeat(np.arange(len(mentions)), [len(m) for m in mentions]).astype(np.intp)
+    entity = np.array([graph.nodes.index(e) for m in mentions for e in m], dtype=np.intp)
+    boost = greedy_prune(CoherenceGraph(tuple(range(len(graph.nodes))), graph.sim),
+                         mention, entity, params)
+    assert boost.shape == entity.shape
+    out: dict = {}
+    for e, value in zip(entity.tolist(), boost.tolist()):
+        assert out.setdefault(graph.nodes[e], value) == value
+    return out
 
 
 def similarity(graph: CoherenceGraph, a: Iri, b: Iri) -> float:
@@ -307,6 +320,80 @@ class TestSimilarityOracle:
             assert_matches_pair_oracle(order, hoods)
 
 
+# scores whose products with boosts 1 + gamma * share can tie exactly
+# (2.0 * 1.25 == 2.5 * 1.0), and whose sums round
+SCORES = st.sampled_from([1.0, 2.0, 2.5, 4.0, 5.0, 0.1, 0.2, 0.3]) | st.floats(0.01, 10.0)
+SIMS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0, 1.0 / 1.3])
+
+
+@st.composite
+def rankings(draw):
+    """Stage two's output for a few mentions, some without candidates, as
+    aligned (mention, entity, score) arrays ordered as ``rank_mentions``
+    orders them, and as (entity, score) lists per mention; a graph over the
+    candidates, lemmas (maybe repeated) and parameters."""
+    pool = draw(st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=7))
+    ranked = []
+    for _ in range(draw(st.integers(0, 5))):
+        picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+        ranked.append(sorted(((e, draw(SCORES)) for e in picked),
+                             key=lambda c: (-c[1], c[0])))
+    rows = [(m, e, score) for m, candidates in enumerate(ranked) for e, score in candidates]
+    mention = np.array([m for m, _, _ in rows], dtype=np.intp)
+    entity = np.array([e for _, e, _ in rows], dtype=np.intp)
+    score = np.array([score for _, _, score in rows], dtype=np.float64)
+    nodes = tuple(sorted(set(entity.tolist())))
+    sim = np.zeros((len(nodes), len(nodes)))
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            sim[i, j] = sim[j, i] = draw(SIMS)
+    lemmas = [draw(st.sampled_from(["x", "y", "z"])) for _ in ranked]
+    min_keep = draw(st.integers(1, 3))
+    params = CoherenceParams(top_m_per_mention=3, min_keep=min_keep,
+                             gamma=draw(st.sampled_from([0.0, 0.25, 1.0])),
+                             prune_fraction=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75])),
+                             enabled=draw(st.booleans()))
+    return mention, entity, score, CoherenceGraph(nodes, sim), lemmas, params, ranked
+
+
+class TestArrayTail:
+    @settings(max_examples=300, deadline=None)
+    @given(rankings(), st.sampled_from([0.0, 0.2, 0.5]))
+    def test_matches_list_reference(self, drawn, lambda_diversity):
+        """greedy_prune and aggregate over the arrays give the list-based
+        tail's topics, lemma sets and final scores bit for bit, with
+        coherence on or off."""
+        mention, entity, score, graph, lemmas, params, ranked = drawn
+        selection = SelectionParams(lambda_diversity=lambda_diversity)
+        effective, boosts = score, {}
+        if params.enabled:
+            effective = score * greedy_prune(graph, mention, entity, params)
+            boosts = prune_by_lists(graph, [[e for e, _ in c] for c in ranked], params)
+        got = aggregate(mention, entity, effective, lemmas, selection)
+        want = topics_by_lists(ranked, boosts, lemmas, selection)
+        assert [t._replace(final_score=t.final_score.hex()) for t in got] \
+            == [t._replace(final_score=t.final_score.hex()) for t in want]
+
+    def test_tied_winners_and_an_empty_ranking(self):
+        # mention 0's candidates tie at 2.5 once position 3 is boosted by
+        # 1.25; mention 1 has none; mention 2 repeats mention 0's lemma
+        graph = graph_from_edges((3, 7, 9), {(3, 9): 0.5})
+        mention, entity = np.array([0, 0, 2]), np.array([7, 3, 9])
+        score = np.array([2.5, 2.0, 1.0])
+        params = CoherenceParams(prune_fraction=0.0)
+        boost = greedy_prune(graph, mention, entity, params)
+        assert boost.tolist() == [1.0, 1.25, 1.25]
+        topics = aggregate(mention, entity, score * boost, ["x", "y", "x"], SelectionParams())
+        assert [(t.entity, t.final_score, t.supporting_lemmas) for t in topics] \
+            == [(3, 2.5, {"x"}), (9, 1.25, {"x"})]
+        ranked = [[(7, 2.5), (3, 2.0)], [], [(9, 1.0)]]
+        assert topics == topics_by_lists(
+            ranked, prune_by_lists(graph, [[7, 3], [], [9]], params), ["x", "y", "x"],
+            SelectionParams())
+        empty = np.zeros(0, dtype=np.intp)
+        assert aggregate(empty, empty, np.zeros(0), ["x", "y"], SelectionParams()) == []
+
+
 def line_graph(sims: dict[tuple[str, str], float]) -> CoherenceGraph:
     names = sorted({n for pair in sims for n in pair})
     edges = {}
@@ -319,13 +406,13 @@ def line_graph(sims: dict[tuple[str, str], float]) -> CoherenceGraph:
 class TestGreedyPrune:
     def test_single_candidate(self):
         graph = graph_from_edges((iri("a"),), {})
-        boosts = greedy_prune(graph, [[iri("a")]], CoherenceParams())
+        boosts = prune(graph, [[iri("a")]], CoherenceParams())
         assert boosts == {iri("a"): 1.0}
 
     def test_edgeless_graph_all_ones(self):
         nodes = (iri("a"), iri("b"), iri("c"))
         graph = graph_from_edges(nodes, {})
-        boosts = greedy_prune(graph, [list(nodes)], CoherenceParams())
+        boosts = prune(graph, [list(nodes)], CoherenceParams())
         assert boosts == {n: 1.0 for n in nodes}
 
     def test_triangle_with_isolated_node(self):
@@ -334,7 +421,7 @@ class TestGreedyPrune:
         nodes = list(graph.nodes) + [iri("d")]
         graph = graph_from_edges(tuple(sorted(nodes)), graph.edges)
         params = CoherenceParams(prune_fraction=0.25)
-        boosts = greedy_prune(graph, [nodes], params)
+        boosts = prune(graph, [nodes], params)
         assert boosts[iri("d")] == 1.0
         for name in "abc":
             assert boosts[iri(name)] == pytest.approx(1.25)
@@ -342,7 +429,7 @@ class TestGreedyPrune:
     def test_min_keep_blocks_all_removals(self):
         graph = line_graph({("a", "b"): 0.5})
         params = CoherenceParams(prune_fraction=0.5)
-        boosts = greedy_prune(graph, [[iri("a")], [iri("b")]], params)
+        boosts = prune(graph, [[iri("a")], [iri("b")]], params)
         # neither candidate is removable, both survive fully connected
         assert boosts[iri("a")] == pytest.approx(1.25)
         assert boosts[iri("b")] == pytest.approx(1.25)
@@ -354,7 +441,7 @@ class TestGreedyPrune:
         graph = graph_from_edges(nodes, graph.edges)
         mentions = [[iri("a")], [iri("b"), iri("c"), iri("d")]]
         params = CoherenceParams(prune_fraction=0.5)
-        boosts = greedy_prune(graph, mentions, params)
+        boosts = prune(graph, mentions, params)
         # a has the lowest connectivity but is its mention's only candidate;
         # b goes instead (lowest Iri among the equally connected triangle)
         assert boosts[iri("a")] == 1.0
@@ -367,9 +454,7 @@ class TestGreedyPrune:
         graph = line_graph(sims)
         nodes = tuple(sorted(list(graph.nodes) + [iri("d")]))
         graph = graph_from_edges(nodes, graph.edges)
-        boosts = greedy_prune(
-            graph, [list(nodes)], CoherenceParams(prune_fraction=0.0)
-        )
+        boosts = prune(graph, [list(nodes)], CoherenceParams(prune_fraction=0.0))
         assert boosts[iri("d")] == 1.0
         for name in "abc":
             assert boosts[iri(name)] == pytest.approx(1.25)
@@ -383,7 +468,7 @@ class TestGreedyPrune:
         }
         graph = line_graph(sims)
         params = CoherenceParams(prune_fraction=0.5)
-        boosts = greedy_prune(graph, [list(graph.nodes)], params)
+        boosts = prune(graph, [list(graph.nodes)], params)
         # budget floor(0.5*5)=2: e falls first (conn 0.6), then d (conn 0.7)
         assert boosts[iri("e")] == 1.0
         assert boosts[iri("d")] == 1.0
@@ -396,10 +481,18 @@ class TestGreedyPrune:
         nodes = tuple(sorted(list(graph.nodes) + [iri("a")]))
         graph = graph_from_edges(nodes, graph.edges)
         mentions = [[iri("a"), iri("b")], [iri("a"), iri("c")]]
-        boosts = greedy_prune(graph, mentions, CoherenceParams(prune_fraction=0.5))
+        boosts = prune(graph, mentions, CoherenceParams(prune_fraction=0.5))
         assert boosts[iri("a")] == 1.0
         assert boosts[iri("b")] == pytest.approx(1.25)
         assert boosts[iri("c")] == pytest.approx(1.25)
+
+    def test_removal_protects_a_mention_down_to_min_keep(self):
+        graph = line_graph({("a", "c"): 0.2, ("b", "d"): 0.3, ("c", "d"): 0.9})
+        mentions = [[iri("a"), iri("b")], [iri("c"), iri("d")]]
+        boosts = prune(graph, mentions, CoherenceParams(prune_fraction=0.5))
+        # budget floor(0.5 * 4) = 2: a falls first (conn 0.2), which leaves
+        # b its mention's last candidate, so c falls next (0.9) and not b
+        assert boosts == {iri("a"): 1.0, iri("b"): 1.25, iri("c"): 1.0, iri("d"): 1.25}
 
     def test_permutation_determinism(self):
         rng = random.Random(3)
@@ -412,11 +505,11 @@ class TestGreedyPrune:
         graph = line_graph(sims)
         graph = graph_from_edges([iri(n) for n in names], graph.edges)
         mentions = [[iri(n) for n in names[:5]], [iri(n) for n in names[4:]]]
-        base = greedy_prune(graph, mentions, CoherenceParams())
+        base = prune(graph, mentions, CoherenceParams())
         shuffled = [list(m) for m in mentions]
         for m in shuffled:
             rng.shuffle(m)
-        again = greedy_prune(graph, shuffled, CoherenceParams())
+        again = prune(graph, shuffled, CoherenceParams())
         assert base == again
 
     def test_boost_bounds(self):
@@ -434,10 +527,17 @@ class TestGreedyPrune:
             params = CoherenceParams(
                 gamma=gamma, prune_fraction=rng.choice([0.0, 0.25, 0.5])
             )
-            boosts = greedy_prune(graph, [list(nodes)], params)
+            boosts = prune(graph, [list(nodes)], params)
             assert set(boosts) == set(nodes)
             for value in boosts.values():
                 assert 1.0 <= value <= 1.0 + gamma + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_boost_is_at_least_one(self, data):
+        mention, entity, _, graph, _, params, _ = data.draw(rankings())
+        boost = greedy_prune(graph, mention, entity, params)
+        assert boost.shape == entity.shape and np.all(boost >= 1.0)
 
     def test_boosts_independent_of_hash_seed(self):
         # a's connectivity 0.1 + 0.2 + 0.3 is 0.6 or 0.6000000000000001 by
@@ -445,18 +545,14 @@ class TestGreedyPrune:
         script = """
 import numpy as np
 from kbtopics.coherence import CoherenceGraph, CoherenceParams, greedy_prune
-from kbtopics.kb import Iri
-iri = lambda n: Iri("http://example.org/" + n)
-edges = {(iri("a"), iri("x")): 0.1, (iri("a"), iri("y")): 0.2,
-         (iri("a"), iri("z")): 0.3, (iri("b"), iri("w")): 0.6}
-nodes = tuple(sorted({n for pair in edges for n in pair}))
-sim = np.zeros((len(nodes), len(nodes)))
-for (a, b), value in edges.items():
-    i, j = nodes.index(a), nodes.index(b)
+# nodes a, b, w, x, y, z at positions 0-5
+sim = np.zeros((6, 6))
+for i, j, value in ((0, 3, 0.1), (0, 4, 0.2), (0, 5, 0.3), (1, 2, 0.6)):
     sim[i, j] = sim[j, i] = value
-mentions = [[iri("a"), iri("b")]] + [[iri(n)] for n in "wxyz"]
+mention = np.array([0, 0, 1, 2, 3, 4])
+entity = np.array([0, 1, 2, 3, 4, 5])
 params = CoherenceParams(prune_fraction=0.5)
-print(repr(greedy_prune(CoherenceGraph(nodes, sim), mentions, params)))
+print(repr(greedy_prune(CoherenceGraph(tuple(range(6)), sim), mention, entity, params).tolist()))
 """
         src = str(Path(kbtopics.__file__).resolve().parents[1])
         outputs = set()
@@ -469,38 +565,45 @@ print(repr(greedy_prune(CoherenceGraph(nodes, sim), mentions, params)))
         assert len(outputs) == 1, outputs
 
 
-def cand(name: str, score: float, mention: int = 0) -> ScoredCandidate:
-    return ScoredCandidate(entity=iri(name), mention_index=mention, score=score)
+def winner(scores: dict[int, float], boosts: dict[int, float]) -> tuple[int, float]:
+    """One mention's candidates (position: score), each score times its
+    boost as the classifier multiplies them, and aggregate's pick: the
+    winning position and its boosted score."""
+    entity = np.array(sorted(scores), dtype=np.intp)
+    score = np.array([scores[e] for e in entity.tolist()])
+    effective = score * np.array([boosts[e] for e in entity.tolist()])
+    [top] = aggregate(np.zeros(entity.shape[0], dtype=np.intp), entity, effective, ["x"],
+                      SelectionParams())
+    return top.entity, top.final_score
 
 
 class TestApplyBoosts:
+    """Boosts applied to stage two's scores: each row's score times its
+    greedy_prune boost, and each mention's winner picked from the products."""
+
     def test_unit_boosts_keep_order(self):
-        ranked = [[cand("a", 3.0), cand("b", 2.0)]]
-        out = apply_boosts(ranked, {iri("a"): 1.0, iri("b"): 1.0})
-        assert [c.entity for c in out[0]] == [iri("a"), iri("b")]
-        assert [c.effective for c in out[0]] == [3.0, 2.0]
+        assert winner({0: 3.0, 1: 2.0}, {0: 1.0, 1: 1.0}) == (0, 3.0)
 
     def test_boost_swaps_order(self):
-        ranked = [[cand("a", 10.0), cand("b", 9.0)]]
-        out = apply_boosts(ranked, {iri("a"): 1.0, iri("b"): 1.2})
-        assert [c.entity for c in out[0]] == [iri("b"), iri("a")]
-        assert out[0][0].effective == pytest.approx(10.8)
+        entity, effective = winner({0: 10.0, 1: 9.0}, {0: 1.0, 1: 1.2})
+        assert entity == 1 and effective == pytest.approx(10.8)
 
     def test_missing_boost_defaults_to_one(self):
-        ranked = [[cand("a", 5.0)]]
-        out = apply_boosts(ranked, {})
-        assert out[0][0].boost == 1.0
+        # a candidate without a connection keeps boost 1: its score as it was
+        graph = graph_from_edges((0, 1, 2), {(1, 2): 0.5})
+        boost = greedy_prune(graph, np.array([0, 0, 1]), np.array([0, 1, 2]),
+                             CoherenceParams(prune_fraction=0.0))
+        assert boost.tolist() == [1.0, 1.25, 1.25]
+        assert (np.array([0.1 + 0.2, 1.0, 1.0]) * boost)[0] == 0.1 + 0.2
 
     def test_tie_after_boost_breaks_by_iri(self):
-        ranked = [[cand("b", 5.0), cand("a", 4.0)]]
-        out = apply_boosts(ranked, {iri("a"): 1.25, iri("b"): 1.0})
-        assert [c.effective for c in out[0]] == [5.0, 5.0]
-        assert [c.entity for c in out[0]] == [iri("a"), iri("b")]
-
-    def test_rejects_boost_below_one(self):
-        with pytest.raises(ValueError):
-            apply_boosts([[cand("a", 1.0)]], {iri("a"): 0.9})
+        # position 0 (the smaller IRI) and 1 tie at 5.0 after the boost
+        assert winner({1: 5.0, 0: 4.0}, {0: 1.25, 1: 1.0}) == (0, 5.0)
 
     def test_empty_lists(self):
-        assert apply_boosts([], {}) == []
-        assert apply_boosts([[]], {iri("a"): 1.5}) == [[]]
+        empty = np.zeros(0, dtype=np.intp)
+        graph = build_similarity(empty, Related(np.zeros(1, dtype=np.int64), empty, np.zeros(0)))
+        assert graph.nodes == () and graph.edges == {}
+        boost = greedy_prune(graph, empty, empty, CoherenceParams())
+        assert boost.shape == (0,)
+        assert aggregate(empty, empty, np.zeros(0) * boost, ["x"], SelectionParams()) == []

@@ -1106,8 +1106,9 @@ class TestRelated:
                 assert [idx.names[i] for i in related.ids[lo:hi]] == [e for e, _ in neighbors]
                 assert related.distances[lo:hi].tolist() == [d for _, d in neighbors]
             assert not related.ids.flags.writeable and not related.distances.flags.writeable
-            # int64, since coherence forms id * n + owner keys
-            assert related.ids.dtype == np.int64 and related.distances.dtype == np.float64
+            # the map's own <i4 section, not a copy; coherence widens only
+            # the ids it gathers
+            assert related.ids.dtype == np.dtype("<i4") and related.distances.dtype == np.float64
             assert idx.neighborhood(iri("ghost")) is None
 
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):

@@ -32,6 +32,7 @@ from oracles import (
     iri_by_two_steps,
     link_counts_by_scan,
     load_triples,
+    objects_of,
     parents_by_iri,
     parents_by_scan,
     prune_by_objects,
@@ -529,6 +530,18 @@ class TestEntityTexts:
             ("label", "ant", 2.0), ("label", "bear", 0.5), ("label", "bear", 2.0)]}
         assert texts_by_iri(KnowledgeBase.intern(ts[1:] + ts[:1], reg)) == {a: [
             ("label", "ant", 2.0), ("label", "bear", 2.0), ("label", "bear", 0.5)]}
+
+    def test_texts_order_as_python_strings(self):
+        # texts that differ only in trailing NULs, which NumPy's fixed-width
+        # strings drop, and one text under two language tags (two literals)
+        a = Iri(EX + "a")
+        ts = [Triple(a, SYN, Literal("ice", "en")), Triple(a, LABEL, Literal("ice\x00")),
+              Triple(a, SYN, Literal("Ice\x00\x00")), Triple(a, SYN, Literal("ice")),
+              Triple(a, LABEL, Literal("ice"))]
+        rows = [("label", "ice", 2.0), ("label", "ice\x00", 2.0), ("synonym", "Ice\x00\x00", 1.0),
+                ("synonym", "ice", 1.0), ("synonym", "ice", 1.0)]
+        kb = KnowledgeBase.intern(ts, make_registry())
+        assert entity_texts(kb)[2] == rows == texts_by_scan(objects_of(kb), a)
 
 
 # Generated KBs: four entities and a cross-ref target that can also be

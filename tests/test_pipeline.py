@@ -24,10 +24,11 @@ from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, 
 from kbtopics.kb import Iri, KnowledgeBase, entity_texts
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier
-from kbtopics.ranking import rank_mentions, score_lemmas
+from kbtopics.ranking import Ranked, rank_mentions, score_lemmas
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
 from oracles import record_hoods
+from row_table import per_mention
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -240,6 +241,22 @@ def test_homonym_needs_coherence(classifier, no_coherence):
     assert "seal_artifact" not in with_coherence
     assert "seal_artifact" in without
     assert "seal_pinniped" not in without
+
+
+def test_aggregation_reads_each_score_times_its_boost(classifier, monkeypatch):
+    seen = {}
+    for name in ("rank_mentions", "greedy_prune", "aggregate"):
+        def call(*args, name=name, real=getattr(pipeline, name)):
+            seen[name] = args, real(*args)
+            return seen[name][1]
+        monkeypatch.setattr(pipeline, name, call)
+    doc, _ = load_corpus()[-1]
+    classifier.classify_document(doc)
+    ranked, boost = seen["rank_mentions"][1], seen["greedy_prune"][1]
+    mention, entity, effective = seen["aggregate"][0][:3]
+    assert np.any(boost > 1.0)
+    assert mention is ranked.mention and entity is ranked.entity
+    assert effective.tolist() == (ranked.score * boost).tolist()
 
 
 def test_provided_mention_detector_is_built_once(built, toy_config, monkeypatch):
@@ -504,7 +521,7 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
     captured = []
     real = pipeline.aggregate
     monkeypatch.setattr(pipeline, "aggregate",
-                        lambda ranked, *a: captured.append(ranked) or real(ranked, *a))
+                        lambda *a: captured.append(per_mention(Ranked(*a[:3]), 2)) or real(*a))
     no_coherence.classify_document(doc)
     index, table = no_coherence._index, EmbeddingTable.load(toy_config.embedding_file)
     for i, mention in enumerate(mentions):
@@ -515,10 +532,11 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
             semantic_vector(mention.lemma, table)[None],
             index.candidate_blocks([pos for pos, _ in hits]), [len(hits)], index,
             toy_config.ranking)
-        [want] = rank_mentions(rows, semantic_vector(mention.sentence, table)[None], [0],
-                               index, toy_config.ranking, toy_config.coherence.top_m_per_mention)
-        assert [(c.entity, c.mention_index, c.score) for c in captured[0][i]] \
-            == [(c.entity, i, c.score) for c in want]
+        [want] = per_mention(rank_mentions(
+            rows, semantic_vector(mention.sentence, table)[None], [0], index,
+            toy_config.ranking, toy_config.coherence.top_m_per_mention), 1)
+        # without coherence the scores reach aggregation unboosted
+        assert captured[0][i] == want
     assert [c.score for c in captured[0][0]] != [c.score for c in captured[0][1]]
 
 

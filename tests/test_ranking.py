@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from kbtopics import ranking
 from kbtopics.errors import ConfigError
 from kbtopics.ranking import (
-    RankingParams, ScoredCandidate, activation, rank_mentions, score_lemmas,
+    RankingParams, activation, rank_mentions, score_lemmas,
 )
 from kbtopics.vectors import lexical_vector
 
 from row_table import (
     CandidateBlock, LexicalRows, MentionVectors, RowTable, block_scores, lemma_rows,
-    rank_candidates, score_candidate, stack,
+    per_mention, rank_candidates, score_candidate, stack,
 )
 from oracles import block_scores_one_stage, cosine_sparse, partial_by_rows
 
@@ -394,21 +394,23 @@ class TestBatches:
                 mock.patch.object(ranking, "_PAIR_SLOTS_PER_ROW", slots_per_row):
             ranked = rank_mentions([rows[j] for j, _ in mentions], np.array(contexts),
                                    [c for _, c in mentions], table, params, top_m)
-        assert len(ranked) == len(mentions)
-        for i, ((j, c), got) in enumerate(zip(mentions, ranked)):
-            [alone] = rank_mentions([rows[j]], contexts[c][None], [0], table, params, top_m)
-            assert [s.mention_index for s in got] == [i] * len(got)
-            assert [(s.entity, s.score) for s in got] == [(s.entity, s.score) for s in alone]
+        assert ranked.mention.shape == ranked.entity.shape == ranked.score.shape
+        assert np.all(np.diff(ranked.mention) >= 0)
+        for (j, c), got in zip(mentions, per_mention(ranked, len(mentions))):
+            [alone] = per_mention(
+                rank_mentions([rows[j]], contexts[c][None], [0], table, params, top_m), 1)
+            assert got == alone
             lex, sem, blocks = lemmas[j]
             want = block_scores_one_stage(MentionVectors(lex, sem, contexts[c]), blocks, table,
                                           params)
             best = sorted(zip((-want).tolist(), [b.entity for b in blocks]))[:top_m]
-            assert [(s.entity, s.score) for s in got] == [(e, -s) for s, e in best]
+            assert got == [(e, -s) for s, e in best]
 
     def test_empty_batches(self):
         table, params = RowTable(4), RankingParams()
         assert score_lemmas([], np.zeros((0, 4)), stack([]), [], table, params) == []
-        assert rank_mentions([], np.zeros((0, 4)), [], table, params, 3) == []
+        ranked = rank_mentions([], np.zeros((0, 4)), [], table, params, 3)
+        assert [a.shape for a in ranked] == [(0,)] * 3
 
 
 class TestRankCandidates:
@@ -452,7 +454,7 @@ class TestRankCandidates:
         table = RowTable(4)
         rows = lemma_rows(mention, [single_row_block(table, "abc")], table, RankingParams())
         ranked = rank_mentions([rows] * 8, np.zeros((1, 4)), [0] * 8, table, RankingParams(), 3)
-        assert [[c.mention_index for c in r] for r in ranked] == [[i] for i in range(8)]
+        assert ranked.mention.tolist() == list(range(8))
 
     def test_keeps_top_m_per_mention(self):
         rng = np.random.default_rng(8)
@@ -462,13 +464,7 @@ class TestRankCandidates:
         everything = rank_candidates(mention, blocks, table, RankingParams())
         rows = lemma_rows(mention, blocks, table, RankingParams())
         for top_m in (1, 2, 6, 7):
-            [ranked] = rank_mentions([rows], mention.ctx[None], [0], table, RankingParams(),
-                                     top_m)
+            [ranked] = per_mention(rank_mentions([rows], mention.ctx[None], [0], table,
+                                                 RankingParams(), top_m), 1)
             assert ranked == everything[:top_m]
 
-
-class TestScoredCandidate:
-    def test_effective_score(self):
-        c = ScoredCandidate(0, 0, score=2.0, boost=1.25)
-        assert c.effective == 2.5
-        assert ScoredCandidate(0, 0, 2.0).effective == 2.0

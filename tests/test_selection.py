@@ -7,7 +7,6 @@ import pytest
 
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri
-from kbtopics.ranking import ScoredCandidate
 from kbtopics.selection import (
     SelectionParams,
     Topic,
@@ -22,10 +21,18 @@ def iri(name: str) -> Iri:
     return Iri(f"http://example.org/{name}")
 
 
-def cand(name: str, score: float, mention: int = 0, boost: float = 1.0) -> ScoredCandidate:
-    return ScoredCandidate(
-        entity=iri(name), mention_index=mention, score=score, boost=boost
-    )
+# record positions, which order as the names (their IRIs) do
+POSITION = {name: i for i, name in enumerate("abcdefgh")}
+
+
+def ranking(*mentions: list[tuple[str, float]]):
+    """Per-mention lists of (name, boosted score) as aggregate's aligned
+    (mention, entity, effective) arrays."""
+    rows = [(m, POSITION[name], value) for m, candidates in enumerate(mentions)
+            for name, value in candidates]
+    return (np.array([m for m, _, _ in rows], dtype=np.intp),
+            np.array([e for _, e, _ in rows], dtype=np.intp),
+            np.array([value for _, _, value in rows], dtype=np.float64))
 
 
 def topic(name: str, score: float, lemmas=("x",), origin="direct") -> Topic:
@@ -62,66 +69,60 @@ class TestTopicResult:
 
 class TestAggregate:
     def test_single_mention_single_lemma(self):
-        out = aggregate([[cand("a", 4.0)]], ["bear"], SelectionParams())
+        out = aggregate(*ranking([("a", 4.0)]), ["bear"], SelectionParams())
         assert len(out) == 1
-        assert out[0].entity == iri("a")
+        assert out[0].entity == POSITION["a"]
         assert out[0].final_score == pytest.approx(4.0)
         assert out[0].supporting_lemmas == frozenset({"bear"})
         assert out[0].origin == "direct"
 
     def test_two_mentions_distinct_lemmas(self):
-        ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["bear", "polar bear"], SelectionParams())
+        rows = ranking([("a", 3.0)], [("a", 2.0)])
+        out = aggregate(*rows, ["bear", "polar bear"], SelectionParams())
         assert out[0].final_score == pytest.approx((3 + 2) * 1.2)
         assert out[0].supporting_lemmas == frozenset({"bear", "polar bear"})
 
     def test_repeated_lemma_no_diversity_bonus(self):
-        ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["bear", "bear"], SelectionParams())
+        out = aggregate(*ranking([("a", 3.0)], [("a", 2.0)]), ["bear", "bear"],
+                        SelectionParams())
         assert out[0].final_score == pytest.approx(5.0)
 
     def test_equal_scores_tie_by_iri(self):
-        ranked = [[cand("b", 2.0, 0)], [cand("a", 2.0, 1)]]
-        out = aggregate(ranked, ["x", "y"], SelectionParams())
-        assert [t.entity for t in out] == [iri("a"), iri("b")]
+        out = aggregate(*ranking([("b", 2.0)], [("a", 2.0)]), ["x", "y"], SelectionParams())
+        assert [t.entity for t in out] == [POSITION["a"], POSITION["b"]]
 
     def test_empty_mentions_skipped(self):
-        out = aggregate([[], [cand("a", 1.0, 1)]], ["x", "y"], SelectionParams())
-        assert len(out) == 1
-        assert aggregate([[], []], ["x", "y"], SelectionParams()) == []
+        out = aggregate(*ranking([], [("a", 1.0)]), ["x", "y"], SelectionParams())
+        assert len(out) == 1 and out[0].supporting_lemmas == frozenset({"y"})
+        assert aggregate(*ranking([], []), ["x", "y"], SelectionParams()) == []
 
     def test_winner_uses_boosted_score(self):
-        ranked = [[cand("a", 5.0), cand("b", 4.5, boost=1.2)]]
-        out = aggregate(ranked, ["x"], SelectionParams())
-        assert out[0].entity == iri("b")
+        out = aggregate(*ranking([("a", 5.0), ("b", 4.5 * 1.2)]), ["x"], SelectionParams())
+        assert out[0].entity == POSITION["b"]
         assert out[0].final_score == pytest.approx(5.4)
 
     def test_winner_tie_breaks_by_iri(self):
-        ranked = [[cand("b", 2.0), cand("a", 2.0)]]
-        out = aggregate(ranked, ["x"], SelectionParams())
-        assert out[0].entity == iri("a")
+        out = aggregate(*ranking([("b", 2.0), ("a", 2.0)]), ["x"], SelectionParams())
+        assert out[0].entity == POSITION["a"]
 
     def test_requires_one_lemma_per_mention(self):
         with pytest.raises(ValueError):
-            aggregate([[cand("a", 1.0)]], [], SelectionParams())
+            aggregate(*ranking([("a", 1.0)]), [], SelectionParams())
 
     def test_mention_order_irrelevant(self):
-        ranked = [[cand("a", 3.0, 0)], [cand("b", 7.0, 1)], [cand("a", 2.0, 2)]]
+        ranked = [[("a", 3.0)], [("b", 7.0)], [("a", 2.0)]]
         lemmas = ["l1", "l2", "l3"]
-        base = aggregate(ranked, lemmas, SelectionParams())
+        base = aggregate(*ranking(*ranked), lemmas, SelectionParams())
         perm = [2, 0, 1]
-        again = aggregate(
-            [ranked[i] for i in perm], [lemmas[i] for i in perm], SelectionParams(),
-        )
+        again = aggregate(*ranking(*[ranked[i] for i in perm]), [lemmas[i] for i in perm],
+                          SelectionParams())
         assert base == again
 
     def test_monotone_in_contribution_and_diversity(self):
-        ranked = [[cand("a", 3.0, 0)], [cand("a", 2.0, 1)]]
-        base = aggregate(ranked, ["x", "x"], SelectionParams())
-        bumped = aggregate(
-            [[cand("a", 3.5, 0)], [cand("a", 2.0, 1)]], ["x", "x"], SelectionParams(),
-        )
-        diverse = aggregate(ranked, ["x", "y"], SelectionParams())
+        rows = ranking([("a", 3.0)], [("a", 2.0)])
+        base = aggregate(*rows, ["x", "x"], SelectionParams())
+        bumped = aggregate(*ranking([("a", 3.5)], [("a", 2.0)]), ["x", "x"], SelectionParams())
+        diverse = aggregate(*rows, ["x", "y"], SelectionParams())
         assert bumped[0].final_score > base[0].final_score
         assert diverse[0].final_score > base[0].final_score
 
