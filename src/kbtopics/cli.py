@@ -225,8 +225,8 @@ def cmd_expand_debug(args: argparse.Namespace) -> int:
             raise DataError(f"entity not indexed: {entity}")
         print(f"entity\t{entity}")
         print("neighborhood:")
-        for neighbor, distance in index.neighborhood(entity).neighbors:
-            print(f"{neighbor}\t{distance!r}")
+        for i in range(*index.related.indptr[pos:pos + 2].tolist()):
+            print(f"{index.names[index.related.ids[i]]}\t{float(index.related.distances[i])!r}")
         print("parents:")
         for parent, weight in index.parents(pos):
             print(f"{index.names[parent]}\t{weight!r}")

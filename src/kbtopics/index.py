@@ -73,10 +73,11 @@ dimension, the n-gram sizes and the embedding table's digest.
 Retrieval scoring is deliberately simple and fully documented: per text,
 sum over matched query tokens of tf * idf / sqrt(text length), with
 idf = 1 + ln(N / (1 + df)); a text's contribution is weighted by its field's
-search weight and summed per entity. When no token matches anywhere,
-retrieval falls back to character 3-grams with the same formula. A text's
-length in tokens (or 3-grams) is the sum of its token (or 3-gram) term
-frequencies.
+search weight and summed per entity, term by term in sorted order and each
+term's postings in text-id order. A query none of whose tokens matches
+falls back to character 3-grams with the same formula. A text's length in
+tokens (or 3-grams) is the sum of its token (or 3-gram) term frequencies.
+A batch of queries is scored in one array pass, its fallbacks in a second.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ import numpy as np
 
 from .edges import powers
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
-from .expansion import Neighborhood, Neighborhoods
-from .kb import Iri, KnowledgeBase, check_iris
+from .expansion import Neighborhoods
+from .kb import EntityTexts, KnowledgeBase, check_iris
 from .ranking import CandidateBlocks
 from .vectors import (
     EmbeddingTable,
@@ -343,15 +344,23 @@ def _read_hashed(path: Path, digest) -> bytes:
     return data
 
 
-def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> list[float]:
+def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> np.ndarray:
     """sqrt(max(length, 1)) per text id, a text's length being the sum of
     its term frequencies in the given postings."""
     lengths = np.bincount(text_ids, weights=tfs, minlength=n_texts)
-    return np.sqrt(np.maximum(lengths, 1.0)).tolist()
+    return np.sqrt(np.maximum(lengths, 1.0))
+
+
+class Hits(NamedTuple):
+    """Hits by query: query j's are the next ``counts[j]`` positions and scores, best first."""
+
+    positions: np.ndarray
+    scores: np.ndarray
+    counts: np.ndarray
 
 
 def build_index(
-    texts: tuple[np.ndarray, np.ndarray, Sequence[tuple[str, str, float]]],
+    texts: EntityTexts,
     neighborhoods: Neighborhoods,
     parents: Related,
     encoders: Encoders,
@@ -368,21 +377,16 @@ def build_index(
     reproduces every byte except the manifest timestamp (the content hash
     covers the two data files).
     """
-    records, text_indptr, rows = texts
-    if not np.array_equal(neighborhoods.seeds, records):
+    if not np.array_equal(neighborhoods.seeds, texts.ids):
         raise ValueError("the neighborhoods' seeds are not the records in record order")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         columns, entities = _graph_columns(neighborhoods, parents)
-        texts = [text for _, text, _ in rows]
-        field_ids: dict[str, int] = {}
-        columns["text_fields"] = [field_ids.setdefault(field, len(field_ids))
-                                  for field, _, _ in rows]
-        columns["text_weights"] = [weight for _, _, weight in rows]
-        columns["text_indptr"] = text_indptr
+        columns.update(text_indptr=texts.indptr, text_fields=texts.field_ids,
+                       text_weights=texts.weights)
 
-        batch = TextBatch(texts)
+        batch = TextBatch(texts.texts)
         lexical = batch.lexical_columns(encoders.ngram_sizes)
         columns.update(gram_vocab=lexical.vocab, gram_indptr=lexical.indptr,
                        gram_texts=lexical.texts, gram_values=lexical.values,
@@ -393,8 +397,8 @@ def build_index(
         columns["posting_texts"] = np.concatenate((tokens.texts, grams.texts))
         columns["posting_tfs"] = np.concatenate((tokens.counts, grams.counts))
         write_columns(out / COLUMNS_FILE, columns)
-        strings = {"entities": entities, "fields": list(field_ids),
-                   "texts": texts, "tokens": tokens.terms, "grams": grams.terms}
+        strings = {"entities": entities, "fields": texts.fields,
+                   "texts": texts.texts, "tokens": tokens.terms, "grams": grams.terms}
         (out / STRINGS_FILE).write_text(
             json.dumps(strings, separators=(",", ":")) + "\n", encoding="utf-8")
 
@@ -403,8 +407,8 @@ def build_index(
             _hash_file(out / name, digest)
         manifest = IndexManifest(
             format_version=FORMAT_VERSION,
-            record_count=len(records),
-            text_count=len(texts),
+            record_count=len(texts.ids),
+            text_count=len(texts.texts),
             embedding_dim=encoders.table.dim,
             embedding_sha256=encoders.table.digest,
             ngram_sizes=list(encoders.ngram_sizes),
@@ -415,7 +419,7 @@ def build_index(
         (out / MANIFEST_FILE).write_text(manifest.to_json(), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"index build failed in {out}: {exc}") from exc
-    logger.info("built index: %d records, %d texts", manifest.record_count, len(texts))
+    logger.info("built index: %d records, %d texts", manifest.record_count, manifest.text_count)
     return manifest
 
 
@@ -520,32 +524,25 @@ class CandidateIndex:
         self._parents = Related(
             columns["parent_indptr"], columns["parent_ids"], columns["parent_weights"])
         # per record position its first text id (one extra entry for the
-        # end), as an array for block gathers and a list for single records,
-        # and per text id its field and weight
-        self._text_start = columns["text_indptr"]
-        self._text_range = self._text_start.tolist()
-        self._text_field = columns["text_fields"].tolist()
+        # end), and per text id its field, weight and owning record position
+        self._text_indptr = columns["text_indptr"]
+        self._text_fields = columns["text_fields"]
+        self._text_weights = columns["text_weights"]
+        self._text_owner = np.repeat(np.arange(n), np.diff(self._text_indptr))
         self._field_ids = {name: i for i, name in enumerate(self._fields)}
-        self._weights = columns["text_weights"]
-        # postings: term -> term id -> [ptr[id], ptr[id + 1]) of the columns
+        # postings: term -> term id -> [ptr[id], ptr[id + 1]) of the columns;
+        # per text id the length normalizers of the token and gram terms
         tokens, grams = strings["tokens"], strings["grams"]
         self._token_terms = dict(zip(tokens, range(len(tokens))))
         self._gram_terms = dict(zip(grams, range(len(tokens), len(tokens) + len(grams))))
-        self._posting_ptr = columns["posting_indptr"].tolist()
+        self._posting_indptr = columns["posting_indptr"]
         self._posting_texts = columns["posting_texts"]
         self._posting_tfs = columns["posting_tfs"]
-        # per text id: owning record position, field weight, and length
-        # normalizers for the token and gram scoring paths (lists, which the
-        # per-posting scoring loop indexes fastest)
-        self._text_owner = np.repeat(np.arange(n), np.diff(self._text_start)).tolist()
-        self._text_weight = self._weights.tolist()
-        split = self._posting_ptr[len(tokens)]
-        n_texts = len(self._texts)
-        self._token_norm = _length_norms(
-            self._posting_texts[:split], self._posting_tfs[:split], n_texts)
-        self._gram_norm = _length_norms(
-            self._posting_texts[split:], self._posting_tfs[split:], n_texts)
-        self.text_count = n_texts
+        n_texts = self.text_count = len(self._texts)
+        split = self._posting_indptr[len(tokens)]
+        self._token_norm, self._gram_norm = (
+            _length_norms(self._posting_texts[part], self._posting_tfs[part], n_texts)
+            for part in (slice(None, split), slice(split, None)))
         self._lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
                                        columns["gram_texts"], columns["gram_values"], n_texts)
         self._semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
@@ -613,28 +610,15 @@ class CandidateIndex:
         pos = bisect.bisect_left(self.names, uri, 0, self._n)
         return pos if pos < self._n and self.names[pos] == uri else None
 
-    def texts(self, uri: str) -> tuple[tuple[str, str, float], ...]:
-        """A record's texts as (field, text, search weight); empty for an
-        entity without a record."""
-        return tuple((self._fields[self._text_field[i]], self._texts[i], self._text_weight[i])
-                     for i in self.text_ids(uri))
-
-    def text_ids(self, uri: str) -> range:
-        """Text ids of a record's texts, in the order of ``texts``; empty for
-        an entity the index holds no record of."""
-        pos = self.position(uri)
-        return range(0) if pos is None else range(*self._text_range[pos:pos + 2])
-
     def label(self, entity: int, field: str) -> str | None:
         """The first text in the field of the record at an entity id; None if
         it has none, or the entity no record."""
         field_id = self._field_ids.get(field)
         if entity >= self._n or field_id is None:
             return None
-        for text_id in range(self._text_range[entity], self._text_range[entity + 1]):
-            if self._text_field[text_id] == field_id:
-                return self._texts[text_id]
-        return None
+        lo, hi = self._text_indptr[entity:entity + 2].tolist()
+        fields = self._text_fields[lo:hi].tolist()
+        return self._texts[lo + fields.index(field_id)] if field_id in fields else None
 
     def parents(self, pos: int) -> tuple[tuple[int, float], ...]:
         """The (parent entity id, weight) pairs of the record at a position."""
@@ -642,51 +626,52 @@ class CandidateIndex:
         return tuple(zip(self._parents.ids[lo:hi].tolist(),
                          self._parents.distances[lo:hi].tolist()))
 
-    def neighborhood(self, uri: str) -> Neighborhood | None:
-        """A record's neighborhood by IRI, itself first at 0; None for an
-        entity without a record."""
-        pos = self.position(uri)
-        if pos is None:
-            return None
-        lo, hi = self.related.indptr[pos:pos + 2].tolist()
-        return Neighborhood(Iri(uri), tuple(zip(
-            (Iri(self.names[i]) for i in self.related.ids[lo:hi].tolist()),
-            self.related.distances[lo:hi].tolist())))
-
-    def _score_terms(self, terms: Iterable[str], term_ids: Mapping[str, int],
-                     norms: list[float]) -> dict[int, float]:
-        """tf-idf accumulation of query terms into per-record scores, term
-        by term in sorted order, each term's postings in text-id order."""
-        n_texts = max(len(self._text_owner), 1)
-        ptr = self._posting_ptr
-        scores: dict[int, float] = {}
-        for term in sorted(terms):
-            t = term_ids.get(term)
-            if t is None or ptr[t] == ptr[t + 1]:
-                continue
-            lo, hi = ptr[t], ptr[t + 1]
-            idf = 1.0 + math.log(n_texts / (1.0 + (hi - lo)))
-            for text_id, tf in zip(self._posting_texts[lo:hi].tolist(),
-                                   self._posting_tfs[lo:hi].tolist()):
-                gain = self._text_weight[text_id] * tf * idf / norms[text_id]
-                owner = self._text_owner[text_id]
-                scores[owner] = scores.get(owner, 0.0) + gain
-        return scores
-
-    def retrieve(self, mention_text: str, k: int = 30) -> list[tuple[int, float]]:
-        """Top-k records by field-weighted token tf-idf, as (position, score)
-        pairs; 3-gram fallback when no token matches at all. Ties break by
-        position, that is by URI."""
+    def retrieve(self, queries: Sequence[str], k: int = 30) -> Hits:
+        """Each query's top-k records by field-weighted token tf-idf, or by
+        3-grams if none of its tokens matches (none if it has no tokens);
+        ties break by position, that is by URI."""
         if k < 1:
             raise ConfigError(f"k must be positive, got {k}")
-        tokens = set(tokenize(mention_text))
-        if not tokens:
-            return []
-        scores = self._score_terms(tokens, self._token_terms, self._token_norm)
-        if not scores:
-            scores = self._score_terms(
-                set(char_ngrams(mention_text, (3,))), self._gram_terms, self._gram_norm)
-        return sorted(scores.items(), key=lambda hit: (-hit[1], hit[0]))[:k]
+        tokens = [sorted(set(tokenize(query))) for query in queries]
+        hits = self._top_k(tokens, self._token_terms, self._token_norm, k)
+        fallback = [j for j, terms in enumerate(tokens) if terms and not hits.counts[j]]
+        if fallback:
+            grams = self._top_k([sorted(set(char_ngrams(queries[j], (3,)))) for j in fallback],
+                                self._gram_terms, self._gram_norm, k)
+            # each fallback query's hits go where its (no) token hits were
+            at = np.repeat(np.cumsum(hits.counts)[fallback], grams.counts)
+            hits.counts[fallback] = grams.counts
+            hits = Hits(np.insert(hits.positions, at, grams.positions),
+                        np.insert(hits.scores, at, grams.scores), hits.counts)
+        return hits
+
+    def _top_k(self, queries: Sequence[Sequence[str]], term_ids: Mapping[str, int],
+               norms: np.ndarray, k: int) -> Hits:
+        """Each query's top k records by tf-idf over its terms' postings (the
+        terms sorted and distinct): each (query, record) sum adds its gains
+        term by term, each term's postings in text-id order."""
+        query = [j for j, words in enumerate(queries) for w in words if w in term_ids]
+        terms = np.array([term_ids[w] for words in queries for w in words if w in term_ids],
+                         dtype=np.intp)
+        lo = self._posting_indptr[terms]
+        df = self._posting_indptr[terms + 1] - lo
+        idf = [1.0 + math.log(max(self.text_count, 1) / (1.0 + d)) for d in df.tolist()]
+        postings = ranges(lo, df)
+        texts = self._posting_texts[postings]
+        gains = (self._text_weights[texts] * self._posting_tfs[postings]
+                 * np.repeat(idf, df) / norms[texts])
+        keys = np.repeat(np.array(query, dtype=np.intp) * self._n, df) + self._text_owner[texts]
+        by = keys.argsort(kind="stable")  # a key's gains stay in input order
+        keys = keys[by]
+        new = np.ones(keys.shape[0], dtype=bool)  # where each key's run starts
+        new[1:] = keys[1:] != keys[:-1]
+        # one sum per (query, record) key; an empty bincount is int64
+        scores = np.bincount(np.cumsum(new) - 1, weights=gains[by]).astype(np.float64)
+        query, positions = np.divmod(keys[new], self._n)
+        order = np.lexsort((-scores, query))  # stable: ties stay in position order
+        top = order[np.arange(order.shape[0]) - np.searchsorted(query, query) < k]
+        counts = np.minimum(np.bincount(query, minlength=len(queries)), k)
+        return Hits(positions[top], scores[top], counts)
 
     def _checked_ids(self, text_ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(text_ids, dtype=np.intp)
@@ -722,14 +707,14 @@ class CandidateIndex:
         candidate = np.repeat(np.arange(len(pos)), n_related)
         indexed = ids < self._n
         ids, distances, candidate = ids[indexed], distances[indexed], candidate[indexed]
-        starts = self._text_start[ids]
-        counts = self._text_start[ids + 1] - starts
+        starts = self._text_indptr[ids]
+        counts = self._text_indptr[ids + 1] - starts
         text_ids = ranges(starts, counts)
         return CandidateBlocks(
             entities=pos,
             sizes=np.bincount(candidate, weights=counts, minlength=len(pos)).astype(np.intp),
             text_ids=text_ids,
-            field_weights=self._weights[text_ids],
+            field_weights=self._text_weights[text_ids],
             distances=np.repeat(distances, counts),
         )
 

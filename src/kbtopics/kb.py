@@ -415,12 +415,22 @@ def prune_triples(kb: KnowledgeBase) -> tuple[KnowledgeBase, int]:
     return pruned, len(kb) - len(pruned)
 
 
-def entity_texts(kb: KnowledgeBase
-                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str, float]]]:
-    """The registered text-field literals of the entities that have any, as
-    ``(ids, indptr, rows)``: the entities' KB ids, ascending, and each one's
-    rows ``rows[indptr[i]:indptr[i + 1]]`` as (field_name, text,
-    search_weight), by field name, then text, then triple order."""
+class EntityTexts(NamedTuple):
+    """Text rows as columns: entity i (KB id ``ids[i]``, ascending) has rows
+    ``[indptr[i], indptr[i + 1])``, by field name, then text, then triple
+    order; each row a text, its field's id (into ``fields``, numbered in
+    order of first appearance) and search weight."""
+
+    ids: np.ndarray
+    indptr: np.ndarray
+    fields: list[str]
+    field_ids: np.ndarray
+    weights: np.ndarray
+    texts: list[str]
+
+
+def entity_texts(kb: KnowledgeBase) -> EntityTexts:
+    """The registered text-field literals of the entities that have any."""
     fields = [kb.registry.text_fields.get(q) for q in kb.predicates]
     texts = kb.with_predicate(kb.registry.text_fields) & (kb.object_ids < 0)
     subjects, predicates = kb.subject_ids[texts], kb.predicate_ids[texts]
@@ -433,7 +443,12 @@ def entity_texts(kb: KnowledgeBase
     rank = {text: i for i, text in enumerate(sorted(set(values)))}
     text_rank = np.array([rank[text] for text in values], dtype=np.intp)
     order = np.lexsort((text_rank[literal_of], field_rank[predicates], subjects))
-    rows = [(fields[p].name, values[t], fields[p].weight)
-            for p, t in zip(predicates[order].tolist(), literal_of[order].tolist())]
+    ranked, first, field_of = np.unique(
+        field_rank[predicates[order]], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)  # the fields in order of first appearance
+    weight = np.array([f.weight if f else 0.0 for f in fields], dtype=np.float64)
     ids, starts = np.unique(subjects[order], return_index=True)
-    return ids, np.append(starts, len(rows)), rows
+    return EntityTexts(ids, np.append(starts, order.shape[0]),
+                       [names[r] for r in ranked[by_first].tolist()],
+                       np.argsort(by_first)[field_of], weight[predicates[order]],
+                       [values[t] for t in literal_of[order].tolist()])

@@ -7,17 +7,17 @@ into ranked topic lists. Candidates are record positions from retrieval to
 the knee cut; only the topics kept are named by IRI and label.
 
 Per document, scoring runs as two batches (``ranking``): the document's
-distinct lemmas are looked up in the memo together and its misses scored in
-one stage-one pass, then every mention is ranked against its sentence in one
-stage-two pass, which computes each distinct (sentence, text) context
-cosine once where the rows repeat pairs densely. Stage two's kept candidates
-stay three aligned arrays (mention, position, score) through coherence,
-which gives one boost per row, and aggregation. The memo keeps, per lemma,
-the part of scoring that does not depend on the sentence (the candidates'
-row addresses and partial scores, as arrays of their own) in a plain dict
-of at most one entry per indexed entity, least recently used evicted first.
-An instance is safe to share across threads without a lock: every stage is
-pure, and each touch of the memo is a single dict operation.
+distinct lemmas are looked up in the memo together, its misses retrieved and
+scored in one array pass each, then every mention is ranked against its
+sentence in one stage-two pass, which computes each distinct (sentence,
+text) context cosine once where the rows repeat pairs densely. Stage two's
+kept candidates stay three aligned arrays (mention, position, score) through
+coherence, which gives one boost per row, and aggregation. The memo keeps,
+per lemma, the part of scoring that does not depend on the sentence (the
+candidates' row addresses and partial scores, as arrays of their own) in a
+plain dict of at most one entry per indexed entity, least recently used
+evicted first. An instance is safe to share across threads without a lock:
+every stage is pure, and each touch of the memo is a single dict operation.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ class Classifier:
 
     def _candidates(self, lemmas: Iterable[str]) -> dict[str, CandidateRows]:
         """Stage one of the lemmas: hits from the memo, and the misses as
-        one batch (retrieval and the encoders per lemma, then one gather of
-        all their candidates' rows and one ``score_lemmas``).
+        one batch (one ``retrieve`` of them all, the encoders per lemma, then
+        one gather of all their candidates' rows and one ``score_lemmas``).
 
         Each touch of the memo is one dict operation, atomic under the
         interpreter lock, so there is no lock a fork could inherit held. A
@@ -214,12 +214,11 @@ class Classifier:
                 memo[lemma] = found[lemma] = rows
         if misses:
             index, k = self._index, self._retrieval.k
-            hits = [[pos for pos, _ in index.retrieve(lemma, k)] for lemma in misses]
+            hits = index.retrieve(misses, k)
             scored = score_lemmas(
                 [lexical_vector(lemma, self._ngram_sizes) for lemma in misses],
                 np.array([semantic_vector(lemma, self._table) for lemma in misses]),
-                index.candidate_blocks([pos for positions in hits for pos in positions]),
-                [len(positions) for positions in hits], index, self._ranking)
+                index.candidate_blocks(hits.positions), hits.counts, index, self._ranking)
             for lemma, rows in zip(misses, scored):
                 memo[lemma] = found[lemma] = rows
             while len(memo) > self._memo_cap:

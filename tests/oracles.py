@@ -26,6 +26,7 @@ from kbtopics.kb import (
     CrossRefReport,
     Iri,
     KnowledgeBase,
+    EntityTexts,
     Literal as LiteralValue,
     LoadStats,
     PropertyRegistry,
@@ -297,11 +298,18 @@ def record_hoods(kb: KnowledgeBase, given: Mapping[Iri, Neighborhood] | None = N
         e: given.get(e, Neighborhood(e, ((e, 0.0),))) for e in records})
 
 
+def text_rows(texts: EntityTexts) -> list[tuple[str, str, float]]:
+    """entity_texts' columns as (field name, text, search weight) rows."""
+    return [(texts.fields[f], text, w) for f, text, w in zip(
+        texts.field_ids.tolist(), texts.texts, texts.weights.tolist())]
+
+
 def texts_by_iri(kb: KnowledgeBase) -> dict[Iri, list[tuple[str, str, float]]]:
     """entity_texts as {entity IRI: its rows}, in id order."""
-    ids, indptr, rows = entity_texts(kb)
-    return {kb.entities[e]: rows[lo:hi]
-            for e, lo, hi in zip(ids.tolist(), indptr.tolist(), indptr[1:].tolist())}
+    texts = entity_texts(kb)
+    rows = text_rows(texts)
+    return {kb.entities[e]: rows[lo:hi] for e, lo, hi in zip(
+        texts.ids.tolist(), texts.indptr.tolist(), texts.indptr[1:].tolist())}
 
 
 def parents_by_iri(kb: KnowledgeBase, parents: Related) -> dict[Iri, list[tuple[Iri, float]]]:
@@ -487,6 +495,32 @@ def topics_by_lists(ranked: Sequence[Sequence[tuple[int, float]]], boosts: Mappi
                     frozenset(lemma_sets[e]), "direct") for e, total in totals.items()]
     return sorted(topics, key=lambda t: (-t.final_score, t.entity))
 
+def record_text_ids(index: CandidateIndex, uri: str) -> range:
+    """Text ids of a record's texts, in the order of ``record_texts``; empty
+    for an entity the index holds no record of."""
+    pos = index.position(uri)
+    return range(0) if pos is None else range(*index._text_indptr[pos:pos + 2].tolist())
+
+
+def record_texts(index: CandidateIndex, uri: str) -> tuple[tuple[str, str, float], ...]:
+    """A record's texts as (field, text, search weight), read from the
+    index's text columns; empty for an entity without a record."""
+    return tuple((index._fields[index._text_fields[i]], index._texts[i],
+                  float(index._text_weights[i])) for i in record_text_ids(index, uri))
+
+
+def record_neighborhood(index: CandidateIndex, uri: str) -> Neighborhood | None:
+    """A record's neighborhood by IRI, itself first at 0, read from
+    ``index.related``; None for an entity without a record."""
+    pos = index.position(uri)
+    if pos is None:
+        return None
+    lo, hi = index.related.indptr[pos:pos + 2].tolist()
+    return Neighborhood(Iri(uri), tuple(zip(
+        (Iri(index.names[i]) for i in index.related.ids[lo:hi].tolist()),
+        index.related.distances[lo:hi].tolist())))
+
+
 def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
     """candidate_blocks of one uri's record by a loop over its neighborhood,
     each related entity's text ids and field weights read by its IRI (none
@@ -494,9 +528,9 @@ def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
     text_ids: list[int] = []
     weights: list[float] = []
     distances: list[float] = []
-    for entity, dist in index.neighborhood(uri).neighbors:
-        texts = index.texts(entity)
-        text_ids.extend(index.text_ids(entity))
+    for entity, dist in record_neighborhood(index, uri).neighbors:
+        texts = record_texts(index, entity)
+        text_ids.extend(record_text_ids(index, entity))
         weights.extend(w for _, _, w in texts)
         distances.extend([dist] * len(texts))
     return CandidateBlock(
@@ -577,7 +611,7 @@ def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[i
     tokens: list[int] = []
     grams: list[int] = []
     for uri in index.names[:len(index)]:
-        for _, text, _ in index.texts(uri):
+        for _, text, _ in record_texts(index, uri):
             tokens.append(len(tokenize(text)))
             grams.append(len(char_ngrams(text, (3,))))
     return tokens, grams
@@ -594,7 +628,7 @@ def query_by_loop(index: CandidateIndex, mention_text: str, k: int = 30
     weight: list[float] = []
     records = [Iri(uri) for uri in index.names[:len(index)]]
     for pos, uri in enumerate(records):
-        for _, text, w in index.texts(uri):
+        for _, text, w in record_texts(index, uri):
             text_id = len(owner)
             owner.append(pos)
             weight.append(w)

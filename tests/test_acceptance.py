@@ -32,7 +32,7 @@ from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from oracles import expand_iris
+from oracles import expand_iris, record_text_ids, record_texts
 from row_table import MentionVectors, RowTable, rows_of, score_candidate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -464,9 +464,9 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     # the lexical vectors are stored by gram; read back per text
     with CandidateIndex.open(index_dir) as idx:
         for uri in idx.names[:len(idx)]:
-            ids = idx.text_ids(uri)
+            ids = record_text_ids(idx, uri)
             lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
-            for (_, text, _), lv, sv in zip(idx.texts(uri), lex, sem):
+            for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)
                 worst_sem = max(worst_sem, float(np.max(np.abs(sv - fresh)))

@@ -38,8 +38,8 @@ from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, to
 
 from oracles import (
     TripleKB, block_by_loop, lexical_cosines_by_rows, link_counts_by_scan, neighborhoods_of,
-    parents_by_iri, parents_by_scan, query_by_loop, record_hoods, text_lengths_by_tokenizing,
-    triples_of,
+    parents_by_iri, parents_by_scan, query_by_loop, record_hoods, record_neighborhood,
+    record_text_ids, record_texts, text_lengths_by_tokenizing, triples_of,
 )
 from row_table import columns_of, lexical_rows, rows_of, stack
 
@@ -55,8 +55,15 @@ def iri(name):
 
 
 def hits(idx, text, k=30):
-    """The index's retrieval hits as (uri, score) pairs."""
-    return [(idx.names[pos], score) for pos, score in idx.retrieve(text, k)]
+    """The index's retrieval hits of one query as (uri, score) pairs."""
+    return split_hits(idx, idx.retrieve([text], k))[0]
+
+
+def split_hits(idx, got):
+    """A batch's retrieval hits as one list of (uri, score) pairs per query."""
+    pairs = list(zip((idx.names[p] for p in got.positions.tolist()), got.scores.tolist()))
+    ends = np.cumsum(got.counts).tolist()
+    return [pairs[end - n:end] for n, end in zip(got.counts.tolist(), ends)]
 
 
 # Names for random KBs: an object quoted with "'" becomes a literal whose
@@ -275,7 +282,7 @@ class TestBuildIndex:
     def test_records_carry_neighborhoods_and_parents(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            assert idx.neighborhood(iri("bear")).neighbors[0] == (iri("bear"), 0.0)
+            assert record_neighborhood(idx, iri("bear")).neighbors[0] == (iri("bear"), 0.0)
             parents = idx.parents(idx.position(iri("bear")))
             assert iri("mammal") in [idx.names[q] for q, _ in parents]
 
@@ -298,7 +305,7 @@ class TestBuildIndex:
         assert manifest.record_count == 0
         with CandidateIndex.open(tmp_path / "i") as idx:
             assert len(idx) == 0
-            assert idx.retrieve("anything") == []
+            assert hits(idx, "anything") == []
 
     def test_texts_with_newlines_tabs_and_non_ascii_round_trip(self, tmp_path, table):
         texts = ["polar\nbear", "ice\tbear", "Eisbär ❄ \"quoted\" \\ back", "\u2028 sep"]
@@ -307,7 +314,7 @@ class TestBuildIndex:
         manifest = build_alone(kb, table, tmp_path / "i")
         assert manifest.text_count == len(texts)
         with CandidateIndex.open(tmp_path / "i") as idx:
-            assert [t for _, t, _ in idx.texts(iri("odd"))] == sorted(texts)
+            assert [t for _, t, _ in record_texts(idx, iri("odd"))] == sorted(texts)
             assert [uri for uri, _ in hits(idx, "eisbär")] == [iri("odd")]
 
     def test_rebuild_has_identical_content_hash(self, built, tmp_path, table):
@@ -322,10 +329,9 @@ class TestBuildIndex:
 # Every public read of an index, given the index and the IRI of one of its
 # records.
 INDEX_READS = {
-    "retrieve": lambda idx, uri: idx.retrieve("bear"),
+    "retrieve": lambda idx, uri: idx.retrieve(["bear"]),
     "related": lambda idx, uri: idx.related,
     "parents": lambda idx, uri: idx.parents(0),
-    "neighborhood": lambda idx, uri: idx.neighborhood(uri),
     "candidate_blocks": lambda idx, uri: idx.candidate_blocks([0]),
     "semantic_rows": lambda idx, uri: idx.semantic_rows([0]),
     "lexical_cosines": lambda idx, uri: idx.lexical_cosines([{1: 1.0}], [0], [0]),
@@ -333,10 +339,8 @@ INDEX_READS = {
     "label": lambda idx, uri: idx.label(0, "label"),
     "position": lambda idx, uri: idx.position(uri),
     "names": lambda idx, uri: idx.names,
-    "text_ids": lambda idx, uri: idx.text_ids(uri),
     "len": lambda idx, uri: len(idx),
     "manifest": lambda idx, uri: idx.manifest,
-    "texts": lambda idx, uri: idx.texts(uri),
 }
 
 
@@ -601,23 +605,23 @@ class TestQuery:
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             # shares no token and no character 3-gram with any indexed text
-            assert idx.retrieve("zzqqjjxx") == []
+            assert hits(idx, "zzqqjjxx") == []
 
     def test_empty_mention_returns_empty(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            assert idx.retrieve("...") == []
+            assert hits(idx, "...") == []
 
     def test_k_caps_results(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            assert len(idx.retrieve("marine mammal bear seal", k=2)) == 2
+            assert len(hits(idx, "marine mammal bear seal", k=2)) == 2
 
     def test_invalid_k(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             with pytest.raises(ConfigError):
-                idx.retrieve("bear", k=0)
+                idx.retrieve(["bear"], k=0)
 
     def test_identical_labels_tie_by_iri(self, tmp_path, table):
         ts = [
@@ -667,8 +671,8 @@ class TestQuery:
     def test_determinism(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            a = idx.retrieve("marine mammal bear")
-            b = idx.retrieve("marine mammal bear")
+            a = hits(idx, "marine mammal bear")
+            b = hits(idx, "marine mammal bear")
             assert a == b
 
 
@@ -714,9 +718,9 @@ class TestVectors:
         kb, _, path = built
         with CandidateIndex.open(path) as idx:
             for uri in idx.names[:len(idx)]:
-                ids = idx.text_ids(uri)
+                ids = record_text_ids(idx, uri)
                 lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
-                for (_, text, _), lv, sv in zip(idx.texts(uri), lex, sem):
+                for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
                         sv, semantic_vector(text, table), atol=1e-7)
@@ -724,9 +728,9 @@ class TestVectors:
     def test_text_ids_follow_record_order(self, built):
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
-            ids = [i for uri in idx.names[:len(idx)] for i in idx.text_ids(uri)]
+            ids = [i for uri in idx.names[:len(idx)] for i in record_text_ids(idx, uri)]
             assert ids == list(range(manifest.text_count))
-            assert idx.text_ids(iri("ghost")) == range(0)
+            assert record_text_ids(idx, iri("ghost")) == range(0)
 
     def test_order_preserving_batch(self, built):
         _, manifest, path = built
@@ -736,7 +740,7 @@ class TestVectors:
             assert sem.shape == (len(ids), idx.manifest.embedding_dim)
             np.testing.assert_array_equal(idx.semantic_rows(ids[::-1]), sem[::-1])
             for uri in idx.names[:len(idx)]:
-                for _, text, _ in idx.texts(uri):
+                for _, text, _ in record_texts(idx, uri):
                     lex = cosines(idx, lexical_vector(text), ids)
                     assert lex.shape == (len(ids),) and lex.max() > 0.99
                     assert cosines(idx, lexical_vector(text), ids[::-1]).tolist() \
@@ -1074,7 +1078,7 @@ class TestBlockGather:
             none = idx.candidate_blocks([])
             assert none.entities.size == none.sizes.size == none.text_ids.size == 0
             # mercury's neighbor arctic has no record and adds no rows
-            assert iri("arctic") in dict(idx.neighborhood(iri("mercury")).neighbors)
+            assert iri("arctic") in dict(record_neighborhood(idx, iri("mercury")).neighbors)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -1091,7 +1095,7 @@ class TestBlockGather:
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
                 reached += sum(idx.position(e) is None for uri in idx.names[:len(idx)]
-                               for e, _ in idx.neighborhood(uri).neighbors)
+                               for e, _ in record_neighborhood(idx, uri).neighbors)
         assert reached > 0
 
 
@@ -1102,14 +1106,14 @@ class TestRelated:
             related = idx.related
             for pos, uri in enumerate(idx.names[:len(idx)]):
                 lo, hi = related.indptr[pos:pos + 2]
-                neighbors = idx.neighborhood(uri).neighbors
+                neighbors = record_neighborhood(idx, uri).neighbors
                 assert [idx.names[i] for i in related.ids[lo:hi]] == [e for e, _ in neighbors]
                 assert related.distances[lo:hi].tolist() == [d for _, d in neighbors]
             assert not related.ids.flags.writeable and not related.distances.flags.writeable
             # the map's own <i4 section, not a copy; coherence widens only
             # the ids it gathers
             assert related.ids.dtype == np.dtype("<i4") and related.distances.dtype == np.float64
-            assert idx.neighborhood(iri("ghost")) is None
+            assert record_neighborhood(idx, iri("ghost")) is None
 
     def test_unindexed_meeting_point_links_candidates(self, tmp_path, table):
         # bear and mercury share only arctic, which has no record
@@ -1131,6 +1135,22 @@ QUERY_WORDS = ["polar", "bear", "seal", "mercury", "marine", "mammal", "ice",
                "mercuric", "sealz", "quicksilver", "xq", "ringed", "..."]
 
 
+# a query of up to four words: empty, token-less ("..."), matching no token
+# but some 3-grams ("mercuric", "sealz", "xq"), or matching tokens
+QUERY = st.lists(st.sampled_from(QUERY_WORDS), max_size=4).map(" ".join)
+# a batch drawn from a few distinct queries, so that queries repeat
+BATCH = st.lists(QUERY, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=10))
+
+
+def assert_batch_matches_loop(idx, texts, k):
+    """One retrieve of the batch against query_by_loop per query, bit for bit."""
+    got = split_hits(idx, idx.retrieve(texts, k))
+    want = [query_by_loop(idx, text, k) for text in texts]
+    assert got == want
+    assert [[s.hex() for _, s in h] for h in got] == [[s.hex() for _, s in h] for h in want]
+
+
 def assert_query_matches_loop(idx, text, k):
     got = hits(idx, text, k)
     want = query_by_loop(idx, text, k)
@@ -1150,7 +1170,7 @@ class TestRetrievalOracle:
                 for k in (1, 2, 3, 30):
                     assert_query_matches_loop(idx, text, k)
             # "mercuric" takes the 3-gram fallback; k=1 keeps the best hit
-            assert idx.retrieve("mercuric")
+            assert hits(idx, "mercuric")
             assert hits(idx, "polar", k=1)[0][0] == iri("bear")
 
     @settings(max_examples=25, deadline=None)
@@ -1169,13 +1189,44 @@ class TestRetrievalOracle:
         ties = grams = 0
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
-                indexed = {tok for uri in idx.names[:len(idx)] for _, text, _ in idx.texts(uri)
-                           for tok in tokenize(text)}
+                indexed = {tok for uri in idx.names[:len(idx)]
+                           for _, text, _ in record_texts(idx, uri) for tok in tokenize(text)}
                 for text in QUERY_WORDS:
                     hits = query_by_loop(idx, text, 30)
                     ties += any(a[1] == b[1] for a, b in zip(hits, hits[1:]))
                     grams += bool(hits) and not set(tokenize(text)) & indexed
         assert ties > 0 and grams > 0
+
+    def test_toy_batch_matches_loop(self, built):
+        # repeated lemmas, empty and token-less ones, a fallback-only one
+        # ("mercuric") among token hits, k above the hits
+        batch = ["ringed seal", "mercuric", "", "...", "polar bear", "mercuric", "zzqqjjxx",
+                 "ringed seal", "quicksilvery", "bear bear"]
+        _, _, path = built
+        with CandidateIndex.open(path) as idx:
+            for k in (1, 2, 3, 30):
+                assert_batch_matches_loop(idx, batch, k)
+            got = idx.retrieve(batch, 30)
+            assert got.counts.tolist()[2:4] == [0, 0] and got.counts[1] > 0
+            assert got.counts.sum() == got.positions.shape[0] < 30 * len(batch)
+            # scores stay float when only the fallback pass has hits
+            assert idx.retrieve(["mercuric"], 3).scores.dtype == np.float64
+            empty = idx.retrieve([], 3)
+            assert empty.positions.size == empty.scores.size == empty.counts.size == 0
+
+    def test_tied_batch_matches_loop(self, tmp_path, table):
+        ts = [Triple(iri(name), LABEL, Literal("same label")) for name in ("c", "a", "b")]
+        build_alone(KnowledgeBase.intern(ts, registry()), table, tmp_path / "i")
+        with CandidateIndex.open(tmp_path / "i") as idx:
+            for k in (1, 2, 5):
+                assert_batch_matches_loop(idx, ["same label", "labels", "same", "same label"], k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), BATCH, st.integers(1, 6))
+    def test_random_batches_match_loop(self, tmp_path_factory, table, seed, batch, k):
+        path = random_index(seed, tmp_path_factory.mktemp("random"), table)
+        with CandidateIndex.open(path) as idx:
+            assert_batch_matches_loop(idx, batch, k)
 
 
 class TestLengthNormalizers:
@@ -1194,8 +1245,9 @@ class TestLengthNormalizers:
 
 def assert_norms_match_tokenizing(idx):
     tokens, grams = text_lengths_by_tokenizing(idx)
-    assert idx._token_norm == [math.sqrt(max(n, 1)) for n in tokens]
-    assert idx._gram_norm == [math.sqrt(max(n, 1)) for n in grams]
+    for norms, lengths in ((idx._token_norm, tokens), (idx._gram_norm, grams)):
+        assert norms.dtype == np.float64
+        assert_bitwise(norms, np.array([math.sqrt(max(n, 1)) for n in lengths]))
 
 
 class TestLexicalCosines:
@@ -1211,7 +1263,7 @@ class TestLexicalCosines:
                                              picks):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            texts = [text for uri in idx.names[:len(idx)] for _, text, _ in idx.texts(uri)]
+            texts = [text for uri in idx.names[:len(idx)] for _, text, _ in record_texts(idx, uri)]
             ids = [p % len(texts) for p in picks] if texts else []
             rows = lexical_rows([lexical_vector(texts[i]) for i in ids])
             queries = [lexical_vector(" ".join(words)) for words in queries]

@@ -37,6 +37,7 @@ from oracles import (
     parents_by_scan,
     prune_by_objects,
     texts_by_iri,
+    text_rows,
     texts_by_scan,
     triples_by_character_parser,
     triples_of,
@@ -506,18 +507,25 @@ class TestEntityTexts:
         ts = [Triple(c, LABEL, Literal("sea")), Triple(b, LABEL, Iri(EX + "x")),
               Triple(a, SYN, Literal("ice")), Triple(c, SYN, Literal("ice"))]
         kb = KnowledgeBase.intern(ts, make_registry())
-        ids, indptr, rows = entity_texts(kb)
-        assert [kb.entities[i] for i in ids.tolist()] == [a, c]
-        assert ids.dtype == indptr.dtype == np.int64
-        assert indptr.tolist() == [0, 1, 3]
-        assert rows == [("synonym", "ice", 1.0), ("label", "sea", 2.0), ("synonym", "ice", 1.0)]
+        texts = entity_texts(kb)
+        assert [kb.entities[i] for i in texts.ids.tolist()] == [a, c]
+        assert texts.ids.dtype == texts.indptr.dtype == np.int64
+        assert texts.indptr.tolist() == [0, 1, 3]
+        assert text_rows(texts) == [
+            ("synonym", "ice", 1.0), ("label", "sea", 2.0), ("synonym", "ice", 1.0)]
+        # fields are numbered in order of first appearance, not by name
+        assert texts.fields == ["synonym", "label"]
+        assert texts.field_ids.tolist() == [0, 1, 0]
+        assert texts.weights.dtype == np.float64
 
     def test_unknown_entity_empty(self):
         kb = KnowledgeBase.intern([Triple(Iri(EX + "a"), LABEL, Iri(EX + "b"))],
                                   make_registry())
         assert texts_by_iri(kb) == {}
-        ids, indptr, rows = entity_texts(KnowledgeBase.intern([], make_registry()))
-        assert (ids.tolist(), indptr.tolist(), rows) == ([], [0], [])
+        texts = entity_texts(KnowledgeBase.intern([], make_registry()))
+        assert (texts.ids.tolist(), texts.indptr.tolist(), texts.fields,
+                texts.field_ids.tolist(), texts.weights.tolist(), texts.texts) \
+            == ([], [0], [], [], [], [])
 
     def test_ties_keep_triple_order(self):
         # two predicates mapped to one field name, with different weights
@@ -541,7 +549,7 @@ class TestEntityTexts:
         rows = [("label", "ice", 2.0), ("label", "ice\x00", 2.0), ("synonym", "Ice\x00\x00", 1.0),
                 ("synonym", "ice", 1.0), ("synonym", "ice", 1.0)]
         kb = KnowledgeBase.intern(ts, make_registry())
-        assert entity_texts(kb)[2] == rows == texts_by_scan(objects_of(kb), a)
+        assert text_rows(entity_texts(kb)) == rows == texts_by_scan(objects_of(kb), a)
 
 
 # Generated KBs: four entities and a cross-ref target that can also be

@@ -410,11 +410,11 @@ def test_fork_while_another_thread_is_inside_a_memo_miss(clf, forking, monkeypat
     entered, release = threading.Event(), threading.Event()
     retrieve = clf._index.retrieve
 
-    def blocking_retrieve(lemma, k):
-        if lemma == "blocked lemma":
+    def blocking_retrieve(lemmas, k):
+        if "blocked lemma" in lemmas:
             entered.set()
             assert release.wait(timeout=30)
-        return retrieve(lemma, k)
+        return retrieve(lemmas, k)
 
     start_worker = pipeline._start_worker
 
@@ -526,11 +526,11 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
     index, table = no_coherence._index, EmbeddingTable.load(toy_config.embedding_file)
     for i, mention in enumerate(mentions):
         # each mention as a batch of one
-        hits = index.retrieve(mention.lemma, toy_config.retrieval.k)
+        hits = index.retrieve([mention.lemma], toy_config.retrieval.k)
         rows = score_lemmas(
             [lexical_vector(mention.lemma, toy_config.ngram_sizes)],
             semantic_vector(mention.lemma, table)[None],
-            index.candidate_blocks([pos for pos, _ in hits]), [len(hits)], index,
+            index.candidate_blocks(hits.positions.tolist()), [len(hits.positions)], index,
             toy_config.ranking)
         [want] = per_mention(rank_mentions(
             rows, semantic_vector(mention.sentence, table)[None], [0], index,
