@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .expansion import group_min
 from .index import Related
 from .vectors import ranges
 
@@ -104,15 +105,10 @@ def build_similarity(candidates: Sequence[int] | np.ndarray, related: Related) -
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     a, b = owner[first], owner[second]
     linked = a < b
-    pair = a[linked] * n + b[linked]
-    if pair.size:
-        # group minimum of each pair's meeting-point distances
-        order = np.argsort(pair)
-        pair = pair[order]
-        heads = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-        best = np.minimum.reduceat((dist[first] + dist[second])[linked][order], heads)
-        a, b = np.divmod(pair[heads], n)
-        sim[a, b] = sim[b, a] = 1.0 / (1.0 + best)
+    # each pair's least meeting-point distance
+    pair, best = group_min(a[linked] * n + b[linked], (dist[first] + dist[second])[linked])
+    a, b = np.divmod(pair, n)
+    sim[a, b] = sim[b, a] = 1.0 / (1.0 + best)
     return CoherenceGraph(nodes=nodes, sim=sim)
 
 

@@ -125,7 +125,7 @@ def _edge_csr(graph: WeightedGraph) -> tuple[np.ndarray, ...]:
     return indptr, graph.targets[order], graph.weights[order]
 
 
-def _group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, each with its least distance."""
     order = np.argsort(keys)
     keys = keys[order]
@@ -150,7 +150,7 @@ def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
         edge = ranges(starts, counts)
         dist = np.repeat(frontier, counts) + weights[edge]
         near = dist <= params.max_distance
-        cand_keys, cand = _group_min(
+        cand_keys, cand = group_min(
             np.repeat(rows * n_nodes, counts)[near] + targets[edge[near]], dist[near])
         pos = np.searchsorted(keys, cand_keys)
         known = pos < keys.shape[0]

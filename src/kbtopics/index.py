@@ -54,10 +54,11 @@ once and views every section over that map with ``np.frombuffer``; it
 builds nothing per record. It checks the index against its manifest (format
 version, record and text counts, the semantic matrix's size against the
 embedding dimension), the sections against each other (sizes, row pointers,
-id ranges, the gram vocabulary's order, every neighborhood starting with its
-record at distance 0, the record IRIs, tokens and grams strictly ascending,
-every entity IRI valid and distinct) and the content hash (sha256 over strings and columns, in that order,
-read in chunks so that it faults none of the map's pages in). Closing drops
+id ranges, every term having a posting, the gram vocabulary's order, every
+neighborhood starting with its record at distance 0, the record IRIs, tokens
+and grams strictly ascending, every entity IRI valid and distinct) and the
+content hash (sha256 over strings and columns, in that order, read in chunks
+so that it faults none of the map's pages in). Closing drops
 the index's views; the map, and its file, go with the last view, so a view
 of ``related`` taken before stays readable.
 
@@ -77,13 +78,15 @@ search weight and summed per entity, term by term in sorted order and each
 term's postings in text-id order. A query none of whose tokens matches
 falls back to character 3-grams with the same formula. A text's length in
 tokens (or 3-grams) is the sum of its token (or 3-gram) term frequencies.
-A batch of queries is scored in one array pass, its fallbacks in a second.
+A batch of queries is scored in one array pass, each query's terms (its
+known tokens, or else its known 3-grams) chosen before any is scored.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -298,6 +301,8 @@ def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, lis
         if rows < 0 or len(ptr) != rows + 1 or len(columns[values[1]]) != size \
                 or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
             return f"{indptr} does not fit its sections"
+    if np.any(columns["posting_indptr"][1:] == columns["posting_indptr"][:-1]):
+        return "a term without postings"
     for name, bound in (("related_ids", len(strings["entities"])),
                         ("parent_ids", len(strings["entities"])),
                         ("text_fields", len(strings["fields"])),
@@ -344,10 +349,11 @@ def _read_hashed(path: Path, digest) -> bytes:
     return data
 
 
-def _length_norms(text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> np.ndarray:
-    """sqrt(max(length, 1)) per text id, a text's length being the sum of
-    its term frequencies in the given postings."""
-    lengths = np.bincount(text_ids, weights=tfs, minlength=n_texts)
+def _length_norms(split: int, text_ids: np.ndarray, tfs: np.ndarray, n_texts: int) -> np.ndarray:
+    """sqrt(max(length, 1)) by term kind and text id, a text's length summing
+    its token postings' (``[:split]``, row 0) or gram postings' (row 1) tfs."""
+    lengths = [np.bincount(text_ids[part], weights=tfs[part], minlength=n_texts)
+               for part in (slice(None, split), slice(split, None))]
     return np.sqrt(np.maximum(lengths, 1.0))
 
 
@@ -531,18 +537,16 @@ class CandidateIndex:
         self._text_owner = np.repeat(np.arange(n), np.diff(self._text_indptr))
         self._field_ids = {name: i for i, name in enumerate(self._fields)}
         # postings: term -> term id -> [ptr[id], ptr[id + 1]) of the columns;
-        # per text id the length normalizers of the token and gram terms
-        tokens, grams = strings["tokens"], strings["grams"]
-        self._token_terms = dict(zip(tokens, range(len(tokens))))
-        self._gram_terms = dict(zip(grams, range(len(tokens), len(tokens) + len(grams))))
+        # the length normalizers by term kind (token, gram) and text id
+        n_tokens = self._n_tokens = len(strings["tokens"])
+        self._token_terms = dict(zip(strings["tokens"], range(n_tokens)))
+        self._gram_terms = dict(zip(strings["grams"], itertools.count(n_tokens)))
         self._posting_indptr = columns["posting_indptr"]
         self._posting_texts = columns["posting_texts"]
         self._posting_tfs = columns["posting_tfs"]
         n_texts = self.text_count = len(self._texts)
-        split = self._posting_indptr[len(tokens)]
-        self._token_norm, self._gram_norm = (
-            _length_norms(self._posting_texts[part], self._posting_tfs[part], n_texts)
-            for part in (slice(None, split), slice(split, None)))
+        self._norms = _length_norms(self._posting_indptr[n_tokens], self._posting_texts,
+                                    self._posting_tfs, n_texts)
         self._lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
                                        columns["gram_texts"], columns["gram_values"], n_texts)
         self._semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
@@ -629,38 +633,34 @@ class CandidateIndex:
     def retrieve(self, queries: Sequence[str], k: int = 30) -> Hits:
         """Each query's top-k records by field-weighted token tf-idf, or by
         3-grams if none of its tokens matches (none if it has no tokens);
-        ties break by position, that is by URI."""
+        ties break by position, that is by URI. A known token always gives a
+        hit, as every term has a posting and every text an owner."""
         if k < 1:
             raise ConfigError(f"k must be positive, got {k}")
-        tokens = [sorted(set(tokenize(query))) for query in queries]
-        hits = self._top_k(tokens, self._token_terms, self._token_norm, k)
-        fallback = [j for j, terms in enumerate(tokens) if terms and not hits.counts[j]]
-        if fallback:
-            grams = self._top_k([sorted(set(char_ngrams(queries[j], (3,)))) for j in fallback],
-                                self._gram_terms, self._gram_norm, k)
-            # each fallback query's hits go where its (no) token hits were
-            at = np.repeat(np.cumsum(hits.counts)[fallback], grams.counts)
-            hits.counts[fallback] = grams.counts
-            hits = Hits(np.insert(hits.positions, at, grams.positions),
-                        np.insert(hits.scores, at, grams.scores), hits.counts)
-        return hits
+        terms = []
+        for query in queries:
+            tokens = tokenize(query)
+            ids, known = self._token_terms, self._token_terms.keys() & tokens
+            if tokens and not known:
+                ids, known = self._gram_terms, self._gram_terms.keys() & char_ngrams(query, (3,))
+            terms.append(sorted(map(ids.get, known)))
+        return self._top_k(terms, k)
 
-    def _top_k(self, queries: Sequence[Sequence[str]], term_ids: Mapping[str, int],
-               norms: np.ndarray, k: int) -> Hits:
-        """Each query's top k records by tf-idf over its terms' postings (the
-        terms sorted and distinct): each (query, record) sum adds its gains
-        term by term, each term's postings in text-id order."""
-        query = [j for j, words in enumerate(queries) for w in words if w in term_ids]
-        terms = np.array([term_ids[w] for words in queries for w in words if w in term_ids],
-                         dtype=np.intp)
+    def _top_k(self, queries: Sequence[Sequence[int]], k: int) -> Hits:
+        """Each query's top k records by tf-idf over its terms' postings (term
+        ids, ascending): each (query, record) sum adds its gains term by term,
+        each term's postings in text-id order."""
+        terms = np.fromiter(itertools.chain.from_iterable(queries), np.intp)
         lo = self._posting_indptr[terms]
         df = self._posting_indptr[terms + 1] - lo
         idf = [1.0 + math.log(max(self.text_count, 1) / (1.0 + d)) for d in df.tolist()]
         postings = ranges(lo, df)
         texts = self._posting_texts[postings]
+        kind = np.repeat(terms >= self._n_tokens, df).astype(np.intp)  # 0 token, 1 gram
         gains = (self._text_weights[texts] * self._posting_tfs[postings]
-                 * np.repeat(idf, df) / norms[texts])
-        keys = np.repeat(np.array(query, dtype=np.intp) * self._n, df) + self._text_owner[texts]
+                 * np.repeat(idf, df) / self._norms[kind, texts])
+        query = np.repeat(np.arange(len(queries)), [len(words) for words in queries])
+        keys = np.repeat(query * self._n, df) + self._text_owner[texts]
         by = keys.argsort(kind="stable")  # a key's gains stay in input order
         keys = keys[by]
         new = np.ones(keys.shape[0], dtype=bool)  # where each key's run starts

@@ -39,11 +39,11 @@ A single lemma or mention is a batch of one, and every row's arithmetic is
 the same in any batch, so scores are bit for bit those of a batch of one.
 The temporaries that grow with a batch (the lexical accumulator, lemmas ×
 texts, and the gathered rows, rows × dimension) hold at most
-``_BATCH_VALUES`` values each; beyond that, lemmas and rows go in chunks,
-a lexical chunk holding at least one lemma. Stage two finds its distinct
-pairs through a scatter table of sentences × texts slots, without sorting
-the rows, and only when that is at most ``_PAIR_SLOTS_PER_ROW`` slots per
-row, so the table grows with the document, not with the knowledge base.
+``vectors.BATCH_VALUES`` values each, in chunks: the lexical kernel takes
+at least one lemma to a chunk. Stage two finds its distinct pairs through a
+scatter table of sentences × texts slots, without sorting the rows, and
+only when that is at most ``_PAIR_SLOTS_PER_ROW`` slots per row, so the
+table grows with the document, not with the knowledge base.
 
 ``CandidateBlocks`` name their candidates by record position and hold only
 their rows' addresses (text ids) with their field weights and distances;
@@ -62,6 +62,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
+from . import vectors as _vectors
 from .errors import ConfigError
 from .vectors import SparseVector
 
@@ -94,12 +95,6 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
     return (1.0 + np.exp(alpha - beta * np.asarray(x, dtype=np.float64))) ** -2.0
 
 
-# the most values (8 bytes each) one batch temporary holds: the lexical
-# accumulator, or the gathered semantic rows and the vectors they are
-# multiplied by. 1 MB stays in a core's L2 cache: at 128k texts, an
-# accumulator of six lemmas (6 MB) read 10-20% slower than one lemma at a time
-_BATCH_VALUES = 2**17
-
 # stage two finds the rows that repeat a (sentence, text) pair through a
 # table of sentences × texts slots only when there is a row for at most
 # this many slots. Sparser rows repeat too few pairs to pay for the table:
@@ -112,8 +107,9 @@ _PAIR_SLOTS_PER_ROW = 4
 
 class VectorSource(Protocol):
     """Similarities and vectors of texts by text id, one row per id in the
-    given order (an opened ``CandidateIndex``). ``semantic_rows`` returns a
-    new array, which scoring overwrites."""
+    given order (an opened ``CandidateIndex``). ``lexical_cosines`` bounds
+    its own temporaries; ``semantic_rows`` returns a new array, which
+    scoring overwrites."""
 
     text_count: int
 
@@ -160,10 +156,10 @@ class CandidateRows:
 def _row_sums(vectors: VectorSource, text_ids: np.ndarray, queries: np.ndarray,
               query_of: np.ndarray) -> np.ndarray:
     """Row i's dot product of text ``text_ids[i]``'s semantic vector with
-    ``queries[query_of[i]]``, gathering at most ``_BATCH_VALUES`` values of
-    rows at a time."""
+    ``queries[query_of[i]]``, gathering at most ``BATCH_VALUES`` (of
+    ``kbtopics.vectors``) values of rows at a time."""
     out = np.empty(text_ids.shape[0])
-    step = max(1, _BATCH_VALUES // max(queries.shape[1], 1))
+    step = max(1, _vectors.BATCH_VALUES // max(queries.shape[1], 1))
     for lo in range(0, text_ids.shape[0], step):
         rows = vectors.semantic_rows(text_ids[lo:lo + step])
         rows *= np.take(queries, query_of[lo:lo + step], axis=0)
@@ -179,9 +175,7 @@ def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
                  vectors: VectorSource, params: RankingParams) -> list[CandidateRows]:
     """Stage one for several lemmas: lemma j, with lexical vector
     ``lexical[j]`` and semantic vector ``semantic[j]``, has the next
-    ``candidates[j]`` blocks of ``blocks``. The lexical pass takes as many
-    lemmas at a time as keep its accumulator within ``_BATCH_VALUES``, and at
-    least one."""
+    ``candidates[j]`` blocks of ``blocks``."""
     n_lemmas = len(candidates)
     block_ptr = np.zeros(n_lemmas + 1, dtype=np.intp)
     np.cumsum(candidates, out=block_ptr[1:])
@@ -190,12 +184,7 @@ def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
     row_ptr = row_ptr[block_ptr]  # lemma j's rows are [row_ptr[j], row_ptr[j + 1])
     slots = np.repeat(np.arange(n_lemmas), np.diff(row_ptr))
     n = row_ptr[-1]
-    lex = np.empty(n)
-    step = max(1, _BATCH_VALUES // max(vectors.text_count, 1))
-    for lo in range(0, n_lemmas, step):
-        rows = slice(row_ptr[lo], row_ptr[min(lo + step, n_lemmas)])
-        lex[rows] = vectors.lexical_cosines(
-            lexical[lo:lo + step], slots[rows] - lo, blocks.text_ids[rows])
+    lex = vectors.lexical_cosines(lexical, slots, blocks.text_ids)
     act = activation(np.concatenate([lex, _row_sums(vectors, blocks.text_ids, semantic, slots)]),
                      params.alpha, params.beta)
     partial = params.w_l * act[:n] + params.w_sm * act[n:]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kbtopics
@@ -415,14 +416,28 @@ def copy_index(index_dir, dest):
     return dest
 
 
+def rehash(index):
+    """Store the data files' current content hash in the index's manifest."""
+    digest = hashlib.sha256()
+    for name in (STRINGS_FILE, COLUMNS_FILE):
+        digest.update((index / name).read_bytes())
+    manifest = json.loads((index / "manifest.json").read_text(encoding="utf-8"))
+    manifest["content_hash"] = digest.hexdigest()
+    (index / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def test_deleted_postings_line_exits_2(index_dir, tmp_path, capsys):
-    # one posting deleted from the column file, which stays well formed
+    # one posting deleted from the column file, which stays well formed: the
+    # first of a term that has another (a term without postings is refused
+    # before the content hash is compared)
     broken = copy_index(index_dir, tmp_path / "broken")
     columns = {name: array.copy() for name, array in
                read_columns((broken / COLUMNS_FILE).read_bytes()).items()}
+    ptr = columns["posting_indptr"]
+    term = int(np.flatnonzero(np.diff(ptr) > 1)[0])
     for name in ("posting_texts", "posting_tfs"):
-        columns[name] = columns[name][1:]
-    columns["posting_indptr"][1:] -= 1
+        columns[name] = np.delete(columns[name], ptr[term])
+    ptr[term + 1:] -= 1
     write_columns(broken / COLUMNS_FILE, columns)
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
@@ -437,17 +452,29 @@ def test_invalid_related_iri_exits_2(index_dir, tmp_path, capsys):
     strings = json.loads((broken / STRINGS_FILE).read_text(encoding="utf-8"))
     strings["entities"][last_related] = "no scheme here"
     (broken / STRINGS_FILE).write_text(json.dumps(strings), encoding="utf-8")
-    # re-hash, so that only IRI validation can refuse the index
-    digest = hashlib.sha256()
-    for name in (STRINGS_FILE, COLUMNS_FILE):
-        digest.update((broken / name).read_bytes())
-    manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
-    manifest["content_hash"] = digest.hexdigest()
-    (broken / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    rehash(broken)  # so that only IRI validation can refuse the index
     code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
     assert "not an absolute IRI" in capsys.readouterr().err
+
+
+def test_token_without_postings_exits_2(index_dir, tmp_path, capsys):
+    # the first token's postings deleted and the content hash recomputed:
+    # only the layout check can refuse the index
+    broken = copy_index(index_dir, tmp_path / "broken")
+    columns = {name: array.copy() for name, array in
+               read_columns((broken / COLUMNS_FILE).read_bytes()).items()}
+    ptr = columns["posting_indptr"]
+    for name in ("posting_texts", "posting_tfs"):
+        columns[name] = columns[name][ptr[1]:]
+    ptr[1:] -= ptr[1]
+    write_columns(broken / COLUMNS_FILE, columns)
+    rehash(broken)
+    code = main(["classify", "--index", str(broken), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "a term without postings" in capsys.readouterr().err
 
 
 def format_3_copy(index_dir, dest):

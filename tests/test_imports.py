@@ -1,6 +1,7 @@
 """Every module-level import in src/ and tests/ is used, and every
-module-level function and class of the package is named somewhere in the
-program besides its own definition."""
+module-level function and class of the package, and every public method and
+property of its classes, is named somewhere in the program besides its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,38 @@ def test_unreferenced_definitions_are_found():
                "src/kbtopics/b.py": "from .a import used\nx = getattr(y, 'C')\n",
                "scripts/s.py": "def script_only(): pass\n"}
     assert unreferenced_definitions(sources, "src/kbtopics/") == ["a.alone"]
+
+
+def unreferenced_members(sources: dict[str, str], package: str) -> list[str]:
+    """``module.Class.name`` of each public method and property of the
+    module-level classes under ``package`` that no source names; dunders,
+    which the language calls, are not public."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    referenced = set().union(*map(names_referenced, trees.values()))
+    return sorted(f"{Path(path).stem}.{cls.name}.{node.name}"
+                  for path, tree in trees.items() if path.startswith(package)
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in referenced)
+
+
+def test_every_method_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PROGRAM}
+    assert unreferenced_members(sources, "src/kbtopics/") == []
+
+
+def test_unreferenced_members_are_found():
+    sources = {"src/kbtopics/a.py": ("class C:\n"
+                                     "    def called(self): pass\n"
+                                     "    def alone(self): pass\n"
+                                     "    @property\n"
+                                     "    def view(self): pass\n"
+                                     "    @property\n"
+                                     "    def read(self): pass\n"
+                                     "    def _private(self): pass\n"
+                                     "    def __len__(self): return 0\n"
+                                     "def f(c):\n"
+                                     "    return c.called(), c.read\n"),
+               "scripts/s.py": "class S:\n    def script_only(self): pass\n"}
+    assert unreferenced_members(sources, "src/kbtopics/") == ["a.C.alone", "a.C.view"]

@@ -174,6 +174,15 @@ def edit_columns(path, edit):
     write_columns(path / COLUMNS_FILE, columns)
 
 
+def empty_postings(columns, term):
+    """Delete every posting of a term id (token ids come first), in place."""
+    ptr = columns["posting_indptr"]
+    lo, hi = ptr[term], ptr[term + 1]
+    for name in ("posting_texts", "posting_tfs"):
+        columns[name] = np.delete(columns[name], np.s_[lo:hi])
+    ptr[term + 1:] -= hi - lo
+
+
 def rehash(path):
     """Store the data files' current content hash in the manifest."""
     digest = hashlib.sha256()
@@ -495,6 +504,15 @@ class TestOpenValidation:
         with pytest.raises(IndexIntegrityError, match="content hash"):
             CandidateIndex.open(path)
 
+    def test_term_without_postings_refused(self, built):
+        # retrieval takes a known token for a hit; a token without postings
+        # would give its queries none, and no 3-gram fallback either
+        _, _, path = built
+        edit_columns(path, lambda columns: empty_postings(columns, 0))
+        rehash(path)
+        with pytest.raises(IndexIntegrityError, match="a term without postings"):
+            CandidateIndex.open(path)
+
     @pytest.mark.parametrize("cut", [1, 8, 200])
     def test_truncated_column_file(self, built, cut):
         _, _, path = built
@@ -764,7 +782,7 @@ ROWS = st.dictionaries(KEYS, st.floats(0.01, 1.0), max_size=5)
 
 
 def assert_bitwise(got, want):
-    # as float64: either kernel gives integer zeros when no term matches
+    # as float64: the row oracle gives integer zeros when no term matches
     assert got.astype(np.float64).tobytes() == want.astype(np.float64).tobytes()
 
 
@@ -1245,9 +1263,9 @@ class TestLengthNormalizers:
 
 def assert_norms_match_tokenizing(idx):
     tokens, grams = text_lengths_by_tokenizing(idx)
-    for norms, lengths in ((idx._token_norm, tokens), (idx._gram_norm, grams)):
-        assert norms.dtype == np.float64
-        assert_bitwise(norms, np.array([math.sqrt(max(n, 1)) for n in lengths]))
+    assert idx._norms.dtype == np.float64
+    assert_bitwise(idx._norms, np.array([[math.sqrt(max(n, 1)) for n in lengths]
+                                         for lengths in (tokens, grams)]))
 
 
 class TestLexicalCosines:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from kbtopics.config import load_config, parse_config
-from kbtopics import pipeline, ranking
+from kbtopics import pipeline, ranking, vectors
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.expansion import Neighborhood
 from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, Related, build_index
@@ -638,7 +638,7 @@ def test_chunked_batches_give_the_same_topics(built, toy_config, clf, monkeypatc
     or two lemmas), and more rows than one semantic chunk holds."""
     docs = [d for d, _ in load_corpus()]
     assert max(len({m.lemma for m in clf.detect(d)}) for d in docs) > 2
-    monkeypatch.setattr(ranking, "_BATCH_VALUES", lexical_lemmas * clf._index.text_count)
+    monkeypatch.setattr(vectors, "BATCH_VALUES", lexical_lemmas * clf._index.text_count)
     assert [clf.classify_document(d) for d in docs] == fresh_topics(built, toy_config, docs)
 
 

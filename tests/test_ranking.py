@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbtopics import ranking
+from kbtopics import ranking, vectors
 from kbtopics.errors import ConfigError
 from kbtopics.ranking import (
     RankingParams, activation, rank_mentions, score_lemmas,
@@ -328,7 +328,7 @@ QUERIES = st.one_of(ROWS, st.sampled_from(WORDS).map(lexical_vector))
 @st.composite
 def lemma_batches(draw):
     """A row table, lemmas over it (a query, maybe empty, a semantic vector
-    and blocks, maybe none) and sentence contexts, a ``_BATCH_VALUES`` small
+    and blocks, maybe none) and sentence contexts, a ``BATCH_VALUES`` small
     enough to split a batch into chunks or not, and ranking parameters."""
     table, blocks, _, _, _, params, _ = draw(scoring_inputs())
     dim = table.sem.shape[1]
@@ -363,7 +363,7 @@ class TestBatches:
     def test_lemma_batch_equals_each_lemma_alone(self, batch, data):
         table, lemmas, _, batch_values, params = batch
         order = data.draw(st.lists(st.integers(0, len(lemmas) - 1), min_size=1, max_size=8))
-        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values):
+        with mock.patch.object(vectors, "BATCH_VALUES", batch_values):
             together = scored_together(table, lemmas, order, params)
         assert len(together) == len(order)
         for j, rows in zip(order, together):
@@ -390,7 +390,7 @@ class TestBatches:
         # density of the rows decides
         slots_per_row = data.draw(st.sampled_from([0, ranking._PAIR_SLOTS_PER_ROW, 2**40]))
         rows = scored_together(table, lemmas, range(len(lemmas)), params)
-        with mock.patch.object(ranking, "_BATCH_VALUES", batch_values), \
+        with mock.patch.object(vectors, "BATCH_VALUES", batch_values), \
                 mock.patch.object(ranking, "_PAIR_SLOTS_PER_ROW", slots_per_row):
             ranked = rank_mentions([rows[j] for j, _ in mentions], np.array(contexts),
                                    [c for _, c in mentions], table, params, top_m)

@@ -357,3 +357,50 @@ class TestTextBatch:
         monkeypatch.setattr(vectors, "hash_gram", lambda gram: hashed.append(gram) or 1)
         TextBatch(["polar bear", "bear bear", "polar"]).lexical_columns((3,))
         assert sorted(hashed) == sorted(set(char_ngrams("polar bear bear bear", (3,))))
+
+
+PHRASES = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+
+
+class TestLexicalCosines:
+    """The column kernel bounds its own accumulator: queries go in chunks,
+    each bit for bit what one unbounded pass gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(PHRASES, min_size=1, max_size=8), st.lists(PHRASES, max_size=8), st.data())
+    def test_chunks_equal_one_pass(self, texts, phrases, data):
+        columns = TextBatch(texts).lexical_columns()
+        queries = [lexical_vector(p) for p in phrases]
+        # (slot, text id) rows in any order, with repeats
+        rows = data.draw(st.lists(st.tuples(st.integers(0, len(queries) - 1),
+                                            st.integers(0, len(texts) - 1)), max_size=24)
+                         if queries else st.just([]))
+        slots, ids = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+        with mock.patch.object(vectors, "BATCH_VALUES", 2**62):
+            want = columns.cosines(queries, slots, ids)
+        assert want.dtype == np.float64
+        n = len(texts)
+        for bound in (1, n, 2 * n + 1, 3 * n):
+            sizes = []
+            bincount = np.bincount
+
+            def counted(*args, **kwargs):
+                sizes.append(kwargs["minlength"])
+                return bincount(*args, **kwargs)
+
+            with mock.patch.object(vectors, "BATCH_VALUES", bound), \
+                    mock.patch.object(vectors.np, "bincount", counted):
+                got = columns.cosines(queries, slots, ids)
+            assert got.tobytes() == want.tobytes()
+            # as many queries at a time as fit in the bound, at least one
+            step = max(1, bound // n)
+            assert sizes == [n * len(queries[lo:lo + step]) for lo in range(0, len(queries), step)]
+
+    @pytest.mark.parametrize("bound", [1, 2**20])  # a chunk per query, or one chunk
+    @pytest.mark.parametrize("slot", [-1, 2])
+    def test_slot_outside_the_queries_raises(self, bound, slot):
+        columns = TextBatch(["polar bear", "seal"]).lexical_columns()
+        queries = [lexical_vector("bear"), lexical_vector("seal")]
+        with mock.patch.object(vectors, "BATCH_VALUES", bound), \
+                pytest.raises(IndexError, match="slot out of range"):
+            columns.cosines(queries, np.array([0, slot]), np.array([0, 1]))
