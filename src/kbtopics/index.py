@@ -66,6 +66,9 @@ An opened index addresses records by position: retrieval returns positions,
 and ``candidate_blocks``, ``parents`` and ``label`` take them; ``position``
 finds a URI's by binary search over the sorted record IRIs. Since records
 are sorted by URI, ties that break by record position break in URI order.
+Its texts' vectors are views of the map, read as they are: ``lexical``, the
+gram sections as ``LexicalColumns`` (whose kernel refuses a text id outside
+the index), and ``semantic``, the text count x embedding dimension matrix.
 
 The manifest names the encoders the vectors were made with: the embedding
 dimension, the n-gram sizes and the embedding table's digest.
@@ -112,7 +115,6 @@ from .vectors import (
     EmbeddingTable,
     LexicalColumns,
     NGRAM_SIZES,
-    SparseVector,
     TextBatch,
     char_ngrams,
     ranges,
@@ -515,7 +517,8 @@ def replacing_dir(out_dir: str | Path) -> Iterator[Path]:
 class CandidateIndex:
     """Opened index directory: retrieval plus record and vector access.
     ``names`` holds the entity IRIs by entity id, as strings; ``related``
-    every record's neighborhood."""
+    every record's neighborhood; ``lexical`` and ``semantic`` the texts'
+    vectors by text id."""
 
     def __init__(self, manifest: IndexManifest, strings: Mapping[str, list[str]],
                  columns: Mapping[str, np.ndarray], data: mmap.mmap):
@@ -547,9 +550,9 @@ class CandidateIndex:
         n_texts = self.text_count = len(self._texts)
         self._norms = _length_norms(self._posting_indptr[n_tokens], self._posting_texts,
                                     self._posting_tfs, n_texts)
-        self._lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
-                                       columns["gram_texts"], columns["gram_values"], n_texts)
-        self._semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
+        self.lexical = LexicalColumns(columns["gram_vocab"], columns["gram_indptr"],
+                                      columns["gram_texts"], columns["gram_values"], n_texts)
+        self.semantic = columns["semantic"].reshape(n_texts, manifest.embedding_dim)
 
     @classmethod
     def open(cls, path: str | Path) -> "CandidateIndex":
@@ -672,27 +675,6 @@ class CandidateIndex:
         top = order[np.arange(order.shape[0]) - np.searchsorted(query, query) < k]
         counts = np.minimum(np.bincount(query, minlength=len(queries)), k)
         return Hits(positions[top], scores[top], counts)
-
-    def _checked_ids(self, text_ids: Sequence[int]) -> np.ndarray:
-        ids = np.asarray(text_ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.text_count):
-            raise IndexIntegrityError(f"text id out of range [0, {self.text_count}): "
-                                      f"{int(ids.min())}..{int(ids.max())}")
-        return ids
-
-    def lexical_cosines(self, queries: Sequence[SparseVector], slots: Sequence[int],
-                        text_ids: Sequence[int]) -> np.ndarray:
-        """Row i's lexical cosine of the query vector ``queries[slots[i]]``
-        with text ``text_ids[i]``, read from the postings of the queries'
-        grams. The ids are checked once for the batch: one outside the index
-        raises IndexIntegrityError."""
-        return self._lexical.cosines(queries, np.asarray(slots, dtype=np.intp),
-                                     self._checked_ids(text_ids))
-
-    def semantic_rows(self, text_ids: Sequence[int]) -> np.ndarray:
-        """The texts' semantic vectors, one row per id in the given order: an
-        (n, D) copy. An id outside the index raises IndexIntegrityError."""
-        return np.take(self._semantic, self._checked_ids(text_ids), axis=0)
 
     def candidate_blocks(self, positions: Sequence[int]) -> CandidateBlocks:
         """Scoring rows of the records at the positions, by address and

@@ -45,6 +45,14 @@ _LINE_RE = re.compile(rf'<({_IRI})>[ \t]*<({_IRI})>[ \t]*(?:<({_IRI})>|'
                       rf'"([^"\\\ud800-\udfff]*)"(?:@({_LANG})|\^\^<{_IRI}>)?)[ \t]*\.')
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# the character parser's pieces: a quoted literal (escapes skipped whole);
+# one escape in it (\u and four characters, fewer only at the end; \U and
+# eight; any other character; or the end; each kind in its own group); a
+# language tag; a run of spaces and tabs
+_QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.)|$)", re.DOTALL)
+_LANG_RE = re.compile(_LANG)
+_WS_RE = re.compile(r"[ \t]*")
 
 Direction = TypingLiteral["forward", "inverse"]
 
@@ -200,39 +208,28 @@ _ECHAR = {
 
 
 def _unescape_literal(raw: str, where: tuple[str, int]) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= n:
+    def unescape(m: re.Match) -> str:
+        kind = m.lastindex  # 1 \u, 2 \U, 3 another character, None the end
+        if kind is None:
             raise TripleParseError("dangling escape in literal", *where)
-        e = raw[i + 1]
-        if e in _ECHAR:
-            out.append(_ECHAR[e])
-            i += 2
-        elif e == "u" or e == "U":
-            width = 4 if e == "u" else 8
-            hexpart = raw[i + 2 : i + 2 + width]
-            if len(hexpart) != width:
-                raise TripleParseError("truncated \\u escape in literal", *where)
-            try:
-                code = int(hexpart, 16)
-                char = chr(code)
-            except ValueError:
-                raise TripleParseError(f"bad \\u escape {hexpart!r} in literal", *where) from None
-            if 0xD800 <= code <= 0xDFFF:
-                raise TripleParseError(
-                    f"\\u escape {hexpart!r} in literal is a surrogate, not a character", *where)
-            out.append(char)
-            i += 2 + width
-        else:
-            raise TripleParseError(f"unknown escape \\{e} in literal", *where)
-    return "".join(out)
+        if kind == 3:
+            if m.group(3) not in _ECHAR:
+                raise TripleParseError(f"unknown escape \\{m.group(3)} in literal", *where)
+            return _ECHAR[m.group(3)]
+        hexpart = m.group(kind)
+        if len(hexpart) != 4 * kind:
+            raise TripleParseError("truncated \\u escape in literal", *where)
+        try:
+            code = int(hexpart, 16)
+            char = chr(code)
+        except ValueError:
+            raise TripleParseError(f"bad \\u escape {hexpart!r} in literal", *where) from None
+        if 0xD800 <= code <= 0xDFFF:
+            raise TripleParseError(
+                f"\\u escape {hexpart!r} in literal is a surrogate, not a character", *where)
+        return char
+
+    return _ESCAPE_RE.sub(unescape, raw)
 
 
 def _take_iri(line: str, pos: int, where: tuple[str, int]) -> tuple[Iri, int]:
@@ -250,34 +247,23 @@ def _take_iri(line: str, pos: int, where: tuple[str, int]) -> tuple[Iri, int]:
 
 
 def _take_literal(line: str, pos: int, where: tuple[str, int]) -> tuple[Literal, int]:
-    i = pos + 1
-    while i < len(line):
-        if line[i] == "\\":
-            i += 2
-            continue
-        if line[i] == '"':
-            break
-        i += 1
-    else:
+    m = _QUOTED_RE.match(line, pos)
+    if not m:
         raise TripleParseError("unterminated literal", *where)
-    text = _unescape_literal(line[pos + 1 : i], where)
-    i += 1
+    text, i = _unescape_literal(m.group(1), where), m.end()
     lang: str | None = None
     if line[i : i + 1] == "@":
-        m = re.match(_LANG, line[i + 1 :])
+        m = _LANG_RE.match(line, i + 1)
         if not m:
             raise TripleParseError("malformed language tag", *where)
-        lang = m.group(0)
-        i += 1 + len(lang)
+        lang, i = m.group(0), m.end()
     elif line[i : i + 2] == "^^":
         _, i = _take_iri(line, i + 2, where)  # datatype parsed then discarded
     return Literal(text, lang), i
 
 
 def _skip_ws(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos] in " \t":
-        pos += 1
-    return pos
+    return _WS_RE.match(line, pos).end()
 
 
 def _english(lang: str | None) -> bool:

@@ -22,7 +22,6 @@ every stage is pure, and each touch of the memo is a single dict operation.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 import time
@@ -66,8 +65,6 @@ from .mentions import (
 from .ranking import CandidateRows, rank_mentions, score_lemmas
 from .selection import Topic, TopicResult, aggregate, enhance_with_parents, kneedle_cutoff
 from .vectors import EmbeddingTable, lexical_vector, semantic_vector
-
-logger = logging.getLogger(__name__)
 
 CONFIG_COPY = "config.yaml"
 
@@ -218,7 +215,8 @@ class Classifier:
             scored = score_lemmas(
                 [lexical_vector(lemma, self._ngram_sizes) for lemma in misses],
                 np.array([semantic_vector(lemma, self._table) for lemma in misses]),
-                index.candidate_blocks(hits.positions), hits.counts, index, self._ranking)
+                index.candidate_blocks(hits.positions), hits.counts, index.lexical,
+                index.semantic, self._ranking)
             for lemma, rows in zip(misses, scored):
                 memo[lemma] = found[lemma] = rows
             while len(memo) > self._memo_cap:
@@ -241,7 +239,7 @@ class Classifier:
         ranked = rank_mentions(
             [candidates[m.lemma] for m in mentions],
             np.array([semantic_vector(sentence, self._table) for sentence in sentences]),
-            sentence_of, self._index, self._ranking, self._coherence.top_m_per_mention)
+            sentence_of, self._index.semantic, self._ranking, self._coherence.top_m_per_mention)
 
         effective = ranked.score
         if self._coherence.enabled:

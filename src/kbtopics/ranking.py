@@ -22,9 +22,10 @@ depends only on the mention's lemma and the row, so it runs in two stages,
 each one array pass over the rows of many candidates stacked in candidate
 order (``CandidateBlocks``, as an index gathers them):
 
-1. ``score_lemmas``, for several lemmas: one lexical pass for all their
-   queries (an index reads only the postings of their grams), one gather of
-   the rows' semantic vectors, each row summed with its own lemma's vector,
+1. ``score_lemmas``, for several lemmas: one ``LexicalColumns.cosines``
+   pass for all their queries (it reads only the postings of their grams,
+   and refuses a text id outside its texts), one gather of the rows'
+   semantic vectors, each row summed with its own lemma's vector,
    and one activation give ``partial = w_l*a(lex) + w_sm*a(sem)`` per row,
    split into one ``CandidateRows`` per lemma with arrays of its own.
 2. ``rank_mentions``, for several mentions, given one context vector per
@@ -47,8 +48,10 @@ table grows with the document, not with the knowledge base.
 
 ``CandidateBlocks`` name their candidates by record position and hold only
 their rows' addresses (text ids) with their field weights and distances;
-the vectors stay in the index's memory map. So a classifier can keep the
-first stage per lemma for a few dozen bytes a row. Ranked candidates stay
+the vectors stay in the index's memory map, which scoring reads as the
+opened index's ``lexical`` columns and ``semantic`` matrix (rows gathered
+with ``np.take``, a new array each). So a classifier can keep the first
+stage per lemma for a few dozen bytes a row. Ranked candidates stay
 record positions, and positions order as the records' IRIs do: stage two
 returns every mention's kept candidates as three aligned arrays
 (``Ranked``), which coherence and aggregation read as they are.
@@ -58,13 +61,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import vectors as _vectors
 from .errors import ConfigError
-from .vectors import SparseVector
+from .vectors import LexicalColumns, SparseVector
 
 
 @dataclass(frozen=True)
@@ -105,20 +108,6 @@ def activation(x, alpha: float = 4.0, beta: float = 8.0):
 _PAIR_SLOTS_PER_ROW = 4
 
 
-class VectorSource(Protocol):
-    """Similarities and vectors of texts by text id, one row per id in the
-    given order (an opened ``CandidateIndex``). ``lexical_cosines`` bounds
-    its own temporaries; ``semantic_rows`` returns a new array, which
-    scoring overwrites."""
-
-    text_count: int
-
-    def lexical_cosines(self, queries: Sequence[SparseVector], slots: np.ndarray,
-                        text_ids: np.ndarray) -> np.ndarray: ...
-
-    def semantic_rows(self, text_ids: np.ndarray) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
 class CandidateBlocks:
     """All scoring rows of several candidates, by address, stacked in
@@ -153,15 +142,15 @@ class CandidateRows:
     partial: np.ndarray
 
 
-def _row_sums(vectors: VectorSource, text_ids: np.ndarray, queries: np.ndarray,
+def _row_sums(semantic: np.ndarray, text_ids: np.ndarray, queries: np.ndarray,
               query_of: np.ndarray) -> np.ndarray:
-    """Row i's dot product of text ``text_ids[i]``'s semantic vector with
+    """Row i's dot product of ``semantic[text_ids[i]]`` with
     ``queries[query_of[i]]``, gathering at most ``BATCH_VALUES`` (of
-    ``kbtopics.vectors``) values of rows at a time."""
+    ``kbtopics.vectors``) values of rows at a time, each gather a new array."""
     out = np.empty(text_ids.shape[0])
     step = max(1, _vectors.BATCH_VALUES // max(queries.shape[1], 1))
     for lo in range(0, text_ids.shape[0], step):
-        rows = vectors.semantic_rows(text_ids[lo:lo + step])
+        rows = np.take(semantic, text_ids[lo:lo + step], axis=0)
         rows *= np.take(queries, query_of[lo:lo + step], axis=0)
         # row-wise sums rather than a BLAS product, whose rounding can depend
         # on a row's position in the stack: a row scores the same wherever
@@ -170,12 +159,14 @@ def _row_sums(vectors: VectorSource, text_ids: np.ndarray, queries: np.ndarray,
     return out
 
 
-def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
-                 blocks: CandidateBlocks, candidates: Sequence[int],
-                 vectors: VectorSource, params: RankingParams) -> list[CandidateRows]:
+def score_lemmas(lemma_lex: Sequence[SparseVector], lemma_sem: np.ndarray,
+                 blocks: CandidateBlocks, candidates: Sequence[int], lexical: LexicalColumns,
+                 semantic: np.ndarray, params: RankingParams) -> list[CandidateRows]:
     """Stage one for several lemmas: lemma j, with lexical vector
-    ``lexical[j]`` and semantic vector ``semantic[j]``, has the next
-    ``candidates[j]`` blocks of ``blocks``."""
+    ``lemma_lex[j]`` and semantic vector ``lemma_sem[j]``, has the next
+    ``candidates[j]`` blocks of ``blocks``. The texts' vectors are
+    ``lexical``'s and the rows of ``semantic``, by text id; the lexical
+    kernel refuses a text id outside its texts."""
     n_lemmas = len(candidates)
     block_ptr = np.zeros(n_lemmas + 1, dtype=np.intp)
     np.cumsum(candidates, out=block_ptr[1:])
@@ -184,8 +175,8 @@ def score_lemmas(lexical: Sequence[SparseVector], semantic: np.ndarray,
     row_ptr = row_ptr[block_ptr]  # lemma j's rows are [row_ptr[j], row_ptr[j + 1])
     slots = np.repeat(np.arange(n_lemmas), np.diff(row_ptr))
     n = row_ptr[-1]
-    lex = vectors.lexical_cosines(lexical, slots, blocks.text_ids)
-    act = activation(np.concatenate([lex, _row_sums(vectors, blocks.text_ids, semantic, slots)]),
+    lex = lexical.cosines(lemma_lex, slots, blocks.text_ids)
+    act = activation(np.concatenate([lex, _row_sums(semantic, blocks.text_ids, lemma_sem, slots)]),
                      params.alpha, params.beta)
     partial = params.w_l * act[:n] + params.w_sm * act[n:]
     out = []
@@ -211,23 +202,24 @@ def _pair_heads(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def _context_terms(sentence: np.ndarray, text_ids: np.ndarray, contexts: np.ndarray,
-                   vectors: VectorSource, params: RankingParams) -> np.ndarray:
-    """Row i's ``w_sc * a(ctx)``, ctx the dot product of text
-    ``text_ids[i]``'s semantic vector with ``contexts[sentence[i]]``. When
-    there is a row for at most ``_PAIR_SLOTS_PER_ROW`` of the sentences ×
-    texts slots, each distinct pair's term is computed once, at the head row
-    of its key ``sentence * text_count + text`` (``_pair_heads``), and read
-    by every row holding the pair; sparser rows repeat too few pairs to pay
+                   semantic: np.ndarray, params: RankingParams) -> np.ndarray:
+    """Row i's ``w_sc * a(ctx)``, ctx the dot product of
+    ``semantic[text_ids[i]]`` with ``contexts[sentence[i]]``. When there is
+    a row for at most ``_PAIR_SLOTS_PER_ROW`` of the sentences × texts
+    slots, each distinct pair's term is computed once, at the head row of
+    its key ``sentence * texts + text`` (``_pair_heads``), and read by
+    every row holding the pair; sparser rows repeat too few pairs to pay
     for the table, and each row's term is computed."""
 
     def terms(text_ids, sentence):
-        return params.w_sc * activation(_row_sums(vectors, text_ids, contexts, sentence),
+        return params.w_sc * activation(_row_sums(semantic, text_ids, contexts, sentence),
                                         params.alpha, params.beta)
 
-    slots = contexts.shape[0] * vectors.text_count
+    texts = semantic.shape[0]
+    slots = contexts.shape[0] * texts
     if text_ids.shape[0] * _PAIR_SLOTS_PER_ROW < slots:
         return terms(text_ids, sentence)
-    head = _pair_heads(sentence * vectors.text_count + text_ids, slots)
+    head = _pair_heads(sentence * texts + text_ids, slots)
     distinct = np.flatnonzero(head == np.arange(head.shape[0]))
     term = np.empty(head.shape[0])
     term[distinct] = terms(text_ids[distinct], sentence[distinct])
@@ -235,13 +227,14 @@ def _context_terms(sentence: np.ndarray, text_ids: np.ndarray, contexts: np.ndar
 
 
 def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_of: Sequence[int],
-                  vectors: VectorSource, params: RankingParams, top_m: int) -> Ranked:
-    """Stage two for several mentions: mention i's candidates ``rows[i]``
-    scored against its sentence's context vector ``contexts[sentence_of[i]]``,
-    ``contexts`` holding one vector per distinct sentence. A row's context
-    term depends only on its (sentence, text) pair (``_context_terms``).
-    Each mention keeps its best ``top_m``, descending by score, ties broken
-    by position."""
+                  semantic: np.ndarray, params: RankingParams, top_m: int) -> Ranked:
+    """Stage two for several mentions: mention i's candidates ``rows[i]``, as
+    ``score_lemmas`` made them (which checked their text ids), scored against
+    its sentence's context vector ``contexts[sentence_of[i]]``, ``contexts``
+    holding one vector per distinct sentence, and the texts' semantic vectors
+    the rows of ``semantic``. A row's context term depends only on its
+    (sentence, text) pair (``_context_terms``). Each mention keeps its best
+    ``top_m``, descending by score, ties broken by position."""
     if not rows:
         return Ranked(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
@@ -253,7 +246,7 @@ def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_
     sentence = np.repeat(np.asarray(sentence_of, dtype=np.intp),
                          [r.partial.shape[0] for r in rows])
     per_row = stacked(lambda r: r.partial) + _context_terms(
-        sentence, stacked(lambda r: r.blocks.text_ids), contexts, vectors, params)
+        sentence, stacked(lambda r: r.blocks.text_ids), contexts, semantic, params)
     contrib = stacked(lambda r: r.blocks.field_weights) * per_row / (
         1.0 + stacked(lambda r: r.blocks.distances))
     scores = np.zeros(sizes.shape[0])

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, IndexIntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +135,15 @@ class LexicalColumns(NamedTuple):
     def cosines(self, queries: Sequence[SparseVector], slots: np.ndarray,
                 text_ids: np.ndarray) -> np.ndarray:
         """Row i's dot product of ``queries[slots[i]]`` with text ``text_ids[i]``'s
-        vector, slots in any order (IndexError outside the queries). Queries go in
-        chunks keeping the accumulator, queries × ``n_texts``, within ``BATCH_VALUES``
-        values, at least one query to a chunk."""
+        vector, slots in any order (IndexError outside the queries; a text id
+        outside ``[0, n_texts)`` raises IndexIntegrityError, as the ids come from
+        an index). Queries go in chunks keeping the accumulator, queries ×
+        ``n_texts``, within ``BATCH_VALUES`` values, at least one query to a chunk."""
         if slots.size and (slots.min() < 0 or slots.max() >= len(queries)):
             raise IndexError(f"slot out of range [0, {len(queries)})")
+        if text_ids.size and (text_ids.min() < 0 or text_ids.max() >= self.n_texts):
+            raise IndexIntegrityError(f"text id out of range [0, {self.n_texts}): "
+                                      f"{int(text_ids.min())}..{int(text_ids.max())}")
         step = max(1, BATCH_VALUES // max(self.n_texts, 1))
         out = np.empty(slots.shape[0])
         for lo in range(0, len(queries), step):

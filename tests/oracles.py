@@ -393,6 +393,115 @@ def triples_by_character_parser(
     return out
 
 
+_ECHAR = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+
+def _unescape_by_scan(raw: str, where: tuple[str, int]) -> str:
+    out: list[str] = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        c = raw[i]
+        if c != "\\":
+            out.append(c)
+            i += 1
+            continue
+        if i + 1 >= n:
+            raise TripleParseError("dangling escape in literal", *where)
+        e = raw[i + 1]
+        if e in _ECHAR:
+            out.append(_ECHAR[e])
+            i += 2
+        elif e == "u" or e == "U":
+            width = 4 if e == "u" else 8
+            hexpart = raw[i + 2 : i + 2 + width]
+            if len(hexpart) != width:
+                raise TripleParseError("truncated \\u escape in literal", *where)
+            try:
+                code = int(hexpart, 16)
+                char = chr(code)
+            except ValueError:
+                raise TripleParseError(f"bad \\u escape {hexpart!r} in literal", *where) from None
+            if 0xD800 <= code <= 0xDFFF:
+                raise TripleParseError(
+                    f"\\u escape {hexpart!r} in literal is a surrogate, not a character", *where)
+            out.append(char)
+            i += 2 + width
+        else:
+            raise TripleParseError(f"unknown escape \\{e} in literal", *where)
+    return "".join(out)
+
+
+def _iri_by_scan(line: str, pos: int, where: tuple[str, int]) -> tuple[Iri, int]:
+    if pos >= len(line) or line[pos] != "<":
+        if line[pos : pos + 2] == "_:":
+            raise TripleParseError("blank nodes are not supported", *where)
+        raise TripleParseError(f"expected IRI at column {pos + 1}", *where)
+    end = line.find(">", pos + 1)
+    if end < 0:
+        raise TripleParseError("unterminated IRI", *where)
+    try:
+        return Iri(line[pos + 1 : end]), end + 1
+    except ValueError as exc:
+        raise TripleParseError(str(exc), *where) from None
+
+
+def _literal_by_scan(line: str, pos: int, where: tuple[str, int]) -> tuple[LiteralValue, int]:
+    i = pos + 1
+    while i < len(line):
+        if line[i] == "\\":
+            i += 2
+            continue
+        if line[i] == '"':
+            break
+        i += 1
+    else:
+        raise TripleParseError("unterminated literal", *where)
+    text = _unescape_by_scan(line[pos + 1 : i], where)
+    i += 1
+    lang: str | None = None
+    if line[i : i + 1] == "@":
+        m = re.match(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", line[i + 1 :])
+        if not m:
+            raise TripleParseError("malformed language tag", *where)
+        lang = m.group(0)
+        i += 1 + len(lang)
+    elif line[i : i + 2] == "^^":
+        _, i = _iri_by_scan(line, i + 2, where)  # datatype parsed then discarded
+    return LiteralValue(text, lang), i
+
+
+def _skip_ws_by_scan(line: str, pos: int) -> int:
+    while pos < len(line) and line[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def parse_triple_line_by_scan(line: str, path: str = "", lineno: int = 0) -> Triple:
+    """``parse_triple_line`` as index loops over the line's characters: the
+    reference the library's compiled patterns are compared against."""
+    where = (path, lineno)
+    if re.search("[\ud800-\udfff]", line):
+        raise TripleParseError("not valid UTF-8", *where)
+    pos = _skip_ws_by_scan(line, 0)
+    subject, pos = _iri_by_scan(line, pos, where)
+    pos = _skip_ws_by_scan(line, pos)
+    predicate, pos = _iri_by_scan(line, pos, where)
+    pos = _skip_ws_by_scan(line, pos)
+    obj: Iri | LiteralValue
+    if pos < len(line) and line[pos] == '"':
+        obj, pos = _literal_by_scan(line, pos, where)
+    else:
+        obj, pos = _iri_by_scan(line, pos, where)
+    pos = _skip_ws_by_scan(line, pos)
+    if line[pos:] != ".":
+        raise TripleParseError("missing terminating '.'", *where)
+    return Triple(subject, predicate, obj)
+
+
 def cosine_sparse(a: SparseVector, b: SparseVector) -> float:
     """Dot product of two unit-length sparse vectors (0.0 if either empty)."""
     if len(b) < len(a):

@@ -5,7 +5,9 @@ The library stores lexical vectors by gram (``LexicalColumns``) and scores a
 query from its grams' postings. Tests describe rows as ``SparseVector``
 dicts; this module turns rows into columns and back, keeps the row-major
 CSR form (``LexicalRows``) that the oracles score, and holds rows in a
-``RowTable`` that scores like an opened index. ``score_candidate``,
+``RowTable``, which hands scoring the rows stored by gram (``columns``) and
+their semantic matrix (``sem``), as an opened index hands its ``lexical``
+and ``semantic``. ``score_candidate``,
 ``rank_candidates`` and ``block_scores`` run both scoring stages
 (``score_lemmas`` and ``rank_mentions``) for one mention, a batch of one,
 over ``CandidateBlock``s, one candidate's rows each; ``per_mention`` splits
@@ -18,8 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from kbtopics.ranking import (
-    CandidateBlocks, CandidateRows, Ranked, RankingParams, VectorSource, rank_mentions,
-    score_lemmas,
+    CandidateBlocks, CandidateRows, Ranked, RankingParams, rank_mentions, score_lemmas,
 )
 from kbtopics.vectors import LexicalColumns, SparseVector
 
@@ -65,11 +66,11 @@ def stack(blocks: Sequence[CandidateBlock]) -> CandidateBlocks:
                            column("distances", np.float64))
 
 
-def lemma_rows(mention: MentionVectors, blocks: Sequence[CandidateBlock], vectors: VectorSource,
+def lemma_rows(mention: MentionVectors, blocks: Sequence[CandidateBlock], table: "RowTable",
                params: RankingParams) -> CandidateRows:
     """Stage one for the mention's lemma alone."""
     [rows] = score_lemmas([mention.lex], mention.sem[None], stack(blocks), [len(blocks)],
-                          vectors, params)
+                          table.columns, table.sem, params)
     return rows
 
 
@@ -88,25 +89,25 @@ def per_mention(ranked: Ranked, n_mentions: int) -> list[list[Candidate]]:
 
 
 def rank_candidates(mention: MentionVectors, blocks: Sequence[CandidateBlock],
-                    vectors: VectorSource, params: RankingParams) -> list[Candidate]:
+                    table: "RowTable", params: RankingParams) -> list[Candidate]:
     """Score every block; descending by score, ties broken by position."""
-    [ranked] = per_mention(rank_mentions([lemma_rows(mention, blocks, vectors, params)],
-                                         mention.ctx[None], [0], vectors, params,
+    [ranked] = per_mention(rank_mentions([lemma_rows(mention, blocks, table, params)],
+                                         mention.ctx[None], [0], table.sem, params,
                                          max(len(blocks), 1)), 1)
     return ranked
 
 
 def block_scores(mention: MentionVectors, blocks: Sequence[CandidateBlock],
-                 vectors: VectorSource, params: RankingParams) -> np.ndarray:
+                 table: "RowTable", params: RankingParams) -> np.ndarray:
     """Every block's score, in block order (their positions are distinct)."""
-    scores = {c.entity: c.score for c in rank_candidates(mention, blocks, vectors, params)}
+    scores = {c.entity: c.score for c in rank_candidates(mention, blocks, table, params)}
     return np.array([scores[b.entity] for b in blocks], dtype=np.float64)
 
 
-def score_candidate(mention: MentionVectors, block: CandidateBlock, vectors: VectorSource,
+def score_candidate(mention: MentionVectors, block: CandidateBlock, table: "RowTable",
                     params: RankingParams) -> float:
     """Total activated, field-weighted, distance-attenuated similarity."""
-    return float(block_scores(mention, [block], vectors, params)[0])
+    return float(block_scores(mention, [block], table, params)[0])
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ def rows_of(columns: LexicalColumns, text_ids) -> LexicalRows:
 
 class RowTable:
     """Rows' vectors in memory, addressed by text id in the order they were
-    added: a ``VectorSource`` like an opened index, whose lexical cosines
-    come from the library's column kernel over the rows stored by gram."""
+    added: the dict rows (``lex``), the semantic matrix (``sem``) and the
+    rows stored by gram (``columns``), which the library's kernel scores."""
 
     def __init__(self, dim: int):
         self.lex: list[SparseVector] = []
@@ -207,20 +208,13 @@ class RowTable:
         )
 
     @property
-    def text_count(self) -> int:
-        return len(self.lex)
-
-    def lexical_cosines(self, queries: Sequence[SparseVector], slots, text_ids) -> np.ndarray:
+    def columns(self) -> LexicalColumns:
         if self._columns is None:
             self._columns = columns_of(self.lex)
-        return self._columns.cosines(queries, np.asarray(slots, dtype=np.intp),
-                                     np.asarray(text_ids, dtype=np.intp))
+        return self._columns
 
     def load_vectors(self, text_ids) -> tuple[LexicalRows, np.ndarray]:
         """The texts' (lexical, semantic) vectors, row by row: CSR rows and
         an (n, dim) matrix."""
-        rows = [self.lex[i] for i in np.asarray(text_ids, dtype=np.intp).tolist()]
-        return lexical_rows(rows), self.semantic_rows(text_ids)
-
-    def semantic_rows(self, text_ids) -> np.ndarray:
-        return self.sem[np.asarray(text_ids, dtype=np.intp)]
+        ids = np.asarray(text_ids, dtype=np.intp)
+        return lexical_rows([self.lex[i] for i in ids.tolist()]), self.sem[ids]

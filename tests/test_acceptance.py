@@ -465,7 +465,7 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     with CandidateIndex.open(index_dir) as idx:
         for uri in idx.names[:len(idx)]:
             ids = record_text_ids(idx, uri)
-            lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
+            lex, sem = rows_of(idx.lexical, ids), idx.semantic[list(ids)]
             for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):
                 assert lv == lexical_vector(text, sizes)
                 fresh = semantic_vector(text, table)

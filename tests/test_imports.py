@@ -1,7 +1,7 @@
 """Every module-level import in src/ and tests/ is used, and every
 module-level function and class of the package, and every public method and
 property of its classes, is named somewhere in the program besides its own
-definition."""
+definition; every module-level assignment of the package is read."""
 
 import ast
 from pathlib import Path
@@ -65,10 +65,10 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(2, "j"), (3, "Sequence")]
 
 
-def names_referenced(tree: ast.AST) -> set[str]:
-    """Every name the tree reads, imports or reaches as an attribute, and
-    every string constant, which ``getattr`` and patching reach names by."""
-    names = names_used(tree)
+def names_reached(tree: ast.AST) -> set[str]:
+    """Every name the tree imports or reaches as an attribute, and every
+    string constant, which ``getattr`` and patching reach names by."""
+    names = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Attribute):
             names.add(n.attr)
@@ -77,6 +77,12 @@ def names_referenced(tree: ast.AST) -> set[str]:
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             names.add(n.value)
     return names
+
+
+def names_referenced(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, imports, reaches as an attribute or names
+    in a string."""
+    return names_used(tree) | names_reached(tree)
 
 
 def unreferenced_definitions(sources: dict[str, str], package: str) -> list[str]:
@@ -135,3 +141,49 @@ def test_unreferenced_members_are_found():
                                      "    return c.called(), c.read\n"),
                "scripts/s.py": "class S:\n    def script_only(self): pass\n"}
     assert unreferenced_members(sources, "src/kbtopics/") == ["a.C.alone", "a.C.view"]
+
+
+def unread_assignments(sources: dict[str, str], package: str) -> list[str]:
+    """``module.name`` of each module-level assignment of the modules under
+    ``package`` whose module never loads the name and that no other source
+    imports, reads as an attribute or names in a string; dunders, which the
+    language and tools read, are exempt."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reached = {path: names_reached(tree) for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith(package):
+            continue
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        elsewhere = set().union(*(names for other, names in reached.items() if other != path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found += [f"{Path(path).stem}.{n.id}" for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and not n.id.startswith("__")
+                      and n.id not in loaded | elsewhere]
+    return sorted(found)
+
+
+def test_every_module_level_assignment_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PROGRAM}
+    assert unread_assignments(sources, "src/kbtopics/") == []
+
+
+def test_unread_assignments_are_found():
+    sources = {"src/kbtopics/a.py": ("import logging\n"
+                                     "__all__ = ['f']\n"
+                                     "logger = logging.getLogger(__name__)\n"
+                                     "LIMIT: int = 3\n"
+                                     "LOCAL, SHARED = 1, 2\n"
+                                     "BY_NAME = 4\n"
+                                     "ALONE = 5\n"
+                                     "def f():\n"
+                                     "    return LOCAL\n"),
+               "src/kbtopics/b.py": ("from .a import SHARED\n"
+                                     "from . import a\n"
+                                     "print(getattr(a, 'BY_NAME') + a.LIMIT)\n"
+                                     "logger = 0\n"),
+               "scripts/s.py": "ALONE = 6\nprint(ALONE)\n"}
+    assert unread_assignments(sources, "src/kbtopics/") == ["a.ALONE", "a.logger", "b.logger"]

@@ -342,8 +342,8 @@ INDEX_READS = {
     "related": lambda idx, uri: idx.related,
     "parents": lambda idx, uri: idx.parents(0),
     "candidate_blocks": lambda idx, uri: idx.candidate_blocks([0]),
-    "semantic_rows": lambda idx, uri: idx.semantic_rows([0]),
-    "lexical_cosines": lambda idx, uri: idx.lexical_cosines([{1: 1.0}], [0], [0]),
+    "lexical": lambda idx, uri: idx.lexical,
+    "semantic": lambda idx, uri: idx.semantic,
     "text_count": lambda idx, uri: idx.text_count,
     "label": lambda idx, uri: idx.label(0, "label"),
     "position": lambda idx, uri: idx.position(uri),
@@ -737,7 +737,7 @@ class TestVectors:
         with CandidateIndex.open(path) as idx:
             for uri in idx.names[:len(idx)]:
                 ids = record_text_ids(idx, uri)
-                lex, sem = rows_of(idx._lexical, ids), idx.semantic_rows(ids)
+                lex, sem = rows_of(idx.lexical, ids), idx.semantic[list(ids)]
                 for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):
                     assert lv == lexical_vector(text)  # bitwise
                     np.testing.assert_allclose(
@@ -754,9 +754,9 @@ class TestVectors:
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
             ids = list(range(manifest.text_count))
-            sem = idx.semantic_rows(ids)
+            sem = idx.semantic[ids]
             assert sem.shape == (len(ids), idx.manifest.embedding_dim)
-            np.testing.assert_array_equal(idx.semantic_rows(ids[::-1]), sem[::-1])
+            np.testing.assert_array_equal(idx.semantic[ids[::-1]], sem[::-1])
             for uri in idx.names[:len(idx)]:
                 for _, text, _ in record_texts(idx, uri):
                     lex = cosines(idx, lexical_vector(text), ids)
@@ -770,8 +770,6 @@ class TestVectors:
             for bad in (-1, manifest.text_count):
                 with pytest.raises(IndexIntegrityError):
                     cosines(idx, lexical_vector("polar bear"), [0, bad])
-                with pytest.raises(IndexIntegrityError):
-                    idx.semantic_rows([0, bad])
 
 
 TOP = 2**64 - 1  # gram hashes use all 64 bits
@@ -832,25 +830,26 @@ class TestVectorStoreFile:
     def test_round_trip(self, tmp_path):
         path = write_store(tmp_path / "i", self.ROWS, 2)
         with CandidateIndex.open(path) as idx:
-            lexical = idx._lexical
+            lexical = idx.lexical
             assert (lexical.n_texts, idx.manifest.embedding_dim) == (3, 2)
             assert lexical.vocab.dtype == np.uint64
             assert lexical.vocab.tolist() == [2, 5, 7, TOP]
             lex = rows_of(lexical, [0, 1, 2])
             assert list(lex) == [rows for rows, _ in self.ROWS]
             assert list(rows_of(lexical, [2, 1, 0])) == list(lex)[::-1]
-            sem = idx.semantic_rows([0, 1, 2])
+            sem = idx.semantic[[0, 1, 2]]
             np.testing.assert_array_equal(sem, [sem for _, sem in self.ROWS])
-            np.testing.assert_array_equal(idx.semantic_rows([2, 1, 0]), sem[::-1])
+            np.testing.assert_array_equal(idx.semantic[[2, 1, 0]], sem[::-1])
             lex = cosines(idx, {5: 1.0, TOP: 0.5, 6: 1.0}, [0, 1, 2, 0])
             assert lex.tolist() == [0.25 + 0.25, 0.0, 0.8, 0.5]
             assert cosines(idx, {}, [2, 0]).tolist() == [0.0, 0.0]
             assert cosines(idx, {5: 1.0}, []).shape == (0,)
             # several queries in one pass, a row naming its query by slot
-            together = idx.lexical_cosines([{}, {5: 1.0, TOP: 0.5, 6: 1.0}, {7: 1.0}],
-                                           [1, 2, 0, 1, 1, 1, 2], [0, 1, 2, 0, 1, 2, 2])
+            together = idx.lexical.cosines([{}, {5: 1.0, TOP: 0.5, 6: 1.0}, {7: 1.0}],
+                                           np.array([1, 2, 0, 1, 1, 1, 2]),
+                                           np.array([0, 1, 2, 0, 1, 2, 2]))
             assert together.tolist() == [0.25 + 0.25, 0.0, 0.0, 0.5, 0.0, 0.8, 0.6]
-            assert idx.semantic_rows([]).shape == (0, 2)
+            assert idx.semantic[[]].shape == (0, 2)
         # results are copies: they outlive the closed index
         assert lex[2] == 0.8 and sem[2].tolist() == [0.6, 0.8]
 
@@ -877,9 +876,9 @@ class TestVectorStoreFile:
     def test_empty_store(self, tmp_path):
         path = write_store(tmp_path / "i", [], 4)
         with CandidateIndex.open(path) as idx:
-            assert (idx._lexical.n_texts, idx.manifest.embedding_dim) == (0, 4)
+            assert (idx.lexical.n_texts, idx.manifest.embedding_dim) == (0, 4)
             assert cosines(idx, {5: 1.0}, []).shape == (0,)
-            assert idx.semantic_rows([]).shape == (0, 4)
+            assert idx.semantic[[]].shape == (0, 4)
 
     def test_wrong_semantic_dim(self, tmp_path):
         # the semantic section counts its elements: one row of the
@@ -935,8 +934,6 @@ class TestVectorStoreFile:
             for bad in ([-1], [3], [0, 3]):
                 with pytest.raises(IndexIntegrityError):
                     cosines(idx, {5: 1.0}, bad)
-                with pytest.raises(IndexIntegrityError):
-                    idx.semantic_rows(bad)
 
     def test_bad_magic(self, tmp_path):
         path = write_store(tmp_path / "i", self.ROWS, 2)
@@ -1034,19 +1031,33 @@ class TestCandidateBlock:
 
 def cosines(idx, query, text_ids):
     """The lexical cosines of one query with each text."""
-    return idx.lexical_cosines([query], [0] * len(text_ids), text_ids)
+    return idx.lexical.cosines([query], np.zeros(len(text_ids), dtype=np.intp),
+                               np.asarray(text_ids, dtype=np.intp))
+
+
+class Unreadable:
+    """Stands in for an index's vectors: any read of it fails the test."""
+
+    def __getattr__(self, name):
+        pytest.fail("candidate_blocks loaded vectors")
+
+    def __getitem__(self, key):
+        pytest.fail("candidate_blocks loaded vectors")
+
+    def __array__(self, *args, **kwargs):
+        pytest.fail("candidate_blocks loaded vectors")
 
 
 def assert_blocks_match_loop(idx, uris):
     """candidate_blocks of the uris' positions, gathered together, loads no
     vectors and equals block_by_loop per uri, stacked."""
     positions = [idx.position(uri) for uri in uris]
-    idx.lexical_cosines = idx.semantic_rows = \
-        lambda *args: pytest.fail("candidate_blocks loaded vectors")
+    vectors = idx.lexical, idx.semantic
+    idx.lexical = idx.semantic = Unreadable()
     try:
         blocks = idx.candidate_blocks(positions)
     finally:
-        del idx.lexical_cosines, idx.semantic_rows
+        idx.lexical, idx.semantic = vectors
     want = stack([block_by_loop(idx, uri) for uri in uris])
     assert blocks.entities.tolist() == want.entities.tolist() == positions
     for name in ("sizes", "text_ids", "field_weights", "distances"):
@@ -1289,7 +1300,8 @@ class TestLexicalCosines:
                 assert_bitwise(cosines(idx, query, ids), lexical_cosines_by_rows(query, rows))
             # every query in one pass, each over the same ids
             slots = np.repeat(np.arange(len(queries)), len(ids))
-            assert_bitwise(idx.lexical_cosines(queries, slots, ids * len(queries)),
+            assert_bitwise(idx.lexical.cosines(queries, slots,
+                                               np.array(ids * len(queries), dtype=np.intp)),
                            np.concatenate([lexical_cosines_by_rows(q, rows) for q in queries]))
 
     @settings(max_examples=200, deadline=None)
@@ -1300,6 +1312,6 @@ class TestLexicalCosines:
         path = write_store(tmp_path_factory.mktemp("store"), [(row, [0.0]) for row in rows], 1)
         ids = [p % len(rows) for p in picks] if rows else []
         with CandidateIndex.open(path) as idx:
-            assert list(rows_of(idx._lexical, ids)) == [rows[i] for i in ids]
+            assert list(rows_of(idx.lexical, ids)) == [rows[i] for i in ids]
             assert_bitwise(cosines(idx, query, ids), lexical_cosines_by_rows(
                 query, lexical_rows([rows[i] for i in ids])))

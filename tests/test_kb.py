@@ -35,6 +35,7 @@ from oracles import (
     objects_of,
     parents_by_iri,
     parents_by_scan,
+    parse_triple_line_by_scan,
     prune_by_objects,
     texts_by_iri,
     text_rows,
@@ -330,6 +331,44 @@ class TestLinePattern:
         with mock.patch("kbtopics.kb.parse_triple_line", side_effect=AssertionError):
             fast = list(iter_triple_file(path))
         assert fast == triples_by_character_parser(path)
+
+
+# Pieces of lines for comparing the character parser with the index loops it
+# replaced (``oracles.parse_triple_line_by_scan``): the syntax's characters,
+# escape letters, hex digits and near-hex forms ``int(x, 16)`` takes, a lone
+# surrogate, non-ASCII characters, and valid IRIs, literals and escapes.
+PARSER_PIECES = ["<", ">", '"', "\\", "@", "^^", "_:", ".", " ", "\t", "\n", "u", "U", "0", "7",
+                 "a", "F", "g", "x", "+", "_", "-", "en", "\ud800", "é", "日", "\U0001F600",
+                 f"<{EX}a>", "<urn:x:1>", '"x"', '"a b"@en', "\\n", '\\"', "\\\\", "\\u00e9",
+                 "\\U0001F600", "\\uD800", "\\U00110000", "\\u0x1f", "\\u+0_1", "\\u 12 "]
+
+
+def parse_outcome(parse, line):
+    """The triple a parser gives for the line, with the types of its parts,
+    or its error's message."""
+    try:
+        t = parse(line, "kb.nt", 3)
+    except TripleParseError as exc:
+        return "error", str(exc)
+    return ("ok", t, [type(part) for part in t],
+            [type(part) for part in t.obj] if isinstance(t.obj, Literal) else None)
+
+
+class TestCharacterParser:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.booleans(), st.lists(st.sampled_from(PARSER_PIECES), max_size=12).map("".join))
+    @example(True, '"\\u00e9\\U0001F600\\t"@en-GB .')
+    @example(True, '"\\u+0_1 \\u 12 \\u0x1f" .')
+    @example(True, '"bad\\')
+    @example(True, '"\\u00e" .')  # one hex digit short
+    @example(True, '"\\U0001F60" .')
+    @example(True, '"a\\\nb" .')  # an escaped newline
+    @example(True, '"ok\\\\" .')
+    @example(False, '\t<urn:x:1>\t<urn:x:1> "x"^^<urn:t> . ')
+    def test_same_outcome_as_index_loops(self, prefixed, rest):
+        line = f"<{EX}a> <{LABEL}> {rest}" if prefixed else rest
+        assert parse_outcome(parse_triple_line, line) == parse_outcome(
+            parse_triple_line_by_scan, line)
 
 
 class TestKnowledgeBase:

@@ -530,10 +530,10 @@ def test_same_lemma_in_two_sentences_keeps_each_context(toy_config, monkeypatch,
         rows = score_lemmas(
             [lexical_vector(mention.lemma, toy_config.ngram_sizes)],
             semantic_vector(mention.lemma, table)[None],
-            index.candidate_blocks(hits.positions.tolist()), [len(hits.positions)], index,
-            toy_config.ranking)
+            index.candidate_blocks(hits.positions.tolist()), [len(hits.positions)],
+            index.lexical, index.semantic, toy_config.ranking)
         [want] = per_mention(rank_mentions(
-            rows, semantic_vector(mention.sentence, table)[None], [0], index,
+            rows, semantic_vector(mention.sentence, table)[None], [0], index.semantic,
             toy_config.ranking, toy_config.coherence.top_m_per_mention), 1)
         # without coherence the scores reach aggregation unboosted
         assert captured[0][i] == want
@@ -581,20 +581,6 @@ def test_memo_emptied_by_other_threads_during_eviction(clf):
     assert clf._memo.emptied and not clf._memo
 
 
-class SemanticReads:
-    """An index that records the text ids of every ``semantic_rows`` read."""
-
-    def __init__(self, index):
-        self._index, self.text_ids = index, []
-
-    def __getattr__(self, name):
-        return getattr(self._index, name)
-
-    def semantic_rows(self, text_ids):
-        self.text_ids.extend(text_ids.tolist())
-        return self._index.semantic_rows(text_ids)
-
-
 @pytest.mark.parametrize("slots_per_row", [ranking._PAIR_SLOTS_PER_ROW, 2**40])
 def test_stage_two_reads_each_sentence_text_pair_once(clf, monkeypatch, slots_per_row):
     """With every lemma in the memo, the only semantic reads are stage two's.
@@ -607,6 +593,12 @@ def test_stage_two_reads_each_sentence_text_pair_once(clf, monkeypatch, slots_pe
     monkeypatch.setattr(ranking, "_pair_heads",
                         lambda keys, size: tables.append((keys.shape[0], size))
                         or heads(keys, size))
+    reads = []  # the text ids of every semantic gather
+    row_sums = ranking._row_sums
+    monkeypatch.setattr(ranking, "_row_sums",
+                        lambda semantic, text_ids, queries, query_of:
+                        reads.extend(text_ids.tolist())
+                        or row_sums(semantic, text_ids, queries, query_of))
     n_texts, dense_rows, dense_pairs = clf._index.text_count, 0, 0
     for doc, _ in load_corpus():
         want = clf.classify_document(doc)  # fills the memo
@@ -617,17 +609,15 @@ def test_stage_two_reads_each_sentence_text_pair_once(clf, monkeypatch, slots_pe
             pairs |= {(s, t) for t in ids}
             texts += ids
         slots = len(sentences) * n_texts
-        reads = SemanticReads(clf._index)
-        monkeypatch.setattr(clf, "_index", reads)
         tables.clear()
+        reads.clear()
         assert clf.classify_document(doc) == want
-        monkeypatch.setattr(clf, "_index", reads._index)
         if texts and len(texts) * slots_per_row >= slots:
-            assert sorted(reads.text_ids) == sorted(t for _, t in pairs)
+            assert sorted(reads) == sorted(t for _, t in pairs)
             assert tables == [(len(texts), slots)]
             dense_rows, dense_pairs = dense_rows + len(texts), dense_pairs + len(pairs)
         else:
-            assert sorted(reads.text_ids) == sorted(texts) and tables == []
+            assert sorted(reads) == sorted(texts) and tables == []
     assert dense_pairs < dense_rows
 
 

@@ -339,7 +339,7 @@ def lemma_batches(draw):
                       if blocks else st.just([]))
         lemmas.append((draw(QUERIES), draw(vec), picked))
     contexts = draw(st.lists(vec, min_size=1, max_size=3))
-    batch_values = draw(st.sampled_from([1, 7, 40, 2 * table.text_count or 1, 2**20]))
+    batch_values = draw(st.sampled_from([1, 7, 40, 2 * len(table.lex) or 1, 2**20]))
     return table, lemmas, contexts, batch_values, params
 
 
@@ -350,7 +350,8 @@ def scored_together(table, lemmas, order, params):
     return score_lemmas([lex for lex, _, _ in picked],
                         np.array([sem for _, sem, _ in picked]).reshape(len(picked), -1),
                         stack([b for _, _, blocks in picked for b in blocks]),
-                        [len(blocks) for _, _, blocks in picked], table, params)
+                        [len(blocks) for _, _, blocks in picked], table.columns, table.sem,
+                        params)
 
 
 class TestBatches:
@@ -393,12 +394,12 @@ class TestBatches:
         with mock.patch.object(vectors, "BATCH_VALUES", batch_values), \
                 mock.patch.object(ranking, "_PAIR_SLOTS_PER_ROW", slots_per_row):
             ranked = rank_mentions([rows[j] for j, _ in mentions], np.array(contexts),
-                                   [c for _, c in mentions], table, params, top_m)
+                                   [c for _, c in mentions], table.sem, params, top_m)
         assert ranked.mention.shape == ranked.entity.shape == ranked.score.shape
         assert np.all(np.diff(ranked.mention) >= 0)
         for (j, c), got in zip(mentions, per_mention(ranked, len(mentions))):
             [alone] = per_mention(
-                rank_mentions([rows[j]], contexts[c][None], [0], table, params, top_m), 1)
+                rank_mentions([rows[j]], contexts[c][None], [0], table.sem, params, top_m), 1)
             assert got == alone
             lex, sem, blocks = lemmas[j]
             want = block_scores_one_stage(MentionVectors(lex, sem, contexts[c]), blocks, table,
@@ -408,8 +409,9 @@ class TestBatches:
 
     def test_empty_batches(self):
         table, params = RowTable(4), RankingParams()
-        assert score_lemmas([], np.zeros((0, 4)), stack([]), [], table, params) == []
-        ranked = rank_mentions([], np.zeros((0, 4)), [], table, params, 3)
+        assert score_lemmas([], np.zeros((0, 4)), stack([]), [], table.columns, table.sem,
+                            params) == []
+        ranked = rank_mentions([], np.zeros((0, 4)), [], table.sem, params, 3)
         assert [a.shape for a in ranked] == [(0,)] * 3
 
 
@@ -453,7 +455,8 @@ class TestRankCandidates:
         mention = MentionVectors({}, np.zeros(4), np.zeros(4))
         table = RowTable(4)
         rows = lemma_rows(mention, [single_row_block(table, "abc")], table, RankingParams())
-        ranked = rank_mentions([rows] * 8, np.zeros((1, 4)), [0] * 8, table, RankingParams(), 3)
+        ranked = rank_mentions([rows] * 8, np.zeros((1, 4)), [0] * 8, table.sem, RankingParams(),
+                               3)
         assert ranked.mention.tolist() == list(range(8))
 
     def test_keeps_top_m_per_mention(self):
@@ -464,7 +467,7 @@ class TestRankCandidates:
         everything = rank_candidates(mention, blocks, table, RankingParams())
         rows = lemma_rows(mention, blocks, table, RankingParams())
         for top_m in (1, 2, 6, 7):
-            [ranked] = per_mention(rank_mentions([rows], mention.ctx[None], [0], table,
+            [ranked] = per_mention(rank_mentions([rows], mention.ctx[None], [0], table.sem,
                                                  RankingParams(), top_m), 1)
             assert ranked == everything[:top_m]
 

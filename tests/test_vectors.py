@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kbtopics import vectors
-from kbtopics.errors import DataError
+from kbtopics.errors import DataError, IndexIntegrityError
 from kbtopics.vectors import (
     EmbeddingTable,
     TextBatch,
@@ -404,3 +404,17 @@ class TestLexicalCosines:
         with mock.patch.object(vectors, "BATCH_VALUES", bound), \
                 pytest.raises(IndexError, match="slot out of range"):
             columns.cosines(queries, np.array([0, slot]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("bound", [1, 2**20])  # a chunk per query, or one chunk
+    @pytest.mark.parametrize("text", [-1, 3])
+    @pytest.mark.parametrize("first", ["tuna", "polar bear"])
+    def test_text_id_outside_the_texts_raises(self, bound, text, first):
+        # unchecked, text 3 of query 0 read query 1's cosine with text 0, and
+        # text -1 of query 0 query 1's with the last text: each 1.0 here
+        columns = TextBatch(["polar bear", "sea ice", "tuna"]).lexical_columns()
+        queries = [lexical_vector(first),
+                   lexical_vector("polar bear" if first == "tuna" else "tuna")]
+        with mock.patch.object(vectors, "BATCH_VALUES", bound), \
+                pytest.raises(IndexIntegrityError, match=re.escape(
+                    f"text id out of range [0, 3): {min(text, 2)}..{max(text, 2)}")):
+            columns.cosines(queries, np.array([0, 1]), np.array([text, 2]))
