@@ -11,6 +11,7 @@ Per size it records:
 
 - the distinct triples kept and the lines written;
 - the build's seconds per stage, and in all;
+- the bytes of the index's data files (``strings.json``, ``columns.bin``);
 - the seconds to open a classifier on the index;
 - per-document p50 and p90 latency: the best of ``PASSES`` passes over the
   workload's documents, each pass with a fresh classifier;
@@ -42,6 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 from kbtopics import Document, build_index_from_config, load_config, open_classifier  # noqa: E402
+from kbtopics.index import COLUMNS_FILE, STRINGS_FILE  # noqa: E402
 
 SHAPE = "classify-cold"
 SIZES = (1000, 4000, 16000, 64000)
@@ -90,6 +92,8 @@ def one_size(entities: int, work: Path) -> dict:
         "build_s": round(build_s, 4),
         "stages_s": stages,
         "load_us_per_triple": round(1e6 * stages["load"] / model.triples, 3),
+        "index_bytes": {name: (work / "index" / name).stat().st_size
+                        for name in (STRINGS_FILE, COLUMNS_FILE)},
         "open_s": round(statistics.median(opens), 4),
         "docs": len(latencies),
         "doc_p50_ms": round(1e3 * statistics.median(latencies), 3),

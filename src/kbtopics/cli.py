@@ -224,12 +224,10 @@ def cmd_expand_debug(args: argparse.Namespace) -> int:
         if pos is None:
             raise DataError(f"entity not indexed: {entity}")
         print(f"entity\t{entity}")
-        print("neighborhood:")
-        for i in range(*index.related.indptr[pos:pos + 2].tolist()):
-            print(f"{index.names[index.related.ids[i]]}\t{float(index.related.distances[i])!r}")
-        print("parents:")
-        for parent, weight in index.parents(pos):
-            print(f"{index.names[parent]}\t{weight!r}")
+        for title, rows in (("neighborhood", index.related), ("parents", index.parents)):
+            print(f"{title}:")
+            for i in range(*rows.indptr[pos:pos + 2].tolist()):
+                print(f"{index.names[rows.ids[i]]}\t{float(rows.distances[i])!r}")
     return EXIT_OK
 
 

@@ -11,25 +11,28 @@
 
 An entity is indexed iff it has at least one registered text field; its
 record holds its texts, its expanded neighborhood (itself first at distance
-0) and its parents with weights. Records are sorted by URI. Every entity the
-index names has an entity id: the records first, in record order, then the
-related and parent entities without a record, in order of first appearance;
-those stay addressable because they can be where two neighborhoods meet.
-Texts are numbered in record order, then text order within a record; that
-text id addresses the texts, the postings and the vectors, so a record's
-texts are one contiguous id range.
+0) and its parents with weights. The index names the records, the entities
+of their neighborhoods and their parents; an entity's id is its rank in IRI
+order, the KB's own order, so every id orders as its IRI does. Every entity
+has a row in each per-entity section; a record's rows are its neighborhood,
+parents and texts, and every other entity's rows are empty (those entities
+stay addressable because they can be where two neighborhoods meet). A record
+is an entity with a neighborhood, and its position is its entity id. Texts
+are numbered in record order, then text order within a record; that text id
+addresses the texts, the postings and the vectors, so a record's texts are
+one contiguous id range.
 
 ``columns.bin`` is little-endian: an 8-byte magic, one ``<u8`` element
 count per section, then the sections in this order, each zero-padded to a
 whole number of 8-byte words:
 
-  related_indptr     <i8  record p's neighborhood is [indptr[p], indptr[p+1])
+  related_indptr     <i8  entity e's neighborhood is [indptr[e], indptr[e+1])
   related_ids        <i4    entity ids, the record itself first
   related_distances  <f8    distances, 0 for the record itself
-  parent_indptr      <i8  record p's parents
+  parent_indptr      <i8  entity e's parents
   parent_ids         <i4    entity ids
   parent_weights     <f8    weights
-  text_indptr        <i8  record p's texts (a text-id range)
+  text_indptr        <i8  entity e's texts (a text-id range)
   text_fields        <i4    field ids
   text_weights       <f8    the fields' search weights
   posting_indptr     <i8  term t's postings, token terms first, then 3-grams
@@ -45,30 +48,33 @@ whole number of 8-byte words:
 A section's count is its number of elements, so the semantic matrix counts
 its elements, not its rows.
 
-``strings.json`` holds the lists ``entities`` (by entity id), ``fields``
-(by field id), ``texts`` (by text id), ``tokens`` and ``grams`` (by term id,
-each sorted; gram term ids follow the token ones).
+``strings.json`` holds the lists ``entities`` (by entity id, so sorted),
+``fields`` (by field id), ``texts`` (by text id), ``tokens`` and ``grams``
+(by term id, each sorted; gram term ids follow the token ones).
 
 Opening an index reads the string table whole, memory-maps the column file
 once and views every section over that map with ``np.frombuffer``; it
 builds nothing per record. It checks the index against its manifest (format
 version, record and text counts, the semantic matrix's size against the
 embedding dimension), the sections against each other (sizes, row pointers,
-id ranges, every term having a posting, the gram vocabulary's order, every
-neighborhood starting with its record at distance 0, the record IRIs, tokens
-and grams strictly ascending, every entity IRI valid and distinct) and the
-content hash (sha256 over strings and columns, in that order, read in chunks
-so that it faults none of the map's pages in). Closing drops
-the index's views; the map, and its file, go with the last view, so a view
-of ``related`` taken before stays readable.
+one row per entity in each per-entity section, id ranges, every term having
+a posting, the gram vocabulary's order, as many neighborhoods as records,
+each starting with its own entity at distance 0, no texts or parents on an
+entity without one, the entity IRIs, tokens and grams strictly ascending,
+every entity IRI valid) and the content hash (sha256 over strings and
+columns, in that order, read in chunks so that it faults none of the map's
+pages in). Closing drops the index's views; the map, and its file, go with
+the last view, so a view of ``related`` taken before stays readable.
 
-An opened index addresses records by position: retrieval returns positions,
-and ``candidate_blocks``, ``parents`` and ``label`` take them; ``position``
-finds a URI's by binary search over the sorted record IRIs. Since records
-are sorted by URI, ties that break by record position break in URI order.
-Its texts' vectors are views of the map, read as they are: ``lexical``, the
-gram sections as ``LexicalColumns`` (whose kernel refuses a text id outside
-the index), and ``semantic``, the text count x embedding dimension matrix.
+An opened index addresses records by position, and a record's position is
+its entity id: retrieval returns positions, ``candidate_blocks`` and
+``label`` take them, and ``related`` and ``parents`` have a row for each;
+``position`` finds a URI's by binary search over the sorted entity IRIs.
+Since entity ids order as IRIs do, ties that break by position break in URI
+order. Its texts' vectors are views of the map, read as they are:
+``lexical``, the gram sections as ``LexicalColumns`` (whose kernel refuses
+a text id outside the index), and ``semantic``, the text count x embedding
+dimension matrix.
 
 The manifest names the encoders the vectors were made with: the embedding
 dimension, the n-gram sizes and the embedding table's digest.
@@ -123,13 +129,13 @@ from .vectors import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 MANIFEST_FILE = "manifest.json"
 STRINGS_FILE = "strings.json"
 COLUMNS_FILE = "columns.bin"
 
-COLUMNS_MAGIC = b"KBTCOL05"
+COLUMNS_MAGIC = b"KBTCOL06"
 COLUMNS = (  # the sections of columns.bin, in file order
     ("related_indptr", "<i8"),
     ("related_ids", "<i4"),
@@ -163,10 +169,10 @@ class ParentParams:
 
 
 class Related(NamedTuple):
-    """Related (or parent) lists as one CSR over entity ids: row p's entries
-    are ``ids[indptr[p]:indptr[p + 1]]`` with those ``distances`` (or
-    weights). In an index, row p is record p's and an id below the record
-    count is that record's position."""
+    """Related (or parent) lists as one CSR over entity ids: row e's entries
+    are ``ids[indptr[e]:indptr[e + 1]]`` with those ``distances`` (or
+    weights). In an index every entity has a row, empty unless the entity
+    is a record."""
 
     indptr: np.ndarray
     ids: np.ndarray
@@ -284,40 +290,43 @@ def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, lis
                     manifest: IndexManifest) -> str:
     """What disagrees between the sections, the string table and the
     manifest; "" if nothing."""
-    n_records = len(columns["related_indptr"]) - 1
+    n_entities = len(strings["entities"])
     n_texts = len(strings["texts"])
     if not n_texts == len(columns["text_fields"]) == manifest.text_count:
         return (f"text count: strings {n_texts}, columns {len(columns['text_fields'])}, "
                 f"manifest {manifest.text_count}")
-    if n_records != manifest.record_count:
-        return f"record count {n_records} != manifest {manifest.record_count}"
     n_terms = len(strings["tokens"]) + len(strings["grams"])
     for indptr, rows, values in (
-        ("related_indptr", n_records, ("related_ids", "related_distances")),
-        ("parent_indptr", n_records, ("parent_ids", "parent_weights")),
-        ("text_indptr", n_records, ("text_fields", "text_weights")),
+        ("related_indptr", n_entities, ("related_ids", "related_distances")),
+        ("parent_indptr", n_entities, ("parent_ids", "parent_weights")),
+        ("text_indptr", n_entities, ("text_fields", "text_weights")),
         ("posting_indptr", n_terms, ("posting_texts", "posting_tfs")),
         ("gram_indptr", len(columns["gram_vocab"]), ("gram_texts", "gram_values")),
     ):
         ptr, size = columns[indptr], len(columns[values[0]])
-        if rows < 0 or len(ptr) != rows + 1 or len(columns[values[1]]) != size \
+        if len(ptr) != rows + 1 or len(columns[values[1]]) != size \
                 or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
             return f"{indptr} does not fit its sections"
     if np.any(columns["posting_indptr"][1:] == columns["posting_indptr"][:-1]):
         return "a term without postings"
-    for name, bound in (("related_ids", len(strings["entities"])),
-                        ("parent_ids", len(strings["entities"])),
+    for name, bound in (("related_ids", n_entities),
+                        ("parent_ids", n_entities),
                         ("text_fields", len(strings["fields"])),
                         ("posting_texts", n_texts),
                         ("gram_texts", n_texts)):
         ids = columns[name]
         if ids.size and (ids.min() < 0 or ids.max() >= bound):
             return f"{name} out of range [0, {bound})"
-    starts = columns["related_indptr"][:-1]
-    if np.any(columns["related_indptr"][1:] == starts) \
-            or np.any(columns["related_ids"][starts] != np.arange(n_records)) \
+    records = np.diff(columns["related_indptr"]) > 0
+    if np.count_nonzero(records) != manifest.record_count:
+        return f"record count {np.count_nonzero(records)} != manifest {manifest.record_count}"
+    starts = columns["related_indptr"][:-1][records]
+    if np.any(columns["related_ids"][starts] != np.flatnonzero(records)) \
             or np.any(columns["related_distances"][starts] != 0.0):
         return "a neighborhood does not start with its record at distance 0"
+    for indptr in ("parent_indptr", "text_indptr"):
+        if np.any(np.diff(columns[indptr])[~records]):
+            return f"{indptr} gives a row to an entity without a record"
     vocab = columns["gram_vocab"]
     if np.any(vocab[1:] <= vocab[:-1]):
         return "gram vocabulary not ascending"
@@ -326,11 +335,9 @@ def _layout_problem(columns: Mapping[str, np.ndarray], strings: Mapping[str, lis
                 f"x embedding dim {manifest.embedding_dim}")
     if columns["posting_tfs"].size and columns["posting_tfs"].min() < 1:
         return "a term frequency below 1"
-    if len(set(strings["entities"])) != len(strings["entities"]):
-        return "duplicate entities in the string table"
     # the lists written sorted are checked to ascend, which also rules out
     # duplicates
-    for key, names in (("record IRIs", strings["entities"][:n_records]),
+    for key, names in (("entity IRIs", strings["entities"]),
                        ("tokens", strings["tokens"]), ("grams", strings["grams"])):
         if not all(map(operator.lt, names, names[1:])):
             return f"{key} not strictly ascending"
@@ -378,21 +385,22 @@ def build_index(
     """Write a complete index directory; returns its manifest.
 
     ``texts`` are the records' texts as ``entity_texts`` gives them: every
-    entity it lists becomes a record. The neighborhoods' seeds must be those
-    records' ids, in the same order (otherwise ValueError), and ``parents``
-    a CSR over the same KB ids, as ``compute_parents`` gives it; IRIs come
-    from ``neighborhoods.entities``. Rebuilding from identical inputs
-    reproduces every byte except the manifest timestamp (the content hash
-    covers the two data files).
+    entity it lists becomes a record, and their ids must strictly ascend.
+    The neighborhoods' seeds must be those ids, in the same order (otherwise
+    ValueError), and ``parents`` a CSR over the same KB ids, as
+    ``compute_parents`` gives it; IRIs come from ``neighborhoods.entities``.
+    Rebuilding from identical inputs reproduces every byte except the
+    manifest timestamp (the content hash covers the two data files).
     """
+    if np.any(texts.ids[1:] <= texts.ids[:-1]):
+        raise ValueError("the records' ids do not strictly ascend")
     if not np.array_equal(neighborhoods.seeds, texts.ids):
         raise ValueError("the neighborhoods' seeds are not the records in record order")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        columns, entities = _graph_columns(neighborhoods, parents)
-        columns.update(text_indptr=texts.indptr, text_fields=texts.field_ids,
-                       text_weights=texts.weights)
+        columns, entities = _graph_columns(neighborhoods, parents, texts.indptr)
+        columns.update(text_fields=texts.field_ids, text_weights=texts.weights)
 
         batch = TextBatch(texts.texts)
         lexical = batch.lexical_columns(encoders.ngram_sizes)
@@ -431,42 +439,38 @@ def build_index(
     return manifest
 
 
-def _graph_columns(hoods: Neighborhoods, parents: Related
+def _graph_columns(hoods: Neighborhoods, parents: Related, text_indptr: np.ndarray
                    ) -> tuple[dict[str, np.ndarray], list[Iri]]:
-    """The related and parent sections of the records, which are the
-    neighborhoods' seeds in seed order, and the entity IRIs by entity id:
-    the records', then those of the other entities they name, in order of
-    first appearance (each record's neighborhood, then its parents). The
-    neighborhoods' CSR is the related sections; the records' rows of
-    ``parents``, a CSR over the same ids, are the parent sections."""
-    records, related = hoods.seeds, hoods.ids
-    n = records.shape[0]
+    """The per-entity sections and the entity IRIs by entity id. The
+    records are the neighborhoods' seeds, ascending, and ``text_indptr``
+    their texts' row pointer; ``parents`` is a CSR over the same KB ids.
+    The entities are the ids in the neighborhoods and the records' parents,
+    each numbered by its rank, so in the KB's order. A record's rows are its
+    neighborhood, its row of ``parents`` and its texts; every other
+    entity's rows are empty."""
+    records = hoods.seeds
     lo = parents.indptr[records]
     parent_counts = parents.indptr[records + 1] - lo
     parent_rows = ranges(lo, parent_counts)
     parent_nodes = parents.ids[parent_rows]
-    # every entity reference in order: record p's neighbors, then its parents
-    parent_end = np.cumsum(parent_counts)
-    order = np.empty(related.shape[0] + parent_nodes.shape[0], dtype=np.int64)
-    order[np.arange(related.shape[0])
-          + np.repeat(parent_end - parent_counts, np.diff(hoods.indptr))] = related
-    order[np.arange(parent_nodes.shape[0])
-          + np.repeat(hoods.indptr[1:], parent_counts)] = parent_nodes
-    entity_id = np.full(len(hoods.entities), -1, dtype=np.int64)
-    entity_id[records] = np.arange(n)
-    named, first = np.unique(order, return_index=True)
-    unnumbered = entity_id[named] < 0
-    others = named[unnumbered][np.argsort(first[unnumbered])]
-    entity_id[others] = np.arange(n, n + others.shape[0])
+    named = np.unique(np.concatenate((hoods.ids, parent_nodes)))
+    ends = np.searchsorted(named, records) + 1  # where each record's row ends
+
+    def indptr(counts: np.ndarray) -> np.ndarray:
+        ptr = np.zeros(named.shape[0] + 1, dtype=np.int64)
+        ptr[ends] = counts
+        return np.cumsum(ptr, out=ptr)
+
     columns = {
-        "related_indptr": hoods.indptr,
-        "related_ids": entity_id[related],
+        "related_indptr": indptr(np.diff(hoods.indptr)),
+        "related_ids": np.searchsorted(named, hoods.ids),
         "related_distances": hoods.distances,
-        "parent_indptr": np.append(0, parent_end),
-        "parent_ids": entity_id[parent_nodes],
+        "parent_indptr": indptr(parent_counts),
+        "parent_ids": np.searchsorted(named, parent_nodes),
         "parent_weights": parents.distances[parent_rows],
+        "text_indptr": indptr(np.diff(text_indptr)),
     }
-    return columns, [hoods.entities[i] for i in records.tolist() + others.tolist()]
+    return columns, [hoods.entities[i] for i in named.tolist()]
 
 
 @contextmanager
@@ -517,8 +521,8 @@ def replacing_dir(out_dir: str | Path) -> Iterator[Path]:
 class CandidateIndex:
     """Opened index directory: retrieval plus record and vector access.
     ``names`` holds the entity IRIs by entity id, as strings; ``related``
-    every record's neighborhood; ``lexical`` and ``semantic`` the texts'
-    vectors by text id."""
+    and ``parents`` every entity's neighborhood and parents; ``lexical`` and
+    ``semantic`` the texts' vectors by text id."""
 
     def __init__(self, manifest: IndexManifest, strings: Mapping[str, list[str]],
                  columns: Mapping[str, np.ndarray], data: mmap.mmap):
@@ -527,13 +531,13 @@ class CandidateIndex:
         self.names = strings["entities"]
         self._fields = strings["fields"]
         self._texts = strings["texts"]
-        n = self._n = len(columns["related_indptr"]) - 1
+        n = self._n = len(self.names)
         self.related = Related(
             columns["related_indptr"], columns["related_ids"], columns["related_distances"])
-        self._parents = Related(
+        self.parents = Related(
             columns["parent_indptr"], columns["parent_ids"], columns["parent_weights"])
-        # per record position its first text id (one extra entry for the
-        # end), and per text id its field, weight and owning record position
+        # per entity id its first text id (one extra entry for the end), and
+        # per text id its field, weight and owning record position
         self._text_indptr = columns["text_indptr"]
         self._text_fields = columns["text_fields"]
         self._text_weights = columns["text_weights"]
@@ -610,28 +614,23 @@ class CandidateIndex:
         self.close()
 
     def __len__(self) -> int:
-        return self._n
+        return self.manifest.record_count
 
     def position(self, uri: str) -> int | None:
         """The record position of a URI; None for an entity without a record."""
-        pos = bisect.bisect_left(self.names, uri, 0, self._n)
-        return pos if pos < self._n and self.names[pos] == uri else None
+        pos = bisect.bisect_left(self.names, uri)
+        named = pos < self._n and self.names[pos] == uri
+        return pos if named and self.related.indptr[pos + 1] > self.related.indptr[pos] else None
 
     def label(self, entity: int, field: str) -> str | None:
         """The first text in the field of the record at an entity id; None if
         it has none, or the entity no record."""
         field_id = self._field_ids.get(field)
-        if entity >= self._n or field_id is None:
+        if field_id is None:
             return None
         lo, hi = self._text_indptr[entity:entity + 2].tolist()
         fields = self._text_fields[lo:hi].tolist()
         return self._texts[lo + fields.index(field_id)] if field_id in fields else None
-
-    def parents(self, pos: int) -> tuple[tuple[int, float], ...]:
-        """The (parent entity id, weight) pairs of the record at a position."""
-        lo, hi = self._parents.indptr[pos:pos + 2].tolist()
-        return tuple(zip(self._parents.ids[lo:hi].tolist(),
-                         self._parents.distances[lo:hi].tolist()))
 
     def retrieve(self, queries: Sequence[str], k: int = 30) -> Hits:
         """Each query's top-k records by field-weighted token tf-idf, or by
@@ -678,8 +677,8 @@ class CandidateIndex:
 
     def candidate_blocks(self, positions: Sequence[int]) -> CandidateBlocks:
         """Scoring rows of the records at the positions, by address and
-        stacked in their order: every text of every related entity that is
-        itself indexed, tagged with field weight and owner distance. One
+        stacked in their order: every text of every related entity (only a
+        record has any), tagged with field weight and owner distance. One
         gather serves all candidates."""
         pos = np.array(positions, dtype=np.intp)
         lo = self.related.indptr[pos]
@@ -687,8 +686,6 @@ class CandidateIndex:
         related = ranges(lo, n_related)
         ids, distances = self.related.ids[related], self.related.distances[related]
         candidate = np.repeat(np.arange(len(pos)), n_related)
-        indexed = ids < self._n
-        ids, distances, candidate = ids[indexed], distances[indexed], candidate[indexed]
         starts = self._text_indptr[ids]
         counts = self._text_indptr[ids + 1] - starts
         text_ids = ranges(starts, counts)

@@ -249,8 +249,7 @@ class Classifier:
 
         topics = aggregate(ranked.mention, ranked.entity, effective,
                            [m.lemma for m in mentions], self._selection)
-        topics = enhance_with_parents(
-            topics, self._index.parents, self._selection, self._index.names.__getitem__)
+        topics = enhance_with_parents(topics, self._index.parents, self._selection)
         keep = kneedle_cutoff([t.final_score for t in topics], self._selection)
         return [self._named(t) for t in topics[:keep]]
 

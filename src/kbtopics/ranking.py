@@ -29,12 +29,13 @@ order (``CandidateBlocks``, as an index gathers them):
    and one activation give ``partial = w_l*a(lex) + w_sm*a(sem)`` per row,
    split into one ``CandidateRows`` per lemma with arrays of its own.
 2. ``rank_mentions``, for several mentions, given one context vector per
-   distinct sentence: the rows' semantic vectors gathered again and summed
-   with their sentence's context, ``w_sc * a(ctx)`` added, each row
-   weighted, each block's rows summed with one ``np.add.reduceat``, and one
-   lexsort keeping each mention's best. Where the rows are dense in the
-   document's (sentence, text) pairs, the context term is computed once per
-   distinct pair and read by every row holding it.
+   distinct sentence: the rows' semantic vectors gathered again (their text
+   ids checked against the matrix) and summed with their sentence's
+   context, ``w_sc * a(ctx)`` added, each row weighted, each block's rows
+   summed with one ``np.add.reduceat``, and one lexsort keeping each
+   mention's best. Where the rows are dense in the document's (sentence,
+   text) pairs, the context term is computed once per distinct pair and
+   read by every row holding it.
 
 A single lemma or mention is a batch of one, and every row's arithmetic is
 the same in any batch, so scores are bit for bit those of a batch of one.
@@ -67,7 +68,7 @@ import numpy as np
 
 from . import vectors as _vectors
 from .errors import ConfigError
-from .vectors import LexicalColumns, SparseVector
+from .vectors import LexicalColumns, SparseVector, check_text_ids
 
 
 @dataclass(frozen=True)
@@ -229,12 +230,13 @@ def _context_terms(sentence: np.ndarray, text_ids: np.ndarray, contexts: np.ndar
 def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_of: Sequence[int],
                   semantic: np.ndarray, params: RankingParams, top_m: int) -> Ranked:
     """Stage two for several mentions: mention i's candidates ``rows[i]``, as
-    ``score_lemmas`` made them (which checked their text ids), scored against
-    its sentence's context vector ``contexts[sentence_of[i]]``, ``contexts``
-    holding one vector per distinct sentence, and the texts' semantic vectors
-    the rows of ``semantic``. A row's context term depends only on its
-    (sentence, text) pair (``_context_terms``). Each mention keeps its best
-    ``top_m``, descending by score, ties broken by position."""
+    ``score_lemmas`` made them, scored against its sentence's context vector
+    ``contexts[sentence_of[i]]``, ``contexts`` holding one vector per
+    distinct sentence, and the texts' semantic vectors the rows of
+    ``semantic`` (a text id outside them raises IndexIntegrityError). A
+    row's context term depends only on its (sentence, text) pair
+    (``_context_terms``). Each mention keeps its best ``top_m``, descending
+    by score, ties broken by position."""
     if not rows:
         return Ranked(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
@@ -245,8 +247,10 @@ def rank_mentions(rows: Sequence[CandidateRows], contexts: np.ndarray, sentence_
     n_blocks = np.array([r.blocks.sizes.shape[0] for r in rows], dtype=np.intp)
     sentence = np.repeat(np.asarray(sentence_of, dtype=np.intp),
                          [r.partial.shape[0] for r in rows])
+    text_ids = stacked(lambda r: r.blocks.text_ids)
+    check_text_ids(text_ids, semantic.shape[0])
     per_row = stacked(lambda r: r.partial) + _context_terms(
-        sentence, stacked(lambda r: r.blocks.text_ids), contexts, semantic, params)
+        sentence, text_ids, contexts, semantic, params)
     contrib = stacked(lambda r: r.blocks.field_weights) * per_row / (
         1.0 + stacked(lambda r: r.blocks.distances))
     scores = np.zeros(sizes.shape[0])

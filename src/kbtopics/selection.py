@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+from .index import Related
 from .kb import Iri
 
 TopicOrigin = Literal["direct", "parent"]
@@ -98,30 +99,25 @@ def aggregate(mention: np.ndarray, entity: np.ndarray, effective: np.ndarray,
     return topics
 
 
-def enhance_with_parents(
-    topics: Sequence[Topic],
-    parents_of: Callable[[int], Sequence[tuple[int, float]]],
-    params: SelectionParams,
-    name_of: Callable[[int], str],
-) -> list[Topic]:
+def enhance_with_parents(topics: Sequence[Topic], parents: Related,
+                         params: SelectionParams) -> list[Topic]:
     """Credit broader parent entities with a weighted share of child scores.
 
+    Entity e's parents are row e of ``parents``, with their weights.
     Contributions are computed from the incoming direct scores in one pass;
     parents of parents are not chased. A parent that is itself a direct topic
     absorbs the contribution into its direct score, anything else enters as a
     new topic of parent origin carrying its children's lemmas. Ties break by
-    ``name_of`` the entity, its IRI: a parent without a record has an entity
-    id that does not order as its IRI.
+    entity id, which in an index orders as the IRIs do.
     """
     if not params.include_parents:
         return list(topics)
     contributions: dict[int, float] = {}
     inherited: dict[int, set[str]] = {}
     for topic in topics:
-        for parent, weight in parents_of(topic.entity):
-            contributions[parent] = (
-                contributions.get(parent, 0.0) + weight * topic.final_score
-            )
+        lo, hi = parents.indptr[topic.entity:topic.entity + 2].tolist()
+        for parent, weight in zip(parents.ids[lo:hi].tolist(), parents.distances[lo:hi].tolist()):
+            contributions[parent] = contributions.get(parent, 0.0) + weight * topic.final_score
             inherited.setdefault(parent, set()).update(topic.supporting_lemmas)
     combined: list[Topic] = []
     for topic in topics:
@@ -131,7 +127,7 @@ def enhance_with_parents(
         combined.append(topic)
     for parent, score in contributions.items():
         combined.append(Topic(parent, score, frozenset(inherited[parent]), "parent"))
-    combined.sort(key=lambda t: (-t.final_score, name_of(t.entity)))
+    combined.sort(key=lambda t: (-t.final_score, t.entity))
     return combined
 
 

@@ -109,6 +109,13 @@ class Postings(NamedTuple):
     counts: np.ndarray
 
 
+def check_text_ids(text_ids: np.ndarray, n_texts: int) -> None:
+    """IndexIntegrityError unless every text id is in ``[0, n_texts)``."""
+    if text_ids.size and (text_ids.min() < 0 or text_ids.max() >= n_texts):
+        raise IndexIntegrityError(f"text id out of range [0, {n_texts}): "
+                                  f"{int(text_ids.min())}..{int(text_ids.max())}")
+
+
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The integers [starts[i], starts[i] + counts[i]) for every i, in order."""
     ends = np.cumsum(counts)
@@ -141,9 +148,7 @@ class LexicalColumns(NamedTuple):
         ``n_texts``, within ``BATCH_VALUES`` values, at least one query to a chunk."""
         if slots.size and (slots.min() < 0 or slots.max() >= len(queries)):
             raise IndexError(f"slot out of range [0, {len(queries)})")
-        if text_ids.size and (text_ids.min() < 0 or text_ids.max() >= self.n_texts):
-            raise IndexIntegrityError(f"text id out of range [0, {self.n_texts}): "
-                                      f"{int(text_ids.min())}..{int(text_ids.max())}")
+        check_text_ids(text_ids, self.n_texts)
         step = max(1, BATCH_VALUES // max(self.n_texts, 1))
         out = np.empty(slots.shape[0])
         for lo in range(0, len(queries), step):

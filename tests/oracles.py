@@ -604,6 +604,13 @@ def topics_by_lists(ranked: Sequence[Sequence[tuple[int, float]]], boosts: Mappi
                     frozenset(lemma_sets[e]), "direct") for e, total in totals.items()]
     return sorted(topics, key=lambda t: (-t.final_score, t.entity))
 
+def record_iris(index: CandidateIndex) -> list[Iri]:
+    """The IRIs of the index's records, in position order: the entities
+    with a neighborhood."""
+    return [Iri(uri) for uri, size in zip(index.names, np.diff(index.related.indptr).tolist())
+            if size]
+
+
 def record_text_ids(index: CandidateIndex, uri: str) -> range:
     """Text ids of a record's texts, in the order of ``record_texts``; empty
     for an entity the index holds no record of."""
@@ -628,6 +635,17 @@ def record_neighborhood(index: CandidateIndex, uri: str) -> Neighborhood | None:
     return Neighborhood(Iri(uri), tuple(zip(
         (Iri(index.names[i]) for i in index.related.ids[lo:hi].tolist()),
         index.related.distances[lo:hi].tolist())))
+
+
+def record_parents(index: CandidateIndex, uri: str) -> list[tuple[Iri, float]]:
+    """A record's (parent IRI, weight) pairs, read from ``index.parents``;
+    empty for an entity without a record."""
+    pos = index.position(uri)
+    if pos is None:
+        return []
+    lo, hi = index.parents.indptr[pos:pos + 2].tolist()
+    return [(Iri(index.names[q]), w) for q, w in zip(
+        index.parents.ids[lo:hi].tolist(), index.parents.distances[lo:hi].tolist())]
 
 
 def block_by_loop(index: CandidateIndex, uri: Iri) -> CandidateBlock:
@@ -719,7 +737,7 @@ def text_lengths_by_tokenizing(index: CandidateIndex) -> tuple[list[int], list[i
     tokenizing the records' texts again."""
     tokens: list[int] = []
     grams: list[int] = []
-    for uri in index.names[:len(index)]:
+    for uri in record_iris(index):
         for _, text, _ in record_texts(index, uri):
             tokens.append(len(tokenize(text)))
             grams.append(len(char_ngrams(text, (3,))))
@@ -735,7 +753,7 @@ def query_by_loop(index: CandidateIndex, mention_text: str, k: int = 30
     postings: dict[str, list[tuple[int, int]]] = {}
     owner: list[int] = []
     weight: list[float] = []
-    records = [Iri(uri) for uri in index.names[:len(index)]]
+    records = record_iris(index)
     for pos, uri in enumerate(records):
         for _, text, w in record_texts(index, uri):
             text_id = len(owner)

@@ -32,7 +32,7 @@ from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from oracles import expand_iris, record_text_ids, record_texts
+from oracles import expand_iris, record_iris, record_text_ids, record_texts
 from row_table import MentionVectors, RowTable, rows_of, score_candidate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -463,7 +463,7 @@ def test_criterion_07_cache_transparency(index_dir, toy_config):
     worst_sem = 0.0
     # the lexical vectors are stored by gram; read back per text
     with CandidateIndex.open(index_dir) as idx:
-        for uri in idx.names[:len(idx)]:
+        for uri in record_iris(idx):
             ids = record_text_ids(idx, uri)
             lex, sem = rows_of(idx.lexical, ids), idx.semantic[list(ids)]
             for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):

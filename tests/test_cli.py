@@ -524,6 +524,21 @@ def test_format_4_index_exits_2(index_dir, tmp_path, capsys):
     assert "index format 4 unsupported" in err and "rebuild" in err
 
 
+def test_format_5_index_exits_2(index_dir, tmp_path, capsys):
+    # format 5 numbered the records before the other entities and gave only
+    # the records rows; its column file's magic was KBTCOL05
+    old = copy_index(index_dir, tmp_path / "old")
+    manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 5
+    (old / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (old / COLUMNS_FILE).write_bytes(b"KBTCOL05" + (old / COLUMNS_FILE).read_bytes()[8:])
+    code = main(["classify", "--index", str(old), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "index format 5 unsupported" in err and "rebuild" in err
+
+
 def test_corrupt_gram_vocabulary_exits_2(index_dir, tmp_path, capsys):
     broken = copy_index(index_dir, tmp_path / "broken")
     columns = {name: array.copy() for name, array in

@@ -187,3 +187,40 @@ def test_unread_assignments_are_found():
                                      "logger = 0\n"),
                "scripts/s.py": "ALONE = 6\nprint(ALONE)\n"}
     assert unread_assignments(sources, "src/kbtopics/") == ["a.ALONE", "a.logger", "b.logger"]
+
+
+HELPERS = ("tests/oracles.py", "tests/row_table.py")
+
+
+def unused_helpers(sources: dict[str, str], helpers: tuple[str, ...]) -> list[str]:
+    """``module.name`` of each module-level function and class of the
+    ``helpers`` modules that no test module (``test_*.py``) names and no
+    other statement of a helper module, imports aside, uses."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    in_tests = set().union(*(names_referenced(tree) for path, tree in trees.items()
+                             if Path(path).name.startswith("test_")))
+    statements = [node for path in helpers for node in trees[path].body
+                  if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(f"{Path(path).stem}.{node.name}" for path in helpers
+                  for node in trees[path].body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in in_tests.union(
+                      *(names_referenced(other) for other in statements if other is not node)))
+
+
+def test_every_test_helper_is_used():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert unused_helpers(sources, HELPERS) == []
+
+
+def test_unused_helpers_are_found():
+    sources = {"tests/h.py": ("def tested(): pass\n"
+                              "def inner(): pass\n"
+                              "def outer(): return inner()\n"
+                              "def recursive(n): return recursive(n - 1)\n"
+                              "class Alone: pass\n"),
+               "tests/g.py": "from h import tested, Alone\n",
+               "tests/test_x.py": "from h import tested, outer\n",
+               "tests/other.py": "def f(): return Alone()\n"}
+    assert unused_helpers(sources, ("tests/h.py", "tests/g.py")) == ["h.Alone", "h.recursive"]

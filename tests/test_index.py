@@ -38,8 +38,9 @@ from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector, to
 
 from oracles import (
     TripleKB, block_by_loop, lexical_cosines_by_rows, link_counts_by_scan, neighborhoods_of,
-    parents_by_iri, parents_by_scan, query_by_loop, record_hoods, record_neighborhood,
-    record_text_ids, record_texts, text_lengths_by_tokenizing, triples_of,
+    parents_by_iri, parents_by_scan, query_by_loop, record_hoods, record_iris,
+    record_neighborhood, record_parents, record_text_ids, record_texts,
+    text_lengths_by_tokenizing, triples_of,
 )
 from row_table import columns_of, lexical_rows, rows_of, stack
 
@@ -193,6 +194,16 @@ def rehash(path):
     (path / MANIFEST_FILE).write_text(json.dumps(m))
 
 
+def swap_entities(path, a, b):
+    """Swap two IRIs in the index's string table, and re-hash."""
+    strings = json.loads((path / STRINGS_FILE).read_text())
+    names = strings["entities"]
+    i, j = names.index(a), names.index(b)
+    names[i], names[j] = names[j], names[i]
+    (path / STRINGS_FILE).write_text(json.dumps(strings))
+    rehash(path)
+
+
 def parents_of(kb, entity, params=ParentParams()):
     return parents_by_iri(kb, compute_parents(kb, params, link_counts(kb))).get(entity, [])
 
@@ -278,7 +289,49 @@ class TestComputeParents:
                 ParentParams(alpha=bad)
 
 
+@st.composite
+def numbered_kbs(draw):
+    """A KB over e0..e7, some of them with a label, linked at random, in
+    which a parent without a record, "a", sorts before every record."""
+    names = [f"e{i}" for i in range(draw(st.integers(1, 8)))]
+    labelled = sorted(draw(st.sets(st.sampled_from(names), min_size=1)))
+    nodes = st.sampled_from(names + ["a"])
+    links = draw(st.lists(st.tuples(nodes, st.sampled_from([BROADER, MEMBER]), nodes),
+                          max_size=3 * len(names)))
+    triples = [Triple(iri(e), LABEL, Literal(f"text {e}")) for e in labelled]
+    triples += [Triple(iri(s), p, iri(o)) for s, p, o in links]
+    triples.append(Triple(iri(draw(st.sampled_from(labelled))), BROADER, iri("a")))
+    return KnowledgeBase.intern(triples, registry())
+
+
 class TestBuildIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(numbered_kbs())
+    def test_entities_are_numbered_in_iri_order(self, tmp_path_factory, table, kb):
+        # the entities named are the records, their neighborhoods' entities
+        # and their parents, each numbered by IRI rank, and every entity has
+        # a row in each per-entity section, empty unless it is a record
+        out = build_as_pipeline(kb, tmp_path_factory.mktemp("numbered"), table)
+        texts = entity_texts(kb)
+        hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts.ids,
+                           ExpansionParams(max_depth=3, max_distance=6.0))
+        records = {kb.entities[e] for e in texts.ids.tolist()}
+        parents = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
+        named = records | {kb.entities[e] for e in hoods.ids.tolist()} | {
+            q for e in records for q, _ in parents.get(e, [])}
+        entities = json.loads((out / STRINGS_FILE).read_text())["entities"]
+        assert entities == sorted(named) and iri("a") in named
+        is_record = np.array([e in records for e in entities])
+        columns = read_columns((out / COLUMNS_FILE).read_bytes())
+        for indptr in ("related_indptr", "text_indptr"):
+            assert np.array_equal(np.diff(columns[indptr]) > 0, is_record)
+        parent_rows = np.diff(columns["parent_indptr"])
+        assert parent_rows.shape == is_record.shape and not parent_rows[~is_record].any()
+        with CandidateIndex.open(out) as idx:
+            assert record_iris(idx) == sorted(records) and len(idx) == len(records)
+            for uri in entities:
+                assert (idx.position(uri) is None) == (uri not in records)
+
     def test_record_count_is_entities_with_texts(self, built):
         kb, manifest, path = built
         expected = sorted(
@@ -286,14 +339,13 @@ class TestBuildIndex:
              if t.predicate in kb.registry.text_fields and isinstance(t.obj, Literal)})
         assert manifest.record_count == len(expected) == 4
         with CandidateIndex.open(path) as idx:
-            assert idx.names[:len(idx)] == expected
+            assert record_iris(idx) == expected
 
     def test_records_carry_neighborhoods_and_parents(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             assert record_neighborhood(idx, iri("bear")).neighbors[0] == (iri("bear"), 0.0)
-            parents = idx.parents(idx.position(iri("bear")))
-            assert iri("mammal") in [idx.names[q] for q, _ in parents]
+            assert iri("mammal") in dict(record_parents(idx, iri("bear")))
 
     @pytest.mark.parametrize("seeds", [
         ["bear", "mammal", "seal", "mercury"],  # out of record order
@@ -306,6 +358,18 @@ class TestBuildIndex:
             iri(e): Neighborhood(iri(e), ((iri(e), 0.0),)) for e in seeds})
         with pytest.raises(ValueError, match="record order"):
             build_index(entity_texts(kb), hoods, no_parents(kb), Encoders(table), tmp_path / "i")
+        assert not (tmp_path / "i").exists()
+
+    @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 0, 2, 3]], ids=["swapped", "repeated"])
+    def test_records_must_strictly_ascend(self, tmp_path, table, order):
+        # rows are laid out by entity id, so records out of order, or one
+        # listed twice, would misplace them; the neighborhoods are not read
+        kb = toy_kb()
+        texts = entity_texts(kb)
+        texts = texts._replace(ids=texts.ids[order])
+        with pytest.raises(ValueError, match="strictly ascend"):
+            build_index(texts, neighborhoods_of(kb.entities, {}), no_parents(kb),
+                        Encoders(table), tmp_path / "i")
         assert not (tmp_path / "i").exists()
 
     def test_empty_kb_builds_empty_index(self, tmp_path, table):
@@ -340,7 +404,7 @@ class TestBuildIndex:
 INDEX_READS = {
     "retrieve": lambda idx, uri: idx.retrieve(["bear"]),
     "related": lambda idx, uri: idx.related,
-    "parents": lambda idx, uri: idx.parents(0),
+    "parents": lambda idx, uri: idx.parents,
     "candidate_blocks": lambda idx, uri: idx.candidate_blocks([0]),
     "lexical": lambda idx, uri: idx.lexical,
     "semantic": lambda idx, uri: idx.semantic,
@@ -470,12 +534,38 @@ class TestOpenValidation:
     def test_record_iris_out_of_order_refused(self, built):
         # positions stand for URI order, in lookups and in tie-breaks
         _, _, path = built
-        strings = json.loads((path / STRINGS_FILE).read_text())
-        strings["entities"][0], strings["entities"][1] = \
-            strings["entities"][1], strings["entities"][0]
-        (path / STRINGS_FILE).write_text(json.dumps(strings))
-        rehash(path)
-        with pytest.raises(IndexIntegrityError, match="record IRIs not strictly ascending"):
+        swap_entities(path, iri("bear"), iri("mammal"))
+        with pytest.raises(IndexIntegrityError, match="entity IRIs not strictly ascending"):
+            CandidateIndex.open(path)
+
+    def test_non_record_iris_out_of_order_refused(self, built):
+        # so do the ids of entities without a record, in parent tie-breaks
+        _, _, path = built
+        swap_entities(path, iri("arctic"), iri("group"))
+        with pytest.raises(IndexIntegrityError, match="entity IRIs not strictly ascending"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("indptr", ["text_indptr", "parent_indptr"])
+    def test_rows_of_a_non_record_refused(self, built, indptr):
+        # arctic, the first entity, has no record; the edit hands it bear's
+        # first text (or parent), so every row pointer still fits
+        _, _, path = built
+        assert json.loads((path / STRINGS_FILE).read_text())["entities"][:2] == [
+            iri("arctic"), iri("bear")]
+        edit_section(path, indptr, (0, 1))
+        with pytest.raises(IndexIntegrityError,
+                           match=f"{indptr} gives a row to an entity without a record"):
+            CandidateIndex.open(path)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_record_count_must_be_the_neighborhoods(self, built, count):
+        # four entities have a neighborhood; the manifest is not hashed
+        _, manifest, path = built
+        assert manifest.record_count == 4
+        m = json.loads((path / MANIFEST_FILE).read_text())
+        m["record_count"] = count
+        (path / MANIFEST_FILE).write_text(json.dumps(m))
+        with pytest.raises(IndexIntegrityError, match=f"record count 4 != manifest {count}"):
             CandidateIndex.open(path)
 
     @pytest.mark.parametrize("key, edit", [
@@ -568,7 +658,7 @@ class TestOpenValidation:
         strings["entities"][-1] = strings["entities"][0]
         (path / STRINGS_FILE).write_text(json.dumps(strings))
         rehash(path)
-        with pytest.raises(IndexIntegrityError, match="duplicate entities"):
+        with pytest.raises(IndexIntegrityError, match="entity IRIs not strictly ascending"):
             CandidateIndex.open(path)
 
     def test_text_columns_must_cover_the_string_table(self, built):
@@ -697,26 +787,29 @@ class TestQuery:
 class TestLabelsAndParents:
     def test_label_is_the_first_text_of_the_field(self, tmp_path, table):
         ts = [Triple(iri("x"), LABEL, Literal("zeta")), Triple(iri("x"), LABEL, Literal("alpha")),
-              Triple(iri("x"), SYN, Literal("beta"))]
+              Triple(iri("x"), SYN, Literal("beta")), Triple(iri("x"), BROADER, iri("a"))]
         kb = KnowledgeBase.intern(ts, registry())
-        build_alone(kb, table, tmp_path / "i")
+        build_index(entity_texts(kb), record_hoods(kb),
+                    compute_parents(kb, ParentParams(), link_counts(kb)), Encoders(table),
+                    tmp_path / "i")
         with CandidateIndex.open(tmp_path / "i") as idx:
             # texts are ordered by field, then text
             x = idx.position(iri("x"))
             assert idx.label(x, "label") == "alpha"
             assert idx.label(x, "synonym") == "beta"
             assert idx.label(x, "comment") is None
-            # an entity id past the records names no record
-            assert idx.label(len(idx), "label") is None
+            # the parent a, entity 0, has no record and so no label
+            assert idx.names == [iri("a"), iri("x")] and idx.position(iri("a")) is None
+            assert idx.label(0, "label") is None
 
     def test_parents_follow_record(self, built):
         kb, _, path = built
         want = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
         with CandidateIndex.open(path) as idx:
-            for pos, uri in enumerate(idx.names[:len(idx)]):
-                assert [(idx.names[q], w) for q, w in idx.parents(pos)] == want.get(uri, [])
-            bear = idx.parents(idx.position(iri("bear")))
-            assert [idx.names[q] for q, _ in bear] == [iri("group"), iri("mammal")]
+            for uri in record_iris(idx):
+                assert record_parents(idx, uri) == want.get(uri, [])
+            bear = record_parents(idx, iri("bear"))
+            assert [q for q, _ in bear] == [iri("group"), iri("mammal")]
             assert idx.position(iri("ghost")) is None
 
 
@@ -727,15 +820,15 @@ class TestLabelsAndParents:
         want = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
         with CandidateIndex.open(random_index(seed, tmp_path_factory.mktemp("random"), table)
                                  ) as idx:
-            for pos, uri in enumerate(idx.names[:len(idx)]):
-                assert [(idx.names[q], w) for q, w in idx.parents(pos)] == want.get(uri, [])
+            for uri in record_iris(idx):
+                assert record_parents(idx, uri) == want.get(uri, [])
 
 
 class TestVectors:
     def test_cache_transparency(self, built, table):
         kb, _, path = built
         with CandidateIndex.open(path) as idx:
-            for uri in idx.names[:len(idx)]:
+            for uri in record_iris(idx):
                 ids = record_text_ids(idx, uri)
                 lex, sem = rows_of(idx.lexical, ids), idx.semantic[list(ids)]
                 for (_, text, _), lv, sv in zip(record_texts(idx, uri), lex, sem):
@@ -746,7 +839,7 @@ class TestVectors:
     def test_text_ids_follow_record_order(self, built):
         _, manifest, path = built
         with CandidateIndex.open(path) as idx:
-            ids = [i for uri in idx.names[:len(idx)] for i in record_text_ids(idx, uri)]
+            ids = [i for uri in record_iris(idx) for i in record_text_ids(idx, uri)]
             assert ids == list(range(manifest.text_count))
             assert record_text_ids(idx, iri("ghost")) == range(0)
 
@@ -757,7 +850,7 @@ class TestVectors:
             sem = idx.semantic[ids]
             assert sem.shape == (len(ids), idx.manifest.embedding_dim)
             np.testing.assert_array_equal(idx.semantic[ids[::-1]], sem[::-1])
-            for uri in idx.names[:len(idx)]:
+            for uri in record_iris(idx):
                 for _, text, _ in record_texts(idx, uri):
                     lex = cosines(idx, lexical_vector(text), ids)
                     assert lex.shape == (len(ids),) and lex.max() > 0.99
@@ -984,7 +1077,7 @@ class TestColumnsFile:
         write_columns(path, self.COLUMNS)
         pad = b"\x00" * 4
         assert path.read_bytes() == b"".join([
-            b"KBTCOL05",
+            b"KBTCOL06",
             struct.pack("<17Q", 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2),
             struct.pack("<2q", 0, 1), struct.pack("<i", 0) + pad, struct.pack("<d", 0.0),
             struct.pack("<2q", 0, 0),
@@ -1023,8 +1116,8 @@ class TestCandidateBlock:
         # record has none, whether it sorts before, between or after them
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            for pos, uri in enumerate(idx.names[:len(idx)]):
-                assert idx.position(uri) == pos
+            for uri in record_iris(idx):
+                assert idx.position(uri) == idx.names.index(uri)
             for name in ("a", "ghost", "zzz", "arctic"):
                 assert idx.position(iri(name)) is None
 
@@ -1086,7 +1179,11 @@ def random_kb(seed):
 
 def random_index(seed, out, table):
     """Build an index over ``random_kb(seed)`` as the pipeline does."""
-    kb = random_kb(seed)
+    return build_as_pipeline(random_kb(seed), out, table)
+
+
+def build_as_pipeline(kb, out, table):
+    """Build an index over the KB as the pipeline does; returns ``out``."""
     texts = entity_texts(kb)
     hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts[0],
                        ExpansionParams(max_depth=3, max_distance=6.0))
@@ -1099,7 +1196,7 @@ class TestBlockGather:
     def test_toy_index_matches_loop(self, built):
         _, _, path = built
         with CandidateIndex.open(path) as idx:
-            uris = idx.names[:len(idx)]
+            uris = record_iris(idx)
             for uri in uris:
                 assert_blocks_match_loop(idx, [uri])
             assert_blocks_match_loop(idx, uris)
@@ -1114,7 +1211,7 @@ class TestBlockGather:
     def test_random_indexes_match_loop(self, tmp_path_factory, table, seed):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            uris = idx.names[:len(idx)]
+            uris = record_iris(idx)
             for uri in uris:
                 assert_blocks_match_loop(idx, [uri])
             assert_blocks_match_loop(idx, uris[::-1])
@@ -1123,7 +1220,7 @@ class TestBlockGather:
         reached = 0
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
-                reached += sum(idx.position(e) is None for uri in idx.names[:len(idx)]
+                reached += sum(idx.position(e) is None for uri in record_iris(idx)
                                for e, _ in record_neighborhood(idx, uri).neighbors)
         assert reached > 0
 
@@ -1133,8 +1230,8 @@ class TestRelated:
         _, _, path = built
         with CandidateIndex.open(path) as idx:
             related = idx.related
-            for pos, uri in enumerate(idx.names[:len(idx)]):
-                lo, hi = related.indptr[pos:pos + 2]
+            for uri in record_iris(idx):
+                lo, hi = related.indptr[idx.position(uri):idx.position(uri) + 2]
                 neighbors = record_neighborhood(idx, uri).neighbors
                 assert [idx.names[i] for i in related.ids[lo:hi]] == [e for e, _ in neighbors]
                 assert related.distances[lo:hi].tolist() == [d for _, d in neighbors]
@@ -1218,7 +1315,7 @@ class TestRetrievalOracle:
         ties = grams = 0
         for seed in range(10):
             with CandidateIndex.open(random_index(seed, tmp_path / str(seed), table)) as idx:
-                indexed = {tok for uri in idx.names[:len(idx)]
+                indexed = {tok for uri in record_iris(idx)
                            for _, text, _ in record_texts(idx, uri) for tok in tokenize(text)}
                 for text in QUERY_WORDS:
                     hits = query_by_loop(idx, text, 30)
@@ -1292,7 +1389,7 @@ class TestLexicalCosines:
                                              picks):
         path = random_index(seed, tmp_path_factory.mktemp("random"), table)
         with CandidateIndex.open(path) as idx:
-            texts = [text for uri in idx.names[:len(idx)] for _, text, _ in record_texts(idx, uri)]
+            texts = [text for uri in record_iris(idx) for _, text, _ in record_texts(idx, uri)]
             ids = [p % len(texts) for p in picks] if texts else []
             rows = lexical_rows([lexical_vector(texts[i]) for i in ids])
             queries = [lexical_vector(" ".join(words)) for words in queries]

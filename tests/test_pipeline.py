@@ -103,7 +103,7 @@ def test_build_runs_stages_in_order(built):
 
 # The toy index as the reference config builds it: any change to a build
 # stage that moves a byte of the index or a stage's counts shows here.
-TOY_CONTENT_HASH = "04bf640042b2f3d3149cd0d88e4ce354d30cee9c4474f6ebf0bac115d5f098b2"
+TOY_CONTENT_HASH = "26a3d333aeb3368f70ad794331aaab5019a9be2b5a344d2ce88b30d225d642c0"
 TOY_DETAILS = [
     "153 triples, 54 entities, 0 lines skipped, 1 non-English literals dropped",
     "2 converted, 1 unresolved",
@@ -117,7 +117,7 @@ TOY_DETAILS = [
 
 TOY_FILE_SHA256 = {
     STRINGS_FILE: "4efe72f58f9d1cf917efb08db1f8338b0c021233ccd605ddf920c45299c3571d",
-    COLUMNS_FILE: "164766dac112e9d19d1fd168eb9ef15c624c37bfe2cba4f8e83f1c10035ebf0b",
+    COLUMNS_FILE: "0f136eb9457ecd134d45af6b69281b022762e3cab119f06edb2e8daa15991fd3",
 }
 
 
@@ -303,9 +303,10 @@ def test_related_view_outlives_close(built, toy_config):
 
 
 def test_equal_parents_without_records_are_listed_in_iri_order(tmp_path, toy_config):
-    """A child credits two parents without a record with equal weight. Their
-    entity ids follow first appearance, and the child's neighborhood names
-    the later IRI first; the output still lists them in IRI order."""
+    """A child credits two parents without a record with equal weight. The
+    child's neighborhood names the later IRI, and the earlier one sorts
+    before the child; entity ids still follow IRI order, and so does the
+    output."""
     child, early, late = (Iri(f"http://example.org/{n}") for n in ("child", "a-up", "z-up"))
     broader = Iri("http://www.w3.org/2004/02/skos/core#broader")
     kb = KnowledgeBase.intern([(child, RDFS_LABEL, ("polar bear", None)),
@@ -318,7 +319,7 @@ def test_equal_parents_without_records_are_listed_in_iri_order(tmp_path, toy_con
     build_index(entity_texts(kb), hoods, parents, encoders, tmp_path / "index")
     doc = Document(id="d", title="A polar bear.", provided_mentions=("polar bear",))
     with open_classifier(tmp_path / "index", toy_config) as clf:
-        assert clf._index.names == [child, late, early]
+        assert clf._index.names == [early, child, late]
         topics = clf.classify_document(doc)
     assert [(t.entity, t.origin) for t in topics] == [
         (child, "direct"), (early, "parent"), (late, "parent")]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbtopics import ranking, vectors
-from kbtopics.errors import ConfigError
+from kbtopics.errors import ConfigError, IndexIntegrityError
 from kbtopics.ranking import (
-    RankingParams, activation, rank_mentions, score_lemmas,
+    CandidateBlocks, CandidateRows, RankingParams, activation, rank_mentions, score_lemmas,
 )
 from kbtopics.vectors import lexical_vector
 
@@ -406,6 +406,23 @@ class TestBatches:
                                           params)
             best = sorted(zip((-want).tolist(), [b.entity for b in blocks]))[:top_m]
             assert got == [(e, -s) for s, e in best]
+
+    # 3 texts: the dense pair path, a slot per (sentence, text) pair; 8
+    # texts: more than _PAIR_SLOTS_PER_ROW slots for the one row, the
+    # per-row path
+    @pytest.mark.parametrize("n_texts", [3, 8])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_text_id_outside_the_semantic_matrix_raises(self, n_texts, past):
+        semantic = np.eye(n_texts)
+        text_id = n_texts if past else -1
+        rows = CandidateRows(
+            CandidateBlocks(np.array([0]), np.array([1]), np.array([text_id]), np.ones(1),
+                            np.zeros(1)),
+            np.zeros(1))
+        contexts = semantic[-1:]  # would match the last text, which -1 wraps to
+        with pytest.raises(IndexIntegrityError,
+                           match=rf"text id out of range \[0, {n_texts}\): {text_id}\.\."):
+            rank_mentions([rows], contexts, [0], semantic, RankingParams(), 3)
 
     def test_empty_batches(self):
         table, params = RowTable(4), RankingParams()

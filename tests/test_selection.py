@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kbtopics.errors import ConfigError
+from kbtopics.index import Related
 from kbtopics.kb import Iri
 from kbtopics.selection import (
     SelectionParams,
@@ -21,8 +22,9 @@ def iri(name: str) -> Iri:
     return Iri(f"http://example.org/{name}")
 
 
-# record positions, which order as the names (their IRIs) do
-POSITION = {name: i for i, name in enumerate("abcdefgh")}
+# entity ids, which order as the names (their IRIs) do
+POSITION = {name: i for i, name in enumerate(sorted(
+    [*"abcdefgh", "c1", "c2", "p", "p0", "p1", *(f"t{i}" for i in range(6))]))}
 
 
 def ranking(*mentions: list[tuple[str, float]]):
@@ -36,7 +38,20 @@ def ranking(*mentions: list[tuple[str, float]]):
 
 
 def topic(name: str, score: float, lemmas=("x",), origin="direct") -> Topic:
-    return Topic(iri(name), score, frozenset(lemmas), origin)
+    return Topic(POSITION[name], score, frozenset(lemmas), origin)
+
+
+def parent_rows(parents: dict[str, list[tuple[str, float]]]) -> Related:
+    """{child: its (parent, weight) pairs} as a CSR over the entity ids."""
+    rows = [parents.get(name, []) for name in POSITION]
+    return Related(np.cumsum([0] + [len(row) for row in rows]),
+                   np.array([POSITION[p] for row in rows for p, _ in row], dtype=np.intp),
+                   np.array([w for row in rows for _, w in row], dtype=np.float64))
+
+
+def by_name(topics: list[Topic]) -> dict[str, Topic]:
+    names = {i: name for name, i in POSITION.items()}
+    return {names[t.entity]: t for t in topics}
 
 
 class TestParams:
@@ -131,76 +146,64 @@ class TestEnhanceWithParents:
     def test_disabled_returns_input(self):
         topics = [topic("a", 10.0)]
         params = SelectionParams(include_parents=False)
-        assert enhance_with_parents(topics, lambda e: [(iri("p"), 1.0)], params, str) == topics
+        assert enhance_with_parents(topics, parent_rows({"a": [("p", 1.0)]}), params) == topics
 
     def test_unit_weight_parent(self):
         topics = [topic("a", 10.0, lemmas=("bear",))]
-        parents = {iri("a"): [(iri("p"), 1.0)]}
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
-        by_entity = {t.entity: t for t in out}
-        assert by_entity[iri("p")].final_score == pytest.approx(10.0)
-        assert by_entity[iri("p")].origin == "parent"
-        assert by_entity[iri("p")].supporting_lemmas == frozenset({"bear"})
+        parents = {"a": [("p", 1.0)]}
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
+        by_entity = by_name(out)
+        assert by_entity["p"].final_score == pytest.approx(10.0)
+        assert by_entity["p"].origin == "parent"
+        assert by_entity["p"].supporting_lemmas == frozenset({"bear"})
 
     def test_heavily_linked_parent_weight(self):
         # parent weight for 1000 incoming links at alpha 0.3
         weight = 1000.0 ** -0.3
         topics = [topic("a", 10.0)]
-        parents = {iri("a"): [(iri("p"), weight)]}
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
-        by_entity = {t.entity: t for t in out}
-        assert by_entity[iri("p")].final_score == pytest.approx(1.2589254117941673)
+        parents = {"a": [("p", weight)]}
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
+        by_entity = by_name(out)
+        assert by_entity["p"].final_score == pytest.approx(1.2589254117941673)
 
     def test_parent_already_direct_accumulates(self):
         topics = [topic("c", 10.0, lemmas=("cub",)), topic("p", 4.0, lemmas=("pa",))]
-        parents = {iri("c"): [(iri("p"), 0.5)]}
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
-        by_entity = {t.entity: t for t in out}
-        assert by_entity[iri("p")].final_score == pytest.approx(9.0)
-        assert by_entity[iri("p")].origin == "direct"
-        assert by_entity[iri("p")].supporting_lemmas == frozenset({"pa"})
+        parents = {"c": [("p", 0.5)]}
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
+        by_entity = by_name(out)
+        assert by_entity["p"].final_score == pytest.approx(9.0)
+        assert by_entity["p"].origin == "direct"
+        assert by_entity["p"].supporting_lemmas == frozenset({"pa"})
 
     def test_accumulates_over_children(self):
         topics = [topic("c1", 10.0, lemmas=("x",)), topic("c2", 6.0, lemmas=("y",))]
         parents = {
-            iri("c1"): [(iri("p"), 0.5)],
-            iri("c2"): [(iri("p"), 0.5)],
+            "c1": [("p", 0.5)],
+            "c2": [("p", 0.5)],
         }
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
-        by_entity = {t.entity: t for t in out}
-        assert by_entity[iri("p")].final_score == pytest.approx(8.0)
-        assert by_entity[iri("p")].supporting_lemmas == frozenset({"x", "y"})
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
+        by_entity = by_name(out)
+        assert by_entity["p"].final_score == pytest.approx(8.0)
+        assert by_entity["p"].supporting_lemmas == frozenset({"x", "y"})
 
     def test_no_transitive_chasing(self):
         topics = [topic("c", 10.0)]
         parents = {
-            iri("c"): [(iri("p"), 1.0)],
-            iri("p"): [(iri("g"), 1.0)],
+            "c": [("p", 1.0)],
+            "p": [("g", 1.0)],
         }
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
-        assert {t.entity for t in out} == {iri("c"), iri("p")}
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
+        assert set(by_name(out)) == {"c", "p"}
 
     def test_never_decreases_direct_scores(self):
         rng = random.Random(5)
         names = [f"t{i}" for i in range(6)]
         topics = [topic(n, rng.uniform(1, 10), lemmas=(n,)) for n in names]
         parents = {
-            iri(n): [(iri(f"p{i % 2}"), rng.uniform(0.1, 1.0))]
+            n: [(f"p{i % 2}", rng.uniform(0.1, 1.0))]
             for i, n in enumerate(names)
         }
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
         before = {t.entity: t.final_score for t in topics}
         after = {t.entity: t.final_score for t in out}
         for entity, score in before.items():
@@ -209,15 +212,21 @@ class TestEnhanceWithParents:
     def test_output_sorted(self):
         topics = [topic("c1", 10.0), topic("c2", 6.0)]
         parents = {
-            iri("c1"): [(iri("p"), 1.0)],
-            iri("c2"): [(iri("p"), 1.0)],
+            "c1": [("p", 1.0)],
+            "c2": [("p", 1.0)],
         }
-        out = enhance_with_parents(
-            topics, lambda e: parents.get(e, []), SelectionParams(), str
-        )
+        out = enhance_with_parents(topics, parent_rows(parents), SelectionParams())
         scores = [t.final_score for t in out]
         assert scores == sorted(scores, reverse=True)
-        assert out[0].entity == iri("p")
+        assert out[0].entity == POSITION["p"]
+
+    def test_equal_scores_tie_by_entity_id(self):
+        # two parents credited alike, the later IRI first in the child's row
+        topics = [topic("c", 10.0)]
+        out = enhance_with_parents(
+            topics, parent_rows({"c": [("p1", 0.5), ("p0", 0.5)]}), SelectionParams())
+        assert [t.entity for t in out] == [POSITION["c"], POSITION["p0"], POSITION["p1"]]
+        assert out[1].final_score == out[2].final_score
 
 
 def kneedle_oracle(scores, sensitivity=1.0):
