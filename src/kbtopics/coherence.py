@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .expansion import group_min
-from .index import Related
+from .edges import Related
 from .vectors import ranges
 
 

@@ -11,10 +11,10 @@ node, and g(s,p,d) the size of the parallel-edge group the edge belongs to.
 Lower weight means a closer relation. Within each (s,p,d) group only the
 c_max lowest-weight edges survive, ties going to the target that sorts first.
 
-The result is the form expansion relaxes: arrays of source ids, target ids
-and weights over the KB's entity ids, which the KB numbers in sorted IRI
-order. Edges that join one pair through several predicates or directions
-all stay; a traversal takes the cheapest.
+The result is the form expansion relaxes: a ``Related`` CSR over the KB's
+entity ids, which the KB numbers in sorted IRI order, whose row u holds u's
+kept edges, targets with their weights. Edges that join one pair through
+several predicates or directions all stay; a traversal takes the cheapest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kb import Iri, KnowledgeBase
+from .kb import KnowledgeBase
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,14 @@ class EdgeWeightParams:
                               f"got {self.default_base_weight}")
 
 
-class WeightedGraph(NamedTuple):
-    """Weighted edges over entity ids: edge i leads from
-    ``entities[sources[i]]`` to ``entities[targets[i]]`` at ``weights[i]``.
-    ``entities`` is in sorted IRI order, so ids compare as IRIs do."""
+class Related(NamedTuple):
+    """Entity relations as one CSR over KB ids: row e's entries are
+    ``ids[indptr[e]:indptr[e + 1]]`` with those ``distances``, which are
+    edge weights, parent weights or neighborhood distances."""
 
-    entities: list[Iri]
-    sources: np.ndarray  # int64
-    targets: np.ndarray  # int64
-    weights: np.ndarray  # float64
+    indptr: np.ndarray
+    ids: np.ndarray
+    distances: np.ndarray
 
 
 def link_counts(kb: KnowledgeBase) -> np.ndarray:
@@ -68,18 +67,25 @@ def link_counts(kb: KnowledgeBase) -> np.ndarray:
 
 def powers(values: np.ndarray, exponent: float) -> np.ndarray:
     """``values ** exponent`` by Python's float power, once per distinct
-    value: ``np.power`` may round differently in the last bit."""
+    value (``np.power`` may round differently in the last bit); inf on overflow."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([float(v) ** exponent for v in distinct.tolist()])[inverse]
+    return np.array([_power(v, exponent) for v in distinct.tolist()])[inverse]
+
+
+def _power(base: float, exponent: float) -> float:
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def compute_edge_weights(
     kb: KnowledgeBase, links: np.ndarray, params: EdgeWeightParams | None = None,
-) -> WeightedGraph:
+) -> Related:
     """Weight all graph edges, truncating every (s,p,d) group to c_max.
 
     ``links`` are the KB's link counts by entity id, as ``link_counts``
-    gives them. The graph's ids are the KB's.
+    gives them. Row u holds u's kept edges, by predicate, direction, weight, target.
     """
     params = params or EdgeWeightParams()
     iri_object = kb.object_ids >= 0
@@ -93,10 +99,13 @@ def compute_edge_weights(
                                  return_inverse=True, return_counts=True)
     base = np.array([kb.registry.edge_base_weights.get(q, params.default_base_weight)
                      for q in kb.predicates], dtype=np.float64)
-    weights = (base[predicate] * powers(links[targets], params.f_l)
-               * powers(sizes, params.f_g)[groups])
-    # each group's edges by weight, then target IRI; keep the first c_max
+    with np.errstate(over="ignore"):  # an overflowing product is inf, as a power is
+        weights = (base[predicate] * powers(links[targets], params.f_l)
+                   * powers(sizes, params.f_g)[groups])
+    # each group's edges by weight, then target IRI; keep the first c_max.
+    # The groups ascend by source, so the kept edges are already in rows.
     order = np.lexsort((targets, weights, groups))
     rank = np.arange(order.shape[0]) - (np.cumsum(sizes) - sizes)[groups[order]]
     keep = order[rank < params.c_max]
-    return WeightedGraph(kb.entities, sources[keep], targets[keep], weights[keep])
+    indptr = np.append(0, np.cumsum(np.bincount(sources[keep], minlength=len(kb.entities))))
+    return Related(indptr, targets[keep], weights[keep])

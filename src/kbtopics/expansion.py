@@ -32,7 +32,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .edges import WeightedGraph
+from .edges import Related
 from .errors import ConfigError, DataError
 from .kb import Iri
 from .vectors import ranges
@@ -114,17 +114,6 @@ class Neighborhoods(Mapping[Iri, Neighborhood]):
         return len(self.seeds)
 
 
-def _edge_csr(graph: WeightedGraph) -> tuple[np.ndarray, ...]:
-    """The graph as a CSR over entity ids: entity u's edges lead to
-    ``targets[indptr[u]:indptr[u + 1]]`` with those ``weights``."""
-    if not np.all(graph.weights >= 0):  # also refuses NaN
-        raise ConfigError("edge weights must be nonnegative")
-    order = np.argsort(graph.sources, kind="stable")
-    indptr = np.zeros(len(graph.entities) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(graph.sources, minlength=len(graph.entities)), out=indptr[1:])
-    return indptr, graph.targets[order], graph.weights[order]
-
-
 def group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, each with its least distance."""
     order = np.argsort(keys)
@@ -135,11 +124,11 @@ def group_min(keys: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[starts], np.minimum.reduceat(dist[order], starts) if starts.size else dist[:0]
 
 
-def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
+def _relax(graph: Related, seeds: np.ndarray, n_nodes: int,
            params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
     """Every (seed, node) label of the seeds' neighborhoods as keys
     ``seed_row * n_nodes + node``, ascending, with their minimal distances."""
-    indptr, targets, weights = csr
+    indptr, targets, weights = graph
     keys = np.arange(seeds.shape[0], dtype=np.int64) * n_nodes + seeds
     best = np.zeros(seeds.shape[0])
     frontier_keys, frontier = keys, best
@@ -168,20 +157,21 @@ def _relax(csr: tuple[np.ndarray, ...], seeds: np.ndarray, n_nodes: int,
     return keys, best
 
 
-def expand_all(
-    graph: WeightedGraph, seeds: np.ndarray, params: ExpansionParams | None = None
-) -> Neighborhoods:
-    """Expand every seed, a distinct id of ``graph.entities``, at once; the
+def expand_all(graph: Related, entities: list[Iri], seeds: np.ndarray,
+               params: ExpansionParams | None = None) -> Neighborhoods:
+    """Expand every seed, a distinct id of ``entities`` (the KB's sorted
+    IRIs), at once over the edge rows ``compute_edge_weights`` gives; the
     same neighborhoods, bit for bit, as a label-setting search from each
     seed. Row i of the result is ``seeds[i]``'s."""
     params = params or ExpansionParams()
+    if not np.all(graph.distances >= 0):  # also refuses NaN
+        raise ConfigError("edge weights must be nonnegative")
     seeds = np.asarray(seeds, dtype=np.int64)
-    csr = _edge_csr(graph)
-    n_nodes = max(len(graph.entities), 1)
+    n_nodes = max(len(entities), 1)
     parts_ids, parts_dist, sizes = [], [], []
     for lo in range(0, len(seeds), SEED_CHUNK):
         chunk = seeds[lo:lo + SEED_CHUNK]
-        keys, dist = _relax(csr, chunk, n_nodes, params)
+        keys, dist = _relax(graph, chunk, n_nodes, params)
         rows, ids = np.divmod(keys, n_nodes)
         order = np.lexsort((ids, dist, rows))
         rows, ids, dist = rows[order], ids[order], dist[order]
@@ -196,6 +186,6 @@ def expand_all(
     if sizes:
         np.cumsum(np.concatenate(sizes), out=indptr[1:])
     return Neighborhoods(
-        graph.entities, seeds, indptr,
+        entities, seeds, indptr,
         np.concatenate(parts_ids) if parts_ids else np.zeros(0, np.int64),
         np.concatenate(parts_dist) if parts_dist else np.zeros(0))

@@ -112,10 +112,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .edges import powers
+from .edges import Related, powers
 from .errors import ConfigError, DataError, IndexFormatError, IndexIntegrityError
 from .expansion import Neighborhoods
-from .kb import EntityTexts, KnowledgeBase, check_iris
+from .kb import EntityTexts, Iri, KnowledgeBase, check_iris
 from .ranking import CandidateBlocks
 from .vectors import (
     EmbeddingTable,
@@ -166,17 +166,6 @@ class ParentParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"parent alpha must be in (0,1), got {self.alpha}")
-
-
-class Related(NamedTuple):
-    """Related (or parent) lists as one CSR over entity ids: row e's entries
-    are ``ids[indptr[e]:indptr[e + 1]]`` with those ``distances`` (or
-    weights). In an index every entity has a row, empty unless the entity
-    is a record."""
-
-    indptr: np.ndarray
-    ids: np.ndarray
-    distances: np.ndarray
 
 
 def compute_parents(kb: KnowledgeBase, params: ParentParams, link_counts: np.ndarray) -> Related:

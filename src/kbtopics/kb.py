@@ -404,8 +404,8 @@ def prune_triples(kb: KnowledgeBase) -> tuple[KnowledgeBase, int]:
 class EntityTexts(NamedTuple):
     """Text rows as columns: entity i (KB id ``ids[i]``, ascending) has rows
     ``[indptr[i], indptr[i + 1])``, by field name, then text, then triple
-    order; each row a text, its field's id (into ``fields``, numbered in
-    order of first appearance) and search weight."""
+    order; each row a text, its field's id (into ``fields``, the names with
+    rows, sorted: the KB's triple order cannot change them) and search weight."""
 
     ids: np.ndarray
     indptr: np.ndarray
@@ -429,12 +429,10 @@ def entity_texts(kb: KnowledgeBase) -> EntityTexts:
     rank = {text: i for i, text in enumerate(sorted(set(values)))}
     text_rank = np.array([rank[text] for text in values], dtype=np.intp)
     order = np.lexsort((text_rank[literal_of], field_rank[predicates], subjects))
-    ranked, first, field_of = np.unique(
-        field_rank[predicates[order]], return_index=True, return_inverse=True)
-    by_first = np.argsort(first)  # the fields in order of first appearance
+    ranked, field_of = np.unique(field_rank[predicates[order]], return_inverse=True)
     weight = np.array([f.weight if f else 0.0 for f in fields], dtype=np.float64)
     ids, starts = np.unique(subjects[order], return_index=True)
     return EntityTexts(ids, np.append(starts, order.shape[0]),
-                       [names[r] for r in ranked[by_first].tolist()],
-                       np.argsort(by_first)[field_of], weight[predicates[order]],
+                       [names[r] for r in ranked.tolist()], field_of,
+                       weight[predicates[order]],
                        [values[t] for t in literal_of[order].tolist()])

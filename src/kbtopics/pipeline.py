@@ -126,12 +126,12 @@ def build_index_from_config(config: AppConfig, out_dir: str | Path) -> BuildRepo
             stage = "edge-weights"
             links = link_counts(kb)
             graph = compute_edge_weights(kb, links, config.edge_weights)
-            staged(f"{len(graph.weights)} weighted edges")
+            staged(f"{len(graph.ids)} weighted edges")
 
             stage = "expansion"
             texts = entity_texts(kb)
             records = texts[0]
-            neighborhoods = expand_all(graph, records, config.expansion)
+            neighborhoods = expand_all(graph, kb.entities, records, config.expansion)
             staged(f"{len(records)} neighborhoods")
 
             stage = "parents"

@@ -18,7 +18,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .index import Related
+from .edges import Related
 from .kb import Iri
 
 TopicOrigin = Literal["direct", "parent"]

@@ -18,10 +18,10 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from kbtopics.coherence import CoherenceGraph, CoherenceParams
-from kbtopics.edges import EdgeWeightParams, WeightedGraph
+from kbtopics.edges import EdgeWeightParams, Related, powers
 from kbtopics.errors import TripleParseError
 from kbtopics.expansion import ExpansionParams, Neighborhood, Neighborhoods, expand_all
-from kbtopics.index import CandidateIndex, ParentParams, Related
+from kbtopics.index import CandidateIndex, ParentParams
 from kbtopics.kb import (
     CrossRefReport,
     Iri,
@@ -179,47 +179,80 @@ def edges_by_scan(kb: TripleKB, params: EdgeWeightParams) -> list[tuple[Iri, Iri
     return sorted(out)
 
 
+def edge_list(kb: KnowledgeBase, links: np.ndarray, params: EdgeWeightParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """compute_edge_weights' kept edges in the edge-list form it once
+    returned: (sources, targets, weights) arrays, group by group, each
+    group's edges by (weight, target)."""
+    iri_object = kb.object_ids >= 0
+    s, p, o = kb.subject_ids[iri_object], kb.predicate_ids[iri_object], kb.object_ids[iri_object]
+    sources, targets = np.concatenate((s, o)), np.concatenate((o, s))
+    predicate = np.concatenate((p, p))
+    ops = np.arange(sources.shape[0]) >= s.shape[0]
+    _, groups, sizes = np.unique((sources * len(kb.predicates) + predicate) * 2 + ops,
+                                 return_inverse=True, return_counts=True)
+    base = np.array([kb.registry.edge_base_weights.get(q, params.default_base_weight)
+                     for q in kb.predicates], dtype=np.float64)
+    weights = (base[predicate] * powers(links[targets], params.f_l)
+               * powers(sizes, params.f_g)[groups])
+    order = np.lexsort((targets, weights, groups))
+    rank = np.arange(order.shape[0]) - (np.cumsum(sizes) - sizes)[groups[order]]
+    keep = order[rank < params.c_max]
+    return sources[keep], targets[keep], weights[keep]
+
+
+def edges_of(rows: Related, entities: Sequence[Iri]) -> list[tuple[Iri, Iri, float]]:
+    """A CSR's rows as (source, target, weight) edges by IRI, row after row."""
+    sources = np.repeat(np.arange(rows.indptr.shape[0] - 1), np.diff(rows.indptr))
+    name = entities.__getitem__
+    return list(zip(map(name, sources.tolist()), map(name, rows.ids.tolist()),
+                    rows.distances.tolist()))
+
+
 EdgeDirection = Literal["spo", "ops"]
 
 # source -> (target, weight) rows, each sorted by (weight, target)
 Adjacency = Mapping[Iri, tuple[tuple[Iri, float], ...]]
 
+# edge rows as compute_edge_weights gives them, and the IRIs of their ids
+Graph = tuple[Related, list[Iri]]
 
-def graph_of(edges: Iterable[tuple[Iri, Iri, float]], entities: Iterable[Iri] = ()
-             ) -> WeightedGraph:
-    """(source, target, weight) edges as a WeightedGraph over their endpoints
-    and ``entities``."""
+
+def graph_of(edges: Iterable[tuple[Iri, Iri, float]], entities: Iterable[Iri] = ()) -> Graph:
+    """(source, target, weight) edges as rows over the ids of their
+    endpoints and ``entities``, in IRI order; a row keeps its edges in the
+    order given."""
     edges = list(edges)
     names = sorted({e for s, t, _ in edges for e in (s, t)}.union(entities))
     ids = {e: i for i, e in enumerate(names)}
-    return WeightedGraph(
-        names,
-        np.array([ids[s] for s, _, _ in edges], dtype=np.int64),
-        np.array([ids[t] for _, t, _ in edges], dtype=np.int64),
-        np.array([w for _, _, w in edges], dtype=np.float64),
-    )
+    edges.sort(key=lambda edge: ids[edge[0]])  # stable
+    counts = np.bincount(np.array([ids[s] for s, _, _ in edges], dtype=np.int64),
+                         minlength=len(names))
+    return Related(np.append(0, np.cumsum(counts)),
+                   np.array([ids[t] for _, t, _ in edges], dtype=np.int64),
+                   np.array([w for _, _, w in edges], dtype=np.float64)), names
 
 
-def adjacency_of(graph: WeightedGraph) -> Adjacency:
+def adjacency_of(graph: Graph) -> Adjacency:
     """The graph as a dict of rows, parallel edges collapsed to the cheapest."""
     best: dict[Iri, dict[Iri, float]] = {}
-    for s, t, w in zip(graph.sources.tolist(), graph.targets.tolist(), graph.weights.tolist()):
-        row = best.setdefault(graph.entities[s], {})
-        target = graph.entities[t]
+    for s, target, w in edges_of(*graph):
+        row = best.setdefault(s, {})
         if target not in row or w < row[target]:
             row[target] = w
     return {s: tuple(sorted(row.items(), key=lambda tw: (tw[1], tw[0])))
             for s, row in best.items()}
 
 
-def expand_iris(graph: WeightedGraph, seeds: Iterable[Iri],
+def expand_iris(graph: Graph, seeds: Iterable[Iri],
                 params: ExpansionParams | None = None) -> Neighborhoods:
     """expand_all of the seeds named by IRI, each once, in the order given."""
-    ids = dict(zip(graph.entities, range(len(graph.entities))))
-    return expand_all(graph, [ids[seed] for seed in dict.fromkeys(seeds)], params)
+    rows, entities = graph
+    ids = dict(zip(entities, range(len(entities))))
+    return expand_all(rows, entities, [ids[seed] for seed in dict.fromkeys(seeds)], params)
 
 
-def expand(graph: WeightedGraph, seed: Iri, params: ExpansionParams | None = None
+def expand(graph: Graph, seed: Iri, params: ExpansionParams | None = None
            ) -> Neighborhood:
     """One seed's neighborhood."""
     return expand_iris(graph, [seed], params)[seed]

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from kbtopics.cli import main
 from kbtopics.config import load_config
-from kbtopics.edges import EdgeWeightParams, WeightedGraph, compute_edge_weights, link_counts
+from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts
 from kbtopics.expansion import ExpansionParams
 from kbtopics.index import CandidateIndex
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
@@ -32,7 +32,7 @@ from kbtopics.ranking import RankingParams, activation
 from kbtopics.selection import SelectionParams, kneedle_cutoff
 from kbtopics.vectors import EmbeddingTable, lexical_vector, semantic_vector
 
-from oracles import expand_iris, record_iris, record_text_ids, record_texts
+from oracles import edges_of, expand_iris, graph_of, record_iris, record_text_ids, record_texts
 from row_table import MentionVectors, RowTable, rows_of, score_candidate
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -189,10 +189,7 @@ def test_criterion_01_edge_weight_oracle():
             c_max=int(rng.integers(1, 6)),
             default_base_weight=float(rng.uniform(0.5, 3.0)),
         )
-        g = compute_edge_weights(kb, link_counts(kb), params)
-        name = g.entities.__getitem__
-        got = Counter(zip(map(name, g.sources.tolist()), map(name, g.targets.tolist()),
-                          g.weights.tolist()))
+        got = Counter(edges_of(compute_edge_weights(kb, link_counts(kb), params), kb.entities))
         want = Counter(oracle_edges(triples, registry, params))  # exact, to the last bit
         mismatched += got != want
         n_edges += sum(want.values())
@@ -219,21 +216,10 @@ def random_edges(rng, n_nodes, n_edges):
     return [(f"n{s:03d}", f"n{t:03d}", w) for (s, t), w in seen.items()]
 
 
-def graph_of(edges, seed):
-    """(source, target, weight) edges and the seed as arrays over ids."""
-    names = sorted({iri(n) for s, t, _ in edges for n in (s, t)} | {seed})
-    ids = {n: i for i, n in enumerate(names)}
-    return WeightedGraph(
-        names,
-        np.array([ids[iri(s)] for s, _, _ in edges], dtype=np.int64),
-        np.array([ids[iri(t)] for _, t, _ in edges], dtype=np.int64),
-        np.array([w for _, _, w in edges], dtype=np.float64),
-    )
-
-
 def expand(edges, seed, params):
     """The seed's neighborhood as {entity: distance}."""
-    return dict(expand_iris(graph_of(edges, seed), [seed], params)[seed].neighbors)
+    graph = graph_of(((iri(s), iri(t), w) for s, t, w in edges), [seed])
+    return dict(expand_iris(graph, [seed], params)[seed].neighbors)
 
 
 def walk_all_paths(edges, seed, max_depth, max_distance):

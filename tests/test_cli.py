@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -697,6 +698,51 @@ def test_expand_debug_output_pinned(index_dir, capsys):
         f"{kb}mycotoxin\t0.6597539553864471",
         f"{kb}toxic_substances\t0.5841906810678655",
     ])
+
+
+@pytest.mark.parametrize("exponents", [("f_l",), ("f_l", "f_g")])
+def test_overflowing_edge_weight_builds_and_leads_nowhere(tmp_path, capsys, monkeypatch,
+                                                          exponents):
+    # at 400 the link power overflows a float for every target of six or
+    # more links, and with both exponents at 400 so can a finite product;
+    # such an edge weighs inf, silently, and no neighborhood reaches an
+    # entity through it
+    built = {}
+
+    def kept(name):
+        def call(*args):
+            built[name] = result = original(*args)
+            return result
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, call)
+
+    kept("compute_edge_weights")
+    kept("expand_all")
+    config = tmp_path / "steep.yaml"
+    text = CONFIG.read_text(encoding="utf-8")
+    for name in ("toy_ontology.nt", "toy_embeddings.txt"):
+        text = text.replace(name, str(DATA / name))
+    for exponent in exponents:
+        assert f"{exponent}: 0.5" in text
+        text = text.replace(f"{exponent}: 0.5", f"{exponent}: 400")
+    config.write_text(text, encoding="utf-8")
+    index = tmp_path / "idx"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["build-index", "--config", str(config), "--out", str(index)]) == 0
+    graph, hoods = built["compute_edge_weights"], built["expand_all"]
+    finite = np.isfinite(graph.distances)
+    assert not finite.all()
+    reached = hoods.ids[hoods.ids != np.repeat(hoods.seeds, np.diff(hoods.indptr))]
+    assert set(reached.tolist()) <= set(graph.ids[finite].tolist())
+    assert main(["classify", "--index", str(index), "--corpus", str(CORPUS),
+                 "--out", str(tmp_path / "topics.jsonl")]) == 0
+    capsys.readouterr()
+    assert main(["expand-debug", "--index", str(index),
+                 "--entity", "http://example.org/kb/aflatoxin"]) == 0
+    assert capsys.readouterr().out.split("parents:")[0] == (
+        "entity\thttp://example.org/kb/aflatoxin\nneighborhood:\n"
+        "http://example.org/kb/aflatoxin\t0.0\n")
 
 
 def test_expand_debug_unknown_entity_exits_2(index_dir, capsys):

@@ -15,9 +15,9 @@ from scipy.sparse.csgraph import dijkstra
 
 import kbtopics
 from kbtopics.coherence import CoherenceGraph, CoherenceParams, build_similarity, greedy_prune
+from kbtopics.edges import Related
 from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood
-from kbtopics.index import Related
 from kbtopics.kb import Iri
 from kbtopics.selection import SelectionParams, aggregate
 

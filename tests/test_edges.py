@@ -5,12 +5,16 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts
+from kbtopics.edges import EdgeWeightParams, compute_edge_weights, link_counts, powers
 from kbtopics.errors import ConfigError
 from kbtopics.kb import Iri, KnowledgeBase, Literal, PropertyRegistry, Triple
 
-from oracles import edges_by_scan, group_cardinality, link_counts_by_scan, objects_of, triples_of
+from oracles import (
+    edge_list, edges_by_scan, edges_of, group_cardinality, link_counts_by_scan, objects_of,
+    triples_of,
+)
 
 EX = "http://example.org/"
 
@@ -31,10 +35,7 @@ def kb_from(spo_list, base_weights=None) -> KnowledgeBase:
 def weighted(kb: KnowledgeBase, params: EdgeWeightParams | None = None
              ) -> list[tuple[Iri, Iri, float]]:
     """compute_edge_weights' edges as sorted (source, target, weight)."""
-    g = compute_edge_weights(kb, link_counts(kb), params)
-    name = g.entities.__getitem__
-    return sorted(zip(map(name, g.sources.tolist()), map(name, g.targets.tolist()),
-                      g.weights.tolist()))
+    return sorted(edges_of(compute_edge_weights(kb, link_counts(kb), params), kb.entities))
 
 
 def random_kb(rng: np.random.Generator, n_entities=20, n_triples=120) -> KnowledgeBase:
@@ -185,14 +186,44 @@ class TestComputeEdgeWeights:
         kb = random_kb(np.random.default_rng(5))
         first = compute_edge_weights(kb, link_counts(kb))
         second = compute_edge_weights(kb, link_counts(kb))
-        assert first.entities == second.entities
-        for a, b in zip(first[1:], second[1:]):
+        for a, b in zip(first, second):
             assert a.tolist() == b.tolist()
 
     def test_ids_number_the_entities_in_iri_order(self):
         kb = random_kb(np.random.default_rng(8))
         g = compute_edge_weights(kb, link_counts(kb))
-        assert g.entities is kb.entities
-        assert g.entities == sorted(g.entities)
-        assert g.sources.dtype == g.targets.dtype == np.int64
-        assert g.weights.dtype == np.float64
+        assert kb.entities == sorted(kb.entities)
+        assert g.indptr.shape == (len(kb.entities) + 1,)
+        assert g.indptr.dtype == g.ids.dtype == np.int64
+        assert g.distances.dtype == np.float64
+
+    def test_an_overflowing_power_is_infinite(self):
+        # Python's float power raises OverflowError past the largest float
+        got = powers(np.array([3, 1, 2, 10, 3]), 400.0)
+        assert got.tolist() == [3.0 ** 400, 1.0, 2.0 ** 400, math.inf, 3.0 ** 400]
+
+
+NODES = [f"e{i}" for i in range(6)]
+
+
+class TestRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(["p0", "p1", "p2"]),
+                              st.sampled_from(NODES + ["lit:x"])), max_size=40),
+           st.integers(1, 3))
+    @example([("e0", "p0", "e1"), ("e0", "p1", "e1"), ("e1", "p0", "e0"), ("e0", "p0", "e2"),
+              ("e0", "p0", "e3"), ("e4", "p2", "lit:x")], 1)
+    def test_each_row_is_its_sources_edges_in_edge_list_order(self, spo_list, c_max):
+        # parallel predicates, both directions of a pair, tied weights (p0
+        # and p1 share a base weight, targets share link counts) and
+        # entities without edges all occur
+        kb = kb_from(spo_list, base_weights={"p0": 0.5, "p1": 0.5})
+        params = EdgeWeightParams(c_max=c_max)
+        links = link_counts(kb)
+        rows = compute_edge_weights(kb, links, params)
+        sources, targets, weights = edge_list(kb, links, params)
+        assert rows.indptr.shape == (len(kb.entities) + 1,)
+        assert rows.indptr[0] == 0 and rows.indptr[-1] == sources.shape[0]
+        for u, (lo, hi) in enumerate(zip(rows.indptr.tolist(), rows.indptr[1:].tolist())):
+            assert rows.ids[lo:hi].tolist() == targets[sources == u].tolist()
+            assert rows.distances[lo:hi].tolist() == weights[sources == u].tolist()

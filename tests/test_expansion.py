@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from kbtopics import expansion
+from kbtopics.edges import Related
 from kbtopics.errors import ConfigError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.kb import Iri
@@ -192,11 +193,11 @@ class TestExpandAll:
             assert result[e] == expand(g, e)
 
     def test_empty_entities(self):
-        assert expand_all(graph(), []) == {}
+        assert expand_all(*graph(), []) == {}
 
     def test_rows_follow_the_seed_ids(self):
         g = graph(("A", "B", 0.5), ("C", "A", 0.25), seeds=["D"])
-        result = expand_all(g, np.array([2, 0, 3]))
+        result = expand_all(*g, np.array([2, 0, 3]))
         assert result.seeds.tolist() == [2, 0, 3]
         assert list(result) == [iri("C"), iri("A"), iri("D")]
         assert result.indptr.tolist() == [0, 3, 5, 6]
@@ -279,4 +280,5 @@ class TestAgainstLabelSettingOracle:
     @pytest.mark.parametrize("weight", [float("nan"), -0.5])
     def test_edge_weight_must_be_a_nonnegative_number(self, weight):
         with pytest.raises(ConfigError, match="nonnegative"):
-            expand_all(graph(("A", "B", weight)), [0])
+            expand_all(Related(np.array([0, 1, 1]), np.array([1]), np.array([weight])),
+                       [iri("A"), iri("B")], [0])

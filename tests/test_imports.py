@@ -1,9 +1,11 @@
 """Every module-level import in src/ and tests/ is used, and every
 module-level function and class of the package, and every public method and
 property of its classes, is named somewhere in the program besides its own
-definition; every module-level assignment of the package is read."""
+definition; every module-level assignment of the package is read, and every
+name an annotation of the package reads is defined."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -14,25 +16,37 @@ MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
 PROGRAM = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
-def names_used(tree: ast.AST) -> set[str]:
-    """Every name read anywhere in the tree, in quoted annotations and
-    ``__all__`` too."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def annotation_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each name read in an annotation of the tree, quoted
+    ones included, the line being the annotation's."""
+    found = []
     for n in ast.walk(tree):
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotations = [n.returns] + [a.annotation for a in ast.walk(n.args)
                                          if isinstance(a, ast.arg)]
         elif isinstance(n, ast.AnnAssign):
             annotations = [n.annotation]
-        elif isinstance(n, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
-            used |= {c.value for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
-            continue
         else:
             continue
-        for c in (c for a in annotations if a is not None for c in ast.walk(a)):
-            if isinstance(c, ast.Constant) and isinstance(c.value, str):
-                used |= names_used(ast.parse(c.value, mode="eval"))
+        for a in filter(None, annotations):
+            for c in ast.walk(a):
+                if isinstance(c, ast.Name):
+                    found.append((a.lineno, c.id))
+                elif isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    found += [(a.lineno, name) for _, name in annotation_names(
+                        ast.parse(f"x: {c.value}"))]
+    return found
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name read anywhere in the tree, in quoted annotations and
+    ``__all__`` too."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {name for _, name in annotation_names(tree)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            used |= {c.value for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
     return used
 
 
@@ -63,6 +77,44 @@ def test_unused_imports_are_found():
               "def f(x: 'Mapping[str, int]') -> None:\n"
               "    return os.path.join(x)\n")
     assert unused_imports(source) == [(2, "j"), (3, "Sequence")]
+
+
+def undefined_annotation_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an annotation reads that is not a builtin
+    and that the module neither imports nor defines at module level, so
+    that ``typing.get_type_hints`` would raise ``NameError`` on it."""
+    tree = ast.parse(source)
+    defined = set(dir(builtins))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            defined |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            defined |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted((line, name) for line, name in annotation_names(tree) if name not in defined)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_annotation_name_is_defined(path):
+    assert undefined_annotation_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_undefined_annotation_names_are_found():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from typing import Mapping\n"
+              "Alias = int\n"
+              "class C:\n"
+              "    field: 'Missing'\n"
+              "def f(x: Mapping[str, np.ndarray], y: 'list[Alias]') -> tuple[C, Iri]:\n"
+              "    z: Local = 0\n"
+              "    return x\n")
+    assert undefined_annotation_names(source) == [(6, "Missing"), (7, "Iri"), (8, "Local")]
 
 
 def names_reached(tree: ast.AST) -> set[str]:

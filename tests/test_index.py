@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbtopics.coherence import build_similarity
-from kbtopics.edges import compute_edge_weights, link_counts
+from kbtopics.edges import Related, compute_edge_weights, link_counts
 from kbtopics.errors import ConfigError, IndexFormatError, IndexIntegrityError
 from kbtopics.expansion import ExpansionParams, Neighborhood, expand_all
 from kbtopics.index import (
@@ -25,7 +25,6 @@ from kbtopics.index import (
     Encoders,
     IndexManifest,
     ParentParams,
-    Related,
     build_index,
     compute_parents,
     read_columns,
@@ -313,7 +312,7 @@ class TestBuildIndex:
         # a row in each per-entity section, empty unless it is a record
         out = build_as_pipeline(kb, tmp_path_factory.mktemp("numbered"), table)
         texts = entity_texts(kb)
-        hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts.ids,
+        hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), kb.entities, texts.ids,
                            ExpansionParams(max_depth=3, max_distance=6.0))
         records = {kb.entities[e] for e in texts.ids.tolist()}
         parents = parents_by_iri(kb, compute_parents(kb, ParentParams(), link_counts(kb)))
@@ -1185,7 +1184,7 @@ def random_index(seed, out, table):
 def build_as_pipeline(kb, out, table):
     """Build an index over the KB as the pipeline does; returns ``out``."""
     texts = entity_texts(kb)
-    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), texts[0],
+    hoods = expand_all(compute_edge_weights(kb, link_counts(kb)), kb.entities, texts[0],
                        ExpansionParams(max_depth=3, max_distance=6.0))
     build_index(texts, hoods, compute_parents(kb, ParentParams(), link_counts(kb)),
                 Encoders(table), out)

@@ -29,6 +29,7 @@ from oracles import (
     TripleKB,
     cross_refs_by_objects,
     edges_by_scan,
+    edges_of,
     iri_by_two_steps,
     link_counts_by_scan,
     load_triples,
@@ -552,9 +553,9 @@ class TestEntityTexts:
         assert texts.indptr.tolist() == [0, 1, 3]
         assert text_rows(texts) == [
             ("synonym", "ice", 1.0), ("label", "sea", 2.0), ("synonym", "ice", 1.0)]
-        # fields are numbered in order of first appearance, not by name
-        assert texts.fields == ["synonym", "label"]
-        assert texts.field_ids.tolist() == [0, 1, 0]
+        # fields are numbered by name, not in order of first appearance
+        assert texts.fields == ["label", "synonym"]
+        assert texts.field_ids.tolist() == [1, 0, 1]
         assert texts.weights.dtype == np.float64
 
     def test_unknown_entity_empty(self):
@@ -672,10 +673,7 @@ class TestAgainstObjectKB:
 
         params = EdgeWeightParams(c_max=2)
         graph = compute_edge_weights(kb, links, params)
-        name = graph.entities.__getitem__
-        assert graph.entities == kb.entities
-        assert sorted(zip(map(name, graph.sources.tolist()), map(name, graph.targets.tolist()),
-                          graph.weights.tolist())) == edges_by_scan(okb, params)
+        assert sorted(edges_of(graph, kb.entities)) == edges_by_scan(okb, params)
 
         entities = sorted(okb.entities)
         assert list(texts_by_iri(kb).items()) == [

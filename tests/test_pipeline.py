@@ -18,9 +18,10 @@ import pytest
 
 from kbtopics.config import load_config, parse_config
 from kbtopics import pipeline, ranking, vectors
+from kbtopics.edges import Related
 from kbtopics.errors import ConfigError, KbTopicsError, PipelineError
 from kbtopics.expansion import Neighborhood
-from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, Related, build_index
+from kbtopics.index import COLUMNS_FILE, MANIFEST_FILE, STRINGS_FILE, Encoders, build_index
 from kbtopics.kb import Iri, KnowledgeBase, entity_texts
 from kbtopics.mentions import Document
 from kbtopics.pipeline import build_index_from_config, open_classifier

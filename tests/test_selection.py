@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from kbtopics.edges import Related
 from kbtopics.errors import ConfigError
-from kbtopics.index import Related
 from kbtopics.kb import Iri
 from kbtopics.selection import (
     SelectionParams,
